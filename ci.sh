@@ -83,6 +83,15 @@ SAL_LEASE=1 cargo test --release -q -p sal-bench --test amortized_accounting --t
 cargo run --release -q -p sal-bench --bin table1 -- --smoke
 grep -q '"amortized_rmrs"' BENCH_table1.json
 grep -q '"target_met":true' BENCH_table1.json
+# The benchmark (perfbench/, its own workspace) builds against these
+# crates by path, so an API change can break it without any step above
+# noticing: build it, and smoke each gated workload for one second.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in mutex-contended arena-zipf async-cancel; do
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1 |
+        grep -q '"correct": true'
+done
 cargo fmt --check
 cargo clippy -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q

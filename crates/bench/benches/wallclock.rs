@@ -11,7 +11,7 @@
 
 use sal_baselines::McsLock;
 use sal_memory::{Mem, MemoryBuilder, NeverAbort};
-use sal_sync::AbortableMutex;
+use sal_sync::{AbortableMutex, Acquire};
 use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -139,7 +139,7 @@ fn abort_paths() {
         let m = AbortableMutex::builder(0u64).capacity(2).build();
         let mut h = m.handle();
         bench("abortable_enter_no_signal", iters, || {
-            let g = h.lock_abortable(&NeverAbort).unwrap();
+            let g = h.acquire(Acquire::new().abort_on(NeverAbort)).unwrap();
             drop(g);
         });
     }

@@ -18,7 +18,7 @@
 //!    probe counts each cancelled passage's shared-memory ops; the max
 //!    must stay ≤ 300 (the paper's bounded-abort claim, measured on the
 //!    drop path).
-//! 3. **CCS wake economics** — N `lock_when` waiters with disjoint
+//! 3. **CCS wake economics** — N `when`-request waiters with disjoint
 //!    predicates under `Evaluate` vs `Broadcast` wake policy, surfacing
 //!    the registry's wakeup/transition counters on the async path.
 //!
@@ -28,7 +28,7 @@
 use sal_bench::Table;
 use sal_obs::{Json, PassageStats, ToJson};
 use sal_runtime::executor::{sleep, Executor};
-use sal_sync::{AbortReason, AsyncAbortableMutex, AsyncStats, WakePolicy};
+use sal_sync::{AbortReason, Acquire, AsyncAbortableMutex, AsyncStats, WakePolicy};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,7 +106,7 @@ impl ToJson for CellRow {
 
 /// Run one grid cell: `tasks` tasks × `reps` lock/increment ops each on
 /// `WORKERS` workers. With `cancel_every = Some(k)`, every k-th task
-/// uses `lock_timeout` with a microsecond-scale deadline, so a slice of
+/// uses a `within` request with a microsecond-scale deadline, so a slice of
 /// the population aborts instead of entering.
 fn run_cell(tasks: usize, reps: usize, cancel_every: Option<usize>) -> CellRow {
     let m = Arc::new(
@@ -125,10 +125,8 @@ fn run_cell(tasks: usize, reps: usize, cancel_every: Option<usize>) -> CellRow {
         ex.spawn(async move {
             for r in 0..reps {
                 if cancels {
-                    match m
-                        .lock_timeout(Duration::from_micros(((t + r) % 50) as u64))
-                        .await
-                    {
+                    let patience = Duration::from_micros(((t + r) % 50) as u64);
+                    match m.acquire(Acquire::new().within(patience)).await {
                         Ok(mut g) => {
                             *g += 1;
                             entered.fetch_add(1, Ordering::Relaxed);
@@ -280,7 +278,10 @@ fn ccs_cell(policy: WakePolicy, label: &'static str, waiters: u64) -> CcsRow {
     for t in 1..=waiters {
         let m = Arc::clone(&m);
         ex.spawn(async move {
-            let g = m.lock_when(move |v: &u64| *v >= t).await;
+            let g = m
+                .acquire(Acquire::new().when(move |v: &u64| *v >= t))
+                .await
+                .expect("an unlimited request cannot abort");
             assert!(*g >= t);
         });
     }
@@ -422,7 +423,7 @@ fn main() {
     }
     caveats.push(
         "deadline futures are checked at poll time: under zero lock traffic pair \
-         lock_timeout with executor::sleep_until for prompt expiry"
+         deadline requests with executor::sleep_until for prompt expiry"
             .to_string(),
     );
     println!(

@@ -13,7 +13,7 @@
 //!
 //! * **prodcons** — mailbox producer/consumer: producers deposit into
 //!   per-consumer mailboxes round-robin; consumer `c` waits
-//!   `lock_when(|s| s.boxes[c] > 0 || done)`. Under evaluation, a
+//!   `Acquire::new().when(|s| s.boxes[c] > 0 || done)`. Under evaluation, a
 //!   deposit wakes exactly its addressee; broadcast wakes every parked
 //!   consumer. This is the headline cell of the acceptance criterion.
 //! * **bqueue** — bounded queue (capacity 4): producers wait for space,
@@ -24,7 +24,7 @@
 //!
 //! The grid is scenario × policy × threads × abort-rate; under a
 //! non-zero abort rate every k-th conditional wait first runs with a
-//! tiny deadline (`lock_when_for` / `await_when_for` — the deadline is
+//! tiny deadline (a `when(..).within(..)` request — the deadline is
 //! injected as the lock's abort signal, so it exercises the paper's
 //! bounded-RMR abort path while queued) and retries unbounded on
 //! [`AbortReason::Deadline`].
@@ -36,7 +36,7 @@
 
 use sal_bench::Table;
 use sal_obs::{Json, ToJson};
-use sal_sync::{AbortReason, AbortableMutex, CcsStats, MutexHandle, WakePolicy};
+use sal_sync::{AbortReason, AbortableMutex, Acquire, CcsStats, MutexHandle, WakePolicy};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -316,11 +316,13 @@ fn barrier(cfg: &CellCfg) -> CellResult {
                     } else {
                         let pred = move |s: &Bar| s.gen != my_gen;
                         if abort_every.is_some_and(|k| (r + 1).is_multiple_of(k)) {
-                            while !g.await_when_for(pred, ABORT_DEADLINE) {
+                            let req = || Acquire::new().when(pred).within(ABORT_DEADLINE);
+                            while g.await_when(req()).is_err() {
                                 aborts += 1;
                             }
                         } else {
-                            g.await_when(pred);
+                            let woke = g.await_when(Acquire::new().when(pred));
+                            debug_assert!(woke.is_ok(), "an unlimited wait cannot abort");
                         }
                     }
                 }
@@ -363,7 +365,7 @@ where
     F: Fn(&T) -> bool + Sync + Copy,
 {
     if abort_every.is_some_and(|k| attempt.is_multiple_of(k)) {
-        match h.lock_when_for(pred, ABORT_DEADLINE) {
+        match h.acquire(Acquire::new().when(pred).within(ABORT_DEADLINE)) {
             Ok(_g) => {
                 // NLL limitation: returning `_g` here would hold the
                 // borrow across the fallback arm; drop and re-take the
@@ -374,7 +376,10 @@ where
             Err(AbortReason::Caller) => unreachable!("deadline waits cannot report Caller"),
         }
     }
-    h.lock_when(pred)
+    match h.acquire(Acquire::new().when(pred)) {
+        Ok(g) => g,
+        Err(_) => unreachable!("an unlimited request cannot abort"),
+    }
 }
 
 struct Row {

@@ -39,7 +39,7 @@ impl AbortSignal for Immediate {
 /// Why an abortable acquisition gave up.
 ///
 /// Returned in the `Err` position by the timed and cancellable entry
-/// points of `sal-sync` (`lock_when_for`, `lock_when_abortable`, …) so
+/// points of `sal-sync` (every `Acquire` request with a limit) so
 /// callers can distinguish "ran out of time" from "was cancelled"
 /// without re-deriving it from the signal they passed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -313,7 +313,10 @@ impl BoundedLongLivedLock {
                         if signal.is_set() {
                             self.spins.clear_announce(mem, pid);
                             machine.st = BoundedEnterState::Done;
-                            return EnterStep::Aborted { ticket: None };
+                            return EnterStep::Aborted {
+                                ticket: None,
+                                handed_off: false,
+                            };
                         }
                         return EnterStep::Pending(WaitToken::new(go, WaitKind::EpochSpin));
                     }
@@ -340,10 +343,13 @@ impl BoundedLongLivedLock {
                             machine.st = BoundedEnterState::Done;
                             return EnterStep::Acquired { ticket: None };
                         }
-                        EnterStep::Aborted { .. } => {
-                            self.cleanup(mem, pid, probe); // lines 64–65
+                        EnterStep::Aborted { handed_off, .. } => {
+                            let switched = self.cleanup(mem, pid, probe); // lines 64–65
                             machine.st = BoundedEnterState::Done;
-                            return EnterStep::Aborted { ticket: None };
+                            return EnterStep::Aborted {
+                                ticket: None,
+                                handed_off: handed_off || switched,
+                            };
                         }
                         EnterStep::Pending(token) => return EnterStep::Pending(token),
                     }
@@ -380,11 +386,12 @@ impl BoundedLongLivedLock {
         let d = TaggedDesc::unpack(mem.read(pid, self.desc)); // line 67
         let inst = self.instances[d.lock as usize].view(mem);
         self.proto.exit(&inst, pid); // line 68
-        self.cleanup(mem, pid, probe); // line 69
+        let _ = self.cleanup(mem, pid, probe); // line 69
     }
 
-    /// `Cleanup()` (Algorithm 6.3 + §6.2 recycling).
-    fn cleanup<M, P>(&self, mem: &M, pid: Pid, probe: &P)
+    /// `Cleanup()` (Algorithm 6.3 + §6.2 recycling); returns whether it
+    /// switched instances (and so released the epoch's spin waiters).
+    fn cleanup<M, P>(&self, mem: &M, pid: Pid, probe: &P) -> bool
     where
         M: Mem + ?Sized,
         P: Probe + ?Sized,
@@ -395,7 +402,7 @@ impl BoundedLongLivedLock {
             local.old_epoch = Some(d.epoch());
         }
         if d.refcnt != 1 {
-            return;
+            return false;
         }
         // lines 71–75: allocate from private holdings.
         let new_lock = self.locals[pid].lock().unwrap().spare;
@@ -423,6 +430,7 @@ impl BoundedLongLivedLock {
             mem.write(pid, self.spins.go_word(d.spn), 1); // line 77
             self.locals[pid].lock().unwrap().spare = d.lock;
             self.spins.retire(mem, pid, d.spn);
+            true
         } else {
             PathStats::bump(&self.stats.switch_cas_failures);
             // Someone incremented Refcnt (or raced the switch): keep our
@@ -430,6 +438,7 @@ impl BoundedLongLivedLock {
             self.spins.unallocate(pid, new_spn);
             // `spare` still holds new_lock (the extra version bump on a
             // never-installed instance is harmless).
+            false
         }
     }
 }

@@ -165,7 +165,7 @@ impl OneShotLock {
                         ticket: ticket.expect("one-shot machine reports its ticket"),
                     }
                 }
-                EnterStep::Aborted { ticket } => {
+                EnterStep::Aborted { ticket, .. } => {
                     return EnterOutcome::Aborted {
                         ticket: ticket.expect("one-shot machine reports its ticket"),
                     }
@@ -223,10 +223,11 @@ impl OneShotLock {
             // line 2
             if signal.is_set() {
                 // lines 3–5
-                self.abort(mem, pid, ticket);
+                let handed_off = self.abort(mem, pid, ticket);
                 machine.st = OneShotEnterState::Done;
                 return EnterStep::Aborted {
                     ticket: Some(ticket),
+                    handed_off,
                 };
             }
             return EnterStep::Pending(WaitToken::new(go, WaitKind::QueueSpin));
@@ -278,27 +279,30 @@ impl OneShotLock {
         probe.cs_exit(pid);
     }
 
-    /// `Abort(i)` (Algorithm 3.3).
-    fn abort<M: Mem + ?Sized>(&self, mem: &M, pid: Pid, i: u64) {
+    /// `Abort(i)` (Algorithm 3.3); returns whether it handed the lock
+    /// on (set a successor's `go`).
+    fn abort<M: Mem + ?Sized>(&self, mem: &M, pid: Pid, i: u64) -> bool {
         self.tree.remove(mem, pid, i); // line 11
         let head = mem.read(pid, self.head); // line 12
         if head != mem.read(pid, self.last_exited) {
             // line 13
-            return;
+            return false;
         }
         // line 15: the exiting process's FindNext may have crossed paths
         // with our Remove; assume responsibility for its handoff.
-        self.signal_next(mem, pid, head);
+        self.signal_next(mem, pid, head)
     }
 
-    /// `SignalNext(head)` (Algorithm 3.4).
-    fn signal_next<M: Mem + ?Sized>(&self, mem: &M, pid: Pid, head: u64) {
+    /// `SignalNext(head)` (Algorithm 3.4); returns whether it set a
+    /// successor's `go`.
+    fn signal_next<M: Mem + ?Sized>(&self, mem: &M, pid: Pid, head: u64) -> bool {
         match self.tree.find_next_with(mem, pid, head, self.ascent) {
             // line 17–18: ⊥ — queue exhausted; ⊤ — an aborter has assumed
             // responsibility for this handoff.
-            FindNextResult::Bottom | FindNextResult::Top => {}
+            FindNextResult::Bottom | FindNextResult::Top => false,
             FindNextResult::Next(j) => {
                 mem.write(pid, self.go.at(j as usize), 1); // line 19
+                true
             }
         }
     }
@@ -394,6 +398,37 @@ mod tests {
         assert!(o.entered());
         lock.exit(&mem, 1);
         assert!(lock.enter(&mem, 2, &NeverAbort).entered());
+    }
+
+    #[test]
+    fn an_abort_that_rescues_a_handoff_reports_it() {
+        // p0 holds; p1..p4 queue. An abort before any exit hands nothing
+        // on. Once p0 has exited (Head = LastExited = 0) and before p1
+        // notices go[1], p2's abort re-runs SignalNext(0) (line 15) and
+        // writes go[1]: its Aborted step must say so.
+        let (lock, mem) = build(5, 2);
+        let sig = AbortFlag::new();
+        sig.set();
+        assert!(lock.enter(&mem, 0, &NeverAbort).entered());
+        let mut machines: Vec<_> = (1..5).map(|_| lock.begin_enter()).collect();
+        for (p, m) in (1..5).zip(&mut machines) {
+            assert!(lock.poll_enter(m, &mem, p, &NeverAbort).pending());
+        }
+        let handed_off = |step: EnterStep| match step {
+            EnterStep::Aborted { handed_off, .. } => handed_off,
+            s => panic!("expected an abort, got {s:?}"),
+        };
+        assert!(!handed_off(lock.poll_enter(
+            &mut machines[3],
+            &mem,
+            4,
+            &sig
+        )));
+        lock.exit(&mem, 0);
+        assert!(handed_off(lock.poll_enter(&mut machines[1], &mem, 2, &sig)));
+        assert!(lock
+            .poll_enter(&mut machines[0], &mem, 1, &NeverAbort)
+            .acquired());
     }
 
     #[test]

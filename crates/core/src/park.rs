@@ -29,7 +29,7 @@
 //! Callers must treat any park return as a hint and re-check their real
 //! condition (all of `sal-sync`'s waits do).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -54,14 +54,12 @@ const SPIN_MIN: u32 = 4;
 #[derive(Debug)]
 struct AdaptiveBudget {
     budget: AtomicU32,
-    enabled: AtomicBool,
 }
 
 impl AdaptiveBudget {
     const fn new() -> Self {
         AdaptiveBudget {
             budget: AtomicU32::new(SPIN_INIT),
-            enabled: AtomicBool::new(true),
         }
     }
 
@@ -69,9 +67,6 @@ impl AdaptiveBudget {
     /// returns whether the condition was observed. Hitting doubles the
     /// budget (capped), missing halves it (floored).
     fn spin(&self, observed: impl Fn() -> bool) -> bool {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return false;
-        }
         let budget = self.budget.load(Ordering::Relaxed);
         for _ in 0..budget {
             if observed() {
@@ -137,12 +132,6 @@ impl Waiter {
             cv: Condvar::new(),
             spin: AdaptiveBudget::new(),
         }
-    }
-
-    /// Enable or disable the adaptive spin phase (enabled by default).
-    /// Disabled, every park goes straight to the condvar.
-    pub fn set_spin(&self, enabled: bool) {
-        self.spin.enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Deliver a notification token and wake the parked waiter, if any.
@@ -258,19 +247,6 @@ mod tests {
         let r = w.park_until(Some(start + Duration::from_millis(10)));
         assert_eq!(r, ParkResult::TimedOut);
         assert!(start.elapsed() >= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn spin_disabled_still_parks_and_wakes() {
-        let w = Arc::new(Waiter::new());
-        w.set_spin(false);
-        let t = {
-            let w = Arc::clone(&w);
-            std::thread::spawn(move || w.park_until(Some(Instant::now() + Duration::from_secs(5))))
-        };
-        std::thread::sleep(Duration::from_millis(5));
-        w.unpark();
-        assert_eq!(t.join().unwrap(), ParkResult::Notified);
     }
 
     #[test]

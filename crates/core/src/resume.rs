@@ -108,6 +108,13 @@ pub enum EnterStep {
     Aborted {
         /// Doorway ticket of the abandoned slot (one-shot machines only).
         ticket: Option<u64>,
+        /// Whether the abort wrote a word other processes wait on: the
+        /// handoff rescue of Algorithm 3.3 (line 15 → `SignalNext`,
+        /// line 19 sets a successor's `go`) or an instance switch in
+        /// `Cleanup` (line 77 sets the retired epoch's spin node). A
+        /// driver that parks waiters must wake them when this is set,
+        /// since the abort may just have handed one of them the lock.
+        handed_off: bool,
     },
     /// The passage is blocked: the watched word is still zero and the
     /// signal has not fired. Poll again (after the driver's idea of
@@ -120,7 +127,7 @@ impl EnterStep {
     pub fn outcome(&self) -> Option<Outcome> {
         match *self {
             EnterStep::Acquired { ticket } => Some(Outcome::Entered { ticket }),
-            EnterStep::Aborted { ticket } => Some(Outcome::Aborted { ticket }),
+            EnterStep::Aborted { ticket, .. } => Some(Outcome::Aborted { ticket }),
             EnterStep::Pending(_) => None,
         }
     }

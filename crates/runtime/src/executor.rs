@@ -30,7 +30,9 @@
 //! ready tasks make progress in wake order and none starves. A task is
 //! never polled concurrently from two workers (a QUEUED/RUNNING/
 //! NOTIFIED state machine serializes polls; a wake arriving mid-poll
-//! re-queues the task at the end of the poll instead of being lost).
+//! re-queues the task at the end of the poll instead of being lost). A
+//! completed task is DONE for good: a straggler wake through a waker
+//! some other task kept is dropped, so no task completes twice.
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 
@@ -109,6 +111,9 @@ const QUEUED: u8 = 1;
 const RUNNING: u8 = 2;
 /// A wake arrived while RUNNING: the worker re-queues after the poll.
 const NOTIFIED: u8 = 3;
+/// The future completed: terminal, wakes are ignored, so a completed
+/// task is never queued (or counted) again.
+const DONE: u8 = 4;
 
 /// One spawned future plus its scheduling state.
 struct Task {
@@ -143,7 +148,8 @@ impl ArcWake for Task {
                         return;
                     }
                 }
-                // Already queued or already flagged: the wake coalesces.
+                // Already queued, already flagged, or completed: the
+                // wake coalesces (or is a straggler and is dropped).
                 _ => return,
             }
         }
@@ -287,26 +293,17 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         task.state.store(RUNNING, Ordering::Release);
         let mut slot = task.future.lock().unwrap();
-        let done = match slot.as_mut() {
-            Some(fut) => {
-                let w = waker(Arc::clone(&task));
-                let mut cx = Context::from_waker(&w);
-                match fut.as_mut().poll(&mut cx) {
-                    Poll::Ready(()) => {
-                        *slot = None; // drop the future eagerly
-                        true
-                    }
-                    Poll::Pending => false,
-                }
-            }
-            // Completed earlier; a straggler wake re-queued it.
-            None => true,
-        };
+        let fut = slot.as_mut().expect("a completed task is never re-queued");
+        let w = waker(Arc::clone(&task));
+        let done = fut.as_mut().poll(&mut Context::from_waker(&w)).is_ready();
+        if done {
+            *slot = None; // drop the future eagerly
+        }
         drop(slot);
         if done {
-            if task.state.swap(IDLE, Ordering::AcqRel) == NOTIFIED {
-                // Harmless straggler: future is gone, nothing to do.
-            }
+            // Terminal: a wake racing this poll, or any later straggler,
+            // finds DONE and is dropped, so the task is counted once.
+            task.state.store(DONE, Ordering::Release);
             if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
                 shared.cv.notify_all();
             }
@@ -543,6 +540,58 @@ mod tests {
         }
         ex.run(2);
         assert_eq!(done.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn a_straggler_wake_of_a_completed_task_is_ignored() {
+        // Task A leaves its waker behind and completes; task B then fires
+        // it and yields. Counting A's completion twice would wrap `live`
+        // and `run` would never return, so a watchdog fails the test
+        // instead of hanging it.
+        struct LeaveWaker(Arc<Mutex<Option<Waker>>>);
+        impl Future for LeaveWaker {
+            type Output = ();
+            fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+                *self.0.lock().unwrap() = Some(cx.waker().clone());
+                Poll::Ready(())
+            }
+        }
+        struct YieldNow(bool);
+        impl Future for YieldNow {
+            type Output = ();
+            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+                if std::mem::replace(&mut self.0, true) {
+                    return Poll::Ready(());
+                }
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            }
+        }
+        let ex = Executor::new();
+        let left: Arc<Mutex<Option<Waker>>> = Arc::default();
+        ex.spawn(LeaveWaker(Arc::clone(&left)));
+        let done = Arc::new(AtomicBool::new(false));
+        {
+            let done = Arc::clone(&done);
+            ex.spawn(async move {
+                let w = left.lock().unwrap().take().expect("task A ran first");
+                w.wake();
+                for _ in 0..3 {
+                    YieldNow(false).await;
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = ex.handle();
+        std::thread::spawn(move || {
+            runner.run(1);
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("run(1) must return after a straggler wake");
+        assert!(done.load(Ordering::SeqCst));
+        assert_eq!(ex.live(), 0);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! fast path and futex-class parking.
 //!
 //! [`Arena<K, T>`] keys a space of logical locks (each protecting its
-//! own `T`) by hash, exposing the full [`MutexHandle`](crate::MutexHandle)
-//! acquisition
-//! surface per key — `lock`, `try_lock`, deadline/abortable variants,
-//! and the conditional `lock_when*` family. Two properties make it an
-//! *arena* rather than a map of mutexes:
+//! own `T`) by hash. [`Arena::acquire`] executes any
+//! [`Acquire`] request on a key — predicate, deadline
+//! or abort signal — and [`lock`](Arena::lock) /
+//! [`try_lock`](Arena::try_lock) are one-line sugar. Two properties make
+//! it an *arena* rather than a map of mutexes:
 //!
 //! * **Inline-word fast path.** An uncontended key is one `AtomicU64`
 //!   (see [`sal_core::arena_word`]): acquisition is a single CAS, no
@@ -17,57 +17,36 @@
 //! * **Bounded materialization.** Only a key that *observes contention*
 //!   (a second arrival while held, or a conditional waiter that must
 //!   block) promotes to a real lock core — the paper's bounded
-//!   long-lived abortable lock plus a parking bucket — drawn from a
+//!   long-lived abortable lock plus its per-pid slots — drawn from a
 //!   bounded pool, and is demoted back to the inline word when the last
 //!   participant leaves. Resident lock-core memory is therefore
 //!   O(currently contended keys), not O(keys): the practical analogue
 //!   of the paper's §6.2 bounded-space constructions.
 //!
-//! The contended path is the PR 7 resumable
-//! [`EnterMachine`](sal_core::EnterMachine) driven park-style: between
-//! `Pending` polls the waiter blocks on a per-pid adaptive
-//! spin-then-park [`Waiter`] slot instead of spinning, and each unlock
-//! hints every engaged slot awake (wakeups are hints; the machine
-//! re-polls). Deadlines and caller signals are injected as the lock's
-//! abort signal, so a waiter whose limit fires *while queued* abandons
-//! on the paper's bounded abort path.
+//! A materialized key runs the lock core and thread driver of
+//! [`AbortableMutex`](crate::AbortableMutex), so a limit that fires while
+//! queued abandons on the paper's bounded abort path. A `when` request
+//! waits in the core's conditional loop; the arena adds only the step
+//! that materializes an inline key it holds (the registry lives in the
+//! core).
 //!
-//! ## Concurrency limits, honestly stated
+//! Limits: per key at most `core_capacity - 1` threads share the core
+//! (one pid is the promotion proxy; more block for a pid, and conditional
+//! waiters keep theirs while they wait); at most `pool` keys are
+//! materialized at once, and further contended keys spin with backoff
+//! on the inline word ([`ArenaStats::fallback_spins`]) — bounded space,
+//! no RMR guarantee on that path, never incorrect. Locking a key twice
+//! from one thread deadlocks, as with `std::sync::Mutex`.
 //!
-//! * Per key, at most `core_capacity - 1` threads participate in the
-//!   core concurrently (one slot is the promotion proxy); further
-//!   arrivals queue FIFO-ish for a process slot and block on a condvar.
-//!   Conditional waiters hold their slot for the whole wait, so size
-//!   `core_capacity` above the expected concurrent waiters per key.
-//! * At most `pool` keys can be materialized at once. When the pool is
-//!   exhausted, additional contended keys fall back to a degraded
-//!   spin-with-backoff on the inline word (counted in
-//!   [`ArenaStats::fallback_spins`]) until a core frees up — the
-//!   classic bounded-space tradeoff: space stays bounded, the overflow
-//!   path loses the RMR guarantee but never correctness.
-//! * Locking the same key twice from one thread deadlocks, exactly like
-//!   `std::sync::Mutex`.
-//!
-//! ## The promotion/demotion protocol
-//!
-//! The word states and transition rules live in
-//! [`sal_core::arena_word`] (shared with the exhaustive interleaving
-//! model in `tests/arena_protocol.rs`); DESIGN.md §13 walks the
-//! argument. The short form:
-//!
-//! * A promoter acquires a pooled core with the reserved **proxy pid**
-//!   so the core models "held by the current inline holder", then
-//!   publishes with CAS `LOCKED_INLINE → MATERIALIZED(idx)`; a failed
-//!   publish is fully undone.
-//! * An inline holder whose unlock CAS fails was promoted under its
-//!   feet and releases by exiting the proxy pid — sound because the
-//!   paper's protocol is pid-keyed, not thread-keyed.
-//! * Every participant is counted in the core's `users`; the last one
-//!   out swaps `users` to a demoting sentinel (which proves the lock is
-//!   free — any holder is a user), resets the word to `UNLOCKED`, and
-//!   returns the core to the pool. Joiners increment `users` first and
-//!   revalidate the word after, so a joiner either blocks demotion or
-//!   observes it and retries from the word.
+//! The promotion/demotion protocol ([`sal_core::arena_word`], shared with
+//! the exhaustive model in `tests/arena_protocol.rs`; DESIGN.md §13): a
+//! promoter enters a pooled core with the reserved **proxy pid** for the
+//! inline holder, then publishes `LOCKED_INLINE → MATERIALIZED(idx)` or
+//! undoes everything; an inline holder whose unlock CAS fails exits
+//! through the proxy pid; every participant counts in `users`, and the
+//! last one out swaps in a demoting sentinel, resets the word and
+//! returns the core. Joiners increment first and revalidate the word
+//! after, so they either block demotion or see it and retry.
 //!
 //! ```
 //! use sal_sync::Arena;
@@ -81,13 +60,13 @@
 //! assert_eq!(arena.stats().resident_cores, 0); // nothing materialized
 //! ```
 
-use crate::ccs::{CcsRegistry, RegistrationGuard, WakePolicy};
-use crate::{deadline_signal, timeout_deadline, AbortReason, Immediate};
+use crate::acquire::{Limit, Predicate};
+use crate::ccs::WakePolicy;
+use crate::driver::Core;
+use crate::{AbortReason, Acquire, Immediate};
 use sal_core::arena_word as word;
-use sal_core::long_lived::BoundedLongLivedLock;
-use sal_core::park::{ParkResult, Waiter};
-use sal_core::{EnterStep, LockCore};
-use sal_memory::{AbortSignal, MemoryBuilder, NeverAbort, Pid, RawMemory};
+use sal_core::LockCore;
+use sal_memory::{AbortSignal, NeverAbort, Pid};
 use sal_obs::NoProbe;
 use std::cell::UnsafeCell;
 use std::collections::hash_map::RandomState;
@@ -96,78 +75,13 @@ use std::fmt;
 use std::hash::{BuildHasher, Hash};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// The proxy pid a promoter enters a fresh core with, standing in for
 /// the inline holder; never handed out by the pid bank.
 const RESERVED: Pid = 0;
-
-/// Re-poll cadence for waits limited by an arbitrary caller signal
-/// (mirrors `ccs::SIGNAL_POLL`: nobody wakes us when a foreign signal
-/// fires, so parked waiters re-check on this period).
-const SIGNAL_POLL: Duration = Duration::from_micros(100);
-
-/// How a blocked arena wait is bounded; the park/checkout flavour of
-/// `ccs::Limit`, carried alongside the abort signal.
-#[derive(Debug, Clone, Copy)]
-enum Wait {
-    /// Block as long as it takes (`lock`, `lock_when`).
-    Forever,
-    /// Give up once the instant passes (deadline variants; the same
-    /// instant is injected as the lock's abort signal).
-    Until(Instant),
-    /// Re-poll the caller's signal every [`SIGNAL_POLL`] while blocked.
-    Poll,
-}
-
-impl Wait {
-    /// Whether this limit has expired (`signal` is the abort signal the
-    /// same entry point injected into the lock).
-    fn expired<S: AbortSignal + ?Sized>(
-        &self,
-        signal: &S,
-        reason: AbortReason,
-    ) -> Option<AbortReason> {
-        match self {
-            Wait::Forever => None,
-            Wait::Until(t) => (Instant::now() >= *t).then_some(reason),
-            Wait::Poll => signal.is_set().then_some(reason),
-        }
-    }
-
-    /// Park on `w` until notified or this limit expires; `None` means
-    /// notified (or spuriously woken — callers re-check), `Some` means
-    /// the limit ended the wait.
-    fn park<S: AbortSignal + ?Sized>(
-        &self,
-        w: &Waiter,
-        signal: &S,
-        reason: AbortReason,
-    ) -> Option<AbortReason> {
-        match self {
-            Wait::Forever => {
-                w.park_until(None);
-                None
-            }
-            Wait::Until(t) => match w.park_until(Some(*t)) {
-                ParkResult::Notified => None,
-                ParkResult::TimedOut => Some(reason),
-            },
-            Wait::Poll => loop {
-                match w.park_until(Some(Instant::now() + SIGNAL_POLL)) {
-                    ParkResult::Notified => return None,
-                    ParkResult::TimedOut => {
-                        if signal.is_set() {
-                            return Some(reason);
-                        }
-                    }
-                }
-            },
-        }
-    }
-}
 
 /// One logical lock: the inline word plus the protected value. Boxed
 /// inside the shard map and never removed while the arena lives, so
@@ -184,100 +98,14 @@ struct Shard<K, T> {
     map: RwLock<HashMap<K, Box<Entry<T>>>>,
 }
 
-/// Per-pid parking slot of a core's enter path: `engaged` is the
-/// published "I may be parked" hint unlockers scan.
-struct EnterSlot {
-    engaged: AtomicBool,
-    waiter: Waiter,
-}
-
-/// A pooled lock core: the paper lock, its memory, the participant
-/// count driving demotion, the pid bank, the enter parking slots, and
-/// the conditional-wait registry. Reused across materializations — a
-/// demoted core is returned with its lock free and registry empty.
-struct Core<T> {
-    mem: RawMemory,
-    lock: BoundedLongLivedLock,
+/// A pooled lock core: the shared [`Core`], the participant count and
+/// the pid bank; a demoted core returns with its lock free.
+struct Pooled<T> {
+    core: Core<T>,
     /// Participant count (joiners, holders, the promotion proxy) or
     /// [`word::USERS_DEMOTING`]; see the protocol in the module docs.
     users: AtomicUsize,
     pids: PidBank,
-    slots: Box<[EnterSlot]>,
-    ccs: CcsRegistry<T>,
-}
-
-impl<T> Core<T> {
-    fn new(capacity: usize, branching: usize, policy: WakePolicy) -> Self {
-        let mut b = MemoryBuilder::new();
-        let lock = BoundedLongLivedLock::layout(&mut b, capacity, branching);
-        Core {
-            mem: b.build_raw(capacity),
-            lock,
-            users: AtomicUsize::new(0),
-            pids: PidBank::new(capacity),
-            slots: (0..capacity)
-                .map(|_| EnterSlot {
-                    engaged: AtomicBool::new(false),
-                    waiter: Waiter::new(),
-                })
-                .collect(),
-            ccs: CcsRegistry::new(capacity, policy),
-        }
-    }
-
-    /// Drive a resumable enter to resolution, parking between `Pending`
-    /// polls. Returns whether the lock was acquired (`false` = the
-    /// signal aborted the attempt on the bounded abort path).
-    ///
-    /// Lost-wakeup freedom is the Dekker pattern: the waiter stores
-    /// `engaged` (SeqCst) *before* the poll's go-word read, the
-    /// unlocker writes the go word (inside `exit_core`) *before*
-    /// scanning `engaged` — so either the poll sees the handoff or the
-    /// scan sees the engagement.
-    fn enter_parked<S: AbortSignal + ?Sized>(&self, pid: Pid, signal: &S, wait: &Wait) -> bool {
-        let mut machine = self.lock.begin_enter();
-        let slot = &self.slots[pid];
-        loop {
-            slot.engaged.store(true, Ordering::SeqCst);
-            match self
-                .lock
-                .poll_enter(&mut machine, &self.mem, pid, signal, &NoProbe)
-            {
-                EnterStep::Acquired { .. } => {
-                    slot.engaged.store(false, Ordering::SeqCst);
-                    return true;
-                }
-                EnterStep::Aborted { .. } => {
-                    slot.engaged.store(false, Ordering::SeqCst);
-                    return false;
-                }
-                EnterStep::Pending(_) => {
-                    // Timeouts re-poll with the (now fired) signal and
-                    // resolve through the machine's bounded abort.
-                    match wait {
-                        Wait::Forever => {
-                            slot.waiter.park_until(None);
-                        }
-                        Wait::Until(t) => {
-                            slot.waiter.park_until(Some(*t));
-                        }
-                        Wait::Poll => {
-                            slot.waiter.park_until(Some(Instant::now() + SIGNAL_POLL));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Unpark every engaged enter slot (hints — spurious wakes re-poll).
-    fn wake_enter_waiters(&self) {
-        for slot in self.slots.iter() {
-            if slot.engaged.load(Ordering::SeqCst) {
-                slot.waiter.unpark();
-            }
-        }
-    }
 }
 
 /// Blocking FIFO-ish checkout of core process slots (pids `1 ..
@@ -298,30 +126,23 @@ impl PidBank {
         }
     }
 
-    /// Check out a pid, blocking under `wait`'s regime; `None` when the
-    /// limit expired first.
-    fn checkout<S: AbortSignal + ?Sized>(&self, wait: &Wait, signal: &S) -> Option<Pid> {
+    /// Check out a pid, blocking under `limit`; `None` once it expired.
+    fn checkout<S: AbortSignal>(&self, limit: &Limit<S>) -> Option<Pid> {
         let mut free = self.free.lock().unwrap();
         loop {
             if let Some(p) = free.pop() {
                 return Some(p);
             }
-            match wait {
-                Wait::Forever => free = self.cv.wait(free).unwrap(),
-                Wait::Until(t) => {
-                    let now = Instant::now();
-                    if now >= *t {
-                        return None;
-                    }
-                    free = self.cv.wait_timeout(free, *t - now).unwrap().0;
-                }
-                Wait::Poll => {
-                    if signal.is_set() {
-                        return None;
-                    }
-                    free = self.cv.wait_timeout(free, SIGNAL_POLL).unwrap().0;
-                }
+            if limit.is_set() {
+                return None;
             }
+            free = match limit.recheck_at() {
+                None => self.cv.wait(free).unwrap(),
+                Some(t) => {
+                    let wait = t.saturating_duration_since(Instant::now());
+                    self.cv.wait_timeout(free, wait).unwrap().0
+                }
+            };
         }
     }
 
@@ -331,13 +152,11 @@ impl PidBank {
     }
 }
 
-/// The bounded core pool: slots are constructed lazily (first
-/// allocation of each index), never torn down, and recycled through a
-/// free list — so `built` is the high-water mark of concurrently
-/// contended keys and the hard space bound is `pool × O(capacity²)`
-/// words regardless of key count.
+/// The bounded core pool: slots are built lazily, never torn down, and
+/// recycled through a free list, so `built` is the high-water mark of
+/// contended keys and space is `pool × O(capacity²)` words.
 struct CorePool<T> {
-    slots: Box<[OnceLock<Core<T>>]>,
+    slots: Box<[OnceLock<Pooled<T>>]>,
     free: Mutex<Vec<u32>>,
     built: AtomicUsize,
     capacity: usize,
@@ -375,8 +194,12 @@ impl<T> CorePool<T> {
                 .compare_exchange(b, b + 1, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                let core = Core::new(self.capacity, self.branching, self.policy);
-                let set = self.slots[b].set(core);
+                let pooled = Pooled {
+                    core: Core::new(self.capacity, self.branching, self.policy, NoProbe),
+                    users: AtomicUsize::new(0),
+                    pids: PidBank::new(self.capacity),
+                };
+                let set = self.slots[b].set(pooled);
                 debug_assert!(set.is_ok(), "slot {b} built twice");
                 return Some(b as u32);
             }
@@ -387,7 +210,7 @@ impl<T> CorePool<T> {
         self.free.lock().unwrap().push(idx);
     }
 
-    fn get(&self, idx: u32) -> &Core<T> {
+    fn get(&self, idx: u32) -> &Pooled<T> {
         self.slots[idx as usize]
             .get()
             .expect("materialized index names a built core")
@@ -401,10 +224,8 @@ impl<T> CorePool<T> {
 
 /// Snapshot of arena-level counters; see [`Arena::stats`].
 ///
-/// The memory-bound story in two numbers: `built_cores` (high-water
-/// mark of concurrently contended keys, hard-capped by
-/// `pool_capacity`) versus `keys` — at a million keys and a handful of
-/// contended ones, `built_cores` stays a handful.
+/// The memory bound in two numbers: `built_cores` (capped by
+/// `pool_capacity`) stays a handful while `keys` reaches millions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Keys currently materialized (holding a pooled core).
@@ -505,10 +326,8 @@ impl<K, T> ArenaBuilder<K, T> {
 /// A sharded, hash-keyed arena of logical locks with an inline-word
 /// fast path and bounded lazy materialization; see the module docs.
 ///
-/// Unlike [`AbortableMutex`](crate::AbortableMutex), no per-thread
-/// registration is needed: any number of threads may use any key, and
-/// process identities are checked out per contended acquisition from
-/// the key's core.
+/// No per-thread registration: any thread may use any key; pids are
+/// checked out per contended acquisition from the key's core.
 pub struct Arena<K, T> {
     shards: Box<[Shard<K, T>]>,
     shard_mask: usize,
@@ -538,10 +357,8 @@ enum Mode {
     Core { idx: u32, pid: Pid },
 }
 
-/// Result of one promotion attempt.
+/// Why a promotion attempt did not publish.
 enum Promote {
-    /// Published: the key now routes through a core.
-    Done,
     /// The publish CAS lost (holder released, or another promoter won);
     /// fully undone — re-read the word.
     Raced,
@@ -598,137 +415,84 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
         unsafe { &*(&**e as *const Entry<T>) }
     }
 
-    // ---- plain acquisition --------------------------------------------
+    /// Execute `req` on `key`'s lock. An uncontended plain request is
+    /// one CAS on the inline word. A `when` request whose predicate is
+    /// false materializes the key (the registry lives in a core) and
+    /// waits there, demoting again once the last waiter leaves. On `Err`
+    /// nothing is held or leaked.
+    pub fn acquire<F, S>(
+        &self,
+        key: &K,
+        req: Acquire<F, S>,
+    ) -> Result<ArenaGuard<'_, K, T>, AbortReason>
+    where
+        F: Predicate<T>,
+        S: AbortSignal,
+    {
+        let entry = self.entry(key);
+        let mut backoff = 0u32;
+        loop {
+            let (idx, pid) = match self.enter(entry, &req.limit)? {
+                Mode::Core { idx, pid } => (idx, pid),
+                Mode::Inline => {
+                    // Safety: we hold the key's lock.
+                    if req.pred.holds(unsafe { &*entry.data.get() }) {
+                        return Ok(self.guard(entry, Mode::Inline));
+                    }
+                    if let Some(r) = req.limit.expired() {
+                        self.unlock(entry, Mode::Inline);
+                        return Err(r);
+                    }
+                    // To wait we need a registry, i.e. a core.
+                    match self.materialize(entry, true) {
+                        Ok(seat) => seat,
+                        Err(promote) => {
+                            // Raced: someone materialized under us — come
+                            // back in core mode. Exhausted: re-poll the
+                            // predicate with backoff.
+                            self.unlock(entry, Mode::Inline);
+                            if let Promote::Exhausted = promote {
+                                self.fallback_spins.fetch_add(1, Ordering::Relaxed);
+                                backoff_step(&mut backoff);
+                            }
+                            continue;
+                        }
+                    }
+                }
+            };
+            let p = self.pool.get(idx);
+            // Our pid and users seat are kept across the wait: a
+            // registered waiter must block demotion.
+            return match p
+                .core
+                .hold_when(pid, &entry.data, &req.pred, &req.limit, false)
+            {
+                Ok(()) => Ok(self.guard(entry, Mode::Core { idx, pid })),
+                Err(r) => {
+                    p.pids.release(pid);
+                    self.depart(entry, p, idx);
+                    Err(r)
+                }
+            };
+        }
+    }
 
-    /// Acquire `key`'s lock, waiting as long as it takes. Uncontended:
-    /// one CAS on the inline word.
+    /// Acquire `key`'s lock, waiting as long as it takes:
+    /// `acquire(key, Acquire::new())`. Uncontended: one CAS.
     pub fn lock(&self, key: &K) -> ArenaGuard<'_, K, T> {
-        let entry = self.entry(key);
-        let mode = self
-            .acquire(entry, &NeverAbort, &Wait::Forever, AbortReason::Caller)
-            .expect("unbounded acquire cannot fail");
-        self.guard(entry, mode)
+        match self.acquire(key, Acquire::new()) {
+            Ok(g) => g,
+            Err(_) => unreachable!("an unbounded acquisition cannot abort"),
+        }
     }
 
-    /// Acquire with an arbitrary abort signal; `None` if the attempt
-    /// was abandoned. Like [`MutexHandle::lock_abortable`]: a signal
-    /// firing after the lock is won still yields the guard.
-    ///
-    /// [`MutexHandle::lock_abortable`]: crate::MutexHandle::lock_abortable
-    pub fn lock_abortable(
-        &self,
-        key: &K,
-        signal: &(impl AbortSignal + ?Sized),
-    ) -> Option<ArenaGuard<'_, K, T>> {
-        let entry = self.entry(key);
-        self.acquire(entry, signal, &Wait::Poll, AbortReason::Caller)
-            .ok()
-            .map(|mode| self.guard(entry, mode))
-    }
-
-    /// One near-immediate attempt: give up as soon as the key is
-    /// observed held (a held *inline* key fails without materializing
-    /// anything; a materialized key runs one bounded abortable enter).
+    /// One near-immediate attempt,
+    /// `acquire(key, Acquire::new().abort_on(Immediate))`: a held
+    /// *inline* key fails without materializing anything; a materialized
+    /// key runs one bounded abortable enter.
     pub fn try_lock(&self, key: &K) -> Option<ArenaGuard<'_, K, T>> {
-        self.lock_abortable(key, &Immediate)
+        self.acquire(key, Acquire::new().abort_on(Immediate)).ok()
     }
-
-    /// Acquire unless `timeout` elapses first. The deadline rides the
-    /// lock's abort signal: expiring while queued aborts on the bounded
-    /// path.
-    pub fn try_lock_for(&self, key: &K, timeout: Duration) -> Option<ArenaGuard<'_, K, T>> {
-        self.try_lock_until(key, timeout_deadline(timeout))
-    }
-
-    /// Acquire unless the deadline passes first.
-    pub fn try_lock_until(&self, key: &K, deadline: Instant) -> Option<ArenaGuard<'_, K, T>> {
-        let entry = self.entry(key);
-        self.acquire(
-            entry,
-            &deadline_signal(deadline),
-            &Wait::Until(deadline),
-            AbortReason::Deadline,
-        )
-        .ok()
-        .map(|mode| self.guard(entry, mode))
-    }
-
-    // ---- conditional acquisition --------------------------------------
-
-    /// Acquire `key`'s lock when `pred` holds over its value — the
-    /// conditional critical section of
-    /// [`MutexHandle::lock_when`](crate::MutexHandle::lock_when), per
-    /// key. A waiting key materializes (the registry lives in the
-    /// core), and demotes again once the last waiter leaves.
-    pub fn lock_when<F>(&self, key: &K, pred: F) -> ArenaGuard<'_, K, T>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        let entry = self.entry(key);
-        let mode = self
-            .acquire_when(
-                entry,
-                &pred,
-                &NeverAbort,
-                &Wait::Forever,
-                AbortReason::Caller,
-            )
-            .expect("unbounded lock_when cannot fail");
-        self.guard(entry, mode)
-    }
-
-    /// [`lock_when`](Self::lock_when) with a timeout; fails with
-    /// [`AbortReason::Deadline`].
-    pub fn lock_when_for<F>(
-        &self,
-        key: &K,
-        pred: F,
-        timeout: Duration,
-    ) -> Result<ArenaGuard<'_, K, T>, AbortReason>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        self.lock_when_until(key, pred, timeout_deadline(timeout))
-    }
-
-    /// [`lock_when`](Self::lock_when) with an absolute deadline.
-    pub fn lock_when_until<F>(
-        &self,
-        key: &K,
-        pred: F,
-        deadline: Instant,
-    ) -> Result<ArenaGuard<'_, K, T>, AbortReason>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        let entry = self.entry(key);
-        let mode = self.acquire_when(
-            entry,
-            &pred,
-            &deadline_signal(deadline),
-            &Wait::Until(deadline),
-            AbortReason::Deadline,
-        )?;
-        Ok(self.guard(entry, mode))
-    }
-
-    /// [`lock_when`](Self::lock_when) with caller-side cancellation;
-    /// fails with [`AbortReason::Caller`] once `signal` fires.
-    pub fn lock_when_abortable<F>(
-        &self,
-        key: &K,
-        pred: F,
-        signal: &(impl AbortSignal + ?Sized),
-    ) -> Result<ArenaGuard<'_, K, T>, AbortReason>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        let entry = self.entry(key);
-        let mode = self.acquire_when(entry, &pred, signal, &Wait::Poll, AbortReason::Caller)?;
-        Ok(self.guard(entry, mode))
-    }
-
-    // ---- introspection ------------------------------------------------
 }
 
 impl<K, T> Arena<K, T> {
@@ -755,8 +519,6 @@ impl<K, T> Arena<K, T> {
         self.shards.len()
     }
 
-    // ---- the protocol -------------------------------------------------
-
     fn guard<'a>(&'a self, entry: &'a Entry<T>, mode: Mode) -> ArenaGuard<'a, K, T> {
         ArenaGuard {
             arena: self,
@@ -766,15 +528,14 @@ impl<K, T> Arena<K, T> {
         }
     }
 
-    /// The dispatch loop behind every plain acquisition: CAS the inline
-    /// word, promote on contention, or join the key's core and run the
-    /// parked enter. On `Err` nothing is held or leaked.
-    fn acquire<S: AbortSignal + ?Sized>(
+    /// The plain dispatch loop: CAS the inline word, promote on
+    /// contention, or join the key's core and run its thread driver. On
+    /// `Err` nothing is held or leaked.
+    #[inline]
+    fn enter<S: AbortSignal>(
         &self,
         entry: &Entry<T>,
-        signal: &S,
-        wait: &Wait,
-        reason: AbortReason,
+        limit: &Limit<S>,
     ) -> Result<Mode, AbortReason> {
         let mut backoff = 0u32;
         loop {
@@ -794,218 +555,109 @@ impl<K, T> Arena<K, T> {
                     }
                 }
                 word::WordState::LockedInline => {
-                    // A pre-fired signal (try_lock) fails fast here
-                    // without materializing anything.
-                    if signal.is_set() {
-                        return Err(reason);
+                    // An expired limit (try_lock's pre-fired signal)
+                    // fails fast here without materializing anything.
+                    if let Some(r) = limit.expired() {
+                        return Err(r);
                     }
-                    match self.promote(entry) {
-                        Promote::Done | Promote::Raced => {}
-                        Promote::Exhausted => {
-                            if let Some(r) = wait.expired(signal, reason) {
-                                return Err(r);
-                            }
-                            self.fallback_spins.fetch_add(1, Ordering::Relaxed);
-                            backoff_step(&mut backoff);
-                        }
+                    if let Err(Promote::Exhausted) = self.materialize(entry, false) {
+                        self.fallback_spins.fetch_add(1, Ordering::Relaxed);
+                        backoff_step(&mut backoff);
                     }
                 }
                 word::WordState::Materialized(idx) => {
-                    let idx = idx as u32;
-                    let core = self.pool.get(idx);
-                    if !self.join(entry, core, idx) {
-                        continue;
+                    if let Some(r) = self.enter_core(entry, idx as u32, limit) {
+                        return r;
                     }
-                    let Some(pid) = core.pids.checkout(wait, signal) else {
-                        self.depart(entry, core, idx);
-                        return Err(reason);
-                    };
-                    if core.enter_parked(pid, signal, wait) {
-                        return Ok(Mode::Core { idx, pid });
-                    }
-                    core.pids.release(pid);
-                    self.depart(entry, core, idx);
-                    return Err(reason);
                 }
             }
         }
     }
 
-    /// The conditional-acquisition loop: acquire, check `pred`, and if
-    /// false wait through the core's registry (materializing the key
-    /// first when it is still inline). On `Ok` the lock is held and
-    /// `pred` held at the last check.
-    fn acquire_when<F, S>(
+    /// Join materialized core `idx` and run its thread driver; `None`
+    /// when the core no longer serves `entry` (re-read the word). Kept
+    /// out of line so the inline-word path stays small.
+    #[cold]
+    fn enter_core<S>(
         &self,
         entry: &Entry<T>,
-        pred: &F,
-        signal: &S,
-        wait: &Wait,
-        reason: AbortReason,
-    ) -> Result<Mode, AbortReason>
+        idx: u32,
+        limit: &Limit<S>,
+    ) -> Option<Result<Mode, AbortReason>>
     where
-        F: Fn(&T) -> bool + Sync,
-        S: AbortSignal + ?Sized,
+        S: AbortSignal,
     {
-        let mut backoff = 0u32;
-        'fresh: loop {
-            let mut mode = self.acquire(entry, signal, wait, reason)?;
-            let mut woken = false;
-            loop {
-                // Safety: we hold the key's lock (in either mode).
-                if pred(unsafe { &*entry.data.get() }) {
-                    return Ok(mode);
-                }
-                if let Mode::Core { idx, .. } = mode {
-                    if woken {
-                        self.pool.get(idx).ccs.note_futile();
-                    }
-                }
-                if let Some(r) = wait.expired(signal, reason) {
-                    self.unlock(entry, mode);
-                    return Err(r);
-                }
-                match mode {
-                    Mode::Core { idx, pid } => {
-                        let core = self.pool.get(idx);
-                        let reg = RegistrationGuard::register(&core.ccs, pid, pred);
-                        // Release while keeping our pid and users seat —
-                        // a registered waiter must block demotion (its
-                        // registration lives in this core).
-                        self.core_exit(entry, core, pid);
-                        core.ccs.note_wait();
-                        let expired = wait.park(core.ccs.cond_waiter(pid), signal, reason);
-                        let notified = reg.deregister();
-                        if let Some(r) = expired {
-                            core.pids.release(pid);
-                            self.depart(entry, core, idx);
-                            return Err(r);
-                        }
-                        woken = notified;
-                        // Re-acquire through the core with the seat we
-                        // kept; an abort here ends the whole wait.
-                        if !core.enter_parked(pid, signal, wait) {
-                            core.pids.release(pid);
-                            self.depart(entry, core, idx);
-                            return Err(reason);
-                        }
-                    }
-                    Mode::Inline => {
-                        // To wait we need a registry, i.e. a core:
-                        // promote while holding.
-                        match self.materialize_held(entry) {
-                            Ok((idx, pid)) => {
-                                mode = Mode::Core { idx, pid };
-                            }
-                            Err(Promote::Raced) => {
-                                // Someone else materialized under us:
-                                // release through the proxy and come
-                                // back in core mode.
-                                self.unlock(entry, Mode::Inline);
-                                continue 'fresh;
-                            }
-                            Err(_) => {
-                                // Pool exhausted: degrade to re-polling
-                                // the predicate with backoff.
-                                self.unlock(entry, Mode::Inline);
-                                self.fallback_spins.fetch_add(1, Ordering::Relaxed);
-                                backoff_step(&mut backoff);
-                                continue 'fresh;
-                            }
-                        }
-                    }
-                }
+        let p = self.pool.get(idx);
+        if !self.join(entry, p, idx) {
+            return None;
+        }
+        if let Some(pid) = p.pids.checkout(limit) {
+            if p.core.enter(pid, limit).is_ok() {
+                return Some(Ok(Mode::Core { idx, pid }));
             }
+            p.pids.release(pid);
         }
+        self.depart(entry, p, idx);
+        Some(Err(limit.reason()))
     }
 
-    /// Promote a held-by-someone-else inline key: acquire a pooled core
-    /// through the proxy pid (modelling the current holder), publish,
-    /// or undo completely.
-    fn promote(&self, entry: &Entry<T>) -> Promote {
-        let Some(idx) = self.pool.acquire() else {
-            return Promote::Exhausted;
-        };
-        let core = self.pool.get(idx);
-        core.users.fetch_add(1, Ordering::SeqCst); // the proxy's seat
-        let outcome = core
-            .lock
-            .enter_core(&core.mem, RESERVED, &NeverAbort, &NoProbe);
-        debug_assert!(outcome.entered(), "fresh core acquires immediately");
-        if entry
-            .word
-            .compare_exchange(
-                word::LOCKED_INLINE,
-                word::materialized(idx as usize),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
-        {
-            self.promotions.fetch_add(1, Ordering::Relaxed);
-            Promote::Done
-        } else {
-            core.lock.exit_core(&core.mem, RESERVED, &NoProbe);
-            core.users.fetch_sub(1, Ordering::SeqCst);
-            self.pool.release(idx);
-            self.raced_promotions.fetch_add(1, Ordering::Relaxed);
-            Promote::Raced
-        }
-    }
-
-    /// Promote a key *we* hold inline (conditional waits need a core to
-    /// register in): transfer the hold to our own checked-out pid.
-    fn materialize_held(&self, entry: &Entry<T>) -> Result<(u32, Pid), Promote> {
+    /// Materialize an inline-held key: take a pooled core, enter it as
+    /// the holder — through the proxy pid for someone else's hold, or a
+    /// checked-out pid for `ours` (a conditional wait needs a core to
+    /// register in) — and publish `LOCKED_INLINE → MATERIALIZED(idx)`. A
+    /// lost publish (the holder released, or another promoter won) is
+    /// fully undone.
+    fn materialize(&self, entry: &Entry<T>, ours: bool) -> Result<(u32, Pid), Promote> {
         let Some(idx) = self.pool.acquire() else {
             return Err(Promote::Exhausted);
         };
-        let core = self.pool.get(idx);
-        core.users.fetch_add(1, Ordering::SeqCst);
-        let pid = core
-            .pids
-            .checkout(&Wait::Poll, &Immediate)
-            .expect("fresh core has free pids");
-        let outcome = core.lock.enter_core(&core.mem, pid, &NeverAbort, &NoProbe);
-        debug_assert!(outcome.entered(), "fresh core acquires immediately");
-        if entry
-            .word
-            .compare_exchange(
-                word::LOCKED_INLINE,
-                word::materialized(idx as usize),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
-        {
-            self.promotions.fetch_add(1, Ordering::Relaxed);
-            Ok((idx, pid))
+        let p = self.pool.get(idx);
+        p.users.fetch_add(1, Ordering::SeqCst);
+        let pid = if ours {
+            let free = p.pids.checkout(&Limit::Signal(Immediate));
+            free.expect("fresh core has free pids")
         } else {
-            // A concurrent promoter won the publish; its proxy now
-            // models our hold. Undo our core entirely.
-            core.lock.exit_core(&core.mem, pid, &NoProbe);
-            core.pids.release(pid);
-            core.users.fetch_sub(1, Ordering::SeqCst);
-            self.pool.release(idx);
-            self.raced_promotions.fetch_add(1, Ordering::Relaxed);
-            Err(Promote::Raced)
+            RESERVED
+        };
+        let outcome = p
+            .core
+            .lock
+            .enter_core(&p.core.mem, pid, &NeverAbort, &NoProbe);
+        debug_assert!(outcome.entered(), "fresh core acquires immediately");
+        let published = entry.word.compare_exchange(
+            word::LOCKED_INLINE,
+            word::materialized(idx as usize),
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
+        if published.is_ok() {
+            self.promotions.fetch_add(1, Ordering::Relaxed);
+            return Ok((idx, pid));
         }
+        p.core.lock.exit_core(&p.core.mem, pid, &NoProbe);
+        if ours {
+            p.pids.release(pid);
+        }
+        p.users.fetch_sub(1, Ordering::SeqCst);
+        self.pool.release(idx);
+        self.raced_promotions.fetch_add(1, Ordering::Relaxed);
+        Err(Promote::Raced)
     }
 
-    /// Become a counted participant of `core`, or back off (`false`) if
+    /// Become a counted participant of `p`, or back off (`false`) if
     /// the core is demoting / no longer serves this entry. Increment
     /// first, revalidate the word after — the demotion-race half of the
     /// protocol (module docs).
-    fn join(&self, entry: &Entry<T>, core: &Core<T>, idx: u32) -> bool {
+    fn join(&self, entry: &Entry<T>, p: &Pooled<T>, idx: u32) -> bool {
         loop {
-            let u = core.users.load(Ordering::SeqCst);
+            let u = p.users.load(Ordering::SeqCst);
             let Some(next) = word::join_users(u) else {
                 // Demotion in flight; the demoter changes the word
                 // before releasing the core, so re-reading it makes
                 // progress.
                 return false;
             };
-            if core
-                .users
+            if p.users
                 .compare_exchange(u, next, Ordering::SeqCst, Ordering::SeqCst)
                 .is_err()
             {
@@ -1016,20 +668,19 @@ impl<K, T> Arena<K, T> {
             }
             // The core moved on (demoted, possibly re-promoted for
             // another key) between our read and our increment: undo.
-            core.users.fetch_sub(1, Ordering::SeqCst);
+            p.users.fetch_sub(1, Ordering::SeqCst);
             return false;
         }
     }
 
     /// Give up a participant seat; the last one out demotes the key and
     /// returns the core to the pool.
-    fn depart(&self, entry: &Entry<T>, core: &Core<T>, idx: u32) {
+    fn depart(&self, entry: &Entry<T>, p: &Pooled<T>, idx: u32) {
         loop {
-            let u = core.users.load(Ordering::SeqCst);
+            let u = p.users.load(Ordering::SeqCst);
             debug_assert!(u != 0 && u != word::USERS_DEMOTING, "departing a dead core");
             if word::may_demote(u) {
-                if core
-                    .users
+                if p.users
                     .compare_exchange(u, word::USERS_DEMOTING, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
                 {
@@ -1040,12 +691,12 @@ impl<K, T> Arena<K, T> {
                     // counter, then the pool slot.
                     let prev = entry.word.swap(word::UNLOCKED, Ordering::SeqCst);
                     debug_assert_eq!(prev, word::materialized(idx as usize));
-                    core.users.store(0, Ordering::SeqCst);
+                    p.users.store(0, Ordering::SeqCst);
                     self.pool.release(idx);
                     self.demotions.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
-            } else if core
+            } else if p
                 .users
                 .compare_exchange(u, u - 1, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
@@ -1053,22 +704,6 @@ impl<K, T> Arena<K, T> {
                 return;
             }
         }
-    }
-
-    /// Release a core hold: evaluate registered conditions under the
-    /// lock (unlock-side evaluation, as the mutex does), exit, wake.
-    /// Keeps the caller's pid and users seat.
-    fn core_exit(&self, entry: &Entry<T>, core: &Core<T>, pid: Pid) {
-        if core.ccs.has_waiters() {
-            // Safety: we hold the key's lock; the value is stable under
-            // the registered conditions.
-            let set = core.ccs.evaluate(pid, unsafe { &*entry.data.get() });
-            core.lock.exit_core(&core.mem, pid, &NoProbe);
-            core.ccs.wake(&set);
-        } else {
-            core.lock.exit_core(&core.mem, pid, &NoProbe);
-        }
-        core.wake_enter_waiters();
     }
 
     /// Full release of a held key in either mode.
@@ -1094,15 +729,15 @@ impl<K, T> Arena<K, T> {
                     unreachable!("inline hold can only change by promotion, found {w:?}");
                 };
                 let idx = idx as u32;
-                let core = self.pool.get(idx);
-                self.core_exit(entry, core, RESERVED);
-                self.depart(entry, core, idx);
+                let p = self.pool.get(idx);
+                p.core.release(RESERVED, &entry.data);
+                self.depart(entry, p, idx);
             }
             Mode::Core { idx, pid } => {
-                let core = self.pool.get(idx);
-                self.core_exit(entry, core, pid);
-                core.pids.release(pid);
-                self.depart(entry, core, idx);
+                let p = self.pool.get(idx);
+                p.core.release(pid, &entry.data);
+                p.pids.release(pid);
+                self.depart(entry, p, idx);
             }
         }
     }
@@ -1180,7 +815,6 @@ impl<K, T: fmt::Debug> fmt::Debug for ArenaGuard<'_, K, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AbortFlag;
     use std::sync::Arc;
 
     #[test]
@@ -1245,7 +879,8 @@ mod tests {
         let start = Instant::now();
         let arena2 = Arc::clone(&arena);
         let t = std::thread::spawn(move || {
-            arena2.try_lock_for(&1, Duration::from_millis(20)).is_none()
+            let r = arena2.acquire(&1, Acquire::new().within(Duration::from_millis(20)));
+            r.err() == Some(AbortReason::Deadline)
         });
         assert!(t.join().unwrap(), "waiter should time out");
         assert!(start.elapsed() >= Duration::from_millis(20));
@@ -1257,12 +892,15 @@ mod tests {
     #[test]
     fn abort_flag_unblocks_a_queued_waiter() {
         let arena: Arc<Arena<u8, u32>> = Arc::new(Arena::new());
-        let flag = AbortFlag::new();
+        let flag = crate::AbortFlag::new();
         let g = arena.lock(&3);
         let t = {
             let arena = Arc::clone(&arena);
             let flag = flag.clone();
-            std::thread::spawn(move || arena.lock_abortable(&3, &flag).is_none())
+            std::thread::spawn(move || {
+                let r = arena.acquire(&3, Acquire::new().abort_on(&flag));
+                r.err() == Some(AbortReason::Caller)
+            })
         };
         std::thread::sleep(Duration::from_millis(10));
         flag.set();
@@ -1277,7 +915,9 @@ mod tests {
         let t = {
             let arena = Arc::clone(&arena);
             std::thread::spawn(move || {
-                let g = arena.lock_when(&1, |v| *v == 42);
+                let g = arena
+                    .acquire(&1, Acquire::new().when(|v: &u64| *v == 42))
+                    .unwrap();
                 *g
             })
         };
@@ -1291,7 +931,9 @@ mod tests {
     fn lock_when_already_true_stays_inline() {
         let arena: Arena<u8, u64> = Arena::new();
         *arena.lock(&1) = 5;
-        let g = arena.lock_when(&1, |v| *v == 5);
+        let g = arena
+            .acquire(&1, Acquire::new().when(|v: &u64| *v == 5))
+            .unwrap();
         assert_eq!(*g, 5);
         drop(g);
         assert_eq!(arena.stats().built_cores, 0);
@@ -1300,8 +942,10 @@ mod tests {
     #[test]
     fn lock_when_deadline_expires() {
         let arena: Arena<u8, u64> = Arena::new();
-        let r = arena.lock_when_for(&1, |v| *v == 99, Duration::from_millis(15));
-        assert_eq!(r.err(), Some(AbortReason::Deadline));
+        let req = Acquire::new()
+            .when(|v: &u64| *v == 99)
+            .within(Duration::from_millis(15));
+        assert_eq!(arena.acquire(&1, req).err(), Some(AbortReason::Deadline));
         assert_eq!(arena.stats().resident_cores, 0, "waiter departed cleanly");
     }
 

@@ -1,68 +1,47 @@
 //! [`AsyncAbortableMutex`]: the paper's lock behind poll-based futures,
 //! where **dropping a pending lock future runs the bounded abort**.
 //!
-//! ## Why an async surface fits this lock
+//! Rust cancels a future by dropping it, which demands that the waiter
+//! leave the lock's queue *now* — exactly the paper's bounded abort.
+//! Most queue locks degrade cancellation to "acquire, then release";
+//! here `Drop` resolves the enter machine with the pre-fired
+//! [`Immediate`](crate::Immediate) signal, which runs the abort path
+//! (Tree.remove, rescue, Cleanup) in the dropping thread's own bounded
+//! steps (`tests/async_cancellation.rs` checks the ≤ 300-op bound at
+//! every cancellation point). [`try_lock`](AsyncAbortableMutex::try_lock)
+//! resolves a fresh machine the same way.
 //!
-//! Abortable mutual exclusion asks: can a waiter abandon its attempt in
-//! a bounded number of its own steps? That is exactly the contract
-//! future cancellation needs. Rust cancels a future by dropping it —
-//! whoever drops a pending `lock()` future (a `select!` arm losing, a
-//! timeout firing, a task being torn down) implicitly demands that the
-//! waiter leave the lock's queue *now*, without waiting for the lock.
-//! Most queue locks cannot do that (their waiters must be handed the
-//! lock before they can leave, so cancellation degrades to "acquire,
-//! then release"). This lock can: `Drop` resolves the enter machine
-//! with the pre-fired [`Immediate`] signal, which runs the paper's
-//! abort path — Tree.remove, conditional rescue, Cleanup — in the
-//! dropping thread's own bounded number of steps (§4–§6 of the paper;
-//! the `tests/async_cancellation.rs` harness measures the ≤ 300-op
-//! bound for every possible cancellation point).
+//! The mutex is an [`AbortableMutex`] driven by wakers: one future type,
+//! [`AcquireFuture`], executes every [`Acquire`] request over the same
+//! lock core, in three layers.
 //!
-//! ## How it is built
+//! 1. **Pid checkout.** Tasks outnumber pids, so a FIFO pool hands each
+//!    attempt a pid; futures beyond the capacity queue, and released pids
+//!    go straight to the queue head (admission is FIFO and barge-free).
+//! 2. **Enter polling.** Each poll advances the enter machine. The future
+//!    engages its pid's slot and stores its waker *before* the machine
+//!    reads its go word; the unlocker writes the go word *before*
+//!    collecting wakers, so either the waiter sees the word or the
+//!    unlocker sees the waker. An abort that hands the lock on
+//!    (Algorithm 3.3's rescue or a `Cleanup` instance switch) wakes
+//!    engaged waiters the same way.
+//! 3. **Hints, not grants.** The unlocker cannot tell which pid the queue
+//!    hands the lock to, so it wakes every engaged waiter; those still
+//!    facing a zero word re-park ([`AsyncStats::futile_enter_wakeups`]).
 //!
-//! The sync [`AbortableMutex`] already split the protocol into a
-//! sans-IO state machine ([`sal_core::resume::EnterMachine`]) plus a
-//! blocking driver. This module is simply a *second driver*: each poll
-//! of a lock future advances the machine one step
-//! ([`EnterStep::Pending`] ⇒ store a [`Waker`], suspend), and each
-//! unlock wakes the suspended enter waiters to re-poll. Three layers:
-//!
-//! 1. **Pid checkout.** The algorithm needs stable process identities
-//!    and is capacity-bounded, but tasks outnumber pids (10 000 tasks
-//!    on a 16-pid mutex is the intended shape). A FIFO pid pool hands
-//!    each future a pid for the duration of its attempt; futures beyond
-//!    the capacity queue on the pool (released pids are granted
-//!    directly to the queue head, so admission is FIFO and barge-free).
-//! 2. **Enter polling.** With a pid, the future polls the enter
-//!    machine. The lost-wakeup race is closed by ordering: the waiter
-//!    stores its waker *before* the machine reads its watched go word,
-//!    and the unlocker writes the go word (inside `exit`) *before*
-//!    collecting wakers — whichever of the two orders the race
-//!    resolves to, either the waiter sees the nonzero word or the
-//!    unlocker sees the waker.
-//! 3. **Unlock broadcast.** The unlocker does not know which pid the
-//!    protocol will hand the lock to (that knowledge lives in the
-//!    queue's go words), so it wakes every *engaged* enter waiter — a
-//!    hint, not a grant; woken waiters whose word is still zero go
-//!    straight back to sleep and are counted as
-//!    [`AsyncStats::futile_enter_wakeups`].
-//!
-//! Conditional critical sections ride the sync registry: an async
-//! `lock_when` registers its predicate in the same per-pid slot the
-//! blocking `lock_when` uses, and unlock-side evaluation fires its
-//! waker instead of an unpark. The evaluate-vs-broadcast economics
-//! ([`WakePolicy`](crate::WakePolicy)) therefore apply unchanged to
-//! tasks — `asyncscale` measures them on the async path.
+//! A `when` request registers its predicate in the pid's slot, and
+//! unlock-side evaluation ([`WakePolicy`](crate::WakePolicy)) fires its
+//! waker instead of an unpark.
 //!
 //! ## Deadline caveat
 //!
-//! Deadline-bound waits ([`AsyncAbortableMutex::lock_timeout`] etc.)
-//! check their deadline when *polled*: while queued in the lock, any
-//! unlock wakes them (the signal is then honoured on the bounded abort
-//! path), but under **zero lock traffic** nothing polls them — pair
-//! the future with a timer (e.g. `sal_runtime::executor::sleep_until`)
-//! if expiry must be prompt without traffic. The sync API, which owns
-//! its blocked thread, does not have this caveat.
+//! A deadline-bound request ([`Acquire::until`] / [`Acquire::within`])
+//! checks its deadline when *polled*: while queued in the lock, any
+//! unlock wakes it (the signal is then honoured on the bounded abort
+//! path), but under **zero lock traffic** nothing polls it — pair the
+//! future with a timer (e.g. `sal_runtime::executor::sleep_until`) if
+//! expiry must be prompt without traffic. The blocking surfaces, which
+//! own their thread, do not have this caveat.
 //!
 //! ```
 //! use sal_runtime::executor::block_on;
@@ -79,25 +58,24 @@
 // `// Safety:` justification.
 #![warn(clippy::undocumented_unsafe_blocks)]
 
-use crate::{deadline_signal, timeout_deadline, AbortableMutex, AbortableMutexBuilder};
-use sal_core::resume::{EnterMachine, EnterStep};
-use sal_core::{AbortReason, Immediate};
-use sal_memory::{AbortSignal, Deadline, NeverAbort, Pid};
-use sal_obs::{probed, NoProbe, Probe};
+use crate::acquire::{Always, Limit, Predicate};
+use crate::{AbortableMutex, AbortableMutexBuilder, Acquire};
+use sal_core::resume::EnterMachine;
+use sal_core::AbortReason;
+use sal_memory::{AbortSignal, NeverAbort, Pid};
+use sal_obs::{NoProbe, Probe};
 use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
-use std::time::{Duration, Instant};
 
-/// A task waiting for a pid. Granted pids are handed to the ticket
-/// directly (never parked back in the free list), which keeps admission
-/// FIFO; a cancelled ticket is skipped by the grantor.
+/// A task waiting for a pid: granted pids go to the ticket directly,
+/// keeping admission FIFO; the grantor skips cancelled tickets.
 struct PidTicket {
     state: Mutex<TicketState>,
 }
@@ -182,9 +160,8 @@ impl PidPool {
         Err(ticket)
     }
 
-    /// Return `pid`: granted to the first live queued ticket, else
-    /// parked in the free list. The grantee's waker fires outside the
-    /// pool lock.
+    /// Return `pid` to the first live queued ticket (its waker fires
+    /// outside the pool lock), else to the free list.
     fn release(&self, pid: Pid) {
         let waker = {
             let mut inner = self.inner.lock().unwrap();
@@ -231,40 +208,8 @@ impl PidPool {
     }
 }
 
-/// Per-pid parking slot for a suspended *enter* (lock-queue) waiter.
-struct EnterSlot {
-    /// A pending enter future is parked on this pid — unlockers should
-    /// hint it.
-    engaged: AtomicBool,
-    /// Set by the unlocker that woke this slot; the waiter swaps it out
-    /// to attribute its wake (futile-wakeup accounting).
-    hint: AtomicBool,
-    waker: Mutex<Option<Waker>>,
-}
-
-impl EnterSlot {
-    fn new() -> Self {
-        EnterSlot {
-            engaged: AtomicBool::new(false),
-            hint: AtomicBool::new(false),
-            waker: Mutex::new(None),
-        }
-    }
-
-    fn set_waker(&self, w: &Waker) {
-        *self.waker.lock().unwrap() = Some(w.clone());
-    }
-
-    fn disengage(&self) {
-        self.engaged.store(false, Ordering::SeqCst);
-        self.waker.lock().unwrap().take();
-    }
-}
-
 #[derive(Default)]
 struct StatsInner {
-    enter_wakeups: AtomicU64,
-    futile_enter_wakeups: AtomicU64,
     pid_waits: AtomicU64,
     cancelled_pending: AtomicU64,
 }
@@ -274,8 +219,9 @@ struct StatsInner {
 /// sync path) are separate — [`AsyncAbortableMutex::ccs_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AsyncStats {
-    /// Wakers fired by unlockers at engaged enter waiters (broadcast
-    /// hints — compare with `futile_enter_wakeups` for precision).
+    /// Wakers fired at engaged enter waiters by unlocks and by aborts
+    /// that handed the lock on (broadcast hints — compare with
+    /// `futile_enter_wakeups` for precision).
     pub enter_wakeups: u64,
     /// Hinted waiters whose re-poll still found their go word zero (the
     /// cost of not knowing the queue successor from the unlock side).
@@ -292,16 +238,13 @@ pub struct AsyncStats {
     /// [`pool_capacity`](Self::pool_capacity) when no attempt or guard
     /// is in flight — the zero-leak check.
     pub free_pids: usize,
-    /// Tasks queued for pid admission at snapshot time: the excess of
-    /// concurrent attempts over `pool_capacity`. The snapshot is
-    /// advisory — attempts keep arriving while it is taken — but a
-    /// persistently large value means the pool, not the lock, is the
-    /// bottleneck.
+    /// Tasks queued for pid admission at snapshot time (advisory: a
+    /// persistently large value means the pool is the bottleneck).
     pub queued_tasks: usize,
 }
 
 /// An [`AbortableMutex`] driven by futures instead of blocked threads:
-/// `lock().await` suspends the task, dropping a pending lock future
+/// awaiting a request suspends the task, dropping a pending future
 /// aborts the attempt on the paper's bounded abort path. See the
 /// [module docs](self) for the design.
 ///
@@ -329,7 +272,6 @@ pub struct AsyncStats {
 /// ```
 pub struct AsyncAbortableMutex<T: ?Sized, P: Probe = NoProbe> {
     pids: PidPool,
-    slots: Box<[EnterSlot]>,
     stats: StatsInner,
     m: AbortableMutex<T, P>,
 }
@@ -342,7 +284,6 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
         let m = self.build();
         AsyncAbortableMutex {
             pids: PidPool::new(m.capacity()),
-            slots: (0..m.capacity()).map(|_| EnterSlot::new()).collect(),
             stats: StatsInner::default(),
             m,
         }
@@ -368,46 +309,27 @@ impl<T> AsyncAbortableMutex<T> {
 }
 
 impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
-    /// Acquire the lock, suspending the task while waiting. Dropping
-    /// the returned future before completion cancels the attempt in a
-    /// bounded number of steps (module docs).
-    pub fn lock(&self) -> LockFuture<'_, T, P> {
-        LockFuture {
-            inner: self.lock_abortable_impl(NeverAbort, AbortReason::Caller),
-        }
+    /// Execute `req` as a future: it resolves to the guard (with the
+    /// predicate true) or to the limit's [`AbortReason`]. Dropping the
+    /// future before it resolves cancels the attempt in a bounded number
+    /// of steps (module docs).
+    pub fn acquire<F, S>(&self, req: Acquire<F, S>) -> AcquireFuture<'_, T, P, F, S> {
+        self.future(req)
     }
 
-    /// [`lock`](Self::lock) with caller-side cancellation: resolves to
-    /// [`AbortReason::Caller`] once `signal` fires (share an
-    /// [`AbortFlag`](crate::AbortFlag) clone with a controller task).
-    /// Dropping the future remains the other, always-available way to
-    /// cancel.
-    pub fn lock_abortable<S: AbortSignal>(&self, signal: S) -> TryLockFuture<'_, T, P, S> {
-        self.lock_abortable_impl(signal, AbortReason::Caller)
+    /// Acquire the lock, suspending the task while waiting:
+    /// `acquire(Acquire::new())`, resolving to the guard itself.
+    pub fn lock(&self) -> AcquireFuture<'_, T, P, Always, NeverAbort, true> {
+        self.future(Acquire::new())
     }
 
-    /// [`lock`](Self::lock) bounded by an absolute deadline; resolves
-    /// to [`AbortReason::Deadline`] on expiry. See the module docs for
-    /// the zero-traffic caveat on async deadlines.
-    pub fn lock_deadline(&self, deadline: Instant) -> TryLockFuture<'_, T, P, Deadline> {
-        self.lock_abortable_impl(deadline_signal(deadline), AbortReason::Deadline)
-    }
-
-    /// [`lock_deadline`](Self::lock_deadline) with a relative timeout.
-    pub fn lock_timeout(&self, timeout: Duration) -> TryLockFuture<'_, T, P, Deadline> {
-        self.lock_deadline(timeout_deadline(timeout))
-    }
-
-    fn lock_abortable_impl<S: AbortSignal>(
-        &self,
-        signal: S,
-        reason: AbortReason,
-    ) -> TryLockFuture<'_, T, P, S> {
-        TryLockFuture {
+    fn future<F, S, const I: bool>(&self, req: Acquire<F, S>) -> AcquireFuture<'_, T, P, F, S, I> {
+        AcquireFuture {
             mx: self,
-            signal,
-            reason,
-            st: Acquire::Fresh,
+            pred: Box::new(req.pred),
+            limit: req.limit,
+            st: State::Fresh,
+            woken: false,
         }
     }
 
@@ -415,103 +337,15 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
     /// held *or* all pids are checked out by in-flight futures.
     pub fn try_lock(&self) -> Option<AsyncMutexGuard<'_, T, P>> {
         let pid = self.pids.try_checkout()?;
-        let mut machine = self.m.lock.begin_enter();
-        self.m.probe.enter_begin(pid);
-        loop {
-            let step = {
-                let pm = probed(&self.m.mem, &self.m.probe);
-                self.m
-                    .lock
-                    .poll_enter(&mut machine, &pm, pid, &Immediate, &self.m.probe)
-            };
-            match step {
-                EnterStep::Acquired { .. } => {
-                    self.m.probe.enter_end(pid, None);
-                    return Some(self.guard(pid));
-                }
-                EnterStep::Aborted { .. } => {
-                    self.m.probe.abort(pid, None);
-                    self.pids.release(pid);
-                    return None;
-                }
-                // Unreachable under Immediate; re-poll defensively.
-                EnterStep::Pending(_) => {}
-            }
+        let core = &self.m.core;
+        if core.resolve_now(pid, &mut core.begin(pid)) {
+            return Some(self.guard(pid));
         }
+        self.pids.release(pid);
+        None
     }
 
-    /// Acquire the lock *when `pred` holds over the protected value* —
-    /// the async conditional critical section. Same contract as the
-    /// sync [`lock_when`](crate::MutexHandle::lock_when): `pred` runs
-    /// under the lock, on other tasks' unlock paths too (hence `Sync`),
-    /// and on completion `pred(&*guard)` is true.
-    pub fn lock_when<F>(&self, pred: F) -> LockWhenFuture<'_, T, F, P>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        LockWhenFuture {
-            inner: self.lock_when_impl(pred, NeverAbort, AbortReason::Caller),
-        }
-    }
-
-    /// [`lock_when`](Self::lock_when) with caller-side cancellation.
-    pub fn lock_when_abortable<F, S>(&self, pred: F, signal: S) -> TryLockWhenFuture<'_, T, F, P, S>
-    where
-        F: Fn(&T) -> bool + Sync,
-        S: AbortSignal,
-    {
-        self.lock_when_impl(pred, signal, AbortReason::Caller)
-    }
-
-    /// [`lock_when`](Self::lock_when) bounded by an absolute deadline
-    /// (module docs: under zero lock traffic expiry is only noticed
-    /// when the future is next polled).
-    pub fn lock_when_deadline<F>(
-        &self,
-        pred: F,
-        deadline: Instant,
-    ) -> TryLockWhenFuture<'_, T, F, P, Deadline>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        self.lock_when_impl(pred, deadline_signal(deadline), AbortReason::Deadline)
-    }
-
-    /// [`lock_when_deadline`](Self::lock_when_deadline) with a relative
-    /// timeout.
-    pub fn lock_when_timeout<F>(
-        &self,
-        pred: F,
-        timeout: Duration,
-    ) -> TryLockWhenFuture<'_, T, F, P, Deadline>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        self.lock_when_deadline(pred, timeout_deadline(timeout))
-    }
-
-    fn lock_when_impl<F, S>(
-        &self,
-        pred: F,
-        signal: S,
-        reason: AbortReason,
-    ) -> TryLockWhenFuture<'_, T, F, P, S>
-    where
-        F: Fn(&T) -> bool + Sync,
-        S: AbortSignal,
-    {
-        TryLockWhenFuture {
-            mx: self,
-            pred: Box::new(pred),
-            signal,
-            reason,
-            st: WhenState::Acquire(Acquire::Fresh),
-            woken: false,
-        }
-    }
-
-    /// Number of tasks this mutex admits into the lock at once (the
-    /// underlying capacity; further tasks queue for admission).
+    /// Tasks admitted into the lock at once; more queue for admission.
     pub fn capacity(&self) -> usize {
         self.m.capacity()
     }
@@ -526,8 +360,7 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
         self.m.probe()
     }
 
-    /// The configured [`WakePolicy`](crate::WakePolicy) for conditional
-    /// waiters.
+    /// The configured [`WakePolicy`](crate::WakePolicy).
     pub fn wake_policy(&self) -> crate::WakePolicy {
         self.m.wake_policy()
     }
@@ -537,17 +370,17 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
         self.m.waiters()
     }
 
-    /// Snapshot of the conditional-critical-section counters (shared
-    /// with the sync path; see [`CcsStats`](crate::CcsStats)).
+    /// Snapshot of the [`CcsStats`](crate::CcsStats) counters.
     pub fn ccs_stats(&self) -> crate::CcsStats {
         self.m.ccs_stats()
     }
 
     /// Snapshot of the async driver counters.
     pub fn stats(&self) -> AsyncStats {
+        let core = &self.m.core;
         AsyncStats {
-            enter_wakeups: self.stats.enter_wakeups.load(Ordering::Relaxed),
-            futile_enter_wakeups: self.stats.futile_enter_wakeups.load(Ordering::Relaxed),
+            enter_wakeups: core.enter_wakeups.load(Ordering::Relaxed),
+            futile_enter_wakeups: core.futile_enter_wakeups.load(Ordering::Relaxed),
             pid_waits: self.stats.pid_waits.load(Ordering::Relaxed),
             cancelled_pending: self.stats.cancelled_pending.load(Ordering::Relaxed),
             pool_capacity: self.m.capacity(),
@@ -556,10 +389,8 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
         }
     }
 
-    /// Pids currently in the free pool. Equals
-    /// [`capacity`](Self::capacity) when no attempt or guard is in
-    /// flight — the leak check the cancellation tests assert after
-    /// storms.
+    /// Pids in the free pool: [`capacity`](Self::capacity) when nothing
+    /// is in flight (the leak check).
     pub fn free_pids(&self) -> usize {
         self.pids.free_len()
     }
@@ -582,43 +413,17 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
         }
     }
 
-    /// Start a passage: lifecycle hook + fresh machine.
-    fn start_enter(&self, pid: Pid) -> Acquire {
-        self.m.probe.enter_begin(pid);
-        Acquire::Enter {
+    fn start_enter(&self, pid: Pid) -> State {
+        State::Enter {
             pid,
-            machine: self.m.lock.begin_enter(),
+            machine: self.m.core.begin(pid),
         }
     }
 
-    /// Release the lock held by `pid` but keep the pid checked out
-    /// (conditional waits park with their pid — the CCS registry slot
-    /// is theirs).
-    fn unlock_keep_pid(&self, pid: Pid) {
-        self.m.unlock_with_eval(pid);
-        self.wake_enter_waiters();
-    }
-
-    /// Full unlock: release the lock, hint enter waiters, return the
-    /// pid to the pool.
-    fn unlock_async(&self, pid: Pid) {
-        self.unlock_keep_pid(pid);
+    /// Release the lock and return the pid to the pool.
+    fn unlock(&self, pid: Pid) {
+        self.m.core.release(pid, &self.m.data);
         self.pids.release(pid);
-    }
-
-    /// Broadcast a hint to every engaged enter waiter — the unlock side
-    /// of the no-lost-wakeup protocol (module docs §3).
-    fn wake_enter_waiters(&self) {
-        for slot in self.slots.iter() {
-            if slot.engaged.load(Ordering::SeqCst) {
-                slot.hint.store(true, Ordering::SeqCst);
-                let w = slot.waker.lock().unwrap().take();
-                if let Some(w) = w {
-                    self.stats.enter_wakeups.fetch_add(1, Ordering::Relaxed);
-                    w.wake();
-                }
-            }
-        }
     }
 }
 
@@ -644,318 +449,189 @@ impl<T> From<T> for AsyncAbortableMutex<T> {
     }
 }
 
-/// Progress of one acquisition attempt — the shared core of every lock
-/// future in this module.
-enum Acquire {
-    /// Not yet polled: no pid, no shared-memory footprint.
+/// Progress of one attempt: not yet polled (no footprint), queued for
+/// a pid, driving the enter machine (dropping from here is the
+/// bounded-abort obligation), registered in a conditional wait with the
+/// lock released, or resolved.
+enum State {
     Fresh,
-    /// Queued for pid admission.
     PidWait(Arc<PidTicket>),
-    /// Holding `pid`, driving the enter machine; `Drop` from this state
-    /// is the bounded-abort obligation.
     Enter { pid: Pid, machine: EnterMachine },
-    /// Resolved (guard handed out, aborted, or cancelled).
-    Done,
-}
-
-/// Advance an acquisition by one poll. `Ready(Ok(pid))` means the lock
-/// is held by `pid` (the caller wraps it in a guard); `Ready(Err)`
-/// means the attempt aborted and the pid is already released.
-fn poll_acquire<T, P, S>(
-    mx: &AsyncAbortableMutex<T, P>,
-    st: &mut Acquire,
-    signal: &S,
-    reason: AbortReason,
-    cx: &mut Context<'_>,
-) -> Poll<Result<Pid, AbortReason>>
-where
-    T: ?Sized,
-    P: Probe,
-    S: AbortSignal + ?Sized,
-{
-    loop {
-        match st {
-            Acquire::Fresh => match mx.pids.checkout_or_enqueue(cx.waker()) {
-                Ok(pid) => *st = mx.start_enter(pid),
-                Err(ticket) => {
-                    mx.stats.pid_waits.fetch_add(1, Ordering::Relaxed);
-                    *st = Acquire::PidWait(ticket);
-                    return Poll::Pending;
-                }
-            },
-            Acquire::PidWait(ticket) => match ticket.poll_granted(cx.waker()) {
-                Some(pid) => *st = mx.start_enter(pid),
-                None => return Poll::Pending,
-            },
-            Acquire::Enter { pid, machine } => {
-                let pid = *pid;
-                let slot = &mx.slots[pid];
-                let hinted = slot.hint.swap(false, Ordering::SeqCst);
-                // Waker before machine poll: the machine's Pending read
-                // of its go word must come after the waker is visible,
-                // so an unlock can never fall between "observed zero"
-                // and "parked" (module docs §2).
-                slot.engaged.store(true, Ordering::SeqCst);
-                slot.set_waker(cx.waker());
-                let step = {
-                    let pm = probed(&mx.m.mem, &mx.m.probe);
-                    mx.m.lock.poll_enter(machine, &pm, pid, signal, &mx.m.probe)
-                };
-                match step {
-                    EnterStep::Acquired { .. } => {
-                        slot.disengage();
-                        mx.m.probe.enter_end(pid, None);
-                        *st = Acquire::Done;
-                        return Poll::Ready(Ok(pid));
-                    }
-                    EnterStep::Aborted { .. } => {
-                        slot.disengage();
-                        mx.m.probe.abort(pid, None);
-                        mx.pids.release(pid);
-                        *st = Acquire::Done;
-                        return Poll::Ready(Err(reason));
-                    }
-                    EnterStep::Pending(_) => {
-                        if hinted {
-                            mx.stats
-                                .futile_enter_wakeups
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        return Poll::Pending;
-                    }
-                }
-            }
-            Acquire::Done => panic!("lock future polled after completion"),
-        }
-    }
-}
-
-/// Resolve a dropped attempt: cancellation = the paper's abort. With
-/// the pre-fired [`Immediate`] signal one poll either acquires (the
-/// lock was handed over in the race window — release it) or runs the
-/// complete abort path; both are bounded in the dropping task's steps.
-fn drop_acquire<T, P>(mx: &AsyncAbortableMutex<T, P>, st: &mut Acquire)
-where
-    T: ?Sized,
-    P: Probe,
-{
-    match std::mem::replace(st, Acquire::Done) {
-        Acquire::Fresh | Acquire::Done => {}
-        Acquire::PidWait(ticket) => {
-            if let Some(pid) = ticket.cancel() {
-                mx.pids.release(pid);
-            }
-        }
-        Acquire::Enter { pid, mut machine } => {
-            let slot = &mx.slots[pid];
-            slot.disengage();
-            slot.hint.store(false, Ordering::SeqCst);
-            mx.stats.cancelled_pending.fetch_add(1, Ordering::Relaxed);
-            loop {
-                let step = {
-                    let pm = probed(&mx.m.mem, &mx.m.probe);
-                    mx.m.lock
-                        .poll_enter(&mut machine, &pm, pid, &Immediate, &mx.m.probe)
-                };
-                match step {
-                    EnterStep::Acquired { .. } => {
-                        mx.m.probe.enter_end(pid, None);
-                        mx.unlock_keep_pid(pid);
-                        break;
-                    }
-                    EnterStep::Aborted { .. } => {
-                        mx.m.probe.abort(pid, None);
-                        break;
-                    }
-                    // Unreachable under Immediate; re-poll defensively.
-                    EnterStep::Pending(_) => {}
-                }
-            }
-            mx.pids.release(pid);
-        }
-    }
-}
-
-/// Future of [`AsyncAbortableMutex::lock`]. Dropping it while pending
-/// cancels the attempt (bounded abort).
-pub struct LockFuture<'a, T: ?Sized, P: Probe = NoProbe> {
-    inner: TryLockFuture<'a, T, P, NeverAbort>,
-}
-
-impl<'a, T: ?Sized, P: Probe> Future for LockFuture<'a, T, P> {
-    type Output = AsyncMutexGuard<'a, T, P>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        Pin::new(&mut self.inner)
-            .poll(cx)
-            .map(|r| r.expect("non-abortable lock cannot fail"))
-    }
-}
-
-impl<T: ?Sized, P: Probe> fmt::Debug for LockFuture<'_, T, P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LockFuture").finish_non_exhaustive()
-    }
-}
-
-/// Future of the abortable/deadline lock methods. Resolves to `Err`
-/// with the originating method's [`AbortReason`] if the signal ends the
-/// attempt; dropping it while pending cancels like [`LockFuture`].
-pub struct TryLockFuture<'a, T: ?Sized, P: Probe = NoProbe, S: AbortSignal = Deadline> {
-    mx: &'a AsyncAbortableMutex<T, P>,
-    signal: S,
-    reason: AbortReason,
-    st: Acquire,
-}
-
-impl<'a, T: ?Sized, P: Probe, S: AbortSignal + Unpin> Future for TryLockFuture<'a, T, P, S> {
-    type Output = Result<AsyncMutexGuard<'a, T, P>, AbortReason>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        poll_acquire(this.mx, &mut this.st, &this.signal, this.reason, cx)
-            .map(|r| r.map(|pid| this.mx.guard(pid)))
-    }
-}
-
-impl<T: ?Sized, P: Probe, S: AbortSignal> Drop for TryLockFuture<'_, T, P, S> {
-    fn drop(&mut self) {
-        drop_acquire(self.mx, &mut self.st);
-    }
-}
-
-impl<T: ?Sized, P: Probe, S: AbortSignal> fmt::Debug for TryLockFuture<'_, T, P, S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TryLockFuture").finish_non_exhaustive()
-    }
-}
-
-/// Progress of a conditional acquisition.
-enum WhenState {
-    /// (Re-)acquiring the lock to check the predicate.
-    Acquire(Acquire),
-    /// Predicate registered in the CCS slot of `pid`, lock released,
-    /// waiting for an unlocker's evaluation to fire our waker.
     CondWait { pid: Pid },
-    /// Resolved.
     Done,
 }
 
-/// Future of [`AsyncAbortableMutex::lock_when`] (via the unbounded
-/// wrapper) and its abortable/deadline variants. The predicate lives in
-/// a `Box` inside the future so the pointer registered with the CCS
-/// slot stays valid even if the future is leaked mid-wait.
-pub struct TryLockWhenFuture<'a, T: ?Sized, F, P: Probe = NoProbe, S: AbortSignal = Deadline> {
+/// The future of every [`AsyncAbortableMutex`] acquisition.
+///
+/// [`lock`](AsyncAbortableMutex::lock) futures (`INFALLIBLE`) resolve to
+/// the guard, [`acquire`](AsyncAbortableMutex::acquire) futures to a
+/// `Result`. The boxed predicate's registered pointer survives a leaked
+/// future. Dropping a pending future is a bounded abort.
+pub struct AcquireFuture<
+    'a,
+    T: ?Sized,
+    P: Probe = NoProbe,
+    F = Always,
+    S = NeverAbort,
+    const INFALLIBLE: bool = false,
+> {
     mx: &'a AsyncAbortableMutex<T, P>,
     pred: Box<F>,
-    signal: S,
-    reason: AbortReason,
-    st: WhenState,
-    /// Whether the last cond-wait ended in a notification (futile-wake
-    /// accounting parity with the sync path).
+    limit: Limit<S>,
+    st: State,
+    /// Whether the last conditional wait ended in a notification
+    /// (futile-wakeup accounting, as on the blocking path).
     woken: bool,
 }
 
-impl<'a, T, F, P, S> Future for TryLockWhenFuture<'a, T, F, P, S>
+impl<T, P, F, S, const I: bool> AcquireFuture<'_, T, P, F, S, I>
 where
     T: ?Sized,
-    F: Fn(&T) -> bool + Sync + Unpin,
     P: Probe,
+    F: Predicate<T>,
+    S: AbortSignal,
+{
+    /// Advance by one poll. `Ready(Ok(pid))`: the lock is held by `pid`
+    /// with the predicate true. `Ready(Err)`: nothing is held any more.
+    fn step(&mut self, cx: &mut Context<'_>) -> Poll<Result<Pid, AbortReason>> {
+        let mx = self.mx;
+        let core = &mx.m.core;
+        loop {
+            match &mut self.st {
+                State::Fresh => match mx.pids.checkout_or_enqueue(cx.waker()) {
+                    Ok(pid) => self.st = mx.start_enter(pid),
+                    Err(ticket) => {
+                        mx.stats.pid_waits.fetch_add(1, Ordering::Relaxed);
+                        self.st = State::PidWait(ticket);
+                        return Poll::Pending;
+                    }
+                },
+                State::PidWait(ticket) => match ticket.poll_granted(cx.waker()) {
+                    Some(pid) => self.st = mx.start_enter(pid),
+                    None => return Poll::Pending,
+                },
+                State::CondWait { pid } => {
+                    let pid = *pid;
+                    self.woken = core.ccs.deregister(pid);
+                    // Re-acquire within this poll.
+                    self.st = mx.start_enter(pid);
+                }
+                State::Enter { pid, machine } => {
+                    let pid = *pid;
+                    let slot = &core.ccs.slots[pid];
+                    let hinted = slot.hint.swap(false, Ordering::SeqCst);
+                    // Engaged, with the waker stored, before the poll
+                    // reads its go word (module docs §2).
+                    core.engage(pid);
+                    slot.set_waker(cx.waker());
+                    let step = core.poll(machine, pid, &self.limit);
+                    if step.pending() {
+                        if hinted {
+                            core.futile_enter_wakeups.fetch_add(1, Ordering::Relaxed);
+                        }
+                        return Poll::Pending;
+                    }
+                    core.disengage(pid);
+                    self.st = State::Done;
+                    if !core.settle(pid, step) {
+                        mx.pids.release(pid);
+                        return Poll::Ready(Err(self.limit.reason()));
+                    }
+                    // Safety: we hold the lock, so the protected value is
+                    // stable under the predicate.
+                    if self.pred.holds(unsafe { &*mx.m.data.get() }) {
+                        return Poll::Ready(Ok(pid));
+                    }
+                    if self.woken {
+                        core.ccs.note_futile();
+                    }
+                    if let Some(r) = self.limit.expired() {
+                        mx.unlock(pid);
+                        return Poll::Ready(Err(r));
+                    }
+                    // Register under the lock (no transition can be
+                    // missed), leave the waker, then release.
+                    core.ccs.register(pid, &*self.pred);
+                    slot.set_waker(cx.waker());
+                    core.ccs.note_wait();
+                    core.release(pid, &mx.m.data);
+                    self.st = State::CondWait { pid };
+                    return Poll::Pending;
+                }
+                State::Done => panic!("lock future polled after completion"),
+            }
+        }
+    }
+}
+
+impl<'a, T, P, F, S> Future for AcquireFuture<'a, T, P, F, S, false>
+where
+    T: ?Sized,
+    P: Probe,
+    F: Predicate<T>,
     S: AbortSignal + Unpin,
 {
     type Output = Result<AsyncMutexGuard<'a, T, P>, AbortReason>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        loop {
-            match &mut this.st {
-                WhenState::Acquire(acq) => {
-                    let pid = match poll_acquire(this.mx, acq, &this.signal, this.reason, cx) {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready(Err(r)) => {
-                            this.st = WhenState::Done;
-                            return Poll::Ready(Err(r));
-                        }
-                        Poll::Ready(Ok(pid)) => pid,
-                    };
-                    // Safety: we hold the lock, so the protected value
-                    // is stable under the predicate.
-                    if (this.pred)(unsafe { &*this.mx.m.data.get() }) {
-                        this.st = WhenState::Done;
-                        return Poll::Ready(Ok(this.mx.guard(pid)));
-                    }
-                    if this.woken {
-                        this.mx.m.ccs.note_futile();
-                    }
-                    if this.signal.is_set() {
-                        this.mx.unlock_async(pid);
-                        this.st = WhenState::Done;
-                        return Poll::Ready(Err(this.reason));
-                    }
-                    // Register under the lock (no transition can be
-                    // missed), park the waker, then release.
-                    this.mx.m.ccs.register(pid, &*this.pred);
-                    this.mx.m.ccs.set_waker(pid, cx.waker());
-                    this.mx.m.ccs.note_wait();
-                    this.mx.unlock_keep_pid(pid);
-                    this.st = WhenState::CondWait { pid };
-                    return Poll::Pending;
-                }
-                WhenState::CondWait { pid } => {
-                    let pid = *pid;
-                    this.woken = this.mx.m.ccs.deregister(pid);
-                    this.st = WhenState::Acquire(this.mx.start_enter(pid));
-                    // Fall through: re-acquire within this poll.
-                }
-                WhenState::Done => panic!("lock_when future polled after completion"),
-            }
-        }
+        let mx = this.mx;
+        this.step(cx).map(|r| r.map(|pid| mx.guard(pid)))
     }
 }
 
-impl<T: ?Sized, F, P: Probe, S: AbortSignal> Drop for TryLockWhenFuture<'_, T, F, P, S> {
-    fn drop(&mut self) {
-        match std::mem::replace(&mut self.st, WhenState::Done) {
-            WhenState::Acquire(mut acq) => drop_acquire(self.mx, &mut acq),
-            WhenState::CondWait { pid } => {
-                self.mx.m.ccs.deregister(pid);
-                self.mx.pids.release(pid);
-            }
-            WhenState::Done => {}
-        }
-    }
-}
-
-impl<T: ?Sized, F, P: Probe, S: AbortSignal> fmt::Debug for TryLockWhenFuture<'_, T, F, P, S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TryLockWhenFuture").finish_non_exhaustive()
-    }
-}
-
-/// Future of [`AsyncAbortableMutex::lock_when`]: unbounded, resolves to
-/// the guard with the predicate true.
-pub struct LockWhenFuture<'a, T: ?Sized, F, P: Probe = NoProbe> {
-    inner: TryLockWhenFuture<'a, T, F, P, NeverAbort>,
-}
-
-impl<'a, T, F, P> Future for LockWhenFuture<'a, T, F, P>
+impl<'a, T, P, F, S> Future for AcquireFuture<'a, T, P, F, S, true>
 where
     T: ?Sized,
-    F: Fn(&T) -> bool + Sync + Unpin,
     P: Probe,
+    F: Predicate<T>,
+    S: AbortSignal + Unpin,
 {
     type Output = AsyncMutexGuard<'a, T, P>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        Pin::new(&mut self.inner)
-            .poll(cx)
-            .map(|r| r.expect("unbounded lock_when cannot fail"))
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        let mx = this.mx;
+        this.step(cx)
+            .map(|r| mx.guard(r.expect("an unbounded acquisition cannot abort")))
     }
 }
 
-impl<T: ?Sized, F, P: Probe> fmt::Debug for LockWhenFuture<'_, T, F, P> {
+impl<T: ?Sized, P: Probe, F, S, const I: bool> Drop for AcquireFuture<'_, T, P, F, S, I> {
+    fn drop(&mut self) {
+        let mx = self.mx;
+        let core = &mx.m.core;
+        match std::mem::replace(&mut self.st, State::Done) {
+            State::Fresh | State::Done => {}
+            State::PidWait(ticket) => {
+                if let Some(pid) = ticket.cancel() {
+                    mx.pids.release(pid);
+                }
+            }
+            State::CondWait { pid } => {
+                core.ccs.deregister(pid);
+                mx.pids.release(pid);
+            }
+            State::Enter { pid, mut machine } => {
+                // Cancellation is the paper's abort: one poll with the
+                // pre-fired signal either takes a lock handed over in
+                // the race window (release it) or runs the whole abort.
+                core.disengage(pid);
+                core.ccs.slots[pid].hint.store(false, Ordering::SeqCst);
+                mx.stats.cancelled_pending.fetch_add(1, Ordering::Relaxed);
+                if core.resolve_now(pid, &mut machine) {
+                    mx.unlock(pid);
+                } else {
+                    mx.pids.release(pid);
+                }
+            }
+        }
+    }
+}
+
+impl<T: ?Sized, P: Probe, F, S, const I: bool> fmt::Debug for AcquireFuture<'_, T, P, F, S, I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LockWhenFuture").finish_non_exhaustive()
+        f.debug_struct("AcquireFuture").finish_non_exhaustive()
     }
 }
 
@@ -1004,7 +680,7 @@ impl<T: ?Sized, P: Probe> DerefMut for AsyncMutexGuard<'_, T, P> {
 
 impl<T: ?Sized, P: Probe> Drop for AsyncMutexGuard<'_, T, P> {
     fn drop(&mut self) {
-        self.mx.unlock_async(self.pid);
+        self.mx.unlock(self.pid);
     }
 }
 
@@ -1019,6 +695,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::task::{RawWaker, RawWakerVTable, Waker};
+    use std::time::Duration;
 
     /// A waker that counts its wakes (enough to drive futures by hand).
     fn counting_waker(count: &'static AtomicUsize) -> Waker {
@@ -1081,6 +758,50 @@ mod tests {
         drop(fut);
         assert_eq!(m.stats().enter_wakeups, 1);
         assert_eq!(m.into_inner(), 1);
+    }
+
+    #[test]
+    fn a_flagged_abort_hints_engaged_waiters() {
+        // Pid 0 holds; a..d queue on tickets 1..4 of the first instance.
+        // An abort before any exit rescues nothing and wakes nobody.
+        // After the holder exits (LastExited = Head = 0), an aborter's
+        // `Head = LastExited` check re-runs SignalNext(0) and writes
+        // go[1] (Algorithm 3.3 line 15): that abort must hint the
+        // engaged waiters, like an unlock.
+        static A: AtomicUsize = AtomicUsize::new(0);
+        static B: AtomicUsize = AtomicUsize::new(0);
+        static C: AtomicUsize = AtomicUsize::new(0);
+        static D: AtomicUsize = AtomicUsize::new(0);
+        let m = AsyncAbortableMutex::builder(0u64).capacity(5).build_async();
+        let g = m.try_lock().expect("uncontended");
+        let (wa, wb, wc, wd) = (
+            counting_waker(&A),
+            counting_waker(&B),
+            counting_waker(&C),
+            counting_waker(&D),
+        );
+        let (mut a, mut b, mut c, mut d) = (m.lock(), m.lock(), m.lock(), m.lock());
+        for (f, w) in [(&mut a, &wa), (&mut b, &wb), (&mut c, &wc), (&mut d, &wd)] {
+            assert!(poll_once(f, w).is_pending());
+        }
+        drop(d); // unflagged: nothing handed on
+        assert_eq!(m.stats().enter_wakeups, 0);
+        assert_eq!(C.load(Ordering::SeqCst), 0);
+        drop(g); // exit sets go[1] and hints a, b, c
+        assert_eq!(m.stats().enter_wakeups, 3);
+        assert!(poll_once(&mut c, &wc).is_pending()); // c re-arms its waker
+        let before = C.load(Ordering::SeqCst);
+        drop(b); // flagged: Head == LastExited, SignalNext(0) rewrites go[1]
+        assert_eq!(C.load(Ordering::SeqCst), before + 1, "c must be hinted");
+        assert_eq!(m.stats().enter_wakeups, 4);
+        let ga = match poll_once(&mut a, &wa) {
+            Poll::Ready(g) => g,
+            Poll::Pending => panic!("a was handed the lock"),
+        };
+        drop(ga);
+        assert!(matches!(poll_once(&mut c, &wc), Poll::Ready(_)));
+        drop((a, c));
+        assert_eq!(m.free_pids(), 5);
     }
 
     #[test]
@@ -1147,7 +868,7 @@ mod tests {
         let m = AsyncAbortableMutex::builder(()).capacity(2).build_async();
         let w = counting_waker(&WAKES);
         let g = m.try_lock().expect("uncontended");
-        let mut fut = m.lock_timeout(Duration::from_millis(5));
+        let mut fut = m.acquire(Acquire::new().within(Duration::from_millis(5)));
         assert!(poll_once(&mut fut, &w).is_pending());
         std::thread::sleep(Duration::from_millis(10));
         match poll_once(&mut fut, &w) {
@@ -1164,7 +885,7 @@ mod tests {
         let w = counting_waker(&WAKES);
         let g = m.try_lock().expect("uncontended");
         let flag = crate::AbortFlag::new();
-        let mut fut = m.lock_abortable(flag.clone());
+        let mut fut = m.acquire(Acquire::new().abort_on(flag.clone()));
         assert!(poll_once(&mut fut, &w).is_pending());
         flag.set();
         match poll_once(&mut fut, &w) {
@@ -1178,7 +899,7 @@ mod tests {
     fn lock_when_waits_for_the_predicate() {
         let m = AsyncAbortableMutex::builder(0u32).capacity(2).build_async();
         let w = counting_waker(&WAKES);
-        let mut fut = m.lock_when(|v: &u32| *v >= 3);
+        let mut fut = m.acquire(Acquire::new().when(|v: &u32| *v >= 3));
         assert!(poll_once(&mut fut, &w).is_pending());
         assert_eq!(m.waiters(), 1);
         // Two transitions that don't satisfy it, one that does.
@@ -1187,8 +908,8 @@ mod tests {
             *g += 1;
         }
         match poll_once(&mut fut, &w) {
-            Poll::Ready(g) => assert_eq!(*g, 3),
-            Poll::Pending => panic!("satisfied predicate should admit the waiter"),
+            Poll::Ready(Ok(g)) => assert_eq!(*g, 3),
+            _ => panic!("satisfied predicate should admit the waiter"),
         }
         assert_eq!(m.waiters(), 0);
     }
@@ -1197,7 +918,7 @@ mod tests {
     fn dropping_a_cond_waiter_deregisters_and_frees_the_pid() {
         let m = AsyncAbortableMutex::builder(0u32).capacity(2).build_async();
         let w = counting_waker(&WAKES);
-        let mut fut = m.lock_when(|v: &u32| *v > 0);
+        let mut fut = m.acquire(Acquire::new().when(|v: &u32| *v > 0));
         assert!(poll_once(&mut fut, &w).is_pending());
         assert_eq!((m.waiters(), m.free_pids()), (1, 1));
         drop(fut);
@@ -1208,8 +929,8 @@ mod tests {
     fn guard_is_send_and_futures_are_send() {
         fn assert_send<X: Send>() {}
         assert_send::<AsyncMutexGuard<'static, u64>>();
-        assert_send::<LockFuture<'static, u64>>();
-        assert_send::<TryLockFuture<'static, u64>>();
+        assert_send::<AcquireFuture<'static, u64, NoProbe, Always, NeverAbort, true>>();
+        assert_send::<AcquireFuture<'static, u64>>();
         assert_send::<AsyncAbortableMutex<u64>>();
     }
 }

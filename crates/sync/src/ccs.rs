@@ -1,33 +1,22 @@
 //! Conditional critical sections: the waiter registry and the
-//! unlock-side condition evaluation behind [`lock_when`] and friends.
+//! unlock-side condition evaluation behind every
+//! [`Acquire::when`](crate::Acquire::when) request.
 //!
-//! [`lock_when`]: crate::MutexHandle::lock_when
-//!
-//! ## The wakeup-storm problem
-//!
-//! The naive way to build `lock_when(pred)` over a mutex is: acquire,
-//! check `pred`, and if false, release and have every unlock broadcast
-//! to all waiters, each of which re-acquires and re-checks. One state
-//! transition then costs `O(waiters)` wakeups and re-acquisitions even
-//! when it can satisfy only one of them — Scott & Scherer's wakeup
-//! storm, quadratic total work for a pipeline draining through a
-//! condition.
-//!
-//! ## Unlock-side evaluation (nsync/abseil style)
-//!
-//! Instead, each waiter registers its *condition* next to its parking
-//! slot, and the **unlocker** — who at that instant holds the lock and
-//! therefore sees a stable protected value — evaluates the registered
-//! conditions and wakes exactly the waiters whose condition currently
-//! holds. All satisfiable waiters are woken (not just one): a wakeup is
-//! only a *hint* (the woken waiter re-acquires and re-checks), so
-//! dropping one — e.g. a timeout racing a wakeup — is harmless as long
-//! as every waiter whose condition held got its own token.
+//! Broadcasting every unlock to every waiter costs `O(waiters)` wakeups
+//! per state transition even when it can satisfy one of them (Scott &
+//! Scherer's wakeup storm). Instead each waiter registers its
+//! *condition* next to its parking slot, and the **unlocker** — who
+//! holds the lock and so sees a stable value — evaluates the registered
+//! conditions and wakes exactly the waiters whose condition holds (the
+//! nsync/abseil design). A wakeup is only a *hint*: the woken waiter
+//! re-acquires and re-checks, so dropping one (a timeout racing a
+//! wakeup) is harmless as long as every satisfiable waiter got its own.
 //!
 //! ## The registry
 //!
-//! One slot per registered handle (pid), so registration is index-based
-//! and allocation-free. Each slot is a tiny state machine:
+//! One slot per pid, shared with the enter wait of the lock core, so
+//! registration is index-based and allocation-free. A slot's
+//! registration is a tiny state machine:
 //!
 //! ```text
 //!  VACANT ──register (holding the lock)──▶ WAITING
@@ -42,12 +31,12 @@
 //!   can be missed: any future unlock happens-after the registration.
 //! * The unlocker evaluates under the lock, collects the satisfied
 //!   waiters into a stack-allocated `WakeSet`, releases the lock
-//!   (`exit_core` — the bounded-RMR paper path), and only then unparks,
-//!   so woken waiters never stampede into a still-held lock.
+//!   (`exit_core` — the bounded-RMR paper path), and only then wakes
+//!   them, so woken waiters never stampede into a still-held lock.
 //! * A waiter deregistering concurrently with an evaluation spins the
 //!   few instructions until the evaluator leaves its slot; the stored
 //!   condition pointer is therefore never dereferenced after
-//!   deregistration returns (this is what makes the borrowed-closure
+//!   deregistration returns (this is what makes the borrowed-predicate
 //!   registration sound — see `Slot::cond`).
 //!
 //! Fairness caveat: conditions are evaluated in pid order and all
@@ -55,16 +44,13 @@
 //! entry protocol; the registry adds no ordering of its own (DESIGN.md
 //! §11 discusses the implications).
 
-use crate::AbortableMutex;
-use sal_core::park::{ParkResult, Waiter};
-use sal_core::{AbortReason, LockCore};
-use sal_memory::{AbortSignal, NeverAbort, Pid};
-use sal_obs::Probe;
+use crate::acquire::Predicate;
+use sal_core::park::Waiter;
+use sal_memory::Pid;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::task::Waker;
-use std::time::{Duration, Instant};
 
 /// Slot states — see the module docs for the transition diagram.
 const VACANT: u8 = 0;
@@ -76,16 +62,9 @@ const NOTIFIED: u8 = 3;
 /// 1022 processes, so 16 × 64 bits always suffice for a `WakeSet`.
 const MAX_SLOTS: usize = 1024;
 
-/// How often a wait limited by an arbitrary caller signal re-polls the
-/// signal while parked (deadline-limited waits park exactly until the
-/// deadline and need no polling).
-const SIGNAL_POLL: Duration = Duration::from_micros(100);
-
-/// A registered condition as stored: a borrowed closure over the
-/// protected value, its lifetime erased to `'static` for storage (see
-/// `Slot::cond` safety note — the protocol confines every dereference
-/// to the real borrow's lifetime).
-type StoredCond<T> = *const (dyn Fn(&T) -> bool + 'static);
+/// A registered condition: a borrowed predicate, its lifetime erased for
+/// storage (sound by the protocol on `Slot::cond`).
+type StoredCond<T> = *const (dyn Predicate<T> + 'static);
 
 /// How unlocks treat registered waiters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,23 +74,20 @@ pub enum WakePolicy {
     /// the design).
     #[default]
     Evaluate,
-    /// Wake every registered waiter on every unlock without looking at
-    /// conditions — the classic broadcast condition variable. Kept as
-    /// the measured baseline (`ccsscale` quantifies the wakeup storm);
-    /// behaviour is identical, only wakeup counts differ.
+    /// Wake every registered waiter on every unlock — the classic
+    /// broadcast condition variable, kept as the measured baseline
+    /// (`ccsscale`); behaviour is identical, only wakeup counts differ.
     Broadcast,
 }
 
 /// Counters of the conditional-critical-section machinery, snapshot via
-/// [`AbortableMutex::ccs_stats`].
+/// [`AbortableMutex::ccs_stats`](crate::AbortableMutex::ccs_stats).
 ///
-/// The headline ratio is `wakeups / transitions` — how many waiters one
-/// state transition wakes. Unlock-side evaluation keeps it at the
-/// number of *satisfiable* waiters; broadcast pays one per *registered*
-/// waiter.
+/// The headline ratio is `wakeups / transitions`: satisfiable waiters
+/// per transition under evaluation, registered ones under broadcast.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CcsStats {
-    /// Unparks issued by unlockers.
+    /// Wakes issued by unlockers.
     pub wakeups: u64,
     /// Unlocks that scanned a non-empty registry (state transitions
     /// observable by waiters).
@@ -119,7 +95,7 @@ pub struct CcsStats {
     /// Conditions evaluated by unlockers (0 under
     /// [`WakePolicy::Broadcast`]).
     pub evaluated: u64,
-    /// Park episodes taken by waiters.
+    /// Wait episodes taken by waiters.
     pub waits: u64,
     /// Wakeups that re-acquired the lock only to find their predicate
     /// false again (spurious under `Evaluate` — another waiter consumed
@@ -127,30 +103,34 @@ pub struct CcsStats {
     pub futile_wakeups: u64,
 }
 
-/// One waiter slot; owned (written) by the handle with the matching
-/// pid, scanned by unlockers.
-struct Slot<T: ?Sized> {
+/// One pid's slot: its conditional registration, its enter-wait flags
+/// and the two ways to wake it. Written by the pid that owns it, scanned
+/// by unlockers.
+pub(crate) struct Slot<T: ?Sized> {
     /// VACANT / WAITING / EVALUATING / NOTIFIED.
     state: AtomicU8,
     /// The registered condition.
     ///
-    /// Safety: the pointee is a closure borrowed from the registering
-    /// waiter's stack frame, its lifetime erased for storage. The
-    /// protocol keeps every dereference inside the registration window:
-    /// writes happen in `register` (slot VACANT, owner-only, before the
-    /// `Release` store of WAITING), reads happen only in the EVALUATING
-    /// window, and `deregister` refuses to return while an evaluator is
-    /// in that window. A `RegistrationGuard` deregisters on unwind, so
-    /// the window closes even if the waiting frame panics.
+    /// Safety: the pointee is a predicate borrowed from the registering
+    /// waiter, its lifetime erased for storage. The protocol keeps every
+    /// dereference inside the registration window: writes happen in
+    /// `register` (slot VACANT, owner-only, before the `Release` store of
+    /// WAITING), reads happen only in the EVALUATING window, and
+    /// `deregister` refuses to return while an evaluator is in that
+    /// window. A `RegistrationGuard` deregisters on unwind, so the window
+    /// closes even if the waiting frame panics.
     cond: UnsafeCell<Option<StoredCond<T>>>,
-    /// The parking slot the registered waiter blocks on.
-    waiter: Waiter,
-    /// An async waiter's waker, fired by [`CcsRegistry::wake`] in
-    /// addition to the unpark (a registration belongs to either a
-    /// parked thread or a suspended task, never both; the spare
-    /// mechanism is a no-op). The mutex is uncontended in practice —
-    /// the owning pid stores, an unlocker takes.
-    waker: Mutex<Option<Waker>>,
+    /// An enter waiter may be parked on this pid: unlockers hint it.
+    pub(crate) engaged: AtomicBool,
+    /// Set by the unlocker that hinted this slot; the waiter swaps it out
+    /// to attribute its wake (futile-wakeup accounting).
+    pub(crate) hint: AtomicBool,
+    /// Where a blocked thread parks.
+    pub(crate) waiter: Waiter,
+    /// Where a suspended task leaves its waker. A pid belongs to a parked
+    /// thread or a suspended task, never both, so waking the spare
+    /// mechanism is a no-op. The mutex is uncontended in practice.
+    pub(crate) waker: Mutex<Option<Waker>>,
 }
 
 impl<T: ?Sized> Slot<T> {
@@ -158,9 +138,17 @@ impl<T: ?Sized> Slot<T> {
         Slot {
             state: AtomicU8::new(VACANT),
             cond: UnsafeCell::new(None),
+            engaged: AtomicBool::new(false),
+            hint: AtomicBool::new(false),
             waiter: Waiter::new(),
             waker: Mutex::new(None),
         }
+    }
+
+    /// Store the waker a task wants fired by the next hint or
+    /// notification.
+    pub(crate) fn set_waker(&self, w: &Waker) {
+        *self.waker.lock().unwrap() = Some(w.clone());
     }
 }
 
@@ -205,12 +193,12 @@ impl WakeSet {
     }
 }
 
-/// The per-mutex waiter registry; see the module docs.
+/// The per-lock registry of pid slots; see the module docs.
 pub(crate) struct CcsRegistry<T: ?Sized> {
-    slots: Box<[Slot<T>]>,
+    pub(crate) slots: Box<[Slot<T>]>,
     /// Exact count of registered (WAITING/EVALUATING/NOTIFIED) slots —
     /// the unlock fast path: zero means skip the scan entirely, so
-    /// plain mutex traffic pays one relaxed load.
+    /// plain mutex traffic pays one load.
     waiting: AtomicUsize,
     policy: WakePolicy,
     wakeups: AtomicU64,
@@ -222,9 +210,9 @@ pub(crate) struct CcsRegistry<T: ?Sized> {
 
 // Safety: the registry stores raw condition pointers, but the protocol
 // (documented on `Slot::cond`) confines every dereference to the
-// registration window of a closure that was required to be `Sync` at
-// registration; `&T` is only ever produced by the lock holder. All
-// other state is atomics + `Waiter` (Send + Sync).
+// registration window of a predicate that is `Sync` by its trait
+// bound; `&T` is only ever produced by the lock holder. All other state
+// is atomics, `Waiter` and a `Mutex` (Send + Sync).
 unsafe impl<T: ?Sized> Send for CcsRegistry<T> {}
 unsafe impl<T: ?Sized> Sync for CcsRegistry<T> {}
 
@@ -271,21 +259,20 @@ impl<T: ?Sized> CcsRegistry<T> {
 
     /// Register `cond` for `pid`. Caller must hold the lock (that is
     /// what makes registration race-free against state transitions) and
-    /// must deregister before `cond`'s borrow ends. `pub(crate)` for the
-    /// async conditional waits, whose registration windows span polls
-    /// (their condition lives in a `Box` inside the future, so the
-    /// borrow outlives the window even if the future is leaked).
-    pub(crate) fn register<'a>(&self, pid: Pid, cond: &'a (dyn Fn(&T) -> bool + 'a)) {
+    /// must deregister before `cond`'s borrow ends. Async waits keep the
+    /// predicate in a `Box` inside the future, so the borrow outlives the
+    /// window even if the future is leaked.
+    pub(crate) fn register<'a>(&self, pid: Pid, cond: &'a (dyn Predicate<T> + 'a)) {
         let slot = &self.slots[pid];
         debug_assert_eq!(slot.state.load(Ordering::Relaxed), VACANT);
-        let ptr: *const (dyn Fn(&T) -> bool + 'a) = cond;
+        let ptr: *const (dyn Predicate<T> + 'a) = cond;
         // Safety: slot is VACANT, so no evaluator reads it; only the
         // owning pid writes it. Erasing the borrow's lifetime (a
         // fat-pointer transmute that changes only the lifetime bound)
         // is sound per the protocol on `Slot::cond`.
         unsafe {
             *slot.cond.get() = Some(std::mem::transmute::<
-                *const (dyn Fn(&T) -> bool + 'a),
+                *const (dyn Predicate<T> + 'a),
                 StoredCond<T>,
             >(ptr));
         }
@@ -324,31 +311,12 @@ impl<T: ?Sized> CcsRegistry<T> {
         notified
     }
 
-    /// Store the waker an async waiter wants fired when its condition
-    /// is satisfied. Call after [`register`](Self::register) and before
-    /// releasing the lock (same race-freedom argument: any future
-    /// evaluation happens-after).
-    pub(crate) fn set_waker(&self, pid: Pid, waker: &Waker) {
-        let mut slot = self.slots[pid].waker.lock().unwrap();
-        *slot = Some(waker.clone());
-    }
-
-    /// Bump the park-episode counter (async waits count one per
-    /// registration window, mirroring the sync park episodes).
+    /// Count one wait episode (a registration window).
     pub(crate) fn note_wait(&self) {
         self.waits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The parking slot a registered waiter blocks on. The arena's
-    /// conditional waits drive the registry directly (its data lives in
-    /// arena entries, not behind an `AbortableMutex`), so they need the
-    /// waiter [`lock_when_raw`] reaches through `m.ccs.slots`.
-    pub(crate) fn cond_waiter(&self, pid: Pid) -> &Waiter {
-        &self.slots[pid].waiter
-    }
-
-    /// Bump the futile-wakeup counter (a waiter woken only to find its
-    /// predicate false again).
+    /// Count a waiter woken only to find its predicate false again.
     pub(crate) fn note_futile(&self) {
         self.futile.fetch_add(1, Ordering::Relaxed);
     }
@@ -389,7 +357,7 @@ impl<T: ?Sized> CcsRegistry<T> {
                     // registered and its waiter cannot leave while we
                     // are EVALUATING.
                     let cond = unsafe { &*(*slot.cond.get()).expect("WAITING slot has a cond") };
-                    let satisfied = cond(data);
+                    let satisfied = cond.holds(data);
                     self.evaluated.fetch_add(1, Ordering::Relaxed);
                     guard.armed = false;
                     if satisfied {
@@ -404,8 +372,8 @@ impl<T: ?Sized> CcsRegistry<T> {
         set
     }
 
-    /// Unpark every waiter in `set`; returns how many. Called *after*
-    /// the lock is released.
+    /// Wake every waiter in `set` (unpark, and fire a stored waker);
+    /// returns how many. Called *after* the lock is released.
     pub(crate) fn wake(&self, set: &WakeSet) -> usize {
         if !set.any {
             return 0;
@@ -438,7 +406,7 @@ impl<'a, T: ?Sized> RegistrationGuard<'a, T> {
     pub(crate) fn register(
         reg: &'a CcsRegistry<T>,
         pid: Pid,
-        cond: &(dyn Fn(&T) -> bool + '_),
+        cond: &(dyn Predicate<T> + '_),
     ) -> Self {
         reg.register(pid, cond);
         RegistrationGuard {
@@ -461,188 +429,5 @@ impl<T: ?Sized> Drop for RegistrationGuard<'_, T> {
         if self.armed {
             self.reg.deregister(self.pid);
         }
-    }
-}
-
-/// What bounds a conditional wait: nothing, a deadline, or a caller
-/// signal. Monomorphized per entry point so the unbounded path carries
-/// no deadline checks.
-pub(crate) enum Limit<'s, S: AbortSignal + ?Sized> {
-    /// Wait as long as it takes (`lock_when`, `await_when`).
-    Forever,
-    /// Give up once the instant passes (`lock_when_for/_until`).
-    Until(Instant),
-    /// Give up once the signal fires (`lock_when_abortable`).
-    Signal(&'s S),
-}
-
-impl<S: AbortSignal + ?Sized> Limit<'_, S> {
-    /// Acquire the lock under this limit. On `Err` the lock is NOT
-    /// held. Uses the paper's bounded-RMR abort path for both the
-    /// deadline and the signal case — a deadline firing while queued
-    /// costs a bounded number of the caller's own steps.
-    fn acquire<T: ?Sized, P: Probe>(
-        &self,
-        m: &AbortableMutex<T, P>,
-        pid: Pid,
-    ) -> Result<(), AbortReason> {
-        let entered = match self {
-            Limit::Forever => m
-                .lock
-                .enter_core(&m.mem, pid, &NeverAbort, &m.probe)
-                .entered(),
-            Limit::Until(t) => m
-                .lock
-                .enter_core(&m.mem, pid, &crate::deadline_signal(*t), &m.probe)
-                .entered(),
-            Limit::Signal(s) => m.lock.enter_core(&m.mem, pid, s, &m.probe).entered(),
-        };
-        if entered {
-            Ok(())
-        } else {
-            Err(self.reason())
-        }
-    }
-
-    /// The reason this limit reports when it cuts a wait short.
-    fn reason(&self) -> AbortReason {
-        match self {
-            Limit::Forever => unreachable!("unbounded waits cannot abort"),
-            Limit::Until(_) => AbortReason::Deadline,
-            Limit::Signal(_) => AbortReason::Caller,
-        }
-    }
-
-    /// Whether the limit has already expired (checked while holding the
-    /// lock, before committing to a park).
-    fn expired(&self) -> Option<AbortReason> {
-        match self {
-            Limit::Forever => None,
-            Limit::Until(t) => (Instant::now() >= *t).then_some(AbortReason::Deadline),
-            Limit::Signal(s) => s.is_set().then_some(AbortReason::Caller),
-        }
-    }
-
-    /// Park on `w` until notified or the limit expires. `None` means
-    /// notified (or a spurious wake — callers re-check their predicate
-    /// anyway); `Some(reason)` means the limit ended the wait.
-    ///
-    /// Deadline limits park exactly until their instant; signal limits
-    /// re-poll the signal every [`SIGNAL_POLL`] (an arbitrary signal
-    /// has no one to wake us when it fires).
-    fn park(&self, w: &Waiter) -> Option<AbortReason> {
-        match self {
-            Limit::Forever => {
-                w.park_until(None);
-                None
-            }
-            Limit::Until(t) => match w.park_until(Some(*t)) {
-                ParkResult::Notified => None,
-                ParkResult::TimedOut => Some(AbortReason::Deadline),
-            },
-            Limit::Signal(s) => loop {
-                match w.park_until(Some(Instant::now() + SIGNAL_POLL)) {
-                    ParkResult::Notified => return None,
-                    ParkResult::TimedOut => {
-                        if s.is_set() {
-                            return Some(AbortReason::Caller);
-                        }
-                    }
-                }
-            },
-        }
-    }
-}
-
-/// The conditional-acquisition loop behind every `lock_when*` entry
-/// point. On `Ok(())` the caller holds the lock and `pred` held at the
-/// last check; on `Err` the lock is not held.
-pub(crate) fn lock_when_raw<T, P, F, S>(
-    m: &AbortableMutex<T, P>,
-    pid: Pid,
-    pred: &F,
-    limit: &Limit<'_, S>,
-) -> Result<(), AbortReason>
-where
-    T: ?Sized,
-    P: Probe,
-    F: Fn(&T) -> bool + Sync,
-    S: AbortSignal + ?Sized,
-{
-    let mut woken = false;
-    loop {
-        limit.acquire(m, pid)?;
-        // Safety: we hold the lock.
-        if pred(unsafe { &*m.data.get() }) {
-            return Ok(());
-        }
-        if woken {
-            m.ccs.futile.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(reason) = limit.expired() {
-            m.unlock_with_eval(pid);
-            return Err(reason);
-        }
-        let reg = RegistrationGuard::register(&m.ccs, pid, pred);
-        m.unlock_with_eval(pid);
-        m.ccs.waits.fetch_add(1, Ordering::Relaxed);
-        let expired = limit.park(&m.ccs.slots[pid].waiter);
-        let notified = reg.deregister();
-        if let Some(reason) = expired {
-            // A wakeup racing the timeout is dropped — safe, because
-            // evaluation woke *every* satisfiable waiter, not a chosen
-            // one, so no other waiter's token depended on ours.
-            return Err(reason);
-        }
-        woken = notified;
-    }
-}
-
-/// The re-wait loop behind `MutexGuard::await_when*`: entered and
-/// exited with the lock HELD. `Ok(())` means `pred` held at the last
-/// check; `Err` means the limit expired and `pred` was false at the
-/// final (lock-held) check. Timed variants bound the wait for the
-/// predicate, not the re-acquisition (abseil `AwaitWithTimeout`
-/// semantics): the final re-entry is unconditional, bounded by the
-/// lock's starvation freedom.
-pub(crate) fn await_when_raw<T, P, F, S>(
-    m: &AbortableMutex<T, P>,
-    pid: Pid,
-    pred: &F,
-    limit: &Limit<'_, S>,
-) -> Result<(), AbortReason>
-where
-    T: ?Sized,
-    P: Probe,
-    F: Fn(&T) -> bool + Sync,
-    S: AbortSignal + ?Sized,
-{
-    let mut woken = false;
-    loop {
-        // Safety: we hold the lock (loop invariant).
-        if pred(unsafe { &*m.data.get() }) {
-            return Ok(());
-        }
-        if woken {
-            m.ccs.futile.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(reason) = limit.expired() {
-            return Err(reason);
-        }
-        let reg = RegistrationGuard::register(&m.ccs, pid, pred);
-        m.unlock_with_eval(pid);
-        m.ccs.waits.fetch_add(1, Ordering::Relaxed);
-        let expired = limit.park(&m.ccs.slots[pid].waiter);
-        let notified = reg.deregister();
-        // Re-acquire unconditionally: the caller's guard stays valid.
-        let outcome = m.lock.enter_core(&m.mem, pid, &NeverAbort, &m.probe);
-        debug_assert!(outcome.entered());
-        if let Some(reason) = expired {
-            if pred(unsafe { &*m.data.get() }) {
-                return Ok(());
-            }
-            return Err(reason);
-        }
-        woken = notified;
     }
 }

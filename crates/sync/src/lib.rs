@@ -5,59 +5,27 @@
 //! algorithm code over bare `AtomicU64`s ([`sal_memory::RawMemory`])
 //! instead of the instrumented simulator memory. The API follows
 //! `std::sync::Mutex`, plus the paper's whole point — acquisition
-//! attempts that can give up:
+//! attempts that can give up.
 //!
-//! * timeouts ([`MutexHandle::try_lock_for`] /
-//!   [`MutexHandle::try_lock_until`]) — Scott & Scherer's motivating use
-//!   case;
-//! * external cancellation ([`MutexHandle::lock_abortable`] with an
-//!   [`AbortFlag`]) — abandon a work chunk, recover from deadlock, or
-//!   yield to a high-priority thread (§1's three use cases; see
-//!   `examples/`).
+//! ## One request, three surfaces
 //!
-//! Each participating thread registers once for a [`MutexHandle`]; the
-//! underlying algorithm is capacity-bounded (`O(N²)` words for `N`
-//! registered threads) and starvation-free.
-//!
-//! ## Conditional critical sections
-//!
-//! Beyond plain locking, the mutex offers the nsync/abseil
-//! conditional-critical-section interface: acquire the lock *when a
-//! predicate over the protected value holds*, with blocked waiters
-//! parked (spin-then-park) rather than spinning.
-//!
-//! * [`MutexHandle::lock_when`] — block until `pred(&data)` is true and
-//!   the lock is held;
-//! * [`MutexHandle::lock_when_for`] / [`MutexHandle::lock_when_until`]
-//!   (MutexHandle::lock_when_until) — the same with a deadline. The
-//!   deadline is injected as the paper's abort signal, so a waiter
-//!   whose deadline fires *while queued in the lock* abandons in a
-//!   bounded number of its own steps — a timeout CCS lock over the
-//!   bounded-RMR abort path;
-//! * [`MutexHandle::lock_when_abortable`] — caller-signal cancellation,
-//!   with [`AbortReason`] saying which limit ended an attempt;
-//! * [`MutexGuard::await_when`] (+ timed variants) — atomically release,
-//!   re-wait for a predicate, and re-acquire, while a guard is held.
-//!
-//! The mechanism is **unlock-side condition evaluation** ([`ccs`]
-//! module docs): waiters register their conditions, and each unlock
-//! evaluates them under the lock, waking only the waiters whose
-//! condition currently holds — one state transition wakes the
-//! satisfiable waiters, not the whole herd. The broadcast behaviour is
-//! available as [`WakePolicy::Broadcast`] (the measured baseline of the
-//! `ccsscale` bench).
-//!
-//! ## Async locking
-//!
-//! [`AsyncAbortableMutex`] is the same lock behind poll-based futures:
-//! `lock().await` suspends the task instead of spinning the thread, and
-//! **dropping a pending lock future is an abort** — cancellation runs
-//! the paper's bounded abort path in the dropping task's own poll, so
-//! `select!`-style timeouts compose with the lock for free. See the
-//! [`async_mutex`] module docs.
+//! Every acquisition is an [`Acquire`] request: a predicate over the
+//! protected value ([`Acquire::when`], default always true) and a limit
+//! ([`Acquire::until`] / [`Acquire::within`], or [`Acquire::abort_on`]
+//! an [`AbortFlag`], [`Immediate`] or any signal). The limit is injected
+//! as the paper's abort signal, so an attempt that gives up while queued
+//! leaves in a bounded number of its own steps, and it decides the
+//! [`AbortReason`]. [`MutexHandle::acquire`] (with `lock`, `try_lock` and
+//! `try_lock_until` as sugar), [`MutexGuard::await_when`],
+//! [`Arena::acquire`] and [`AsyncAbortableMutex::acquire`] — where
+//! **dropping a pending future is an abort** — all execute it over one
+//! lock core: a blocked thread spins on the enter machine, then parks; a
+//! task leaves its waker. Each unlock evaluates registered predicates
+//! under the lock and wakes only the waiters whose condition holds
+//! ([`ccs`]; [`WakePolicy::Broadcast`] is the measured baseline).
 //!
 //! ```
-//! use sal_sync::AbortableMutex;
+//! use sal_sync::{AbortableMutex, Acquire};
 //!
 //! let m = AbortableMutex::builder(Vec::<u32>::new()).capacity(2).build();
 //! let mut producer = m.handle();
@@ -65,23 +33,12 @@
 //! std::thread::scope(|s| {
 //!     s.spawn(move || producer.lock().push(7));
 //!     s.spawn(move || {
-//!         let q = consumer.lock_when(|q| !q.is_empty());
+//!         let q = consumer
+//!             .acquire(Acquire::new().when(|q: &Vec<u32>| !q.is_empty()))
+//!             .unwrap();
 //!         assert_eq!(q[0], 7);
 //!     });
 //! });
-//! ```
-//!
-//! ```
-//! use sal_sync::AbortableMutex;
-//! use std::time::Duration;
-//!
-//! let mutex = AbortableMutex::builder(0u64).capacity(4).build();
-//! let mut h = mutex.handle();
-//! *h.lock() += 1;                                  // blocking acquire
-//! if let Some(mut g) = h.try_lock_for(Duration::from_millis(10)) {
-//!     *g += 1;                                     // timed acquire
-//! }
-//! assert_eq!(*h.lock(), 2);
 //! ```
 //!
 //! ## Opt-in observability
@@ -107,23 +64,25 @@
 
 #![warn(missing_docs)]
 
+mod acquire;
 pub mod arena;
 pub mod async_mutex;
 pub mod ccs;
+mod driver;
 
-use ccs::{CcsRegistry, Limit};
-use sal_core::long_lived::BoundedLongLivedLock;
-use sal_core::LockCore;
-use sal_memory::{AbortSignal, Deadline, Mem, MemoryBuilder, NeverAbort, Pid, RawMemory};
+use driver::Core;
+use sal_memory::{AbortSignal, Mem, Pid};
 use sal_obs::{NoProbe, Probe};
 use std::cell::UnsafeCell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+pub use acquire::{Acquire, Always, Predicate};
 pub use arena::{Arena, ArenaBuilder, ArenaGuard, ArenaStats};
-pub use async_mutex::{AsyncAbortableMutex, AsyncMutexGuard, AsyncStats};
+pub use async_mutex::{AcquireFuture, AsyncAbortableMutex, AsyncMutexGuard, AsyncStats};
 pub use ccs::{CcsStats, WakePolicy};
 pub use sal_core::abort::{AbortReason, Immediate};
 pub use sal_memory::AbortFlag;
@@ -131,23 +90,6 @@ pub use sal_memory::AbortFlag;
 /// Default thread capacity of [`AbortableMutex::new`] and
 /// [`AbortableMutex::builder`].
 pub const DEFAULT_CAPACITY: usize = 64;
-
-/// Every deadline-bound entry point — [`MutexHandle::try_lock_until`],
-/// [`MutexHandle::lock_when_until`] (via [`ccs::Limit`]), and the async
-/// `lock_deadline`/`lock_when_deadline` — builds its abort signal here,
-/// so "deadline → abort signal" has exactly one definition: the
-/// deadline is injected as the lock's abort signal and honoured on the
-/// paper's bounded-RMR abort path, not checked post hoc.
-pub(crate) fn deadline_signal(at: Instant) -> Deadline {
-    Deadline::at(at)
-}
-
-/// Relative-timeout entry points (`*_for` / `*_timeout`) resolve to an
-/// absolute deadline exactly once, here, so the timeout and deadline
-/// variants of each method cannot drift apart.
-pub(crate) fn timeout_deadline(timeout: Duration) -> Instant {
-    Instant::now() + timeout
-}
 
 /// Default branching factor of the underlying `W`-ary tree.
 const DEFAULT_BRANCHING: usize = 64;
@@ -217,15 +159,9 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
     /// Panics if the capacity is 0 or exceeds the algorithm's descriptor
     /// limit (1022), or if the branching factor is out of `2 ..= 64`.
     pub fn build(self) -> AbortableMutex<T, P> {
-        let mut b = MemoryBuilder::new();
-        let lock = BoundedLongLivedLock::layout(&mut b, self.capacity, self.branching);
         AbortableMutex {
-            mem: b.build_raw(self.capacity),
-            lock,
+            core: Core::new(self.capacity, self.branching, self.wake_policy, self.probe),
             next_pid: AtomicUsize::new(0),
-            capacity: self.capacity,
-            probe: self.probe,
-            ccs: CcsRegistry::new(self.capacity, self.wake_policy),
             data: UnsafeCell::new(self.value),
         }
     }
@@ -242,13 +178,9 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
 /// [`NoProbe`] compiles to the uninstrumented fast path. Configure with
 /// [`builder`](Self::builder).
 pub struct AbortableMutex<T: ?Sized, P: Probe = NoProbe> {
-    mem: RawMemory,
-    lock: BoundedLongLivedLock,
+    pub(crate) core: Core<T, P>,
     next_pid: AtomicUsize,
-    capacity: usize,
-    probe: P,
-    ccs: CcsRegistry<T>,
-    data: UnsafeCell<T>,
+    pub(crate) data: UnsafeCell<T>,
 }
 
 // Safety: the lock algorithm provides mutual exclusion over `data`
@@ -297,9 +229,9 @@ impl<T: ?Sized, P: Probe> AbortableMutex<T, P> {
     pub fn handle(&self) -> MutexHandle<'_, T, P> {
         let pid = self.next_pid.fetch_add(1, Ordering::Relaxed);
         assert!(
-            pid < self.capacity,
+            pid < self.capacity(),
             "AbortableMutex capacity ({}) exceeded; build with a larger capacity",
-            self.capacity
+            self.capacity()
         );
         MutexHandle { mutex: self, pid }
     }
@@ -311,61 +243,42 @@ impl<T: ?Sized, P: Probe> AbortableMutex<T, P> {
 
     /// Number of threads this mutex can register.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.core.lock.capacity()
     }
 
     /// Shared memory words the lock occupies (the Table-1 space column,
     /// measured).
     pub fn shared_words(&self) -> usize {
-        self.mem.num_words()
+        self.core.mem.num_words()
     }
 
     /// The attached probe sink.
     pub fn probe(&self) -> &P {
-        &self.probe
+        &self.core.probe
     }
 
     /// The configured [`WakePolicy`] for conditional waiters.
     pub fn wake_policy(&self) -> WakePolicy {
-        self.ccs.policy()
+        self.core.ccs.policy()
     }
 
-    /// Number of threads currently blocked in a conditional wait
-    /// (`lock_when*` / `await_when*`) on this mutex.
+    /// Number of waiters currently registered in a conditional wait
+    /// (a `when` request or [`MutexGuard::await_when`]) on this mutex.
     pub fn waiters(&self) -> usize {
-        self.ccs.waiting()
+        self.core.ccs.waiting()
     }
 
     /// Snapshot of the conditional-critical-section counters; see
     /// [`CcsStats`] for the headline `wakeups / transitions` ratio.
     pub fn ccs_stats(&self) -> CcsStats {
-        self.ccs.stats()
-    }
-
-    /// Release the lock held by `pid`, first evaluating registered
-    /// waiter conditions under the lock (the unlock-side evaluation at
-    /// the heart of the CCS design; [`ccs`] module docs). With no
-    /// registered waiters this is `exit_core` plus one relaxed load.
-    pub(crate) fn unlock_with_eval(&self, pid: Pid) {
-        if self.ccs.has_waiters() {
-            // Safety: the caller holds the lock, so the protected value
-            // is stable under our feet while conditions run.
-            let set = self.ccs.evaluate(pid, unsafe { &*self.data.get() });
-            self.lock.exit_core(&self.mem, pid, &self.probe);
-            let n = self.ccs.wake(&set);
-            if n > 0 {
-                self.probe.note(pid, "ccs-wake", n as u64);
-            }
-        } else {
-            self.lock.exit_core(&self.mem, pid, &self.probe);
-        }
+        self.core.ccs.stats()
     }
 }
 
 impl<T: fmt::Debug, P: Probe> fmt::Debug for AbortableMutex<T, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AbortableMutex")
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.capacity())
             .field("registered", &self.next_pid.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -406,147 +319,48 @@ impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
         self.pid
     }
 
-    /// Acquire the lock, waiting as long as it takes.
-    ///
-    /// Routed through [`LockCore`] monomorphized at
-    /// `(RawMemory, P)` — with the default [`NoProbe`] the whole
-    /// passage compiles to direct atomic operations.
+    /// Execute `req`: acquire the lock and, for a
+    /// [`when`](Acquire::when) request, wait until the predicate holds
+    /// under it. A blocked thread spins on the enter machine, then
+    /// parks; unlocks wake it. On `Err` (the limit's [`AbortReason`])
+    /// the lock is not held. A limit firing after the lock was handed
+    /// over does not retract the acquisition (the paper's `Enter`
+    /// semantics).
+    pub fn acquire<F, S>(
+        &mut self,
+        req: Acquire<F, S>,
+    ) -> Result<MutexGuard<'_, 'm, T, P>, AbortReason>
+    where
+        F: Predicate<T>,
+        S: AbortSignal,
+    {
+        let m = self.mutex;
+        m.core.enter(self.pid, &req.limit)?;
+        m.core
+            .hold_when(self.pid, &m.data, &req.pred, &req.limit, false)?;
+        Ok(MutexGuard {
+            handle: self,
+            _marker: PhantomData,
+        })
+    }
+
+    /// Wait as long as it takes: `acquire(Acquire::new())`.
     pub fn lock(&mut self) -> MutexGuard<'_, 'm, T, P> {
-        let outcome =
-            self.mutex
-                .lock
-                .enter_core(&self.mutex.mem, self.pid, &NeverAbort, &self.mutex.probe);
-        debug_assert!(outcome.entered(), "non-abortable enter cannot fail");
-        MutexGuard {
-            handle: self,
-            _marker: std::marker::PhantomData,
+        match self.acquire(Acquire::new()) {
+            Ok(g) => g,
+            Err(_) => unreachable!("an unbounded acquisition cannot abort"),
         }
     }
 
-    /// Acquire with an arbitrary abort signal; `None` if the attempt was
-    /// abandoned. The signal may fire after the lock is already won, in
-    /// which case the acquisition still succeeds (the paper's `Enter`
-    /// semantics) — the guard is returned and the caller decides.
-    pub fn lock_abortable(
-        &mut self,
-        signal: &(impl AbortSignal + ?Sized),
-    ) -> Option<MutexGuard<'_, 'm, T, P>> {
-        if self
-            .mutex
-            .lock
-            .enter_core(&self.mutex.mem, self.pid, signal, &self.mutex.probe)
-            .entered()
-        {
-            Some(MutexGuard {
-                handle: self,
-                _marker: std::marker::PhantomData,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Acquire unless `timeout` elapses first.
-    pub fn try_lock_for(&mut self, timeout: Duration) -> Option<MutexGuard<'_, 'm, T, P>> {
-        self.try_lock_until(timeout_deadline(timeout))
-    }
-
-    /// Acquire unless the deadline passes first.
-    pub fn try_lock_until(&mut self, deadline: Instant) -> Option<MutexGuard<'_, 'm, T, P>> {
-        self.lock_abortable(&deadline_signal(deadline))
-    }
-
-    /// One near-immediate attempt: give up as soon as the lock is
-    /// observed held. (The paper's `Enter` with the pre-fired
-    /// [`Immediate`] signal: if the lock is handed over before the
-    /// first wait, the acquisition still succeeds.)
+    /// One attempt that gives up once the lock is seen held:
+    /// `acquire(Acquire::new().abort_on(Immediate)).ok()`.
     pub fn try_lock(&mut self) -> Option<MutexGuard<'_, 'm, T, P>> {
-        self.lock_abortable(&Immediate)
+        self.acquire(Acquire::new().abort_on(Immediate)).ok()
     }
 
-    /// Acquire the lock *when `pred` holds over the protected value* —
-    /// the conditional critical section of nsync's `LockWhen` /
-    /// abseil's `Mutex::LockWhen`.
-    ///
-    /// While `pred` is false the thread parks (spin-then-park); each
-    /// unlock evaluates the registered predicate under the lock and
-    /// wakes this waiter only once the predicate can succeed (under the
-    /// default [`WakePolicy::Evaluate`]). On return the guard is held
-    /// and `pred(&*guard)` is true.
-    ///
-    /// `pred` must be pure with respect to the protected value (it runs
-    /// under the lock, possibly on *other* threads' unlock paths — that
-    /// is why it must be `Sync`), and should be cheap: every unlocker
-    /// pays its cost while holding the lock.
-    pub fn lock_when<F>(&mut self, pred: F) -> MutexGuard<'_, 'm, T, P>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        let r = ccs::lock_when_raw(self.mutex, self.pid, &pred, &Limit::<NeverAbort>::Forever);
-        debug_assert!(r.is_ok(), "unbounded lock_when cannot fail");
-        MutexGuard {
-            handle: self,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// [`lock_when`](Self::lock_when) with a timeout: gives up with
-    /// [`AbortReason::Deadline`] if `pred` did not hold (with the lock
-    /// acquirable) within `timeout`.
-    ///
-    /// The deadline is injected as the lock's abort signal, so a
-    /// deadline that fires while this thread is queued *inside* the
-    /// lock is honoured within a bounded number of its own steps — the
-    /// paper's bounded-RMR abort path, not a post-hoc check.
-    pub fn lock_when_for<F>(
-        &mut self,
-        pred: F,
-        timeout: Duration,
-    ) -> Result<MutexGuard<'_, 'm, T, P>, AbortReason>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        self.lock_when_until(pred, timeout_deadline(timeout))
-    }
-
-    /// [`lock_when`](Self::lock_when) with an absolute deadline; see
-    /// [`lock_when_for`](Self::lock_when_for).
-    pub fn lock_when_until<F>(
-        &mut self,
-        pred: F,
-        deadline: Instant,
-    ) -> Result<MutexGuard<'_, 'm, T, P>, AbortReason>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        ccs::lock_when_raw(
-            self.mutex,
-            self.pid,
-            &pred,
-            &Limit::<NeverAbort>::Until(deadline),
-        )?;
-        Ok(MutexGuard {
-            handle: self,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    /// [`lock_when`](Self::lock_when) with caller-side cancellation:
-    /// gives up with [`AbortReason::Caller`] once `signal` fires. Pair
-    /// with an [`AbortFlag`] shared with a controller thread.
-    pub fn lock_when_abortable<F>(
-        &mut self,
-        pred: F,
-        signal: &(impl AbortSignal + ?Sized),
-    ) -> Result<MutexGuard<'_, 'm, T, P>, AbortReason>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        ccs::lock_when_raw(self.mutex, self.pid, &pred, &Limit::Signal(signal))?;
-        Ok(MutexGuard {
-            handle: self,
-            _marker: std::marker::PhantomData,
-        })
+    /// `acquire(Acquire::new().until(deadline)).ok()`.
+    pub fn try_lock_until(&mut self, deadline: Instant) -> Option<MutexGuard<'_, 'm, T, P>> {
+        self.acquire(Acquire::new().until(deadline)).ok()
     }
 }
 
@@ -560,7 +374,7 @@ pub struct MutexGuard<'h, 'm, T: ?Sized, P: Probe = NoProbe> {
     /// Suppresses the auto `Send`/`Sync` impls, which would otherwise be
     /// derived from the handle reference and wrongly make the guard
     /// `Sync` for any `T: Send` (unsound for `T = Cell<_>` etc.).
-    _marker: std::marker::PhantomData<*const ()>,
+    _marker: PhantomData<*const ()>,
 }
 
 // Safety: `&MutexGuard<T>` only exposes `&T` (plus lock bookkeeping that
@@ -583,55 +397,26 @@ impl<T: ?Sized, P: Probe> DerefMut for MutexGuard<'_, '_, T, P> {
     }
 }
 
-impl<'m, T: ?Sized, P: Probe> MutexGuard<'_, 'm, T, P> {
-    /// Atomically release the lock, wait until `pred` holds over the
-    /// protected value, and re-acquire — nsync's `Await` / abseil's
-    /// `Mutex::Await`, for re-waiting in the middle of a critical
-    /// section. On return the lock is held (same guard) and
-    /// `pred(&*guard)` is true.
-    ///
-    /// If `pred` already holds, returns immediately without releasing.
-    pub fn await_when<F>(&mut self, pred: F)
+impl<T: ?Sized, P: Probe> MutexGuard<'_, '_, T, P> {
+    /// Release the lock, wait until `req`'s predicate holds, and
+    /// re-acquire (nsync's `Await`); returns at once if it already holds.
+    /// The limit bounds the wait, not the re-acquisition: `Err` means it
+    /// expired with the predicate false at the final check. The lock is
+    /// held on return either way, so the guard stays valid.
+    pub fn await_when<F, S>(&mut self, req: Acquire<F, S>) -> Result<(), AbortReason>
     where
-        F: Fn(&T) -> bool + Sync,
+        F: Predicate<T>,
+        S: AbortSignal,
     {
-        let m = self.handle.mutex;
-        let r = ccs::await_when_raw(m, self.handle.pid, &pred, &Limit::<NeverAbort>::Forever);
-        debug_assert!(r.is_ok(), "unbounded await_when cannot fail");
-    }
-
-    /// [`await_when`](Self::await_when) with a timeout (abseil
-    /// `AwaitWithTimeout` semantics): waits for `pred` at most
-    /// `timeout`, then re-acquires the lock *unconditionally* and
-    /// returns whether `pred` held at the final, lock-held check. The
-    /// lock is held on return either way — the guard stays valid.
-    pub fn await_when_for<F>(&mut self, pred: F, timeout: Duration) -> bool
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        self.await_when_until(pred, timeout_deadline(timeout))
-    }
-
-    /// [`await_when_for`](Self::await_when_for) with an absolute
-    /// deadline.
-    pub fn await_when_until<F>(&mut self, pred: F, deadline: Instant) -> bool
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        let m = self.handle.mutex;
-        ccs::await_when_raw(
-            m,
-            self.handle.pid,
-            &pred,
-            &Limit::<NeverAbort>::Until(deadline),
-        )
-        .is_ok()
+        let (m, pid) = (self.handle.mutex, self.handle.pid);
+        m.core.hold_when(pid, &m.data, &req.pred, &req.limit, true)
     }
 }
 
 impl<T: ?Sized, P: Probe> Drop for MutexGuard<'_, '_, T, P> {
     fn drop(&mut self) {
-        self.handle.mutex.unlock_with_eval(self.handle.pid);
+        let m = self.handle.mutex;
+        m.core.release(self.handle.pid, &m.data);
     }
 }
 
@@ -644,8 +429,8 @@ impl<T: ?Sized + fmt::Debug, P: Probe> fmt::Debug for MutexGuard<'_, '_, T, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn basic_lock_unlock_mutates_data() {
@@ -684,12 +469,14 @@ mod tests {
         let mut h1 = m.handle();
         let _g = h0.lock();
         let start = Instant::now();
-        assert!(h1.try_lock_for(Duration::from_millis(20)).is_none());
+        let r = h1.acquire(Acquire::new().within(Duration::from_millis(20)));
+        assert_eq!(r.err(), Some(AbortReason::Deadline));
         assert!(start.elapsed() >= Duration::from_millis(20));
     }
 
     #[test]
     fn flag_cancellation_unblocks_a_waiter() {
+        use std::sync::atomic::{AtomicBool, Ordering};
         let m = Arc::new(AbortableMutex::builder(0u32).capacity(2).build());
         let flag = AbortFlag::new();
         let waiting = Arc::new(AtomicBool::new(false));
@@ -702,8 +489,8 @@ mod tests {
             std::thread::spawn(move || {
                 let mut h = m.handle();
                 waiting.store(true, Ordering::SeqCst);
-                let aborted = h.lock_abortable(&flag).is_none();
-                aborted
+                let r = h.acquire(Acquire::new().abort_on(&flag));
+                r.err() == Some(AbortReason::Caller)
             })
         };
         while !waiting.load(Ordering::SeqCst) {
@@ -748,12 +535,12 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut h = m.handle();
                     for _ in 0..100 {
-                        match h.try_lock_for(Duration::from_micros(200)) {
-                            Some(mut g) => {
+                        match h.acquire(Acquire::new().within(Duration::from_micros(200))) {
+                            Ok(mut g) => {
                                 *g += 1;
                                 acquired.fetch_add(1, Ordering::Relaxed);
                             }
-                            None => {
+                            Err(_) => {
                                 aborted.fetch_add(1, Ordering::Relaxed);
                             }
                         }

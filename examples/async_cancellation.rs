@@ -18,7 +18,7 @@
 
 use sal_obs::PassageStats;
 use sal_runtime::executor::Executor;
-use sal_sync::{AbortReason, AsyncAbortableMutex};
+use sal_sync::{AbortReason, Acquire, AsyncAbortableMutex};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,7 +75,10 @@ fn main() {
         let entered = Arc::clone(&entered);
         let aborted = Arc::clone(&aborted);
         ex.spawn(async move {
-            match m.lock_timeout(Duration::from_micros(i % 40)).await {
+            match m
+                .acquire(Acquire::new().within(Duration::from_micros(i % 40)))
+                .await
+            {
                 Ok(mut g) => {
                     *g += 1;
                     entered.fetch_add(1, Ordering::Relaxed);

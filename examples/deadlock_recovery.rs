@@ -10,12 +10,17 @@
 //!
 //! Run with: `cargo run --example deadlock_recovery`
 
-use sal_sync::AbortableMutex;
+use sal_sync::{AbortableMutex, Acquire};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 const TRANSFERS_PER_AGENT: usize = 50;
+
+/// How long an agent waits for its second lock before backing off.
+fn patience() -> Acquire {
+    Acquire::new().within(Duration::from_micros(200))
+}
 
 fn main() {
     let account_a = Arc::new(AbortableMutex::builder(1_000i64).capacity(3).build());
@@ -42,7 +47,7 @@ fn main() {
                         // race window so the classic deadlock actually
                         // materializes and must be broken by aborting.
                         std::thread::sleep(Duration::from_micros(100));
-                        match hb.try_lock_for(Duration::from_micros(200)) {
+                        match hb.acquire(patience()).ok() {
                             Some(mut gb) => {
                                 *ga -= 10;
                                 *gb += 10;
@@ -53,7 +58,7 @@ fn main() {
                     } else {
                         let mut gb = hb.lock();
                         std::thread::sleep(Duration::from_micros(100));
-                        match ha.try_lock_for(Duration::from_micros(200)) {
+                        match ha.acquire(patience()).ok() {
                             Some(mut ga) => {
                                 *gb -= 10;
                                 *ga += 10;

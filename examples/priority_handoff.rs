@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example priority_handoff`
 
-use sal_sync::{AbortFlag, AbortableMutex};
+use sal_sync::{AbortFlag, AbortableMutex, Acquire};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,7 +43,7 @@ fn vip_wait(courteous: bool) -> Duration {
                         } else {
                             courtesy.clear();
                         }
-                        match handle.lock_abortable(&courtesy) {
+                        match handle.acquire(Acquire::new().abort_on(&courtesy)).ok() {
                             Some(_guard) => {
                                 // hold the resource briefly
                                 std::thread::sleep(Duration::from_micros(300));

@@ -1,12 +1,13 @@
 //! Quickstart: the abortable mutex in five minutes.
 //!
 //! Demonstrates the three acquisition modes of [`sal_sync::AbortableMutex`]:
-//! blocking, timed (try-for), and externally cancellable — the paper's
+//! blocking, timed (an `Acquire` request with a deadline), and externally
+//! cancellable (a request with an abort flag) — the paper's
 //! `Enter`/abort-signal interface as a practical Rust API.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use sal_sync::{AbortFlag, AbortableMutex};
+use sal_sync::{AbortFlag, AbortableMutex, Acquire};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -41,9 +42,9 @@ fn main() {
     std::thread::sleep(Duration::from_millis(10)); // let the holder win
     {
         let mut handle = counter.handle();
-        match handle.try_lock_for(Duration::from_millis(20)) {
-            Some(_) => println!("timed lock: unexpectedly acquired"),
-            None => println!("timed lock: gave up after 20ms — doing something else instead"),
+        match handle.acquire(Acquire::new().within(Duration::from_millis(20))) {
+            Ok(_) => println!("timed lock: unexpectedly acquired"),
+            Err(_) => println!("timed lock: gave up after 20ms — doing something else instead"),
         };
     }
     holder.join().unwrap();
@@ -58,12 +59,12 @@ fn main() {
             let mut handle = counter.handle();
             // The lock is free here, so this acquires immediately; to see
             // a real cancellation, run the deadlock_recovery example.
-            match handle.lock_abortable(&flag) {
-                Some(mut guard) => {
+            match handle.acquire(Acquire::new().abort_on(&flag)) {
+                Ok(mut guard) => {
                     *guard += 1;
                     println!("worker: acquired under a cancellable attempt");
                 }
-                None => println!("worker: cancelled by the supervisor"),
+                Err(_) => println!("worker: cancelled by the supervisor"),
             };
         })
     };

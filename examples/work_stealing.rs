@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --example work_stealing`
 
-use sal_sync::AbortableMutex;
+use sal_sync::{AbortableMutex, Acquire};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,7 +55,8 @@ fn main() {
                     cursor += 1;
                     // Short patience: if the chunk is busy, steal away to
                     // the next one rather than queueing.
-                    match handles[idx].try_lock_for(Duration::from_micros(50)) {
+                    let patience = Acquire::new().within(Duration::from_micros(50));
+                    match handles[idx].acquire(patience).ok() {
                         Some(mut units) => {
                             if *units > 0 {
                                 *units -= 1;

@@ -10,7 +10,7 @@
 //! The suite is lease-agnostic: CI runs it under both the default
 //! scheduler config and `SAL_LEASE=1`.
 
-use sal_sync::{AbortFlag, Arena};
+use sal_sync::{AbortFlag, Acquire, Arena};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Barrier;
@@ -64,7 +64,9 @@ fn lock_when_herd_drains_completely() {
         let arena = Arc::clone(&arena);
         let woken = Arc::clone(&woken);
         handles.push(std::thread::spawn(move || {
-            let mut g = arena.lock_when(&"gate", |v| *v >= 1);
+            let mut g = arena
+                .acquire(&"gate", Acquire::new().when(|v: &u64| *v >= 1))
+                .unwrap();
             *g += 1; // each waiter bumps so all predicates stay true
             woken.fetch_add(1, Ordering::SeqCst);
         }));
@@ -113,12 +115,14 @@ fn mixed_deadline_and_abort_traffic() {
             let deadline_end = Instant::now() + Duration::from_millis(150);
             while Instant::now() < deadline_end && !stop.load(Ordering::SeqCst) {
                 let got = match t {
-                    0 => arena.try_lock_for(&7, Duration::from_micros(200)),
+                    0 => arena
+                        .acquire(&7, Acquire::new().within(Duration::from_micros(200)))
+                        .ok(),
                     1 => arena.try_lock(&7),
                     _ => {
                         let flag = AbortFlag::new();
                         flag.set(); // pre-fired: bounded abort path
-                        arena.lock_abortable(&7, &flag)
+                        arena.acquire(&7, Acquire::new().abort_on(&flag)).ok()
                     }
                 };
                 match got {
@@ -209,10 +213,13 @@ fn disjoint_keys_stay_inline() {
 #[test]
 fn lock_when_deadlines_expire_cleanly() {
     let arena: Arena<u64, u64> = Arena::new();
+    let within = |ms| {
+        Acquire::new()
+            .when(|v: &u64| *v == 42)
+            .within(Duration::from_millis(ms))
+    };
     // Nothing ever sets key 9: the wait must time out.
-    assert!(arena
-        .lock_when_for(&9, |v| *v == 42, Duration::from_millis(20))
-        .is_err());
+    assert!(arena.acquire(&9, within(20)).is_err());
     // And the failed wait must not have corrupted or leaked anything.
     assert_eq!(*arena.lock(&9), 0);
     assert_eq!(arena.stats().resident_cores, 0);
@@ -220,7 +227,7 @@ fn lock_when_deadlines_expire_cleanly() {
     // A satisfied wait on another key completes normally.
     *arena.lock(&10) = 42;
     let g = arena
-        .lock_when_for(&10, |v| *v == 42, Duration::from_millis(500))
+        .acquire(&10, within(500))
         .expect("predicate already true");
     assert_eq!(*g, 42);
 }

@@ -18,11 +18,14 @@
 //! simply be a no-op.
 
 use sal_obs::PassageStats;
-use sal_sync::AsyncAbortableMutex;
+use sal_runtime::executor::Executor;
+use sal_sync::{Acquire, AsyncAbortableMutex};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use std::time::Duration;
 
 /// A waker that counts its wakes in a leaked `AtomicUsize`.
 fn counting_waker() -> (Waker, &'static AtomicUsize) {
@@ -186,7 +189,7 @@ fn cancelling_conditional_waiters_deregisters() {
     let m = AsyncAbortableMutex::builder(0u64).capacity(4).build_async();
     let noop = noop_waker();
     for k in 0..=6usize {
-        let mut fut = m.lock_when(|v: &u64| *v == u64::MAX);
+        let mut fut = m.acquire(Acquire::new().when(|v: &u64| *v == u64::MAX));
         for i in 0..k {
             assert!(
                 poll_with(&mut fut, &noop).is_pending(),
@@ -203,4 +206,51 @@ fn cancelling_conditional_waiters_deregisters() {
     drop(g);
     let g = m.try_lock().expect("reusable");
     assert_eq!(*g, u64::MAX);
+}
+
+#[test]
+fn deadline_storms_on_two_workers_always_drain() {
+    // The shape that used to hang: tasks × 5 attempts, every 4th a
+    // 0–49 µs deadline, on `Executor::run(2)`. Two bugs could strand it:
+    // an abort that handed the lock to a parked waiter woke nobody, and
+    // a straggler wake made the executor count a task twice. Each run
+    // must drain within 5 s; a watchdog fails the test instead of
+    // hanging it.
+    for capacity in [4usize, 8, 64] {
+        let m = Arc::new(
+            AsyncAbortableMutex::builder(0u64)
+                .capacity(capacity)
+                .build_async(),
+        );
+        let entered = Arc::new(AtomicU64::new(0));
+        let ex = Executor::new();
+        for t in 0..1_000u64 {
+            let (m, entered) = (Arc::clone(&m), Arc::clone(&entered));
+            ex.spawn(async move {
+                for r in 0..5u64 {
+                    let i = t * 5 + r;
+                    let got = if i % 4 == 0 {
+                        let req = Acquire::new().within(Duration::from_micros(i % 50));
+                        m.acquire(req).await.ok()
+                    } else {
+                        Some(m.lock().await)
+                    };
+                    if let Some(mut g) = got {
+                        *g += 1;
+                        entered.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            ex.run(2);
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("capacity {capacity}: run(2) did not drain within 5 s"));
+        assert_eq!(m.free_pids(), capacity, "capacity {capacity}: pid leaked");
+        let m = Arc::try_unwrap(m).expect("executor drained");
+        assert_eq!(m.into_inner(), entered.load(Ordering::Relaxed));
+    }
 }

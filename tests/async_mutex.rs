@@ -16,7 +16,7 @@
 
 use sal_obs::PassageStats;
 use sal_runtime::executor::{block_on, sleep, Executor};
-use sal_sync::{AbortReason, AsyncAbortableMutex};
+use sal_sync::{AbortReason, Acquire, AsyncAbortableMutex};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -83,7 +83,10 @@ fn async_lock_when_pipeline() {
         let consumed = Arc::clone(&consumed);
         ex.spawn(async move {
             loop {
-                let mut g = m.lock_when(|q: &Vec<u32>| !q.is_empty()).await;
+                let mut g = m
+                    .acquire(Acquire::new().when(|q: &Vec<u32>| !q.is_empty()))
+                    .await
+                    .expect("an unlimited request cannot abort");
                 g.pop().expect("predicate held under the lock");
                 if consumed.fetch_add(1, Ordering::SeqCst) + 1 == u64::from(ITEMS) {
                     return;
@@ -174,7 +177,8 @@ fn cancellation_storm_leaks_nothing() {
         let entered = Arc::clone(&entered);
         let aborted = Arc::clone(&aborted);
         ex.spawn(async move {
-            match m.lock_timeout(Duration::from_micros(i % 50)).await {
+            let req = Acquire::new().within(Duration::from_micros(i % 50));
+            match m.acquire(req).await {
                 Ok(mut g) => {
                     *g += 1;
                     entered.fetch_add(1, Ordering::Relaxed);
@@ -212,13 +216,14 @@ fn deadline_errs_and_post_handoff_deadline_still_enters() {
 
     // Free lock + already-expired deadline: Enter semantics — the
     // acquisition sees no wait, so it succeeds (same as the sync API).
-    let g = block_on(m.lock_timeout(Duration::ZERO)).expect("free lock enters despite deadline");
+    let g = block_on(m.acquire(Acquire::new().within(Duration::ZERO)))
+        .expect("free lock enters despite deadline");
     assert_eq!(*g, 7);
     drop(g);
 
     // Held lock: the deadline future errs once expired, at poll time.
     let g = m.try_lock().expect("uncontended");
-    let mut fut = m.lock_timeout(Duration::from_millis(2));
+    let mut fut = m.acquire(Acquire::new().within(Duration::from_millis(2)));
     assert!(poll_once(&mut fut).is_pending());
     std::thread::sleep(Duration::from_millis(5));
     match poll_once(&mut fut) {
@@ -249,7 +254,10 @@ fn evaluate_policy_wakes_fewer_tasks_than_broadcast() {
         for t in 1..=6u64 {
             let m = Arc::clone(&m);
             ex.spawn(async move {
-                let g = m.lock_when(move |v: &u64| *v >= t).await;
+                let g = m
+                    .acquire(Acquire::new().when(move |v: &u64| *v >= t))
+                    .await
+                    .expect("an unlimited request cannot abort");
                 assert!(*g >= t);
             });
         }

@@ -1,8 +1,9 @@
-//! Conditional-critical-section API tests: `lock_when` and friends on
-//! real OS threads — lost-wakeup freedom, unlock-side evaluation,
-//! deregistration hygiene, and the broadcast baseline's equivalence.
+//! Conditional-critical-section API tests: `when` requests and
+//! `await_when` on real OS threads — lost-wakeup freedom, unlock-side
+//! evaluation, deregistration hygiene, and the broadcast baseline's
+//! equivalence.
 
-use sal_sync::{AbortFlag, AbortReason, AbortableMutex, WakePolicy};
+use sal_sync::{AbortFlag, AbortReason, AbortableMutex, Acquire, WakePolicy};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -11,10 +12,13 @@ fn lock_when_returns_immediately_when_pred_holds() {
     let m = AbortableMutex::builder(41u64).capacity(1).build();
     let mut h = m.handle();
     {
-        let mut g = h.lock_when(|v| *v == 41);
+        let mut g = h.acquire(Acquire::new().when(|v: &u64| *v == 41)).unwrap();
         *g += 1;
     }
-    assert_eq!(*h.lock_when(|v| *v == 42), 42);
+    assert_eq!(
+        *h.acquire(Acquire::new().when(|v: &u64| *v == 42)).unwrap(),
+        42
+    );
     assert_eq!(m.waiters(), 0);
 }
 
@@ -26,7 +30,9 @@ fn lock_when_blocks_until_another_thread_satisfies_it() {
     let woke = AtomicBool::new(false);
     std::thread::scope(|s| {
         s.spawn(|| {
-            let g = waiter.lock_when(|v| *v == 7);
+            let g = waiter
+                .acquire(Acquire::new().when(|v: &u64| *v == 7))
+                .unwrap();
             woke.store(true, Ordering::SeqCst);
             assert_eq!(*g, 7);
         });
@@ -57,7 +63,8 @@ fn mailbox_roundtrip(policy: WakePolicy) {
             let consumed = &consumed;
             s.spawn(move || {
                 for _ in 0..ITEMS_EACH {
-                    let mut g = h.lock_when(move |boxes: &Vec<u64>| boxes[c] != 0);
+                    let full = move |boxes: &Vec<u64>| boxes[c] != 0;
+                    let mut g = h.acquire(Acquire::new().when(full)).unwrap();
                     g[c] = 0;
                     consumed.fetch_add(1, Ordering::Relaxed);
                 }
@@ -66,7 +73,8 @@ fn mailbox_roundtrip(policy: WakePolicy) {
         let mut producer = m.handle();
         for i in 0..ITEMS_EACH {
             for c in 0..CONSUMERS {
-                let mut g = producer.lock_when(move |boxes: &Vec<u64>| boxes[c] == 0);
+                let empty = move |boxes: &Vec<u64>| boxes[c] == 0;
+                let mut g = producer.acquire(Acquire::new().when(empty)).unwrap();
                 g[c] = (i + 1) as u64;
             }
         }
@@ -108,12 +116,15 @@ fn await_when_releases_and_reacquires_in_place() {
         s.spawn(|| {
             let mut g = a.lock();
             g.0 = 1; // signal: A is inside and about to await
-            g.await_when(|v| v.1 == 1);
+            g.await_when(Acquire::new().when(|v: &(u64, u64)| v.1 == 1))
+                .unwrap();
             // The guard survived the release/park/re-acquire round trip.
             g.0 = 2;
         });
         s.spawn(|| {
-            let mut g = b.lock_when(|v| v.0 == 1);
+            let mut g = b
+                .acquire(Acquire::new().when(|v: &(u64, u64)| v.0 == 1))
+                .unwrap();
             g.1 = 1;
             // Dropping the guard must wake A's await.
         });
@@ -126,8 +137,10 @@ fn lock_when_for_times_out_and_deregisters() {
     let m = AbortableMutex::builder(0u64).capacity(2).build();
     let mut h = m.handle();
     let start = Instant::now();
-    let r = h.lock_when_for(|v| *v == 999, Duration::from_millis(25));
-    assert_eq!(r.err(), Some(AbortReason::Deadline));
+    let req = Acquire::new()
+        .when(|v: &u64| *v == 999)
+        .within(Duration::from_millis(25));
+    assert_eq!(h.acquire(req).err(), Some(AbortReason::Deadline));
     assert!(start.elapsed() >= Duration::from_millis(25));
     // The failed wait left nothing behind: no registration, and the
     // lock is free for plain acquisition.
@@ -143,7 +156,7 @@ fn lock_when_until_with_a_passed_deadline_still_tries_the_pred_once() {
     // attempt may still succeed, and the pred check happens under the
     // lock we just won.
     let g = h
-        .lock_when_until(|v| *v == 5, Instant::now())
+        .acquire(Acquire::new().when(|v: &u64| *v == 5).until(Instant::now()))
         .expect("satisfied pred on a free lock wins even with an expired deadline");
     assert_eq!(*g, 5);
 }
@@ -159,8 +172,8 @@ fn lock_when_abortable_reports_caller_cancellation() {
             std::thread::sleep(Duration::from_millis(20));
             flag2.set();
         });
-        let r = h.lock_when_abortable(|v| *v == 999, &flag);
-        assert_eq!(r.err(), Some(AbortReason::Caller));
+        let req = Acquire::new().when(|v: &u64| *v == 999).abort_on(&flag);
+        assert_eq!(h.acquire(req).err(), Some(AbortReason::Caller));
     });
     assert_eq!(m.waiters(), 0);
     assert_eq!(*h.lock(), 0);
@@ -171,10 +184,15 @@ fn await_when_for_keeps_the_lock_on_timeout() {
     let m = AbortableMutex::builder(0u64).capacity(1).build();
     let mut h = m.handle();
     let mut g = h.lock();
-    assert!(!g.await_when_for(|v| *v == 999, Duration::from_millis(15)));
+    let within = |want: u64| {
+        Acquire::new()
+            .when(move |v: &u64| *v == want)
+            .within(Duration::from_millis(15))
+    };
+    assert_eq!(g.await_when(within(999)), Err(AbortReason::Deadline));
     // Still holding: the guard mutates freely and the re-check sees it.
     *g += 1;
-    assert!(g.await_when_for(|v| *v == 1, Duration::from_millis(15)));
+    assert!(g.await_when(within(1)).is_ok());
     drop(g);
     assert_eq!(*h.lock(), 1);
 }
@@ -195,7 +213,7 @@ fn single_item_many_waiters_loses_nothing() {
             let got = &got;
             s.spawn(move || {
                 for _ in 0..ITEMS / WAITERS {
-                    let mut g = h.lock_when(|v| *v > 0);
+                    let mut g = h.acquire(Acquire::new().when(|v: &u64| *v > 0)).unwrap();
                     *g -= 1;
                     got.fetch_add(1, Ordering::Relaxed);
                 }
@@ -226,7 +244,7 @@ fn wait_stats_accumulate_and_expose_futility() {
     let mut b = m.handle();
     std::thread::scope(|s| {
         s.spawn(|| {
-            let g = a.lock_when(|v| *v == 3);
+            let g = a.acquire(Acquire::new().when(|v: &u64| *v == 3)).unwrap();
             assert_eq!(*g, 3);
         });
         s.spawn(|| {

@@ -1,5 +1,5 @@
-//! Deadline-path tests: `try_lock_for` / `try_lock_until` under real
-//! thread contention, and the bounded-steps property of the abort path
+//! Deadline-path tests: `within` / `until` requests under real thread
+//! contention, and the bounded-steps property of the abort path
 //! measured through probe counters.
 //!
 //! The paper's `Enter` promises two things these tests pin down at the
@@ -12,7 +12,7 @@ use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::{Immediate, LockCore};
 use sal_memory::{MemoryBuilder, NeverAbort};
 use sal_obs::{probed, PassageStats};
-use sal_sync::AbortableMutex;
+use sal_sync::{AbortableMutex, Acquire};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,8 +31,8 @@ fn deadline_fires_while_queued_abort_is_observed() {
                 let mut h = m.handle();
                 waiting.fetch_add(1, Ordering::SeqCst);
                 let start = Instant::now();
-                let r = h.try_lock_for(Duration::from_millis(20));
-                (r.is_none(), start.elapsed())
+                let r = h.acquire(Acquire::new().within(Duration::from_millis(20)));
+                (r.is_err(), start.elapsed())
             })
         })
         .collect();
@@ -86,12 +86,12 @@ fn deadline_after_handoff_still_returns_the_guard() {
         std::thread::spawn(move || {
             let mut h = m.handle();
             waiting.store(true, Ordering::SeqCst);
-            let entered = match h.try_lock_for(Duration::from_secs(5)) {
-                Some(mut g) => {
+            let entered = match h.acquire(Acquire::new().within(Duration::from_secs(5))) {
+                Ok(mut g) => {
                     *g += 1;
                     true
                 }
-                None => false,
+                Err(_) => false,
             };
             entered
         })
@@ -178,7 +178,7 @@ fn contended_timed_locking_counts_and_integrity() {
                 let mut h = m.handle();
                 for i in 0..attempts_per_thread {
                     let deadline = Duration::from_micros(50 + (i % 7) * 40);
-                    if let Some(mut g) = h.try_lock_for(deadline) {
+                    if let Ok(mut g) = h.acquire(Acquire::new().within(deadline)) {
                         *g += 1;
                         acquired.fetch_add(1, Ordering::Relaxed);
                     }

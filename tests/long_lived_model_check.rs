@@ -49,6 +49,60 @@ fn check(kind: LockKind, plans: Vec<ProcPlan>, policy: Box<dyn SchedulePolicy>, 
 }
 
 #[test]
+fn bounded_aborts_that_hand_the_lock_on_say_so() {
+    // The bounded lock's version of the one-shot test of the same name:
+    // waiters park between polls until an exit or a flagged abort bumps
+    // a hint word. Here an abort also hands on through `Cleanup` (an
+    // instance switch releases the epoch's spin waiters, line 77), so
+    // processes run repeated passages. An unflagged handoff strands a
+    // waiter and the run hits the step limit.
+    use sal_core::long_lived::BoundedLongLivedLock;
+    use sal_core::EnterStep;
+    use sal_memory::{AbortSignal, MemoryBuilder};
+    use sal_obs::NoProbe;
+    use sal_runtime::{simulate, SimOptions};
+    for seed in 0..400u64 {
+        let n = 3;
+        let mut b = MemoryBuilder::new();
+        let lock = BoundedLongLivedLock::layout(&mut b, n, 2);
+        let hint = b.alloc(0);
+        let mem = b.build_cc(n);
+        let opts = SimOptions {
+            max_steps: 400_000,
+            abort_plan: vec![(1, seed % 60 + 20), (2, seed % 37 + 40)],
+            ..SimOptions::default()
+        };
+        let policy = Box::new(BurstySchedule::seeded(seed, 0.85));
+        simulate(&mem, n, policy, opts, |ctx| {
+            let (pid, m) = (ctx.pid, ctx.mem);
+            for _ in 0..4 {
+                let mut machine = lock.begin_enter();
+                loop {
+                    let seen = m.read(pid, hint);
+                    match lock.poll_enter(&mut machine, m, pid, ctx.signal, &NoProbe) {
+                        EnterStep::Pending(_) => {
+                            while m.read(pid, hint) == seen && !ctx.signal.is_set() {}
+                        }
+                        EnterStep::Acquired { .. } => {
+                            lock.exit(m, pid);
+                            m.faa(pid, hint, 1);
+                            break;
+                        }
+                        EnterStep::Aborted { handed_off, .. } => {
+                            if handed_off {
+                                m.faa(pid, hint, 1);
+                            }
+                            break;
+                        }
+                    }
+                }
+            }
+        })
+        .unwrap_or_else(|e| panic!("seed {seed}: a parked waiter was stranded: {e}"));
+    }
+}
+
+#[test]
 fn bounded_repeated_passages_no_aborts() {
     for seed in 0..40 {
         check(

@@ -147,6 +147,65 @@ fn bursty_schedules_expose_handoff_races() {
 }
 
 #[test]
+fn aborts_that_hand_the_lock_on_say_so() {
+    // Step-granular: each process drives its resumable Enter the way a
+    // parking driver does. A pending poll stops polling until an exit,
+    // or an abort whose step reports `handed_off`, bumps a shared hint
+    // word (or the process's own signal fires). Bursty schedules let an
+    // aborter's Remove cross the holder's FindNext, so the aborter runs
+    // the handoff itself (Algorithm 3.3 line 15); if its Aborted step
+    // did not say so, the waiter it served would never poll again and
+    // the run would hit the step limit.
+    use sal_core::EnterStep;
+    use sal_memory::{AbortSignal, Mem};
+    use sal_runtime::{simulate, SimOptions};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let flagged = AtomicUsize::new(0);
+    for seed in 0..200u64 {
+        let n = 5;
+        let mut b = MemoryBuilder::new();
+        let lock = OneShotLock::layout(&mut b, n, 2);
+        let hint = b.alloc(0);
+        let mem = b.build_cc(n);
+        let opts = SimOptions {
+            max_steps: 200_000,
+            abort_plan: vec![(1, seed % 40 + 5), (3, seed % 23 + 10)],
+            ..SimOptions::default()
+        };
+        let policy = Box::new(BurstySchedule::seeded(seed, 0.85));
+        simulate(&mem, n, policy, opts, |ctx| {
+            let (pid, m) = (ctx.pid, ctx.mem);
+            let mut machine = lock.begin_enter();
+            loop {
+                let seen = m.read(pid, hint);
+                match lock.poll_enter(&mut machine, m, pid, ctx.signal) {
+                    EnterStep::Pending(_) => {
+                        while m.read(pid, hint) == seen && !ctx.signal.is_set() {}
+                    }
+                    EnterStep::Acquired { .. } => {
+                        lock.exit(m, pid);
+                        m.faa(pid, hint, 1);
+                        return;
+                    }
+                    EnterStep::Aborted { handed_off, .. } => {
+                        if handed_off {
+                            flagged.fetch_add(1, Ordering::Relaxed);
+                            m.faa(pid, hint, 1);
+                        }
+                        return;
+                    }
+                }
+            }
+        })
+        .unwrap_or_else(|e| panic!("seed {seed}: a parked waiter was stranded: {e}"));
+    }
+    assert!(
+        flagged.load(Ordering::Relaxed) > 0,
+        "no abort handed the lock on in 200 bursty schedules"
+    );
+}
+
+#[test]
 fn everyone_aborts_immediately_lock_survives_for_first_holder() {
     // Process 0 holds the lock from the start (go[0] = 1). Everyone else
     // aborts with the signal pre-fired; the exit must cleanly find ⊥.
