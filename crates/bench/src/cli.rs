@@ -1,20 +1,19 @@
-//! Shared flag parsing for the experiment binaries.
+//! Flag parsing for the experiments of the `sal-bench` runner.
 //!
-//! Every `--smoke`-style driver in this crate used to hand-roll the
-//! same twenty-line `std::env::args()` loop, each with its own
-//! slightly different error wording and its own idea of whether
-//! `--jobs=3` works. This module is the one copy: a binary *declares*
-//! its flags (boolean [`Cli::flag`]s and valued [`Cli::opt`]s), and
-//! gets back
+//! An experiment *declares* its flags (boolean [`Cli::flag`]s and
+//! valued [`Cli::opt`]s), and gets back
 //!
 //! * `--name value` **and** `--name=value` forms,
 //! * `--help`/`-h` with a usage block generated from the declarations,
 //! * unknown-flag errors that list every valid flag (the same
 //!   discoverability rule the lock registry applies to `--lock` names),
 //! * typed accessors ([`Parsed::get`], [`Parsed::list`]) plus
-//!   convenience readers for the cross-binary vocabulary:
-//!   [`Parsed::smoke`], [`Parsed::jobs`], [`Parsed::lock`],
-//!   [`Parsed::seeds`].
+//!   convenience readers for the shared vocabulary:
+//!   [`Parsed::smoke`], [`Parsed::lock`], [`Parsed::seeds`],
+//!   [`Parsed::strategy`].
+//!
+//! Worker count and step-lease cap are not flags: `SAL_JOBS` and
+//! `SAL_LEASE` set them for every experiment.
 //!
 //! ```
 //! use sal_bench::cli::Cli;
@@ -29,7 +28,8 @@
 //! ```
 
 use crate::grid::parse_list;
-use sal_runtime::{pool, Strategy};
+use crate::registry::LockKind;
+use sal_runtime::Strategy;
 
 /// One declared flag: `--name` (boolean when `placeholder` is `None`,
 /// valued otherwise) plus its help line.
@@ -40,20 +40,19 @@ struct Spec {
 }
 
 /// A declarative CLI: construct with [`Cli::new`], declare flags with
-/// [`Cli::flag`] / [`Cli::opt`], then [`Cli::parse_env_or_exit`] (in
-/// binaries) or [`Cli::parse`] (in tests).
+/// [`Cli::flag`] / [`Cli::opt`], then [`Cli::parse`].
 pub struct Cli {
-    bin: &'static str,
+    bin: String,
     about: &'static str,
     specs: Vec<Spec>,
 }
 
 impl Cli {
-    /// Start declaring a binary's flags. `bin` is the executable name
-    /// used in usage output, `about` a one-line description.
-    pub fn new(bin: &'static str, about: &'static str) -> Self {
+    /// Start declaring a command's flags. `bin` is the command line
+    /// shown in usage output, `about` a one-line description.
+    pub fn new(bin: impl Into<String>, about: &'static str) -> Self {
         Cli {
-            bin,
+            bin: bin.into(),
             about,
             specs: Vec::new(),
         }
@@ -90,24 +89,13 @@ impl Cli {
 
     /// Declare the shared `--strategy` flag with the standard help
     /// text: guided schedule search, read back by
-    /// [`Parsed::strategy`]. Declare `--seed` separately if the binary
-    /// wants a non-default fuzzer seed.
+    /// [`Parsed::strategy`]. Declare `--seed` separately if the
+    /// experiment wants a non-default fuzzer seed.
     pub fn strategy_opt(self) -> Self {
         self.opt(
             "--strategy",
             "s",
             "guided schedule search: bfs | dpor | best-first | fuzz (--seed seeds the fuzzer)",
-        )
-    }
-
-    /// Declare the shared `--lease` flag with the standard help text,
-    /// read back by [`Parsed::lease`].
-    pub fn lease_opt(self) -> Self {
-        self.opt(
-            "--lease",
-            "k",
-            "step-lease cap: 0 = unbounded, 1 = legacy per-step, k = capped \
-             (default from SAL_LEASE, else 0; same results at any value)",
         )
     }
 
@@ -145,7 +133,8 @@ impl Cli {
         names.join(", ")
     }
 
-    /// Parse an argument stream (exclusive of the binary name).
+    /// Parse an argument stream (the flags after the experiment name
+    /// and part).
     ///
     /// # Errors
     ///
@@ -197,26 +186,6 @@ impl Cli {
         }
         Ok(parsed)
     }
-
-    /// Parse the process arguments; print usage and exit 0 on
-    /// `--help`, print the error plus usage to stderr and exit 2 on a
-    /// bad command line. The binaries' one-liner.
-    pub fn parse_env_or_exit(&self) -> Parsed {
-        match self.parse(std::env::args().skip(1)) {
-            Ok(p) if p.help => {
-                // `println!` panics on EPIPE (e.g. `… --help | head`);
-                // help output should just stop quietly.
-                use std::io::Write;
-                let _ = writeln!(std::io::stdout(), "{}", self.usage());
-                std::process::exit(0);
-            }
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {e}\n{}", self.usage());
-                std::process::exit(2);
-            }
-        }
-    }
 }
 
 /// The result of a successful parse: which boolean flags were set,
@@ -229,11 +198,6 @@ pub struct Parsed {
 }
 
 impl Parsed {
-    /// Was the boolean flag `name` present?
-    pub fn is_set(&self, name: &str) -> bool {
-        self.set.contains(&name)
-    }
-
     /// Raw value of the valued flag `name` (last occurrence wins).
     pub fn value(&self, name: &str) -> Option<&str> {
         self.values
@@ -282,34 +246,49 @@ impl Parsed {
         self.value(name).map(|v| parse_list(name, v)).transpose()
     }
 
-    /// Did `--help` appear? ([`Cli::parse_env_or_exit`] handles this
-    /// before returning; the accessor exists for tests.)
+    /// Did `--help` appear?
     pub fn help_requested(&self) -> bool {
         self.help
     }
 
-    // ---- the cross-binary vocabulary ----
+    // ---- the shared vocabulary ----
 
     /// `--smoke`: CI-sized run.
     pub fn smoke(&self) -> bool {
-        self.is_set("--smoke")
-    }
-
-    /// `--jobs N` resolved to a concrete worker count: `--jobs 0`, or
-    /// the flag absent, resolves through `SAL_JOBS` / available
-    /// parallelism exactly like [`crate::grid::parse_jobs_args`].
-    ///
-    /// # Errors
-    ///
-    /// When the value is not an integer.
-    pub fn jobs(&self) -> Result<usize, String> {
-        Ok(pool::resolve_jobs(self.get_or("--jobs", 0)?))
+        self.set.contains(&"--smoke")
     }
 
     /// `--lock NAME`, unparsed — feed it to the lock registry, whose
     /// error already lists the valid kinds.
     pub fn lock(&self) -> Option<&str> {
         self.value("--lock")
+    }
+
+    /// The workload shape shared by `sweep` and `explore`: the
+    /// `--lock` kind (default one-shot) at branching factor `--b`, for
+    /// `--n` processes of which `--aborters` abort (default 0).
+    /// Returns `(kind, n, aborters)`.
+    ///
+    /// # Errors
+    ///
+    /// On an unknown lock (the message lists the valid kinds), `--b`
+    /// outside `2..=64`, `--aborters` not below `--n`, or aborters for
+    /// a lock that cannot abort.
+    pub fn workload(&self, b: usize, n: usize) -> Result<(LockKind, usize, usize), String> {
+        let b: usize = self.get_or("--b", b)?;
+        if !(2..=64).contains(&b) {
+            return Err(format!("--b must be in 2..=64 (got {b})"));
+        }
+        let kind = LockKind::parse(self.lock().unwrap_or("one-shot"), b)?;
+        let n: usize = self.get_or("--n", n)?;
+        let aborters: usize = self.get_or("--aborters", 0)?;
+        if aborters >= n {
+            return Err("--aborters must be < --n".into());
+        }
+        if aborters > 0 && !kind.abortable() {
+            return Err(format!("{} is not abortable", kind.label()));
+        }
+        Ok((kind, n, aborters))
     }
 
     /// `--seeds a,b,c` as integers, or `None` when absent.
@@ -323,7 +302,7 @@ impl Parsed {
 
     /// `--strategy s` as a guided-search [`Strategy`], or `None` when
     /// absent. The fuzz strategy picks up `--seed` (default 1) so
-    /// every binary seeds it the same way.
+    /// every experiment seeds it the same way.
     ///
     /// # Errors
     ///
@@ -335,17 +314,6 @@ impl Parsed {
             })),
             s => Ok(s),
         }
-    }
-
-    /// `--lease k`, defaulting through `SAL_LEASE` exactly like
-    /// [`sal_runtime::default_lease`] — so an absent flag and the
-    /// environment agree across every binary.
-    ///
-    /// # Errors
-    ///
-    /// When the value is not an integer.
-    pub fn lease(&self) -> Result<u64, String> {
-        self.get_or("--lease", sal_runtime::default_lease())
     }
 }
 
@@ -364,7 +332,6 @@ mod tests {
         Cli::new("demo", "demo driver")
             .flag("--smoke", "CI-sized run")
             .opt("--seeds", "a,b,c", "one run per seed")
-            .opt("--jobs", "k", "worker threads (0 = auto)")
             .opt("--lock", "kind", "lock under test")
     }
 
@@ -382,7 +349,7 @@ mod tests {
     fn unknown_flag_error_lists_valid_flags() {
         let e = demo().parse(args(&["--bogus"])).unwrap_err();
         assert!(e.contains("unknown flag --bogus"), "{e}");
-        for f in ["--smoke", "--seeds", "--jobs", "--lock", "--help"] {
+        for f in ["--smoke", "--seeds", "--lock", "--help"] {
             assert!(e.contains(f), "error should list {f}: {e}");
         }
     }
@@ -407,33 +374,24 @@ mod tests {
     }
 
     #[test]
-    fn jobs_resolves_like_parse_jobs_args() {
-        let p = demo().parse(args(&["--jobs", "3"])).unwrap();
-        assert_eq!(p.jobs().unwrap(), 3);
-        let p = demo().parse(args(&[])).unwrap();
-        assert!(p.jobs().unwrap() >= 1, "absent flag resolves to auto");
-        let p = demo().parse(args(&["--jobs", "x"])).unwrap();
-        assert!(p.jobs().is_err());
-    }
-
-    #[test]
-    fn shared_strategy_and_lease_vocabulary() {
+    fn shared_strategy_vocabulary() {
         let shared = || {
             Cli::new("demo", "demo driver")
                 .strategy_opt()
-                .lease_opt()
                 .opt("--seed", "u64", "fuzzer seed")
         };
         let p = shared().parse(args(&[])).unwrap();
         assert_eq!(p.strategy().unwrap(), None);
-        assert_eq!(p.lease().unwrap(), sal_runtime::default_lease());
         let p = shared().parse(args(&["--strategy", "dpor"])).unwrap();
         assert_eq!(p.strategy().unwrap(), Some(Strategy::Dpor));
         let p = shared()
-            .parse(args(&["--strategy=fuzz", "--seed=9", "--lease", "4"]))
+            .parse(args(&["--strategy=fuzz", "--seed=9"]))
             .unwrap();
         assert_eq!(p.strategy().unwrap(), Some(Strategy::Fuzz { seed: 9 }));
-        assert_eq!(p.lease().unwrap(), 4);
+        assert!(
+            shared().parse(args(&["--lease", "4"])).is_err(),
+            "the lease cap is SAL_LEASE, not a flag"
+        );
         let p = shared().parse(args(&["--strategy", "bogus"])).unwrap();
         assert!(p.strategy().is_err(), "unknown strategy must fail loudly");
     }

@@ -1,7 +1,8 @@
 //! Ablation studies of the paper's design choices.
 //!
 //! ```text
-//! cargo run --release -p sal-bench --bin ablations -- [sidestep|resets|dsm|wrapper|all]
+//! cargo run --release -p sal-bench -- ablations [all|sidestep|resets|dsm|faa|wrapper] \
+//!     [--strategy s] [--seed u64]
 //! ```
 //!
 //! * `sidestep` — Algorithm 4.3's right-cousin sidestep, on vs off, at
@@ -10,28 +11,34 @@
 //!   per instance switch at 0 / 1 / 8 words.
 //! * `dsm`     — the §3 DSM indirection (announce + local spin bit):
 //!   what it costs under CC and what it saves under DSM.
+//! * `faa`     — §7: F&A vs read+CAS emulation in the tree's Remove.
 //! * `wrapper` — Figure-5 simple vs §6.2 bounded: the price of bounded
 //!   space.
 //!
-//! Independent grid cells run on the work-stealing pool (`--jobs N` /
-//! `SAL_JOBS`, default = available parallelism); results are gathered
-//! in cell order so output is byte-identical to a serial run.
+//! Independent grid cells run on the work-stealing pool (`SAL_JOBS`,
+//! default = available parallelism); results are gathered in cell
+//! order so output is byte-identical to a serial run.
 //!
-//! The shared flag vocabulary applies: `--lease k` sets the step-lease
-//! cap for every simulation in the run (exported as `SAL_LEASE` so the
-//! workload builders' defaults pick it up; results are identical at
-//! any cap), and `--strategy bfs|dpor|best-first|fuzz` adds a
-//! guided-search cross-check to the `sidestep` ablation — the
-//! plain-vs-adaptive gap re-measured over *searched* worst-case
-//! schedules at small N instead of one sampled schedule.
+//! `--strategy bfs|dpor|best-first|fuzz` adds a guided-search
+//! cross-check to the `sidestep` ablation — the plain-vs-adaptive gap
+//! re-measured over *searched* worst-case schedules at small N instead
+//! of one sampled schedule.
 
-use sal_bench::report::save_json;
+use crate::Exit;
+use sal_bench::artifact::{self, Mode};
+use sal_bench::cli::{Cli, Parsed};
 use sal_bench::{no_abort_sweep, par_grid, worst_case_sweep, ExploreCell, LockKind, Table};
 use sal_core::long_lived::BoundedLongLivedLock;
-use sal_core::one_shot::DsmOneShotLock;
+use sal_core::one_shot::{DsmOneShotLock, OneShotLock};
 use sal_core::tree::Ascent;
+use sal_core::AbortableLock;
 use sal_memory::{Mem, MemoryBuilder, NeverAbort, RmrProbe};
-use sal_runtime::{explore_guided, ExploreOptions, Strategy};
+use sal_obs::{NoProbe, ToJson};
+use sal_runtime::{explore_guided, pool, ExploreOptions, Strategy};
+use std::io;
+
+/// The positional parts, default first.
+pub const PARTS: &[&str] = &["all", "sidestep", "resets", "dsm", "faa", "wrapper"];
 
 /// A1c (`--strategy` only): the same plain-vs-adaptive comparison with
 /// the worst case *searched for* rather than sampled — guided
@@ -75,7 +82,7 @@ fn sidestep_guided(jobs: usize, strategy: Strategy) {
 }
 
 /// Adaptive vs plain ascent, complete-passage worst case.
-fn sidestep(jobs: usize) {
+fn sidestep(jobs: usize) -> io::Result<()> {
     let mut table = Table::new(
         "A1 — ablation: AdaptiveFindNext (Alg 4.3) vs FindNext (Alg 4.1), worst-case passage",
         &["N", "plain ascent", "adaptive ascent"],
@@ -114,12 +121,12 @@ fn sidestep(jobs: usize) {
         table.row(vec![label.into(), max.to_string()]);
     }
     table.print();
-    save_json("ablation_sidestep", &points);
+    artifact::save("ablation_sidestep", points.to_json(), Mode::Detail)
 }
 
 /// Eager-reset quota: measured overhead per passage when every passage
 /// switches instances (solo process).
-fn resets() {
+fn resets() -> io::Result<()> {
     let mut table = Table::new(
         "A2 — ablation: §6.2 eager wraparound-reset quota (solo process, 30 switches)",
         &[
@@ -153,7 +160,7 @@ fn resets() {
     }
     table.print();
     println!("shape check: each eagerly reset word adds ~2–3 RMRs to the switching passage.");
-    save_json("ablation_resets", &points);
+    artifact::save("ablation_resets", points.to_json(), Mode::Detail)
 }
 
 /// The DSM indirection, costed under both models.
@@ -165,33 +172,19 @@ fn dsm() {
             "max RMRs of a passage (sequential handoffs)",
         ],
     );
-    // CC variant under CC memory.
-    {
-        let mut b = MemoryBuilder::new();
-        let lock = sal_core::one_shot::OneShotLock::layout(&mut b, 64, 8);
-        let mem = b.build_cc(64);
-        let mut max = 0;
-        for p in 0..64 {
-            let probe = RmrProbe::start(&mem, p);
-            assert!(lock.enter(&mem, p, &NeverAbort).entered());
-            lock.exit(&mem, p);
-            max = max.max(probe.rmrs(&mem));
-        }
-        table.row(vec!["plain variant under CC".into(), max.to_string()]);
-    }
-    // DSM variant under CC (overhead) and under DSM (the point).
-    for (label, dsm_model) in [
-        ("DSM variant under CC", false),
-        ("DSM variant under DSM", true),
+    // The plain variant under CC, then the DSM variant under CC (its
+    // overhead) and under DSM (its point).
+    for (label, dsm_variant, dsm_model) in [
+        ("plain variant under CC", false, false),
+        ("DSM variant under CC", true, false),
+        ("DSM variant under DSM", true, true),
     ] {
         let mut b = MemoryBuilder::new();
-        let lock = DsmOneShotLock::layout(&mut b, 64, 8);
+        let lock = one_shot(&mut b, dsm_variant, 64, 8);
         let max = if dsm_model {
-            let mem = b.build_dsm(64);
-            run_dsm(&lock, &mem)
+            sequential_max(&*lock, &b.build_dsm(64))
         } else {
-            let mem = b.build_cc(64);
-            run_dsm(&lock, &mem)
+            sequential_max(&*lock, &b.build_cc(64))
         };
         table.row(vec![label.into(), max.to_string()]);
     }
@@ -207,8 +200,7 @@ fn dsm() {
 /// plain variant's dynamically-assigned `go` slot pays one RMR per spin
 /// iteration (the slot is remote), while the DSM variant's local spin
 /// bit is free — the gap grows linearly with how long the wait lasts.
-fn dsm_spin() {
-    use sal_core::AbortableLock;
+fn dsm_spin() -> io::Result<()> {
     use sal_runtime::{simulate, RoundRobin, SimOptions};
 
     let mut table = Table::new(
@@ -224,11 +216,7 @@ fn dsm_spin() {
         let mut row = vec![hold.to_string()];
         for dsm_variant in [false, true] {
             let mut b = MemoryBuilder::new();
-            let lock: Box<dyn AbortableLock> = if dsm_variant {
-                Box::new(DsmOneShotLock::layout(&mut b, 2, 4))
-            } else {
-                Box::new(sal_core::one_shot::OneShotLock::layout(&mut b, 2, 4))
-            };
+            let lock = one_shot(&mut b, dsm_variant, 2, 4);
             // The owner's in-CS work touches only its own home word, so
             // the waiter's counter isolates the cost of *waiting*.
             let owner_pad = b.alloc_at(0, 0);
@@ -241,10 +229,8 @@ fn dsm_spin() {
                 Box::new(RoundRobin::new()),
                 SimOptions::default(),
                 |ctx| {
-                    let probe = sal_obs::NoProbe;
-                    assert!(lock
-                        .enter(ctx.mem, ctx.pid, &sal_memory::NeverAbort, &probe)
-                        .entered());
+                    let probe = NoProbe;
+                    assert!(lock.enter(ctx.mem, ctx.pid, &NeverAbort, &probe).entered());
                     if ctx.pid == 0 {
                         for _ in 0..hold {
                             ctx.mem.read(0, owner_pad); // home-local, free
@@ -265,22 +251,39 @@ fn dsm_spin() {
         "shape check: the plain variant's waiter cost grows with the wait (unbounded in \
          the limit — the §3 problem); the DSM variant's stays flat."
     );
-    save_json("ablation_dsm_spin", &points);
+    artifact::save("ablation_dsm_spin", points.to_json(), Mode::Detail)
 }
 
-fn run_dsm<M: Mem>(lock: &DsmOneShotLock, mem: &M) -> u64 {
-    let mut max = 0;
-    for p in 0..64 {
-        let probe = RmrProbe::start(mem, p);
-        assert!(lock.enter(mem, p, &NeverAbort).entered());
-        lock.exit(mem, p);
-        max = max.max(probe.rmrs(mem));
+/// The one-shot lock for `n` processes at branching `w`: the DSM
+/// variant (§3) or the plain one.
+fn one_shot(
+    b: &mut MemoryBuilder,
+    dsm_variant: bool,
+    n: usize,
+    w: usize,
+) -> Box<dyn AbortableLock> {
+    if dsm_variant {
+        Box::new(DsmOneShotLock::layout(b, n, w))
+    } else {
+        Box::new(OneShotLock::layout(b, n, w))
     }
-    max
+}
+
+/// The most expensive of 64 sequential, uncontended passages.
+fn sequential_max(lock: &dyn AbortableLock, mem: &dyn Mem) -> u64 {
+    (0..64)
+        .map(|p| {
+            let probe = RmrProbe::start(mem, p);
+            assert!(lock.enter(mem, p, &NeverAbort, &NoProbe).entered());
+            lock.exit(mem, p, &NoProbe);
+            probe.rmrs(mem)
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 /// §7: what F&A buys over read+CAS emulation in the tree's Remove.
-fn faa(jobs: usize) {
+fn faa(jobs: usize) -> io::Result<()> {
     use sal_core::tree::Tree;
     use sal_runtime::{simulate, RandomSchedule, SimOptions};
 
@@ -342,11 +345,11 @@ fn faa(jobs: usize) {
          2× plus retries that grow with contention — the gap §7 credits for beating the \
          LL/SC f-array approach."
     );
-    save_json("ablation_faa", &points);
+    artifact::save("ablation_faa", points.to_json(), Mode::Detail)
 }
 
 /// Simple (unbounded) vs bounded wrapper cost.
-fn wrapper(jobs: usize) {
+fn wrapper(jobs: usize) -> io::Result<()> {
     let mut table = Table::new(
         "A4 — ablation: Figure-5 simple vs §6.2 bounded long-lived wrapper (N = 8, clean)",
         &["implementation", "max RMRs/passage", "mean RMRs/passage"],
@@ -372,85 +375,47 @@ fn wrapper(jobs: usize) {
         "shape check: bounded space costs a constant factor (version reads + V_w flips), \
          never an asymptotic one."
     );
-    save_json("ablation_wrapper", &points);
+    artifact::save("ablation_wrapper", points.to_json(), Mode::Detail)
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let sub = if args.first().is_some_and(|a| !a.starts_with('-')) {
-        args.remove(0)
-    } else {
-        "all".to_string()
-    };
-    let cli = sal_bench::Cli::new(
-        "ablations [sidestep|resets|dsm|faa|wrapper|all]",
-        "ablation studies of the paper's design choices",
-    )
-    .opt(
-        "--jobs",
-        "k",
-        "worker threads (0 = auto; SAL_JOBS honoured)",
-    )
-    .lease_opt()
-    .strategy_opt()
-    .opt(
+/// `--strategy` (plus `--seed` for the fuzzer): the guided-search
+/// cross-check of the sidestep ablation.
+pub fn flags(cli: Cli) -> Cli {
+    cli.strategy_opt().opt(
         "--seed",
         "u64",
         "fuzzer seed (default 1; fuzz strategy only)",
-    );
-    let p = match cli.parse(args.into_iter()) {
-        Ok(p) if p.help_requested() => {
-            println!("{}", cli.usage());
-            return;
-        }
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", cli.usage());
-            std::process::exit(2);
-        }
-    };
-    let run = || -> Result<(usize, Option<Strategy>), String> {
-        // The workload builders default their lease through SAL_LEASE;
-        // exporting the flag (before any simulation, single-threaded)
-        // is what makes `--lease` reach every cell uniformly.
-        if let Some(lease) = p.get::<u64>("--lease")? {
-            std::env::set_var("SAL_LEASE", lease.to_string());
-        }
-        Ok((p.jobs()?, p.strategy()?))
-    };
-    let (jobs, strategy) = match run() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let sidestep_all = |jobs| {
-        sidestep(jobs);
+    )
+}
+
+/// Run `part`.
+pub fn run(part: &str, p: &Parsed) -> Result<(), Exit> {
+    let jobs = pool::default_jobs();
+    let strategy = p.strategy()?;
+    let sidestep_all = || -> io::Result<()> {
+        sidestep(jobs)?;
         if let Some(s) = strategy {
             sidestep_guided(jobs, s);
         }
+        Ok(())
     };
-    match sub.as_str() {
-        "sidestep" => sidestep_all(jobs),
-        "resets" => resets(),
+    match part {
+        "sidestep" => sidestep_all()?,
+        "resets" => resets()?,
         "dsm" => {
             dsm();
-            dsm_spin();
+            dsm_spin()?;
         }
-        "wrapper" => wrapper(jobs),
-        "faa" => faa(jobs),
-        "all" => {
-            sidestep_all(jobs);
-            resets();
+        "wrapper" => wrapper(jobs)?,
+        "faa" => faa(jobs)?,
+        _ => {
+            sidestep_all()?;
+            resets()?;
             dsm();
-            dsm_spin();
-            faa(jobs);
-            wrapper(jobs);
-        }
-        other => {
-            eprintln!("unknown ablation {other}; use sidestep|resets|dsm|faa|wrapper|all");
-            std::process::exit(2);
+            dsm_spin()?;
+            faa(jobs)?;
+            wrapper(jobs)?;
         }
     }
+    Ok(())
 }

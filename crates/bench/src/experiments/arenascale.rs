@@ -1,7 +1,7 @@
 //! arenascale — keyed lock arena vs per-key mutex maps (M7).
 //!
 //! ```text
-//! cargo run --release -p sal-bench --bin arenascale -- [--smoke] [--ops N] [--threads a,b]
+//! cargo run --release -p sal-bench -- arenascale [--smoke] [--ops N] [--threads a,b]
 //! ```
 //!
 //! Real OS threads hammer a keyed critical section (`*value += 1`)
@@ -25,8 +25,8 @@
 //! number of successful acquisitions) and, for the arena, that no
 //! pooled core leaked (`resident_cores == 0` after the run).
 //!
-//! Results go to stdout as a table and to `BENCH_arena.json` at the
-//! repo root: throughput, sampled p99 enter latency (`null` when a
+//! Results go to stdout as a table and to the headline artifact
+//! `BENCH_arena.json`: throughput, sampled p99 enter latency (`null` when a
 //! cell recorded no samples — see `lat_samples`), and the resident
 //! lock-object counts that make the memory story checkable
 //! (`built_cores` for the arena vs `resident_objects` for the maps).
@@ -43,8 +43,13 @@
 //! `target_met` requires the arena to beat abortmap on every
 //! uncontended-heavy skewed cell where both ran, and the arena's
 //! built-core count to stay bounded by the pool (≪ keys) at the
-//! largest key space.
+//! largest key space. Next to the abortmap verdict the artifact
+//! records the arena's wins and losses against `stdmap`, on the same
+//! cells and on every cell of the grid.
 
+use crate::Exit;
+use sal_bench::artifact::{self, Mode};
+use sal_bench::cli::{Cli, Parsed};
 use sal_bench::{amortized_companion, LockKind};
 use sal_obs::{AmortizedStats, Histogram, Json, ToJson};
 use sal_runtime::SmallRng;
@@ -256,13 +261,7 @@ fn run_arena(cell: Cell) -> Measured {
         |_, key, abortable| {
             let a = &arena;
             if abortable {
-                match a.try_lock(&key) {
-                    Some(mut g) => {
-                        *g += 1;
-                        true
-                    }
-                    None => false,
-                }
+                a.try_lock(&key).map(|mut g| *g += 1).is_some()
             } else {
                 *a.lock(&key) += 1;
                 true
@@ -302,13 +301,7 @@ fn run_stdmap(cell: Cell) -> Measured {
         |_, key, abortable| {
             let lock = map.entry(key);
             if abortable {
-                match lock.try_lock() {
-                    Ok(mut g) => {
-                        *g += 1;
-                        true
-                    }
-                    Err(_) => false,
-                }
+                lock.try_lock().map(|mut g| *g += 1).is_ok()
             } else {
                 *lock.lock().unwrap() += 1;
                 true
@@ -357,13 +350,7 @@ fn run_abortmap(cell: Cell) -> Measured {
                 .entry(key)
                 .or_insert_with(|| map.get(&key).expect("prebuilt").handle());
             if abortable {
-                match handle.try_lock() {
-                    Some(mut g) => {
-                        *g += 1;
-                        true
-                    }
-                    None => false,
-                }
+                handle.try_lock().map(|mut g| *g += 1).is_some()
             } else {
                 *handle.lock() += 1;
                 true
@@ -420,32 +407,26 @@ impl Row {
     }
 }
 
-fn main() {
-    let p = sal_bench::Cli::new("arenascale", "keyed lock arena vs per-key mutex maps")
-        .flag("--smoke", "CI-sized grid")
+/// Takes no positional part.
+pub const PARTS: &[&str] = &[];
+
+/// `--smoke`, the operation count and the thread counts.
+pub fn flags(cli: Cli) -> Cli {
+    cli.flag("--smoke", "CI-sized grid")
         .opt("--ops", "N", "operations per thread per cell")
         .opt("--threads", "a,b", "thread counts")
-        .parse_env_or_exit();
+}
+
+/// Run the grid and write `BENCH_arena.json`.
+pub fn run(_: &str, p: &Parsed) -> Result<(), Exit> {
     let smoke = p.smoke();
     let nprocs = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
     // Deliberately not clamped to available parallelism: on a small
     // runner, oversubscribed threads still interleave under preemption
     // and drive the promotion/parking paths — the caveat records it.
     let default_threads: Vec<usize> = if smoke { vec![4] } else { vec![2, 8] };
-    let threads_list = p
-        .list::<usize>("--threads")
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-        .unwrap_or(default_threads);
-    let ops_per_thread: u64 = p
-        .get("--ops")
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-        .unwrap_or(if smoke { 20_000 } else { 100_000 });
+    let threads_list = p.list::<usize>("--threads")?.unwrap_or(default_threads);
+    let ops_per_thread: u64 = p.get_or("--ops", if smoke { 20_000 } else { 100_000 })?;
     let key_spaces: Vec<usize> = if smoke {
         vec![512, 16_384]
     } else {
@@ -553,28 +534,35 @@ fn main() {
 
     // Target 1: on uncontended-heavy skewed cells (many keys per
     // thread), the arena's inline word must beat the prebuilt
-    // abortable map.
-    let mut compared = 0usize;
-    let mut arena_wins = 0usize;
-    for r in rows.iter().filter(|r| r.imp == "arena") {
-        let c = r.cell;
-        if c.skew != Skew::Zipf || c.keys < 64 * c.threads {
-            continue;
-        }
-        let Some(base) = rows.iter().find(|b| {
-            b.imp == "abortmap"
+    // abortable map. The same cells, and the whole grid, are also
+    // scored against stdmap — wins and losses both recorded.
+    let mops = |r: &Row| r.m.mops(r.cell.ops_per_thread * r.cell.threads as u64);
+    let baseline = |imp: &str, c: Cell| {
+        rows.iter().find(|b| {
+            b.imp == imp
                 && b.cell.keys == c.keys
                 && b.cell.threads == c.threads
                 && b.cell.skew == c.skew
                 && b.cell.abort_every == c.abort_every
-        }) else {
+        })
+    };
+    let (mut compared, mut arena_wins) = (0usize, 0usize);
+    let (mut same_vs_std, mut all_vs_std) = ([0u64; 2], [0u64; 2]);
+    for r in rows.iter().filter(|r| r.imp == "arena") {
+        let c = r.cell;
+        let std_won = baseline("stdmap", c).is_some_and(|b| mops(b) >= mops(r));
+        all_vs_std[std_won as usize] += 1;
+        if c.skew != Skew::Zipf || c.keys < 64 * c.threads {
+            continue;
+        }
+        let Some(base) = baseline("abortmap", c) else {
             continue;
         };
         compared += 1;
-        let total = c.ops_per_thread * c.threads as u64;
-        if r.m.mops(total) > base.m.mops(total) {
+        if mops(r) > mops(base) {
             arena_wins += 1;
         }
+        same_vs_std[std_won as usize] += 1;
     }
     let beat_map = compared > 0 && arena_wins == compared;
     // Target 2: at the largest key space, built cores stay bounded by
@@ -591,21 +579,34 @@ fn main() {
     let target_met = beat_map && resident_bounded;
     println!(
         "arena vs abortmap on uncontended-heavy zipf cells: {arena_wins}/{compared} won; \
-         max built cores at {max_keys} keys: {max_built} (pool bound {pool_bound}) — target {}",
+         vs stdmap on the same cells: {} won, {} lost; vs stdmap on all {} cells: {} won, \
+         {} lost",
+        same_vs_std[0],
+        same_vs_std[1],
+        all_vs_std[0] + all_vs_std[1],
+        all_vs_std[0],
+        all_vs_std[1]
+    );
+    println!(
+        "max built cores at {max_keys} keys: {max_built} (pool bound {pool_bound}) — target {}",
         if target_met { "met" } else { "NOT met" }
     );
-    for c in &caveats {
-        println!("caveat: {c}");
-    }
 
     let out = Json::obj(vec![
-        ("bench", "arenascale".to_json()),
-        ("mode", mode.to_json()),
-        ("available_parallelism", (nprocs as u64).to_json()),
         ("ops_per_thread", ops_per_thread.to_json()),
         ("abortmap_max_keys", (ABORTMAP_MAX_KEYS as u64).to_json()),
         ("uncontended_cells_compared", (compared as u64).to_json()),
         ("uncontended_cells_arena_won", (arena_wins as u64).to_json()),
+        (
+            "uncontended_cells_arena_won_vs_stdmap",
+            same_vs_std[0].to_json(),
+        ),
+        (
+            "uncontended_cells_arena_lost_vs_stdmap",
+            same_vs_std[1].to_json(),
+        ),
+        ("all_cells_arena_won_vs_stdmap", all_vs_std[0].to_json()),
+        ("all_cells_arena_lost_vs_stdmap", all_vs_std[1].to_json()),
         ("max_keys", (max_keys as u64).to_json()),
         ("max_built_cores_at_max_keys", max_built.to_json()),
         ("resident_core_pool_bound", pool_bound.to_json()),
@@ -614,15 +615,5 @@ fn main() {
         ("caveats", caveats.to_json()),
         ("cells", Json::Arr(rows.iter().map(Row::to_json).collect())),
     ]);
-    // The acceptance artifact lives at the repo root (not
-    // target/experiments): resolve it from the crate manifest so the
-    // binary lands it there regardless of the invoking directory.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_arena.json");
-    match std::fs::write(&path, out.render()) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    Ok(artifact::save("arena", out, Mode::headline(smoke))?)
 }

@@ -1,7 +1,7 @@
 //! asyncscale — async mutex under task storms (M6).
 //!
 //! ```text
-//! cargo run --release -p sal-bench --bin asyncscale -- [--smoke] [--tasks N]
+//! cargo run --release -p sal-bench -- asyncscale [--smoke] [--tasks N]
 //! ```
 //!
 //! Three sections, all on the workspace's own mini-executor
@@ -22,9 +22,12 @@
 //!    predicates under `Evaluate` vs `Broadcast` wake policy, surfacing
 //!    the registry's wakeup/transition counters on the async path.
 //!
-//! Results go to stdout as tables and to `BENCH_async.json` at the repo
-//! root with `target_met`/`caveats` fields.
+//! Results go to stdout as tables and to the headline artifact
+//! `BENCH_async.json` with `target_met`/`caveats` fields.
 
+use crate::Exit;
+use sal_bench::artifact::{self, Mode};
+use sal_bench::cli::{Cli, Parsed};
 use sal_bench::Table;
 use sal_obs::{Json, PassageStats, ToJson};
 use sal_runtime::executor::{sleep, Executor};
@@ -33,7 +36,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use std::task::{Context, Waker};
 use std::time::{Duration, Instant};
 
 /// Worker threads for every executor in this benchmark (the M6
@@ -43,18 +46,6 @@ const WORKERS: usize = 4;
 const CAPACITY: usize = 8;
 /// The paper-derived per-cancellation op bound checked by section 2.
 const ABORT_OP_BOUND: u64 = 300;
-
-fn noop_waker() -> Waker {
-    fn vt() -> &'static RawWakerVTable {
-        &RawWakerVTable::new(|d| RawWaker::new(d, vt()), |_| {}, |_| {}, |_| {})
-    }
-    // Safety: every vtable entry ignores its data pointer.
-    unsafe { Waker::from_raw(RawWaker::new(std::ptr::null(), vt())) }
-}
-
-fn poll_once<F: Future + Unpin>(fut: &mut F) -> Poll<F::Output> {
-    Pin::new(fut).poll(&mut Context::from_waker(&noop_waker()))
-}
 
 fn async_stats_json(s: &AsyncStats) -> Json {
     Json::obj(vec![
@@ -209,10 +200,8 @@ fn cancellation_storm(n: usize) -> StormResult {
     for i in 0..n {
         let mut fut = m.lock();
         for _ in 0..1 + (i % 3) {
-            assert!(
-                poll_once(&mut fut).is_pending(),
-                "the holder never releases"
-            );
+            let poll = Pin::new(&mut fut).poll(&mut Context::from_waker(Waker::noop()));
+            assert!(poll.is_pending(), "the holder never releases");
         }
         drop(fut);
     }
@@ -311,16 +300,19 @@ fn ccs_cell(policy: WakePolicy, label: &'static str, waiters: u64) -> CcsRow {
 
 // ---------------------------------------------------------------- main
 
-fn main() {
-    let p = sal_bench::Cli::new("asyncscale", "async mutex task-scaling benchmark")
-        .flag("--smoke", "CI-sized run")
+/// Takes no positional part.
+pub const PARTS: &[&str] = &[];
+
+/// `--smoke` and the headline task count.
+pub fn flags(cli: Cli) -> Cli {
+    cli.flag("--smoke", "CI-sized run")
         .opt("--tasks", "N", "headline task count")
-        .parse_env_or_exit();
+}
+
+/// Run the three sections and write `BENCH_async.json`.
+pub fn run(_: &str, p: &Parsed) -> Result<(), Exit> {
     let smoke = p.smoke();
-    let headline_tasks: Option<usize> = p.get("--tasks").unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let headline_tasks: Option<usize> = p.get("--tasks")?;
 
     let headline = headline_tasks.unwrap_or(if smoke { 2_000 } else { 10_000 });
     let task_counts: Vec<usize> = if smoke {
@@ -333,9 +325,7 @@ fn main() {
     let storm_n = if smoke { 2_000 } else { 10_000 };
     let ccs_waiters: u64 = if smoke { 4 } else { 6 };
 
-    let nprocs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let nprocs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mode = if smoke { "smoke" } else { "full" };
     println!(
         "asyncscale ({mode}): tasks {task_counts:?} × cancel {cancel_rates:?}, \
@@ -430,14 +420,8 @@ fn main() {
         "headline: {headline} tasks on {WORKERS} workers, abort bound {} (target_met: {target_met})",
         if bound_ok { "held" } else { "VIOLATED" }
     );
-    for c in &caveats {
-        println!("caveat: {c}");
-    }
 
     let out = Json::obj(vec![
-        ("bench", "asyncscale".to_json()),
-        ("mode", mode.to_json()),
-        ("available_parallelism", (nprocs as u64).to_json()),
         ("workers", (WORKERS as u64).to_json()),
         ("capacity_pids", (CAPACITY as u64).to_json()),
         ("headline_tasks", (headline as u64).to_json()),
@@ -448,14 +432,5 @@ fn main() {
         ("storm", storm.to_json()),
         ("lock_when", ccs_rows.to_json()),
     ]);
-    // The acceptance artifact lives at the repo root: resolve from the
-    // crate manifest so the binary lands it there regardless of cwd.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_async.json");
-    match std::fs::write(&path, out.render()) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    Ok(artifact::save("async", out, Mode::headline(smoke))?)
 }

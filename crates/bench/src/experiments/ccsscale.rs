@@ -1,7 +1,7 @@
 //! ccsscale — conditional-critical-section wakeup benchmark (M5).
 //!
 //! ```text
-//! cargo run --release -p sal-bench --bin ccsscale -- [--smoke]
+//! cargo run --release -p sal-bench -- ccsscale [--smoke]
 //! ```
 //!
 //! Measures the point of `sal-sync`'s unlock-side condition evaluation:
@@ -30,10 +30,14 @@
 //! [`AbortReason::Deadline`].
 //!
 //! Every cell asserts its scenario invariant (no lost items, no lost
-//! updates, all rounds completed). Results go to stdout and
-//! `BENCH_ccs.json`; the headline metric is `wakeups / transitions`,
-//! compared Evaluate-vs-Broadcast per scenario.
+//! updates, all rounds completed). Results go to stdout and the
+//! headline artifact `BENCH_ccs.json`; the headline metric is
+//! `wakeups / transitions`, compared Evaluate-vs-Broadcast per
+//! scenario.
 
+use crate::Exit;
+use sal_bench::artifact::{self, Mode};
+use sal_bench::cli::{Cli, Parsed};
 use sal_bench::Table;
 use sal_obs::{Json, ToJson};
 use sal_sync::{AbortReason, AbortableMutex, Acquire, CcsStats, MutexHandle, WakePolicy};
@@ -111,72 +115,49 @@ fn prodcons(cfg: &CellCfg) -> CellResult {
     .wake_policy(cfg.policy)
     .build();
 
-    let start = Instant::now();
-    let mut aborts = 0u64;
-    std::thread::scope(|s| {
-        let mut joins = Vec::new();
-        for p in 0..producers {
-            let mut h = m.handle();
-            let abort_every = cfg.abort_every;
-            let items = cfg.items;
-            joins.push(s.spawn(move || {
-                let mut aborts = 0u64;
-                for i in 0..items {
-                    let target = (p * items + i) % consumers;
-                    let mut g = conditional_lock(
-                        &mut h,
-                        move |s: &Mail| s.boxes[target] == 0,
-                        abort_every,
-                        i + 1,
-                        &mut aborts,
-                    );
-                    g.boxes[target] = 1 + (p * items + i) as u64;
-                    g.produced += 1;
+    let (abort_every, items) = (cfg.abort_every, cfg.items);
+    let (result, state) = run_threads(m, producers + consumers, |t, mut h| {
+        let mut aborts = 0u64;
+        if t < producers {
+            let p = t;
+            for i in 0..items {
+                let target = (p * items + i) % consumers;
+                let mut g = conditional_lock(
+                    &mut h,
+                    move |s: &Mail| s.boxes[target] == 0,
+                    abort_every,
+                    i + 1,
+                    &mut aborts,
+                );
+                g.boxes[target] = 1 + (p * items + i) as u64;
+                g.produced += 1;
+            }
+            h.lock().producers_done += 1;
+        } else {
+            let c = t - producers;
+            let pred = move |s: &Mail| s.boxes[c] != 0 || s.producers_done == producers;
+            let mut waits = 0usize;
+            loop {
+                waits += 1;
+                let mut g = conditional_lock(&mut h, pred, abort_every, waits, &mut aborts);
+                if g.boxes[c] != 0 {
+                    g.boxes[c] = 0;
+                    g.consumed += 1;
+                } else if g.producers_done == producers {
+                    break;
                 }
-                h.lock().producers_done += 1;
-                aborts
-            }));
+            }
         }
-        for c in 0..consumers {
-            let mut h = m.handle();
-            let abort_every = cfg.abort_every;
-            joins.push(s.spawn(move || {
-                let pred = move |s: &Mail| s.boxes[c] != 0 || s.producers_done == producers;
-                let mut aborts = 0u64;
-                let mut waits = 0usize;
-                loop {
-                    waits += 1;
-                    let mut g = conditional_lock(&mut h, pred, abort_every, waits, &mut aborts);
-                    if g.boxes[c] != 0 {
-                        g.boxes[c] = 0;
-                        g.consumed += 1;
-                    } else if g.producers_done == producers {
-                        break;
-                    }
-                }
-                aborts
-            }));
-        }
-        for j in joins {
-            aborts += j.join().unwrap();
-        }
+        aborts
     });
-    let elapsed = start.elapsed();
-
-    let stats = m.ccs_stats();
-    let total = (producers * cfg.items) as u64;
-    let state = m.into_inner();
+    let total = (producers * items) as u64;
     assert_eq!(state.produced, total, "prodcons: lost production");
     assert_eq!(state.consumed, total, "prodcons: lost or duplicated items");
     assert!(
         state.boxes.iter().all(|&b| b == 0),
         "prodcons: undrained mailbox"
     );
-    CellResult {
-        stats,
-        deadline_aborts: aborts,
-        elapsed,
-    }
+    result
 }
 
 /// Bounded-queue state.
@@ -206,63 +187,43 @@ fn bqueue(cfg: &CellCfg) -> CellResult {
     .wake_policy(cfg.policy)
     .build();
 
-    let start = Instant::now();
-    let mut aborts = 0u64;
-    std::thread::scope(|s| {
-        let mut joins = Vec::new();
-        for p in 0..producers {
-            let mut h = m.handle();
-            let abort_every = cfg.abort_every;
-            let items = cfg.items;
-            joins.push(s.spawn(move || {
-                let mut aborts = 0u64;
-                for i in 0..items {
-                    let v = (p * items + i) as u64;
-                    let mut g = conditional_lock(
-                        &mut h,
-                        |s: &Bq| s.q.len() < QUEUE_CAP,
-                        abort_every,
-                        i + 1,
-                        &mut aborts,
-                    );
-                    assert!(g.q.len() < QUEUE_CAP, "bqueue: overfull on entry");
-                    g.q.push_back(v);
-                    g.pushed += 1;
-                    g.sum_pushed += v;
+    let (abort_every, items) = (cfg.abort_every, cfg.items);
+    let (result, state) = run_threads(m, producers + consumers, |t, mut h| {
+        let mut aborts = 0u64;
+        if t < producers {
+            let p = t;
+            for i in 0..items {
+                let v = (p * items + i) as u64;
+                let mut g = conditional_lock(
+                    &mut h,
+                    |s: &Bq| s.q.len() < QUEUE_CAP,
+                    abort_every,
+                    i + 1,
+                    &mut aborts,
+                );
+                assert!(g.q.len() < QUEUE_CAP, "bqueue: overfull on entry");
+                g.q.push_back(v);
+                g.pushed += 1;
+                g.sum_pushed += v;
+            }
+            h.lock().producers_done += 1;
+        } else {
+            let pred = move |s: &Bq| !s.q.is_empty() || s.producers_done == producers;
+            let mut waits = 0usize;
+            loop {
+                waits += 1;
+                let mut g = conditional_lock(&mut h, pred, abort_every, waits, &mut aborts);
+                if let Some(v) = g.q.pop_front() {
+                    g.popped += 1;
+                    g.sum_popped += v;
+                } else if g.producers_done == producers {
+                    break;
                 }
-                h.lock().producers_done += 1;
-                aborts
-            }));
+            }
         }
-        for _ in 0..consumers {
-            let mut h = m.handle();
-            let abort_every = cfg.abort_every;
-            joins.push(s.spawn(move || {
-                let pred = move |s: &Bq| !s.q.is_empty() || s.producers_done == producers;
-                let mut aborts = 0u64;
-                let mut waits = 0usize;
-                loop {
-                    waits += 1;
-                    let mut g = conditional_lock(&mut h, pred, abort_every, waits, &mut aborts);
-                    if let Some(v) = g.q.pop_front() {
-                        g.popped += 1;
-                        g.sum_popped += v;
-                    } else if g.producers_done == producers {
-                        break;
-                    }
-                }
-                aborts
-            }));
-        }
-        for j in joins {
-            aborts += j.join().unwrap();
-        }
+        aborts
     });
-    let elapsed = start.elapsed();
-
-    let stats = m.ccs_stats();
-    let total = (producers * cfg.items) as u64;
-    let state = m.into_inner();
+    let total = (producers * items) as u64;
     assert_eq!(state.pushed, total, "bqueue: lost push");
     assert_eq!(state.popped, total, "bqueue: lost or duplicated pop");
     assert_eq!(
@@ -270,11 +231,7 @@ fn bqueue(cfg: &CellCfg) -> CellResult {
         "bqueue: value corruption through the queue"
     );
     assert!(state.q.is_empty(), "bqueue: undrained queue");
-    CellResult {
-        stats,
-        deadline_aborts: aborts,
-        elapsed,
-    }
+    result
 }
 
 /// Generation-barrier state.
@@ -294,59 +251,68 @@ fn barrier(cfg: &CellCfg) -> CellResult {
         .wake_policy(cfg.policy)
         .build();
 
-    let start = Instant::now();
-    let mut aborts = 0u64;
-    std::thread::scope(|s| {
-        let mut joins = Vec::new();
-        for _ in 0..n {
-            let mut h = m.handle();
-            let abort_every = cfg.abort_every;
-            let rounds = cfg.items;
-            joins.push(s.spawn(move || {
-                let mut aborts = 0u64;
-                for r in 0..rounds {
-                    let mut g = h.lock();
-                    let my_gen = g.gen;
-                    g.count += 1;
-                    if g.count == n {
-                        g.count = 0;
-                        g.gen += 1;
-                        // Dropping the guard runs unlock-side
-                        // evaluation and wakes the other n-1 arrivals.
-                    } else {
-                        let pred = move |s: &Bar| s.gen != my_gen;
-                        if abort_every.is_some_and(|k| (r + 1).is_multiple_of(k)) {
-                            let req = || Acquire::new().when(pred).within(ABORT_DEADLINE);
-                            while g.await_when(req()).is_err() {
-                                aborts += 1;
-                            }
-                        } else {
-                            let woke = g.await_when(Acquire::new().when(pred));
-                            debug_assert!(woke.is_ok(), "an unlimited wait cannot abort");
-                        }
+    let (abort_every, rounds) = (cfg.abort_every, cfg.items);
+    let (result, state) = run_threads(m, n, |_, mut h| {
+        let mut aborts = 0u64;
+        for r in 0..rounds {
+            let mut g = h.lock();
+            let my_gen = g.gen;
+            g.count += 1;
+            if g.count == n {
+                g.count = 0;
+                g.gen += 1;
+                // Dropping the guard runs unlock-side evaluation and
+                // wakes the other n-1 arrivals.
+            } else {
+                let pred = move |s: &Bar| s.gen != my_gen;
+                if abort_every.is_some_and(|k| (r + 1).is_multiple_of(k)) {
+                    let req = || Acquire::new().when(pred).within(ABORT_DEADLINE);
+                    while g.await_when(req()).is_err() {
+                        aborts += 1;
                     }
+                } else {
+                    let woke = g.await_when(Acquire::new().when(pred));
+                    debug_assert!(woke.is_ok(), "an unlimited wait cannot abort");
                 }
-                aborts
-            }));
+            }
         }
-        for j in joins {
-            aborts += j.join().unwrap();
-        }
+        aborts
     });
-    let elapsed = start.elapsed();
-
-    let stats = m.ccs_stats();
-    let state = m.into_inner();
     assert_eq!(
-        state.gen, cfg.items as u64,
+        state.gen, rounds as u64,
         "barrier: rounds lost or duplicated"
     );
     assert_eq!(state.count, 0, "barrier: stragglers left behind");
-    CellResult {
+    result
+}
+
+/// Run `work(t, handle)` on `n` scoped threads over `m`, each with its
+/// own handle, and time the whole run. Each thread returns the
+/// deadline aborts it observed; returns the cell's measurements and
+/// the mutex's final state for the scenario's invariant checks.
+fn run_threads<T: Send>(
+    m: AbortableMutex<T>,
+    n: usize,
+    work: impl Fn(usize, MutexHandle<'_, T>) -> u64 + Sync,
+) -> (CellResult, T) {
+    let start = Instant::now();
+    let deadline_aborts = std::thread::scope(|s| {
+        let joins: Vec<_> = (0..n)
+            .map(|t| {
+                let (h, work) = (m.handle(), &work);
+                s.spawn(move || work(t, h))
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().unwrap()).sum()
+    });
+    let elapsed = start.elapsed();
+    let stats = m.ccs_stats();
+    let result = CellResult {
         stats,
-        deadline_aborts: aborts,
+        deadline_aborts,
         elapsed,
-    }
+    };
+    (result, m.into_inner())
 }
 
 /// One conditional acquisition, optionally deadline-first: on the
@@ -429,14 +395,17 @@ fn aggregate(rows: &[Row], scenario: &str, policy: WakePolicy) -> (u64, u64) {
         })
 }
 
-fn main() {
-    let smoke = sal_bench::Cli::new(
-        "ccsscale",
-        "conditional-critical-section throughput benchmark",
-    )
-    .flag("--smoke", "CI-sized run")
-    .parse_env_or_exit()
-    .smoke();
+/// Takes no positional part.
+pub const PARTS: &[&str] = &[];
+
+/// `--smoke`: CI-sized run.
+pub fn flags(cli: Cli) -> Cli {
+    cli.flag("--smoke", "CI-sized run")
+}
+
+/// Run the grid and write `BENCH_ccs.json`.
+pub fn run(_: &str, p: &Parsed) -> Result<(), Exit> {
+    let smoke = p.smoke();
     let thread_counts: &[usize] = if smoke { &[2, 4] } else { &[2, 4, 8] };
     let abort_rates: &[Option<usize>] = &[None, Some(8)];
     let items = if smoke { 300 } else { 2_000 };
@@ -527,31 +496,20 @@ fn main() {
             ("evaluate_strictly_fewer", (eval < bcast).to_json()),
         ]));
     }
-    assert!(
-        prodcons_improved,
-        "acceptance: evaluate must wake strictly fewer waiters per transition \
-         than broadcast on prodcons"
-    );
+    if !prodcons_improved {
+        return Err(Exit::Failed(
+            "evaluate must wake strictly fewer waiters per transition than broadcast \
+             on prodcons"
+                .into(),
+        ));
+    }
     println!("acceptance (prodcons evaluate < broadcast): met");
 
     let out = Json::obj(vec![
-        ("bench", "ccsscale".to_json()),
-        ("mode", mode.to_json()),
-        (
-            "available_parallelism",
-            (std::thread::available_parallelism().map_or(1, |n| n.get()) as u64).to_json(),
-        ),
         ("headline", comparisons.to_json()),
         ("prodcons_evaluate_strictly_fewer", true.to_json()),
         ("invariants_all_passed", true.to_json()),
         ("cells", rows.to_json()),
     ]);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ccs.json");
-    match std::fs::write(&path, out.render()) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    Ok(artifact::save("ccs", out, Mode::headline(smoke))?)
 }

@@ -1,7 +1,7 @@
 //! Regenerate the behaviours depicted in the paper's figures.
 //!
 //! ```text
-//! cargo run --release -p sal-bench --bin figures -- [fig2|fig4|fig5|logw|all] [--jobs N]
+//! cargo run --release -p sal-bench -- figures [all|fig2|fig4|fig5|logw]
 //! ```
 //!
 //! * `fig2` — the three `FindNext(p)` scenarios (successor / ⊥ / ⊤),
@@ -14,17 +14,22 @@
 //!   bounded implementation, cost per passage across many instance
 //!   switches.
 //!
-//! Independent grid cells run on the work-stealing pool (`--jobs N` /
-//! `SAL_JOBS`, default = available parallelism); results are gathered
+//! Independent grid cells run on the work-stealing pool (`SAL_JOBS`,
+//! default = available parallelism); results are gathered
 //! in cell order so all output is byte-identical to a serial run.
 
-use sal_bench::{
-    export_events, no_abort_sweep, par_grid, save_json, save_json_with_log, worst_case_sweep,
-    LockKind, Table,
-};
+use crate::Exit;
+use sal_bench::artifact::{self, Mode};
+use sal_bench::cli::{Cli, Parsed};
+use sal_bench::{absorb, no_abort_sweep, par_grid, worst_case_sweep, LockKind, Table};
 use sal_core::tree::{FindNextResult, Tree};
 use sal_memory::{MemoryBuilder, RmrProbe};
-use sal_obs::{EventLog, ObsEventKind};
+use sal_obs::{EventLog, ObsEventKind, ToJson};
+use sal_runtime::pool;
+use std::io;
+
+/// The positional parts, default first.
+pub const PARTS: &[&str] = &["all", "fig2", "fig4", "fig5", "logw"];
 
 /// E6: walk a live tree through the three Figure-2 scenarios.
 fn fig2() {
@@ -96,7 +101,7 @@ fn demo_crossed_paths() -> FindNextResult {
 
 /// E4: Figure 4 — plain ascent climbs to the lowest common ancestor,
 /// the adaptive ascent sidesteps to the right cousin.
-fn fig4(jobs: usize) {
+fn fig4(jobs: usize) -> io::Result<()> {
     let mut table = Table::new(
         "E4 — Figure 4: RMRs of FindNext(p) at the subtree boundary (successor adjacent, no aborts)",
         &["N", "B", "plain ascent", "adaptive ascent"],
@@ -140,7 +145,7 @@ fn fig4(jobs: usize) {
     println!(
         "shape check: plain grows with log_B N; adaptive stays O(1) because no process aborted."
     );
-    save_json("fig4_sidestep", &points);
+    artifact::save("fig4_sidestep", points.to_json(), Mode::Detail)?;
 
     // Second panel: adaptive cost vs number of aborters (Claim 21).
     let mut table = Table::new(
@@ -175,12 +180,12 @@ fn fig4(jobs: usize) {
         table.row(vec![a.to_string(), adaptive.to_string(), plain.to_string()]);
     }
     table.print();
-    save_json("fig4_adaptive_vs_a", &points);
+    artifact::save("fig4_adaptive_vs_a", points.to_json(), Mode::Detail)
 }
 
 /// E5: the headline `O(log_W N)` family — worst-case lock passage cost
 /// vs N for each branching factor.
-fn logw(jobs: usize) {
+fn logw(jobs: usize) -> io::Result<()> {
     let ns = [16usize, 64, 256];
     let bs = [2usize, 4, 16, 64];
     let mut table = Table::new(
@@ -238,7 +243,7 @@ fn logw(jobs: usize) {
         table.row(cells);
     }
     table.print();
-    save_json("logw_family", &points);
+    artifact::save("logw_family", points.to_json(), Mode::Detail)
 }
 
 /// E7: Figure 5 / §6 — the long-lived transformation across many
@@ -247,7 +252,7 @@ fn logw(jobs: usize) {
 /// registry-driven: a newly registered kind shows up here without
 /// touching this file (`switches` stays 0 for locks that are not
 /// instance-switching wrappers).
-fn fig5(jobs: usize) {
+fn fig5(jobs: usize) -> io::Result<()> {
     let mut table = Table::new(
         "E7 — Figure 5: long-lived lock across instance switches (N = 8, 8 passages each, 2 aborters)",
         &["implementation", "max RMRs/passage", "mean RMRs/passage", "switches", "steps", "safe"],
@@ -285,29 +290,22 @@ fn fig5(jobs: usize) {
             .iter()
             .filter(|e| matches!(e.kind, ObsEventKind::Note("instance-switch", _)))
             .count();
-        (
+        let (max, mean) = (report.max_entered_rmrs(), report.mean_entered_rmrs());
+        let row = vec![
             kind.label(),
-            report.max_entered_rmrs(),
-            report.mean_entered_rmrs(),
-            switches,
-            report.steps,
-            report.mutex_check.is_ok(),
-            cell_log,
-        )
-    });
-    let log = EventLog::unbounded();
-    let mut points = Vec::new();
-    for (label, max, mean, switches, steps, safe, cell_log) in results {
-        log.absorb(&cell_log);
-        table.row(vec![
-            label.clone(),
             max.to_string(),
             format!("{mean:.1}"),
             switches.to_string(),
-            steps.to_string(),
-            safe.to_string(),
-        ]);
-        points.push((label, max, mean, switches));
+            report.steps.to_string(),
+            report.mutex_check.is_ok().to_string(),
+        ];
+        ((row, (kind.label(), max, mean, switches)), cell_log)
+    });
+    let (results, log) = absorb(results);
+    let mut points = Vec::new();
+    for (row, point) in results {
+        table.row(row);
+        points.push(point);
     }
     table.print();
     println!(
@@ -323,33 +321,29 @@ fn fig5(jobs: usize) {
         "recycle stability: 50 passages/process, 2 processes → max {} RMRs/passage (no drift).",
         p.max_entered_rmrs
     );
-    save_json_with_log("fig5_long_lived", &points, &log);
-    export_events(&log, "fig5_events");
+    artifact::save_with_log("fig5_long_lived", &points, &log)?;
+    artifact::save_events(&log, "fig5_events")
 }
 
-fn main() {
-    let (positional, jobs) = match sal_bench::parse_jobs_args(std::env::args().skip(1)) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let arg = positional.first().map(String::as_str).unwrap_or("all");
-    match arg {
+/// No flags of its own.
+pub fn flags(cli: Cli) -> Cli {
+    cli
+}
+
+/// Run `part`.
+pub fn run(part: &str, _: &Parsed) -> Result<(), Exit> {
+    let jobs = pool::default_jobs();
+    match part {
         "fig2" => fig2(),
-        "fig4" => fig4(jobs),
-        "fig5" => fig5(jobs),
-        "logw" => logw(jobs),
-        "all" => {
+        "fig4" => fig4(jobs)?,
+        "fig5" => fig5(jobs)?,
+        "logw" => logw(jobs)?,
+        _ => {
             fig2();
-            fig4(jobs);
-            logw(jobs);
-            fig5(jobs);
-        }
-        other => {
-            eprintln!("unknown figure {other}; use fig2|fig4|fig5|logw|all");
-            std::process::exit(2);
+            fig4(jobs)?;
+            logw(jobs)?;
+            fig5(jobs)?;
         }
     }
+    Ok(())
 }

@@ -1,9 +1,8 @@
 //! Regenerate Table 1 of the paper from measured RMR counts.
 //!
 //! ```text
-//! cargo run --release -p sal-bench --bin table1 -- \
-//!     [worst-case|no-abort|adaptive|space|fairness|amortized|all] \
-//!     [--smoke] [--jobs N]
+//! cargo run --release -p sal-bench -- table1 \
+//!     [all|worst-case|no-abort|adaptive|space|fairness|amortized] [--smoke]
 //! ```
 //!
 //! Each subcommand regenerates one column of Table 1 (see DESIGN.md
@@ -14,93 +13,116 @@
 //! ([`LockKind::table1_rows`] / [`LockKind::all`]), so new kinds appear
 //! automatically.
 //!
-//! `--smoke` is the CI shape: it runs the `amortized` experiment on a
-//! reduced grid, which still regenerates the acceptance artifact
-//! `BENCH_table1.json` at the repo root (amortized column for every
-//! kind + the measured `target_met` verdict: the Jayanti–Jayanti lock
-//! flat across N while a per-passage tree lock grows).
+//! The `amortized` part writes the headline artifact
+//! `BENCH_table1.json`: the amortized column for every kind and the
+//! measured `target_met` verdict (the Jayanti–Jayanti lock flat across
+//! N while a per-passage tree lock grows). `--smoke` is the CI shape:
+//! the `amortized` part alone on a reduced grid, whose artifact goes
+//! to `target/experiments/` instead of the repo root.
 //!
 //! Grid cells are independent simulations, so they fan out over the
-//! work-stealing pool (`--jobs N`, or `SAL_JOBS`, default = available
-//! parallelism) and are gathered in cell order — tables, JSON and
-//! JSONL exports are byte-identical at any worker count.
+//! work-stealing pool (`SAL_JOBS`, default = available parallelism)
+//! and are gathered in cell order — tables, JSON and JSONL exports are
+//! byte-identical at any worker count.
 
+use crate::Exit;
+use sal_bench::artifact::{self, Mode};
+use sal_bench::cli::{Cli, Parsed};
 use sal_bench::{
-    adaptive_sweep_probed, amortized_sweep, export_events, no_abort_sweep, no_abort_sweep_probed,
-    par_grid, save_json, save_json_with_log, space_row, worst_case_sweep, AmortizedPoint, LockKind,
-    Table,
+    absorb, adaptive_sweep_probed, amortized_sweep, no_abort_sweep, no_abort_sweep_probed,
+    par_grid, space_row, worst_case_sweep, AmortizedPoint, LockKind, SweepPoint, Table,
 };
 use sal_obs::{EventLog, Json, ToJson};
-use sal_runtime::{run_one_shot, ProcPlan, RandomSchedule, WorkloadSpec};
+use sal_runtime::{pool, run_one_shot, ProcPlan, RandomSchedule, SimError, WorkloadSpec};
+use std::io;
+
+/// The positional parts, default first.
+pub const PARTS: &[&str] = &[
+    "all",
+    "worst-case",
+    "no-abort",
+    "adaptive",
+    "space",
+    "fairness",
+    "amortized",
+];
 
 const B: usize = 16; // branching factor for "our" locks in the comparison
+const NS: [usize; 6] = [8, 16, 32, 64, 128, 256];
+
+/// Evaluate `eval` over every `(kind, x)` cell on the pool and print
+/// one table row per kind, showing `cell` of each point under an
+/// `{x_name}={x}` column. Returns the points in cell order.
+fn kind_grid<T: Send>(
+    jobs: usize,
+    title: &str,
+    x_name: &str,
+    (kinds, xs): (&[LockKind], &[usize]),
+    eval: impl Fn(LockKind, usize) -> T + Sync,
+    cell: impl Fn(&T) -> String,
+) -> Vec<T> {
+    let cells: Vec<(LockKind, usize)> = kinds
+        .iter()
+        .flat_map(|&kind| xs.iter().map(move |&x| (kind, x)))
+        .collect();
+    let points = par_grid(jobs, &cells, |&(kind, x)| eval(kind, x));
+    let header: Vec<String> = std::iter::once("lock".to_string())
+        .chain(xs.iter().map(|x| format!("{x_name}={x}")))
+        .collect();
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    let mut table = Table::new(title, &header);
+    for (kind, chunk) in kinds.iter().zip(points.chunks(xs.len())) {
+        let mut row = vec![kind.label()];
+        row.extend(chunk.iter().map(&cell));
+        table.row(row);
+    }
+    table.print();
+    points
+}
+
+/// A sweep point that ran and kept mutual exclusion.
+fn checked(p: Result<SweepPoint, SimError>) -> SweepPoint {
+    let p = p.expect("sim failed");
+    assert!(p.mutex_ok, "{} violated mutual exclusion", p.lock);
+    p
+}
 
 /// E1: Table 1 "Worst-case" column — all but two processes abort while
 /// queued; report the worst complete passage.
-fn worst_case(jobs: usize) {
-    let ns = [8usize, 16, 32, 64, 128, 256];
-    let mut table = Table::new(
+fn worst_case(jobs: usize) -> io::Result<()> {
+    let points = kind_grid(
+        jobs,
         "E1 — Table 1 'Worst-case': max RMRs of a complete passage, N−2 aborters",
-        &["lock", "N=8", "N=16", "N=32", "N=64", "N=128", "N=256"],
+        "N",
+        (&LockKind::table1_rows(B), &NS),
+        |kind, n| checked(worst_case_sweep(kind, n, 42)),
+        |p| p.max_entered_rmrs.to_string(),
     );
-    let kinds = LockKind::table1_rows(B);
-    let cells: Vec<(LockKind, usize)> = kinds
-        .iter()
-        .flat_map(|&kind| ns.iter().map(move |&n| (kind, n)))
-        .collect();
-    let points = par_grid(jobs, &cells, |&(kind, n)| {
-        let p = worst_case_sweep(kind, n, 42).expect("sim failed");
-        assert!(p.mutex_ok, "{} violated mutual exclusion", p.lock);
-        p
-    });
-    for (row, chunk) in points.chunks(ns.len()).enumerate() {
-        let mut cells = vec![kinds[row].label()];
-        cells.extend(chunk.iter().map(|p| p.max_entered_rmrs.to_string()));
-        table.row(cells);
-    }
-    table.print();
     println!(
         "shape check: ours grows ~log_{B} N; tournament ~log2 N; \
          scott/lee pay per aborted predecessor (linear-family in N here)."
     );
-    save_json("table1_worst_case", &points);
+    artifact::save("table1_worst_case", points.to_json(), Mode::Detail)
 }
 
 /// E2 + E10: Table 1 "No aborts" column — clean passages only.
-fn no_abort(jobs: usize) {
-    let ns = [8usize, 16, 32, 64, 128, 256];
-    let mut table = Table::new(
-        "E2/E10 — Table 1 'No aborts': max RMRs of a passage, zero aborters",
-        &["lock", "N=8", "N=16", "N=32", "N=64", "N=128", "N=256"],
-    );
+fn no_abort(jobs: usize) -> io::Result<()> {
     let mut kinds = LockKind::table1_rows(B);
     kinds.push(LockKind::Mcs); // the classic O(1) yardstick
-    let cells: Vec<(LockKind, usize)> = kinds
-        .iter()
-        .flat_map(|&kind| ns.iter().map(move |&n| (kind, n)))
-        .collect();
-    // Each cell records into its own unbounded log; the driver absorbs
-    // them in cell order, so the JSONL export never silently overflows
-    // and is identical at any worker count.
-    let results = par_grid(jobs, &cells, |&(kind, n)| {
-        let cell_log = EventLog::unbounded();
-        let passages = if kind.one_shot() { 1 } else { 2 };
-        let p = no_abort_sweep_probed(kind, n, passages, 7, cell_log.clone()).expect("sim failed");
-        assert!(p.mutex_ok, "{} violated mutual exclusion", p.lock);
-        (p, cell_log)
-    });
-    let log = EventLog::unbounded();
-    let mut points = Vec::new();
-    for (p, cell_log) in results {
-        log.absorb(&cell_log);
-        points.push(p);
-    }
-    for (row, chunk) in points.chunks(ns.len()).enumerate() {
-        let mut cells = vec![kinds[row].label()];
-        cells.extend(chunk.iter().map(|p| p.max_entered_rmrs.to_string()));
-        table.row(cells);
-    }
-    table.print();
+    let results = kind_grid(
+        jobs,
+        "E2/E10 — Table 1 'No aborts': max RMRs of a passage, zero aborters",
+        "N",
+        (&kinds, &NS),
+        |kind, n| {
+            let cell_log = EventLog::unbounded();
+            let passages = if kind.one_shot() { 1 } else { 2 };
+            let p = no_abort_sweep_probed(kind, n, passages, 7, cell_log.clone());
+            (checked(p), cell_log)
+        },
+        |(p, _)| p.max_entered_rmrs.to_string(),
+    );
+    let (points, log) = absorb(results);
     println!(
         "shape check: ours, scott, lee and mcs stay flat (O(1)); tournament grows with log2 N."
     );
@@ -133,76 +155,50 @@ fn no_abort(jobs: usize) {
             s.render()
         );
     }
-    save_json_with_log("table1_no_abort", &points, &log);
-    export_events(&log, "table1_no_abort_events");
+    artifact::save_with_log("table1_no_abort", &points, &log)?;
+    artifact::save_events(&log, "table1_no_abort_events")
 }
 
 /// E3: Table 1 "Adaptive bound" column — fixed N, sweep the number of
 /// aborters A.
-fn adaptive(jobs: usize) {
+fn adaptive(jobs: usize) -> io::Result<()> {
     let n = 256;
-    let aborters = [0usize, 1, 4, 16, 64, 254];
-    let mut table = Table::new(
-        format!("E3 — Table 1 'Adaptive bound': max RMRs of a complete passage, N = {n}"),
-        &["lock", "A=0", "A=1", "A=4", "A=16", "A=64", "A=254"],
+    let results = kind_grid(
+        jobs,
+        &format!("E3 — Table 1 'Adaptive bound': max RMRs of a complete passage, N = {n}"),
+        "A",
+        (&LockKind::table1_rows(B), &[0, 1, 4, 16, 64, 254]),
+        |kind, a| {
+            let cell_log = EventLog::unbounded();
+            let p = adaptive_sweep_probed(kind, n, a, 11, cell_log.clone());
+            (checked(p), cell_log)
+        },
+        |(p, _)| p.max_entered_rmrs.to_string(),
     );
-    let kinds = LockKind::table1_rows(B);
-    let cells: Vec<(LockKind, usize)> = kinds
-        .iter()
-        .flat_map(|&kind| aborters.iter().map(move |&a| (kind, a)))
-        .collect();
-    let results = par_grid(jobs, &cells, |&(kind, a)| {
-        let cell_log = EventLog::unbounded();
-        let p = adaptive_sweep_probed(kind, n, a, 11, cell_log.clone()).expect("sim failed");
-        assert!(p.mutex_ok, "{} violated mutual exclusion", p.lock);
-        (p, cell_log)
-    });
-    let log = EventLog::unbounded();
-    let mut points = Vec::new();
-    for (p, cell_log) in results {
-        log.absorb(&cell_log);
-        points.push(p);
-    }
-    for (row, chunk) in points.chunks(aborters.len()).enumerate() {
-        let mut cells = vec![kinds[row].label()];
-        cells.extend(chunk.iter().map(|p| p.max_entered_rmrs.to_string()));
-        table.row(cells);
-    }
-    table.print();
+    let (points, log) = absorb(results);
     println!(
         "shape check: ours tracks log_{B} A (stays flat until A is large); tournament is \
          pinned at log2 N regardless; scott tracks A; lee grows fastest."
     );
-    save_json_with_log("table1_adaptive", &points, &log);
-    export_events(&log, "table1_adaptive_events");
+    artifact::save_with_log("table1_adaptive", &points, &log)?;
+    artifact::save_events(&log, "table1_adaptive_events")
 }
 
 /// E8: Table 1 "Space" column — measured shared words vs N.
-fn space(jobs: usize) {
-    let ns = [8usize, 16, 32, 64, 128, 256];
-    let mut table = Table::new(
+fn space(jobs: usize) -> io::Result<()> {
+    let rows = kind_grid(
+        jobs,
         "E8 — Table 1 'Space': shared words allocated (attempts = N)",
-        &["lock", "N=8", "N=16", "N=32", "N=64", "N=128", "N=256"],
+        "N",
+        (&LockKind::table1_rows(B), &NS),
+        |kind, n| (kind.label(), n, space_row(kind, n, n)),
+        |(_, _, w)| w.to_string(),
     );
-    let kinds = LockKind::table1_rows(B);
-    let cells: Vec<(LockKind, usize)> = kinds
-        .iter()
-        .flat_map(|&kind| ns.iter().map(move |&n| (kind, n)))
-        .collect();
-    let rows = par_grid(jobs, &cells, |&(kind, n)| {
-        (kind.label(), n, space_row(kind, n, n))
-    });
-    for (row, chunk) in rows.chunks(ns.len()).enumerate() {
-        let mut cells = vec![kinds[row].label()];
-        cells.extend(chunk.iter().map(|(_, _, w)| w.to_string()));
-        table.row(cells);
-    }
-    table.print();
     println!(
         "shape check: one-shot is O(N); long-lived is O(N²); scott/lee arenas scale \
          with attempts (unbounded over an execution's lifetime)."
     );
-    save_json("table1_space", &rows);
+    artifact::save("table1_space", rows.to_json(), Mode::Detail)
 }
 
 /// E9: Table 1 "Fairness" column — FCFS witness for the one-shot lock,
@@ -263,12 +259,12 @@ fn fairness(jobs: usize) {
 
 /// M9: Table 1 "Amortized" column — run-scoped accounting for *every*
 /// registered kind at small N, with the worst-case (max single-passage
-/// debt) column retained next to it. Also writes the acceptance
-/// artifact `BENCH_table1.json` at the repo root, with a measured
+/// debt) column retained next to it. Also writes the headline
+/// artifact `BENCH_table1.json`, with a measured
 /// `target_met` verdict: the Jayanti–Jayanti lock's amortized RMR flat
 /// (within noise) across N ∈ {2, 4, 8} while the tournament tree
 /// lock's grows.
-fn amortized(jobs: usize, smoke: bool) {
+fn amortized(jobs: usize, smoke: bool) -> io::Result<()> {
     let ns = [2usize, 4, 8];
     let (rounds, passages) = if smoke { (3, 3) } else { (12, 6) };
     // Every kind, registry-driven — the amortized column is the one
@@ -295,27 +291,14 @@ fn amortized(jobs: usize, smoke: bool) {
     );
     for (row, chunk) in points.chunks(ns.len()).enumerate() {
         let mut cells = vec![kinds[row].label()];
+        let worst = |f: fn(&AmortizedPoint) -> u64| chunk.iter().map(f).max().unwrap_or(0);
         cells.extend(
             chunk
                 .iter()
                 .map(|p| format!("{:.2}", p.stats.amortized_rmrs)),
         );
-        cells.push(
-            chunk
-                .iter()
-                .map(|p| p.stats.max_passage_rmrs)
-                .max()
-                .unwrap_or(0)
-                .to_string(),
-        );
-        cells.push(
-            chunk
-                .iter()
-                .map(|p| p.max_entered_rmrs)
-                .max()
-                .unwrap_or(0)
-                .to_string(),
-        );
+        cells.push(worst(|p| p.stats.max_passage_rmrs).to_string());
+        cells.push(worst(|p| p.max_entered_rmrs).to_string());
         table.row(cells);
     }
     table.print();
@@ -356,10 +339,8 @@ fn amortized(jobs: usize, smoke: bool) {
         tournament[0],
         tournament[2],
     );
-    save_json("table1_amortized", &points);
+    artifact::save("table1_amortized", points.to_json(), Mode::Detail)?;
 
-    // The acceptance artifact at the repo root, resolved from the crate
-    // manifest so any invoking directory lands it there.
     let rows: Vec<Json> = kinds
         .iter()
         .zip(points.chunks(ns.len()))
@@ -374,8 +355,6 @@ fn amortized(jobs: usize, smoke: bool) {
         })
         .collect();
     let out = Json::obj(vec![
-        ("bench", "table1".to_json()),
-        ("mode", if smoke { "smoke" } else { "full" }.to_json()),
         ("branching", (B as u64).to_json()),
         (
             "ns",
@@ -397,79 +376,39 @@ fn amortized(jobs: usize, smoke: bool) {
         ("caveats", caveats.to_json()),
         ("rows", Json::Arr(rows)),
     ]);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_table1.json");
-    match std::fs::write(&path, out.render()) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    artifact::save("table1", out, Mode::headline(smoke))
 }
 
-fn main() {
-    // One optional positional subcommand, then declarative flags — the
-    // shared `Cli` vocabulary (`--smoke`, `--jobs`) like every other
-    // driver in this crate.
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let sub = if args.first().is_some_and(|a| !a.starts_with('-')) {
-        args.remove(0)
-    } else {
-        "all".to_string()
-    };
-    let cli = sal_bench::Cli::new(
-        "table1 [worst-case|no-abort|adaptive|space|fairness|amortized|all]",
-        "regenerate Table 1 of the paper from measured RMR counts",
-    )
-    .flag(
+/// `--smoke`: CI-sized run (the amortized part only).
+pub fn flags(cli: Cli) -> Cli {
+    cli.flag(
         "--smoke",
-        "CI-sized run: the amortized column only, reduced grid (still writes BENCH_table1.json)",
+        "CI-sized run: the amortized part only, reduced grid \
+         (writes target/experiments/BENCH_table1.json)",
     )
-    .opt(
-        "--jobs",
-        "k",
-        "worker threads (0 = auto; SAL_JOBS honoured)",
-    );
-    let p = match cli.parse(args.into_iter()) {
-        Ok(p) if p.help_requested() => {
-            println!("{}", cli.usage());
-            return;
-        }
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", cli.usage());
-            std::process::exit(2);
-        }
-    };
-    let jobs = p.jobs().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+}
+
+/// Run `part` (or, with `--smoke`, the reduced amortized part).
+pub fn run(part: &str, p: &Parsed) -> Result<(), Exit> {
+    let jobs = pool::default_jobs();
     if p.smoke() {
-        amortized(jobs, true);
-        return;
+        return Ok(amortized(jobs, true)?);
     }
-    match sub.as_str() {
-        "worst-case" => worst_case(jobs),
-        "no-abort" => no_abort(jobs),
-        "adaptive" => adaptive(jobs),
-        "space" => space(jobs),
+    match part {
+        "worst-case" => worst_case(jobs)?,
+        "no-abort" => no_abort(jobs)?,
+        "adaptive" => adaptive(jobs)?,
+        "space" => space(jobs)?,
         "fairness" => fairness(jobs),
-        "amortized" => amortized(jobs, false),
-        "all" => {
-            worst_case(jobs);
-            no_abort(jobs);
-            adaptive(jobs);
-            space(jobs);
+        "amortized" => amortized(jobs, false)?,
+        _ => {
+            worst_case(jobs)?;
+            no_abort(jobs)?;
+            adaptive(jobs)?;
+            space(jobs)?;
             fairness(jobs);
-            amortized(jobs, false);
-        }
-        other => {
-            eprintln!(
-                "unknown experiment {other}; use \
-                 worst-case|no-abort|adaptive|space|fairness|amortized|all"
-            );
-            std::process::exit(2);
+            amortized(jobs, false)?;
         }
     }
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! Parallel grid evaluation for the experiment drivers.
+//! Parallel grid evaluation for the experiments.
 //!
 //! Every table and figure in this crate is a grid of *mutually
 //! independent* cells — (lock × N × seed) configurations that each
@@ -9,10 +9,10 @@
 //! and absorbed JSONL event logs come out byte-identical whatever the
 //! worker count.
 //!
-//! The module also owns the experiment binaries' shared `--jobs N`
-//! knob ([`parse_jobs_args`]): `--jobs 0` (or the flag absent with no
-//! `SAL_JOBS` override) means available parallelism.
+//! The worker count comes from `SAL_JOBS`, else available parallelism
+//! ([`pool::default_jobs`]).
 
+use sal_obs::EventLog;
 use sal_runtime::pool;
 
 /// Evaluate `eval` over every cell of `cells` on `jobs` workers (`0` =
@@ -30,29 +30,19 @@ where
     pool::par_map_indexed(jobs, cells.len(), |i| eval(&cells[i]))
 }
 
-/// Extract a `--jobs N` flag from a CLI argument stream. Returns the
-/// remaining (positional) arguments and the *resolved* worker count:
-/// `--jobs 0`, or no flag at all, resolves through `SAL_JOBS` /
-/// available parallelism ([`pool::resolve_jobs`]).
-///
-/// # Errors
-///
-/// When `--jobs` is present without a value or with a non-integer one.
-pub fn parse_jobs_args(args: impl Iterator<Item = String>) -> Result<(Vec<String>, usize), String> {
-    let mut positional = Vec::new();
-    let mut jobs = 0usize;
-    let mut it = args;
-    while let Some(arg) = it.next() {
-        if arg == "--jobs" {
-            let v = it.next().ok_or("flag --jobs needs a value")?;
-            jobs = v.parse().map_err(|e| format!("--jobs: {e}"))?;
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            jobs = v.parse().map_err(|e| format!("--jobs: {e}"))?;
-        } else {
-            positional.push(arg);
-        }
-    }
-    Ok((positional, pool::resolve_jobs(jobs)))
+/// Fold the per-cell event logs of a grid's results into one log, in
+/// cell order — so an exported JSONL stream never silently overflows
+/// and is identical at any worker count.
+pub fn absorb<T>(results: Vec<(T, EventLog)>) -> (Vec<T>, EventLog) {
+    let log = EventLog::unbounded();
+    let points = results
+        .into_iter()
+        .map(|(p, cell_log)| {
+            log.absorb(&cell_log);
+            p
+        })
+        .collect();
+    (points, log)
 }
 
 /// Parse a comma-separated list flag value (`--seeds 1,2,3`,
@@ -87,26 +77,6 @@ mod tests {
             let out = par_grid(jobs, &cells, |&c| c * 3);
             assert_eq!(out, cells.iter().map(|c| c * 3).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn jobs_flag_is_extracted_anywhere() {
-        let args = |v: &[&str]| {
-            v.iter()
-                .map(|s| (*s).to_string())
-                .collect::<Vec<_>>()
-                .into_iter()
-        };
-        let (pos, jobs) = parse_jobs_args(args(&["all", "--jobs", "3"])).unwrap();
-        assert_eq!(pos, vec!["all"]);
-        assert_eq!(jobs, 3);
-        let (pos, jobs) = parse_jobs_args(args(&["--jobs=7", "worst-case"])).unwrap();
-        assert_eq!(pos, vec!["worst-case"]);
-        assert_eq!(jobs, 7);
-        let (_, jobs) = parse_jobs_args(args(&["all"])).unwrap();
-        assert!(jobs >= 1, "absent flag resolves to auto");
-        assert!(parse_jobs_args(args(&["--jobs"])).is_err());
-        assert!(parse_jobs_args(args(&["--jobs", "x"])).is_err());
     }
 
     #[test]

@@ -3,20 +3,31 @@
 //! The paper's evaluation artifacts are **Table 1** (complexity / fairness
 //! comparison of abortable locks) and **Figures 1–5** (the algorithms and
 //! their cost behaviours). This crate measures all of them on the exact
-//! CC cost model via `sal-memory`/`sal-runtime`:
+//! CC cost model via `sal-memory`/`sal-runtime`, through one runner:
 //!
-//! * `cargo run -p sal-bench --bin table1 -- <worst-case|no-abort|adaptive|space|fairness|all>`
-//! * `cargo run -p sal-bench --bin figures -- <fig2|fig4|fig5|logw|all>`
-//! * `cargo bench -p sal-bench` — wall-clock sanity benches of the real
-//!   `AbortableMutex` against classic locks.
+//! ```text
+//! cargo run --release -p sal-bench -- <experiment> [part] [flags]
+//! cargo run --release -p sal-bench -- table1 all
+//! cargo run --release -p sal-bench -- figures fig4
+//! cargo run --release -p sal-bench -- hwscale --smoke
+//! cargo run --release -p sal-bench -- <experiment> --help
+//! ```
+//!
+//! The experiments are `table1`, `figures`, `ablations`, `sweep`,
+//! `explore`, `hwscale`, `ccsscale`, `asyncscale` and `arenascale`;
+//! the runner with no arguments lists them. `SAL_JOBS` sets the
+//! worker count of every grid and `SAL_LEASE` the simulator's
+//! step-lease cap; results are identical at any value of either.
 //!
 //! The library half provides the lock registry (build any lock in the
-//! workspace by kind), the workload builders, and plain-text/JSON result
-//! rendering. `EXPERIMENTS.md` at the repo root records paper-vs-measured
-//! for every experiment id (E1–E10, W1) defined in `DESIGN.md`.
+//! workspace by kind), the workload builders, flag parsing, plain-text
+//! rendering and the one artifact writer ([`artifact`]).
+//! `EXPERIMENTS.md` at the repo root records paper-vs-measured for
+//! every experiment id defined in `DESIGN.md`.
 
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod cli;
 pub mod grid;
 pub mod registry;
@@ -24,9 +35,9 @@ pub mod report;
 pub mod workloads;
 
 pub use cli::Cli;
-pub use grid::{par_grid, parse_jobs_args};
+pub use grid::{absorb, par_grid};
 pub use registry::{build_lock, LockKind};
-pub use report::{export_events, save_json, save_json_with_log, RmrSummary, Table};
+pub use report::{RmrSummary, Table};
 pub use workloads::{
     adaptive_sweep, adaptive_sweep_probed, amortized_companion, amortized_sweep, no_abort_sweep,
     no_abort_sweep_probed, space_row, worst_case_sweep, worst_case_sweep_probed, AmortizedPoint,

@@ -1,10 +1,9 @@
-//! Plain-text table rendering and JSON result persistence.
+//! Plain-text table rendering and per-passage RMR summaries. Files are
+//! written by [`crate::artifact`].
 
-use sal_obs::{Json, ToJson};
 use std::fmt::Write as _;
-use std::path::Path;
 
-/// A simple aligned-text table (the bench binaries print the same rows
+/// A simple aligned-text table (the experiments print the same rows
 /// the paper's Table 1 reports, with measured numbers).
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -27,6 +26,11 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
+    }
+
+    /// Append a two-column `metric | value` row.
+    pub fn metric(&mut self, name: &str, value: impl std::fmt::Display) {
+        self.row(vec![name.to_string(), value.to_string()]);
     }
 
     /// Render with aligned columns.
@@ -110,73 +114,6 @@ impl RmrSummary {
             "n={} min={} p50={} p95={} max={} mean={:.1}",
             self.count, self.min, self.p50, self.p95, self.max, self.mean
         )
-    }
-}
-
-impl ToJson for RmrSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("count", Json::Int(self.count as i64)),
-            ("min", self.min.to_json()),
-            ("p50", self.p50.to_json()),
-            ("p95", self.p95.to_json()),
-            ("max", self.max.to_json()),
-            ("mean", self.mean.to_json()),
-        ])
-    }
-}
-
-/// Persist any [`ToJson`] experiment result as JSON under
-/// `target/experiments/<name>.json` (best-effort; failures are printed,
-/// not fatal — the text output is the primary artifact).
-pub fn save_json<T: ToJson + ?Sized>(name: &str, value: &T) {
-    let dir = Path::new("target/experiments");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("(could not create {dir:?}: {e})");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, value.to_json().render()) {
-        eprintln!("(could not write {path:?}: {e})");
-    } else {
-        println!("(saved {})", path.display());
-    }
-}
-
-/// [`save_json`], wrapping the result with the event-log truncation
-/// count of the run that produced it: the artifact becomes
-/// `{"dropped_events": N, "results": <value>}`, so a bounded log that
-/// overflowed is visible in the JSON itself, not only on the console.
-/// `N == 0` is written too — downstream tooling can rely on the field.
-pub fn save_json_with_log<T: ToJson + ?Sized>(name: &str, value: &T, log: &sal_obs::EventLog) {
-    let wrapped = Json::obj(vec![
-        ("dropped_events", log.dropped().to_json()),
-        ("results", value.to_json()),
-    ]);
-    save_json(name, &wrapped);
-}
-
-/// Export an [`EventLog`](sal_obs::EventLog) as JSONL under
-/// `target/experiments/<name>.jsonl` and verify the file parses back to
-/// the same events — the replay-schema contract the exports promise.
-pub fn export_events(log: &sal_obs::EventLog, name: &str) {
-    match log.export_jsonl(name) {
-        Ok(path) => {
-            let round_trip = std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| sal_obs::EventLog::parse_jsonl(&text));
-            match round_trip {
-                Ok(parsed) if parsed == log.events() => println!(
-                    "(saved {} — {} events, {} dropped, replay round-trip ok)",
-                    path.display(),
-                    parsed.len(),
-                    log.dropped()
-                ),
-                Ok(_) => eprintln!("(export {name}: replay round-trip mismatch)"),
-                Err(e) => eprintln!("(export {name}: replay parse failed: {e})"),
-            }
-        }
-        Err(e) => eprintln!("(could not export {name}: {e})"),
     }
 }
 

@@ -77,25 +77,20 @@ fn run_point(
         .iter()
         .filter(|p| !matches!(p.role, sal_runtime::Role::Normal))
         .count();
-    let report = if kind.one_shot() {
-        run_one_shot_probed(
-            &*built.lock,
-            &built.mem,
-            built.cs_word,
-            &spec,
-            Box::new(RandomSchedule::seeded(seed)),
-            probe,
-        )?
+    let run = if kind.one_shot() {
+        run_one_shot_probed
     } else {
-        run_lock_probed(
-            &*built.lock,
-            &built.mem,
-            built.cs_word,
-            &spec,
-            Box::new(RandomSchedule::seeded(seed)),
-            probe,
-        )?
+        run_lock_probed
     };
+    let schedule = Box::new(RandomSchedule::seeded(seed));
+    let report = run(
+        &*built.lock,
+        &built.mem,
+        built.cs_word,
+        &spec,
+        schedule,
+        probe,
+    )?;
     let summary = report.stats.summary();
     Ok(SweepPoint {
         lock: kind.label(),
@@ -450,23 +445,18 @@ impl ExploreCell {
             max_steps: self.max_steps,
             lease: self.lease,
         };
-        let report = if self.kind.one_shot() {
-            run_one_shot(
-                &*built.lock,
-                &traced,
-                built.cs_word,
-                &spec,
-                Box::new(policy),
-            )
+        let run = if self.kind.one_shot() {
+            run_one_shot
         } else {
-            run_lock(
-                &*built.lock,
-                &traced,
-                built.cs_word,
-                &spec,
-                Box::new(policy),
-            )
+            run_lock
         };
+        let report = run(
+            &*built.lock,
+            &traced,
+            built.cs_word,
+            &spec,
+            Box::new(policy),
+        );
         // Take the trace before anything else touches the memory — the
         // sink keeps recording after the gate closes.
         let ops = traced.into_layer().take();

@@ -1,7 +1,6 @@
 //! Allocation-phase builder for all memory flavours.
 
 use crate::cc::{CcMemory, EpochMode};
-use crate::cc_mutex::MutexCcMemory;
 use crate::dsm::DsmMemory;
 use crate::raw::RawMemory;
 use crate::word::{Pid, WordId};
@@ -152,13 +151,6 @@ impl MemoryBuilder {
     /// lets tests exercise both paths deterministically).
     pub fn build_cc_with(self, nprocs: usize, mode: EpochMode) -> CcMemory {
         CcMemory::with_epoch_mode(self.inits, nprocs, mode)
-    }
-
-    /// Build the retained global-mutex CC reference memory
-    /// ([`MutexCcMemory`]) — the differential-testing oracle and the
-    /// `memscale` scaling baseline, not for production measurement runs.
-    pub fn build_cc_mutex(self, nprocs: usize) -> MutexCcMemory {
-        MutexCcMemory::new(self.inits, nprocs)
     }
 
     /// Build a distributed-shared-memory flavoured memory for `nprocs`

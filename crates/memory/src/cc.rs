@@ -8,8 +8,8 @@
 //! poisoned the mutex, killing every later operation with an unrelated
 //! `PoisonError`). This engine removes the global lock entirely while
 //! producing **bit-identical accounting** (cross-validated against the
-//! retained [`MutexCcMemory`](crate::MutexCcMemory) reference by
-//! `tests/cc_differential.rs` and `tests/obs_accounting.rs`):
+//! retained global-mutex reference `MutexCcMemory` in
+//! `tests/cc_differential.rs`, and by `tests/obs_accounting.rs`):
 //!
 //! * **Per-word seqlock cells** ([`WordCell`], one cache line each): the
 //!   word's value plus its coherence metadata (write sequence number,
@@ -230,9 +230,9 @@ struct PerProc {
 /// stays exact when driven by free-running threads (each process on one
 /// thread, the model's setup). Unlike its predecessor there is no global
 /// lock: operations on distinct words never contend, and the substrate
-/// scales with threads instead of serializing them (see the `memscale`
-/// bench and [`MutexCcMemory`](crate::MutexCcMemory), the retained
-/// global-mutex reference it is differentially tested against).
+/// scales with threads instead of serializing them (see the retained
+/// global-mutex reference `MutexCcMemory` in `tests/cc_differential.rs`,
+/// which it is differentially tested against).
 pub struct CcMemory {
     words: Vec<WordCell>,
     procs: Vec<PerProc>,

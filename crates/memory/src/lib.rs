@@ -42,7 +42,6 @@
 
 mod builder;
 mod cc;
-mod cc_mutex;
 mod dsm;
 mod layer;
 mod mem;
@@ -53,7 +52,6 @@ mod word;
 
 pub use builder::{MemoryBuilder, WordArray};
 pub use cc::{CcMemory, EpochMode};
-pub use cc_mutex::MutexCcMemory;
 pub use dsm::DsmMemory;
 pub use layer::{Interceptor, Layered};
 pub use mem::{Mem, OpKind, RmrProbe};

@@ -251,7 +251,7 @@ pub struct ExplorationResult {
     /// already reached by an earlier run.
     pub deduped: usize,
     /// Distinct per-step state fingerprints reached — the guided-search
-    /// coverage metric (`explorescale` reports distinct states/sec).
+    /// coverage metric (`perfbench` reports `explore.states_per_s`).
     pub distinct_states: usize,
     /// The highest run cost observed (e.g. max per-passage RMRs when
     /// driven through `GuidedOutcome::cost`; 0 for verdict-only runs).

@@ -62,7 +62,7 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolve a `--jobs N` knob: `0` means "auto" ([`default_jobs`]), any
+/// Resolve a worker-count knob: `0` means "auto" ([`default_jobs`]), any
 /// other value is taken literally.
 pub fn resolve_jobs(jobs: usize) -> usize {
     if jobs == 0 {

@@ -56,7 +56,7 @@ fn main() {
     println!("\nscenario (c) — ⊤ (crossed paths):");
     println!("  when FindNext descends into a node that a concurrent Remove has just emptied,");
     println!("  it returns Top and the *remover* re-runs SignalNext on the exiter's behalf");
-    println!("  (drive the real interleaving: cargo run -p sal-bench --bin figures -- fig2)");
+    println!("  (drive the real interleaving: cargo run --release -p sal-bench -- figures fig2)");
     let _ = tree.find_next(&mem, 0, 0);
 
     // Figure 4: the adaptive sidestep.

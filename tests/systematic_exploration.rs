@@ -256,16 +256,21 @@ fn assert_strategies_agree(
 
 #[test]
 fn strategies_agree_on_every_one_shot_config() {
-    let configs: &[(usize, usize, &[Option<u64>], usize)] = &[
-        (3, 2, &[None, None, None], 2),
-        (3, 2, &[None, Some(2), None], 2),
-        (4, 2, &[None, Some(1), Some(3), None], 1),
+    // (n, b, per-process abort delay, deviations, branch depth). The
+    // last row is a wider-fan-out contended cell: B = 4, one aborter
+    // with the 8n deadline of `ExploreCell`, 2 deviations.
+    type Config<'a> = (usize, usize, &'a [Option<u64>], usize, usize);
+    let configs: &[Config] = &[
+        (3, 2, &[None, None, None], 2, 60),
+        (3, 2, &[None, Some(2), None], 2, 60),
+        (4, 2, &[None, Some(1), Some(3), None], 1, 80),
+        (3, 4, &[None, Some(24), None], 2, 80),
     ];
-    for &(n, b, delays, deviations) in configs {
+    for &(n, b, delays, deviations, depth) in configs {
         let opts = ExploreOptions {
             max_deviations: deviations,
             max_runs: 20_000,
-            max_branch_depth: if n == 4 { 80 } else { 60 },
+            max_branch_depth: depth,
             ..ExploreOptions::default()
         };
         assert_strategies_agree(&opts, &format!("one-shot n={n} b={b}"), |policy| {
