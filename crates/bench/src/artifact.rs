@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn smoke_and_detail_never_leave_target_experiments() {
         let scratch = repo_root().join("target").join("experiments");
-        for name in ["table1", "arena", "hwscale", "table1_no_abort_events"] {
+        for name in ["table1", "table1_amortized", "table1_no_abort_events"] {
             for mode in [Mode::Smoke, Mode::Detail] {
                 let p = path(name, mode);
                 assert_eq!(p.parent(), Some(scratch.as_path()), "{p:?}");

@@ -4,11 +4,7 @@
 //! parts also expose `PARTS`, default first.
 
 pub mod ablations;
-pub mod arenascale;
-pub mod asyncscale;
-pub mod ccsscale;
 pub mod explore;
 pub mod figures;
-pub mod hwscale;
 pub mod sweep;
 pub mod table1;

@@ -9,15 +9,16 @@
 //! cargo run --release -p sal-bench -- <experiment> [part] [flags]
 //! cargo run --release -p sal-bench -- table1 all
 //! cargo run --release -p sal-bench -- figures fig4
-//! cargo run --release -p sal-bench -- hwscale --smoke
 //! cargo run --release -p sal-bench -- <experiment> --help
 //! ```
 //!
-//! The experiments are `table1`, `figures`, `ablations`, `sweep`,
-//! `explore`, `hwscale`, `ccsscale`, `asyncscale` and `arenascale`;
-//! the runner with no arguments lists them. `SAL_JOBS` sets the
-//! worker count of every grid and `SAL_LEASE` the simulator's
-//! step-lease cap; results are identical at any value of either.
+//! The experiments are `table1`, `figures`, `ablations`, `sweep` and
+//! `explore`; the runner with no arguments lists them. Each one is a
+//! deterministic simulation, so its output is the same on every run;
+//! wall-clock timing of the real-thread surfaces lives in the
+//! `perfbench` crate instead. `SAL_JOBS` sets the worker count of
+//! every grid and `SAL_LEASE` the simulator's step-lease cap; results
+//! are identical at any value of either.
 //!
 //! The library half provides the lock registry (build any lock in the
 //! workspace by kind), the workload builders, flag parsing, plain-text
@@ -39,7 +40,6 @@ pub use grid::{absorb, par_grid};
 pub use registry::{build_lock, LockKind};
 pub use report::{RmrSummary, Table};
 pub use workloads::{
-    adaptive_sweep, adaptive_sweep_probed, amortized_companion, amortized_sweep, no_abort_sweep,
-    no_abort_sweep_probed, space_row, worst_case_sweep, worst_case_sweep_probed, AmortizedPoint,
-    ExploreCell, SweepPoint,
+    adaptive_sweep, adaptive_sweep_probed, amortized_sweep, no_abort_sweep, no_abort_sweep_probed,
+    space_row, worst_case_sweep, worst_case_sweep_probed, AmortizedPoint, ExploreCell, SweepPoint,
 };

@@ -15,9 +15,7 @@
 
 mod experiments;
 
-use experiments::{
-    ablations, arenascale, asyncscale, ccsscale, explore, figures, hwscale, sweep, table1,
-};
+use experiments::{ablations, explore, figures, sweep, table1};
 use sal_bench::cli::{Cli, Parsed};
 
 /// Why an experiment stopped early.
@@ -72,10 +70,6 @@ const EXPERIMENTS: &[Experiment] = &[
     experiment!(ablations, "ablation studies of the paper's design choices"),
     experiment!(sweep, "one lock × workload × schedule, exact RMRs"),
     experiment!(explore, "guided schedule search of a lock workload"),
-    experiment!(hwscale, "mono vs dyn dispatch on real threads (M4)"),
-    experiment!(ccsscale, "CCS wakeups, evaluate vs broadcast (M5)"),
-    experiment!(asyncscale, "async mutex task storms and cancels (M6)"),
-    experiment!(arenascale, "keyed lock arena vs per-key mutex maps (M7)"),
 ];
 
 /// Print help text; `print!` would panic on a closed pipe

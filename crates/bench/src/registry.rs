@@ -131,21 +131,6 @@ impl LockKind {
         })
     }
 
-    /// Re-target the tree branching factor of the tree-based kinds
-    /// (no-op for the others). Lets [`FromStr`](std::str::FromStr)
-    /// parsing — which has no way to receive `b` — compose with a CLI
-    /// `--b` flag: `name.parse::<LockKind>()?.with_branching(b)`.
-    pub fn with_branching(self, b: usize) -> LockKind {
-        match self {
-            LockKind::OneShot { .. } => LockKind::OneShot { b },
-            LockKind::OneShotPlain { .. } => LockKind::OneShotPlain { b },
-            LockKind::OneShotDsm { .. } => LockKind::OneShotDsm { b },
-            LockKind::LongLivedSimple { .. } => LockKind::LongLivedSimple { b },
-            LockKind::LongLived { .. } => LockKind::LongLived { b },
-            other => other,
-        }
-    }
-
     /// Every registered kind, in [`NAMES`](Self::NAMES) order, at
     /// branching factor `b` for the tree-based kinds — the single
     /// registry-driven source for "run this over everything" loops
@@ -180,19 +165,6 @@ impl LockKind {
     /// hand-listed.
     pub fn table1_rows(b: usize) -> Vec<LockKind> {
         Self::all(b).into_iter().filter(|k| k.in_table1()).collect()
-    }
-}
-
-/// The single CLI parse path shared by `sweep`, `explore` and
-/// `hwscale`: delegates to [`LockKind::parse`] at the paper's default
-/// branching factor (`W = 16`); apply a CLI-supplied factor afterwards
-/// with [`LockKind::with_branching`]. The error lists
-/// [`LockKind::NAMES`].
-impl std::str::FromStr for LockKind {
-    type Err = String;
-
-    fn from_str(name: &str) -> Result<LockKind, String> {
-        LockKind::parse(name, 16)
     }
 }
 
@@ -315,25 +287,6 @@ mod tests {
             assert_eq!(LockKind::parse(name, 8).unwrap(), want);
         }
         assert!(LockKind::parse("bogus", 8).is_err());
-    }
-
-    #[test]
-    fn fromstr_shares_the_parse_path_and_rebranches() {
-        let kind: LockKind = "long-lived".parse().unwrap();
-        assert_eq!(kind, LockKind::LongLived { b: 16 });
-        assert_eq!(kind.with_branching(4), LockKind::LongLived { b: 4 });
-        // Non-tree kinds ignore the branching factor.
-        let mcs: LockKind = "mcs".parse().unwrap();
-        assert_eq!(mcs.with_branching(4), LockKind::Mcs);
-        // Every NAMES entry round-trips through FromStr, and the error
-        // is the same NAMES-listing message parse produces.
-        for name in LockKind::NAMES {
-            assert!(name.parse::<LockKind>().is_ok(), "{name}");
-        }
-        assert_eq!(
-            "bogus".parse::<LockKind>().unwrap_err(),
-            LockKind::parse("bogus", 16).unwrap_err()
-        );
     }
 
     #[test]

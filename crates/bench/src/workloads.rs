@@ -1,8 +1,7 @@
 //! The workload builders behind every Table-1 column.
 
 use crate::registry::{build_lock, LockKind};
-use sal_core::Immediate;
-use sal_memory::{Layered, Mem, NeverAbort};
+use sal_memory::{Layered, Mem};
 use sal_obs::{AmortizedStats, Json, NoProbe, PassageStats, Probe, ToJson};
 use sal_runtime::{
     run_lock, run_lock_probed, run_one_shot, run_one_shot_probed, ForcedSchedule, GuidedOutcome,
@@ -296,53 +295,6 @@ pub fn amortized_sweep(
         mutex_ok,
         accounting_ok,
     })
-}
-
-/// CC-instrumented companion of a real-thread benchmark cell: the same
-/// kind at the same thread count and abort pattern, driven by real OS
-/// threads over [`CcMemory`](sal_memory::CcMemory) with a
-/// [`PassageStats`] sink for `attempts_per_thread` attempts per
-/// thread. RMRs do not exist on the raw hardware path, so this is
-/// where a cell's run-scoped amortized cost comes from; the returned
-/// flag records whether the probe-side total matched the cost model's
-/// own counters bit-exactly (it must — each pid's ops run on its own
-/// thread, so per-pid attribution is exact even without the
-/// simulator's step gate). `hwscale` and `arenascale` both surface
-/// this per cell.
-#[must_use]
-pub fn amortized_companion(
-    kind: LockKind,
-    threads: usize,
-    abort_every: Option<usize>,
-    attempts_per_thread: usize,
-) -> (AmortizedStats, bool) {
-    let built = build_lock(kind, threads, threads * attempts_per_thread);
-    let stats = PassageStats::new();
-    std::thread::scope(|s| {
-        for p in 0..threads {
-            let lock = &built.lock;
-            let mem = &built.mem;
-            let stats = stats.clone();
-            s.spawn(move || {
-                for i in 0..attempts_per_thread {
-                    let want_abort = abort_every
-                        .map(|k| (i + p).is_multiple_of(k))
-                        .unwrap_or(false);
-                    let ok = if want_abort {
-                        lock.enter(mem, p, &Immediate, &stats).entered()
-                    } else {
-                        lock.enter(mem, p, &NeverAbort, &stats).entered()
-                    };
-                    if ok {
-                        lock.exit(mem, p, &stats);
-                    }
-                }
-            });
-        }
-    });
-    let a = stats.amortized();
-    let ok = a.total_rmrs == built.mem.total_rmrs();
-    (a, ok)
 }
 
 /// One guided-exploration configuration: a registry lock plus a

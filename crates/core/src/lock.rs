@@ -39,8 +39,8 @@
 //! instantiated at the erased types. [`DynLock`] closes the loop in
 //! the other direction — it adapts any `&dyn AbortableLock` back into
 //! a `LockCore` over every memory type — so generic drivers (the
-//! harness, the `hwscale` bench) run both dispatch flavours through
-//! one code path.
+//! harness, the real-thread stress tests) run both dispatch flavours
+//! through one code path.
 //!
 //! # Blocking vs. resumable
 //!
@@ -242,7 +242,7 @@ where
 /// probe type by re-erasing the arguments at the call boundary
 /// (`&&M → &dyn Mem`, etc.), so it costs exactly one virtual call per
 /// lock operation — no more, no less. Generic drivers written against
-/// `LockCore` (the harness, `hwscale`) accept `DynLock` to exercise
+/// `LockCore` (the harness, the stress tests) accept `DynLock` to exercise
 /// the dynamic-dispatch flavour through the very same driver code that
 /// runs the monomorphized flavour, which is what makes mono-vs-dyn
 /// comparisons and equivalence tests fair.

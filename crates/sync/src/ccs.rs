@@ -76,7 +76,8 @@ pub enum WakePolicy {
     Evaluate,
     /// Wake every registered waiter on every unlock — the classic
     /// broadcast condition variable, kept as the measured baseline
-    /// (`ccsscale`); behaviour is identical, only wakeup counts differ.
+    /// (`tests/ccs_api.rs` compares the wakeups per transition of the
+    /// two); behaviour is identical, only wakeup counts differ.
     Broadcast,
 }
 

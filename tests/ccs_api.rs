@@ -1,9 +1,14 @@
 //! Conditional-critical-section API tests: `when` requests and
 //! `await_when` on real OS threads — lost-wakeup freedom, unlock-side
-//! evaluation, deregistration hygiene, and the broadcast baseline's
-//! equivalence.
+//! evaluation, deregistration hygiene, the broadcast baseline's
+//! equivalence and its extra wakeups, and two scenarios with
+//! deadline-first waits mixed in (a bounded queue and a generation
+//! barrier).
 
-use sal_sync::{AbortFlag, AbortReason, AbortableMutex, Acquire, WakePolicy};
+use sal_sync::{
+    AbortFlag, AbortReason, AbortableMutex, Acquire, CcsStats, MutexHandle, WakePolicy,
+};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -48,8 +53,8 @@ fn lock_when_blocks_until_another_thread_satisfies_it() {
 
 /// Per-waiter conditions: each consumer waits for its own mailbox slot;
 /// the producer fills them one at a time. Nothing is lost even though
-/// every wakeup is only a hint.
-fn mailbox_roundtrip(policy: WakePolicy) {
+/// every wakeup is only a hint. Returns the mutex's CCS counters.
+fn mailbox_roundtrip(policy: WakePolicy) -> CcsStats {
     const CONSUMERS: usize = 4;
     const ITEMS_EACH: usize = 50;
     let m = AbortableMutex::builder(vec![0u64; CONSUMERS])
@@ -95,6 +100,7 @@ fn mailbox_roundtrip(policy: WakePolicy) {
     } else {
         assert_eq!(stats.evaluated, 0, "broadcast never evaluates conditions");
     }
+    stats
 }
 
 #[test]
@@ -102,9 +108,172 @@ fn mailbox_fanout_under_evaluation() {
     mailbox_roundtrip(WakePolicy::Evaluate);
 }
 
+/// Broadcast is as correct as evaluation, only noisier: a deposit
+/// satisfies exactly its addressee, so evaluation wakes that one
+/// consumer where broadcast wakes every parked one. Evaluate's wakeups
+/// per state transition is strictly below Broadcast's on the same
+/// mailbox workload.
 #[test]
 fn broadcast_policy_is_equivalent_just_noisier() {
-    mailbox_roundtrip(WakePolicy::Broadcast);
+    let per_transition = |s: CcsStats| s.wakeups as f64 / s.transitions as f64;
+    let broadcast = per_transition(mailbox_roundtrip(WakePolicy::Broadcast));
+    let evaluate = per_transition(mailbox_roundtrip(WakePolicy::Evaluate));
+    assert!(
+        evaluate < broadcast,
+        "wakeups/transition: evaluate {evaluate:.3} vs broadcast {broadcast:.3}"
+    );
+}
+
+/// Deadline of a deadline-first wait: short enough to fire under
+/// contention, long enough that most uncontended waits finish.
+const SHORT_WAIT: Duration = Duration::from_micros(50);
+
+/// Every `DEADLINE_FIRST_EVERY`-th wait of a scenario runs deadline-first.
+const DEADLINE_FIRST_EVERY: usize = 8;
+
+/// Run `body` under the lock once `pred` holds. Wait number `wait`
+/// (counted from 1) runs deadline-first when it is a multiple of
+/// [`DEADLINE_FIRST_EVERY`]: as `when(pred).within(SHORT_WAIT)`, whose
+/// deadline is the lock's abort signal, retried unbounded on
+/// `Deadline`.
+fn when_then<T, F, R>(
+    h: &mut MutexHandle<'_, T>,
+    pred: F,
+    wait: usize,
+    body: impl FnOnce(&mut T) -> R,
+) -> R
+where
+    F: Fn(&T) -> bool + Sync + Copy,
+{
+    let mut bounded = wait.is_multiple_of(DEADLINE_FIRST_EVERY);
+    loop {
+        let req = Acquire::new().when(pred);
+        let req = if bounded { req.within(SHORT_WAIT) } else { req };
+        match h.acquire(req) {
+            Ok(mut g) => return body(&mut g),
+            Err(reason) => assert_eq!(reason, AbortReason::Deadline),
+        }
+        bounded = false;
+    }
+}
+
+/// Bounded-queue state.
+#[derive(Default)]
+struct Bq {
+    q: VecDeque<u64>,
+    pushed: u64,
+    popped: u64,
+    sum_pushed: u64,
+    sum_popped: u64,
+    producers_done: usize,
+}
+
+/// Conditions on both sides of one capacity-4 queue: producers wait
+/// for space, consumers for an item. Nothing is lost or duplicated
+/// and the queue drains, under either policy and with deadline-first
+/// waits mixed in.
+#[test]
+fn bounded_queue_with_waits_on_both_sides_loses_nothing() {
+    const CAP: usize = 4;
+    const PRODUCERS: usize = 2;
+    const CONSUMERS: usize = 2;
+    const ITEMS_EACH: usize = 200;
+    for policy in [WakePolicy::Evaluate, WakePolicy::Broadcast] {
+        let m = AbortableMutex::builder(Bq::default())
+            .capacity(PRODUCERS + CONSUMERS)
+            .wake_policy(policy)
+            .build();
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let mut h = m.handle();
+                s.spawn(move || {
+                    for i in 0..ITEMS_EACH {
+                        let v = (p * ITEMS_EACH + i) as u64;
+                        let space = |b: &Bq| b.q.len() < CAP;
+                        when_then(&mut h, space, i + 1, |b| {
+                            assert!(b.q.len() < CAP, "overfull on entry");
+                            b.q.push_back(v);
+                            b.pushed += 1;
+                            b.sum_pushed += v;
+                        });
+                    }
+                    h.lock().producers_done += 1;
+                });
+            }
+            for _ in 0..CONSUMERS {
+                let mut h = m.handle();
+                s.spawn(move || {
+                    let ready = |b: &Bq| !b.q.is_empty() || b.producers_done == PRODUCERS;
+                    for wait in 1.. {
+                        let popped = when_then(&mut h, ready, wait, |b| {
+                            let v = b.q.pop_front()?;
+                            b.popped += 1;
+                            b.sum_popped += v;
+                            Some(v)
+                        });
+                        if popped.is_none() {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(m.waiters(), 0, "{policy:?}");
+        let b = m.into_inner();
+        let total = (PRODUCERS * ITEMS_EACH) as u64;
+        assert_eq!(b.pushed, total, "{policy:?}: lost push");
+        assert_eq!(b.popped, total, "{policy:?}: lost or duplicated pop");
+        assert_eq!(b.sum_pushed, b.sum_popped, "{policy:?}: value corruption");
+        assert!(b.q.is_empty(), "{policy:?}: undrained queue");
+    }
+}
+
+/// A generation barrier: the last arrival of a round bumps the
+/// generation, everyone else re-waits for it *while holding* the guard
+/// (`await_when`). Every round completes and nobody is left behind,
+/// under either policy and with deadline-first re-waits mixed in.
+#[test]
+fn generation_barrier_rewaiting_under_the_guard_completes_every_round() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 100;
+    for policy in [WakePolicy::Evaluate, WakePolicy::Broadcast] {
+        // (generation, arrivals in the current round)
+        let m = AbortableMutex::builder((0u64, 0usize))
+            .capacity(THREADS)
+            .wake_policy(policy)
+            .build();
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                let mut h = m.handle();
+                s.spawn(move || {
+                    for round in 1..=ROUNDS {
+                        let mut g = h.lock();
+                        let gen = g.0;
+                        g.1 += 1;
+                        if g.1 == THREADS {
+                            *g = (gen + 1, 0);
+                            continue;
+                        }
+                        let next = Acquire::new().when(move |b: &(u64, usize)| b.0 != gen);
+                        if round.is_multiple_of(DEADLINE_FIRST_EVERY) {
+                            if let Err(reason) = g.await_when(next.clone().within(SHORT_WAIT)) {
+                                assert_eq!(reason, AbortReason::Deadline);
+                                g.await_when(next).unwrap();
+                            }
+                        } else {
+                            g.await_when(next).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(m.waiters(), 0, "{policy:?}");
+        assert_eq!(
+            m.into_inner(),
+            (ROUNDS as u64, 0),
+            "{policy:?}: rounds lost or stragglers left behind"
+        );
+    }
 }
 
 #[test]

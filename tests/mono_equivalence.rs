@@ -1,6 +1,6 @@
 //! Differential test for the facade/core split: driving a lock through
-//! its generic [`LockCore`] impl (statically dispatched, the `hwscale`
-//! "mono" path) and through the type-erased [`AbortableLock`] facade
+//! its generic [`LockCore`] impl (statically dispatched, the "mono"
+//! path) and through the type-erased [`AbortableLock`] facade
 //! (`DynLock`, what every `Box<dyn AbortableLock>` registry runs) must
 //! produce **identical** simulations — same passage records, same RMR
 //! totals, same step count, same event log — on scripted schedules and

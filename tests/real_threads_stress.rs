@@ -9,7 +9,7 @@ use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::one_shot::OneShotLock;
 use sal_core::{AbortableLock, DynLock, Immediate, LockCore};
 use sal_memory::{AbortFlag, EpochMode, Mem, MemoryBuilder, NeverAbort};
-use sal_obs::NoProbe;
+use sal_obs::{NoProbe, PassageStats, Probe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -19,17 +19,19 @@ use std::sync::Arc;
 /// flavour AND the dispatch flavour: a concrete `L` runs the
 /// monomorphized `LockCore` path (no vtables anywhere on `RawMemory`),
 /// while [`DynLock`] runs the erased facade path — same driver, same
-/// invariant check.
-fn hammer_core<L, M>(
+/// invariant check. Passage events go to `probe`.
+fn hammer_core<L, M, P>(
     lock: &L,
     mem: &M,
     threads: usize,
     passages: usize,
     abort_every: Option<usize>,
+    probe: &P,
 ) -> (u64, u64)
 where
-    L: LockCore<M, NoProbe> + Sync,
+    L: LockCore<M, P> + Sync,
     M: Mem + Send + Sync,
+    P: Probe + Sync,
 {
     // The protected counter lives OUTSIDE the lock's memory: a
     // non-atomic u64 cell we may only touch inside the CS. Any mutual
@@ -58,9 +60,9 @@ where
                         // Fire the signal after a tiny real-time delay
                         // from a helper knowing nothing of the lock.
                         flag.set();
-                        lock.enter_core(mem, p, &flag, &NoProbe).entered()
+                        lock.enter_core(mem, p, &flag, probe).entered()
                     } else {
-                        lock.enter_core(mem, p, &NeverAbort, &NoProbe).entered()
+                        lock.enter_core(mem, p, &NeverAbort, probe).entered()
                     };
                     if ok {
                         // Critical section: read-modify-write on the
@@ -72,7 +74,7 @@ where
                             c.write(v + 1);
                         }
                         entered.fetch_add(1, Ordering::Relaxed);
-                        lock.exit_core(mem, p, &NoProbe);
+                        lock.exit_core(mem, p, probe);
                     } else {
                         aborted.fetch_add(1, Ordering::Relaxed);
                     }
@@ -101,7 +103,14 @@ fn hammer<M: Mem + Send + Sync>(
     passages: usize,
     abort_every: Option<usize>,
 ) -> (u64, u64) {
-    hammer_core(&DynLock(&*lock), &*mem, threads, passages, abort_every)
+    hammer_core(
+        &DynLock(&*lock),
+        &*mem,
+        threads,
+        passages,
+        abort_every,
+        &NoProbe,
+    )
 }
 
 #[test]
@@ -140,7 +149,7 @@ fn bounded_long_lived_monomorphized_on_real_threads() {
     let mut b = MemoryBuilder::new();
     let lock = BoundedLongLivedLock::layout(&mut b, threads, 8);
     let mem = b.build_raw(threads);
-    let (entered, aborted) = hammer_core(&lock, &mem, threads, 300, None);
+    let (entered, aborted) = hammer_core(&lock, &mem, threads, 300, None, &NoProbe);
     assert_eq!(entered, 8 * 300);
     assert_eq!(aborted, 0);
 }
@@ -154,7 +163,8 @@ fn mono_and_dyn_paths_both_preserve_the_cs_invariant() {
     let mut b = MemoryBuilder::new();
     let mono_lock = BoundedLongLivedLock::layout(&mut b, threads, 8);
     let mono_mem = b.build_raw(threads);
-    let (m_entered, m_aborted) = hammer_core(&mono_lock, &mono_mem, threads, 200, Some(3));
+    let (m_entered, m_aborted) =
+        hammer_core(&mono_lock, &mono_mem, threads, 200, Some(3), &NoProbe);
     assert_eq!(m_entered + m_aborted, 6 * 200);
     assert!(m_entered > 0);
 
@@ -328,16 +338,23 @@ fn cc_memory_direct_stress_sparse_epochs() {
 
 #[test]
 fn bounded_long_lived_on_instrumented_cc_memory_real_threads() {
-    // The same lock traffic the RawMemory tests run, but over the
-    // sharded *instrumented* memory on free-running threads: mutual
-    // exclusion must hold and the accounting must stay consistent.
+    // The same lock traffic the RawMemory tests run, every third
+    // attempt aborting, but over the sharded *instrumented* memory on
+    // free-running threads: mutual exclusion must hold and the
+    // accounting must stay consistent.
     let threads = 8;
     let mut b = MemoryBuilder::new();
     let lock = BoundedLongLivedLock::layout(&mut b, threads, 8);
-    let mem = Arc::new(b.build_cc(threads));
-    let (entered, aborted) = hammer(Arc::new(lock), Arc::clone(&mem), threads, 100, None);
-    assert_eq!(entered, 8 * 100);
-    assert_eq!(aborted, 0);
+    let mem = b.build_cc(threads);
+    let stats = PassageStats::new();
+    let (entered, aborted) = hammer_core(&lock, &mem, threads, 100, Some(3), &stats);
+    assert_eq!(entered + aborted, 8 * 100);
+    // Each pid's ops run on its own thread, so the probe attributes
+    // every RMR exactly even without the simulator's step gate: the
+    // run's passage total equals the memory's own counter, bit-exact.
+    let run = stats.amortized();
+    assert_eq!((run.entered, run.aborted), (entered, aborted));
+    assert_eq!(run.total_rmrs, mem.total_rmrs());
     // Sanity on the accounting: every process did shared-memory work and
     // was charged for it; totals are sums of the per-process counters.
     let mut rmr_sum = 0;
