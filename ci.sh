@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate: release build, full test suite (debug + release, so the
-# concurrency-sensitive stress tests run optimized too), the suites that
+# concurrency-sensitive stress tests run optimized too), 20 reruns of the
+# wake-sensitive tests, the suites that
 # must also hold under a non-default environment, a full `table1` run
 # that must reproduce the committed BENCH_table1.json, the benchmark's
 # build and a one-second smoke of each of its workloads, lint-clean
@@ -12,6 +13,33 @@ cd "$(dirname "$0")"
 cargo build --release
 cargo test -q
 cargo test --release -q
+
+# An unlock wakes only the waiters its handoff names, so a lost wakeup
+# is the risk to watch: it shows as a rare hang or failure, not a steady
+# one. Rerun the wake-sensitive tests 20 times each from the test
+# binaries just built: the deadline storm, the limit-under-traffic,
+# epoch-transition and wake-precision tests, and the deadline_locking
+# suite. About 17 s on a 2-vCPU VM.
+test_binary() {
+    cargo test --release --no-run "$@" 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p'
+}
+# Run a test binary and fail unless it ran, and passed, at least one test
+# (a filter that matches nothing would otherwise pass).
+run_tests() {
+    "$@" | grep '^test result: ok\. [1-9]' > /dev/null
+}
+sync_lib=$(test_binary -p sal-sync --lib)
+cancellation=$(test_binary -p sal-bench --test async_cancellation)
+async_mutex=$(test_binary -p sal-bench --test async_mutex)
+deadline_locking=$(test_binary -p sal-bench --test deadline_locking)
+for _ in $(seq 20); do
+    run_tests "$cancellation" -q --exact deadline_storms_on_two_workers_always_drain
+    run_tests "$sync_lib" -q --exact async_mutex::tests::a_deadline_is_honoured_under_traffic \
+        async_mutex::tests::an_abort_signal_is_honoured_under_traffic \
+        async_mutex::tests::a_poll_across_the_epoch_wait_publishes_each_key
+    run_tests "$async_mutex" -q --exact handoff_wakes_track_entered_passages
+    run_tests "$deadline_locking" -q
+done
 
 # Suites rerun under a non-default environment, one row each:
 # <env assignment> <cargo test arguments>. The default environment is

@@ -68,4 +68,4 @@ pub mod tree;
 pub use abort::{AbortReason, Immediate};
 pub use lock::{AbortableLock, DynLock, LockCore, LockMeta, Outcome};
 pub use park::{ParkResult, Waiter};
-pub use resume::{EnterMachine, EnterStep, OneShotEnterMachine, WaitKind, WaitToken};
+pub use resume::{EnterMachine, EnterStep, Handoff, OneShotEnterMachine, WaitKey};

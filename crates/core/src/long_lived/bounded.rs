@@ -33,7 +33,7 @@ use super::spin_pool::SpinNodePool;
 use super::versioned::VersionedInstance;
 use crate::lock::{LockCore, LockMeta, Outcome};
 use crate::one_shot::OneShotLock;
-use crate::resume::{BoundedEnterState, EnterMachine, EnterStep, WaitKind, WaitToken};
+use crate::resume::{BoundedEnterState, EnterMachine, EnterStep, Handoff, WaitKey};
 use crate::tree::Ascent;
 use sal_memory::{AbortSignal, Mem, MemoryBuilder, Pid, WordId};
 use sal_obs::{probed, NoProbe, Probe};
@@ -254,9 +254,9 @@ impl BoundedLongLivedLock {
     /// performs the epoch announce/re-validate when it applies, and —
     /// when no wait blocks it — continues straight through the doorway
     /// F&A into the one-shot instance. At either blocking point
-    /// ([`WaitKind::EpochSpin`], [`WaitKind::QueueSpin`]) a poll
-    /// performs one read of the watched word, then one signal check if
-    /// it was zero, and returns [`EnterStep::Pending`]. Abort paths
+    /// ([`WaitKey::Epoch`], [`WaitKey::Slot`]) a poll performs one read
+    /// of the watched word, then one signal check if it was zero, and
+    /// returns [`EnterStep::Pending`] with that key. Abort paths
     /// (epoch-wait unpinning; one-shot abort + `Cleanup`) run to
     /// completion within the poll that observes the signal, so an
     /// [`EnterStep::Aborted`] machine has released every queue node and
@@ -315,10 +315,10 @@ impl BoundedLongLivedLock {
                             machine.st = BoundedEnterState::Done;
                             return EnterStep::Aborted {
                                 ticket: None,
-                                handed_off: false,
+                                handoff: Handoff::NONE,
                             };
                         }
-                        return EnterStep::Pending(WaitToken::new(go, WaitKind::EpochSpin));
+                        return EnterStep::Pending(WaitKey::Epoch);
                     }
                     self.spins.clear_announce(mem, pid);
                     machine.st = BoundedEnterState::Doorway;
@@ -338,20 +338,20 @@ impl BoundedLongLivedLock {
                     // hold indices, not memory borrows.
                     let view = self.instances[inst as usize].view(mem);
                     // line 63, one poll at a time.
-                    match self.proto.poll_enter(inner, &view, pid, signal) {
+                    match self.proto.poll_instance(inner, &view, pid, signal, inst) {
                         EnterStep::Acquired { .. } => {
                             machine.st = BoundedEnterState::Done;
                             return EnterStep::Acquired { ticket: None };
                         }
-                        EnterStep::Aborted { handed_off, .. } => {
+                        EnterStep::Aborted { handoff, .. } => {
                             let switched = self.cleanup(mem, pid, probe); // lines 64–65
                             machine.st = BoundedEnterState::Done;
                             return EnterStep::Aborted {
                                 ticket: None,
-                                handed_off: handed_off || switched,
+                                handoff: handoff.and_switch(switched),
                             };
                         }
-                        EnterStep::Pending(token) => return EnterStep::Pending(token),
+                        pending => return pending,
                     }
                 }
                 BoundedEnterState::Done => {
@@ -361,32 +361,35 @@ impl BoundedLongLivedLock {
         }
     }
 
-    /// `Exit()` (Algorithm 6.2).
-    pub fn exit<M: Mem + ?Sized>(&self, mem: &M, pid: Pid) {
-        self.exit_impl(mem, pid, &NoProbe);
+    /// `Exit()` (Algorithm 6.2); returns the words it set for waiters
+    /// (the successor's queue slot, and the epoch on an instance switch).
+    pub fn exit<M: Mem + ?Sized>(&self, mem: &M, pid: Pid) -> Handoff {
+        self.exit_impl(mem, pid, &NoProbe)
     }
 
     /// [`exit`](Self::exit) with passage observability; fires
     /// [`Probe::cs_exit`] once the passage completes.
-    pub fn exit_probed<M, P>(&self, mem: &M, pid: Pid, probe: &P)
+    pub fn exit_probed<M, P>(&self, mem: &M, pid: Pid, probe: &P) -> Handoff
     where
         M: Mem + ?Sized,
         P: Probe + ?Sized,
     {
         let pm = probed(mem, probe);
-        self.exit_impl(&pm, pid, probe);
+        let handoff = self.exit_impl(&pm, pid, probe);
         probe.cs_exit(pid);
+        handoff
     }
 
-    fn exit_impl<M, P>(&self, mem: &M, pid: Pid, probe: &P)
+    fn exit_impl<M, P>(&self, mem: &M, pid: Pid, probe: &P) -> Handoff
     where
         M: Mem + ?Sized,
         P: Probe + ?Sized,
     {
         let d = TaggedDesc::unpack(mem.read(pid, self.desc)); // line 67
         let inst = self.instances[d.lock as usize].view(mem);
-        self.proto.exit(&inst, pid); // line 68
-        let _ = self.cleanup(mem, pid, probe); // line 69
+        let slot = self.proto.exit(&inst, pid); // line 68
+        let switched = self.cleanup(mem, pid, probe); // line 69
+        Handoff::queue(d.lock, slot).and_switch(switched)
     }
 
     /// `Cleanup()` (Algorithm 6.3 + §6.2 recycling); returns whether it
@@ -465,7 +468,7 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for BoundedLongLivedLock
     }
 
     fn exit_core(&self, mem: &M, p: Pid, probe: &P) {
-        self.exit_probed(mem, p, probe);
+        let _ = self.exit_probed(mem, p, probe);
     }
 }
 
@@ -573,6 +576,38 @@ mod tests {
         assert!(l.enter(&mem, 1, &NeverAbort, &NoProbe).entered());
         l.exit(&mem, 1, &NoProbe);
         assert!(l.name().contains("long-lived"));
+    }
+
+    #[test]
+    fn an_exit_names_the_key_of_the_waiter_it_releases() {
+        let (lock, mem) = build(3);
+        // p0 holds; p1 queues behind it and reports its slot's key.
+        assert!(lock.enter(&mem, 0, &NeverAbort));
+        let mut m1 = lock.begin_enter();
+        let EnterStep::Pending(key) = lock.poll_enter(&mut m1, &mem, 1, &NeverAbort, &NoProbe)
+        else {
+            panic!("p1 must queue behind p0");
+        };
+        assert!(matches!(key, WaitKey::Slot { ticket: 1, .. }));
+        assert_eq!(m1.wait_key(), Some(key));
+        // p0's exit hands go[1] to p1; p1 still holds a reference, so
+        // the instance stays.
+        let h = lock.exit(&mem, 0);
+        assert_eq!((h.slot(), h.switched()), (Some(key), false));
+        assert!(lock
+            .poll_enter(&mut m1, &mem, 1, &NeverAbort, &NoProbe)
+            .acquired());
+        // p0 comes back in the same epoch: it waits on the epoch.
+        let mut m0 = lock.begin_enter();
+        let step = lock.poll_enter(&mut m0, &mem, 0, &NeverAbort, &NoProbe);
+        assert_eq!(step, EnterStep::Pending(WaitKey::Epoch));
+        // The last one out switches instances, releasing it.
+        let h = lock.exit(&mem, 1);
+        assert!(h.switched());
+        assert!(lock
+            .poll_enter(&mut m0, &mem, 0, &NeverAbort, &NoProbe)
+            .acquired());
+        assert!(lock.exit(&mem, 0).switched());
     }
 
     #[test]

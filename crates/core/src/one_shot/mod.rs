@@ -28,7 +28,7 @@ mod dsm;
 pub use dsm::DsmOneShotLock;
 
 use crate::lock::{LockCore, LockMeta, Outcome};
-use crate::resume::{EnterStep, OneShotEnterMachine, OneShotEnterState, WaitKind, WaitToken};
+use crate::resume::{EnterStep, Handoff, OneShotEnterMachine, OneShotEnterState, WaitKey};
 use crate::tree::{Ascent, FindNextResult, Tree};
 use sal_memory::{AbortSignal, Mem, MemoryBuilder, Pid, WordArray, WordId};
 use sal_obs::{probed, Probe};
@@ -204,6 +204,24 @@ impl OneShotLock {
         M: Mem + ?Sized,
         S: AbortSignal + ?Sized,
     {
+        self.poll_instance(machine, mem, pid, signal, 0)
+    }
+
+    /// [`poll_enter`](Self::poll_enter) for the lock running as instance
+    /// `inst` of a long-lived lock: the step's [`WaitKey`] and
+    /// [`Handoff`] name slots of that instance.
+    pub(crate) fn poll_instance<M, S>(
+        &self,
+        machine: &mut OneShotEnterMachine,
+        mem: &M,
+        pid: Pid,
+        signal: &S,
+        inst: u32,
+    ) -> EnterStep
+    where
+        M: Mem + ?Sized,
+        S: AbortSignal + ?Sized,
+    {
         let ticket = match machine.st {
             OneShotEnterState::Doorway => {
                 let i = mem.faa(pid, self.tail, 1); // line 1: the FCFS doorway
@@ -223,14 +241,17 @@ impl OneShotLock {
             // line 2
             if signal.is_set() {
                 // lines 3–5
-                let handed_off = self.abort(mem, pid, ticket);
+                let slot = self.abort(mem, pid, ticket);
                 machine.st = OneShotEnterState::Done;
                 return EnterStep::Aborted {
                     ticket: Some(ticket),
-                    handed_off,
+                    handoff: Handoff::queue(inst, slot),
                 };
             }
-            return EnterStep::Pending(WaitToken::new(go, WaitKind::QueueSpin));
+            return EnterStep::Pending(WaitKey::Slot {
+                inst,
+                ticket: ticket as u32,
+            });
         }
         mem.write(pid, self.head, ticket); // line 6
         machine.st = OneShotEnterState::Done;
@@ -259,11 +280,12 @@ impl OneShotLock {
         outcome
     }
 
-    /// `Exit()` (Algorithm 3.2), executed by the process in the CS.
-    pub fn exit<M: Mem + ?Sized>(&self, mem: &M, pid: Pid) {
+    /// `Exit()` (Algorithm 3.2), executed by the process in the CS;
+    /// returns the slot whose `go` it set, if any.
+    pub fn exit<M: Mem + ?Sized>(&self, mem: &M, pid: Pid) -> Option<u64> {
         let head = mem.read(pid, self.head); // line 8
         mem.write(pid, self.last_exited, head); // line 9
-        self.signal_next(mem, pid, head); // line 10
+        self.signal_next(mem, pid, head) // line 10
     }
 
     /// [`exit`](Self::exit) with passage observability: routes the exit
@@ -275,34 +297,34 @@ impl OneShotLock {
         P: Probe + ?Sized,
     {
         let pm = probed(mem, probe);
-        self.exit(&pm, pid);
+        let _ = self.exit(&pm, pid);
         probe.cs_exit(pid);
     }
 
-    /// `Abort(i)` (Algorithm 3.3); returns whether it handed the lock
-    /// on (set a successor's `go`).
-    fn abort<M: Mem + ?Sized>(&self, mem: &M, pid: Pid, i: u64) -> bool {
+    /// `Abort(i)` (Algorithm 3.3); returns the slot whose `go` it set
+    /// if it handed the lock on.
+    fn abort<M: Mem + ?Sized>(&self, mem: &M, pid: Pid, i: u64) -> Option<u64> {
         self.tree.remove(mem, pid, i); // line 11
         let head = mem.read(pid, self.head); // line 12
         if head != mem.read(pid, self.last_exited) {
             // line 13
-            return false;
+            return None;
         }
         // line 15: the exiting process's FindNext may have crossed paths
         // with our Remove; assume responsibility for its handoff.
         self.signal_next(mem, pid, head)
     }
 
-    /// `SignalNext(head)` (Algorithm 3.4); returns whether it set a
-    /// successor's `go`.
-    fn signal_next<M: Mem + ?Sized>(&self, mem: &M, pid: Pid, head: u64) -> bool {
+    /// `SignalNext(head)` (Algorithm 3.4); returns the successor slot
+    /// whose `go` it set.
+    fn signal_next<M: Mem + ?Sized>(&self, mem: &M, pid: Pid, head: u64) -> Option<u64> {
         match self.tree.find_next_with(mem, pid, head, self.ascent) {
             // line 17–18: ⊥ — queue exhausted; ⊤ — an aborter has assumed
             // responsibility for this handoff.
-            FindNextResult::Bottom | FindNextResult::Top => false,
+            FindNextResult::Bottom | FindNextResult::Top => None,
             FindNextResult::Next(j) => {
                 mem.write(pid, self.go.at(j as usize), 1); // line 19
-                true
+                Some(j)
             }
         }
     }
@@ -414,18 +436,15 @@ mod tests {
         for (p, m) in (1..5).zip(&mut machines) {
             assert!(lock.poll_enter(m, &mem, p, &NeverAbort).pending());
         }
-        let handed_off = |step: EnterStep| match step {
-            EnterStep::Aborted { handed_off, .. } => handed_off,
+        let handoff = |step: EnterStep| match step {
+            EnterStep::Aborted { handoff, .. } => handoff,
             s => panic!("expected an abort, got {s:?}"),
         };
-        assert!(!handed_off(lock.poll_enter(
-            &mut machines[3],
-            &mem,
-            4,
-            &sig
-        )));
-        lock.exit(&mem, 0);
-        assert!(handed_off(lock.poll_enter(&mut machines[1], &mem, 2, &sig)));
+        assert!(handoff(lock.poll_enter(&mut machines[3], &mem, 4, &sig)).is_none());
+        assert_eq!(lock.exit(&mem, 0), Some(1));
+        let rescue = handoff(lock.poll_enter(&mut machines[1], &mem, 2, &sig));
+        assert_eq!(rescue.slot(), Some(WaitKey::Slot { inst: 0, ticket: 1 }));
+        assert!(!rescue.switched());
         assert!(lock
             .poll_enter(&mut machines[0], &mem, 1, &NeverAbort)
             .acquired());

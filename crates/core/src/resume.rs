@@ -28,66 +28,115 @@
 //! or [`BoundedLongLivedLock`](crate::long_lived::BoundedLongLivedLock))
 //! advances the machine until it either resolves — [`EnterStep::Acquired`]
 //! or [`EnterStep::Aborted`] — or reaches a blocking point, returning
-//! [`EnterStep::Pending`] with a [`WaitToken`] naming the watched word.
+//! [`EnterStep::Pending`] with a [`WaitKey`] naming the watched word.
 //! A poll at a blocking point performs exactly one read of the watched
 //! word (plus one signal check when the word is still zero), so a driver
 //! that polls in a tight loop reproduces, operation for operation, the
 //! blocking spin loops the machines replaced — that equivalence is what
 //! keeps every simulator artifact byte-identical (`tests/mono_equivalence.rs`).
 //!
+//! The other side of each wait is a [`Handoff`]: the bounded lock's exit
+//! and any abort that hands the lock on report which watched words they
+//! set — at most one queue slot's `go` word, plus the epoch spin node on
+//! an instance switch. A driver that parks waiters matches the two and
+//! wakes only the waiters a handoff can release.
+//!
 //! Drivers decide what "pending" means: the sync entry points spin
 //! (re-poll immediately, preserving the paper's busy-wait cost model);
-//! `sal_sync::AsyncAbortableMutex` parks the task and re-polls on waker
-//! hints; a future recoverable-lock layer can persist the machine state
-//! across a crash. The machines themselves hold only plain indices — no
-//! memory borrows, no waker knowledge, no clocks.
+//! `sal_sync`'s thread and waker drivers park, publish the key, and are
+//! woken by the handoffs that name it; a future recoverable-lock layer
+//! can persist the machine state across a crash. The machines themselves
+//! hold only plain indices — no memory borrows, no waker knowledge, no
+//! clocks.
 
 use crate::lock::Outcome;
-use sal_memory::WordId;
 
-/// Which of the protocol's two blocking points a [`WaitToken`] names.
+/// Names the one shared word a pending enter machine waits on: the word
+/// its next poll reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitKind {
-    /// The bounded lock's epoch wait: a process that already completed a
-    /// passage in the current epoch spins on the epoch's spin node until
-    /// the next instance switch (Figure 5 lines 58–61).
-    EpochSpin,
-    /// The one-shot queue wait: the process spins on its queue slot's
-    /// `go` word until a predecessor's handoff sets it (Figure 1 line 2).
-    QueueSpin,
+pub enum WaitKey {
+    /// The bounded lock's epoch wait (Figure 5 lines 58–61): a process
+    /// that already completed a passage in the current epoch spins on the
+    /// epoch's spin node until the next instance switch (line 77).
+    Epoch,
+    /// The queue wait on `go[ticket]` of one-shot instance `inst`
+    /// (Figure 1 line 2), set by the `SignalNext` that hands the lock to
+    /// slot `ticket`. The bounded lock's queue words are
+    /// instance-relative, hence the instance; a standalone
+    /// [`OneShotLock`](crate::one_shot::OneShotLock) is instance 0.
+    Slot {
+        /// The one-shot instance.
+        inst: u32,
+        /// The doorway ticket, i.e. the queue slot.
+        ticket: u32,
+    },
 }
 
-/// Names the blocking point an [`EnterStep::Pending`] machine is parked
-/// at: the passage cannot progress until the watched word becomes
-/// nonzero.
-///
-/// The token is advisory — a driver may simply re-poll on any hint (the
-/// async mutex does; wakeups are hints there exactly as they are for
-/// the CCS layer). Note that for [`WaitKind::QueueSpin`] under the
-/// bounded lock the word id is *instance-relative* (the one-shot
-/// machine runs over a
-/// [`VersionedInstance`](crate::long_lived) view), so it identifies the
-/// wait for diagnostics but is not an address in the outer memory.
+/// What an exit, or an abort that handed the lock on, wrote for waiters:
+/// at most one queue slot's `go` word (`SignalNext`, Algorithm 3.4 line
+/// 19), plus the epoch spin node when `Cleanup` switched instances
+/// (Algorithm 6.3 line 77). A pending machine whose [`WaitKey`] this
+/// names may now progress; the handoff releases no other. A driver that
+/// parks waiters wakes exactly those.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitToken {
-    word: WordId,
-    kind: WaitKind,
+pub struct Handoff {
+    /// Instance of the slot written; the top bit records an instance
+    /// switch. Packed so that [`EnterStep`] stays 24 bytes.
+    inst: u32,
+    /// The slot written, or `NO_SLOT`.
+    ticket: u32,
 }
 
-impl WaitToken {
-    pub(crate) fn new(word: WordId, kind: WaitKind) -> Self {
-        WaitToken { word, kind }
+/// `Handoff::inst` bit: `Cleanup` released the epoch's spinners.
+const SWITCHED: u32 = 1 << 31;
+/// `Handoff::ticket` value: no queue slot was written.
+const NO_SLOT: u32 = u32::MAX;
+
+impl Handoff {
+    /// Nothing written: no waiter may progress.
+    pub const NONE: Handoff = Handoff {
+        inst: 0,
+        ticket: NO_SLOT,
+    };
+
+    /// `go[slot]` of instance `inst` was written, if `slot` is `Some`.
+    pub(crate) fn queue(inst: u32, slot: Option<u64>) -> Self {
+        debug_assert!(inst < SWITCHED);
+        match slot {
+            None => Handoff::NONE,
+            Some(t) => Handoff {
+                inst,
+                ticket: u32::try_from(t).expect("queue slots are word indices, so they fit in u32"),
+            },
+        }
     }
 
-    /// The word the passage is waiting on (see the type docs for the
-    /// address space caveat).
-    pub fn word(&self) -> WordId {
-        self.word
+    /// This handoff, plus the epoch release if `switched`.
+    pub(crate) fn and_switch(self, switched: bool) -> Self {
+        let bit = if switched { SWITCHED } else { 0 };
+        Handoff {
+            inst: self.inst | bit,
+            ..self
+        }
     }
 
-    /// Which blocking point of the protocol this is.
-    pub fn kind(&self) -> WaitKind {
-        self.kind
+    /// Whether nothing was written.
+    pub fn is_none(&self) -> bool {
+        *self == Handoff::NONE
+    }
+
+    /// The queue slot whose `go` word was written.
+    pub fn slot(&self) -> Option<WaitKey> {
+        (self.ticket != NO_SLOT).then_some(WaitKey::Slot {
+            inst: self.inst & !SWITCHED,
+            ticket: self.ticket,
+        })
+    }
+
+    /// Whether an instance switch released the epoch's spinners
+    /// ([`WaitKey::Epoch`]).
+    pub fn switched(&self) -> bool {
+        self.inst & SWITCHED != 0
     }
 }
 
@@ -108,19 +157,24 @@ pub enum EnterStep {
     Aborted {
         /// Doorway ticket of the abandoned slot (one-shot machines only).
         ticket: Option<u64>,
-        /// Whether the abort wrote a word other processes wait on: the
-        /// handoff rescue of Algorithm 3.3 (line 15 → `SignalNext`,
-        /// line 19 sets a successor's `go`) or an instance switch in
-        /// `Cleanup` (line 77 sets the retired epoch's spin node). A
-        /// driver that parks waiters must wake them when this is set,
-        /// since the abort may just have handed one of them the lock.
-        handed_off: bool,
+        /// The words the abort wrote for waiters: the handoff rescue of
+        /// Algorithm 3.3 (line 15 → `SignalNext`, line 19 sets a
+        /// successor's `go`) and an instance switch in `Cleanup` (line 77
+        /// sets the retired epoch's spin node). A driver that parks
+        /// waiters must wake the ones it names, since the abort may just
+        /// have handed one of them the lock.
+        handoff: Handoff,
     },
-    /// The passage is blocked: the watched word is still zero and the
+    /// The passage is blocked: the keyed word is still zero and the
     /// signal has not fired. Poll again (after the driver's idea of
     /// waiting) to re-check.
-    Pending(WaitToken),
+    Pending(WaitKey),
 }
+
+// The spin loops return a step by value on every poll (up to 4,096 per
+// attempt in the thread driver): a 32-byte step measurably slowed the
+// contended mutex (it lost 5 of 5 paired `mutex-contended` runs).
+const _: () = assert!(std::mem::size_of::<EnterStep>() <= 24);
 
 impl EnterStep {
     /// `Some(outcome)` when the machine resolved, `None` while pending.
@@ -248,5 +302,18 @@ impl EnterMachine {
     /// machine must be driven to resolution (see the type docs).
     pub fn in_queue(&self) -> bool {
         matches!(self.st, BoundedEnterState::Queue { .. })
+    }
+
+    /// The word the machine is blocked on, which its next poll reads
+    /// first: `None` before the first blocking point and once resolved.
+    pub fn wait_key(&self) -> Option<WaitKey> {
+        match self.st {
+            BoundedEnterState::EpochWait { .. } => Some(WaitKey::Epoch),
+            BoundedEnterState::Queue { inst, ref inner } => inner.ticket().map(|t| WaitKey::Slot {
+                inst,
+                ticket: t as u32,
+            }),
+            _ => None,
+        }
     }
 }

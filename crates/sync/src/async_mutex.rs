@@ -19,15 +19,21 @@
 //!    attempt a pid; futures beyond the capacity queue, and released pids
 //!    go straight to the queue head (admission is FIFO and barge-free).
 //! 2. **Enter polling.** Each poll advances the enter machine. The future
-//!    engages its pid's slot and stores its waker *before* the machine
-//!    reads its go word; the unlocker writes the go word *before*
-//!    collecting wakers, so either the waiter sees the word or the
-//!    unlocker sees the waker. An abort that hands the lock on
-//!    (Algorithm 3.3's rescue or a `Cleanup` instance switch) wakes
-//!    engaged waiters the same way.
-//! 3. **Hints, not grants.** The unlocker cannot tell which pid the queue
-//!    hands the lock to, so it wakes every engaged waiter; those still
-//!    facing a zero word re-park ([`AsyncStats::futile_enter_wakeups`]).
+//!    stores its waker, then publishes the key of the word the machine
+//!    reads, *before* the machine reads it; the unlocker writes the go
+//!    word *before* reading the published keys, so either the waiter sees
+//!    the word or the unlocker sees the key and the waker. A poll that
+//!    moves on to a new key (epoch wait → queue) publishes it and polls
+//!    again before it parks. An abort that hands the lock on (Algorithm
+//!    3.3's rescue or a `Cleanup` instance switch) wakes waiters the same
+//!    way.
+//! 3. **Targeted wakes.** An exit reports its handoff: the queue slot it
+//!    set, and the epoch when it switched instances. The unlocker wakes
+//!    only the waiters whose key it names, so a plain `lock()` future is
+//!    woken about once per passage. Epoch waiters woken by a switch
+//!    usually go on to queue ([`AsyncStats::futile_enter_wakeups`] counts
+//!    those re-parks). A future with a deadline or an abort signal
+//!    publishes no key and is woken by every handoff (see below).
 //!
 //! A `when` request registers its predicate in the pid's slot, and
 //! unlock-side evaluation ([`WakePolicy`](crate::WakePolicy)) fires its
@@ -35,13 +41,15 @@
 //!
 //! ## Deadline caveat
 //!
-//! A deadline-bound request ([`Acquire::until`] / [`Acquire::within`])
-//! checks its deadline when *polled*: while queued in the lock, any
-//! unlock wakes it (the signal is then honoured on the bounded abort
-//! path), but under **zero lock traffic** nothing polls it — pair the
-//! future with a timer (e.g. `sal_runtime::executor::sleep_until`) if
-//! expiry must be prompt without traffic. The blocking surfaces, which
-//! own their thread, do not have this caveat.
+//! A limited request (a deadline from [`Acquire::until`] /
+//! [`Acquire::within`], or [`Acquire::abort_on`]) checks its limit when
+//! *polled*. So only limited futures are woken on every handoff: while
+//! one is queued in the lock, any handoff wakes it (the limit is then
+//! honoured on the bounded abort path). Under **zero lock traffic**
+//! nothing polls it — pair the future with a timer (e.g.
+//! `sal_runtime::executor::sleep_until`) if expiry must be prompt
+//! without traffic. The blocking surfaces, which own their thread, do
+//! not have this caveat.
 //!
 //! ```
 //! use sal_runtime::executor::block_on;
@@ -59,8 +67,9 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 use crate::acquire::{Always, Limit, Predicate};
+use crate::driver::{publish_code, ANY};
 use crate::{AbortableMutex, AbortableMutexBuilder, Acquire};
-use sal_core::resume::EnterMachine;
+use sal_core::resume::{EnterMachine, EnterStep};
 use sal_core::AbortReason;
 use sal_memory::{AbortSignal, NeverAbort, Pid};
 use sal_obs::{NoProbe, Probe};
@@ -220,11 +229,12 @@ struct StatsInner {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AsyncStats {
     /// Wakers fired at engaged enter waiters by unlocks and by aborts
-    /// that handed the lock on (broadcast hints — compare with
-    /// `futile_enter_wakeups` for precision).
+    /// that handed the lock on, each at the waiters its handoff names
+    /// (compare with `futile_enter_wakeups` for precision).
     pub enter_wakeups: u64,
-    /// Hinted waiters whose re-poll still found their go word zero (the
-    /// cost of not knowing the queue successor from the unlock side).
+    /// Woken waiters whose re-poll still pended: mostly epoch waiters
+    /// released by an instance switch that then queue, plus limited
+    /// futures woken by every handoff.
     pub futile_enter_wakeups: u64,
     /// Futures that found no free pid and queued for admission.
     pub pid_waits: u64,
@@ -520,11 +530,21 @@ where
                     let pid = *pid;
                     let slot = &core.ccs.slots[pid];
                     let hinted = slot.hint.swap(false, Ordering::SeqCst);
-                    // Engaged, with the waker stored, before the poll
-                    // reads its go word (module docs §2).
-                    core.engage(pid);
+                    // Waker stored, then the wait published, before each
+                    // poll reads its go word (module docs §2–3).
                     slot.set_waker(cx.waker());
-                    let step = core.poll(machine, pid, &self.limit);
+                    let exact = matches!(self.limit, Limit::Forever);
+                    let step = loop {
+                        let code = match machine.wait_key() {
+                            Some(key) if exact => publish_code(key),
+                            _ => ANY,
+                        };
+                        core.publish(pid, code);
+                        match core.poll(machine, pid, &self.limit) {
+                            EnterStep::Pending(key) if exact && publish_code(key) != code => {}
+                            step => break step,
+                        }
+                    };
                     if step.pending() {
                         if hinted {
                             core.futile_enter_wakeups.fetch_add(1, Ordering::Relaxed);
@@ -636,8 +656,8 @@ impl<T: ?Sized, P: Probe, F, S, const I: bool> fmt::Debug for AcquireFuture<'_, 
 }
 
 /// RAII guard of the async mutex: the lock is held while the guard
-/// lives, released (with unlock-side condition evaluation and enter-
-/// waiter hints) on drop.
+/// lives, released (with unlock-side condition evaluation and a wake
+/// for the waiter the lock is handed to) on drop.
 ///
 /// Unlike the sync [`MutexGuard`](crate::MutexGuard), this guard is
 /// `Send` (for `T: Send`): the process identity is carried explicitly
@@ -693,6 +713,7 @@ impl<T: ?Sized + fmt::Debug, P: Probe> fmt::Debug for AsyncMutexGuard<'_, T, P> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sal_core::resume::WaitKey;
     use std::sync::atomic::AtomicUsize;
     use std::task::{RawWaker, RawWakerVTable, Waker};
     use std::time::Duration;
@@ -749,7 +770,7 @@ mod tests {
         let cw = counting_waker(&CONTEND_WAKES);
         assert!(poll_once(&mut fut, &cw).is_pending());
         assert_eq!(CONTEND_WAKES.load(Ordering::SeqCst), 0);
-        drop(g); // must hint the parked waiter
+        drop(g); // hands the lock to the parked waiter, waking it
         assert!(CONTEND_WAKES.load(Ordering::SeqCst) >= 1);
         match poll_once(&mut fut, &w) {
             Poll::Ready(mut g2) => *g2 += 1,
@@ -761,18 +782,20 @@ mod tests {
     }
 
     #[test]
-    fn a_flagged_abort_hints_engaged_waiters() {
+    fn the_exit_and_a_flagged_abort_wake_only_the_successor() {
         // Pid 0 holds; a..d queue on tickets 1..4 of the first instance.
-        // An abort before any exit rescues nothing and wakes nobody.
-        // After the holder exits (LastExited = Head = 0), an aborter's
-        // `Head = LastExited` check re-runs SignalNext(0) and writes
-        // go[1] (Algorithm 3.3 line 15): that abort must hint the
-        // engaged waiters, like an unlock.
+        // An abort before any exit rescues nothing and wakes nobody. The
+        // holder's exit sets go[1]: it wakes a alone. After it
+        // (LastExited = Head = 0), b's abort re-runs SignalNext(0) and
+        // sets go[1] again (Algorithm 3.3 line 15): that handoff names a
+        // too, and nobody else. a's waker went with the first wake, so
+        // the second shows as a's hint flag.
         static A: AtomicUsize = AtomicUsize::new(0);
         static B: AtomicUsize = AtomicUsize::new(0);
         static C: AtomicUsize = AtomicUsize::new(0);
         static D: AtomicUsize = AtomicUsize::new(0);
         let m = AsyncAbortableMutex::builder(0u64).capacity(5).build_async();
+        let slots = &m.m.core.ccs.slots;
         let g = m.try_lock().expect("uncontended");
         let (wa, wb, wc, wd) = (
             counting_waker(&A),
@@ -784,24 +807,140 @@ mod tests {
         for (f, w) in [(&mut a, &wa), (&mut b, &wb), (&mut c, &wc), (&mut d, &wd)] {
             assert!(poll_once(f, w).is_pending());
         }
+        let wakes = || [&A, &B, &C, &D].map(|n| n.load(Ordering::SeqCst));
         drop(d); // unflagged: nothing handed on
         assert_eq!(m.stats().enter_wakeups, 0);
-        assert_eq!(C.load(Ordering::SeqCst), 0);
-        drop(g); // exit sets go[1] and hints a, b, c
-        assert_eq!(m.stats().enter_wakeups, 3);
-        assert!(poll_once(&mut c, &wc).is_pending()); // c re-arms its waker
-        let before = C.load(Ordering::SeqCst);
+        drop(g); // the exit sets go[1]
+        assert_eq!(wakes(), [1, 0, 0, 0], "the exit wakes a alone");
+        assert_eq!(m.stats().enter_wakeups, 1);
+        assert!(slots[1].hint.swap(false, Ordering::SeqCst));
         drop(b); // flagged: Head == LastExited, SignalNext(0) rewrites go[1]
-        assert_eq!(C.load(Ordering::SeqCst), before + 1, "c must be hinted");
-        assert_eq!(m.stats().enter_wakeups, 4);
+        assert!(slots[1].hint.load(Ordering::SeqCst), "b's abort wakes a");
+        assert!((2..5).all(|p| !slots[p].hint.load(Ordering::SeqCst)));
+        assert_eq!(wakes(), [1, 0, 0, 0], "and never b, c or d");
+        assert_eq!(m.stats().enter_wakeups, 1);
         let ga = match poll_once(&mut a, &wa) {
             Poll::Ready(g) => g,
             Poll::Pending => panic!("a was handed the lock"),
         };
-        drop(ga);
+        drop(ga); // skips b's abandoned slot: go[3] is c's
+        assert_eq!(wakes(), [1, 0, 1, 0]);
         assert!(matches!(poll_once(&mut c, &wc), Poll::Ready(_)));
         drop((a, c));
+        let s = m.stats();
+        assert_eq!((s.enter_wakeups, s.futile_enter_wakeups), (2, 0));
         assert_eq!(m.free_pids(), 5);
+    }
+
+    #[test]
+    fn a_deadline_is_honoured_under_traffic() {
+        // Queued behind a, the deadline future publishes no key: a
+        // handoff to a must still wake it, or its expired deadline is
+        // never polled again (module docs, "Deadline caveat").
+        static A: AtomicUsize = AtomicUsize::new(0);
+        static D: AtomicUsize = AtomicUsize::new(0);
+        let m = AsyncAbortableMutex::builder(()).capacity(4).build_async();
+        let (wa, wd) = (counting_waker(&A), counting_waker(&D));
+        let g = m.try_lock().expect("uncontended");
+        let mut a = m.lock();
+        let mut d = m.acquire(Acquire::new().within(Duration::from_millis(1)));
+        assert!(poll_once(&mut a, &wa).is_pending());
+        assert!(poll_once(&mut d, &wd).is_pending());
+        std::thread::sleep(Duration::from_millis(3));
+        drop(g); // hands the lock to a
+        assert_eq!(D.load(Ordering::SeqCst), 1, "the deadline waiter was woken");
+        match poll_once(&mut d, &wd) {
+            Poll::Ready(Err(AbortReason::Deadline)) => {}
+            other => panic!("expected Err(Deadline), got {other:?}"),
+        }
+        assert!(poll_once(&mut a, &wa).is_ready());
+        drop((a, d));
+        assert_eq!(m.free_pids(), 4);
+    }
+
+    #[test]
+    fn an_abort_signal_is_honoured_under_traffic() {
+        // The `abort_on` twin of the deadline test above.
+        static A: AtomicUsize = AtomicUsize::new(0);
+        static D: AtomicUsize = AtomicUsize::new(0);
+        let m = AsyncAbortableMutex::builder(()).capacity(4).build_async();
+        let (wa, wd) = (counting_waker(&A), counting_waker(&D));
+        let flag = crate::AbortFlag::new();
+        let g = m.try_lock().expect("uncontended");
+        let mut a = m.lock();
+        let mut d = m.acquire(Acquire::new().abort_on(flag.clone()));
+        assert!(poll_once(&mut a, &wa).is_pending());
+        assert!(poll_once(&mut d, &wd).is_pending());
+        flag.set();
+        drop(g); // hands the lock to a
+        assert_eq!(D.load(Ordering::SeqCst), 1, "the flagged waiter was woken");
+        match poll_once(&mut d, &wd) {
+            Poll::Ready(Err(AbortReason::Caller)) => {}
+            other => panic!("expected Err(Caller), got {other:?}"),
+        }
+        assert!(poll_once(&mut a, &wa).is_ready());
+        drop((a, d));
+        assert_eq!(m.free_pids(), 4);
+    }
+
+    #[test]
+    fn a_poll_across_the_epoch_wait_publishes_each_key() {
+        // Pid 1 finishes a passage while pids 0 and 2 keep the first
+        // instance alive, so its next attempt waits on the epoch. The
+        // exit that switches instances wakes it; its next poll crosses
+        // epoch wait → doorway → queue behind pid 2's fresh hold and must
+        // publish the queue key before it parks. After every pending
+        // poll the published key is the machine's, and the exit that
+        // hands it the lock wakes it exactly once.
+        static F: AtomicUsize = AtomicUsize::new(0);
+        let m = AsyncAbortableMutex::builder(0u64).capacity(4).build_async();
+        let core = &m.m.core;
+        let w = counting_waker(&WAKES);
+        let wf = counting_waker(&F);
+        let published = |fut: &AcquireFuture<'_, u64, NoProbe, Always, NeverAbort, true>| {
+            let State::Enter { pid, machine } = &fut.st else {
+                panic!("not waiting in the lock");
+            };
+            let key = machine
+                .wait_key()
+                .expect("a pending machine waits on a key");
+            let wait = core.ccs.slots[*pid].wait.load(Ordering::SeqCst);
+            (key, wait == publish_code(key))
+        };
+        let g0 = m.try_lock().expect("uncontended"); // pid 0
+        let mut f1 = m.lock(); // pid 1
+        let mut f2 = m.lock(); // pid 2
+        assert!(poll_once(&mut f1, &w).is_pending());
+        assert!(poll_once(&mut f2, &w).is_pending());
+        drop(g0);
+        let Poll::Ready(g1) = poll_once(&mut f1, &w) else {
+            panic!("pid 1 was handed the lock");
+        };
+        drop(g1); // no switch: pid 2 is still in the instance
+        let mut f = m.lock(); // pid 1 again, in the same epoch
+        assert!(poll_once(&mut f, &wf).is_pending());
+        assert_eq!(published(&f), (WaitKey::Epoch, true));
+        let Poll::Ready(g2) = poll_once(&mut f2, &w) else {
+            panic!("pid 2 was handed the lock");
+        };
+        drop(g2); // the last one out switches instances
+        assert_eq!(
+            F.load(Ordering::SeqCst),
+            1,
+            "the switch wakes the epoch waiter"
+        );
+        let g = m.try_lock().expect("the fresh instance is free"); // pid 2
+        assert!(poll_once(&mut f, &wf).is_pending());
+        let (key, exact) = published(&f);
+        assert!(matches!(key, WaitKey::Slot { ticket: 1, .. }), "{key:?}");
+        assert!(exact, "the queue key is published before parking");
+        drop(g);
+        assert_eq!(F.load(Ordering::SeqCst), 2, "the handoff wakes it once");
+        assert!(poll_once(&mut f, &wf).is_ready());
+        drop((f, f1, f2));
+        let s = m.stats();
+        assert_eq!(s.futile_enter_wakeups, 1, "only the epoch release");
+        assert_eq!(m.free_pids(), 4);
     }
 
     #[test]

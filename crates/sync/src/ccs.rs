@@ -45,6 +45,7 @@
 //! §11 discusses the implications).
 
 use crate::acquire::Predicate;
+use crate::driver::IDLE;
 use sal_core::park::Waiter;
 use sal_memory::Pid;
 use std::cell::UnsafeCell;
@@ -121,9 +122,11 @@ pub(crate) struct Slot<T: ?Sized> {
     /// window. A `RegistrationGuard` deregisters on unwind, so the window
     /// closes even if the waiting frame panics.
     cond: UnsafeCell<Option<StoredCond<T>>>,
-    /// An enter waiter may be parked on this pid: unlockers hint it.
-    pub(crate) engaged: AtomicBool,
-    /// Set by the unlocker that hinted this slot; the waiter swaps it out
+    /// The wait an engaged enter waiter on this pid published: the word
+    /// its next poll reads, encoded by the driver ([`IDLE`] when no
+    /// enter waiter is engaged). Handoffs that name it wake the pid.
+    pub(crate) wait: AtomicU64,
+    /// Set by the handoff that woke this slot; the waiter swaps it out
     /// to attribute its wake (futile-wakeup accounting).
     pub(crate) hint: AtomicBool,
     /// Where a blocked thread parks.
@@ -139,14 +142,14 @@ impl<T: ?Sized> Slot<T> {
         Slot {
             state: AtomicU8::new(VACANT),
             cond: UnsafeCell::new(None),
-            engaged: AtomicBool::new(false),
+            wait: AtomicU64::new(IDLE),
             hint: AtomicBool::new(false),
             waiter: Waiter::new(),
             waker: Mutex::new(None),
         }
     }
 
-    /// Store the waker a task wants fired by the next hint or
+    /// Store the waker a task wants fired by the next handoff or
     /// notification.
     pub(crate) fn set_waker(&self, w: &Waker) {
         *self.waker.lock().unwrap() = Some(w.clone());

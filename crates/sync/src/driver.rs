@@ -5,18 +5,39 @@
 //! ([`Core::hold_when`]). `AbortableMutex` owns a core, the async mutex
 //! wraps that mutex, and the arena pools cores.
 //!
-//! The enter wait cannot lose a wakeup (the Dekker pattern): a waiter
-//! bumps `parked` and sets `engaged` before its last poll reads the go
-//! word; an unlocker, or an abort reporting `handed_off`, reads `parked`
-//! after writing the go word and scans the slots only when it is
-//! nonzero. Every access is `SeqCst`, so either the poll sees the
-//! handoff or the scan sees the engagement.
+//! ## Targeted handoff wakes
+//!
+//! An exit knows whom it releases: `SignalNext` sets one queue slot's go
+//! word, and an instance switch sets the epoch's spin node. The lock
+//! reports both as a [`Handoff`], and each engaged enter waiter
+//! publishes the [`WaitKey`] of the word it reads in its pid's slot, so
+//! an unlock wakes only the waiters its handoff names. An exit with no
+//! handoff scans nothing.
+//!
+//! **Publish, then poll.** Every engaged poll is preceded by a `SeqCst`
+//! store of the key that poll reads (bumping `parked` when the pid
+//! engages). The waker driver stores before each poll, after its waker,
+//! so a scan that reads the key also sees the waker; the thread driver
+//! stores when the key changes. A poll that moves on within itself
+//! (epoch wait → doorway → queue) returns a different key; the waiter
+//! publishes that and polls again before it parks. The unlocker, or an
+//! abort reporting a handoff, writes the go word, then reads `parked`
+//! and scans only when it is nonzero. Every access is `SeqCst`, so
+//! either the waiter's read sees the go word, or the scan sees the key
+//! naming that word (or [`ANY`]): no wakeup is lost.
+//!
+//! **Who publishes exact keys.** A waiter whose wait only a handoff can
+//! end publishes its key: the thread driver under every limit (a parked
+//! thread wakes itself at its deadline or signal recheck), and a
+//! [`Limit::Forever`] future. A limited future publishes [`ANY`] and is
+//! woken by every handoff, since unlock traffic is what polls its limit
+//! while it is queued (the async module's "Deadline caveat").
 
 use crate::acquire::{Limit, Predicate};
 use crate::ccs::{CcsRegistry, RegistrationGuard, WakePolicy};
 use sal_core::long_lived::BoundedLongLivedLock;
-use sal_core::resume::{EnterMachine, EnterStep};
-use sal_core::{AbortReason, Immediate, LockCore};
+use sal_core::resume::{EnterMachine, EnterStep, Handoff, WaitKey};
+use sal_core::{AbortReason, Immediate};
 use sal_memory::{AbortSignal, MemoryBuilder, NeverAbort, Pid, RawMemory};
 use sal_obs::{probed, NoProbe, Probe};
 use std::cell::UnsafeCell;
@@ -25,14 +46,29 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Enter-machine polls a blocked thread spins through before it parks.
 const SPIN_POLLS: u32 = 4096;
 
+/// Published wait of a pid with no engaged enter waiter.
+pub(crate) const IDLE: u64 = 0;
+/// Published wait of an engaged waiter whose key is not known (a first
+/// poll, or a limited future): every handoff wakes it.
+pub(crate) const ANY: u64 = 1;
+
+/// The published form of `key`: distinct from [`IDLE`], [`ANY`] and
+/// every other key.
+pub(crate) fn publish_code(key: WaitKey) -> u64 {
+    match key {
+        WaitKey::Epoch => 2,
+        WaitKey::Slot { inst, ticket } => 3 + (u64::from(inst) << 32 | u64::from(ticket)),
+    }
+}
+
 /// The shared lock core; see the module docs.
 pub(crate) struct Core<T: ?Sized, P: Probe = NoProbe> {
     pub(crate) mem: RawMemory,
     pub(crate) lock: BoundedLongLivedLock,
     pub(crate) ccs: CcsRegistry<T>,
-    /// Engaged enter waiters; unlockers skip the slot scan at zero.
+    /// Engaged enter waiters; handoffs skip the slot scan at zero.
     parked: AtomicUsize,
-    /// Wakers fired by enter hints (the async driver's counters).
+    /// Wakers fired by handoffs (the async driver's counters).
     pub(crate) enter_wakeups: AtomicU64,
     pub(crate) futile_enter_wakeups: AtomicU64,
     pub(crate) probe: P,
@@ -69,20 +105,17 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         self.lock.poll_enter(machine, &pm, pid, signal, &self.probe)
     }
 
-    /// Close a resolved attempt: the lifecycle hook, and a hint to the
-    /// engaged waiters when an abort handed the lock on. Returns whether
-    /// the lock is held.
+    /// Close a resolved attempt: the lifecycle hook, and a wake for the
+    /// waiters an abort's handoff names. Returns whether the lock is held.
     pub(crate) fn settle(&self, pid: Pid, step: EnterStep) -> bool {
         match step {
             EnterStep::Acquired { .. } => {
                 self.probe.enter_end(pid, None);
                 true
             }
-            EnterStep::Aborted { handed_off, .. } => {
+            EnterStep::Aborted { handoff, .. } => {
                 self.probe.abort(pid, None);
-                if handed_off {
-                    self.hint_engaged();
-                }
+                self.wake(handoff);
                 false
             }
             EnterStep::Pending(_) => unreachable!("settling a pending attempt"),
@@ -110,24 +143,24 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
     ) -> Result<(), AbortReason> {
         let mut machine = self.begin(pid);
         let mut spins = 0;
-        let mut engaged = false;
+        let mut published = None;
         let step = loop {
             let step = self.poll(&mut machine, pid, limit);
-            if !step.pending() {
+            let EnterStep::Pending(key) = step else {
                 break step;
-            }
+            };
             if spins < SPIN_POLLS {
                 spins += 1;
-            } else if !engaged {
-                // Publish, then poll once more before the first park.
-                self.engage(pid);
-                engaged = true;
+            } else if published != Some(key) {
+                // Publish, then poll once more before parking on `key`.
+                self.publish(pid, publish_code(key));
+                published = Some(key);
             } else {
                 // A limit that expires is honoured by the next poll.
                 let _ = limit.park(&self.ccs.slots[pid].waiter);
             }
         };
-        if engaged {
+        if published.is_some() {
             self.disengage(pid);
         }
         if self.settle(pid, step) {
@@ -137,9 +170,10 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         }
     }
 
-    /// Publish `pid` as an enter waiter unlockers must hint (idempotent).
-    pub(crate) fn engage(&self, pid: Pid) {
-        if !self.ccs.slots[pid].engaged.swap(true, Ordering::SeqCst) {
+    /// Publish `code` as the wait of `pid`'s next poll, engaging the pid
+    /// as an enter waiter if it was not (module docs).
+    pub(crate) fn publish(&self, pid: Pid, code: u64) {
+        if self.ccs.slots[pid].wait.swap(code, Ordering::SeqCst) == IDLE {
             self.parked.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -147,20 +181,27 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
     /// Withdraw `pid`'s engagement and any waker it left.
     pub(crate) fn disengage(&self, pid: Pid) {
         let slot = &self.ccs.slots[pid];
-        if slot.engaged.swap(false, Ordering::SeqCst) {
+        if slot.wait.swap(IDLE, Ordering::SeqCst) != IDLE {
             self.parked.fetch_sub(1, Ordering::SeqCst);
         }
         slot.waker.lock().unwrap().take();
     }
 
-    /// Hint every engaged enter waiter: the unlocker cannot tell which
-    /// pid the queue hands the lock to, so a hint is not a grant.
-    fn hint_engaged(&self) {
-        if self.parked.load(Ordering::SeqCst) == 0 {
+    /// Wake the engaged waiters `handoff` names, and those that
+    /// published [`ANY`].
+    fn wake(&self, handoff: Handoff) {
+        if handoff.is_none() || self.parked.load(Ordering::SeqCst) == 0 {
             return;
         }
+        let queue = handoff.slot().map_or(IDLE, publish_code);
+        let epoch = if handoff.switched() {
+            publish_code(WaitKey::Epoch)
+        } else {
+            IDLE
+        };
         for slot in self.ccs.slots.iter() {
-            if slot.engaged.load(Ordering::SeqCst) {
+            let wait = slot.wait.load(Ordering::SeqCst);
+            if wait != IDLE && (wait == ANY || wait == queue || wait == epoch) {
                 slot.hint.store(true, Ordering::SeqCst);
                 slot.waiter.unpark();
                 if let Some(w) = slot.waker.lock().unwrap().take() {
@@ -172,22 +213,23 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
     }
 
     /// Release `pid`'s lock over `data`: evaluate registered conditions,
-    /// exit, wake the satisfied, hint the engaged. With no waiters this is
-    /// `exit_core` plus two loads.
+    /// exit, wake the satisfied and the waiters the exit's handoff names.
+    /// With no waiters of either kind this is the exit plus two loads.
     pub(crate) fn release(&self, pid: Pid, data: &UnsafeCell<T>) {
-        if self.ccs.has_waiters() {
+        let handoff = if self.ccs.has_waiters() {
             // Safety: the caller holds the lock, so the protected value
             // is stable while the conditions run.
             let set = self.ccs.evaluate(pid, unsafe { &*data.get() });
-            self.lock.exit_core(&self.mem, pid, &self.probe);
+            let handoff = self.lock.exit_probed(&self.mem, pid, &self.probe);
             let n = self.ccs.wake(&set);
             if n > 0 {
                 self.probe.note(pid, "ccs-wake", n as u64);
             }
+            handoff
         } else {
-            self.lock.exit_core(&self.mem, pid, &self.probe);
-        }
-        self.hint_engaged();
+            self.lock.exit_probed(&self.mem, pid, &self.probe)
+        };
+        self.wake(handoff);
     }
 
     /// The conditional loop. Entered holding the lock; `Ok` returns

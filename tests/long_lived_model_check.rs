@@ -88,8 +88,8 @@ fn bounded_aborts_that_hand_the_lock_on_say_so() {
                             m.faa(pid, hint, 1);
                             break;
                         }
-                        EnterStep::Aborted { handed_off, .. } => {
-                            if handed_off {
+                        EnterStep::Aborted { handoff, .. } => {
+                            if !handoff.is_none() {
                                 m.faa(pid, hint, 1);
                             }
                             break;

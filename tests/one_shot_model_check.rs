@@ -150,7 +150,7 @@ fn bursty_schedules_expose_handoff_races() {
 fn aborts_that_hand_the_lock_on_say_so() {
     // Step-granular: each process drives its resumable Enter the way a
     // parking driver does. A pending poll stops polling until an exit,
-    // or an abort whose step reports `handed_off`, bumps a shared hint
+    // or an abort whose step reports a handoff, bumps a shared hint
     // word (or the process's own signal fires). Bursty schedules let an
     // aborter's Remove cross the holder's FindNext, so the aborter runs
     // the handoff itself (Algorithm 3.3 line 15); if its Aborted step
@@ -187,8 +187,8 @@ fn aborts_that_hand_the_lock_on_say_so() {
                         m.faa(pid, hint, 1);
                         return;
                     }
-                    EnterStep::Aborted { handed_off, .. } => {
-                        if handed_off {
+                    EnterStep::Aborted { handoff, .. } => {
+                        if !handoff.is_none() {
                             flagged.fetch_add(1, Ordering::Relaxed);
                             m.faa(pid, hint, 1);
                         }
