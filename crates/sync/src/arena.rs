@@ -31,7 +31,8 @@
 //! core).
 //!
 //! Limits: per key at most `core_capacity - 1` threads share the core
-//! (one pid is the promotion proxy; more block for a pid, and conditional
+//! (one pid is the promotion proxy; more wait for a pid under their
+//! limit, FIFO, through the core's pid admission, and conditional
 //! waiters keep theirs while they wait); at most `pool` keys are
 //! materialized at once, and further contended keys spin with backoff
 //! on the inline word ([`ArenaStats::fallback_spins`]) — bounded space,
@@ -61,7 +62,6 @@
 //! ```
 
 use crate::acquire::{Limit, Predicate};
-use crate::ccs::WakePolicy;
 use crate::driver::Core;
 use crate::{AbortReason, Acquire, Immediate};
 use sal_core::arena_word as word;
@@ -76,11 +76,11 @@ use std::hash::{BuildHasher, Hash};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, OnceLock, RwLock};
+use std::time::Duration;
 
 /// The proxy pid a promoter enters a fresh core with, standing in for
-/// the inline holder; never handed out by the pid bank.
+/// the inline holder; outside the range the core admits.
 const RESERVED: Pid = 0;
 
 /// One logical lock: the inline word plus the protected value. Boxed
@@ -98,58 +98,13 @@ struct Shard<K, T> {
     map: RwLock<HashMap<K, Box<Entry<T>>>>,
 }
 
-/// A pooled lock core: the shared [`Core`], the participant count and
-/// the pid bank; a demoted core returns with its lock free.
+/// A pooled lock core: the shared [`Core`] and the participant count; a
+/// demoted core returns with its lock free.
 struct Pooled<T> {
     core: Core<T>,
     /// Participant count (joiners, holders, the promotion proxy) or
     /// [`word::USERS_DEMOTING`]; see the protocol in the module docs.
     users: AtomicUsize,
-    pids: PidBank,
-}
-
-/// Blocking FIFO-ish checkout of core process slots (pids `1 ..
-/// capacity`; pid 0 is the promotion proxy). Threads beyond the core's
-/// capacity block here until a participant leaves.
-struct PidBank {
-    free: Mutex<Vec<Pid>>,
-    cv: Condvar,
-}
-
-impl PidBank {
-    fn new(capacity: usize) -> Self {
-        PidBank {
-            // Popped from the back; seeded descending so low pids go
-            // out first (cosmetic only).
-            free: Mutex::new((1..capacity).rev().collect()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Check out a pid, blocking under `limit`; `None` once it expired.
-    fn checkout<S: AbortSignal>(&self, limit: &Limit<S>) -> Option<Pid> {
-        let mut free = self.free.lock().unwrap();
-        loop {
-            if let Some(p) = free.pop() {
-                return Some(p);
-            }
-            if limit.is_set() {
-                return None;
-            }
-            free = match limit.recheck_at() {
-                None => self.cv.wait(free).unwrap(),
-                Some(t) => {
-                    let wait = t.saturating_duration_since(Instant::now());
-                    self.cv.wait_timeout(free, wait).unwrap().0
-                }
-            };
-        }
-    }
-
-    fn release(&self, pid: Pid) {
-        self.free.lock().unwrap().push(pid);
-        self.cv.notify_one();
-    }
 }
 
 /// The bounded core pool: slots are built lazily, never torn down, and
@@ -161,18 +116,16 @@ struct CorePool<T> {
     built: AtomicUsize,
     capacity: usize,
     branching: usize,
-    policy: WakePolicy,
 }
 
 impl<T> CorePool<T> {
-    fn new(pool: usize, capacity: usize, branching: usize, policy: WakePolicy) -> Self {
+    fn new(pool: usize, capacity: usize, branching: usize) -> Self {
         CorePool {
             slots: (0..pool).map(|_| OnceLock::new()).collect(),
             free: Mutex::new(Vec::new()),
             built: AtomicUsize::new(0),
             capacity,
             branching,
-            policy,
         }
     }
 
@@ -195,9 +148,8 @@ impl<T> CorePool<T> {
                 .is_ok()
             {
                 let pooled = Pooled {
-                    core: Core::new(self.capacity, self.branching, self.policy, NoProbe),
+                    core: Core::new(self.capacity, self.branching, 1..self.capacity, NoProbe),
                     users: AtomicUsize::new(0),
-                    pids: PidBank::new(self.capacity),
                 };
                 let set = self.slots[b].set(pooled);
                 debug_assert!(set.is_ok(), "slot {b} built twice");
@@ -256,7 +208,6 @@ pub struct ArenaBuilder<K, T> {
     pool: usize,
     capacity: usize,
     branching: usize,
-    policy: WakePolicy,
     _marker: PhantomData<fn() -> (K, T)>,
 }
 
@@ -279,7 +230,7 @@ impl<K, T> ArenaBuilder<K, T> {
 
     /// Process slots per core, including the promotion proxy (default
     /// 8, minimum 2): at most `n - 1` threads participate in one key's
-    /// core concurrently; more block for a slot.
+    /// core concurrently; more wait for a slot under their limit.
     pub fn core_capacity(mut self, n: usize) -> Self {
         assert!(n >= 2, "core capacity must cover the proxy plus a waiter");
         self.capacity = n;
@@ -290,13 +241,6 @@ impl<K, T> ArenaBuilder<K, T> {
     /// cores are small, a flat tree wastes words).
     pub fn branching(mut self, w: usize) -> Self {
         self.branching = w;
-        self
-    }
-
-    /// How core unlocks treat conditional waiters (default
-    /// [`WakePolicy::Evaluate`]).
-    pub fn wake_policy(mut self, policy: WakePolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -314,7 +258,7 @@ impl<K, T> ArenaBuilder<K, T> {
                 .collect(),
             shard_mask: self.shards - 1,
             hasher: RandomState::new(),
-            pool: CorePool::new(self.pool, self.capacity, self.branching, self.policy),
+            pool: CorePool::new(self.pool, self.capacity, self.branching),
             promotions: AtomicU64::new(0),
             demotions: AtomicU64::new(0),
             raced_promotions: AtomicU64::new(0),
@@ -374,14 +318,13 @@ impl<K: Hash + Eq + Clone, T: Default> Default for Arena<K, T> {
 
 impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
     /// Start configuring an arena (shards, pool bound, core capacity,
-    /// branching, wake policy).
+    /// branching).
     pub fn builder() -> ArenaBuilder<K, T> {
         ArenaBuilder {
             shards: 64,
             pool: 64,
             capacity: 8,
             branching: 16,
-            policy: WakePolicy::default(),
             _marker: PhantomData,
         }
     }
@@ -469,7 +412,7 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
             {
                 Ok(()) => Ok(self.guard(entry, Mode::Core { idx, pid })),
                 Err(r) => {
-                    p.pids.release(pid);
+                    p.core.pids.put(pid);
                     self.depart(entry, p, idx);
                     Err(r)
                 }
@@ -591,11 +534,11 @@ impl<K, T> Arena<K, T> {
         if !self.join(entry, p, idx) {
             return None;
         }
-        if let Some(pid) = p.pids.checkout(limit) {
+        if let Some(pid) = p.core.pids.take(limit) {
             if p.core.enter(pid, limit).is_ok() {
                 return Some(Ok(Mode::Core { idx, pid }));
             }
-            p.pids.release(pid);
+            p.core.pids.put(pid);
         }
         self.depart(entry, p, idx);
         Some(Err(limit.reason()))
@@ -614,7 +557,7 @@ impl<K, T> Arena<K, T> {
         let p = self.pool.get(idx);
         p.users.fetch_add(1, Ordering::SeqCst);
         let pid = if ours {
-            let free = p.pids.checkout(&Limit::Signal(Immediate));
+            let free = p.core.pids.try_take();
             free.expect("fresh core has free pids")
         } else {
             RESERVED
@@ -636,7 +579,7 @@ impl<K, T> Arena<K, T> {
         }
         p.core.lock.exit_core(&p.core.mem, pid, &NoProbe);
         if ours {
-            p.pids.release(pid);
+            p.core.pids.put(pid);
         }
         p.users.fetch_sub(1, Ordering::SeqCst);
         self.pool.release(idx);
@@ -736,7 +679,7 @@ impl<K, T> Arena<K, T> {
             Mode::Core { idx, pid } => {
                 let p = self.pool.get(idx);
                 p.core.release(pid, &entry.data);
-                p.pids.release(pid);
+                p.core.pids.put(pid);
                 self.depart(entry, p, idx);
             }
         }
@@ -816,6 +759,7 @@ impl<K, T: fmt::Debug> fmt::Debug for ArenaGuard<'_, K, T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn uncontended_traffic_never_materializes() {

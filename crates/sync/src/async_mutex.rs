@@ -15,8 +15,9 @@
 //! [`AcquireFuture`], executes every [`Acquire`] request over the same
 //! lock core, in three layers.
 //!
-//! 1. **Pid checkout.** Tasks outnumber pids, so a FIFO pool hands each
-//!    attempt a pid; futures beyond the capacity queue, and released pids
+//! 1. **Pid checkout.** Tasks outnumber pids, so each attempt checks a
+//!    pid out of the core's admission (the same one the blocking
+//!    surfaces use); futures beyond the capacity queue, and released pids
 //!    go straight to the queue head (admission is FIFO and barge-free).
 //! 2. **Enter polling.** Each poll advances the enter machine. The future
 //!    stores its waker, then publishes the key of the word the machine
@@ -36,8 +37,9 @@
 //!    publishes no key and is woken by every handoff (see below).
 //!
 //! A `when` request registers its predicate in the pid's slot, and
-//! unlock-side evaluation ([`WakePolicy`](crate::WakePolicy)) fires its
-//! waker instead of an unpark.
+//! unlock-side evaluation ([`crate::ccs`]) fires its waker instead of an
+//! unpark. It keeps the pid while it waits, so leave a pid for the task
+//! that will make its condition true.
 //!
 //! ## Deadline caveat
 //!
@@ -67,155 +69,19 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 use crate::acquire::{Always, Limit, Predicate};
-use crate::driver::{publish_code, ANY};
+use crate::driver::{publish_code, Ticket, ANY};
 use crate::{AbortableMutex, AbortableMutexBuilder, Acquire};
 use sal_core::resume::{EnterMachine, EnterStep};
 use sal_core::AbortReason;
 use sal_memory::{AbortSignal, NeverAbort, Pid};
 use sal_obs::{NoProbe, Probe};
-use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
-
-/// A task waiting for a pid: granted pids go to the ticket directly,
-/// keeping admission FIFO; the grantor skips cancelled tickets.
-struct PidTicket {
-    state: Mutex<TicketState>,
-}
-
-enum TicketState {
-    /// In the queue; the waker (if any) is fired on grant.
-    Waiting(Option<Waker>),
-    /// A releaser handed this ticket a pid; the future consumes it on
-    /// its next poll (or releases it from `Drop` if cancelled first).
-    Granted(Pid),
-    /// Consumed or cancelled — the ticket is dead either way.
-    Dead,
-}
-
-impl PidTicket {
-    /// Take the granted pid if one arrived, else re-arm the waker.
-    fn poll_granted(&self, waker: &Waker) -> Option<Pid> {
-        let mut st = self.state.lock().unwrap();
-        match *st {
-            TicketState::Granted(pid) => {
-                *st = TicketState::Dead;
-                Some(pid)
-            }
-            TicketState::Waiting(_) => {
-                *st = TicketState::Waiting(Some(waker.clone()));
-                None
-            }
-            TicketState::Dead => unreachable!("pid ticket polled after death"),
-        }
-    }
-
-    /// Cancel from `Drop`; returns a pid that must be put back if the
-    /// grant raced the cancellation.
-    fn cancel(&self) -> Option<Pid> {
-        let mut st = self.state.lock().unwrap();
-        match std::mem::replace(&mut *st, TicketState::Dead) {
-            TicketState::Granted(pid) => Some(pid),
-            TicketState::Waiting(_) | TicketState::Dead => None,
-        }
-    }
-}
-
-/// The pid freelist + FIFO admission queue. Invariant: the free list
-/// and the live portion of the queue are never both non-empty (a
-/// release grants to the queue head before feeding the free list), so
-/// a fresh future popping the free list cannot barge past queued ones.
-struct PidPool {
-    inner: Mutex<PoolInner>,
-}
-
-struct PoolInner {
-    free: Vec<Pid>,
-    queue: VecDeque<Arc<PidTicket>>,
-}
-
-impl PidPool {
-    fn new(capacity: usize) -> Self {
-        PidPool {
-            inner: Mutex::new(PoolInner {
-                // Reversed so `pop` hands out pid 0 first (cosmetic).
-                free: (0..capacity).rev().collect(),
-                queue: VecDeque::new(),
-            }),
-        }
-    }
-
-    /// Non-waiting checkout (`try_lock`).
-    fn try_checkout(&self) -> Option<Pid> {
-        self.inner.lock().unwrap().free.pop()
-    }
-
-    /// Checkout a pid now, or join the admission queue.
-    fn checkout_or_enqueue(&self, waker: &Waker) -> Result<Pid, Arc<PidTicket>> {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(pid) = inner.free.pop() {
-            return Ok(pid);
-        }
-        let ticket = Arc::new(PidTicket {
-            state: Mutex::new(TicketState::Waiting(Some(waker.clone()))),
-        });
-        inner.queue.push_back(Arc::clone(&ticket));
-        Err(ticket)
-    }
-
-    /// Return `pid` to the first live queued ticket (its waker fires
-    /// outside the pool lock), else to the free list.
-    fn release(&self, pid: Pid) {
-        let waker = {
-            let mut inner = self.inner.lock().unwrap();
-            let mut granted = None;
-            while let Some(ticket) = inner.queue.pop_front() {
-                let mut st = ticket.state.lock().unwrap();
-                match &mut *st {
-                    TicketState::Dead => continue,
-                    TicketState::Waiting(w) => {
-                        let w = w.take();
-                        *st = TicketState::Granted(pid);
-                        granted = Some(w);
-                        break;
-                    }
-                    TicketState::Granted(_) => {
-                        unreachable!("queued ticket already holds a pid")
-                    }
-                }
-            }
-            match granted {
-                Some(w) => w,
-                None => {
-                    inner.free.push(pid);
-                    None
-                }
-            }
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-
-    fn free_len(&self) -> usize {
-        self.inner.lock().unwrap().free.len()
-    }
-
-    fn queued(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .queue
-            .iter()
-            .filter(|t| matches!(*t.state.lock().unwrap(), TicketState::Waiting(_)))
-            .count()
-    }
-}
+use std::task::{Context, Poll};
 
 #[derive(Default)]
 struct StatsInner {
@@ -258,11 +124,10 @@ pub struct AsyncStats {
 /// aborts the attempt on the paper's bounded abort path. See the
 /// [module docs](self) for the design.
 ///
-/// Tasks need no per-thread registration (unlike [`AbortableMutex`]'s
-/// handles): process identities are checked out from an internal FIFO
-/// pool per attempt, so any number of tasks may share the mutex — at
-/// most `capacity` of them contend inside the lock at once, the rest
-/// queue for admission.
+/// Any number of tasks may share the mutex: each attempt checks a
+/// process identity out of the lock's FIFO admission, so at most
+/// `capacity` of them contend inside the lock at once and the rest queue
+/// for admission.
 ///
 /// ```
 /// use sal_runtime::executor::Executor;
@@ -281,21 +146,17 @@ pub struct AsyncStats {
 /// assert_eq!(*Arc::try_unwrap(m).unwrap().get_mut(), 100);
 /// ```
 pub struct AsyncAbortableMutex<T: ?Sized, P: Probe = NoProbe> {
-    pids: PidPool,
     stats: StatsInner,
     m: AbortableMutex<T, P>,
 }
 
 impl<T, P: Probe> AbortableMutexBuilder<T, P> {
     /// Build an [`AsyncAbortableMutex`] from this configuration (same
-    /// capacity / branching / wake-policy / probe knobs as
-    /// [`build`](Self::build)).
+    /// capacity / branching / probe knobs as [`build`](Self::build)).
     pub fn build_async(self) -> AsyncAbortableMutex<T, P> {
-        let m = self.build();
         AsyncAbortableMutex {
-            pids: PidPool::new(m.capacity()),
             stats: StatsInner::default(),
-            m,
+            m: self.build(),
         }
     }
 }
@@ -346,12 +207,12 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
     /// One near-immediate attempt, synchronously: `None` if the lock is
     /// held *or* all pids are checked out by in-flight futures.
     pub fn try_lock(&self) -> Option<AsyncMutexGuard<'_, T, P>> {
-        let pid = self.pids.try_checkout()?;
         let core = &self.m.core;
+        let pid = core.pids.try_take()?;
         if core.resolve_now(pid, &mut core.begin(pid)) {
             return Some(self.guard(pid));
         }
-        self.pids.release(pid);
+        core.pids.put(pid);
         None
     }
 
@@ -368,11 +229,6 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
     /// The attached probe sink.
     pub fn probe(&self) -> &P {
         self.m.probe()
-    }
-
-    /// The configured [`WakePolicy`](crate::WakePolicy).
-    pub fn wake_policy(&self) -> crate::WakePolicy {
-        self.m.wake_policy()
     }
 
     /// Tasks currently registered in a conditional wait.
@@ -394,20 +250,20 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
             pid_waits: self.stats.pid_waits.load(Ordering::Relaxed),
             cancelled_pending: self.stats.cancelled_pending.load(Ordering::Relaxed),
             pool_capacity: self.m.capacity(),
-            free_pids: self.pids.free_len(),
-            queued_tasks: self.pids.queued(),
+            free_pids: self.free_pids(),
+            queued_tasks: self.queued_tasks(),
         }
     }
 
     /// Pids in the free pool: [`capacity`](Self::capacity) when nothing
     /// is in flight (the leak check).
     pub fn free_pids(&self) -> usize {
-        self.pids.free_len()
+        self.m.core.pids.free()
     }
 
     /// Tasks queued for pid admission right now.
     pub fn queued_tasks(&self) -> usize {
-        self.pids.queued()
+        self.m.core.pids.queued()
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -433,7 +289,7 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
     /// Release the lock and return the pid to the pool.
     fn unlock(&self, pid: Pid) {
         self.m.core.release(pid, &self.m.data);
-        self.pids.release(pid);
+        self.m.core.pids.put(pid);
     }
 }
 
@@ -465,7 +321,7 @@ impl<T> From<T> for AsyncAbortableMutex<T> {
 /// lock released, or resolved.
 enum State {
     Fresh,
-    PidWait(Arc<PidTicket>),
+    PidWait(Ticket),
     Enter { pid: Pid, machine: EnterMachine },
     CondWait { pid: Pid },
     Done,
@@ -508,7 +364,7 @@ where
         let core = &mx.m.core;
         loop {
             match &mut self.st {
-                State::Fresh => match mx.pids.checkout_or_enqueue(cx.waker()) {
+                State::Fresh => match core.pids.take_or_queue(cx.waker()) {
                     Ok(pid) => self.st = mx.start_enter(pid),
                     Err(ticket) => {
                         mx.stats.pid_waits.fetch_add(1, Ordering::Relaxed);
@@ -516,7 +372,7 @@ where
                         return Poll::Pending;
                     }
                 },
-                State::PidWait(ticket) => match ticket.poll_granted(cx.waker()) {
+                State::PidWait(ticket) => match ticket.claim(cx.waker()) {
                     Some(pid) => self.st = mx.start_enter(pid),
                     None => return Poll::Pending,
                 },
@@ -554,7 +410,7 @@ where
                     core.disengage(pid);
                     self.st = State::Done;
                     if !core.settle(pid, step) {
-                        mx.pids.release(pid);
+                        core.pids.put(pid);
                         return Poll::Ready(Err(self.limit.reason()));
                     }
                     // Safety: we hold the lock, so the protected value is
@@ -623,14 +479,10 @@ impl<T: ?Sized, P: Probe, F, S, const I: bool> Drop for AcquireFuture<'_, T, P, 
         let core = &mx.m.core;
         match std::mem::replace(&mut self.st, State::Done) {
             State::Fresh | State::Done => {}
-            State::PidWait(ticket) => {
-                if let Some(pid) = ticket.cancel() {
-                    mx.pids.release(pid);
-                }
-            }
+            State::PidWait(ticket) => core.pids.cancel(ticket),
             State::CondWait { pid } => {
                 core.ccs.deregister(pid);
-                mx.pids.release(pid);
+                core.pids.put(pid);
             }
             State::Enter { pid, mut machine } => {
                 // Cancellation is the paper's abort: one poll with the
@@ -642,7 +494,7 @@ impl<T: ?Sized, P: Probe, F, S, const I: bool> Drop for AcquireFuture<'_, T, P, 
                 if core.resolve_now(pid, &mut machine) {
                     mx.unlock(pid);
                 } else {
-                    mx.pids.release(pid);
+                    core.pids.put(pid);
                 }
             }
         }

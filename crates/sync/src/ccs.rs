@@ -67,26 +67,13 @@ const MAX_SLOTS: usize = 1024;
 /// storage (sound by the protocol on `Slot::cond`).
 type StoredCond<T> = *const (dyn Predicate<T> + 'static);
 
-/// How unlocks treat registered waiters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WakePolicy {
-    /// Evaluate each registered condition under the lock at unlock and
-    /// wake only the satisfiable waiters (the default, and the point of
-    /// the design).
-    #[default]
-    Evaluate,
-    /// Wake every registered waiter on every unlock — the classic
-    /// broadcast condition variable, kept as the measured baseline
-    /// (`tests/ccs_api.rs` compares the wakeups per transition of the
-    /// two); behaviour is identical, only wakeup counts differ.
-    Broadcast,
-}
-
 /// Counters of the conditional-critical-section machinery, snapshot via
 /// [`AbortableMutex::ccs_stats`](crate::AbortableMutex::ccs_stats).
 ///
 /// The headline ratio is `wakeups / transitions`: satisfiable waiters
-/// per transition under evaluation, registered ones under broadcast.
+/// per transition. `evaluated` is exactly the number of wakeups a
+/// broadcast condition variable would have made over the same registry
+/// states, so `wakeups / evaluated` is the share a broadcast would keep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CcsStats {
     /// Wakes issued by unlockers.
@@ -94,14 +81,13 @@ pub struct CcsStats {
     /// Unlocks that scanned a non-empty registry (state transitions
     /// observable by waiters).
     pub transitions: u64,
-    /// Conditions evaluated by unlockers (0 under
-    /// [`WakePolicy::Broadcast`]).
+    /// Conditions evaluated by unlockers: one per registered waiter per
+    /// transition.
     pub evaluated: u64,
     /// Wait episodes taken by waiters.
     pub waits: u64,
     /// Wakeups that re-acquired the lock only to find their predicate
-    /// false again (spurious under `Evaluate` — another waiter consumed
-    /// the state first; pervasive under `Broadcast`).
+    /// false again (another waiter consumed the state first).
     pub futile_wakeups: u64,
 }
 
@@ -204,7 +190,6 @@ pub(crate) struct CcsRegistry<T: ?Sized> {
     /// the unlock fast path: zero means skip the scan entirely, so
     /// plain mutex traffic pays one load.
     waiting: AtomicUsize,
-    policy: WakePolicy,
     wakeups: AtomicU64,
     transitions: AtomicU64,
     evaluated: AtomicU64,
@@ -221,7 +206,7 @@ unsafe impl<T: ?Sized> Send for CcsRegistry<T> {}
 unsafe impl<T: ?Sized> Sync for CcsRegistry<T> {}
 
 impl<T: ?Sized> CcsRegistry<T> {
-    pub(crate) fn new(capacity: usize, policy: WakePolicy) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(
             capacity <= MAX_SLOTS,
             "CCS registry capacity {capacity} exceeds {MAX_SLOTS}"
@@ -229,17 +214,12 @@ impl<T: ?Sized> CcsRegistry<T> {
         CcsRegistry {
             slots: (0..capacity).map(|_| Slot::new()).collect(),
             waiting: AtomicUsize::new(0),
-            policy,
             wakeups: AtomicU64::new(0),
             transitions: AtomicU64::new(0),
             evaluated: AtomicU64::new(0),
             waits: AtomicU64::new(0),
             futile: AtomicU64::new(0),
         }
-    }
-
-    pub(crate) fn policy(&self) -> WakePolicy {
-        self.policy
     }
 
     /// Number of currently registered waiters.
@@ -332,45 +312,29 @@ impl<T: ?Sized> CcsRegistry<T> {
         self.transitions.fetch_add(1, Ordering::Relaxed);
         let mut set = WakeSet::new();
         for (i, slot) in self.slots.iter().enumerate() {
-            if i == skip {
+            if i == skip
+                || slot
+                    .state
+                    .compare_exchange(WAITING, EVALUATING, Ordering::Acquire, Ordering::Relaxed)
+                    .is_err()
+            {
                 continue;
             }
-            match self.policy {
-                WakePolicy::Broadcast => {
-                    if slot
-                        .state
-                        .compare_exchange(WAITING, NOTIFIED, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        set.add(i);
-                    }
-                }
-                WakePolicy::Evaluate => {
-                    if slot
-                        .state
-                        .compare_exchange(WAITING, EVALUATING, Ordering::Acquire, Ordering::Relaxed)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    let mut guard = EvalGuard {
-                        state: &slot.state,
-                        armed: true,
-                    };
-                    // Safety: the slot was WAITING, so the pointer is
-                    // registered and its waiter cannot leave while we
-                    // are EVALUATING.
-                    let cond = unsafe { &*(*slot.cond.get()).expect("WAITING slot has a cond") };
-                    let satisfied = cond.holds(data);
-                    self.evaluated.fetch_add(1, Ordering::Relaxed);
-                    guard.armed = false;
-                    if satisfied {
-                        slot.state.store(NOTIFIED, Ordering::Release);
-                        set.add(i);
-                    } else {
-                        slot.state.store(WAITING, Ordering::Release);
-                    }
-                }
+            let mut guard = EvalGuard {
+                state: &slot.state,
+                armed: true,
+            };
+            // Safety: the slot was WAITING, so the pointer is registered
+            // and its waiter cannot leave while we are EVALUATING.
+            let cond = unsafe { &*(*slot.cond.get()).expect("WAITING slot has a cond") };
+            let satisfied = cond.holds(data);
+            self.evaluated.fetch_add(1, Ordering::Relaxed);
+            guard.armed = false;
+            if satisfied {
+                slot.state.store(NOTIFIED, Ordering::Release);
+                set.add(i);
+            } else {
+                slot.state.store(WAITING, Ordering::Release);
             }
         }
         set

@@ -34,14 +34,20 @@
 //! while it is queued (the async module's "Deadline caveat").
 
 use crate::acquire::{Limit, Predicate};
-use crate::ccs::{CcsRegistry, RegistrationGuard, WakePolicy};
+use crate::ccs::{CcsRegistry, RegistrationGuard};
 use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::resume::{EnterMachine, EnterStep, Handoff, WaitKey};
 use sal_core::{AbortReason, Immediate};
 use sal_memory::{AbortSignal, MemoryBuilder, NeverAbort, Pid, RawMemory};
 use sal_obs::{probed, NoProbe, Probe};
 use std::cell::UnsafeCell;
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::task::{Wake, Waker};
+use std::thread::{self, Thread};
+use std::time::Instant;
 
 /// Enter-machine polls a blocked thread spins through before it parks.
 const SPIN_POLLS: u32 = 4096;
@@ -61,11 +67,171 @@ pub(crate) fn publish_code(key: WaitKey) -> u64 {
     }
 }
 
+/// Why a pid-admission lock can be unusable: a panic while it was held.
+const POISONED: &str = "pid admission poisoned by a panic";
+
+/// A caller queued for a pid: `Waiting` until a [`Pids::put`] grants it
+/// one (firing its waker), `Granted` until the caller claims it, and
+/// `Dead` once claimed or cancelled.
+enum Turn {
+    Waiting(Waker),
+    Granted(Pid),
+    Dead,
+}
+
+/// A queued caller's place in [`Pids`]'s admission queue.
+pub(crate) struct Ticket(Arc<Mutex<Turn>>);
+
+impl Ticket {
+    /// Take the granted pid if one arrived, else leave `waker` to be
+    /// fired by the grant.
+    pub(crate) fn claim(&self, waker: &Waker) -> Option<Pid> {
+        let mut turn = self.0.lock().expect(POISONED);
+        match &mut *turn {
+            Turn::Granted(pid) => {
+                let pid = *pid;
+                *turn = Turn::Dead;
+                Some(pid)
+            }
+            Turn::Waiting(w) => {
+                if !w.will_wake(waker) {
+                    *w = waker.clone();
+                }
+                None
+            }
+            Turn::Dead => unreachable!("pid ticket claimed after death"),
+        }
+    }
+}
+
+/// Wakes a thread parked for a pid.
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+/// The pid admission every surface checks its attempts in through: a
+/// free list plus a FIFO queue of tickets (module docs). Invariant: the
+/// free list and the live part of the queue are never both non-empty.
+pub(crate) struct Pids {
+    inner: Mutex<PidsInner>,
+}
+
+struct PidsInner {
+    free: Vec<Pid>,
+    queue: VecDeque<Arc<Mutex<Turn>>>,
+}
+
+impl Pids {
+    fn new(range: Range<Pid>) -> Self {
+        Pids {
+            inner: Mutex::new(PidsInner {
+                // Reversed so `pop` hands out the lowest pid first.
+                free: range.rev().collect(),
+                queue: VecDeque::new(),
+            }),
+        }
+    }
+
+    /// A free pid, without waiting.
+    pub(crate) fn try_take(&self) -> Option<Pid> {
+        self.inner.lock().expect(POISONED).free.pop()
+    }
+
+    /// A free pid, or a place in the queue whose grant fires `waker`.
+    pub(crate) fn take_or_queue(&self, waker: &Waker) -> Result<Pid, Ticket> {
+        let mut inner = self.inner.lock().expect(POISONED);
+        if let Some(pid) = inner.free.pop() {
+            return Ok(pid);
+        }
+        let turn = Arc::new(Mutex::new(Turn::Waiting(waker.clone())));
+        inner.queue.push_back(Arc::clone(&turn));
+        Err(Ticket(turn))
+    }
+
+    /// A pid for a blocked thread, parking under `limit`; `None` once it
+    /// expired.
+    pub(crate) fn take<S: AbortSignal>(&self, limit: &Limit<S>) -> Option<Pid> {
+        if let Some(pid) = self.try_take() {
+            return Some(pid);
+        }
+        if limit.is_set() {
+            return None;
+        }
+        let waker = Waker::from(Arc::new(Unpark(thread::current())));
+        let ticket = match self.take_or_queue(&waker) {
+            Ok(pid) => return Some(pid),
+            Err(ticket) => ticket,
+        };
+        loop {
+            if let Some(pid) = ticket.claim(&waker) {
+                return Some(pid);
+            }
+            if limit.is_set() {
+                self.cancel(ticket);
+                return None;
+            }
+            match limit.recheck_at() {
+                None => thread::park(),
+                Some(t) => thread::park_timeout(t.saturating_duration_since(Instant::now())),
+            }
+        }
+    }
+
+    /// Leave the queue, putting back a pid granted in the race.
+    pub(crate) fn cancel(&self, ticket: Ticket) {
+        let turn = std::mem::replace(&mut *ticket.0.lock().expect(POISONED), Turn::Dead);
+        if let Turn::Granted(pid) = turn {
+            self.put(pid);
+        }
+    }
+
+    /// Give `pid` back: to the oldest live ticket (its waker fires
+    /// outside the lock), else to the free list.
+    pub(crate) fn put(&self, pid: Pid) {
+        let waker = {
+            let mut inner = self.inner.lock().expect(POISONED);
+            loop {
+                let Some(turn) = inner.queue.pop_front() else {
+                    inner.free.push(pid);
+                    return;
+                };
+                // A queued turn is waiting or dead (cancelled).
+                let mut turn = turn.lock().expect(POISONED);
+                match std::mem::replace(&mut *turn, Turn::Granted(pid)) {
+                    Turn::Waiting(w) => break w,
+                    _ => *turn = Turn::Dead,
+                }
+            }
+        };
+        waker.wake();
+    }
+
+    /// Pids on the free list.
+    pub(crate) fn free(&self) -> usize {
+        self.inner.lock().expect(POISONED).free.len()
+    }
+
+    /// Callers queued for a pid.
+    pub(crate) fn queued(&self) -> usize {
+        let inner = self.inner.lock().expect(POISONED);
+        let waiting =
+            |s: &&Arc<Mutex<Turn>>| matches!(*s.lock().expect(POISONED), Turn::Waiting(_));
+        inner.queue.iter().filter(waiting).count()
+    }
+}
+
 /// The shared lock core; see the module docs.
 pub(crate) struct Core<T: ?Sized, P: Probe = NoProbe> {
     pub(crate) mem: RawMemory,
     pub(crate) lock: BoundedLongLivedLock,
     pub(crate) ccs: CcsRegistry<T>,
+    /// The pids attempts check out: `0..capacity`, or `1..capacity` in
+    /// an arena core, whose pid 0 is the promotion proxy.
+    pub(crate) pids: Pids,
     /// Engaged enter waiters; handoffs skip the slot scan at zero.
     parked: AtomicUsize,
     /// Wakers fired by handoffs (the async driver's counters).
@@ -75,13 +241,15 @@ pub(crate) struct Core<T: ?Sized, P: Probe = NoProbe> {
 }
 
 impl<T: ?Sized, P: Probe> Core<T, P> {
-    pub(crate) fn new(capacity: usize, branching: usize, policy: WakePolicy, probe: P) -> Self {
+    /// A core for `capacity` pids whose attempts check out `admitted`.
+    pub(crate) fn new(capacity: usize, branching: usize, admitted: Range<Pid>, probe: P) -> Self {
         let mut b = MemoryBuilder::new();
         let lock = BoundedLongLivedLock::layout(&mut b, capacity, branching);
         Core {
             mem: b.build_raw(capacity),
             lock,
-            ccs: CcsRegistry::new(capacity, policy),
+            ccs: CcsRegistry::new(capacity),
+            pids: Pids::new(admitted),
             parked: AtomicUsize::new(0),
             enter_wakeups: AtomicU64::new(0),
             futile_enter_wakeups: AtomicU64::new(0),

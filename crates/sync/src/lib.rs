@@ -22,7 +22,9 @@
 //! lock core: a blocked thread spins on the enter machine, then parks; a
 //! task leaves its waker. Each unlock evaluates registered predicates
 //! under the lock and wakes only the waiters whose condition holds
-//! ([`ccs`]; [`WakePolicy::Broadcast`] is the measured baseline).
+//! ([`ccs`]). Each attempt checks a process id out of the core for its
+//! own duration, and the guard gives it back, so handles are free and
+//! `capacity` bounds the attempts in flight.
 //!
 //! ```
 //! use sal_sync::{AbortableMutex, Acquire};
@@ -77,18 +79,17 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 pub use acquire::{Acquire, Always, Predicate};
 pub use arena::{Arena, ArenaBuilder, ArenaGuard, ArenaStats};
 pub use async_mutex::{AcquireFuture, AsyncAbortableMutex, AsyncMutexGuard, AsyncStats};
-pub use ccs::{CcsStats, WakePolicy};
+pub use ccs::CcsStats;
 pub use sal_core::abort::{AbortReason, Immediate};
 pub use sal_memory::AbortFlag;
 
-/// Default thread capacity of [`AbortableMutex::new`] and
-/// [`AbortableMutex::builder`].
+/// Default capacity (concurrent attempts) of [`AbortableMutex::new`]
+/// and [`AbortableMutex::builder`].
 pub const DEFAULT_CAPACITY: usize = 64;
 
 /// Default branching factor of the underlying `W`-ary tree.
@@ -109,16 +110,18 @@ pub struct AbortableMutexBuilder<T, P: Probe = NoProbe> {
     value: T,
     capacity: usize,
     branching: usize,
-    wake_policy: WakePolicy,
     probe: P,
 }
 
 impl<T, P: Probe> AbortableMutexBuilder<T, P> {
-    /// Maximum number of registered threads (`1 ..= 1022`). Space is
-    /// `O(capacity²)` words, per Claim 28. Defaults to
-    /// [`DEFAULT_CAPACITY`].
-    pub fn capacity(mut self, threads: usize) -> Self {
-        self.capacity = threads;
+    /// Maximum number of concurrent attempts (`1 ..= 1022`): each one
+    /// holds one of the lock's process ids until it fails or its guard
+    /// drops, and further attempts wait for one under their limit. A
+    /// conditional waiter keeps its id while it waits, so leave room for
+    /// the attempt that will satisfy it. Space is `O(capacity²)` words,
+    /// per Claim 28. Defaults to [`DEFAULT_CAPACITY`].
+    pub fn capacity(mut self, attempts: usize) -> Self {
+        self.capacity = attempts;
         self
     }
 
@@ -127,14 +130,6 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
     /// word-width choice for realistic `N`.
     pub fn branching(mut self, w: usize) -> Self {
         self.branching = w;
-        self
-    }
-
-    /// How unlocks treat conditional waiters: [`WakePolicy::Evaluate`]
-    /// (the default — wake only satisfiable waiters) or
-    /// [`WakePolicy::Broadcast`] (wake everyone; the measured baseline).
-    pub fn wake_policy(mut self, policy: WakePolicy) -> Self {
-        self.wake_policy = policy;
         self
     }
 
@@ -147,7 +142,6 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
             value: self.value,
             capacity: self.capacity,
             branching: self.branching,
-            wake_policy: self.wake_policy,
             probe,
         }
     }
@@ -160,8 +154,7 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
     /// limit (1022), or if the branching factor is out of `2 ..= 64`.
     pub fn build(self) -> AbortableMutex<T, P> {
         AbortableMutex {
-            core: Core::new(self.capacity, self.branching, self.wake_policy, self.probe),
-            next_pid: AtomicUsize::new(0),
+            core: Core::new(self.capacity, self.branching, 0..self.capacity, self.probe),
             data: UnsafeCell::new(self.value),
         }
     }
@@ -171,15 +164,15 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
 /// acquisition, built on the PODC'18 sublogarithmic-RMR abortable lock.
 ///
 /// Unlike `std::sync::Mutex`, threads interact through per-thread
-/// [`MutexHandle`]s (the algorithm needs stable process identities);
-/// obtain one per thread with [`handle`](Self::handle).
+/// [`MutexHandle`]s; obtain one per thread with [`handle`](Self::handle).
+/// Each attempt checks one of the lock's `capacity` process ids out for
+/// its duration; attempts beyond the capacity wait for one.
 ///
 /// The second type parameter is the attached [`Probe`] sink; the default
 /// [`NoProbe`] compiles to the uninstrumented fast path. Configure with
 /// [`builder`](Self::builder).
 pub struct AbortableMutex<T: ?Sized, P: Probe = NoProbe> {
     pub(crate) core: Core<T, P>,
-    next_pid: AtomicUsize,
     pub(crate) data: UnsafeCell<T>,
 }
 
@@ -197,7 +190,6 @@ impl<T> AbortableMutex<T> {
             value,
             capacity: DEFAULT_CAPACITY,
             branching: DEFAULT_BRANCHING,
-            wake_policy: WakePolicy::default(),
             probe: NoProbe,
         }
     }
@@ -220,20 +212,10 @@ impl<T, P: Probe> AbortableMutex<T, P> {
 }
 
 impl<T: ?Sized, P: Probe> AbortableMutex<T, P> {
-    /// Register the calling context and get a handle. Each handle owns
-    /// one of the `capacity` process slots for the mutex's lifetime.
-    ///
-    /// # Panics
-    ///
-    /// Panics when more handles are requested than the capacity allows.
+    /// A handle for the calling thread. Handles are free: each attempt
+    /// through one checks a process id out for its own duration.
     pub fn handle(&self) -> MutexHandle<'_, T, P> {
-        let pid = self.next_pid.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            pid < self.capacity(),
-            "AbortableMutex capacity ({}) exceeded; build with a larger capacity",
-            self.capacity()
-        );
-        MutexHandle { mutex: self, pid }
+        MutexHandle { mutex: self }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -241,7 +223,7 @@ impl<T: ?Sized, P: Probe> AbortableMutex<T, P> {
         self.data.get_mut()
     }
 
-    /// Number of threads this mutex can register.
+    /// Number of attempts that can be in flight at once.
     pub fn capacity(&self) -> usize {
         self.core.lock.capacity()
     }
@@ -255,11 +237,6 @@ impl<T: ?Sized, P: Probe> AbortableMutex<T, P> {
     /// The attached probe sink.
     pub fn probe(&self) -> &P {
         &self.core.probe
-    }
-
-    /// The configured [`WakePolicy`] for conditional waiters.
-    pub fn wake_policy(&self) -> WakePolicy {
-        self.core.ccs.policy()
     }
 
     /// Number of waiters currently registered in a conditional wait
@@ -279,7 +256,7 @@ impl<T: fmt::Debug, P: Probe> fmt::Debug for AbortableMutex<T, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AbortableMutex")
             .field("capacity", &self.capacity())
-            .field("registered", &self.next_pid.load(Ordering::Relaxed))
+            .field("free_pids", &self.core.pids.free())
             .finish_non_exhaustive()
     }
 }
@@ -302,30 +279,23 @@ impl<T> From<T> for AbortableMutex<T> {
 /// acquisition through the same handle.
 pub struct MutexHandle<'m, T: ?Sized, P: Probe = NoProbe> {
     mutex: &'m AbortableMutex<T, P>,
-    pid: Pid,
 }
 
 impl<T: ?Sized, P: Probe> fmt::Debug for MutexHandle<'_, T, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutexHandle")
-            .field("pid", &self.pid)
-            .finish()
+        f.debug_struct("MutexHandle").finish_non_exhaustive()
     }
 }
 
 impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
-    /// The process slot this handle occupies (diagnostic).
-    pub fn pid(&self) -> Pid {
-        self.pid
-    }
-
-    /// Execute `req`: acquire the lock and, for a
+    /// Execute `req`: check a process id out (parking while all
+    /// `capacity` are in use), acquire the lock and, for a
     /// [`when`](Acquire::when) request, wait until the predicate holds
     /// under it. A blocked thread spins on the enter machine, then
     /// parks; unlocks wake it. On `Err` (the limit's [`AbortReason`])
-    /// the lock is not held. A limit firing after the lock was handed
-    /// over does not retract the acquisition (the paper's `Enter`
-    /// semantics).
+    /// the lock is not held and the id is back. A limit firing after
+    /// the lock was handed over does not retract the acquisition (the
+    /// paper's `Enter` semantics).
     pub fn acquire<F, S>(
         &mut self,
         req: Acquire<F, S>,
@@ -334,12 +304,18 @@ impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
         F: Predicate<T>,
         S: AbortSignal,
     {
-        let m = self.mutex;
-        m.core.enter(self.pid, &req.limit)?;
-        m.core
-            .hold_when(self.pid, &m.data, &req.pred, &req.limit, false)?;
+        let (m, limit) = (self.mutex, &req.limit);
+        let core = &m.core;
+        let pid = core.pids.take(limit).ok_or_else(|| limit.reason())?;
+        let entered = core.enter(pid, limit);
+        if let Err(r) = entered.and_then(|()| core.hold_when(pid, &m.data, &req.pred, limit, false))
+        {
+            core.pids.put(pid);
+            return Err(r);
+        }
         Ok(MutexGuard {
             handle: self,
+            pid,
             _marker: PhantomData,
         })
     }
@@ -364,13 +340,15 @@ impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
     }
 }
 
-/// RAII guard: the lock is held while the guard lives, released on drop.
+/// RAII guard: the lock is held while the guard lives, released on drop,
+/// which also gives the attempt's process id back.
 ///
 /// Like `std::sync::MutexGuard`: `Sync` only when `T: Sync` (sharing
 /// `&MutexGuard` hands out `&T` across threads), and not `Send` (the
 /// guard releases through the per-thread handle it borrows).
 pub struct MutexGuard<'h, 'm, T: ?Sized, P: Probe = NoProbe> {
     handle: &'h mut MutexHandle<'m, T, P>,
+    pid: Pid,
     /// Suppresses the auto `Send`/`Sync` impls, which would otherwise be
     /// derived from the handle reference and wrongly make the guard
     /// `Sync` for any `T: Send` (unsound for `T = Cell<_>` etc.).
@@ -408,15 +386,17 @@ impl<T: ?Sized, P: Probe> MutexGuard<'_, '_, T, P> {
         F: Predicate<T>,
         S: AbortSignal,
     {
-        let (m, pid) = (self.handle.mutex, self.handle.pid);
-        m.core.hold_when(pid, &m.data, &req.pred, &req.limit, true)
+        let m = self.handle.mutex;
+        m.core
+            .hold_when(self.pid, &m.data, &req.pred, &req.limit, true)
     }
 }
 
 impl<T: ?Sized, P: Probe> Drop for MutexGuard<'_, '_, T, P> {
     fn drop(&mut self) {
         let m = self.handle.mutex;
-        m.core.release(self.handle.pid, &m.data);
+        m.core.release(self.pid, &m.data);
+        m.core.pids.put(self.pid);
     }
 }
 
@@ -429,6 +409,7 @@ impl<T: ?Sized + fmt::Debug, P: Probe> fmt::Debug for MutexGuard<'_, '_, T, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -476,7 +457,6 @@ mod tests {
 
     #[test]
     fn flag_cancellation_unblocks_a_waiter() {
-        use std::sync::atomic::{AtomicBool, Ordering};
         let m = Arc::new(AbortableMutex::builder(0u32).capacity(2).build());
         let flag = AbortFlag::new();
         let waiting = Arc::new(AtomicBool::new(false));
@@ -515,11 +495,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity")]
-    fn over_registration_panics() {
+    fn a_dropped_handle_returns_its_pid() {
+        let m = AbortableMutex::builder(0u64).capacity(1).build();
+        for _ in 0..3 {
+            *m.handle().lock() += 1;
+        }
+        assert_eq!(m.into_inner(), 3);
+    }
+
+    #[test]
+    fn an_attempt_past_capacity_waits_for_a_pid_under_its_limit() {
         let m = AbortableMutex::builder(()).capacity(1).build();
-        let _a = m.handle();
-        let _b = m.handle();
+        let mut a = m.handle();
+        let mut b = m.handle();
+        let g = a.lock();
+        assert!(b.try_lock().is_none());
+        let r = b.acquire(Acquire::new().within(Duration::from_millis(5)));
+        assert_eq!(r.err(), Some(AbortReason::Deadline));
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                drop(m.handle().lock());
+                done.store(true, Ordering::SeqCst);
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!done.load(Ordering::SeqCst), "finished without a pid");
+            drop(g);
+        });
+        assert!(done.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -23,8 +23,8 @@ fn patience() -> Acquire {
 }
 
 fn main() {
-    let account_a = Arc::new(AbortableMutex::builder(1_000i64).capacity(3).build());
-    let account_b = Arc::new(AbortableMutex::builder(1_000i64).capacity(3).build());
+    let account_a = Arc::new(AbortableMutex::builder(1_000i64).capacity(2).build());
+    let account_b = Arc::new(AbortableMutex::builder(1_000i64).capacity(2).build());
     let deadlocks_broken = Arc::new(AtomicUsize::new(0));
 
     let agents: Vec<_> = (0..2)

@@ -32,7 +32,7 @@ fn main() {
             .map(|id| Chunk {
                 id,
                 mutex: AbortableMutex::builder(UNITS_PER_CHUNK)
-                    .capacity(WORKERS + 1)
+                    .capacity(WORKERS)
                     .build(),
             })
             .collect(),
@@ -46,7 +46,7 @@ fn main() {
             let remaining = Arc::clone(&remaining);
             let steals = Arc::clone(&steals);
             std::thread::spawn(move || {
-                // Each worker pre-registers one handle per chunk.
+                // One handle per chunk; handles are free.
                 let mut handles: Vec<_> = chunks.iter().map(|c| c.mutex.handle()).collect();
                 let mut cursor = w; // start at different chunks
                 let mut done_units = 0usize;

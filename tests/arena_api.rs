@@ -11,10 +11,10 @@
 //! scheduler config and `SAL_LEASE=1`.
 
 use sal_runtime::SmallRng;
-use sal_sync::{AbortFlag, Acquire, Arena};
+use sal_sync::{AbortFlag, AbortReason, Acquire, Arena};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::Barrier;
+use std::sync::{mpsc, Barrier};
 use std::time::{Duration, Instant};
 
 /// Hot-key churn: all threads hammer a handful of keys, forcing
@@ -257,4 +257,48 @@ fn lock_when_deadlines_expire_cleanly() {
         .acquire(&10, within(500))
         .expect("predicate already true");
     assert_eq!(*g, 42);
+}
+
+/// Threads past a core's capacity wait for a pid under their limit.
+/// `core_capacity(2)` admits one pid (pid 0 is the promotion proxy). A
+/// holds the key inline; B arrives, so the key materializes, and B takes
+/// the one pid, queues behind A's proxied hold and then holds the lock
+/// in the core. C's deadline expires while it waits for the pid, and
+/// D's plain lock waits for it until B lets go.
+#[test]
+fn threads_past_the_core_capacity_wait_for_a_pid() {
+    let arena: Arena<u8, u64> = Arena::builder().core_capacity(2).build();
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        let arena = &arena;
+        let mut a = arena.lock(&0);
+        *a += 1;
+        s.spawn(move || {
+            let mut b = arena.lock(&0);
+            *b += 1;
+            held_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        while arena.stats().promotions == 0 {
+            std::thread::yield_now();
+        }
+        // Let B take the pid and queue before the lock is handed to it.
+        std::thread::sleep(Duration::from_millis(20));
+        drop(a);
+        held_rx.recv().unwrap();
+        let c = arena.acquire(&0, Acquire::new().within(Duration::from_millis(5)));
+        assert_eq!(c.err(), Some(AbortReason::Deadline));
+        let d = s.spawn(move || {
+            let mut d = arena.lock(&0);
+            *d += 1;
+            *d
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!d.is_finished(), "D entered without a pid");
+        release_tx.send(()).unwrap();
+        assert_eq!(d.join().unwrap(), 3, "D entered after A and B");
+    });
+    assert_eq!(arena.stats().resident_cores, 0);
+    assert_eq!(*arena.lock(&0), 3, "one increment per entered passage");
 }

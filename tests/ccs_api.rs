@@ -1,13 +1,11 @@
 //! Conditional-critical-section API tests: `when` requests and
 //! `await_when` on real OS threads — lost-wakeup freedom, unlock-side
-//! evaluation, deregistration hygiene, the broadcast baseline's
-//! equivalence and its extra wakeups, and two scenarios with
+//! evaluation and the wakeups it saves over a broadcast,
+//! deregistration hygiene, and two scenarios with
 //! deadline-first waits mixed in (a bounded queue and a generation
 //! barrier).
 
-use sal_sync::{
-    AbortFlag, AbortReason, AbortableMutex, Acquire, CcsStats, MutexHandle, WakePolicy,
-};
+use sal_sync::{AbortFlag, AbortReason, AbortableMutex, Acquire, CcsStats, MutexHandle};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -54,12 +52,11 @@ fn lock_when_blocks_until_another_thread_satisfies_it() {
 /// Per-waiter conditions: each consumer waits for its own mailbox slot;
 /// the producer fills them one at a time. Nothing is lost even though
 /// every wakeup is only a hint. Returns the mutex's CCS counters.
-fn mailbox_roundtrip(policy: WakePolicy) -> CcsStats {
+fn mailbox_roundtrip() -> CcsStats {
     const CONSUMERS: usize = 4;
     const ITEMS_EACH: usize = 50;
     let m = AbortableMutex::builder(vec![0u64; CONSUMERS])
         .capacity(CONSUMERS + 1)
-        .wake_policy(policy)
         .build();
     let consumed = AtomicU64::new(0);
     std::thread::scope(|s| {
@@ -95,32 +92,28 @@ fn mailbox_roundtrip(policy: WakePolicy) -> CcsStats {
         "unlocks with waiters must be counted"
     );
     assert!(stats.wakeups > 0, "parked waiters must have been woken");
-    if policy == WakePolicy::Evaluate {
-        assert!(stats.evaluated > 0, "evaluate policy must run conditions");
-    } else {
-        assert_eq!(stats.evaluated, 0, "broadcast never evaluates conditions");
-    }
+    assert!(stats.evaluated > 0, "unlocks must run the conditions");
     stats
 }
 
 #[test]
 fn mailbox_fanout_under_evaluation() {
-    mailbox_roundtrip(WakePolicy::Evaluate);
+    mailbox_roundtrip();
 }
 
-/// Broadcast is as correct as evaluation, only noisier: a deposit
-/// satisfies exactly its addressee, so evaluation wakes that one
-/// consumer where broadcast wakes every parked one. Evaluate's wakeups
-/// per state transition is strictly below Broadcast's on the same
-/// mailbox workload.
+/// A deposit satisfies exactly its addressee, so evaluation wakes that
+/// one consumer where a broadcast would wake every registered one.
+/// `evaluated` counts one condition per registered waiter per
+/// transition, i.e. exactly the wakeups a broadcast over the same
+/// registry states would make: evaluation wakes strictly fewer.
 #[test]
-fn broadcast_policy_is_equivalent_just_noisier() {
-    let per_transition = |s: CcsStats| s.wakeups as f64 / s.transitions as f64;
-    let broadcast = per_transition(mailbox_roundtrip(WakePolicy::Broadcast));
-    let evaluate = per_transition(mailbox_roundtrip(WakePolicy::Evaluate));
+fn mailbox_fanout_wakes_fewer_than_a_broadcast_would() {
+    let s = mailbox_roundtrip();
     assert!(
-        evaluate < broadcast,
-        "wakeups/transition: evaluate {evaluate:.3} vs broadcast {broadcast:.3}"
+        s.wakeups < s.evaluated,
+        "wakeups {} vs a broadcast's {}",
+        s.wakeups,
+        s.evaluated
     );
 }
 
@@ -170,110 +163,103 @@ struct Bq {
 
 /// Conditions on both sides of one capacity-4 queue: producers wait
 /// for space, consumers for an item. Nothing is lost or duplicated
-/// and the queue drains, under either policy and with deadline-first
-/// waits mixed in.
+/// and the queue drains, with deadline-first waits mixed in.
 #[test]
 fn bounded_queue_with_waits_on_both_sides_loses_nothing() {
     const CAP: usize = 4;
     const PRODUCERS: usize = 2;
     const CONSUMERS: usize = 2;
     const ITEMS_EACH: usize = 200;
-    for policy in [WakePolicy::Evaluate, WakePolicy::Broadcast] {
-        let m = AbortableMutex::builder(Bq::default())
-            .capacity(PRODUCERS + CONSUMERS)
-            .wake_policy(policy)
-            .build();
-        std::thread::scope(|s| {
-            for p in 0..PRODUCERS {
-                let mut h = m.handle();
-                s.spawn(move || {
-                    for i in 0..ITEMS_EACH {
-                        let v = (p * ITEMS_EACH + i) as u64;
-                        let space = |b: &Bq| b.q.len() < CAP;
-                        when_then(&mut h, space, i + 1, |b| {
-                            assert!(b.q.len() < CAP, "overfull on entry");
-                            b.q.push_back(v);
-                            b.pushed += 1;
-                            b.sum_pushed += v;
-                        });
+    let m = AbortableMutex::builder(Bq::default())
+        .capacity(PRODUCERS + CONSUMERS)
+        .build();
+    std::thread::scope(|s| {
+        for p in 0..PRODUCERS {
+            let mut h = m.handle();
+            s.spawn(move || {
+                for i in 0..ITEMS_EACH {
+                    let v = (p * ITEMS_EACH + i) as u64;
+                    let space = |b: &Bq| b.q.len() < CAP;
+                    when_then(&mut h, space, i + 1, |b| {
+                        assert!(b.q.len() < CAP, "overfull on entry");
+                        b.q.push_back(v);
+                        b.pushed += 1;
+                        b.sum_pushed += v;
+                    });
+                }
+                h.lock().producers_done += 1;
+            });
+        }
+        for _ in 0..CONSUMERS {
+            let mut h = m.handle();
+            s.spawn(move || {
+                let ready = |b: &Bq| !b.q.is_empty() || b.producers_done == PRODUCERS;
+                for wait in 1.. {
+                    let popped = when_then(&mut h, ready, wait, |b| {
+                        let v = b.q.pop_front()?;
+                        b.popped += 1;
+                        b.sum_popped += v;
+                        Some(v)
+                    });
+                    if popped.is_none() {
+                        break;
                     }
-                    h.lock().producers_done += 1;
-                });
-            }
-            for _ in 0..CONSUMERS {
-                let mut h = m.handle();
-                s.spawn(move || {
-                    let ready = |b: &Bq| !b.q.is_empty() || b.producers_done == PRODUCERS;
-                    for wait in 1.. {
-                        let popped = when_then(&mut h, ready, wait, |b| {
-                            let v = b.q.pop_front()?;
-                            b.popped += 1;
-                            b.sum_popped += v;
-                            Some(v)
-                        });
-                        if popped.is_none() {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(m.waiters(), 0, "{policy:?}");
-        let b = m.into_inner();
-        let total = (PRODUCERS * ITEMS_EACH) as u64;
-        assert_eq!(b.pushed, total, "{policy:?}: lost push");
-        assert_eq!(b.popped, total, "{policy:?}: lost or duplicated pop");
-        assert_eq!(b.sum_pushed, b.sum_popped, "{policy:?}: value corruption");
-        assert!(b.q.is_empty(), "{policy:?}: undrained queue");
-    }
+                }
+            });
+        }
+    });
+    assert_eq!(m.waiters(), 0);
+    let b = m.into_inner();
+    let total = (PRODUCERS * ITEMS_EACH) as u64;
+    assert_eq!(b.pushed, total, "lost push");
+    assert_eq!(b.popped, total, "lost or duplicated pop");
+    assert_eq!(b.sum_pushed, b.sum_popped, "value corruption");
+    assert!(b.q.is_empty(), "undrained queue");
 }
 
 /// A generation barrier: the last arrival of a round bumps the
 /// generation, everyone else re-waits for it *while holding* the guard
 /// (`await_when`). Every round completes and nobody is left behind,
-/// under either policy and with deadline-first re-waits mixed in.
+/// with deadline-first re-waits mixed in.
 #[test]
 fn generation_barrier_rewaiting_under_the_guard_completes_every_round() {
     const THREADS: usize = 4;
     const ROUNDS: usize = 100;
-    for policy in [WakePolicy::Evaluate, WakePolicy::Broadcast] {
-        // (generation, arrivals in the current round)
-        let m = AbortableMutex::builder((0u64, 0usize))
-            .capacity(THREADS)
-            .wake_policy(policy)
-            .build();
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                let mut h = m.handle();
-                s.spawn(move || {
-                    for round in 1..=ROUNDS {
-                        let mut g = h.lock();
-                        let gen = g.0;
-                        g.1 += 1;
-                        if g.1 == THREADS {
-                            *g = (gen + 1, 0);
-                            continue;
-                        }
-                        let next = Acquire::new().when(move |b: &(u64, usize)| b.0 != gen);
-                        if round.is_multiple_of(DEADLINE_FIRST_EVERY) {
-                            if let Err(reason) = g.await_when(next.clone().within(SHORT_WAIT)) {
-                                assert_eq!(reason, AbortReason::Deadline);
-                                g.await_when(next).unwrap();
-                            }
-                        } else {
+    // (generation, arrivals in the current round)
+    let m = AbortableMutex::builder((0u64, 0usize))
+        .capacity(THREADS)
+        .build();
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            let mut h = m.handle();
+            s.spawn(move || {
+                for round in 1..=ROUNDS {
+                    let mut g = h.lock();
+                    let gen = g.0;
+                    g.1 += 1;
+                    if g.1 == THREADS {
+                        *g = (gen + 1, 0);
+                        continue;
+                    }
+                    let next = Acquire::new().when(move |b: &(u64, usize)| b.0 != gen);
+                    if round.is_multiple_of(DEADLINE_FIRST_EVERY) {
+                        if let Err(reason) = g.await_when(next.clone().within(SHORT_WAIT)) {
+                            assert_eq!(reason, AbortReason::Deadline);
                             g.await_when(next).unwrap();
                         }
+                    } else {
+                        g.await_when(next).unwrap();
                     }
-                });
-            }
-        });
-        assert_eq!(m.waiters(), 0, "{policy:?}");
-        assert_eq!(
-            m.into_inner(),
-            (ROUNDS as u64, 0),
-            "{policy:?}: rounds lost or stragglers left behind"
-        );
-    }
+                }
+            });
+        }
+    });
+    assert_eq!(m.waiters(), 0);
+    assert_eq!(
+        m.into_inner(),
+        (ROUNDS as u64, 0),
+        "rounds lost or stragglers left behind"
+    );
 }
 
 #[test]
@@ -404,11 +390,7 @@ fn single_item_many_waiters_loses_nothing() {
 
 #[test]
 fn wait_stats_accumulate_and_expose_futility() {
-    let m = AbortableMutex::builder(0u64)
-        .capacity(2)
-        .wake_policy(WakePolicy::Evaluate)
-        .build();
-    assert_eq!(m.wake_policy(), WakePolicy::Evaluate);
+    let m = AbortableMutex::builder(0u64).capacity(2).build();
     let mut a = m.handle();
     let mut b = m.handle();
     std::thread::scope(|s| {
