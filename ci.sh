@@ -26,8 +26,10 @@ done
 # one. Rerun the wake-sensitive tests 20 times each from the test
 # binaries just built: the deadline storm, the limit-under-traffic,
 # epoch-transition and wake-precision tests, the deadline_locking
-# suite, and the two pid-wait tests (a pid grant is a wake too). About
-# 20 s on a 2-vCPU VM.
+# suite, the three pid-wait tests (a pid grant is a wake too), and the
+# conditional-wait tests where capacity-many waiters give their pids
+# back to the attempt that wakes them (one per surface, plus the async
+# pipeline). About 20 s on a 2-vCPU VM.
 test_binary() {
     cargo test --release --no-run "$@" 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p'
 }
@@ -46,9 +48,14 @@ for _ in $(seq 20); do
     run_tests "$sync_lib" -q --exact async_mutex::tests::a_deadline_is_honoured_under_traffic \
         async_mutex::tests::an_abort_signal_is_honoured_under_traffic \
         async_mutex::tests::a_poll_across_the_epoch_wait_publishes_each_key \
-        tests::an_attempt_past_capacity_waits_for_a_pid_under_its_limit
+        async_mutex::tests::a_limit_expiring_while_queued_for_a_pid_resolves_the_future \
+        async_mutex::tests::capacity_many_cond_waiters_leave_every_pid_free \
+        arena::tests::a_cond_waiter_leaves_the_pid_to_the_producer \
+        tests::an_attempt_past_capacity_waits_for_a_pid_under_its_limit \
+        tests::capacity_many_cond_waiters_leave_the_producer_a_pid
     run_tests "$arena_api" -q --exact threads_past_the_core_capacity_wait_for_a_pid
-    run_tests "$async_mutex" -q --exact handoff_wakes_track_entered_passages
+    run_tests "$async_mutex" -q --exact handoff_wakes_track_entered_passages \
+        async_lock_when_pipeline
     run_tests "$deadline_locking" -q
 done
 
@@ -61,22 +68,17 @@ done
 #   every step-lease cap. `lease_determinism` sweeps caps internally;
 #   these runs also pin the *ambient* default (harness literals, sweep
 #   defaults) to the legacy per-step gate and to a capped gate, on the
-#   lease suite and on every suite that drives the simulator or the
-#   real-thread surfaces through it: conditional critical sections,
-#   the async mutex and its cancellation, the keyed arena (model-checked
-#   protocol, public surface, sal-sync unit tests), guided schedule
-#   search (DPOR and best-first agree with BFS), and amortized RMR
-#   accounting with the Jayanti–Jayanti debt ledger.
+#   lease suite and on every suite that drives the simulator: the keyed
+#   arena's model-checked protocol, guided schedule search (DPOR and
+#   best-first agree with BFS), and amortized RMR accounting with the
+#   Jayanti–Jayanti debt ledger.
 while read -r assignment args; do
     env "$assignment" cargo test --release -q $args < /dev/null
 done <<'EOF'
 SAL_JOBS=2   -p sal-bench --test parallel_determinism
 SAL_LEASE=1  -p sal-bench --test lease_determinism
 SAL_LEASE=64 -p sal-bench --test lease_determinism
-SAL_LEASE=1  -p sal-bench --test ccs_api
-SAL_LEASE=1  -p sal-bench --test async_mutex --test async_cancellation
-SAL_LEASE=1  -p sal-bench --test arena_protocol --test arena_api
-SAL_LEASE=1  -p sal-sync arena
+SAL_LEASE=1  -p sal-bench --test arena_protocol
 SAL_LEASE=1  -p sal-bench --test systematic_exploration --test guided_search
 SAL_LEASE=1  -p sal-bench --test amortized_accounting --test rmr_bounds
 EOF

@@ -17,7 +17,7 @@
 //! * **Bounded materialization.** Only a key that *observes contention*
 //!   (a second arrival while held, or a conditional waiter that must
 //!   block) promotes to a real lock core — the paper's bounded
-//!   long-lived abortable lock plus its per-pid slots — drawn from a
+//!   long-lived abortable lock plus its waiter registry — drawn from a
 //!   bounded pool, and is demoted back to the inline word when the last
 //!   participant leaves. Resident lock-core memory is therefore
 //!   O(currently contended keys), not O(keys): the practical analogue
@@ -32,8 +32,7 @@
 //!
 //! Limits: per key at most `core_capacity - 1` threads share the core
 //! (one pid is the promotion proxy; more wait for a pid under their
-//! limit, FIFO, through the core's pid admission, and conditional
-//! waiters keep theirs while they wait); at most `pool` keys are
+//! limit, FIFO, through the core's pid admission); at most `pool` keys are
 //! materialized at once, and further contended keys spin with backoff
 //! on the inline word ([`ArenaStats::fallback_spins`]) — bounded space,
 //! no RMR guarantee on that path, never incorrect. Locking a key twice
@@ -375,7 +374,7 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
         let entry = self.entry(key);
         let mut backoff = 0u32;
         loop {
-            let (idx, pid) = match self.enter(entry, &req.limit)? {
+            let (idx, mut pid) = match self.enter(entry, &req.limit)? {
                 Mode::Core { idx, pid } => (idx, pid),
                 Mode::Inline => {
                     // Safety: we hold the key's lock.
@@ -404,15 +403,14 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
                 }
             };
             let p = self.pool.get(idx);
-            // Our pid and users seat are kept across the wait: a
-            // registered waiter must block demotion.
+            // Our users seat is kept across the wait (a registered
+            // waiter must block demotion); the pid is not.
             return match p
                 .core
-                .hold_when(pid, &entry.data, &req.pred, &req.limit, false)
+                .hold_when(&mut pid, &entry.data, &req.pred, &req.limit, false)
             {
                 Ok(()) => Ok(self.guard(entry, Mode::Core { idx, pid })),
                 Err(r) => {
-                    p.core.pids.put(pid);
                     self.depart(entry, p, idx);
                     Err(r)
                 }
@@ -534,14 +532,11 @@ impl<K, T> Arena<K, T> {
         if !self.join(entry, p, idx) {
             return None;
         }
-        if let Some(pid) = p.core.pids.take(limit) {
-            if p.core.enter(pid, limit).is_ok() {
-                return Some(Ok(Mode::Core { idx, pid }));
-            }
-            p.core.pids.put(pid);
+        let pid = p.core.take_and_enter(limit);
+        if pid.is_err() {
+            self.depart(entry, p, idx);
         }
-        self.depart(entry, p, idx);
-        Some(Err(limit.reason()))
+        Some(pid.map(|pid| Mode::Core { idx, pid }))
     }
 
     /// Materialize an inline-held key: take a pooled core, enter it as
@@ -673,13 +668,12 @@ impl<K, T> Arena<K, T> {
                 };
                 let idx = idx as u32;
                 let p = self.pool.get(idx);
-                p.core.release(RESERVED, &entry.data);
+                p.core.release_then(RESERVED, &entry.data, || ());
                 self.depart(entry, p, idx);
             }
             Mode::Core { idx, pid } => {
                 let p = self.pool.get(idx);
-                p.core.release(pid, &entry.data);
-                p.core.pids.put(pid);
+                p.core.unlock(pid, &entry.data);
                 self.depart(entry, p, idx);
             }
         }
@@ -868,6 +862,32 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         *arena.lock(&1) = 42;
         assert_eq!(t.join().unwrap(), 42);
+        assert_eq!(arena.stats().resident_cores, 0);
+    }
+
+    #[test]
+    fn a_cond_waiter_leaves_the_pid_to_the_producer() {
+        let arena: Arena<u8, u64> = Arena::builder().core_capacity(2).build();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let req = Acquire::new()
+                    .when(|v: &u64| *v > 0)
+                    .within(Duration::from_secs(1));
+                arena.acquire(&1, req).map(|g| *g)
+            });
+            // The first core built is the waiter's.
+            let registered = || {
+                arena.pool.slots[0]
+                    .get()
+                    .is_some_and(|p| p.core.ccs.has_waiters())
+            };
+            while !registered() {
+                std::thread::yield_now();
+            }
+            let req = Acquire::new().within(Duration::from_millis(500));
+            *arena.acquire(&1, req).expect("the waiter holds no pid") = 1;
+            assert_eq!(waiter.join().unwrap(), Ok(1));
+        });
         assert_eq!(arena.stats().resident_cores, 0);
     }
 

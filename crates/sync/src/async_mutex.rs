@@ -5,7 +5,7 @@
 //! leave the lock's queue *now* — exactly the paper's bounded abort.
 //! Most queue locks degrade cancellation to "acquire, then release";
 //! here `Drop` resolves the enter machine with the pre-fired
-//! [`Immediate`](crate::Immediate) signal, which runs the abort path
+//! [`Immediate`] signal, which runs the abort path
 //! (Tree.remove, rescue, Cleanup) in the dropping thread's own bounded
 //! steps (`tests/async_cancellation.rs` checks the ≤ 300-op bound at
 //! every cancellation point). [`try_lock`](AsyncAbortableMutex::try_lock)
@@ -36,19 +36,19 @@
 //!    those re-parks). A future with a deadline or an abort signal
 //!    publishes no key and is woken by every handoff (see below).
 //!
-//! A `when` request registers its predicate in the pid's slot, and
-//! unlock-side evaluation ([`crate::ccs`]) fires its waker instead of an
-//! unpark. It keeps the pid while it waits, so leave a pid for the task
-//! that will make its condition true.
+//! A `when` request whose predicate is false registers it with its
+//! waker, gives back the lock and its pid, and queues for a pid again
+//! once unlock-side evaluation ([`crate::ccs`]) fires the waker.
 //!
 //! ## Deadline caveat
 //!
 //! A limited request (a deadline from [`Acquire::until`] /
 //! [`Acquire::within`], or [`Acquire::abort_on`]) checks its limit when
-//! *polled*. So only limited futures are woken on every handoff: while
-//! one is queued in the lock, any handoff wakes it (the limit is then
-//! honoured on the bounded abort path). Under **zero lock traffic**
-//! nothing polls it — pair the future with a timer (e.g.
+//! *polled*: queued for a pid, it then leaves the queue. So only limited
+//! futures are woken on every handoff: while one is queued in the lock,
+//! any handoff wakes it (the limit is then honoured on the bounded abort
+//! path). Under **zero lock traffic**, or queued for a pid behind other
+//! tasks, nothing polls it — pair the future with a timer (e.g.
 //! `sal_runtime::executor::sleep_until`) if expiry must be prompt
 //! without traffic. The blocking surfaces, which own their thread, do
 //! not have this caveat.
@@ -69,8 +69,9 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 use crate::acquire::{Always, Limit, Predicate};
+use crate::ccs::Registration;
 use crate::driver::{publish_code, Ticket, ANY};
-use crate::{AbortableMutex, AbortableMutexBuilder, Acquire};
+use crate::{AbortableMutex, AbortableMutexBuilder, Acquire, Immediate};
 use sal_core::resume::{EnterMachine, EnterStep};
 use sal_core::AbortReason;
 use sal_memory::{AbortSignal, NeverAbort, Pid};
@@ -81,6 +82,7 @@ use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::task::{Context, Poll};
 
 #[derive(Default)]
@@ -207,13 +209,8 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
     /// One near-immediate attempt, synchronously: `None` if the lock is
     /// held *or* all pids are checked out by in-flight futures.
     pub fn try_lock(&self) -> Option<AsyncMutexGuard<'_, T, P>> {
-        let core = &self.m.core;
-        let pid = core.pids.try_take()?;
-        if core.resolve_now(pid, &mut core.begin(pid)) {
-            return Some(self.guard(pid));
-        }
-        core.pids.put(pid);
-        None
+        let pid = self.m.core.take_and_enter(&Limit::Signal(Immediate));
+        pid.ok().map(|pid| self.guard(pid))
     }
 
     /// Tasks admitted into the lock at once; more queue for admission.
@@ -231,7 +228,7 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
         self.m.probe()
     }
 
-    /// Tasks currently registered in a conditional wait.
+    /// Tasks in a conditional wait that no unlock has notified yet.
     pub fn waiters(&self) -> usize {
         self.m.waiters()
     }
@@ -279,7 +276,7 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
         }
     }
 
-    fn start_enter(&self, pid: Pid) -> State {
+    fn start_enter(&self, pid: Pid) -> State<T> {
         State::Enter {
             pid,
             machine: self.m.core.begin(pid),
@@ -288,8 +285,7 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
 
     /// Release the lock and return the pid to the pool.
     fn unlock(&self, pid: Pid) {
-        self.m.core.release(pid, &self.m.data);
-        self.m.core.pids.put(pid);
+        self.m.core.unlock(pid, &self.m.data);
     }
 }
 
@@ -315,15 +311,15 @@ impl<T> From<T> for AsyncAbortableMutex<T> {
     }
 }
 
-/// Progress of one attempt: not yet polled (no footprint), queued for
-/// a pid, driving the enter machine (dropping from here is the
-/// bounded-abort obligation), registered in a conditional wait with the
-/// lock released, or resolved.
-enum State {
+/// Progress of one attempt: holding no pid (not yet polled, or back
+/// from a conditional wait), queued for a pid, driving the enter machine
+/// (dropping from here is the bounded-abort obligation), registered in a
+/// conditional wait with the lock and pid given back, or resolved.
+enum State<T: ?Sized> {
     Fresh,
     PidWait(Ticket),
     Enter { pid: Pid, machine: EnterMachine },
-    CondWait { pid: Pid },
+    CondWait(Arc<Registration<T>>),
     Done,
 }
 
@@ -344,7 +340,7 @@ pub struct AcquireFuture<
     mx: &'a AsyncAbortableMutex<T, P>,
     pred: Box<F>,
     limit: Limit<S>,
-    st: State,
+    st: State<T>,
     /// Whether the last conditional wait ended in a notification
     /// (futile-wakeup accounting, as on the blocking path).
     woken: bool,
@@ -369,22 +365,31 @@ where
                     Err(ticket) => {
                         mx.stats.pid_waits.fetch_add(1, Ordering::Relaxed);
                         self.st = State::PidWait(ticket);
-                        return Poll::Pending;
                     }
                 },
                 State::PidWait(ticket) => match ticket.claim(cx.waker()) {
                     Some(pid) => self.st = mx.start_enter(pid),
-                    None => return Poll::Pending,
+                    None => {
+                        // As a blocked thread does: an expired limit
+                        // leaves the queue (a raced grant goes back).
+                        let Some(r) = self.limit.expired() else {
+                            return Poll::Pending;
+                        };
+                        if let State::PidWait(ticket) = std::mem::replace(&mut self.st, State::Done)
+                        {
+                            core.pids.cancel(ticket);
+                        }
+                        return Poll::Ready(Err(r));
+                    }
                 },
-                State::CondWait { pid } => {
-                    let pid = *pid;
-                    self.woken = core.ccs.deregister(pid);
-                    // Re-acquire within this poll.
-                    self.st = mx.start_enter(pid);
+                State::CondWait(reg) => {
+                    self.woken = core.ccs.deregister(reg);
+                    // Re-acquire, starting with a pid, within this poll.
+                    self.st = State::Fresh;
                 }
                 State::Enter { pid, machine } => {
                     let pid = *pid;
-                    let slot = &core.ccs.slots[pid];
+                    let slot = &core.slots[pid];
                     let hinted = slot.hint.swap(false, Ordering::SeqCst);
                     // Waker stored, then the wait published, before each
                     // poll reads its go word (module docs §2–3).
@@ -425,13 +430,14 @@ where
                         mx.unlock(pid);
                         return Poll::Ready(Err(r));
                     }
-                    // Register under the lock (no transition can be
-                    // missed), leave the waker, then release.
-                    core.ccs.register(pid, &*self.pred);
-                    slot.set_waker(cx.waker());
-                    core.ccs.note_wait();
-                    core.release(pid, &mx.m.data);
-                    self.st = State::CondWait { pid };
+                    // Register with the waker under the lock (no
+                    // transition can be missed), then release and give
+                    // the pid back.
+                    let reg = core.release_then(pid, &mx.m.data, || {
+                        core.ccs.register(&*self.pred, Some(cx.waker()))
+                    });
+                    core.pids.put(pid);
+                    self.st = State::CondWait(reg);
                     return Poll::Pending;
                 }
                 State::Done => panic!("lock future polled after completion"),
@@ -480,16 +486,15 @@ impl<T: ?Sized, P: Probe, F, S, const I: bool> Drop for AcquireFuture<'_, T, P, 
         match std::mem::replace(&mut self.st, State::Done) {
             State::Fresh | State::Done => {}
             State::PidWait(ticket) => core.pids.cancel(ticket),
-            State::CondWait { pid } => {
-                core.ccs.deregister(pid);
-                core.pids.put(pid);
+            State::CondWait(reg) => {
+                core.ccs.deregister(&reg);
             }
             State::Enter { pid, mut machine } => {
                 // Cancellation is the paper's abort: one poll with the
                 // pre-fired signal either takes a lock handed over in
                 // the race window (release it) or runs the whole abort.
                 core.disengage(pid);
-                core.ccs.slots[pid].hint.store(false, Ordering::SeqCst);
+                core.slots[pid].hint.store(false, Ordering::SeqCst);
                 mx.stats.cancelled_pending.fetch_add(1, Ordering::Relaxed);
                 if core.resolve_now(pid, &mut machine) {
                     mx.unlock(pid);
@@ -647,7 +652,7 @@ mod tests {
         static C: AtomicUsize = AtomicUsize::new(0);
         static D: AtomicUsize = AtomicUsize::new(0);
         let m = AsyncAbortableMutex::builder(0u64).capacity(5).build_async();
-        let slots = &m.m.core.ccs.slots;
+        let slots = &m.m.core.slots;
         let g = m.try_lock().expect("uncontended");
         let (wa, wb, wc, wd) = (
             counting_waker(&A),
@@ -756,7 +761,7 @@ mod tests {
             let key = machine
                 .wait_key()
                 .expect("a pending machine waits on a key");
-            let wait = core.ccs.slots[*pid].wait.load(Ordering::SeqCst);
+            let wait = core.slots[*pid].wait.load(Ordering::SeqCst);
             (key, wait == publish_code(key))
         };
         let g0 = m.try_lock().expect("uncontended"); // pid 0
@@ -906,14 +911,58 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_cond_waiter_deregisters_and_frees_the_pid() {
+    fn a_cond_waiter_holds_no_pid_and_dropping_it_deregisters() {
         let m = AsyncAbortableMutex::builder(0u32).capacity(2).build_async();
         let w = counting_waker(&WAKES);
         let mut fut = m.acquire(Acquire::new().when(|v: &u32| *v > 0));
         assert!(poll_once(&mut fut, &w).is_pending());
-        assert_eq!((m.waiters(), m.free_pids()), (1, 1));
+        assert_eq!((m.waiters(), m.free_pids()), (1, 2));
         drop(fut);
         assert_eq!((m.waiters(), m.free_pids()), (0, 2));
+    }
+
+    #[test]
+    fn capacity_many_cond_waiters_leave_every_pid_free() {
+        static CW: AtomicUsize = AtomicUsize::new(0);
+        let m = AsyncAbortableMutex::builder(0u32).capacity(3).build_async();
+        let w = counting_waker(&CW);
+        let mut futs: Vec<_> = (0..3)
+            .map(|_| m.acquire(Acquire::new().when(|v: &u32| *v > 0)))
+            .collect();
+        for fut in &mut futs {
+            assert!(poll_once(fut, &w).is_pending());
+        }
+        assert_eq!((m.waiters(), m.free_pids()), (3, 3));
+        let mut g = m.try_lock().expect("the producer gets a pid and the lock");
+        *g = 1;
+        drop(g);
+        assert_eq!(CW.load(Ordering::SeqCst), 3, "the unlock wakes all three");
+        for fut in &mut futs {
+            match poll_once(fut, &w) {
+                Poll::Ready(Ok(g)) => assert_eq!(*g, 1),
+                _ => panic!("a woken waiter whose predicate holds resolves"),
+            }
+        }
+        drop(futs);
+        assert_eq!((m.waiters(), m.free_pids()), (0, 3));
+    }
+
+    #[test]
+    fn a_limit_expiring_while_queued_for_a_pid_resolves_the_future() {
+        let m = AsyncAbortableMutex::builder(()).capacity(1).build_async();
+        let w = counting_waker(&WAKES);
+        let g = m.try_lock().expect("takes the only pid");
+        let mut fut = m.acquire(Acquire::new().within(Duration::from_millis(5)));
+        assert!(poll_once(&mut fut, &w).is_pending());
+        assert_eq!(m.queued_tasks(), 1);
+        std::thread::sleep(Duration::from_millis(20));
+        match poll_once(&mut fut, &w) {
+            Poll::Ready(Err(AbortReason::Deadline)) => {}
+            other => panic!("expected Err(Deadline), got {other:?}"),
+        }
+        assert_eq!(m.queued_tasks(), 0);
+        drop(g);
+        assert_eq!(m.free_pids(), 1, "no grant went to the dead ticket");
     }
 
     #[test]

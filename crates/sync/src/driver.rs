@@ -1,7 +1,9 @@
 //! [`Core`]: the lock every `sal-sync` surface shares — the paper's
-//! bounded long-lived lock over bare atomics plus the [`CcsRegistry`] of
-//! per-pid slots — with its thread driver ([`Core::enter`]), its one
-//! unlock ([`Core::release`]) and its conditional loop
+//! bounded long-lived lock over bare atomics, the pid admission
+//! ([`Pids`]), the per-pid enter-wait slots and the [`CcsRegistry`] of
+//! conditional waiters — with its thread driver ([`Core::enter`]), its
+//! whole attempt ([`Core::acquire`]), its one unlock
+//! ([`Core::release_then`]) and its conditional loop
 //! ([`Core::hold_when`]). `AbortableMutex` owns a core, the async mutex
 //! wraps that mutex, and the arena pools cores.
 //!
@@ -36,6 +38,7 @@
 use crate::acquire::{Limit, Predicate};
 use crate::ccs::{CcsRegistry, RegistrationGuard};
 use sal_core::long_lived::BoundedLongLivedLock;
+use sal_core::park::Waiter;
 use sal_core::resume::{EnterMachine, EnterStep, Handoff, WaitKey};
 use sal_core::{AbortReason, Immediate};
 use sal_memory::{AbortSignal, MemoryBuilder, NeverAbort, Pid, RawMemory};
@@ -43,7 +46,7 @@ use sal_obs::{probed, NoProbe, Probe};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Wake, Waker};
 use std::thread::{self, Thread};
@@ -53,7 +56,7 @@ use std::time::Instant;
 const SPIN_POLLS: u32 = 4096;
 
 /// Published wait of a pid with no engaged enter waiter.
-pub(crate) const IDLE: u64 = 0;
+const IDLE: u64 = 0;
 /// Published wait of an engaged waiter whose key is not known (a first
 /// poll, or a limited future): every handoff wakes it.
 pub(crate) const ANY: u64 = 1;
@@ -224,10 +227,37 @@ impl Pids {
     }
 }
 
+/// One pid's enter-wait state: the wait its engaged enter waiter
+/// published and the two ways to wake it. Written by the pid's owner,
+/// scanned by handoffs.
+pub(crate) struct EnterSlot {
+    /// The wait an engaged enter waiter on this pid published: the word
+    /// its next poll reads, encoded by [`publish_code`] ([`IDLE`] when no
+    /// enter waiter is engaged). Handoffs that name it wake the pid.
+    pub(crate) wait: AtomicU64,
+    /// Set by the handoff that woke this slot; the waiter swaps it out
+    /// to attribute its wake (futile-wakeup accounting).
+    pub(crate) hint: AtomicBool,
+    /// Where a blocked thread parks.
+    waiter: Waiter,
+    /// Where a suspended task leaves its waker. A pid belongs to a parked
+    /// thread or a suspended task, never both, so waking the spare
+    /// mechanism is a no-op. The mutex is uncontended in practice.
+    waker: Mutex<Option<Waker>>,
+}
+
+impl EnterSlot {
+    /// Store the waker a task wants fired by the next handoff.
+    pub(crate) fn set_waker(&self, w: &Waker) {
+        *self.waker.lock().expect("waker slot poisoned by a panic") = Some(w.clone());
+    }
+}
+
 /// The shared lock core; see the module docs.
 pub(crate) struct Core<T: ?Sized, P: Probe = NoProbe> {
     pub(crate) mem: RawMemory,
     pub(crate) lock: BoundedLongLivedLock,
+    pub(crate) slots: Box<[EnterSlot]>,
     pub(crate) ccs: CcsRegistry<T>,
     /// The pids attempts check out: `0..capacity`, or `1..capacity` in
     /// an arena core, whose pid 0 is the promotion proxy.
@@ -248,7 +278,15 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         Core {
             mem: b.build_raw(capacity),
             lock,
-            ccs: CcsRegistry::new(capacity),
+            slots: (0..capacity)
+                .map(|_| EnterSlot {
+                    wait: AtomicU64::new(IDLE),
+                    hint: AtomicBool::new(false),
+                    waiter: Waiter::new(),
+                    waker: Mutex::new(None),
+                })
+                .collect(),
+            ccs: CcsRegistry::new(),
             pids: Pids::new(admitted),
             parked: AtomicUsize::new(0),
             enter_wakeups: AtomicU64::new(0),
@@ -325,7 +363,7 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
                 published = Some(key);
             } else {
                 // A limit that expires is honoured by the next poll.
-                let _ = limit.park(&self.ccs.slots[pid].waiter);
+                let _ = limit.park(&self.slots[pid].waiter);
             }
         };
         if published.is_some() {
@@ -341,14 +379,14 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
     /// Publish `code` as the wait of `pid`'s next poll, engaging the pid
     /// as an enter waiter if it was not (module docs).
     pub(crate) fn publish(&self, pid: Pid, code: u64) {
-        if self.ccs.slots[pid].wait.swap(code, Ordering::SeqCst) == IDLE {
+        if self.slots[pid].wait.swap(code, Ordering::SeqCst) == IDLE {
             self.parked.fetch_add(1, Ordering::SeqCst);
         }
     }
 
     /// Withdraw `pid`'s engagement and any waker it left.
     pub(crate) fn disengage(&self, pid: Pid) {
-        let slot = &self.ccs.slots[pid];
+        let slot = &self.slots[pid];
         if slot.wait.swap(IDLE, Ordering::SeqCst) != IDLE {
             self.parked.fetch_sub(1, Ordering::SeqCst);
         }
@@ -367,7 +405,7 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         } else {
             IDLE
         };
-        for slot in self.ccs.slots.iter() {
+        for slot in self.slots.iter() {
             let wait = slot.wait.load(Ordering::SeqCst);
             if wait != IDLE && (wait == ANY || wait == queue || wait == epoch) {
                 slot.hint.store(true, Ordering::SeqCst);
@@ -380,33 +418,84 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         }
     }
 
-    /// Release `pid`'s lock over `data`: evaluate registered conditions,
-    /// exit, wake the satisfied and the waiters the exit's handoff names.
-    /// With no waiters of either kind this is the exit plus two loads.
-    pub(crate) fn release(&self, pid: Pid, data: &UnsafeCell<T>) {
-        let handoff = if self.ccs.has_waiters() {
-            // Safety: the caller holds the lock, so the protected value
-            // is stable while the conditions run.
-            let set = self.ccs.evaluate(pid, unsafe { &*data.get() });
-            let handoff = self.lock.exit_probed(&self.mem, pid, &self.probe);
-            let n = self.ccs.wake(&set);
-            if n > 0 {
-                self.probe.note(pid, "ccs-wake", n as u64);
+    /// Check a pid out and acquire the lock with it, both under
+    /// `limit`. On `Err` nothing is held.
+    pub(crate) fn take_and_enter<S: AbortSignal>(
+        &self,
+        limit: &Limit<S>,
+    ) -> Result<Pid, AbortReason> {
+        let pid = self.pids.take(limit).ok_or_else(|| limit.reason())?;
+        match self.enter(pid, limit) {
+            Ok(()) => Ok(pid),
+            Err(r) => {
+                self.pids.put(pid);
+                Err(r)
             }
-            handoff
-        } else {
-            self.lock.exit_probed(&self.mem, pid, &self.probe)
-        };
-        self.wake(handoff);
+        }
     }
 
-    /// The conditional loop. Entered holding the lock; `Ok` returns
-    /// holding it with `pred` true at the last check. On `Err` the limit
-    /// expired: the lock is then held if `keep` (`await_when`, whose
-    /// limit bounds the wait, not the re-acquisition), else released.
-    pub(crate) fn hold_when<F, S>(
+    /// One whole blocking attempt: a pid, the lock, and `pred` true
+    /// under it. `Ok` names the pid that holds the lock; on `Err`
+    /// nothing is held.
+    pub(crate) fn acquire<F, S>(
+        &self,
+        data: &UnsafeCell<T>,
+        pred: &F,
+        limit: &Limit<S>,
+    ) -> Result<Pid, AbortReason>
+    where
+        F: Predicate<T>,
+        S: AbortSignal,
+    {
+        let mut pid = self.take_and_enter(limit)?;
+        self.hold_when(&mut pid, data, pred, limit, false)?;
+        Ok(pid)
+    }
+
+    /// Release `pid`'s lock and give the pid back.
+    pub(crate) fn unlock(&self, pid: Pid, data: &UnsafeCell<T>) {
+        self.release_then(pid, data, || ());
+        self.pids.put(pid);
+    }
+
+    /// Release `pid`'s lock over `data`: evaluate registered conditions,
+    /// run `f` still holding the lock (a waiter's own registration, so
+    /// its release never evaluates it), exit, and wake the satisfied and
+    /// the waiters the exit's handoff names. With no waiters of either
+    /// kind this is the exit plus two loads.
+    pub(crate) fn release_then<R>(
         &self,
         pid: Pid,
+        data: &UnsafeCell<T>,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        let satisfied = if self.ccs.has_waiters() {
+            // Safety: the caller holds the lock, so the protected value
+            // is stable while the conditions run.
+            self.ccs.evaluate(unsafe { &*data.get() })
+        } else {
+            Vec::new()
+        };
+        let r = f();
+        let handoff = self.lock.exit_probed(&self.mem, pid, &self.probe);
+        if !satisfied.is_empty() {
+            let n = self.ccs.wake(satisfied);
+            self.probe.note(pid, "ccs-wake", n as u64);
+        }
+        self.wake(handoff);
+        r
+    }
+
+    /// The conditional loop. Entered holding the lock through `*pid`;
+    /// `Ok` returns holding it, through the pid now in `*pid`, with
+    /// `pred` true at the last check. Each wait registers under the
+    /// lock, gives back the lock and the pid, and takes both again when
+    /// woken. On `Err` the limit expired: the lock is then held if `keep`
+    /// (`await_when`, whose limit bounds the wait, not the
+    /// re-acquisition), else nothing is.
+    pub(crate) fn hold_when<F, S>(
+        &self,
+        pid: &mut Pid,
         data: &UnsafeCell<T>,
         pred: &F,
         limit: &Limit<S>,
@@ -427,25 +516,25 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
             }
             if let Some(r) = limit.expired() {
                 if !keep {
-                    self.release(pid, data);
+                    self.unlock(*pid, data);
                 }
                 return Err(r);
             }
             // Register while holding the lock, so no transition is missed.
-            let reg = RegistrationGuard::register(&self.ccs, pid, pred);
-            self.release(pid, data);
-            self.ccs.note_wait();
-            let expired = limit.park(&self.ccs.slots[pid].waiter);
+            let reg =
+                self.release_then(*pid, data, || RegistrationGuard::register(&self.ccs, pred));
+            self.pids.put(*pid);
+            let expired = limit.park(reg.waiter());
             woken = reg.deregister();
-            if keep {
-                self.enter(pid, &Limit::<NeverAbort>::Forever)?;
+            *pid = if keep {
+                self.take_and_enter(&Limit::<NeverAbort>::Forever)?
             } else if let Some(r) = expired {
                 // A wakeup racing the limit is dropped — harmless, since
                 // evaluation woke every satisfiable waiter.
                 return Err(r);
             } else {
-                self.enter(pid, limit)?;
-            }
+                self.take_and_enter(limit)?
+            };
         }
     }
 }

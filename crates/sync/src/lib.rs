@@ -117,9 +117,9 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
     /// Maximum number of concurrent attempts (`1 ..= 1022`): each one
     /// holds one of the lock's process ids until it fails or its guard
     /// drops, and further attempts wait for one under their limit. A
-    /// conditional waiter keeps its id while it waits, so leave room for
-    /// the attempt that will satisfy it. Space is `O(capacity²)` words,
-    /// per Claim 28. Defaults to [`DEFAULT_CAPACITY`].
+    /// conditional waiter holds none while it waits. Space is
+    /// `O(capacity²)` words, per Claim 28. Defaults to
+    /// [`DEFAULT_CAPACITY`].
     pub fn capacity(mut self, attempts: usize) -> Self {
         self.capacity = attempts;
         self
@@ -239,8 +239,9 @@ impl<T: ?Sized, P: Probe> AbortableMutex<T, P> {
         &self.core.probe
     }
 
-    /// Number of waiters currently registered in a conditional wait
-    /// (a `when` request or [`MutexGuard::await_when`]) on this mutex.
+    /// Number of waiters in a conditional wait (a `when` request or
+    /// [`MutexGuard::await_when`]) on this mutex that no unlock has
+    /// notified yet.
     pub fn waiters(&self) -> usize {
         self.core.ccs.waiting()
     }
@@ -304,15 +305,8 @@ impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
         F: Predicate<T>,
         S: AbortSignal,
     {
-        let (m, limit) = (self.mutex, &req.limit);
-        let core = &m.core;
-        let pid = core.pids.take(limit).ok_or_else(|| limit.reason())?;
-        let entered = core.enter(pid, limit);
-        if let Err(r) = entered.and_then(|()| core.hold_when(pid, &m.data, &req.pred, limit, false))
-        {
-            core.pids.put(pid);
-            return Err(r);
-        }
+        let m = self.mutex;
+        let pid = m.core.acquire(&m.data, &req.pred, &req.limit)?;
         Ok(MutexGuard {
             handle: self,
             pid,
@@ -388,15 +382,14 @@ impl<T: ?Sized, P: Probe> MutexGuard<'_, '_, T, P> {
     {
         let m = self.handle.mutex;
         m.core
-            .hold_when(self.pid, &m.data, &req.pred, &req.limit, true)
+            .hold_when(&mut self.pid, &m.data, &req.pred, &req.limit, true)
     }
 }
 
 impl<T: ?Sized, P: Probe> Drop for MutexGuard<'_, '_, T, P> {
     fn drop(&mut self) {
         let m = self.handle.mutex;
-        m.core.release(self.pid, &m.data);
-        m.core.pids.put(self.pid);
+        m.core.unlock(self.pid, &m.data);
     }
 }
 
@@ -523,6 +516,32 @@ mod tests {
             drop(g);
         });
         assert!(done.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn capacity_many_cond_waiters_leave_the_producer_a_pid() {
+        let m = AbortableMutex::builder(0u64).capacity(2).build();
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let req = Acquire::new()
+                            .when(|v: &u64| *v > 0)
+                            .within(Duration::from_secs(1));
+                        m.handle().acquire(req).map(|g| *g)
+                    })
+                })
+                .collect();
+            while m.waiters() < 2 {
+                std::thread::yield_now();
+            }
+            let req = Acquire::new().within(Duration::from_millis(500));
+            *m.handle().acquire(req).expect("no waiter holds a pid") = 1;
+            for w in waiters {
+                assert_eq!(w.join().unwrap(), Ok(1));
+            }
+        });
+        assert_eq!(m.waiters(), 0);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! conditional waits across the inline→materialized transition, mixed
 //! deadline/abort traffic, and pool starvation. Every test ends with
 //! the leak checks: all counters add up, no core stays resident.
-//! The suite is lease-agnostic: CI runs it under both the default
-//! scheduler config and `SAL_LEASE=1`.
 
 use sal_runtime::SmallRng;
 use sal_sync::{AbortFlag, AbortReason, Acquire, Arena};

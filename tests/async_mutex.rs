@@ -78,12 +78,9 @@ fn counter_integrity_many_tasks_few_workers() {
 fn async_lock_when_pipeline() {
     // Producer/consumer through the conditional critical section: the
     // consumer's predicate admits it exactly when an item is present.
-    // A waiting consumer keeps its pid, so the capacity covers all four
-    // consumers plus the producer: with one pid fewer, four waiting
-    // consumers can leave the producer queued for a pid for good.
     let m = Arc::new(
         AsyncAbortableMutex::builder(Vec::<u32>::new())
-            .capacity(5)
+            .capacity(4)
             .build_async(),
     );
     let ex = Executor::new();
@@ -135,7 +132,7 @@ fn async_lock_when_pipeline() {
     ex.run(3);
     assert!(consumed.load(Ordering::SeqCst) >= u64::from(ITEMS));
     assert_eq!(m.waiters(), 0, "no conditional registration leaked");
-    assert_eq!(m.free_pids(), 5);
+    assert_eq!(m.free_pids(), 4);
 }
 
 #[test]
