@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo CI gate: release build, full test suite (debug + release, so the
+# Repo CI gate: docs that name only tracked source files, release
+# build, full test suite (debug + release, so the
 # concurrency-sensitive stress tests run optimized too), a run of every
 # example, 20 reruns of the wake-sensitive tests, the suites that
 # must also hold under a non-default environment, a full `table1` run
@@ -9,6 +10,16 @@
 # the first broken step, and leaves every tracked file as it found it.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# Docs describe only code that exists: every `*.rs` path that the
+# top-level docs name must be the path suffix of a tracked file.
+tracked=$(git ls-files '*.rs')
+for path in $(grep -ohE '[A-Za-z0-9_./-]+\.rs\b' README.md DESIGN.md EXPERIMENTS.md docs/*.md | sort -u); do
+    if ! grep -qE "(^|/)${path//./\\.}\$" <<< "$tracked"; then
+        echo "docs name a source file that does not exist: $path" >&2
+        exit 1
+    fi
+done
 
 cargo build --release
 cargo test -q
@@ -26,10 +37,13 @@ done
 # one. Rerun the wake-sensitive tests 20 times each from the test
 # binaries just built: the deadline storm, the limit-under-traffic,
 # epoch-transition and wake-precision tests, the deadline_locking
-# suite, the three pid-wait tests (a pid grant is a wake too), and the
+# suite, the three pid-wait tests (a pid grant is a wake too), the
 # conditional-wait tests where capacity-many waiters give their pids
 # back to the attempt that wakes them (one per surface, plus the async
-# pipeline). About 20 s on a 2-vCPU VM.
+# pipeline), and the thread-waker tests: a parked enter waiter is woken
+# once through its waker, spurious unparks end no thread wait early,
+# and a waker that drops the future it wakes does not deadlock the
+# unlock. About 20 s on a 2-vCPU VM.
 test_binary() {
     cargo test --release --no-run "$@" 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p'
 }
@@ -52,10 +66,13 @@ for _ in $(seq 20); do
         async_mutex::tests::capacity_many_cond_waiters_leave_every_pid_free \
         arena::tests::a_cond_waiter_leaves_the_pid_to_the_producer \
         tests::an_attempt_past_capacity_waits_for_a_pid_under_its_limit \
-        tests::capacity_many_cond_waiters_leave_the_producer_a_pid
+        tests::capacity_many_cond_waiters_leave_the_producer_a_pid \
+        tests::a_thread_parked_in_the_enter_wait_is_woken_once_through_its_waker \
+        tests::spurious_unparks_do_not_end_a_thread_wait_early
     run_tests "$arena_api" -q --exact threads_past_the_core_capacity_wait_for_a_pid
     run_tests "$async_mutex" -q --exact handoff_wakes_track_entered_passages \
-        async_lock_when_pipeline
+        async_lock_when_pipeline \
+        a_waker_that_drops_the_future_it_wakes_does_not_deadlock_the_unlock
     run_tests "$deadline_locking" -q
 done
 

@@ -16,11 +16,9 @@
 //!   ([`long_lived::SimpleLongLivedLock`]) and as the bounded-space version
 //!   of §6.2 with instance recycling, versioned lazy reset, and spin-node
 //!   reclamation ([`long_lived::BoundedLongLivedLock`]).
-//! * [`abort`] / [`park`] — the production-surface support layer: the
-//!   always-fired [`abort::Immediate`] signal, the
-//!   [`abort::AbortReason`] vocabulary (deadline vs caller abort), and
-//!   the adaptive spin-then-park [`park::Waiter`] slot that `sal-sync`'s
-//!   conditional critical sections block on.
+//! * [`abort`] — the production-surface support layer: the
+//!   always-fired [`abort::Immediate`] signal and the
+//!   [`abort::AbortReason`] vocabulary (deadline vs caller abort).
 //! * [`arena_word`] — the inline-word promotion/demotion protocol that
 //!   lets a keyed arena (`sal_sync::Arena`) run millions of logical
 //!   locks as single CAS words, materializing a real lock core from a
@@ -28,9 +26,10 @@
 //! * [`resume`] — the enter protocol as resumable, sans-IO state
 //!   machines ([`resume::EnterMachine`]): every blocking wait becomes an
 //!   [`resume::EnterStep::Pending`] poll result, making the spinning
-//!   entry points one driver among several (spin, park, or async
-//!   wakers — `sal_sync::AsyncAbortableMutex` turns future cancellation
-//!   into the paper's bounded abort through this interface).
+//!   entry points one driver among several (`sal-sync` spins, then
+//!   waits on a waker, from blocked threads and from async tasks alike;
+//!   `sal_sync::AsyncAbortableMutex` turns future cancellation into the
+//!   paper's bounded abort through this interface).
 //!
 //! All algorithms are written once, generically over the
 //! [`sal_memory::Mem`] primitive set (`read`/`write`/`CAS`/`F&A`), so they
@@ -61,11 +60,9 @@ pub mod arena_word;
 pub mod lock;
 pub mod long_lived;
 pub mod one_shot;
-pub mod park;
 pub mod resume;
 pub mod tree;
 
 pub use abort::{AbortReason, Immediate};
 pub use lock::{AbortableLock, DynLock, LockCore, LockMeta, Outcome};
-pub use park::{ParkResult, Waiter};
 pub use resume::{EnterMachine, EnterStep, Handoff, OneShotEnterMachine, WaitKey};

@@ -49,9 +49,9 @@
 //! locks express the same protocol as resumable state machines
 //! ([`crate::resume`]): `enter_core` is the tight-loop driver of
 //! [`poll_enter`](crate::long_lived::BoundedLongLivedLock::poll_enter),
-//! and non-blocking drivers (async tasks parking on wakers, the
-//! spin-then-park [`Waiter`](crate::park::Waiter)) poll the identical
-//! machine at their own cadence. Equivalence of the two is pinned by
+//! and non-blocking drivers (`sal-sync`'s, which leave a waker for the
+//! handoff that ends the wait, in blocked threads and async tasks
+//! alike) poll the identical machine at their own cadence. Equivalence of the two is pinned by
 //! `tests/mono_equivalence.rs`: the routing through the machine leaves
 //! every simulator artifact byte-identical.
 

@@ -9,7 +9,7 @@
 //! module implements that scheme's core over the [`Mem`] primitive set,
 //! CC-model exact:
 //!
-//! * **Queue with abandonment.** Waiters enqueue MCS-style behind a
+//! * **Queue with abandonment.** A waiter enqueues MCS-style behind a
 //!   `tail` word (one `SWAP` — the doorway). An aborting waiter does
 //!   *not* unlink itself (unlinking is what costs Ω(log) elsewhere): it
 //!   CASes its queue node from `WAITING` to `ABORTED` and leaves — an

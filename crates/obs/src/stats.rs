@@ -304,11 +304,6 @@ impl PassageStats {
         self.inner.lock().unwrap().dropped_events
     }
 
-    /// Clone of the entered-passage RMR histogram.
-    pub fn entered_rmr_histogram(&self) -> Histogram {
-        self.inner.lock().unwrap().entered_rmrs.clone()
-    }
-
     /// Fold another sink's *finalized* passages into this one — the
     /// fan-in for parallel sweeps, where every grid cell measures into
     /// a private `PassageStats` and the driver merges them in

@@ -425,23 +425,12 @@ impl StepGate {
         self.state.lock().unwrap().finished[p]
     }
 
-    /// Snapshot of the finished flags.
-    pub fn finished_flags(&self) -> Vec<bool> {
-        self.state.lock().unwrap().finished.clone()
-    }
-
-    /// Copy the finished flags into `buf` (cleared first) — the
-    /// allocation-free [`Self::finished_flags`] variant for
-    /// per-decision scheduler loops.
+    /// Copy the finished flags into `buf` (cleared first): allocation
+    /// free, for per-decision scheduler loops.
     pub fn snapshot_finished(&self, buf: &mut Vec<bool>) {
         let s = self.state.lock().unwrap();
         buf.clear();
         buf.extend_from_slice(&s.finished);
-    }
-
-    /// Whether every process has finished.
-    pub fn all_finished(&self) -> bool {
-        self.state.lock().unwrap().finished.iter().all(|&f| f)
     }
 
     /// Steps executed so far. Lock-free; mid-lease reads by the holder
@@ -507,6 +496,12 @@ mod tests {
     use super::*;
     use sal_memory::MemoryBuilder;
     use std::sync::Arc;
+
+    fn finished_flags(gate: &StepGate) -> Vec<bool> {
+        let mut flags = Vec::new();
+        gate.snapshot_finished(&mut flags);
+        flags
+    }
 
     #[test]
     fn steps_execute_in_granted_order() {
@@ -597,7 +592,7 @@ mod tests {
             assert_eq!(gate.grant_run(0, 9), Some(1));
         });
         assert_eq!(gate.steps(), 2);
-        assert!(gate.all_finished());
+        assert_eq!(finished_flags(&gate), [true]);
     }
 
     #[test]
@@ -631,7 +626,7 @@ mod tests {
         gate.mark_finished(0);
         assert!(!gate.grant(0));
         assert_eq!(gate.grant_run(0, 5), None);
-        assert!(gate.all_finished());
+        assert_eq!(finished_flags(&gate), [true]);
     }
 
     #[test]

@@ -9,15 +9,32 @@
 //! abort signal, so an attempt that gives up while queued leaves on the
 //! bounded-RMR abort path.
 
-use sal_core::park::Waiter;
 use sal_core::AbortReason;
 use sal_memory::{AbortSignal, NeverAbort};
 use std::fmt;
+use std::sync::Arc;
+use std::task::{Wake, Waker};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 /// How often a blocked wait limited by a caller signal re-checks it:
 /// nobody wakes a parked waiter when an arbitrary signal fires.
 const SIGNAL_POLL: Duration = Duration::from_micros(100);
+
+/// Wakes a blocked thread.
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+/// A waker that unparks the calling thread: a blocked thread leaves it
+/// wherever a task would leave its own, then [`Limit::park`]s.
+pub(crate) fn thread_waker() -> Waker {
+    Waker::from(Arc::new(Unpark(thread::current())))
+}
 
 /// A condition over the protected value (every `Fn(&T) -> bool + Sync`
 /// closure, and [`Always`]). It runs under the lock, also on other
@@ -78,25 +95,27 @@ impl<S: AbortSignal> Limit<S> {
         self.is_set().then(|| self.reason())
     }
 
-    /// When a wait blocked under this limit must wake to re-check it.
-    pub(crate) fn recheck_at(&self) -> Option<Instant> {
+    /// Park the calling thread until it is unparked or this limit must
+    /// be re-checked. A return proves nothing: a stale waker, a deadline
+    /// or `park` itself may end it early, so callers re-check.
+    pub(crate) fn park(&self) {
         match self {
-            Limit::Forever => None,
-            Limit::Until(t) => Some(*t),
-            Limit::Signal(_) => Some(Instant::now() + SIGNAL_POLL),
+            Limit::Forever => thread::park(),
+            Limit::Until(t) => thread::park_timeout(t.saturating_duration_since(Instant::now())),
+            Limit::Signal(_) => thread::park_timeout(SIGNAL_POLL),
         }
     }
 
-    /// Park on `w` until notified (`None` — possibly spuriously, callers
-    /// re-check) or until the limit expires (`Some`).
-    pub(crate) fn park(&self, w: &Waiter) -> Option<AbortReason> {
+    /// Park until `ready` holds (`None`) or this limit expires (`Some`).
+    pub(crate) fn wait(&self, mut ready: impl FnMut() -> bool) -> Option<AbortReason> {
         loop {
-            if w.park_until(self.recheck_at()).notified() {
+            if ready() {
                 return None;
             }
             if let Some(r) = self.expired() {
                 return Some(r);
             }
+            self.park();
         }
     }
 }

@@ -19,15 +19,16 @@
 //!    pid out of the core's admission (the same one the blocking
 //!    surfaces use); futures beyond the capacity queue, and released pids
 //!    go straight to the queue head (admission is FIFO and barge-free).
-//! 2. **Enter polling.** Each poll advances the enter machine. The future
-//!    stores its waker, then publishes the key of the word the machine
-//!    reads, *before* the machine reads it; the unlocker writes the go
-//!    word *before* reading the published keys, so either the waiter sees
-//!    the word or the unlocker sees the key and the waker. A poll that
-//!    moves on to a new key (epoch wait → queue) publishes it and polls
-//!    again before it parks. An abort that hands the lock on (Algorithm
-//!    3.3's rescue or a `Cleanup` instance switch) wakes waiters the same
-//!    way.
+//! 2. **Enter polling.** Each poll is the core's one engaged poll, the
+//!    step a blocked thread takes after its spin phase too: store the
+//!    waker, then publish the key of the word the machine reads,
+//!    *before* the machine reads it; the unlocker writes the go word
+//!    *before* reading the published keys, so either the waiter sees the
+//!    word or the unlocker sees the key and the waker. A poll that moves
+//!    on to a new key (epoch wait → queue) publishes it and polls again
+//!    before it returns pending. An abort that hands the lock on
+//!    (Algorithm 3.3's rescue or a `Cleanup` instance switch) wakes
+//!    waiters the same way.
 //! 3. **Targeted wakes.** An exit reports its handoff: the queue slot it
 //!    set, and the epoch when it switched instances. The unlocker wakes
 //!    only the waiters whose key it names, so a plain `lock()` future is
@@ -70,9 +71,9 @@
 
 use crate::acquire::{Always, Limit, Predicate};
 use crate::ccs::Registration;
-use crate::driver::{publish_code, Ticket, ANY};
+use crate::driver::Ticket;
 use crate::{AbortableMutex, AbortableMutexBuilder, Acquire, Immediate};
-use sal_core::resume::{EnterMachine, EnterStep};
+use sal_core::resume::EnterMachine;
 use sal_core::AbortReason;
 use sal_memory::{AbortSignal, NeverAbort, Pid};
 use sal_obs::{NoProbe, Probe};
@@ -389,27 +390,11 @@ where
                 }
                 State::Enter { pid, machine } => {
                     let pid = *pid;
-                    let slot = &core.slots[pid];
-                    let hinted = slot.hint.swap(false, Ordering::SeqCst);
-                    // Waker stored, then the wait published, before each
-                    // poll reads its go word (module docs §2–3).
-                    slot.set_waker(cx.waker());
+                    // Only an unlimited future publishes exact keys:
+                    // nothing but a handoff ends its wait (module docs).
                     let exact = matches!(self.limit, Limit::Forever);
-                    let step = loop {
-                        let code = match machine.wait_key() {
-                            Some(key) if exact => publish_code(key),
-                            _ => ANY,
-                        };
-                        core.publish(pid, code);
-                        match core.poll(machine, pid, &self.limit) {
-                            EnterStep::Pending(key) if exact && publish_code(key) != code => {}
-                            step => break step,
-                        }
-                    };
+                    let step = core.poll_engaged(machine, pid, &self.limit, cx.waker(), exact);
                     if step.pending() {
-                        if hinted {
-                            core.futile_enter_wakeups.fetch_add(1, Ordering::Relaxed);
-                        }
                         return Poll::Pending;
                     }
                     core.disengage(pid);
@@ -434,7 +419,7 @@ where
                     // transition can be missed), then release and give
                     // the pid back.
                     let reg = core.release_then(pid, &mx.m.data, || {
-                        core.ccs.register(&*self.pred, Some(cx.waker()))
+                        core.ccs.register(&*self.pred, cx.waker())
                     });
                     core.pids.put(pid);
                     self.st = State::CondWait(reg);
@@ -494,7 +479,6 @@ impl<T: ?Sized, P: Probe, F, S, const I: bool> Drop for AcquireFuture<'_, T, P, 
                 // pre-fired signal either takes a lock handed over in
                 // the race window (release it) or runs the whole abort.
                 core.disengage(pid);
-                core.slots[pid].hint.store(false, Ordering::SeqCst);
                 mx.stats.cancelled_pending.fetch_add(1, Ordering::Relaxed);
                 if core.resolve_now(pid, &mut machine) {
                     mx.unlock(pid);
@@ -570,6 +554,7 @@ impl<T: ?Sized + fmt::Debug, P: Probe> fmt::Debug for AsyncMutexGuard<'_, T, P> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::publish_code;
     use sal_core::resume::WaitKey;
     use std::sync::atomic::AtomicUsize;
     use std::task::{RawWaker, RawWakerVTable, Waker};

@@ -15,9 +15,9 @@
 //! ## The registry
 //!
 //! A list of registrations behind one mutex. A registration is the
-//! waiter's condition plus the two ways to wake it (a parked thread's
-//! `Waiter`, a suspended task's `Waker`); it belongs to no pid, so a
-//! waiter holds neither the lock nor a pid while it waits.
+//! waiter's condition plus the waker that wakes it (a task's, or one
+//! that unparks a blocked thread); it belongs to no pid, so a waiter
+//! holds neither the lock nor a pid while it waits.
 //!
 //! * `register` runs while *holding* the lock, so no state transition
 //!   can be missed: any future unlock happens-after the registration.
@@ -25,6 +25,9 @@
 //!   registrations off the list, releases the lock (`exit_core` — the
 //!   bounded-RMR paper path), and only then wakes them, so woken waiters
 //!   never stampede into a still-held lock.
+//! * The wake takes the registration's waker and fires it; a blocked
+//!   thread parks until its waker is gone (`notified`) or its limit
+//!   expires.
 //! * `deregister` removes a registration still on the list, or reports
 //!   that an unlocker took it off (the waiter was notified).
 //!
@@ -34,7 +37,6 @@
 //! §11 discusses the implications).
 
 use crate::acquire::Predicate;
-use sal_core::park::Waiter;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::Waker;
@@ -76,15 +78,20 @@ pub(crate) struct Registration<T: ?Sized> {
     /// borrow ends. A `RegistrationGuard` deregisters on unwind, so the
     /// window closes even if the waiting frame panics.
     cond: StoredCond<T>,
-    /// Where a blocked thread parks.
-    waiter: Waiter,
-    /// Where a suspended task leaves its waker.
+    /// The waker to fire once `cond` holds; the wake takes it, so `None`
+    /// means notified.
     waker: Mutex<Option<Waker>>,
+}
+
+impl<T: ?Sized> Registration<T> {
+    fn waker(&self) -> MutexGuard<'_, Option<Waker>> {
+        self.waker.lock().expect("waker slot poisoned by a panic")
+    }
 }
 
 // Safety: `cond` is only dereferenced under the registry mutex while
 // listed (see the field), and the predicate is `Sync` by its trait
-// bound; `Waiter` and the waker mutex are `Send + Sync`.
+// bound; the waker mutex is `Send + Sync`.
 unsafe impl<T: ?Sized> Send for Registration<T> {}
 unsafe impl<T: ?Sized> Sync for Registration<T> {}
 
@@ -139,16 +146,16 @@ impl<T: ?Sized> CcsRegistry<T> {
         }
     }
 
-    /// Register `cond`, to be woken through `waker` if given, else by an
-    /// unpark. Caller must hold the lock (that is what makes registration
-    /// race-free against state transitions) and must deregister before
-    /// `cond`'s borrow ends. Async waits keep the predicate in a `Box`
-    /// inside the future, so the borrow outlives the registration even
-    /// if the future is leaked.
+    /// Register `cond`, to be woken through `waker`. Caller must hold the
+    /// lock (that is what makes registration race-free against state
+    /// transitions) and must deregister before `cond`'s borrow ends.
+    /// Async waits keep the predicate in a `Box` inside the future, so
+    /// the borrow outlives the registration even if the future is
+    /// leaked.
     pub(crate) fn register<'a>(
         &self,
         cond: &'a (dyn Predicate<T> + 'a),
-        waker: Option<&Waker>,
+        waker: &Waker,
     ) -> Arc<Registration<T>> {
         let ptr: *const (dyn Predicate<T> + 'a) = cond;
         let reg = Arc::new(Registration {
@@ -157,8 +164,7 @@ impl<T: ?Sized> CcsRegistry<T> {
             cond: unsafe {
                 std::mem::transmute::<*const (dyn Predicate<T> + 'a), StoredCond<T>>(ptr)
             },
-            waiter: Waiter::new(),
-            waker: Mutex::new(waker.cloned()),
+            waker: Mutex::new(Some(waker.clone())),
         });
         let mut list = self.list();
         list.push(Arc::clone(&reg));
@@ -205,17 +211,15 @@ impl<T: ?Sized> CcsRegistry<T> {
         satisfied
     }
 
-    /// Wake every registration in `satisfied` (unpark, and fire a stored
-    /// waker); returns how many. Called *after* the lock is released.
+    /// Wake every registration in `satisfied` (take its waker and fire
+    /// it); returns how many. Called *after* the lock is released.
     pub(crate) fn wake(&self, satisfied: Vec<Arc<Registration<T>>>) -> usize {
         for reg in &satisfied {
-            reg.waiter.unpark();
-            if let Some(w) = reg
-                .waker
-                .lock()
-                .expect("waker slot poisoned by a panic")
-                .take()
-            {
+            // Fired after the waker mutex is released, as the enter
+            // wake does: a waker may run arbitrary code, such as
+            // dropping the future it wakes.
+            let waker = reg.waker().take();
+            if let Some(w) = waker {
                 w.wake();
             }
         }
@@ -234,16 +238,21 @@ pub(crate) struct RegistrationGuard<'a, T: ?Sized> {
 }
 
 impl<'a, T: ?Sized> RegistrationGuard<'a, T> {
-    pub(crate) fn register(registry: &'a CcsRegistry<T>, cond: &(dyn Predicate<T> + '_)) -> Self {
+    pub(crate) fn register(
+        registry: &'a CcsRegistry<T>,
+        cond: &(dyn Predicate<T> + '_),
+        waker: &Waker,
+    ) -> Self {
         RegistrationGuard {
             registry,
-            reg: Some(registry.register(cond, None)),
+            reg: Some(registry.register(cond, waker)),
         }
     }
 
-    /// Where the registered thread parks.
-    pub(crate) fn waiter(&self) -> &Waiter {
-        &self.reg.as_ref().expect("registered").waiter
+    /// Whether an unlocker took the waker: the condition held at its
+    /// evaluation.
+    pub(crate) fn notified(&self) -> bool {
+        self.reg.as_ref().expect("registered").waker().is_none()
     }
 
     /// Normal-path deregistration; returns whether a notification was

@@ -16,17 +16,26 @@
 //! an unlock wakes only the waiters its handoff names. An exit with no
 //! handoff scans nothing.
 //!
-//! **Publish, then poll.** Every engaged poll is preceded by a `SeqCst`
-//! store of the key that poll reads (bumping `parked` when the pid
-//! engages). The waker driver stores before each poll, after its waker,
-//! so a scan that reads the key also sees the waker; the thread driver
-//! stores when the key changes. A poll that moves on within itself
-//! (epoch wait → doorway → queue) returns a different key; the waiter
-//! publishes that and polls again before it parks. The unlocker, or an
-//! abort reporting a handoff, writes the go word, then reads `parked`
-//! and scans only when it is nonzero. Every access is `SeqCst`, so
-//! either the waiter's read sees the go word, or the scan sees the key
-//! naming that word (or [`ANY`]): no wakeup is lost.
+//! **One engaged poll.** Both drivers wait through
+//! [`Core::poll_engaged`]: store the waiter's waker in its pid's slot,
+//! then make a `SeqCst` store of the key the poll reads (bumping
+//! `parked` when the pid engages), then poll. A poll that moves on
+//! within itself (epoch wait → doorway → queue) returns a different
+//! key; the step publishes that and polls again before it reports
+//! pending. The unlocker, or an abort reporting a handoff, writes the
+//! go word, then reads `parked` and scans only when it is nonzero.
+//! Every access is `SeqCst`, so either the waiter's read sees the go
+//! word, or the scan sees the key naming that word (or [`ANY`]) and the
+//! waker stored before it: no wakeup is lost. A handoff *takes* the
+//! waker it fires, so every engaged poll stores it again.
+//!
+//! **Two drivers, one waker.** A task passes its context's waker and
+//! returns pending. A blocked thread first spins through
+//! [`SPIN_POLLS`] bare polls, then builds a waker that unparks it and
+//! alternates engaged polls with [`Limit::park`]. A thread has one park
+//! token, so a stale waker (say, a wake that raced a timeout) can end a
+//! later park early; every thread wait re-checks its own condition, as
+//! `park` may return spuriously anyway.
 //!
 //! **Who publishes exact keys.** A waiter whose wait only a handoff can
 //! end publishes its key: the thread driver under every limit (a parked
@@ -35,10 +44,9 @@
 //! woken by every handoff, since unlock traffic is what polls its limit
 //! while it is queued (the async module's "Deadline caveat").
 
-use crate::acquire::{Limit, Predicate};
+use crate::acquire::{thread_waker, Limit, Predicate};
 use crate::ccs::{CcsRegistry, RegistrationGuard};
 use sal_core::long_lived::BoundedLongLivedLock;
-use sal_core::park::Waiter;
 use sal_core::resume::{EnterMachine, EnterStep, Handoff, WaitKey};
 use sal_core::{AbortReason, Immediate};
 use sal_memory::{AbortSignal, MemoryBuilder, NeverAbort, Pid, RawMemory};
@@ -47,10 +55,8 @@ use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::task::{Wake, Waker};
-use std::thread::{self, Thread};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::task::Waker;
 
 /// Enter-machine polls a blocked thread spins through before it parks.
 const SPIN_POLLS: u32 = 4096;
@@ -59,7 +65,7 @@ const SPIN_POLLS: u32 = 4096;
 const IDLE: u64 = 0;
 /// Published wait of an engaged waiter whose key is not known (a first
 /// poll, or a limited future): every handoff wakes it.
-pub(crate) const ANY: u64 = 1;
+const ANY: u64 = 1;
 
 /// The published form of `key`: distinct from [`IDLE`], [`ANY`] and
 /// every other key.
@@ -104,15 +110,6 @@ impl Ticket {
             }
             Turn::Dead => unreachable!("pid ticket claimed after death"),
         }
-    }
-}
-
-/// Wakes a thread parked for a pid.
-struct Unpark(Thread);
-
-impl Wake for Unpark {
-    fn wake(self: Arc<Self>) {
-        self.0.unpark();
     }
 }
 
@@ -164,24 +161,22 @@ impl Pids {
         if limit.is_set() {
             return None;
         }
-        let waker = Waker::from(Arc::new(Unpark(thread::current())));
+        let waker = thread_waker();
         let ticket = match self.take_or_queue(&waker) {
             Ok(pid) => return Some(pid),
             Err(ticket) => ticket,
         };
-        loop {
-            if let Some(pid) = ticket.claim(&waker) {
-                return Some(pid);
-            }
-            if limit.is_set() {
-                self.cancel(ticket);
-                return None;
-            }
-            match limit.recheck_at() {
-                None => thread::park(),
-                Some(t) => thread::park_timeout(t.saturating_duration_since(Instant::now())),
-            }
+        let mut pid = None;
+        if limit
+            .wait(|| {
+                pid = ticket.claim(&waker);
+                pid.is_some()
+            })
+            .is_some()
+        {
+            self.cancel(ticket);
         }
+        pid
     }
 
     /// Leave the queue, putting back a pid granted in the race.
@@ -228,7 +223,7 @@ impl Pids {
 }
 
 /// One pid's enter-wait state: the wait its engaged enter waiter
-/// published and the two ways to wake it. Written by the pid's owner,
+/// published and the waker that wakes it. Written by the pid's owner,
 /// scanned by handoffs.
 pub(crate) struct EnterSlot {
     /// The wait an engaged enter waiter on this pid published: the word
@@ -238,18 +233,15 @@ pub(crate) struct EnterSlot {
     /// Set by the handoff that woke this slot; the waiter swaps it out
     /// to attribute its wake (futile-wakeup accounting).
     pub(crate) hint: AtomicBool,
-    /// Where a blocked thread parks.
-    waiter: Waiter,
-    /// Where a suspended task leaves its waker. A pid belongs to a parked
-    /// thread or a suspended task, never both, so waking the spare
-    /// mechanism is a no-op. The mutex is uncontended in practice.
+    /// The waker the next handoff that names `wait` takes and fires: a
+    /// task's, or one that unparks a blocked thread. The mutex is
+    /// uncontended in practice.
     waker: Mutex<Option<Waker>>,
 }
 
 impl EnterSlot {
-    /// Store the waker a task wants fired by the next handoff.
-    pub(crate) fn set_waker(&self, w: &Waker) {
-        *self.waker.lock().expect("waker slot poisoned by a panic") = Some(w.clone());
+    fn waker(&self) -> MutexGuard<'_, Option<Waker>> {
+        self.waker.lock().expect("waker slot poisoned by a panic")
     }
 }
 
@@ -264,8 +256,9 @@ pub(crate) struct Core<T: ?Sized, P: Probe = NoProbe> {
     pub(crate) pids: Pids,
     /// Engaged enter waiters; handoffs skip the slot scan at zero.
     parked: AtomicUsize,
-    /// Wakers fired by handoffs (the async driver's counters).
+    /// Wakers fired by handoffs, at blocked threads and tasks alike.
     pub(crate) enter_wakeups: AtomicU64,
+    /// Engaged polls after a handoff's wake that still pended.
     pub(crate) futile_enter_wakeups: AtomicU64,
     pub(crate) probe: P,
 }
@@ -282,7 +275,6 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
                 .map(|_| EnterSlot {
                     wait: AtomicU64::new(IDLE),
                     hint: AtomicBool::new(false),
-                    waiter: Waiter::new(),
                     waker: Mutex::new(None),
                 })
                 .collect(),
@@ -348,25 +340,23 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         limit: &Limit<S>,
     ) -> Result<(), AbortReason> {
         let mut machine = self.begin(pid);
-        let mut spins = 0;
-        let mut published = None;
-        let step = loop {
-            let step = self.poll(&mut machine, pid, limit);
-            let EnterStep::Pending(key) = step else {
-                break step;
-            };
-            if spins < SPIN_POLLS {
-                spins += 1;
-            } else if published != Some(key) {
-                // Publish, then poll once more before parking on `key`.
-                self.publish(pid, publish_code(key));
-                published = Some(key);
-            } else {
-                // A limit that expires is honoured by the next poll.
-                let _ = limit.park(&self.slots[pid].waiter);
+        let mut step = self.poll(&mut machine, pid, limit);
+        for _ in 0..SPIN_POLLS {
+            if !step.pending() {
+                break;
             }
-        };
-        if published.is_some() {
+            step = self.poll(&mut machine, pid, limit);
+        }
+        if step.pending() {
+            let waker = thread_waker();
+            loop {
+                step = self.poll_engaged(&mut machine, pid, limit, &waker, true);
+                if !step.pending() {
+                    break;
+                }
+                // A limit that expires is honoured by the next poll.
+                limit.park();
+            }
             self.disengage(pid);
         }
         if self.settle(pid, step) {
@@ -376,21 +366,57 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         }
     }
 
+    /// The engaged poll both drivers wait through (module docs): store
+    /// `waker` in `pid`'s slot, publish the key the poll reads (or
+    /// [`ANY`] unless `exact`), poll, and publish and poll again while
+    /// the key moves. A pending result leaves `waker` to the handoff
+    /// that names the published key.
+    pub(crate) fn poll_engaged<S: AbortSignal>(
+        &self,
+        machine: &mut EnterMachine,
+        pid: Pid,
+        limit: &Limit<S>,
+        waker: &Waker,
+        exact: bool,
+    ) -> EnterStep {
+        let slot = &self.slots[pid];
+        let hinted = slot.hint.swap(false, Ordering::SeqCst);
+        *slot.waker() = Some(waker.clone());
+        let step = loop {
+            let code = match machine.wait_key() {
+                Some(key) if exact => publish_code(key),
+                _ => ANY,
+            };
+            self.publish(pid, code);
+            match self.poll(machine, pid, limit) {
+                EnterStep::Pending(key) if exact && publish_code(key) != code => {}
+                step => break step,
+            }
+        };
+        if hinted && step.pending() {
+            self.futile_enter_wakeups.fetch_add(1, Ordering::Relaxed);
+        }
+        step
+    }
+
     /// Publish `code` as the wait of `pid`'s next poll, engaging the pid
     /// as an enter waiter if it was not (module docs).
-    pub(crate) fn publish(&self, pid: Pid, code: u64) {
+    fn publish(&self, pid: Pid, code: u64) {
         if self.slots[pid].wait.swap(code, Ordering::SeqCst) == IDLE {
             self.parked.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    /// Withdraw `pid`'s engagement and any waker it left.
+    /// Withdraw `pid`'s engagement, any waker it left and any hint a
+    /// late handoff set.
     pub(crate) fn disengage(&self, pid: Pid) {
         let slot = &self.slots[pid];
         if slot.wait.swap(IDLE, Ordering::SeqCst) != IDLE {
             self.parked.fetch_sub(1, Ordering::SeqCst);
         }
-        slot.waker.lock().unwrap().take();
+        slot.hint.store(false, Ordering::SeqCst);
+        // Dropped after the slot mutex is released, as in `wake`.
+        let _waker = slot.waker().take();
     }
 
     /// Wake the engaged waiters `handoff` names, and those that
@@ -409,8 +435,10 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
             let wait = slot.wait.load(Ordering::SeqCst);
             if wait != IDLE && (wait == ANY || wait == queue || wait == epoch) {
                 slot.hint.store(true, Ordering::SeqCst);
-                slot.waiter.unpark();
-                if let Some(w) = slot.waker.lock().unwrap().take() {
+                // Fired after the slot mutex is released: a waker may
+                // drop the future it wakes, whose drop disengages.
+                let waker = slot.waker().take();
+                if let Some(w) = waker {
                     self.enter_wakeups.fetch_add(1, Ordering::Relaxed);
                     w.wake();
                 }
@@ -521,10 +549,12 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
                 return Err(r);
             }
             // Register while holding the lock, so no transition is missed.
-            let reg =
-                self.release_then(*pid, data, || RegistrationGuard::register(&self.ccs, pred));
+            let waker = thread_waker();
+            let reg = self.release_then(*pid, data, || {
+                RegistrationGuard::register(&self.ccs, pred, &waker)
+            });
             self.pids.put(*pid);
-            let expired = limit.park(reg.waiter());
+            let expired = limit.wait(|| reg.notified());
             woken = reg.deregister();
             *pid = if keep {
                 self.take_and_enter(&Limit::<NeverAbort>::Forever)?

@@ -19,8 +19,8 @@
 //! `try_lock_until` as sugar), [`MutexGuard::await_when`],
 //! [`Arena::acquire`] and [`AsyncAbortableMutex::acquire`] — where
 //! **dropping a pending future is an abort** — all execute it over one
-//! lock core: a blocked thread spins on the enter machine, then parks; a
-//! task leaves its waker. Each unlock evaluates registered predicates
+//! lock core: a blocked thread spins on the enter machine, then leaves a
+//! waker that unparks it and parks, as a task leaves its own. Each unlock evaluates registered predicates
 //! under the lock and wakes only the waiters whose condition holds
 //! ([`ccs`]). Each attempt checks a process id out of the core for its
 //! own duration, and the guard gives it back, so handles are free and
@@ -516,6 +516,87 @@ mod tests {
             drop(g);
         });
         assert!(done.load(Ordering::SeqCst));
+    }
+
+    /// Whether some pid's enter slot publishes a wait: an enter waiter
+    /// is past its spin phase (a published wait is nonzero).
+    fn engaged<T>(m: &AbortableMutex<T>) -> bool {
+        m.core
+            .slots
+            .iter()
+            .any(|s| s.wait.load(Ordering::SeqCst) != 0)
+    }
+
+    #[test]
+    fn a_thread_parked_in_the_enter_wait_is_woken_once_through_its_waker() {
+        let m = AbortableMutex::builder(0u64).capacity(2).build();
+        let mut h = m.handle();
+        let g = h.lock();
+        std::thread::scope(|s| {
+            let t = s.spawn(|| *m.handle().lock() += 1);
+            while !engaged(&m) {
+                std::thread::yield_now();
+            }
+            drop(g);
+            t.join().unwrap();
+        });
+        assert_eq!(m.core.enter_wakeups.load(Ordering::Relaxed), 1);
+        assert_eq!(m.into_inner(), 1);
+    }
+
+    /// Run `wait` on a thread until `blocked()` holds, then unpark that
+    /// thread every ~100 µs for ~20 ms: it must stay blocked, and finish
+    /// once `release` supplies what it waits for.
+    fn survives_spurious_unparks(
+        wait: impl FnOnce() + Send,
+        blocked: impl Fn() -> bool,
+        release: impl FnOnce(),
+    ) {
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let t = s.spawn(|| {
+                wait();
+                done.store(true, Ordering::SeqCst);
+            });
+            while !blocked() {
+                std::thread::yield_now();
+            }
+            let end = Instant::now() + Duration::from_millis(20);
+            while Instant::now() < end {
+                t.thread().unpark();
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            assert!(blocked(), "a spurious unpark ended the wait");
+            assert!(!done.load(Ordering::SeqCst), "finished before the release");
+            release();
+            t.join().unwrap();
+        });
+        assert!(done.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn spurious_unparks_do_not_end_a_thread_wait_early() {
+        // The pid wait.
+        let m = AbortableMutex::builder(0u64).capacity(1).build();
+        let mut h = m.handle();
+        let g = h.lock();
+        survives_spurious_unparks(
+            || drop(m.handle().lock()),
+            || m.core.pids.queued() == 1,
+            move || drop(g),
+        );
+        // The enter wait.
+        let m = AbortableMutex::builder(0u64).capacity(2).build();
+        let mut h = m.handle();
+        let g = h.lock();
+        survives_spurious_unparks(|| drop(m.handle().lock()), || engaged(&m), move || drop(g));
+        // The conditional wait.
+        let m = AbortableMutex::builder(0u64).capacity(2).build();
+        survives_spurious_unparks(
+            || drop(m.handle().acquire(Acquire::new().when(|v: &u64| *v > 0))),
+            || m.waiters() == 1,
+            || *m.handle().lock() = 1,
+        );
     }
 
     #[test]

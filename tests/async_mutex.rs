@@ -20,8 +20,8 @@ use sal_sync::{AbortReason, Acquire, AsyncAbortableMutex};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use std::sync::{mpsc, Arc, Mutex};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Wake, Waker};
 use std::time::Duration;
 
 /// A no-op waker for hand-driven polls.
@@ -372,4 +372,42 @@ fn guard_can_be_dropped_on_another_worker() {
         "guard-holding tasks migrated workers {} times",
         migrations.load(Ordering::Relaxed)
     );
+}
+
+#[test]
+fn a_waker_that_drops_the_future_it_wakes_does_not_deadlock_the_unlock() {
+    // The unlock fires the queued future's waker, and that waker holds
+    // the last reference to the future: dropping it runs the cancelling
+    // abort, which disengages the very slot the unlock is waking.
+    type LockFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
+    struct DropOnWake(Mutex<Option<LockFuture>>);
+    impl Wake for DropOnWake {
+        fn wake(self: Arc<Self>) {
+            let fut = self.0.lock().unwrap().take();
+            drop(fut);
+        }
+    }
+    let m: &'static AsyncAbortableMutex<u64> = Box::leak(Box::new(
+        AsyncAbortableMutex::builder(0).capacity(2).build_async(),
+    ));
+    let g = m.try_lock().expect("uncontended");
+    let owner = Arc::new(DropOnWake(Mutex::new(None)));
+    let waker = Waker::from(Arc::clone(&owner));
+    let mut fut: LockFuture = Box::pin(async move {
+        drop(m.lock().await);
+    });
+    assert!(fut
+        .as_mut()
+        .poll(&mut Context::from_waker(&waker))
+        .is_pending());
+    *owner.0.lock().unwrap() = Some(fut);
+    drop((waker, owner)); // the waker left in the lock owns the future now
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        drop(g);
+        tx.send(()).unwrap();
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("the unlock deadlocked on its own wake");
+    assert_eq!(m.free_pids(), 2);
 }
