@@ -43,7 +43,9 @@ done
 # pipeline), and the thread-waker tests: a parked enter waiter is woken
 # once through its waker, spurious unparks end no thread wait early,
 # and a waker that drops the future it wakes does not deadlock the
-# unlock. About 20 s on a 2-vCPU VM.
+# unlock. Two more race a mutex's promotion of its inline word against
+# the demotion of the last one: threads on a sync mutex, and tasks on a
+# two-worker executor. About 20 s on a 2-vCPU VM.
 test_binary() {
     cargo test --release --no-run "$@" 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p'
 }
@@ -68,7 +70,9 @@ for _ in $(seq 20); do
         tests::an_attempt_past_capacity_waits_for_a_pid_under_its_limit \
         tests::capacity_many_cond_waiters_leave_the_producer_a_pid \
         tests::a_thread_parked_in_the_enter_wait_is_woken_once_through_its_waker \
-        tests::spurious_unparks_do_not_end_a_thread_wait_early
+        tests::spurious_unparks_do_not_end_a_thread_wait_early \
+        tests::promotion_races_demotion_under_mixed_attempts \
+        async_mutex::tests::promotion_races_demotion_on_two_workers
     run_tests "$arena_api" -q --exact threads_past_the_core_capacity_wait_for_a_pid
     run_tests "$async_mutex" -q --exact handoff_wakes_track_entered_passages \
         async_lock_when_pipeline \

@@ -23,12 +23,15 @@
 //!   O(currently contended keys), not O(keys): the practical analogue
 //!   of the paper's §6.2 bounded-space constructions.
 //!
-//! A materialized key runs the lock core and thread driver of
-//! [`AbortableMutex`](crate::AbortableMutex), so a limit that fires while
-//! queued abandons on the paper's bounded abort path. A `when` request
-//! waits in the core's conditional loop; the arena adds only the step
-//! that materializes an inline key it holds (the registry lives in the
-//! core).
+//! Every key runs the one lock path of the mutexes: the inline word and
+//! its promotion, join and demotion protocol live in the crate's driver
+//! (shared with [`AbortableMutex`](crate::AbortableMutex), whose word has
+//! one resident core), and a materialized key runs the same lock core
+//! and thread driver, so a limit that fires while queued abandons on the
+//! paper's bounded abort path. The arena itself is the key → entry
+//! lookup and the core pool. A `when` request whose predicate is false
+//! materializes the inline key it holds (the registry lives in a core)
+//! and waits in the core's conditional loop.
 //!
 //! Limits: per key at most `core_capacity - 1` threads share the core
 //! (one pid is the promotion proxy; more wait for a pid under their
@@ -38,15 +41,15 @@
 //! no RMR guarantee on that path, never incorrect. Locking a key twice
 //! from one thread deadlocks, as with `std::sync::Mutex`.
 //!
-//! The promotion/demotion protocol ([`sal_core::arena_word`], shared with
-//! the exhaustive model in `tests/arena_protocol.rs`; DESIGN.md §13): a
-//! promoter enters a pooled core with the reserved **proxy pid** for the
-//! inline holder, then publishes `LOCKED_INLINE → MATERIALIZED(idx)` or
-//! undoes everything; an inline holder whose unlock CAS fails exits
-//! through the proxy pid; every participant counts in `users`, and the
-//! last one out swaps in a demoting sentinel, resets the word and
-//! returns the core. Joiners increment first and revalidate the word
-//! after, so they either block demotion or see it and retry.
+//! The protocol ([`sal_core::arena_word`], model-checked in
+//! `tests/arena_protocol.rs`; DESIGN.md §13): a promoter enters a pooled
+//! core with the reserved **proxy pid** for the inline holder, then
+//! publishes `LOCKED_INLINE → MATERIALIZED(idx)` or undoes everything;
+//! an inline holder whose unlock CAS fails exits through the proxy pid;
+//! every participant counts in `users`, and the last one out swaps in a
+//! demoting sentinel, resets the word and returns the core. Joiners
+//! increment first and revalidate the word after, so they either block
+//! demotion or see it and retry.
 //!
 //! ```
 //! use sal_sync::Arena;
@@ -60,12 +63,11 @@
 //! assert_eq!(arena.stats().resident_cores, 0); // nothing materialized
 //! ```
 
-use crate::acquire::{Limit, Predicate};
-use crate::driver::Core;
+use crate::acquire::Predicate;
+use crate::driver::{Core, Cores, Hold, Seated, Transitions, Word};
 use crate::{AbortReason, Acquire, Immediate};
 use sal_core::arena_word as word;
-use sal_core::LockCore;
-use sal_memory::{AbortSignal, NeverAbort, Pid};
+use sal_memory::AbortSignal;
 use sal_obs::NoProbe;
 use std::cell::UnsafeCell;
 use std::collections::hash_map::RandomState;
@@ -76,11 +78,6 @@ use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
-use std::time::Duration;
-
-/// The proxy pid a promoter enters a fresh core with, standing in for
-/// the inline holder; outside the range the core admits.
-const RESERVED: Pid = 0;
 
 /// One logical lock: the inline word plus the protected value. Boxed
 /// inside the shard map and never removed while the arena lives, so
@@ -97,24 +94,16 @@ struct Shard<K, T> {
     map: RwLock<HashMap<K, Box<Entry<T>>>>,
 }
 
-/// A pooled lock core: the shared [`Core`] and the participant count; a
-/// demoted core returns with its lock free.
-struct Pooled<T> {
-    core: Core<T>,
-    /// Participant count (joiners, holders, the promotion proxy) or
-    /// [`word::USERS_DEMOTING`]; see the protocol in the module docs.
-    users: AtomicUsize,
-}
-
 /// The bounded core pool: slots are built lazily, never torn down, and
 /// recycled through a free list, so `built` is the high-water mark of
 /// contended keys and space is `pool × O(capacity²)` words.
 struct CorePool<T> {
-    slots: Box<[OnceLock<Pooled<T>>]>,
+    slots: Box<[OnceLock<Seated<T>>]>,
     free: Mutex<Vec<u32>>,
     built: AtomicUsize,
     capacity: usize,
     branching: usize,
+    transitions: Transitions,
 }
 
 impl<T> CorePool<T> {
@@ -125,12 +114,19 @@ impl<T> CorePool<T> {
             built: AtomicUsize::new(0),
             capacity,
             branching,
+            transitions: Transitions::default(),
         }
     }
+}
 
-    /// Take a core: a recycled one off the free list, else construct
-    /// the next never-used slot. `None` when the pool is exhausted.
-    fn acquire(&self) -> Option<u32> {
+impl<T> Cores for CorePool<T> {
+    type T = T;
+    type P = NoProbe;
+    const REPORTS: bool = false;
+
+    /// A recycled core off the free list, else the next never-used slot
+    /// built; `None`, counted as a fallback spin, when all are in use.
+    fn claim(&self) -> Option<u32> {
         if let Some(i) = self.free.lock().unwrap().pop() {
             return Some(i);
         }
@@ -139,37 +135,39 @@ impl<T> CorePool<T> {
             if b >= self.slots.len() {
                 // Fully built: one more look at the free list (a racing
                 // release may have restocked it).
-                return self.free.lock().unwrap().pop();
+                let idx = self.free.lock().unwrap().pop();
+                if idx.is_none() {
+                    let spins = &self.transitions.fallback_spins;
+                    spins.fetch_add(1, Ordering::Relaxed);
+                }
+                return idx;
             }
             if self
                 .built
                 .compare_exchange(b, b + 1, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                let pooled = Pooled {
-                    core: Core::new(self.capacity, self.branching, 1..self.capacity, NoProbe),
-                    users: AtomicUsize::new(0),
-                };
-                let set = self.slots[b].set(pooled);
+                let core = Core::new(self.capacity, self.branching, NoProbe);
+                let users = AtomicUsize::new(0);
+                let set = self.slots[b].set(Seated { users, core });
                 debug_assert!(set.is_ok(), "slot {b} built twice");
                 return Some(b as u32);
             }
         }
     }
 
-    fn release(&self, idx: u32) {
+    fn unclaim(&self, idx: u32) {
         self.free.lock().unwrap().push(idx);
     }
 
-    fn get(&self, idx: u32) -> &Pooled<T> {
+    fn seated(&self, idx: u32) -> &Seated<T> {
         self.slots[idx as usize]
             .get()
             .expect("materialized index names a built core")
     }
 
-    /// Cores currently checked out (materialized keys, right now).
-    fn resident(&self) -> usize {
-        self.built.load(Ordering::SeqCst) - self.free.lock().unwrap().len()
+    fn transitions(&self) -> &Transitions {
+        &self.transitions
     }
 }
 
@@ -258,10 +256,6 @@ impl<K, T> ArenaBuilder<K, T> {
             shard_mask: self.shards - 1,
             hasher: RandomState::new(),
             pool: CorePool::new(self.pool, self.capacity, self.branching),
-            promotions: AtomicU64::new(0),
-            demotions: AtomicU64::new(0),
-            raced_promotions: AtomicU64::new(0),
-            fallback_spins: AtomicU64::new(0),
         }
     }
 }
@@ -276,10 +270,6 @@ pub struct Arena<K, T> {
     shard_mask: usize,
     hasher: RandomState,
     pool: CorePool<T>,
-    promotions: AtomicU64,
-    demotions: AtomicU64,
-    raced_promotions: AtomicU64,
-    fallback_spins: AtomicU64,
 }
 
 // Safety: `T` lives in per-entry `UnsafeCell`s handed out only under
@@ -291,23 +281,6 @@ unsafe impl<K: Send + Sync, T: Send> Send for Arena<K, T> {}
 // Safety: as above — `&Arena` exposes `&T`/`&mut T` only through
 // per-key mutual exclusion.
 unsafe impl<K: Send + Sync, T: Send> Sync for Arena<K, T> {}
-
-/// How a guard holds its key: through the inline word, or through a
-/// materialized core with a checked-out pid.
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    Inline,
-    Core { idx: u32, pid: Pid },
-}
-
-/// Why a promotion attempt did not publish.
-enum Promote {
-    /// The publish CAS lost (holder released, or another promoter won);
-    /// fully undone — re-read the word.
-    Raced,
-    /// No core available; degraded path.
-    Exhausted,
-}
 
 impl<K: Hash + Eq + Clone, T: Default> Default for Arena<K, T> {
     fn default() -> Self {
@@ -372,50 +345,10 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
         S: AbortSignal,
     {
         let entry = self.entry(key);
-        let mut backoff = 0u32;
-        loop {
-            let (idx, mut pid) = match self.enter(entry, &req.limit)? {
-                Mode::Core { idx, pid } => (idx, pid),
-                Mode::Inline => {
-                    // Safety: we hold the key's lock.
-                    if req.pred.holds(unsafe { &*entry.data.get() }) {
-                        return Ok(self.guard(entry, Mode::Inline));
-                    }
-                    if let Some(r) = req.limit.expired() {
-                        self.unlock(entry, Mode::Inline);
-                        return Err(r);
-                    }
-                    // To wait we need a registry, i.e. a core.
-                    match self.materialize(entry, true) {
-                        Ok(seat) => seat,
-                        Err(promote) => {
-                            // Raced: someone materialized under us — come
-                            // back in core mode. Exhausted: re-poll the
-                            // predicate with backoff.
-                            self.unlock(entry, Mode::Inline);
-                            if let Promote::Exhausted = promote {
-                                self.fallback_spins.fetch_add(1, Ordering::Relaxed);
-                                backoff_step(&mut backoff);
-                            }
-                            continue;
-                        }
-                    }
-                }
-            };
-            let p = self.pool.get(idx);
-            // Our users seat is kept across the wait (a registered
-            // waiter must block demotion); the pid is not.
-            return match p
-                .core
-                .hold_when(&mut pid, &entry.data, &req.pred, &req.limit, false)
-            {
-                Ok(()) => Ok(self.guard(entry, Mode::Core { idx, pid })),
-                Err(r) => {
-                    self.depart(entry, p, idx);
-                    Err(r)
-                }
-            };
-        }
+        let word = self.word(entry);
+        let mut hold = word.enter(&req.limit)?;
+        word.hold_when(&mut hold, &req.pred, &req.limit, false)?;
+        Ok(self.guard(entry, hold))
     }
 
     /// Acquire `key`'s lock, waiting as long as it takes:
@@ -439,19 +372,24 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
 impl<K, T> Arena<K, T> {
     /// Snapshot the arena counters.
     pub fn stats(&self) -> ArenaStats {
+        let (t, built) = (
+            &self.pool.transitions,
+            self.pool.built.load(Ordering::SeqCst),
+        );
         ArenaStats {
-            resident_cores: self.pool.resident(),
-            built_cores: self.pool.built.load(Ordering::SeqCst),
+            // Cores checked out: materialized keys, right now.
+            resident_cores: built - self.pool.free.lock().unwrap().len(),
+            built_cores: built,
             pool_capacity: self.pool.slots.len(),
             keys: self
                 .shards
                 .iter()
                 .map(|s| s.map.read().unwrap().len())
                 .sum(),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
-            raced_promotions: self.raced_promotions.load(Ordering::Relaxed),
-            fallback_spins: self.fallback_spins.load(Ordering::Relaxed),
+            promotions: t.promotions.load(Ordering::Relaxed),
+            demotions: t.demotions.load(Ordering::Relaxed),
+            raced_promotions: t.raced_promotions.load(Ordering::Relaxed),
+            fallback_spins: t.fallback_spins.load(Ordering::Relaxed),
         }
     }
 
@@ -460,222 +398,22 @@ impl<K, T> Arena<K, T> {
         self.shards.len()
     }
 
-    fn guard<'a>(&'a self, entry: &'a Entry<T>, mode: Mode) -> ArenaGuard<'a, K, T> {
+    fn guard<'a>(&'a self, entry: &'a Entry<T>, hold: Hold) -> ArenaGuard<'a, K, T> {
         ArenaGuard {
             arena: self,
             entry,
-            mode,
+            hold,
             _not_send: PhantomData,
         }
     }
 
-    /// The plain dispatch loop: CAS the inline word, promote on
-    /// contention, or join the key's core and run its thread driver. On
-    /// `Err` nothing is held or leaked.
+    /// `entry`'s word over the pool.
     #[inline]
-    fn enter<S: AbortSignal>(
-        &self,
-        entry: &Entry<T>,
-        limit: &Limit<S>,
-    ) -> Result<Mode, AbortReason> {
-        let mut backoff = 0u32;
-        loop {
-            match word::decode(entry.word.load(Ordering::SeqCst)) {
-                word::WordState::Unlocked => {
-                    if entry
-                        .word
-                        .compare_exchange(
-                            word::UNLOCKED,
-                            word::LOCKED_INLINE,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        )
-                        .is_ok()
-                    {
-                        return Ok(Mode::Inline);
-                    }
-                }
-                word::WordState::LockedInline => {
-                    // An expired limit (try_lock's pre-fired signal)
-                    // fails fast here without materializing anything.
-                    if let Some(r) = limit.expired() {
-                        return Err(r);
-                    }
-                    if let Err(Promote::Exhausted) = self.materialize(entry, false) {
-                        self.fallback_spins.fetch_add(1, Ordering::Relaxed);
-                        backoff_step(&mut backoff);
-                    }
-                }
-                word::WordState::Materialized(idx) => {
-                    if let Some(r) = self.enter_core(entry, idx as u32, limit) {
-                        return r;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Join materialized core `idx` and run its thread driver; `None`
-    /// when the core no longer serves `entry` (re-read the word). Kept
-    /// out of line so the inline-word path stays small.
-    #[cold]
-    fn enter_core<S>(
-        &self,
-        entry: &Entry<T>,
-        idx: u32,
-        limit: &Limit<S>,
-    ) -> Option<Result<Mode, AbortReason>>
-    where
-        S: AbortSignal,
-    {
-        let p = self.pool.get(idx);
-        if !self.join(entry, p, idx) {
-            return None;
-        }
-        let pid = p.core.take_and_enter(limit);
-        if pid.is_err() {
-            self.depart(entry, p, idx);
-        }
-        Some(pid.map(|pid| Mode::Core { idx, pid }))
-    }
-
-    /// Materialize an inline-held key: take a pooled core, enter it as
-    /// the holder — through the proxy pid for someone else's hold, or a
-    /// checked-out pid for `ours` (a conditional wait needs a core to
-    /// register in) — and publish `LOCKED_INLINE → MATERIALIZED(idx)`. A
-    /// lost publish (the holder released, or another promoter won) is
-    /// fully undone.
-    fn materialize(&self, entry: &Entry<T>, ours: bool) -> Result<(u32, Pid), Promote> {
-        let Some(idx) = self.pool.acquire() else {
-            return Err(Promote::Exhausted);
-        };
-        let p = self.pool.get(idx);
-        p.users.fetch_add(1, Ordering::SeqCst);
-        let pid = if ours {
-            let free = p.core.pids.try_take();
-            free.expect("fresh core has free pids")
-        } else {
-            RESERVED
-        };
-        let outcome = p
-            .core
-            .lock
-            .enter_core(&p.core.mem, pid, &NeverAbort, &NoProbe);
-        debug_assert!(outcome.entered(), "fresh core acquires immediately");
-        let published = entry.word.compare_exchange(
-            word::LOCKED_INLINE,
-            word::materialized(idx as usize),
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-        if published.is_ok() {
-            self.promotions.fetch_add(1, Ordering::Relaxed);
-            return Ok((idx, pid));
-        }
-        p.core.lock.exit_core(&p.core.mem, pid, &NoProbe);
-        if ours {
-            p.core.pids.put(pid);
-        }
-        p.users.fetch_sub(1, Ordering::SeqCst);
-        self.pool.release(idx);
-        self.raced_promotions.fetch_add(1, Ordering::Relaxed);
-        Err(Promote::Raced)
-    }
-
-    /// Become a counted participant of `p`, or back off (`false`) if
-    /// the core is demoting / no longer serves this entry. Increment
-    /// first, revalidate the word after — the demotion-race half of the
-    /// protocol (module docs).
-    fn join(&self, entry: &Entry<T>, p: &Pooled<T>, idx: u32) -> bool {
-        loop {
-            let u = p.users.load(Ordering::SeqCst);
-            let Some(next) = word::join_users(u) else {
-                // Demotion in flight; the demoter changes the word
-                // before releasing the core, so re-reading it makes
-                // progress.
-                return false;
-            };
-            if p.users
-                .compare_exchange(u, next, Ordering::SeqCst, Ordering::SeqCst)
-                .is_err()
-            {
-                continue;
-            }
-            if entry.word.load(Ordering::SeqCst) == word::materialized(idx as usize) {
-                return true;
-            }
-            // The core moved on (demoted, possibly re-promoted for
-            // another key) between our read and our increment: undo.
-            p.users.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        }
-    }
-
-    /// Give up a participant seat; the last one out demotes the key and
-    /// returns the core to the pool.
-    fn depart(&self, entry: &Entry<T>, p: &Pooled<T>, idx: u32) {
-        loop {
-            let u = p.users.load(Ordering::SeqCst);
-            debug_assert!(u != 0 && u != word::USERS_DEMOTING, "departing a dead core");
-            if word::may_demote(u) {
-                if p.users
-                    .compare_exchange(u, word::USERS_DEMOTING, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    // Sole participant ⇒ the core's lock is free (any
-                    // holder, waiter, or proxy is a counted user) and
-                    // its registry is empty. Word first (joiners
-                    // spinning on the sentinel re-read it), then the
-                    // counter, then the pool slot.
-                    let prev = entry.word.swap(word::UNLOCKED, Ordering::SeqCst);
-                    debug_assert_eq!(prev, word::materialized(idx as usize));
-                    p.users.store(0, Ordering::SeqCst);
-                    self.pool.release(idx);
-                    self.demotions.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            } else if p
-                .users
-                .compare_exchange(u, u - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Full release of a held key in either mode.
-    fn unlock(&self, entry: &Entry<T>, mode: Mode) {
-        match mode {
-            Mode::Inline => {
-                if entry
-                    .word
-                    .compare_exchange(
-                        word::LOCKED_INLINE,
-                        word::UNLOCKED,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                    .is_ok()
-                {
-                    return;
-                }
-                // Promoted while we held: our hold is now modelled by
-                // the proxy pid — exit through it and give up its seat.
-                let w = word::decode(entry.word.load(Ordering::SeqCst));
-                let word::WordState::Materialized(idx) = w else {
-                    unreachable!("inline hold can only change by promotion, found {w:?}");
-                };
-                let idx = idx as u32;
-                let p = self.pool.get(idx);
-                p.core.release_then(RESERVED, &entry.data, || ());
-                self.depart(entry, p, idx);
-            }
-            Mode::Core { idx, pid } => {
-                let p = self.pool.get(idx);
-                p.core.unlock(pid, &entry.data);
-                self.depart(entry, p, idx);
-            }
+    fn word<'a>(&'a self, entry: &'a Entry<T>) -> Word<'a, CorePool<T>> {
+        Word {
+            word: &entry.word,
+            data: &entry.data,
+            cores: &self.pool,
         }
     }
 }
@@ -690,20 +428,6 @@ impl<K, T> fmt::Debug for Arena<K, T> {
     }
 }
 
-/// Exhausted-pool backoff: brief spins, then yields, then short sleeps.
-fn backoff_step(step: &mut u32) {
-    *step = step.saturating_add(1);
-    match *step {
-        0..=4 => {
-            for _ in 0..(1u32 << *step) {
-                std::hint::spin_loop();
-            }
-        }
-        5..=16 => std::thread::yield_now(),
-        _ => std::thread::sleep(Duration::from_micros(u64::from((*step - 16).min(6)) * 10)),
-    }
-}
-
 /// RAII guard over one key's value; the key's lock is held while the
 /// guard lives and released (with demotion bookkeeping) on drop.
 ///
@@ -712,7 +436,7 @@ fn backoff_step(step: &mut u32) {
 pub struct ArenaGuard<'a, K, T> {
     arena: &'a Arena<K, T>,
     entry: &'a Entry<T>,
-    mode: Mode,
+    hold: Hold,
     /// Suppresses auto `Send`/`Sync` (see type docs).
     _not_send: PhantomData<*const ()>,
 }
@@ -739,7 +463,7 @@ impl<K, T> DerefMut for ArenaGuard<'_, K, T> {
 
 impl<K, T> Drop for ArenaGuard<'_, K, T> {
     fn drop(&mut self) {
-        self.arena.unlock(self.entry, self.mode);
+        self.arena.word(self.entry).unlock(self.hold);
     }
 }
 
@@ -753,7 +477,7 @@ impl<K, T: fmt::Debug> fmt::Debug for ArenaGuard<'_, K, T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn uncontended_traffic_never_materializes() {

@@ -9,16 +9,22 @@
 //! (Tree.remove, rescue, Cleanup) in the dropping thread's own bounded
 //! steps (`tests/async_cancellation.rs` checks the ≤ 300-op bound at
 //! every cancellation point). [`try_lock`](AsyncAbortableMutex::try_lock)
-//! resolves a fresh machine the same way.
+//! on a contended lock resolves a fresh machine the same way.
 //!
 //! The mutex is an [`AbortableMutex`] driven by wakers: one future type,
 //! [`AcquireFuture`], executes every [`Acquire`] request over the same
-//! lock core, in three layers.
+//! inline word and lock core. Its first poll tries the word: an
+//! uncontended lock is one CAS, takes no pid and resolves at once. A
+//! future that finds the word held promotes it (the proxy enters the
+//! free core solo, so this never blocks) and takes a seat in the core,
+//! which it keeps until it resolves or is dropped; the guard of a core
+//! acquisition inherits it. From there, three layers.
 //!
-//! 1. **Pid checkout.** Tasks outnumber pids, so each attempt checks a
-//!    pid out of the core's admission (the same one the blocking
-//!    surfaces use); futures beyond the capacity queue, and released pids
-//!    go straight to the queue head (admission is FIFO and barge-free).
+//! 1. **Pid checkout.** Tasks outnumber pids, so each attempt in the
+//!    core checks a pid out of the core's admission (the same one the
+//!    blocking surfaces use); futures beyond the capacity queue, and
+//!    released pids go straight to the queue head (admission is FIFO and
+//!    barge-free).
 //! 2. **Enter polling.** Each poll is the core's one engaged poll, the
 //!    step a blocked thread takes after its spin phase too: store the
 //!    waker, then publish the key of the word the machine reads,
@@ -39,7 +45,10 @@
 //!
 //! A `when` request whose predicate is false registers it with its
 //! waker, gives back the lock and its pid, and queues for a pid again
-//! once unlock-side evaluation ([`crate::ccs`]) fires the waker.
+//! once unlock-side evaluation ([`crate::ccs`]) fires the waker. Held
+//! inline, it first materializes the word with a pid of its own, since
+//! the registry lives in the core; its seat keeps the core there while
+//! it waits.
 //!
 //! ## Deadline caveat
 //!
@@ -71,7 +80,7 @@
 
 use crate::acquire::{Always, Limit, Predicate};
 use crate::ccs::Registration;
-use crate::driver::Ticket;
+use crate::driver::{Hold, Ticket, PROXY};
 use crate::{AbortableMutex, AbortableMutexBuilder, Acquire, Immediate};
 use sal_core::resume::EnterMachine;
 use sal_core::AbortReason;
@@ -111,11 +120,13 @@ pub struct AsyncStats {
     /// bounded abort (or took a just-granted lock and released it).
     pub cancelled_pending: u64,
     /// Size of the pid pool — the most tasks that can contend *inside*
-    /// the lock at once. Tasks beyond this queue for admission.
+    /// the lock core at once (the promotion proxy's pid not counted).
+    /// Tasks beyond this queue for admission.
     pub pool_capacity: usize,
     /// Pids sitting in the free pool at snapshot time. Equals
     /// [`pool_capacity`](Self::pool_capacity) when no attempt or guard
-    /// is in flight — the zero-leak check.
+    /// is in the core (an inline guard holds no pid) — the zero-leak
+    /// check.
     pub free_pids: usize,
     /// Tasks queued for pid admission at snapshot time (advisory: a
     /// persistently large value means the pool is the bottleneck).
@@ -127,10 +138,10 @@ pub struct AsyncStats {
 /// aborts the attempt on the paper's bounded abort path. See the
 /// [module docs](self) for the design.
 ///
-/// Any number of tasks may share the mutex: each attempt checks a
-/// process identity out of the lock's FIFO admission, so at most
-/// `capacity` of them contend inside the lock at once and the rest queue
-/// for admission.
+/// Any number of tasks may share the mutex: each contended attempt
+/// checks a process identity out of the lock core's FIFO admission, so
+/// at most `capacity` of them contend inside the core at once and the
+/// rest queue for admission.
 ///
 /// ```
 /// use sal_runtime::executor::Executor;
@@ -203,18 +214,22 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
             pred: Box::new(req.pred),
             limit: req.limit,
             st: State::Fresh,
+            seated: false,
             woken: false,
         }
     }
 
     /// One near-immediate attempt, synchronously: `None` if the lock is
-    /// held *or* all pids are checked out by in-flight futures.
+    /// held, or if it is contended and all pids are checked out by
+    /// in-flight futures. Against a free lock it is one CAS; against an
+    /// inline holder it fails at once, without entering the core.
     pub fn try_lock(&self) -> Option<AsyncMutexGuard<'_, T, P>> {
-        let pid = self.m.core.take_and_enter(&Limit::Signal(Immediate));
-        pid.ok().map(|pid| self.guard(pid))
+        let hold = self.m.word().enter(&Limit::Signal(Immediate));
+        hold.ok().map(|hold| self.guard(hold))
     }
 
-    /// Tasks admitted into the lock at once; more queue for admission.
+    /// Tasks admitted into the lock core at once; more queue for
+    /// admission.
     pub fn capacity(&self) -> usize {
         self.m.capacity()
     }
@@ -241,7 +256,7 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
 
     /// Snapshot of the async driver counters.
     pub fn stats(&self) -> AsyncStats {
-        let core = &self.m.core;
+        let core = &self.m.seated.core;
         AsyncStats {
             enter_wakeups: core.enter_wakeups.load(Ordering::Relaxed),
             futile_enter_wakeups: core.futile_enter_wakeups.load(Ordering::Relaxed),
@@ -254,14 +269,14 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
     }
 
     /// Pids in the free pool: [`capacity`](Self::capacity) when nothing
-    /// is in flight (the leak check).
+    /// is in the core (the leak check); an inline holder takes none.
     pub fn free_pids(&self) -> usize {
-        self.m.core.pids.free()
+        self.m.seated.core.pids.free()
     }
 
     /// Tasks queued for pid admission right now.
     pub fn queued_tasks(&self) -> usize {
-        self.m.core.pids.queued()
+        self.m.seated.core.pids.queued()
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -269,10 +284,10 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
         self.m.get_mut()
     }
 
-    fn guard(&self, pid: Pid) -> AsyncMutexGuard<'_, T, P> {
+    fn guard(&self, hold: Hold) -> AsyncMutexGuard<'_, T, P> {
         AsyncMutexGuard {
             mx: self,
-            pid,
+            hold,
             _marker: PhantomData,
         }
     }
@@ -280,13 +295,8 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
     fn start_enter(&self, pid: Pid) -> State<T> {
         State::Enter {
             pid,
-            machine: self.m.core.begin(pid),
+            machine: self.m.seated.core.begin(pid),
         }
-    }
-
-    /// Release the lock and return the pid to the pool.
-    fn unlock(&self, pid: Pid) {
-        self.m.core.unlock(pid, &self.m.data);
     }
 }
 
@@ -315,7 +325,8 @@ impl<T> From<T> for AsyncAbortableMutex<T> {
 /// Progress of one attempt: holding no pid (not yet polled, or back
 /// from a conditional wait), queued for a pid, driving the enter machine
 /// (dropping from here is the bounded-abort obligation), registered in a
-/// conditional wait with the lock and pid given back, or resolved.
+/// conditional wait with the lock and pid given back, or resolved. Every
+/// state past `Fresh` holds a seat in the resident core.
 enum State<T: ?Sized> {
     Fresh,
     PidWait(Ticket),
@@ -342,6 +353,8 @@ pub struct AcquireFuture<
     pred: Box<F>,
     limit: Limit<S>,
     st: State<T>,
+    /// Whether the attempt holds a participant seat in the resident core.
+    seated: bool,
     /// Whether the last conditional wait ended in a notification
     /// (futile-wakeup accounting, as on the blocking path).
     woken: bool,
@@ -354,13 +367,18 @@ where
     F: Predicate<T>,
     S: AbortSignal,
 {
-    /// Advance by one poll. `Ready(Ok(pid))`: the lock is held by `pid`
-    /// with the predicate true. `Ready(Err)`: nothing is held any more.
-    fn step(&mut self, cx: &mut Context<'_>) -> Poll<Result<Pid, AbortReason>> {
+    /// Advance by one poll. `Ready(Ok(hold))`: the lock is held with
+    /// the predicate true. `Ready(Err)`: nothing is held any more.
+    fn step(&mut self, cx: &mut Context<'_>) -> Poll<Result<Hold, AbortReason>> {
         let mx = self.mx;
-        let core = &mx.m.core;
+        let core = &mx.m.seated.core;
         loop {
             match &mut self.st {
+                State::Fresh if !self.seated => match mx.m.word().dispatch(&self.limit) {
+                    Ok(None) => return self.held(Hold::INLINE, cx),
+                    Ok(Some(_)) => self.seated = true,
+                    Err(r) => return self.fail(r),
+                },
                 State::Fresh => match core.pids.take_or_queue(cx.waker()) {
                     Ok(pid) => self.st = mx.start_enter(pid),
                     Err(ticket) => {
@@ -380,7 +398,7 @@ where
                         {
                             core.pids.cancel(ticket);
                         }
-                        return Poll::Ready(Err(r));
+                        return self.fail(r);
                     }
                 },
                 State::CondWait(reg) => {
@@ -398,36 +416,77 @@ where
                         return Poll::Pending;
                     }
                     core.disengage(pid);
-                    self.st = State::Done;
                     if !core.settle(pid, step) {
                         core.pids.put(pid);
-                        return Poll::Ready(Err(self.limit.reason()));
+                        return self.fail(self.limit.reason());
                     }
-                    // Safety: we hold the lock, so the protected value is
-                    // stable under the predicate.
-                    if self.pred.holds(unsafe { &*mx.m.data.get() }) {
-                        return Poll::Ready(Ok(pid));
-                    }
-                    if self.woken {
-                        core.ccs.note_futile();
-                    }
-                    if let Some(r) = self.limit.expired() {
-                        mx.unlock(pid);
-                        return Poll::Ready(Err(r));
-                    }
-                    // Register with the waker under the lock (no
-                    // transition can be missed), then release and give
-                    // the pid back.
-                    let reg = core.release_then(pid, &mx.m.data, || {
-                        core.ccs.register(&*self.pred, cx.waker())
-                    });
-                    core.pids.put(pid);
-                    self.st = State::CondWait(reg);
-                    return Poll::Pending;
+                    return self.held(Hold { idx: 0, pid }, cx);
                 }
                 State::Done => panic!("lock future polled after completion"),
             }
         }
+    }
+
+    /// Holding the lock through `hold`: resolve if the predicate holds
+    /// (the seat goes to the guard) or the limit expired; else register
+    /// under the lock (no transition can be missed), release, and give
+    /// the pid back. An inline hold first materializes the word, since
+    /// the registry lives in the core; if that loses a race, it releases
+    /// and polls again.
+    fn held(&mut self, hold: Hold, cx: &mut Context<'_>) -> Poll<Result<Hold, AbortReason>> {
+        let (word, core) = (self.mx.m.word(), &self.mx.m.seated.core);
+        self.st = State::Done;
+        // Safety: we hold the lock, so the protected value is stable
+        // under the predicate.
+        if self.pred.holds(unsafe { &*self.mx.m.data.get() }) {
+            self.seated = false;
+            return Poll::Ready(Ok(hold));
+        }
+        if self.woken {
+            core.ccs.note_futile();
+        }
+        if let Some(r) = self.limit.expired() {
+            self.seated = false;
+            word.unlock(hold);
+            return Poll::Ready(Err(r));
+        }
+        let pid = match hold.pid {
+            PROXY => match word.materialize(true) {
+                Some((_, pid)) => {
+                    self.seated = true;
+                    pid
+                }
+                None => {
+                    word.unlock(hold);
+                    self.st = State::Fresh;
+                    cx.waker().wake_by_ref();
+                    return Poll::Pending;
+                }
+            },
+            pid => pid,
+        };
+        let reg = core.release_then(pid, word.data, || {
+            core.ccs.register(&*self.pred, cx.waker())
+        });
+        core.pids.put(pid);
+        self.st = State::CondWait(reg);
+        Poll::Pending
+    }
+}
+
+impl<T: ?Sized, P: Probe, F, S, const I: bool> AcquireFuture<'_, T, P, F, S, I> {
+    /// Give up the seat in the resident core, if held.
+    fn leave(&mut self) {
+        if std::mem::take(&mut self.seated) {
+            self.mx.m.word().depart(0);
+        }
+    }
+
+    /// Resolve with `r`, holding nothing.
+    fn fail(&mut self, r: AbortReason) -> Poll<Result<Hold, AbortReason>> {
+        self.st = State::Done;
+        self.leave();
+        Poll::Ready(Err(r))
     }
 }
 
@@ -443,7 +502,7 @@ where
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let mx = this.mx;
-        this.step(cx).map(|r| r.map(|pid| mx.guard(pid)))
+        this.step(cx).map(|r| r.map(|hold| mx.guard(hold)))
     }
 }
 
@@ -467,7 +526,7 @@ where
 impl<T: ?Sized, P: Probe, F, S, const I: bool> Drop for AcquireFuture<'_, T, P, F, S, I> {
     fn drop(&mut self) {
         let mx = self.mx;
-        let core = &mx.m.core;
+        let core = &mx.m.seated.core;
         match std::mem::replace(&mut self.st, State::Done) {
             State::Fresh | State::Done => {}
             State::PidWait(ticket) => core.pids.cancel(ticket),
@@ -481,12 +540,13 @@ impl<T: ?Sized, P: Probe, F, S, const I: bool> Drop for AcquireFuture<'_, T, P, 
                 core.disengage(pid);
                 mx.stats.cancelled_pending.fetch_add(1, Ordering::Relaxed);
                 if core.resolve_now(pid, &mut machine) {
-                    mx.unlock(pid);
+                    core.unlock(pid, &mx.m.data);
                 } else {
                     core.pids.put(pid);
                 }
             }
         }
+        self.leave();
     }
 }
 
@@ -501,14 +561,14 @@ impl<T: ?Sized, P: Probe, F, S, const I: bool> fmt::Debug for AcquireFuture<'_, 
 /// for the waiter the lock is handed to) on drop.
 ///
 /// Unlike the sync [`MutexGuard`](crate::MutexGuard), this guard is
-/// `Send` (for `T: Send`): the process identity is carried explicitly
-/// in the guard rather than through a thread-affine handle, and the
-/// algorithm keys all per-process state by pid, so an executor may
-/// resume the holding task — and hence drop the guard — on any worker
-/// thread.
+/// `Send` (for `T: Send`): the hold (inline, or a process identity in
+/// the core) is carried explicitly in the guard rather than through a
+/// thread-affine handle, and the algorithm keys all per-process state by
+/// pid, so an executor may resume the holding task — and hence drop the
+/// guard — on any worker thread.
 pub struct AsyncMutexGuard<'a, T: ?Sized, P: Probe = NoProbe> {
     mx: &'a AsyncAbortableMutex<T, P>,
-    pid: Pid,
+    hold: Hold,
     /// Suppresses the auto `Send`/`Sync` impls so the manual ones below
     /// carry exactly the right bounds.
     _marker: PhantomData<*const ()>,
@@ -541,7 +601,7 @@ impl<T: ?Sized, P: Probe> DerefMut for AsyncMutexGuard<'_, T, P> {
 
 impl<T: ?Sized, P: Probe> Drop for AsyncMutexGuard<'_, T, P> {
     fn drop(&mut self) {
-        self.mx.unlock(self.pid);
+        self.mx.m.word().unlock(self.hold);
     }
 }
 
@@ -588,6 +648,21 @@ mod tests {
 
     static WAKES: AtomicUsize = AtomicUsize::new(0);
 
+    /// A guard that holds `m` through its core with pid 1: a `lock()`
+    /// future promotes the word under an inline holder, which then
+    /// hands the lock over through the proxy.
+    fn core_held<T>(m: &AsyncAbortableMutex<T>) -> AsyncMutexGuard<'_, T> {
+        let w = counting_waker(&WAKES);
+        let g = m.try_lock().expect("uncontended");
+        let mut fut = m.lock();
+        assert!(poll_once(&mut fut, &w).is_pending());
+        drop(g);
+        match poll_once(&mut fut, &w) {
+            Poll::Ready(g) if g.hold.pid == 1 => g,
+            _ => panic!("the handoff resolves the future through the core"),
+        }
+    }
+
     #[test]
     fn uncontended_lock_resolves_on_first_poll() {
         let m = AsyncAbortableMutex::builder(5u64).capacity(2).build_async();
@@ -600,6 +675,72 @@ mod tests {
         drop(fut);
         assert_eq!(m.free_pids(), 2);
         assert_eq!(m.into_inner(), 6);
+    }
+
+    #[test]
+    fn an_idle_mutex_has_every_pid_free_and_an_inline_holder_takes_none() {
+        let m = AsyncAbortableMutex::builder(0u64).capacity(3).build_async();
+        assert_eq!((m.free_pids(), m.stats().pool_capacity), (3, 3));
+        let g = m.try_lock().expect("uncontended");
+        assert_eq!(g.hold, Hold::INLINE);
+        assert_eq!(
+            m.free_pids(),
+            m.capacity(),
+            "the inline holder holds no pid"
+        );
+        drop(g);
+        drop(core_held(&m));
+        assert_eq!(m.free_pids(), m.capacity(), "idle again after a promotion");
+    }
+
+    #[test]
+    fn promotion_races_demotion_on_two_workers() {
+        // Tasks hold the guard across a yield, so a second task always
+        // finds the word held: every round promotes, and the last task
+        // out of each promotion demotes while others arrive.
+        use sal_runtime::executor::Executor;
+        struct YieldOnce(bool);
+        impl Future for YieldOnce {
+            type Output = ();
+            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+                if std::mem::replace(&mut self.0, true) {
+                    return Poll::Ready(());
+                }
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            }
+        }
+        let m = Arc::new(AsyncAbortableMutex::builder(0u64).capacity(2).build_async());
+        let entered = Arc::new(AtomicUsize::new(0));
+        let ex = Executor::new();
+        for t in 0..6usize {
+            let (m, entered) = (Arc::clone(&m), Arc::clone(&entered));
+            ex.spawn(async move {
+                for i in 0..300 {
+                    let g = match (i + t) % 3 {
+                        0 => Some(m.lock().await),
+                        1 => m.try_lock(),
+                        _ => {
+                            let req = Acquire::new().within(Duration::from_micros(50));
+                            m.acquire(req).await.ok()
+                        }
+                    };
+                    if let Some(mut g) = g {
+                        *g += 1;
+                        entered.fetch_add(1, Ordering::Relaxed);
+                        YieldOnce(false).await;
+                    }
+                }
+            });
+        }
+        ex.run(2);
+        let t = &m.m.transitions;
+        let promotions = t.promotions.load(Ordering::Relaxed);
+        assert!(promotions > 0, "held across a yield, the word promotes");
+        assert_eq!(promotions, t.demotions.load(Ordering::Relaxed));
+        assert_eq!((m.free_pids(), m.queued_tasks()), (2, 0), "nothing leaked");
+        let m = Arc::try_unwrap(m).expect("every task finished");
+        assert_eq!(m.into_inner(), entered.load(Ordering::Relaxed) as u64);
     }
 
     #[test]
@@ -637,7 +778,7 @@ mod tests {
         static C: AtomicUsize = AtomicUsize::new(0);
         static D: AtomicUsize = AtomicUsize::new(0);
         let m = AsyncAbortableMutex::builder(0u64).capacity(5).build_async();
-        let slots = &m.m.core.slots;
+        let slots = &m.m.seated.core.slots;
         let g = m.try_lock().expect("uncontended");
         let (wa, wb, wc, wd) = (
             counting_waker(&A),
@@ -736,7 +877,7 @@ mod tests {
         // hands it the lock wakes it exactly once.
         static F: AtomicUsize = AtomicUsize::new(0);
         let m = AsyncAbortableMutex::builder(0u64).capacity(4).build_async();
-        let core = &m.m.core;
+        let core = &m.m.seated.core;
         let w = counting_waker(&WAKES);
         let wf = counting_waker(&F);
         let published = |fut: &AcquireFuture<'_, u64, NoProbe, Always, NeverAbort, true>| {
@@ -792,9 +933,9 @@ mod tests {
         let g = m.try_lock().expect("uncontended");
         let mut fut = m.lock();
         assert!(poll_once(&mut fut, &w).is_pending());
-        assert_eq!(m.free_pids(), 1);
+        assert_eq!(m.free_pids(), 2, "the inline holder owns no pid");
         drop(fut); // cancellation = bounded abort
-        assert_eq!(m.free_pids(), 2);
+        assert_eq!(m.free_pids(), 3);
         assert_eq!(m.stats().cancelled_pending, 1);
         drop(g);
         assert_eq!(m.free_pids(), 3);
@@ -806,7 +947,7 @@ mod tests {
     fn pid_exhaustion_queues_tasks_fifo() {
         let m = AsyncAbortableMutex::builder(0u32).capacity(1).build_async();
         let w = counting_waker(&WAKES);
-        let g = m.try_lock().expect("takes the only pid");
+        let g = core_held(&m); // takes the only pid
         let mut fut = m.lock();
         assert!(poll_once(&mut fut, &w).is_pending());
         assert_eq!(m.queued_tasks(), 1);
@@ -828,7 +969,7 @@ mod tests {
         // occupancy snapshot must see all of it.
         let m = AsyncAbortableMutex::builder(0u32).capacity(2).build_async();
         let w = counting_waker(&WAKES);
-        let g = m.try_lock().expect("uncontended");
+        let g = core_held(&m);
         let mut futs: Vec<_> = (0..7).map(|_| m.lock()).collect();
         for fut in &mut futs {
             assert!(poll_once(fut, &w).is_pending());
@@ -936,7 +1077,7 @@ mod tests {
     fn a_limit_expiring_while_queued_for_a_pid_resolves_the_future() {
         let m = AsyncAbortableMutex::builder(()).capacity(1).build_async();
         let w = counting_waker(&WAKES);
-        let g = m.try_lock().expect("takes the only pid");
+        let g = core_held(&m); // takes the only pid
         let mut fut = m.acquire(Acquire::new().within(Duration::from_millis(5)));
         assert!(poll_once(&mut fut, &w).is_pending());
         assert_eq!(m.queued_tasks(), 1);

@@ -1,11 +1,43 @@
-//! [`Core`]: the lock every `sal-sync` surface shares — the paper's
-//! bounded long-lived lock over bare atomics, the pid admission
-//! ([`Pids`]), the per-pid enter-wait slots and the [`CcsRegistry`] of
-//! conditional waiters — with its thread driver ([`Core::enter`]), its
-//! whole attempt ([`Core::acquire`]), its one unlock
-//! ([`Core::release_then`]) and its conditional loop
-//! ([`Core::hold_when`]). `AbortableMutex` owns a core, the async mutex
-//! wraps that mutex, and the arena pools cores.
+//! The one lock path of every `sal-sync` surface: an inline word
+//! ([`Word`]) in front of a lock core ([`Core`]).
+//!
+//! [`Core`] is the paper's bounded long-lived lock over bare atomics,
+//! the pid admission ([`Pids`]), the per-pid enter-wait slots and the
+//! [`CcsRegistry`] of conditional waiters, with its thread driver
+//! ([`Core::enter`]), its one unlock ([`Core::release_then`]) and its
+//! conditional loop ([`Core::hold_when`]). [`Word`] executes the
+//! inline-word protocol of [`sal_core::arena_word`] over a source of
+//! cores ([`Cores`]): an `AbortableMutex` is one word and one resident
+//! core (a pool of one, claimed through a flag; the async mutex wraps
+//! it), and an arena key is one word over the arena's pool.
+//!
+//! ## The inline word
+//!
+//! An uncontended acquisition is one CAS on the word
+//! (`UNLOCKED → LOCKED_INLINE`) and takes no pid; its release is one CAS
+//! back. An attempt that finds the word held inline *promotes* it:
+//! it claims a core, takes a `users` seat, enters the free core solo as
+//! the [`PROXY`] pid (standing in for the inline holder), and publishes
+//! `MATERIALIZED(idx)`, or undoes all of it when the publish loses. It
+//! then *joins* the core (a seat, then a pid under its limit) and queues
+//! FCFS in the paper's lock with the bounded abort; the inline holder's
+//! release, finding the word materialized, exits through the proxy. The
+//! last participant out *demotes* the word back to `UNLOCKED` and gives
+//! the core back. An attempt whose limit has expired when it sees the
+//! word held inline fails at once, without a seat or a promotion.
+//! `tests/arena_protocol.rs` model-checks these steps.
+//!
+//! What the paper's RMR bound covers: core passages, which are FCFS
+//! from the promotion on. An inline passage costs two CAS and no RMR
+//! bound is needed; a promotion costs one solo proxy passage of the
+//! core (enter and exit).
+//!
+//! Probes see inline passages too: an inline holder reports under the
+//! proxy pid (only the inline holder uses it; the proxy's own core
+//! passage reports nothing), and an attempt that fails on the inline
+//! word reports its abort under a pid checked out for the report
+//! (nothing when none is free). So no two in-flight reports share a
+//! pid.
 //!
 //! ## Targeted handoff wakes
 //!
@@ -46,9 +78,10 @@
 
 use crate::acquire::{thread_waker, Limit, Predicate};
 use crate::ccs::{CcsRegistry, RegistrationGuard};
+use sal_core::arena_word as word;
 use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::resume::{EnterMachine, EnterStep, Handoff, WaitKey};
-use sal_core::{AbortReason, Immediate};
+use sal_core::{AbortReason, Immediate, LockCore};
 use sal_memory::{AbortSignal, MemoryBuilder, NeverAbort, Pid, RawMemory};
 use sal_obs::{probed, NoProbe, Probe};
 use std::cell::UnsafeCell;
@@ -57,6 +90,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::Waker;
+use std::time::Duration;
 
 /// Enter-machine polls a blocked thread spins through before it parks.
 const SPIN_POLLS: u32 = 4096;
@@ -251,8 +285,7 @@ pub(crate) struct Core<T: ?Sized, P: Probe = NoProbe> {
     pub(crate) lock: BoundedLongLivedLock,
     pub(crate) slots: Box<[EnterSlot]>,
     pub(crate) ccs: CcsRegistry<T>,
-    /// The pids attempts check out: `0..capacity`, or `1..capacity` in
-    /// an arena core, whose pid 0 is the promotion proxy.
+    /// The pids attempts check out: all but [`PROXY`].
     pub(crate) pids: Pids,
     /// Engaged enter waiters; handoffs skip the slot scan at zero.
     parked: AtomicUsize,
@@ -264,8 +297,8 @@ pub(crate) struct Core<T: ?Sized, P: Probe = NoProbe> {
 }
 
 impl<T: ?Sized, P: Probe> Core<T, P> {
-    /// A core for `capacity` pids whose attempts check out `admitted`.
-    pub(crate) fn new(capacity: usize, branching: usize, admitted: Range<Pid>, probe: P) -> Self {
+    /// A core for `capacity` pids, the [`PROXY`] included.
+    pub(crate) fn new(capacity: usize, branching: usize, probe: P) -> Self {
         let mut b = MemoryBuilder::new();
         let lock = BoundedLongLivedLock::layout(&mut b, capacity, branching);
         Core {
@@ -279,7 +312,7 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
                 })
                 .collect(),
             ccs: CcsRegistry::new(),
-            pids: Pids::new(admitted),
+            pids: Pids::new(PROXY + 1..capacity),
             parked: AtomicUsize::new(0),
             enter_wakeups: AtomicU64::new(0),
             futile_enter_wakeups: AtomicU64::new(0),
@@ -462,24 +495,6 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         }
     }
 
-    /// One whole blocking attempt: a pid, the lock, and `pred` true
-    /// under it. `Ok` names the pid that holds the lock; on `Err`
-    /// nothing is held.
-    pub(crate) fn acquire<F, S>(
-        &self,
-        data: &UnsafeCell<T>,
-        pred: &F,
-        limit: &Limit<S>,
-    ) -> Result<Pid, AbortReason>
-    where
-        F: Predicate<T>,
-        S: AbortSignal,
-    {
-        let mut pid = self.take_and_enter(limit)?;
-        self.hold_when(&mut pid, data, pred, limit, false)?;
-        Ok(pid)
-    }
-
     /// Release `pid`'s lock and give the pid back.
     pub(crate) fn unlock(&self, pid: Pid, data: &UnsafeCell<T>) {
         self.release_then(pid, data, || ());
@@ -505,7 +520,9 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
             Vec::new()
         };
         let r = f();
-        let handoff = self.lock.exit_probed(&self.mem, pid, &self.probe);
+        // The proxy's passage is the inline holder's, reported at the word.
+        let probe = (pid != PROXY).then_some(&self.probe);
+        let handoff = self.lock.exit_probed(&self.mem, pid, &probe);
         if !satisfied.is_empty() {
             let n = self.ccs.wake(satisfied);
             self.probe.note(pid, "ccs-wake", n as u64);
@@ -566,5 +583,359 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
                 self.take_and_enter(limit)?
             };
         }
+    }
+}
+
+/// The pid a promoter enters a core with, standing in for the inline
+/// holder. Every core admits only the pids above it; its passages are
+/// the inline holder's, reported at the word.
+pub(crate) const PROXY: Pid = 0;
+
+/// A word's transition counters, kept by its source of cores.
+#[derive(Default)]
+pub(crate) struct Transitions {
+    /// Inline → materialized.
+    pub(crate) promotions: AtomicU64,
+    /// Materialized → inline (core given back).
+    pub(crate) demotions: AtomicU64,
+    /// Promotions undone because the holder released, or another
+    /// promoter published, first.
+    pub(crate) raced_promotions: AtomicU64,
+    /// Retries because an arena's pool had no free core.
+    pub(crate) fallback_spins: AtomicU64,
+}
+
+/// A core a word promotes to: the shared [`Core`] and its participant
+/// count (joiners, holders and the promotion proxy, or
+/// [`word::USERS_DEMOTING`]); a demoted core goes back with its lock
+/// free.
+pub(crate) struct Seated<T: ?Sized, P: Probe = NoProbe> {
+    pub(crate) users: AtomicUsize,
+    pub(crate) core: Core<T, P>,
+}
+
+impl<T: ?Sized, P: Probe> Seated<T, P> {
+    fn cas_users(&self, from: usize, to: usize) -> bool {
+        let ord = Ordering::SeqCst;
+        self.users.compare_exchange(from, to, ord, ord).is_ok()
+    }
+}
+
+/// Where a word's promotions draw a core: an arena's pool, or a mutex's
+/// one resident core, claimed through a flag (a pool of one, whose "none
+/// free" only means another promoter or demoter is partway through its
+/// few steps).
+pub(crate) trait Cores {
+    type T: ?Sized;
+    type P: Probe;
+    /// Whether inline passages report to the probe of core 0 (a mutex's
+    /// resident core).
+    const REPORTS: bool;
+    /// Take a free core, or `None` when none is free.
+    fn claim(&self) -> Option<u32>;
+    /// Give a claimed core back.
+    fn unclaim(&self, idx: u32);
+    fn seated(&self, idx: u32) -> &Seated<Self::T, Self::P>;
+    fn transitions(&self) -> &Transitions;
+}
+
+/// How an attempt holds a word's lock: through core `idx` with a
+/// checked-out pid and a participant seat, or [`Hold::INLINE`]: the
+/// [`PROXY`] pid, which stands for the inline holder in a core, is never
+/// checked out, and is the pid inline passages report under. (A plain
+/// struct, not an enum: an enum's uninitialized payload made every
+/// inline acquisition copy it byte by byte.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Hold {
+    pub(crate) idx: u32,
+    pub(crate) pid: Pid,
+}
+
+impl Hold {
+    pub(crate) const INLINE: Hold = Hold { idx: 0, pid: PROXY };
+}
+
+/// One logical lock's inline word over its source of cores: the one
+/// implementation of the word protocol (module docs).
+pub(crate) struct Word<'a, C: Cores + ?Sized> {
+    pub(crate) word: &'a AtomicU64,
+    pub(crate) data: &'a UnsafeCell<C::T>,
+    pub(crate) cores: &'a C,
+}
+
+impl<C: Cores + ?Sized> Word<'_, C> {
+    fn cas(&self, from: u64, to: u64) -> bool {
+        let ord = Ordering::SeqCst;
+        self.word.compare_exchange(from, to, ord, ord).is_ok()
+    }
+
+    /// Report inline-word events through core 0 (a mutex's resident
+    /// core), if the source reports.
+    fn report(&self, f: impl FnOnce(&Core<C::T, C::P>)) {
+        if C::REPORTS {
+            f(&self.cores.seated(0).core);
+        }
+    }
+
+    /// Take the word inline (`Ok(None)`) or a seat in the core that
+    /// serves it (`Ok(Some(idx))`), promoting an inline hold on the way.
+    /// Never blocks: a promoter enters a free core solo. `Err`: the word
+    /// was held inline and `limit` had expired; no core was touched.
+    #[inline]
+    pub(crate) fn dispatch<S>(&self, limit: &Limit<S>) -> Result<Option<u32>, AbortReason>
+    where
+        S: AbortSignal,
+    {
+        let mut backoff = 0u32;
+        loop {
+            match word::decode(self.word.load(Ordering::SeqCst)) {
+                word::WordState::Unlocked => {
+                    if self.cas(word::UNLOCKED, word::LOCKED_INLINE) {
+                        self.report(|core| {
+                            core.probe.enter_begin(PROXY);
+                            core.probe.enter_end(PROXY, None);
+                        });
+                        return Ok(None);
+                    }
+                }
+                word::WordState::LockedInline => {
+                    if let Some(r) = limit.expired() {
+                        // Reported under a pid checked out for the report;
+                        // nothing when none is free.
+                        self.report(|core| {
+                            if let Some(pid) = core.pids.try_take() {
+                                core.probe.enter_begin(pid);
+                                core.probe.abort(pid, None);
+                                core.pids.put(pid);
+                            }
+                        });
+                        return Err(r);
+                    }
+                    if self.materialize(false).is_none() {
+                        backoff_step(&mut backoff);
+                    }
+                }
+                word::WordState::Materialized(idx) => {
+                    if self.join(idx as u32) {
+                        return Ok(Some(idx as u32));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The blocking attempt: the word, or a seat, a pid and the core's
+    /// lock under `limit`. On `Err` nothing is held.
+    #[inline]
+    pub(crate) fn enter<S: AbortSignal>(&self, limit: &Limit<S>) -> Result<Hold, AbortReason> {
+        match self.dispatch(limit)? {
+            None => Ok(Hold::INLINE),
+            Some(idx) => self.enter_core(idx, limit),
+        }
+    }
+
+    /// Check a pid out of seated core `idx` and run its thread driver;
+    /// on `Err` the seat is given up. Out of line, so the inline path
+    /// stays small.
+    #[cold]
+    fn enter_core<S: AbortSignal>(&self, idx: u32, limit: &Limit<S>) -> Result<Hold, AbortReason> {
+        let pid = self.cores.seated(idx).core.take_and_enter(limit);
+        if pid.is_err() {
+            self.depart(idx);
+        }
+        pid.map(|pid| Hold { idx, pid })
+    }
+
+    /// [`Core::hold_when`] over `*hold` (after [`enter`](Self::enter), the
+    /// rest of a whole attempt: `pred` true under the lock). An inline
+    /// holder whose
+    /// predicate is false first materializes the word with a checked-out
+    /// pid (the registry lives in the core); its seat is kept across
+    /// every wait, so the core stays while it waits.
+    #[inline]
+    pub(crate) fn hold_when<F, S>(
+        &self,
+        hold: &mut Hold,
+        pred: &F,
+        limit: &Limit<S>,
+        keep: bool,
+    ) -> Result<(), AbortReason>
+    where
+        F: Predicate<C::T>,
+        S: AbortSignal,
+    {
+        let mut backoff = 0u32;
+        loop {
+            if *hold != Hold::INLINE {
+                let core = &self.cores.seated(hold.idx).core;
+                let r = core.hold_when(&mut hold.pid, self.data, pred, limit, keep);
+                if r.is_err() && !keep {
+                    self.depart(hold.idx);
+                }
+                return r;
+            }
+            // Safety: we hold the lock inline.
+            if pred.holds(unsafe { &*self.data.get() }) {
+                return Ok(());
+            }
+            if let Some(r) = limit.expired() {
+                if !keep {
+                    self.unlock(Hold::INLINE);
+                }
+                return Err(r);
+            }
+            match self.materialize(true) {
+                Some((idx, pid)) => *hold = Hold { idx, pid },
+                None => {
+                    // Raced (the proxy now stands for our hold) or nothing
+                    // free: release, back off, and take the lock again.
+                    self.unlock(Hold::INLINE);
+                    backoff_step(&mut backoff);
+                    *hold = if keep {
+                        self.enter(&Limit::<NeverAbort>::Forever)?
+                    } else {
+                        self.enter(limit)?
+                    };
+                }
+            }
+        }
+    }
+
+    /// Release `hold`. An inline hold that a promotion took over exits
+    /// through the proxy pid; a core hold gives its pid and seat back.
+    #[inline]
+    pub(crate) fn unlock(&self, hold: Hold) {
+        if hold == Hold::INLINE {
+            // Reported first: once the word is free, another holder
+            // reports under the proxy pid.
+            self.report(|core| core.probe.cs_exit(PROXY));
+            if !self.cas(word::LOCKED_INLINE, word::UNLOCKED) {
+                self.proxy_unlock();
+            }
+        } else {
+            self.cores.seated(hold.idx).core.unlock(hold.pid, self.data);
+            self.depart(hold.idx);
+        }
+    }
+
+    /// The proxy unlock: our inline hold was promoted, so the proxy pid
+    /// holds the core for us; exit through it and give up its seat.
+    #[cold]
+    fn proxy_unlock(&self) {
+        let w = word::decode(self.word.load(Ordering::SeqCst));
+        let word::WordState::Materialized(idx) = w else {
+            unreachable!("inline hold can only change by promotion, found {w:?}");
+        };
+        let idx = idx as u32;
+        let core = &self.cores.seated(idx).core;
+        core.release_then(PROXY, self.data, || ());
+        self.depart(idx);
+    }
+
+    /// Promote an inline-held word: claim a core, take a seat, enter it
+    /// as the holder — through [`PROXY`] for someone else's hold, or a
+    /// checked-out pid for `ours` (a conditional wait needs a registry)
+    /// — and publish `LOCKED_INLINE → MATERIALIZED(idx)`. `None`: no core
+    /// (or, for `ours`, no pid) was free, or the publish lost (the holder
+    /// released, or another promoter won) and was fully undone.
+    #[cold]
+    pub(crate) fn materialize(&self, ours: bool) -> Option<(u32, Pid)> {
+        let idx = self.cores.claim()?;
+        let s = self.cores.seated(idx);
+        let (core, pids) = (&s.core, &s.core.pids);
+        // Only a failed attempt's report can hold a pid of an unclaimed
+        // core, and only for a moment.
+        let pid = if ours { pids.try_take() } else { Some(PROXY) };
+        let Some(pid) = pid else {
+            self.cores.unclaim(idx);
+            return None;
+        };
+        s.users.fetch_add(1, Ordering::SeqCst);
+        let outcome = core.lock.enter_core(&core.mem, pid, &NeverAbort, &NoProbe);
+        debug_assert!(outcome.entered(), "a claimed core acquires immediately");
+        let counts = self.cores.transitions();
+        if self.cas(word::LOCKED_INLINE, word::materialized(idx as usize)) {
+            counts.promotions.fetch_add(1, Ordering::Relaxed);
+            if ours {
+                // Our inline passage ends; a core passage holds on.
+                core.probe.cs_exit(PROXY);
+                core.probe.enter_begin(pid);
+                core.probe.enter_end(pid, None);
+            }
+            return Some((idx, pid));
+        }
+        core.lock.exit_core(&core.mem, pid, &NoProbe);
+        if ours {
+            pids.put(pid);
+        }
+        s.users.fetch_sub(1, Ordering::SeqCst);
+        self.cores.unclaim(idx);
+        counts.raced_promotions.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// Become a counted participant of core `idx`, or back off (`false`)
+    /// if it is demoting or no longer serves this word. Increment first,
+    /// revalidate the word after (module docs).
+    #[cold]
+    fn join(&self, idx: u32) -> bool {
+        let s = self.cores.seated(idx);
+        loop {
+            // `None`: a demotion is in flight; the demoter changes the
+            // word before it gives the core back, so re-reading it makes
+            // progress.
+            let u = s.users.load(Ordering::SeqCst);
+            let Some(next) = word::join_users(u) else {
+                return false;
+            };
+            if !s.cas_users(u, next) {
+                continue;
+            }
+            if self.word.load(Ordering::SeqCst) == word::materialized(idx as usize) {
+                return true;
+            }
+            // The core moved on (demoted, perhaps re-promoted for another
+            // word) between our read and our increment: undo.
+            s.users.fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
+    }
+
+    /// Give up a seat in core `idx`; the last one out demotes the word
+    /// and gives the core back.
+    pub(crate) fn depart(&self, idx: u32) {
+        let s = self.cores.seated(idx);
+        loop {
+            let u = s.users.load(Ordering::SeqCst);
+            debug_assert!(u != 0 && u != word::USERS_DEMOTING, "departing a dead core");
+            if !word::may_demote(u) {
+                if s.cas_users(u, u - 1) {
+                    return;
+                }
+            } else if s.cas_users(u, word::USERS_DEMOTING) {
+                // Sole participant ⇒ the core's lock is free (any holder,
+                // waiter or proxy is counted) and its registry is empty.
+                // Word first (joiners on the sentinel re-read it), then
+                // the counter, then the core.
+                let prev = self.word.swap(word::UNLOCKED, Ordering::SeqCst);
+                debug_assert_eq!(prev, word::materialized(idx as usize));
+                s.users.store(0, Ordering::SeqCst);
+                self.cores.unclaim(idx);
+                let counts = self.cores.transitions();
+                counts.demotions.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+        }
+    }
+}
+
+/// Backoff while no core is free: brief spins, then yields, then short
+/// sleeps.
+fn backoff_step(step: &mut u32) {
+    *step = step.saturating_add(1);
+    match *step {
+        0..=4 => (0..1u32 << *step).for_each(|_| std::hint::spin_loop()),
+        5..=16 => std::thread::yield_now(),
+        _ => std::thread::sleep(Duration::from_micros(u64::from((*step - 16).min(6)) * 10)),
     }
 }

@@ -19,12 +19,22 @@
 //! `try_lock_until` as sugar), [`MutexGuard::await_when`],
 //! [`Arena::acquire`] and [`AsyncAbortableMutex::acquire`] — where
 //! **dropping a pending future is an abort** — all execute it over one
-//! lock core: a blocked thread spins on the enter machine, then leaves a
-//! waker that unparks it and parks, as a task leaves its own. Each unlock evaluates registered predicates
-//! under the lock and wakes only the waiters whose condition holds
-//! ([`ccs`]). Each attempt checks a process id out of the core for its
+//! lock path: an inline word in front of one lock core. An uncontended
+//! acquisition is one CAS on the word and takes no process id. An
+//! attempt that finds the word held promotes it to the core and queues
+//! there FCFS, in the paper's lock, with its bounded abort; the last one
+//! out demotes it again. In the core a blocked thread spins on the enter
+//! machine, then leaves a waker that unparks it and parks, as a task
+//! leaves its own. Each unlock evaluates registered predicates under the
+//! lock and wakes only the waiters whose condition holds ([`ccs`]). Each
+//! attempt that enters the core checks a process id out of it for its
 //! own duration, and the guard gives it back, so handles are free and
-//! `capacity` bounds the attempts in flight.
+//! `capacity` bounds the attempts in the core at once.
+//!
+//! The paper's RMR bounds cover the core passages, which are FCFS from
+//! the promotion on. An inline passage is two CAS; a promotion costs one
+//! solo passage of the core by the proxy that stands in for the inline
+//! holder.
 //!
 //! ```
 //! use sal_sync::{AbortableMutex, Acquire};
@@ -72,13 +82,14 @@ pub mod async_mutex;
 pub mod ccs;
 mod driver;
 
-use driver::Core;
-use sal_memory::{AbortSignal, Mem, Pid};
+use driver::{Core, Cores, Hold, Seated, Transitions, Word};
+use sal_memory::{AbortSignal, Mem};
 use sal_obs::{NoProbe, Probe};
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 pub use acquire::{Acquire, Always, Predicate};
@@ -114,12 +125,14 @@ pub struct AbortableMutexBuilder<T, P: Probe = NoProbe> {
 }
 
 impl<T, P: Probe> AbortableMutexBuilder<T, P> {
-    /// Maximum number of concurrent attempts (`1 ..= 1022`): each one
-    /// holds one of the lock's process ids until it fails or its guard
-    /// drops, and further attempts wait for one under their limit. A
-    /// conditional waiter holds none while it waits. Space is
-    /// `O(capacity²)` words, per Claim 28. Defaults to
-    /// [`DEFAULT_CAPACITY`].
+    /// Maximum number of concurrent attempts in the lock core
+    /// (`1 ..= 1021`): each one that enters the core holds one of its
+    /// process ids until it fails or its guard drops, and further ones
+    /// wait for one under their limit. An inline holder (an uncontended
+    /// acquisition) holds none, nor does a conditional waiter while it
+    /// waits. The core has one more id, for the promotion proxy, and the
+    /// lock's descriptor layout allows 1022. Space is `O(capacity²)`
+    /// words, per Claim 28. Defaults to [`DEFAULT_CAPACITY`].
     pub fn capacity(mut self, attempts: usize) -> Self {
         self.capacity = attempts;
         self
@@ -150,11 +163,23 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity is 0 or exceeds the algorithm's descriptor
-    /// limit (1022), or if the branching factor is out of `2 ..= 64`.
+    /// Panics if the capacity is 0 or exceeds 1021 (the algorithm's
+    /// descriptor limit of 1022 pids, less the promotion proxy), or if
+    /// the branching factor is out of `2 ..= 64`.
     pub fn build(self) -> AbortableMutex<T, P> {
+        // One more pid than admitted attempts: the promotion proxy (the
+        // lock's descriptor layout takes at most 1022).
+        assert!(
+            (1..=1021).contains(&self.capacity),
+            "capacity not in 1..=1021"
+        );
+        let core = Core::new(self.capacity + 1, self.branching, self.probe);
+        let users = AtomicUsize::new(0);
         AbortableMutex {
-            core: Core::new(self.capacity, self.branching, 0..self.capacity, self.probe),
+            word: AtomicU64::new(sal_core::arena_word::UNLOCKED),
+            claimed: AtomicBool::new(false),
+            transitions: Transitions::default(),
+            seated: Seated { users, core },
             data: UnsafeCell::new(self.value),
         }
     }
@@ -165,14 +190,20 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
 ///
 /// Unlike `std::sync::Mutex`, threads interact through per-thread
 /// [`MutexHandle`]s; obtain one per thread with [`handle`](Self::handle).
-/// Each attempt checks one of the lock's `capacity` process ids out for
-/// its duration; attempts beyond the capacity wait for one.
+/// An uncontended acquisition is one CAS on an inline word; a contended
+/// one checks one of the lock core's `capacity` process ids out for its
+/// duration, and attempts beyond the capacity wait for one.
 ///
 /// The second type parameter is the attached [`Probe`] sink; the default
 /// [`NoProbe`] compiles to the uninstrumented fast path. Configure with
 /// [`builder`](Self::builder).
 pub struct AbortableMutex<T: ?Sized, P: Probe = NoProbe> {
-    pub(crate) core: Core<T, P>,
+    word: AtomicU64,
+    /// Whether a promotion of `word` holds the resident core.
+    claimed: AtomicBool,
+    pub(crate) transitions: Transitions,
+    /// The resident core, which contended passages enter.
+    pub(crate) seated: Seated<T, P>,
     pub(crate) data: UnsafeCell<T>,
 }
 
@@ -223,33 +254,64 @@ impl<T: ?Sized, P: Probe> AbortableMutex<T, P> {
         self.data.get_mut()
     }
 
-    /// Number of attempts that can be in flight at once.
+    /// Number of attempts that can be in the lock core at once (the
+    /// proxy's pid not counted).
     pub fn capacity(&self) -> usize {
-        self.core.lock.capacity()
+        self.seated.core.lock.capacity() - 1
     }
 
     /// Shared memory words the lock occupies (the Table-1 space column,
     /// measured).
     pub fn shared_words(&self) -> usize {
-        self.core.mem.num_words()
+        self.seated.core.mem.num_words()
     }
 
     /// The attached probe sink.
     pub fn probe(&self) -> &P {
-        &self.core.probe
+        &self.seated.core.probe
     }
 
     /// Number of waiters in a conditional wait (a `when` request or
     /// [`MutexGuard::await_when`]) on this mutex that no unlock has
     /// notified yet.
     pub fn waiters(&self) -> usize {
-        self.core.ccs.waiting()
+        self.seated.core.ccs.waiting()
     }
 
     /// Snapshot of the conditional-critical-section counters; see
     /// [`CcsStats`] for the headline `wakeups / transitions` ratio.
     pub fn ccs_stats(&self) -> CcsStats {
-        self.core.ccs.stats()
+        self.seated.core.ccs.stats()
+    }
+
+    /// The inline word over the resident core.
+    #[inline]
+    pub(crate) fn word(&self) -> Word<'_, Self> {
+        Word {
+            word: &self.word,
+            data: &self.data,
+            cores: self,
+        }
+    }
+}
+
+/// A mutex is its own source of cores: a pool of one resident core,
+/// claimed through a flag.
+impl<T: ?Sized, P: Probe> Cores for AbortableMutex<T, P> {
+    type T = T;
+    type P = P;
+    const REPORTS: bool = true;
+    fn claim(&self) -> Option<u32> {
+        (!self.claimed.swap(true, Ordering::SeqCst)).then_some(0)
+    }
+    fn unclaim(&self, _: u32) {
+        self.claimed.store(false, Ordering::SeqCst);
+    }
+    fn seated(&self, _: u32) -> &Seated<T, P> {
+        &self.seated
+    }
+    fn transitions(&self) -> &Transitions {
+        &self.transitions
     }
 }
 
@@ -257,7 +319,7 @@ impl<T: fmt::Debug, P: Probe> fmt::Debug for AbortableMutex<T, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AbortableMutex")
             .field("capacity", &self.capacity())
-            .field("free_pids", &self.core.pids.free())
+            .field("free_pids", &self.seated.core.pids.free())
             .finish_non_exhaustive()
     }
 }
@@ -289,12 +351,13 @@ impl<T: ?Sized, P: Probe> fmt::Debug for MutexHandle<'_, T, P> {
 }
 
 impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
-    /// Execute `req`: check a process id out (parking while all
+    /// Execute `req`: take the inline word with one CAS, or promote it
+    /// and check a process id out of the core (parking while all
     /// `capacity` are in use), acquire the lock and, for a
     /// [`when`](Acquire::when) request, wait until the predicate holds
     /// under it. A blocked thread spins on the enter machine, then
     /// parks; unlocks wake it. On `Err` (the limit's [`AbortReason`])
-    /// the lock is not held and the id is back. A limit firing after
+    /// the lock is not held and any id is back. A limit firing after
     /// the lock was handed over does not retract the acquisition (the
     /// paper's `Enter` semantics).
     pub fn acquire<F, S>(
@@ -305,11 +368,12 @@ impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
         F: Predicate<T>,
         S: AbortSignal,
     {
-        let m = self.mutex;
-        let pid = m.core.acquire(&m.data, &req.pred, &req.limit)?;
+        let word = self.mutex.word();
+        let mut hold = word.enter(&req.limit)?;
+        word.hold_when(&mut hold, &req.pred, &req.limit, false)?;
         Ok(MutexGuard {
             handle: self,
-            pid,
+            hold,
             _marker: PhantomData,
         })
     }
@@ -323,7 +387,9 @@ impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
     }
 
     /// One attempt that gives up once the lock is seen held:
-    /// `acquire(Acquire::new().abort_on(Immediate)).ok()`.
+    /// `acquire(Acquire::new().abort_on(Immediate)).ok()`. Against an
+    /// inline holder it fails at once, with no seat or promotion in the
+    /// core; only its abort report borrows a pid for a moment.
     pub fn try_lock(&mut self) -> Option<MutexGuard<'_, 'm, T, P>> {
         self.acquire(Acquire::new().abort_on(Immediate)).ok()
     }
@@ -335,14 +401,14 @@ impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
 }
 
 /// RAII guard: the lock is held while the guard lives, released on drop,
-/// which also gives the attempt's process id back.
+/// which also gives back the process id of a contended attempt.
 ///
 /// Like `std::sync::MutexGuard`: `Sync` only when `T: Sync` (sharing
 /// `&MutexGuard` hands out `&T` across threads), and not `Send` (the
 /// guard releases through the per-thread handle it borrows).
 pub struct MutexGuard<'h, 'm, T: ?Sized, P: Probe = NoProbe> {
     handle: &'h mut MutexHandle<'m, T, P>,
-    pid: Pid,
+    hold: Hold,
     /// Suppresses the auto `Send`/`Sync` impls, which would otherwise be
     /// derived from the handle reference and wrongly make the guard
     /// `Sync` for any `T: Send` (unsound for `T = Cell<_>` etc.).
@@ -380,16 +446,14 @@ impl<T: ?Sized, P: Probe> MutexGuard<'_, '_, T, P> {
         F: Predicate<T>,
         S: AbortSignal,
     {
-        let m = self.handle.mutex;
-        m.core
-            .hold_when(&mut self.pid, &m.data, &req.pred, &req.limit, true)
+        let word = self.handle.mutex.word();
+        word.hold_when(&mut self.hold, &req.pred, &req.limit, true)
     }
 }
 
 impl<T: ?Sized, P: Probe> Drop for MutexGuard<'_, '_, T, P> {
     fn drop(&mut self) {
-        let m = self.handle.mutex;
-        m.core.unlock(self.pid, &m.data);
+        self.handle.mutex.word().unlock(self.hold);
     }
 }
 
@@ -402,7 +466,6 @@ impl<T: ?Sized + fmt::Debug, P: Probe> fmt::Debug for MutexGuard<'_, '_, T, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -496,12 +559,185 @@ mod tests {
         assert_eq!(m.into_inner(), 3);
     }
 
+    /// Lock through `h` so that the guard holds `m` through its core
+    /// with a pid: another thread holds the word inline until our attempt
+    /// has promoted it, then hands the lock over through the proxy.
+    fn core_held<'h, 'm, T: Send, P: Probe>(
+        m: &'m AbortableMutex<T, P>,
+        h: &'h mut MutexHandle<'m, T, P>,
+    ) -> MutexGuard<'h, 'm, T, P> {
+        let held = AtomicBool::new(false);
+        let g = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut inline = m.handle();
+                let g = inline.lock();
+                held.store(true, Ordering::SeqCst);
+                while m.word.load(Ordering::SeqCst) == sal_core::arena_word::LOCKED_INLINE {
+                    std::thread::yield_now();
+                }
+                drop(g);
+            });
+            while !held.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            h.lock()
+        });
+        assert_ne!(g.hold, Hold::INLINE, "held through the core");
+        g
+    }
+
+    /// The state of an idle mutex: the word inline and free, every
+    /// admitted pid free, and every promotion demoted again.
+    fn assert_idle<T, P: Probe>(m: &AbortableMutex<T, P>) {
+        let word = m.word.load(Ordering::SeqCst);
+        assert_eq!(word, sal_core::arena_word::UNLOCKED, "the word demoted");
+        assert_eq!(m.seated.core.pids.free(), m.capacity(), "a pid leaked");
+        let t = &m.transitions;
+        let promotions = t.promotions.load(Ordering::Relaxed);
+        assert_eq!(promotions, t.demotions.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn an_inline_holder_takes_no_pid() {
+        let m = AbortableMutex::builder(0u64).capacity(2).build();
+        assert_idle(&m);
+        let mut h = m.handle();
+        let g = h.lock();
+        assert_eq!(g.hold, Hold::INLINE);
+        assert_eq!(m.seated.core.pids.free(), m.capacity());
+        drop(g);
+        assert_idle(&m);
+        assert_eq!(m.transitions.promotions.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_when_request_on_an_inline_hold_materializes_waits_and_demotes() {
+        let m = AbortableMutex::builder(0u64).capacity(2).build();
+        let (word, free) = std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let req = Acquire::new().when(|v: &u64| *v > 0);
+                *m.handle().acquire(req).unwrap()
+            });
+            // The waiter registers under the lock and gives its pid back
+            // just after; observe, then release it before asserting.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let free = || m.seated.core.pids.free();
+            while (m.waiters() == 0 || free() < m.capacity()) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let seen = (m.word.load(Ordering::SeqCst), free());
+            *m.handle().lock() = 1;
+            assert_eq!(waiter.join().unwrap(), 1);
+            seen
+        });
+        let word = sal_core::arena_word::decode(word);
+        assert_eq!(word, sal_core::arena_word::WordState::Materialized(0));
+        assert_eq!(free, m.capacity(), "the waiter holds no pid");
+        assert_idle(&m);
+        assert_eq!(m.transitions.promotions.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn await_when_on_an_inline_guard_materializes_waits_and_demotes() {
+        let m = AbortableMutex::builder(0u64).capacity(2).build();
+        let mut h = m.handle();
+        let mut g = h.lock();
+        assert_eq!(g.hold, Hold::INLINE);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while m.waiters() == 0 {
+                    std::thread::yield_now();
+                }
+                *m.handle().lock() = 1;
+            });
+            g.await_when(Acquire::new().when(|v: &u64| *v > 0)).unwrap();
+        });
+        assert_eq!(*g, 1);
+        assert_ne!(g.hold, Hold::INLINE, "it waited in the core");
+        drop(g);
+        assert_idle(&m);
+    }
+
+    #[test]
+    fn promotion_races_demotion_under_mixed_attempts() {
+        // Three threads, two pids: inline holds, promotions, pid waits,
+        // timeouts and failed try_locks interleave, and the last one out
+        // of each promotion demotes while others arrive.
+        let m = AbortableMutex::builder(0u64).capacity(2).build();
+        let entered = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for t in 0..3 {
+                let (m, entered) = (&m, &entered);
+                s.spawn(move || {
+                    let mut h = m.handle();
+                    for i in 0..20_000 {
+                        let g = match (i + t) % 3 {
+                            0 => Some(h.lock()),
+                            1 => h.try_lock(),
+                            _ => h.try_lock_until(Instant::now() + Duration::from_micros(20)),
+                        };
+                        if let Some(mut g) = g {
+                            *g += 1;
+                            entered.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_idle(&m);
+        assert_eq!(m.into_inner(), entered.into_inner() as u64);
+    }
+
+    #[test]
+    fn inline_failed_and_promoted_passages_each_report_once() {
+        // Each passage reports one begin and one end (or abort): inline
+        // ones under the proxy pid, a failed try_lock under a pid checked
+        // out for the report, a promoted one under its own pid, and the
+        // proxy's exit not at all.
+        let stats = sal_obs::PassageStats::new();
+        let log = sal_obs::EventLog::new(256);
+        let m = AbortableMutex::builder(0u64)
+            .capacity(2)
+            .probe((stats.clone(), log.clone()))
+            .build();
+        let tally = || {
+            let mut t = [0usize; 4];
+            for e in log.events() {
+                match e.kind {
+                    sal_obs::ObsEventKind::EnterBegin => t[0] += 1,
+                    sal_obs::ObsEventKind::EnterEnd(_) => t[1] += 1,
+                    sal_obs::ObsEventKind::CsExit => t[2] += 1,
+                    sal_obs::ObsEventKind::Abort(_) => t[3] += 1,
+                    _ => {}
+                }
+            }
+            t
+        };
+        let mut a = m.handle();
+        let mut b = m.handle();
+        drop(a.lock());
+        assert_eq!(tally(), [1, 1, 1, 0], "an inline passage");
+        let g = a.lock();
+        assert!(b.try_lock().is_none());
+        drop(g);
+        assert_eq!(tally(), [3, 2, 2, 1], "a try_lock failing on the word");
+        drop(core_held(&m, &mut a));
+        assert_eq!(
+            tally(),
+            [5, 4, 4, 1],
+            "a promoted passage behind an inline one"
+        );
+        let s = stats.summary();
+        assert_eq!((s.entered, s.aborted), (4, 1));
+        assert_idle(&m);
+    }
+
     #[test]
     fn an_attempt_past_capacity_waits_for_a_pid_under_its_limit() {
         let m = AbortableMutex::builder(()).capacity(1).build();
         let mut a = m.handle();
         let mut b = m.handle();
-        let g = a.lock();
+        let g = core_held(&m, &mut a);
         assert!(b.try_lock().is_none());
         let r = b.acquire(Acquire::new().within(Duration::from_millis(5)));
         assert_eq!(r.err(), Some(AbortReason::Deadline));
@@ -521,7 +757,8 @@ mod tests {
     /// Whether some pid's enter slot publishes a wait: an enter waiter
     /// is past its spin phase (a published wait is nonzero).
     fn engaged<T>(m: &AbortableMutex<T>) -> bool {
-        m.core
+        m.seated
+            .core
             .slots
             .iter()
             .any(|s| s.wait.load(Ordering::SeqCst) != 0)
@@ -540,7 +777,7 @@ mod tests {
             drop(g);
             t.join().unwrap();
         });
-        assert_eq!(m.core.enter_wakeups.load(Ordering::Relaxed), 1);
+        assert_eq!(m.seated.core.enter_wakeups.load(Ordering::Relaxed), 1);
         assert_eq!(m.into_inner(), 1);
     }
 
@@ -579,10 +816,10 @@ mod tests {
         // The pid wait.
         let m = AbortableMutex::builder(0u64).capacity(1).build();
         let mut h = m.handle();
-        let g = h.lock();
+        let g = core_held(&m, &mut h);
         survives_spurious_unparks(
             || drop(m.handle().lock()),
-            || m.core.pids.queued() == 1,
+            || m.seated.core.pids.queued() == 1,
             move || drop(g),
         );
         // The enter wait.

@@ -1,16 +1,23 @@
-//! Exhaustive-interleaving model check of the arena's inline-word
-//! protocol (`sal_core::arena_word` + `sal_sync::arena`).
+//! Exhaustive-interleaving model check of the inline-word protocol
+//! (`sal_core::arena_word`, executed by `Word` in `sal_sync`'s
+//! `driver.rs` for the keyed arena and both mutexes).
 //!
-//! The arena's promotion/demotion protocol is a handful of SeqCst
-//! operations whose correctness depends on ordering windows real
-//! threads only occasionally open (promote racing an inline unlock,
-//! join racing a demotion, a stale joiner incrementing a freed core's
-//! counter). This test re-states each participant as an explicit
-//! step-granular state machine — every atomic access from
-//! `arena.rs`'s `acquire`/`promote`/`join`/`depart`/`unlock` is one
-//! model step, using the *same* word-encoding and counter rules
-//! exported by [`sal_core::arena_word`] — and explores **every**
-//! interleaving by depth-first search over reachable states.
+//! The promotion/demotion protocol is a handful of SeqCst operations
+//! whose correctness depends on ordering windows real threads only
+//! occasionally open (promote racing an inline unlock, join racing a
+//! demotion, a stale joiner incrementing a freed core's counter). This
+//! test re-states each participant as an explicit step-granular state
+//! machine — every atomic access of `Word`'s
+//! `dispatch`/`materialize`/`join`/`enter_core`/`unlock`/`depart`, and
+//! of the core's pid admission, is one model step, using the *same*
+//! word-encoding and counter rules exported by
+//! [`sal_core::arena_word`] — and explores **every** interleaving by
+//! depth-first search over reachable states.
+//!
+//! The source of cores is a pool of one. That is exactly a mutex's: its
+//! resident core is claimed by a swap on one flag (`pool_free` here) and
+//! given back by a store. An arena's pool behaves the same for one key's
+//! traffic, and two keys sharing the one core cover reuse across keys.
 //!
 //! Checked in every reachable state:
 //!
@@ -23,9 +30,9 @@
 //! deadlock):
 //!
 //! * every passage either entered or aborted — no lost unlocks;
-//! * the word is back to `UNLOCKED`, the user counter to zero, and
-//!   the pooled core back in the pool — inline → materialized →
-//!   inline round-trips leak nothing.
+//! * the word is back to `UNLOCKED`, the user counter to zero, every
+//!   pid back, and the pooled core back in the pool — inline →
+//!   materialized → inline round-trips leak nothing.
 
 use sal_core::arena_word as word;
 use std::collections::HashSet;
@@ -57,6 +64,8 @@ enum Pc {
     SawMat,
     /// Counted in; revalidate the word (join's second half).
     JoinReval,
+    /// Seated; check a pid out of the core (waits while none is free).
+    TakePid,
     /// A counted user waiting for the core's lock.
     CoreWait,
     /// In the critical section via the inline word.
@@ -69,6 +78,13 @@ enum Pc {
     ProxyExit,
     /// Release the core's lock.
     CoreExit,
+    /// Give the pid back.
+    PutPid,
+    /// An expired attempt saw `LOCKED_INLINE`: check a pid out for
+    /// its abort report (none free: report nothing),
+    ReportTake,
+    /// …and give it back.
+    ReportPut,
     /// Give up the user seat (demote if last).
     Depart(After),
     DemoteSwap(After),
@@ -104,7 +120,11 @@ struct St {
     words: Vec<u64>,
     /// The single core's user counter (may hold `USERS_DEMOTING`).
     users: usize,
+    /// Whether the one core is unclaimed: the pool's free list, or a
+    /// mutex's claim flag.
     pool_free: bool,
+    /// Pids of the core checked out (the proxy's is never counted).
+    pids_out: u8,
     holder: Holder,
     procs: Vec<Proc>,
 }
@@ -117,6 +137,8 @@ struct Scenario {
     /// Procs that abort instead of entering once the fast path fails.
     aborts: Vec<bool>,
     n_keys: usize,
+    /// Pids the core admits.
+    pids: u8,
 }
 
 impl Scenario {
@@ -125,6 +147,7 @@ impl Scenario {
             words: vec![word::UNLOCKED; self.n_keys],
             users: 0,
             pool_free: true,
+            pids_out: 0,
             holder: Holder::None,
             procs: self
                 .schedule
@@ -178,9 +201,9 @@ fn step(sc: &Scenario, st: &St, i: usize) -> Vec<St> {
             }),
             word::WordState::LockedInline => {
                 if sc.aborts[i] {
-                    // try_lock fast-fail: a set signal aborts before
-                    // any materialization.
-                    next(&|s: &mut St| finish(&mut s.procs[i], After::Abort));
+                    // try_lock fast-fail: a set signal aborts before any
+                    // materialization, reporting under a borrowed pid.
+                    next(&|s: &mut St| s.procs[i].pc = Pc::ReportTake);
                 }
                 if st.pool_free {
                     next(&|s: &mut St| {
@@ -188,8 +211,10 @@ fn step(sc: &Scenario, st: &St, i: usize) -> Vec<St> {
                         s.procs[i].pc = Pc::PromoteSeat;
                     });
                 }
-                // Pool exhausted and not aborting: degraded spin —
-                // no enabled step until the word or pool changes.
+                // No core free and not aborting: re-read the word (the
+                // arena's degraded spin; for a mutex, another promoter
+                // or demoter is partway through its steps) — no enabled
+                // step until the word or pool changes.
             }
             word::WordState::Materialized(idx) => {
                 assert_eq!(idx, 0, "pool capacity is 1");
@@ -214,7 +239,7 @@ fn step(sc: &Scenario, st: &St, i: usize) -> Vec<St> {
                         // the seat straight back.
                         Pc::Depart(After::Abort)
                     } else {
-                        Pc::CoreWait
+                        Pc::TakePid
                     };
                 });
             } else {
@@ -226,6 +251,26 @@ fn step(sc: &Scenario, st: &St, i: usize) -> Vec<St> {
                 });
             }
         }
+        Pc::TakePid => {
+            if st.pids_out < sc.pids {
+                next(&|s: &mut St| {
+                    s.pids_out += 1;
+                    s.procs[i].pc = Pc::CoreWait;
+                });
+            }
+        }
+        Pc::ReportTake => next(&|s: &mut St| {
+            if s.pids_out < sc.pids {
+                s.pids_out += 1;
+                s.procs[i].pc = Pc::ReportPut;
+            } else {
+                finish(&mut s.procs[i], After::Abort);
+            }
+        }),
+        Pc::ReportPut => next(&|s: &mut St| {
+            s.pids_out -= 1;
+            finish(&mut s.procs[i], After::Abort);
+        }),
         Pc::CoreWait => {
             if st.holder == Holder::None {
                 next(&|s: &mut St| {
@@ -263,9 +308,13 @@ fn step(sc: &Scenario, st: &St, i: usize) -> Vec<St> {
             assert_eq!(st.holder, Holder::Proc(i));
             next(&|s: &mut St| {
                 s.holder = Holder::None;
-                s.procs[i].pc = Pc::Depart(After::Passage);
+                s.procs[i].pc = Pc::PutPid;
             });
         }
+        Pc::PutPid => next(&|s: &mut St| {
+            s.pids_out -= 1;
+            s.procs[i].pc = Pc::Depart(After::Passage);
+        }),
         Pc::Depart(after) => {
             assert!(
                 st.users != 0 && st.users != word::USERS_DEMOTING,
@@ -372,6 +421,7 @@ fn check_invariants(sc: &Scenario, st: &St) {
             sc.name
         );
     }
+    assert!(st.pids_out <= sc.pids, "pid over-admission: {st:?}");
 }
 
 fn check_final(sc: &Scenario, st: &St) {
@@ -393,20 +443,30 @@ fn check_final(sc: &Scenario, st: &St) {
         assert_eq!(st.words[k], word::UNLOCKED, "key {k} not demoted: {st:?}");
     }
     assert_eq!(st.users, 0, "user counter leaked: {st:?} in {}", sc.name);
+    assert_eq!(st.pids_out, 0, "pid leaked: {st:?} in {}", sc.name);
     assert!(st.pool_free, "pooled core leaked: {st:?} in {}", sc.name);
     assert_eq!(st.holder, Holder::None);
 }
 
 /// DFS over every reachable interleaving; returns (states, terminals).
 fn explore(sc: &Scenario) -> (usize, usize) {
+    let (states, terminals, _) = explore_witness(sc, |_| false);
+    (states, terminals)
+}
+
+/// [`explore`], also counting the reachable states where `witness`
+/// holds (proof that a scenario reaches the window it targets).
+fn explore_witness(sc: &Scenario, witness: impl Fn(&St) -> bool) -> (usize, usize, usize) {
     let mut seen: HashSet<St> = HashSet::new();
     let mut stack = vec![sc.initial()];
     let mut terminals = 0usize;
+    let mut witnessed = 0usize;
     while let Some(st) = stack.pop() {
         if !seen.insert(st.clone()) {
             continue;
         }
         check_invariants(sc, &st);
+        witnessed += usize::from(witness(&st));
         let mut any = false;
         for i in 0..st.procs.len() {
             for succ in step(sc, &st, i) {
@@ -422,7 +482,7 @@ fn explore(sc: &Scenario) -> (usize, usize) {
         }
     }
     assert!(terminals > 0, "no terminal state reached in {}", sc.name);
-    (seen.len(), terminals)
+    (seen.len(), terminals, witnessed)
 }
 
 #[test]
@@ -432,6 +492,7 @@ fn two_procs_two_passages_one_key() {
         schedule: vec![vec![0, 0], vec![0, 0]],
         aborts: vec![false, false],
         n_keys: 1,
+        pids: 3,
     };
     let (states, _) = explore(&sc);
     assert!(states > 100, "exploration too shallow: {states} states");
@@ -444,6 +505,7 @@ fn three_procs_one_passage_one_key() {
         schedule: vec![vec![0], vec![0], vec![0]],
         aborts: vec![false, false, false],
         n_keys: 1,
+        pids: 3,
     };
     explore(&sc);
 }
@@ -459,6 +521,7 @@ fn two_keys_share_the_single_pooled_core() {
         schedule: vec![vec![0, 1], vec![1, 0]],
         aborts: vec![false, false],
         n_keys: 2,
+        pids: 3,
     };
     explore(&sc);
 }
@@ -470,6 +533,7 @@ fn an_aborter_in_the_queue_leaks_nothing() {
         schedule: vec![vec![0, 0], vec![0]],
         aborts: vec![false, true],
         n_keys: 1,
+        pids: 3,
     };
     explore(&sc);
 }
@@ -481,6 +545,59 @@ fn three_procs_with_one_aborter_two_passages() {
         schedule: vec![vec![0, 0], vec![0], vec![0]],
         aborts: vec![false, true, false],
         n_keys: 1,
+        pids: 3,
     };
     explore(&sc);
+}
+
+#[test]
+fn an_immediate_attempt_on_an_inline_hold_leaves_no_seat_or_pid() {
+    // A try_lock against an inline holder: it borrows a pid for its
+    // abort report and gives it back, never claims the core, and never
+    // takes a seat. With one pid, the report may also find none free.
+    for pids in [1, 2] {
+        let sc = Scenario {
+            name: "immediate-on-inline",
+            schedule: vec![vec![0], vec![0]],
+            aborts: vec![false, true],
+            n_keys: 1,
+            pids,
+        };
+        let reporting = |st: &St| st.procs[1].pc == Pc::ReportPut;
+        let seated = |st: &St| st.procs[1].pc == Pc::ReportPut && st.users > 0;
+        let (_, _, reports) = explore_witness(&sc, reporting);
+        assert!(reports > 0, "the report path is reached");
+        let (_, _, bad) = explore_witness(&sc, seated);
+        assert_eq!(bad, 0, "an inline holder is alone: no seat exists");
+    }
+}
+
+#[test]
+fn a_promoter_finds_the_single_core_claimed_while_a_demotion_is_in_flight() {
+    // Proc 0's second passage can find proc 2 holding the word inline
+    // while proc 1, the last one out of the first promotion, has reset
+    // the word but not yet given the core back: no core is free, so it
+    // re-reads the word until the demotion ends.
+    let sc = Scenario {
+        name: "claimed-during-demotion",
+        schedule: vec![vec![0, 0], vec![0], vec![0]],
+        aborts: vec![false, false, false],
+        n_keys: 1,
+        pids: 3,
+    };
+    let window = |st: &St| {
+        let demoting = st
+            .procs
+            .iter()
+            .any(|p| matches!(p.pc, Pc::DemoteClear(_) | Pc::DemoteRelease(_)));
+        let blocked = st.procs[0].pc == Pc::Dispatch
+            && st.procs[0].passages_left == 1
+            && st.words[0] == word::LOCKED_INLINE;
+        demoting && blocked && !st.pool_free
+    };
+    let (_, _, witnessed) = explore_witness(&sc, window);
+    assert!(
+        witnessed > 0,
+        "the claimed-during-demotion window is reached"
+    );
 }

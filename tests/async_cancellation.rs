@@ -83,8 +83,8 @@ fn cancellation_at_every_poll_count() {
         drop(victim);
         assert_eq!(
             m.free_pids(),
-            3,
-            "k={k}: cancelled victim leaked its pid (holder owns the 4th)"
+            4,
+            "k={k}: cancelled victim leaked its pid (the inline holder owns none)"
         );
         assert_eq!(
             m.queued_tasks(),
