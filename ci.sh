@@ -45,14 +45,25 @@ done
 # and a waker that drops the future it wakes does not deadlock the
 # unlock. Two more race a mutex's promotion of its inline word against
 # the demotion of the last one: threads on a sync mutex, and tasks on a
-# two-worker executor. About 20 s on a 2-vCPU VM.
+# two-worker executor. The rest cover the conditional wait that threads
+# and tasks share: a spurious poll neither re-locks nor re-registers, a
+# notification fires the task's latest waker, the async `await_when`
+# is satisfied by a producer (by hand and on an executor), resolves
+# holding the lock once expired, and leaves it free when dropped, and a
+# guard whose predicate panics after a wait still holds its current
+# lock. About 20 s on a 2-vCPU VM.
 test_binary() {
     cargo test --release --no-run "$@" 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p'
 }
 # Run a test binary and fail unless it ran, and passed, at least one test
-# (a filter that matches nothing would otherwise pass).
+# (a filter that matches nothing would otherwise pass). On failure, print
+# what the binary printed, so the failing test and its message show.
 run_tests() {
-    "$@" | grep '^test result: ok\. [1-9]' > /dev/null
+    local out
+    if ! out=$("$@") || ! grep -q '^test result: ok\. [1-9]' <<< "$out"; then
+        printf '%s\n' "$out" >&2
+        return 1
+    fi
 }
 sync_lib=$(test_binary -p sal-sync --lib)
 cancellation=$(test_binary -p sal-bench --test async_cancellation)
@@ -72,7 +83,14 @@ for _ in $(seq 20); do
         tests::a_thread_parked_in_the_enter_wait_is_woken_once_through_its_waker \
         tests::spurious_unparks_do_not_end_a_thread_wait_early \
         tests::promotion_races_demotion_under_mixed_attempts \
-        async_mutex::tests::promotion_races_demotion_on_two_workers
+        async_mutex::tests::promotion_races_demotion_on_two_workers \
+        async_mutex::tests::a_spurious_poll_of_a_cond_waiter_neither_locks_nor_registers_again \
+        async_mutex::tests::a_cond_waiter_is_notified_through_its_latest_waker \
+        async_mutex::tests::await_when_is_satisfied_by_a_producer_and_keeps_the_guard \
+        async_mutex::tests::await_when_on_executor_tasks \
+        async_mutex::tests::an_expired_await_when_resolves_holding_the_lock \
+        async_mutex::tests::a_dropped_await_when_future_leaves_the_lock_free \
+        tests::a_predicate_panicking_after_a_wait_leaves_the_guard_its_current_hold
     run_tests "$arena_api" -q --exact threads_past_the_core_capacity_wait_for_a_pid
     run_tests "$async_mutex" -q --exact handoff_wakes_track_entered_passages \
         async_lock_when_pipeline \

@@ -13,7 +13,8 @@
 //! §6.2 bounded-space schemes).
 //!
 //! This module owns the word encoding and the pure transition rules.
-//! `sal_sync::arena` executes them over real atomics; the exhaustive
+//! `sal_sync`'s lock driver executes them over real atomics (its `Word`,
+//! which both mutexes and every arena key lock through); the exhaustive
 //! interleaving model in `tests/arena_protocol.rs` executes the *same*
 //! encode/decode and rule functions over a modelled memory, which is
 //! what makes that model a check of the shipped protocol rather than of

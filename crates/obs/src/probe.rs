@@ -79,6 +79,14 @@ pub trait Probe: Send + Sync {
     fn note(&self, p: Pid, label: &'static str, value: u64) {
         let _ = (p, label, value);
     }
+
+    /// Whether this probe records anything: `false` lets a caller skip
+    /// work it would do only to report (such as checking out a pid for
+    /// an abort report). [`NoProbe`] says `false`; every forwarding
+    /// probe asks what it forwards to.
+    fn enabled(&self) -> bool {
+        true
+    }
 }
 
 /// The zero-cost default probe: every hook is an empty `#[inline]`
@@ -86,7 +94,11 @@ pub trait Probe: Send + Sync {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NoProbe;
 
-impl Probe for NoProbe {}
+impl Probe for NoProbe {
+    fn enabled(&self) -> bool {
+        false
+    }
+}
 
 /// Forward through references so `&sink` can be passed wherever an owned
 /// probe is expected.
@@ -111,6 +123,9 @@ impl<P: Probe + ?Sized> Probe for &P {
     }
     fn note(&self, p: Pid, label: &'static str, value: u64) {
         (**self).note(p, label, value);
+    }
+    fn enabled(&self) -> bool {
+        (**self).enabled()
     }
 }
 
@@ -137,6 +152,9 @@ impl<P: Probe + ?Sized> Probe for std::sync::Arc<P> {
     }
     fn note(&self, p: Pid, label: &'static str, value: u64) {
         (**self).note(p, label, value);
+    }
+    fn enabled(&self) -> bool {
+        (**self).enabled()
     }
 }
 
@@ -178,6 +196,9 @@ impl<P: Probe> Probe for Option<P> {
             probe.note(p, label, value);
         }
     }
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(Probe::enabled)
+    }
 }
 
 /// A pair broadcasts to both components — an *owned* fanout, usable
@@ -211,6 +232,9 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     fn note(&self, p: Pid, label: &'static str, value: u64) {
         self.0.note(p, label, value);
         self.1.note(p, label, value);
+    }
+    fn enabled(&self) -> bool {
+        self.0.enabled() || self.1.enabled()
     }
 }
 
@@ -261,6 +285,9 @@ impl Probe for Fanout<'_> {
         for probe in self.0 {
             probe.note(p, label, value);
         }
+    }
+    fn enabled(&self) -> bool {
+        self.0.iter().any(|probe| probe.enabled())
     }
 }
 
@@ -318,5 +345,28 @@ mod tests {
         let none: Option<NoProbe> = None;
         none.enter_begin(0); // no-op, must not panic
         assert_eq!(a.0.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn enabled_is_false_only_when_nothing_records() {
+        let c = Counter::default();
+        assert!(c.enabled(), "a sink records by default");
+        assert!(!NoProbe.enabled());
+        assert!(<&Counter as Probe>::enabled(&&c));
+        assert!(!<&NoProbe as Probe>::enabled(&&NoProbe));
+        assert!(std::sync::Arc::new(Counter::default()).enabled());
+        assert!(!std::sync::Arc::new(NoProbe).enabled());
+        assert!(Some(Counter::default()).enabled());
+        assert!(!Some(NoProbe).enabled() && !None::<Counter>.enabled());
+        assert!((NoProbe, Counter::default()).enabled());
+        assert!((Counter::default(), NoProbe).enabled());
+        assert!(!(NoProbe, NoProbe).enabled());
+        assert!(Fanout(&[&NoProbe, &c]).enabled());
+        assert!(!Fanout(&[&NoProbe, &NoProbe]).enabled() && !Fanout(&[]).enabled());
+        let dynamic: &dyn Probe = &NoProbe;
+        assert!(
+            !dynamic.enabled(),
+            "object-safe: answers through `dyn Probe`"
+        );
     }
 }

@@ -30,10 +30,11 @@ impl Wake for Unpark {
     }
 }
 
-/// A waker that unparks the calling thread: a blocked thread leaves it
-/// wherever a task would leave its own, then [`Limit::park`]s.
-pub(crate) fn thread_waker() -> Waker {
-    Waker::from(Arc::new(Unpark(thread::current())))
+thread_local! {
+    /// A waker that unparks this thread, built on its first wait: a
+    /// blocked thread leaves it wherever a task would leave its own, then
+    /// [`Limit::park`]s.
+    pub(crate) static THREAD_WAKER: Waker = Waker::from(Arc::new(Unpark(thread::current())));
 }
 
 /// A condition over the protected value (every `Fn(&T) -> bool + Sync`
@@ -103,19 +104,6 @@ impl<S: AbortSignal> Limit<S> {
             Limit::Forever => thread::park(),
             Limit::Until(t) => thread::park_timeout(t.saturating_duration_since(Instant::now())),
             Limit::Signal(_) => thread::park_timeout(SIGNAL_POLL),
-        }
-    }
-
-    /// Park until `ready` holds (`None`) or this limit expires (`Some`).
-    pub(crate) fn wait(&self, mut ready: impl FnMut() -> bool) -> Option<AbortReason> {
-        loop {
-            if ready() {
-                return None;
-            }
-            if let Some(r) = self.expired() {
-                return Some(r);
-            }
-            self.park();
         }
     }
 }

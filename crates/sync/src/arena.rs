@@ -26,12 +26,12 @@
 //! Every key runs the one lock path of the mutexes: the inline word and
 //! its promotion, join and demotion protocol live in the crate's driver
 //! (shared with [`AbortableMutex`](crate::AbortableMutex), whose word has
-//! one resident core), and a materialized key runs the same lock core
-//! and thread driver, so a limit that fires while queued abandons on the
-//! paper's bounded abort path. The arena itself is the key → entry
-//! lookup and the core pool. A `when` request whose predicate is false
-//! materializes the inline key it holds (the registry lives in a core)
-//! and waits in the core's conditional loop.
+//! one resident core), and past the word every acquisition is the same
+//! attempt state machine over the same lock core, so a limit that fires
+//! while queued abandons on the paper's bounded abort path. The arena
+//! itself is the key → entry lookup and the core pool. A `when` request
+//! whose predicate is false materializes the inline key it holds (the
+//! registry lives in a core) and waits there, registered in that core.
 //!
 //! Limits: per key at most `core_capacity - 1` threads share the core
 //! (one pid is the promotion proxy; more wait for a pid under their
@@ -345,19 +345,15 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
         S: AbortSignal,
     {
         let entry = self.entry(key);
-        let word = self.word(entry);
-        let mut hold = word.enter(&req.limit)?;
-        word.hold_when(&mut hold, &req.pred, &req.limit, false)?;
+        let hold = self.word(entry).acquire(&req.pred, req.limit)?;
         Ok(self.guard(entry, hold))
     }
 
     /// Acquire `key`'s lock, waiting as long as it takes:
     /// `acquire(key, Acquire::new())`. Uncontended: one CAS.
     pub fn lock(&self, key: &K) -> ArenaGuard<'_, K, T> {
-        match self.acquire(key, Acquire::new()) {
-            Ok(g) => g,
-            Err(_) => unreachable!("an unbounded acquisition cannot abort"),
-        }
+        self.acquire(key, Acquire::new())
+            .unwrap_or_else(|_| unreachable!("an unbounded acquisition cannot abort"))
     }
 
     /// One near-immediate attempt,
@@ -603,7 +599,7 @@ mod tests {
             let registered = || {
                 arena.pool.slots[0]
                     .get()
-                    .is_some_and(|p| p.core.ccs.has_waiters())
+                    .is_some_and(|p| p.core.ccs.waiting() > 0)
             };
             while !registered() {
                 std::thread::yield_now();

@@ -12,8 +12,9 @@
 //! on a contended lock resolves a fresh machine the same way.
 //!
 //! The mutex is an [`AbortableMutex`] driven by wakers: one future type,
-//! [`AcquireFuture`], executes every [`Acquire`] request over the same
-//! inline word and lock core. Its first poll tries the word: an
+//! [`AcquireFuture`], executes every [`Acquire`] request by polling the
+//! crate's one attempt state machine, the one a blocked thread steps, over
+//! the same inline word and lock core. Its first poll tries the word: an
 //! uncontended lock is one CAS, takes no pid and resolves at once. A
 //! future that finds the word held promotes it (the proxy enters the
 //! free core solo, so this never blocks) and takes a seat in the core,
@@ -48,7 +49,11 @@
 //! once unlock-side evaluation ([`crate::ccs`]) fires the waker. Held
 //! inline, it first materializes the word with a pid of its own, since
 //! the registry lives in the core; its seat keeps the core there while
-//! it waits.
+//! it waits. Only that notification or the limit ends the wait: a poll
+//! woken otherwise leaves its latest waker and waits on.
+//! [`AsyncMutexGuard::await_when`] runs the same wait from a held guard
+//! and resolves to the guard, holding the lock, and whether the
+//! predicate held.
 //!
 //! ## Deadline caveat
 //!
@@ -79,27 +84,18 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 use crate::acquire::{Always, Limit, Predicate};
-use crate::ccs::Registration;
-use crate::driver::{Hold, Ticket, PROXY};
+use crate::driver::{Attempt, Hold};
 use crate::{AbortableMutex, AbortableMutexBuilder, Acquire, Immediate};
-use sal_core::resume::EnterMachine;
 use sal_core::AbortReason;
-use sal_memory::{AbortSignal, NeverAbort, Pid};
+use sal_memory::{AbortSignal, NeverAbort};
 use sal_obs::{NoProbe, Probe};
 use std::fmt;
 use std::future::Future;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::task::{Context, Poll};
-
-#[derive(Default)]
-struct StatsInner {
-    pid_waits: AtomicU64,
-    cancelled_pending: AtomicU64,
-}
 
 /// Counters of the async driver, snapshot via
 /// [`AsyncAbortableMutex::stats`]. The CCS counters (shared with the
@@ -160,7 +156,6 @@ pub struct AsyncStats {
 /// assert_eq!(*Arc::try_unwrap(m).unwrap().get_mut(), 100);
 /// ```
 pub struct AsyncAbortableMutex<T: ?Sized, P: Probe = NoProbe> {
-    stats: StatsInner,
     m: AbortableMutex<T, P>,
 }
 
@@ -168,10 +163,7 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
     /// Build an [`AsyncAbortableMutex`] from this configuration (same
     /// capacity / branching / probe knobs as [`build`](Self::build)).
     pub fn build_async(self) -> AsyncAbortableMutex<T, P> {
-        AsyncAbortableMutex {
-            stats: StatsInner::default(),
-            m: self.build(),
-        }
+        AsyncAbortableMutex { m: self.build() }
     }
 }
 
@@ -211,11 +203,7 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
     fn future<F, S, const I: bool>(&self, req: Acquire<F, S>) -> AcquireFuture<'_, T, P, F, S, I> {
         AcquireFuture {
             mx: self,
-            pred: Box::new(req.pred),
-            limit: req.limit,
-            st: State::Fresh,
-            seated: false,
-            woken: false,
+            attempt: Attempt::new(self.m.word(), Box::new(req.pred), req.limit),
         }
     }
 
@@ -224,7 +212,7 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
     /// in-flight futures. Against a free lock it is one CAS; against an
     /// inline holder it fails at once, without entering the core.
     pub fn try_lock(&self) -> Option<AsyncMutexGuard<'_, T, P>> {
-        let hold = self.m.word().enter(&Limit::Signal(Immediate));
+        let hold = self.m.word().acquire(&Always, Limit::Signal(Immediate));
         hold.ok().map(|hold| self.guard(hold))
     }
 
@@ -260,8 +248,8 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
         AsyncStats {
             enter_wakeups: core.enter_wakeups.load(Ordering::Relaxed),
             futile_enter_wakeups: core.futile_enter_wakeups.load(Ordering::Relaxed),
-            pid_waits: self.stats.pid_waits.load(Ordering::Relaxed),
-            cancelled_pending: self.stats.cancelled_pending.load(Ordering::Relaxed),
+            pid_waits: core.pid_waits.load(Ordering::Relaxed),
+            cancelled_pending: core.cancelled_pending.load(Ordering::Relaxed),
             pool_capacity: self.m.capacity(),
             free_pids: self.free_pids(),
             queued_tasks: self.queued_tasks(),
@@ -291,13 +279,6 @@ impl<T: ?Sized, P: Probe> AsyncAbortableMutex<T, P> {
             _marker: PhantomData,
         }
     }
-
-    fn start_enter(&self, pid: Pid) -> State<T> {
-        State::Enter {
-            pid,
-            machine: self.m.seated.core.begin(pid),
-        }
-    }
 }
 
 impl<T: ?Sized, P: Probe> fmt::Debug for AsyncAbortableMutex<T, P> {
@@ -322,20 +303,8 @@ impl<T> From<T> for AsyncAbortableMutex<T> {
     }
 }
 
-/// Progress of one attempt: holding no pid (not yet polled, or back
-/// from a conditional wait), queued for a pid, driving the enter machine
-/// (dropping from here is the bounded-abort obligation), registered in a
-/// conditional wait with the lock and pid given back, or resolved. Every
-/// state past `Fresh` holds a seat in the resident core.
-enum State<T: ?Sized> {
-    Fresh,
-    PidWait(Ticket),
-    Enter { pid: Pid, machine: EnterMachine },
-    CondWait(Arc<Registration<T>>),
-    Done,
-}
-
-/// The future of every [`AsyncAbortableMutex`] acquisition.
+/// The future of every [`AsyncAbortableMutex`] acquisition: the crate's
+/// one attempt state machine, stepped with the context's waker.
 ///
 /// [`lock`](AsyncAbortableMutex::lock) futures (`INFALLIBLE`) resolve to
 /// the guard, [`acquire`](AsyncAbortableMutex::acquire) futures to a
@@ -350,144 +319,7 @@ pub struct AcquireFuture<
     const INFALLIBLE: bool = false,
 > {
     mx: &'a AsyncAbortableMutex<T, P>,
-    pred: Box<F>,
-    limit: Limit<S>,
-    st: State<T>,
-    /// Whether the attempt holds a participant seat in the resident core.
-    seated: bool,
-    /// Whether the last conditional wait ended in a notification
-    /// (futile-wakeup accounting, as on the blocking path).
-    woken: bool,
-}
-
-impl<T, P, F, S, const I: bool> AcquireFuture<'_, T, P, F, S, I>
-where
-    T: ?Sized,
-    P: Probe,
-    F: Predicate<T>,
-    S: AbortSignal,
-{
-    /// Advance by one poll. `Ready(Ok(hold))`: the lock is held with
-    /// the predicate true. `Ready(Err)`: nothing is held any more.
-    fn step(&mut self, cx: &mut Context<'_>) -> Poll<Result<Hold, AbortReason>> {
-        let mx = self.mx;
-        let core = &mx.m.seated.core;
-        loop {
-            match &mut self.st {
-                State::Fresh if !self.seated => match mx.m.word().dispatch(&self.limit) {
-                    Ok(None) => return self.held(Hold::INLINE, cx),
-                    Ok(Some(_)) => self.seated = true,
-                    Err(r) => return self.fail(r),
-                },
-                State::Fresh => match core.pids.take_or_queue(cx.waker()) {
-                    Ok(pid) => self.st = mx.start_enter(pid),
-                    Err(ticket) => {
-                        mx.stats.pid_waits.fetch_add(1, Ordering::Relaxed);
-                        self.st = State::PidWait(ticket);
-                    }
-                },
-                State::PidWait(ticket) => match ticket.claim(cx.waker()) {
-                    Some(pid) => self.st = mx.start_enter(pid),
-                    None => {
-                        // As a blocked thread does: an expired limit
-                        // leaves the queue (a raced grant goes back).
-                        let Some(r) = self.limit.expired() else {
-                            return Poll::Pending;
-                        };
-                        if let State::PidWait(ticket) = std::mem::replace(&mut self.st, State::Done)
-                        {
-                            core.pids.cancel(ticket);
-                        }
-                        return self.fail(r);
-                    }
-                },
-                State::CondWait(reg) => {
-                    self.woken = core.ccs.deregister(reg);
-                    // Re-acquire, starting with a pid, within this poll.
-                    self.st = State::Fresh;
-                }
-                State::Enter { pid, machine } => {
-                    let pid = *pid;
-                    // Only an unlimited future publishes exact keys:
-                    // nothing but a handoff ends its wait (module docs).
-                    let exact = matches!(self.limit, Limit::Forever);
-                    let step = core.poll_engaged(machine, pid, &self.limit, cx.waker(), exact);
-                    if step.pending() {
-                        return Poll::Pending;
-                    }
-                    core.disengage(pid);
-                    if !core.settle(pid, step) {
-                        core.pids.put(pid);
-                        return self.fail(self.limit.reason());
-                    }
-                    return self.held(Hold { idx: 0, pid }, cx);
-                }
-                State::Done => panic!("lock future polled after completion"),
-            }
-        }
-    }
-
-    /// Holding the lock through `hold`: resolve if the predicate holds
-    /// (the seat goes to the guard) or the limit expired; else register
-    /// under the lock (no transition can be missed), release, and give
-    /// the pid back. An inline hold first materializes the word, since
-    /// the registry lives in the core; if that loses a race, it releases
-    /// and polls again.
-    fn held(&mut self, hold: Hold, cx: &mut Context<'_>) -> Poll<Result<Hold, AbortReason>> {
-        let (word, core) = (self.mx.m.word(), &self.mx.m.seated.core);
-        self.st = State::Done;
-        // Safety: we hold the lock, so the protected value is stable
-        // under the predicate.
-        if self.pred.holds(unsafe { &*self.mx.m.data.get() }) {
-            self.seated = false;
-            return Poll::Ready(Ok(hold));
-        }
-        if self.woken {
-            core.ccs.note_futile();
-        }
-        if let Some(r) = self.limit.expired() {
-            self.seated = false;
-            word.unlock(hold);
-            return Poll::Ready(Err(r));
-        }
-        let pid = match hold.pid {
-            PROXY => match word.materialize(true) {
-                Some((_, pid)) => {
-                    self.seated = true;
-                    pid
-                }
-                None => {
-                    word.unlock(hold);
-                    self.st = State::Fresh;
-                    cx.waker().wake_by_ref();
-                    return Poll::Pending;
-                }
-            },
-            pid => pid,
-        };
-        let reg = core.release_then(pid, word.data, || {
-            core.ccs.register(&*self.pred, cx.waker())
-        });
-        core.pids.put(pid);
-        self.st = State::CondWait(reg);
-        Poll::Pending
-    }
-}
-
-impl<T: ?Sized, P: Probe, F, S, const I: bool> AcquireFuture<'_, T, P, F, S, I> {
-    /// Give up the seat in the resident core, if held.
-    fn leave(&mut self) {
-        if std::mem::take(&mut self.seated) {
-            self.mx.m.word().depart(0);
-        }
-    }
-
-    /// Resolve with `r`, holding nothing.
-    fn fail(&mut self, r: AbortReason) -> Poll<Result<Hold, AbortReason>> {
-        self.st = State::Done;
-        self.leave();
-        Poll::Ready(Err(r))
-    }
+    attempt: Attempt<'a, AbortableMutex<T, P>, Box<F>, S>,
 }
 
 impl<'a, T, P, F, S> Future for AcquireFuture<'a, T, P, F, S, false>
@@ -502,7 +334,9 @@ where
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let mx = this.mx;
-        this.step(cx).map(|r| r.map(|hold| mx.guard(hold)))
+        this.attempt
+            .step(cx.waker())
+            .map(|r| r.map(|hold| mx.guard(hold)))
     }
 }
 
@@ -518,35 +352,9 @@ where
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let mx = this.mx;
-        this.step(cx)
+        this.attempt
+            .step(cx.waker())
             .map(|r| mx.guard(r.expect("an unbounded acquisition cannot abort")))
-    }
-}
-
-impl<T: ?Sized, P: Probe, F, S, const I: bool> Drop for AcquireFuture<'_, T, P, F, S, I> {
-    fn drop(&mut self) {
-        let mx = self.mx;
-        let core = &mx.m.seated.core;
-        match std::mem::replace(&mut self.st, State::Done) {
-            State::Fresh | State::Done => {}
-            State::PidWait(ticket) => core.pids.cancel(ticket),
-            State::CondWait(reg) => {
-                core.ccs.deregister(&reg);
-            }
-            State::Enter { pid, mut machine } => {
-                // Cancellation is the paper's abort: one poll with the
-                // pre-fired signal either takes a lock handed over in
-                // the race window (release it) or runs the whole abort.
-                core.disengage(pid);
-                mx.stats.cancelled_pending.fetch_add(1, Ordering::Relaxed);
-                if core.resolve_now(pid, &mut machine) {
-                    core.unlock(pid, &mx.m.data);
-                } else {
-                    core.pids.put(pid);
-                }
-            }
-        }
-        self.leave();
     }
 }
 
@@ -599,6 +407,33 @@ impl<T: ?Sized, P: Probe> DerefMut for AsyncMutexGuard<'_, T, P> {
     }
 }
 
+impl<'a, T: ?Sized, P: Probe> AsyncMutexGuard<'a, T, P> {
+    /// Release the lock, wait until `req`'s predicate holds, and
+    /// re-acquire (nsync's `Await`); resolves at once if it already holds.
+    /// The limit bounds the wait, not the re-acquisition: `Err` means it
+    /// expired with the predicate false at the final check. The future
+    /// resolves to the guard either way, holding the lock; dropped while
+    /// pending, it leaves the lock released and no guard behind.
+    pub fn await_when<F, S>(
+        self,
+        req: Acquire<F, S>,
+    ) -> impl Future<Output = (Self, Result<(), AbortReason>)>
+    where
+        F: Predicate<T>,
+        S: AbortSignal + Unpin,
+    {
+        let (mx, hold) = (self.mx, self.hold);
+        std::mem::forget(self);
+        let pred = Box::new(req.pred);
+        let mut attempt = Attempt::resume(mx.m.word(), hold, pred, req.limit, None);
+        std::future::poll_fn(move |cx| match attempt.step(cx.waker()) {
+            Poll::Pending => Poll::Pending,
+            Poll::Ready(Ok(hold)) => Poll::Ready((mx.guard(hold), Ok(()))),
+            Poll::Ready(Err(r)) => Poll::Ready((mx.guard(attempt.kept()), Err(r))),
+        })
+    }
+}
+
 impl<T: ?Sized, P: Probe> Drop for AsyncMutexGuard<'_, T, P> {
     fn drop(&mut self) {
         self.mx.m.word().unlock(self.hold);
@@ -614,9 +449,10 @@ impl<T: ?Sized + fmt::Debug, P: Probe> fmt::Debug for AsyncMutexGuard<'_, T, P> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::publish_code;
+    use crate::driver::{publish_code, State};
     use sal_core::resume::WaitKey;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
     use std::task::{RawWaker, RawWakerVTable, Waker};
     use std::time::Duration;
 
@@ -881,7 +717,7 @@ mod tests {
         let w = counting_waker(&WAKES);
         let wf = counting_waker(&F);
         let published = |fut: &AcquireFuture<'_, u64, NoProbe, Always, NeverAbort, true>| {
-            let State::Enter { pid, machine } = &fut.st else {
+            let State::Enter { pid, machine, .. } = &fut.attempt.st else {
                 panic!("not waiting in the lock");
             };
             let key = machine
@@ -1074,6 +910,160 @@ mod tests {
     }
 
     #[test]
+    fn a_spurious_poll_of_a_cond_waiter_neither_locks_nor_registers_again() {
+        let m = AsyncAbortableMutex::builder(0u32).capacity(2).build_async();
+        let w = counting_waker(&WAKES);
+        let mut fut = m.acquire(Acquire::new().when(|v: &u32| *v > 0));
+        assert!(poll_once(&mut fut, &w).is_pending());
+        let before = m.ccs_stats();
+        assert_eq!((before.waits, m.waiters()), (1, 1));
+        // Woken by hand, not by a notification: the wait goes on.
+        for _ in 0..3 {
+            assert!(poll_once(&mut fut, &w).is_pending());
+        }
+        assert_eq!(m.ccs_stats(), before, "no re-acquisition, no new wait");
+        assert_eq!((m.waiters(), m.free_pids()), (1, 2));
+        *m.try_lock().expect("the waiter holds no lock") = 1;
+        assert!(matches!(poll_once(&mut fut, &w), Poll::Ready(Ok(g)) if *g == 1));
+        assert_eq!(m.ccs_stats().waits, 1);
+    }
+
+    #[test]
+    fn a_cond_waiter_is_notified_through_its_latest_waker() {
+        static OLD: AtomicUsize = AtomicUsize::new(0);
+        static NEW: AtomicUsize = AtomicUsize::new(0);
+        let m = AsyncAbortableMutex::builder(0u32).capacity(2).build_async();
+        let mut fut = m.acquire(Acquire::new().when(|v: &u32| *v > 0));
+        assert!(poll_once(&mut fut, &counting_waker(&OLD)).is_pending());
+        // The task moved: its next poll brings another waker.
+        let new = counting_waker(&NEW);
+        assert!(poll_once(&mut fut, &new).is_pending());
+        *m.try_lock().expect("the waiter holds no lock") = 1;
+        let wakes = [&OLD, &NEW].map(|n| n.load(Ordering::SeqCst));
+        assert_eq!(wakes, [0, 1], "the notification fires the new waker");
+        assert!(matches!(poll_once(&mut fut, &new), Poll::Ready(Ok(_))));
+    }
+
+    #[test]
+    fn await_when_is_satisfied_by_a_producer_and_keeps_the_guard() {
+        static C: AtomicUsize = AtomicUsize::new(0);
+        let m = AsyncAbortableMutex::builder(0u32).capacity(2).build_async();
+        let w = counting_waker(&C);
+        let g = m.try_lock().expect("uncontended");
+        let mut fut = std::pin::pin!(g.await_when(Acquire::new().when(|v: &u32| *v > 0)));
+        assert!(fut.as_mut().poll(&mut Context::from_waker(&w)).is_pending());
+        assert_eq!(m.waiters(), 1, "it waits with the lock given back");
+        *m.try_lock().expect("the consumer released the lock") = 1;
+        assert_eq!(
+            C.load(Ordering::SeqCst),
+            1,
+            "the producer's unlock wakes it"
+        );
+        let Poll::Ready((g, r)) = fut.as_mut().poll(&mut Context::from_waker(&w)) else {
+            panic!("a notified consumer whose predicate holds resolves");
+        };
+        assert_eq!((*g, r), (1, Ok(())));
+        assert!(m.try_lock().is_none(), "the guard holds the lock");
+        drop(g);
+        assert_eq!((m.free_pids(), m.waiters()), (2, 0));
+        assert!(m.try_lock().is_some());
+    }
+
+    #[test]
+    fn await_when_on_executor_tasks() {
+        use sal_runtime::executor::Executor;
+        let m = Arc::new(AsyncAbortableMutex::builder(0u32).capacity(2).build_async());
+        let ex = Executor::new();
+        let consumer = {
+            let m = Arc::clone(&m);
+            async move {
+                let g = m.lock().await;
+                let (g, r) = g.await_when(Acquire::new().when(|v: &u32| *v == 3)).await;
+                assert_eq!((*g, r), (3, Ok(())));
+            }
+        };
+        ex.spawn(consumer);
+        for _ in 0..3 {
+            let m = Arc::clone(&m);
+            ex.spawn(async move { *m.lock().await += 1 });
+        }
+        ex.run(2);
+        assert_eq!((m.free_pids(), m.waiters()), (2, 0));
+    }
+
+    #[test]
+    fn an_expired_await_when_resolves_holding_the_lock() {
+        let m = AsyncAbortableMutex::builder(0u32).capacity(2).build_async();
+        let w = counting_waker(&WAKES);
+        let mut g = m.try_lock().expect("uncontended");
+        *g = 7;
+        // Long enough that the first poll comes before the deadline.
+        let req = Acquire::new()
+            .when(|v: &u32| *v == 0)
+            .within(Duration::from_millis(50));
+        let mut fut = std::pin::pin!(g.await_when(req));
+        assert!(fut.as_mut().poll(&mut Context::from_waker(&w)).is_pending());
+        std::thread::sleep(Duration::from_millis(60));
+        let Poll::Ready((g, r)) = fut.as_mut().poll(&mut Context::from_waker(&w)) else {
+            panic!("an expired limit resolves the future");
+        };
+        assert_eq!((*g, r), (7, Err(AbortReason::Deadline)));
+        assert!(m.try_lock().is_none(), "resolved holding the lock");
+        drop(g);
+        assert_eq!((m.free_pids(), m.waiters()), (2, 0));
+    }
+
+    #[test]
+    fn a_dropped_await_when_future_leaves_the_lock_free() {
+        let m = AsyncAbortableMutex::builder(0u32).capacity(2).build_async();
+        let w = counting_waker(&WAKES);
+        // Never polled: the future still holds the guard's lock.
+        let g = m.try_lock().expect("uncontended");
+        drop(g.await_when(Acquire::new().when(|v: &u32| *v > 0)));
+        assert!(m.try_lock().is_some(), "dropping it released the lock");
+        // Pending in the conditional wait: the lock is already free.
+        let g = m.try_lock().expect("uncontended");
+        let mut fut = Box::pin(g.await_when(Acquire::new().when(|v: &u32| *v > 0)));
+        assert!(fut.as_mut().poll(&mut Context::from_waker(&w)).is_pending());
+        drop(fut);
+        assert_eq!((m.waiters(), m.free_pids()), (0, 2));
+        assert!(m.try_lock().is_some(), "no guard released it again");
+    }
+
+    #[test]
+    fn a_release_that_unwinds_leaves_no_registration_behind() {
+        // The wait's release registers its predicate, exits, then wakes a
+        // satisfied waiter whose waker panics. The unwinding attempt must
+        // own that registration and withdraw it, or the registry keeps a
+        // pointer to the predicate its future frees.
+        fn panicking_waker() -> Waker {
+            fn vt() -> &'static RawWakerVTable {
+                &RawWakerVTable::new(
+                    |d| RawWaker::new(d, vt()),
+                    |_| panic!("waker panics"),
+                    |_| panic!("waker panics"),
+                    |_| {},
+                )
+            }
+            // Safety: no vtable function reads the (null) data pointer.
+            unsafe { Waker::from_raw(RawWaker::new(std::ptr::null(), vt())) }
+        }
+        let m = AsyncAbortableMutex::builder(0u32).capacity(2).build_async();
+        let mut first = m.acquire(Acquire::new().when(|v: &u32| *v == 1));
+        assert!(poll_once(&mut first, &panicking_waker()).is_pending());
+        let mut g = m.try_lock().expect("the waiter holds no lock");
+        *g = 1;
+        let mut wait = Box::pin(g.await_when(Acquire::new().when(|v: &u32| *v == 2)));
+        let w = counting_waker(&WAKES);
+        let poll = || wait.as_mut().poll(&mut Context::from_waker(&w));
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(poll)).is_err());
+        drop(wait);
+        assert_eq!(m.waiters(), 0, "the unwound wait withdrew its registration");
+        drop(first);
+        assert!(m.try_lock().is_some(), "the lock was released once");
+    }
+
+    #[test]
     fn a_limit_expiring_while_queued_for_a_pid_resolves_the_future() {
         let m = AsyncAbortableMutex::builder(()).capacity(1).build_async();
         let w = counting_waker(&WAKES);
@@ -1094,9 +1084,14 @@ mod tests {
     #[test]
     fn guard_is_send_and_futures_are_send() {
         fn assert_send<X: Send>() {}
+        fn assert_send_sync<X: Send + Sync>() {}
         assert_send::<AsyncMutexGuard<'static, u64>>();
-        assert_send::<AcquireFuture<'static, u64, NoProbe, Always, NeverAbort, true>>();
-        assert_send::<AcquireFuture<'static, u64>>();
+        assert_send_sync::<AcquireFuture<'static, u64, NoProbe, Always, NeverAbort, true>>();
+        assert_send_sync::<AcquireFuture<'static, u64>>();
         assert_send::<AsyncAbortableMutex<u64>>();
+        fn await_when_future<X: Send + Sync>(_: &X) {}
+        let m = AsyncAbortableMutex::new(0u64);
+        let g = m.try_lock().expect("uncontended");
+        await_when_future(&g.await_when(Acquire::new().when(|v: &u64| *v == 0)));
     }
 }

@@ -25,9 +25,10 @@
 //!   registrations off the list, releases the lock (`exit_core` — the
 //!   bounded-RMR paper path), and only then wakes them, so woken waiters
 //!   never stampede into a still-held lock.
-//! * The wake takes the registration's waker and fires it; a blocked
-//!   thread parks until its waker is gone (`notified`) or its limit
-//!   expires.
+//! * The wake takes the registration's waker and fires it, so a waiter
+//!   is notified once its waker is gone. Until then each poll of the
+//!   wait leaves its current waker (a task's may change between polls)
+//!   and waits on; only a notification or its limit ends the wait.
 //! * `deregister` removes a registration still on the list, or reports
 //!   that an unlocker took it off (the waiter was notified).
 //!
@@ -75,8 +76,8 @@ pub(crate) struct Registration<T: ?Sized> {
     /// waiter, its lifetime erased for storage. It is dereferenced only
     /// by `evaluate`, under the registry mutex, while this registration
     /// is listed; `deregister` unlists it under the same mutex before the
-    /// borrow ends. A `RegistrationGuard` deregisters on unwind, so the
-    /// window closes even if the waiting frame panics.
+    /// borrow ends. The attempt that registered deregisters when it is
+    /// dropped, so the window closes even if the waiting frame unwinds.
     cond: StoredCond<T>,
     /// The waker to fire once `cond` holds; the wake takes it, so `None`
     /// means notified.
@@ -86,6 +87,14 @@ pub(crate) struct Registration<T: ?Sized> {
 impl<T: ?Sized> Registration<T> {
     fn waker(&self) -> MutexGuard<'_, Option<Waker>> {
         self.waker.lock().expect("waker slot poisoned by a panic")
+    }
+
+    /// Whether an unlocker took the waker (the condition held at its
+    /// evaluation); if not, `waker` replaces the stored one unless both
+    /// wake the same task.
+    pub(crate) fn notified(&self, waker: &Waker) -> bool {
+        let mut stored = self.waker();
+        stored.as_mut().map(|w| w.clone_from(waker)).is_none()
     }
 }
 
@@ -130,10 +139,6 @@ impl<T: ?Sized> CcsRegistry<T> {
     /// Number of registered waiters not yet notified.
     pub(crate) fn waiting(&self) -> usize {
         self.waiting.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn has_waiters(&self) -> bool {
-        self.waiting() > 0
     }
 
     pub(crate) fn stats(&self) -> CcsStats {
@@ -226,47 +231,5 @@ impl<T: ?Sized> CcsRegistry<T> {
         self.wakeups
             .fetch_add(satisfied.len() as u64, Ordering::Relaxed);
         satisfied.len()
-    }
-}
-
-/// Deregisters on unwind so a panic elsewhere in the wait loop (e.g.
-/// another waiter's predicate panicking inside our unlock-side
-/// evaluation) cannot leave a dangling condition pointer registered.
-pub(crate) struct RegistrationGuard<'a, T: ?Sized> {
-    registry: &'a CcsRegistry<T>,
-    reg: Option<Arc<Registration<T>>>,
-}
-
-impl<'a, T: ?Sized> RegistrationGuard<'a, T> {
-    pub(crate) fn register(
-        registry: &'a CcsRegistry<T>,
-        cond: &(dyn Predicate<T> + '_),
-        waker: &Waker,
-    ) -> Self {
-        RegistrationGuard {
-            registry,
-            reg: Some(registry.register(cond, waker)),
-        }
-    }
-
-    /// Whether an unlocker took the waker: the condition held at its
-    /// evaluation.
-    pub(crate) fn notified(&self) -> bool {
-        self.reg.as_ref().expect("registered").waker().is_none()
-    }
-
-    /// Normal-path deregistration; returns whether a notification was
-    /// consumed.
-    pub(crate) fn deregister(mut self) -> bool {
-        let reg = self.reg.take().expect("registered");
-        self.registry.deregister(&reg)
-    }
-}
-
-impl<T: ?Sized> Drop for RegistrationGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(reg) = &self.reg {
-            self.registry.deregister(reg);
-        }
     }
 }

@@ -1,15 +1,16 @@
 //! The one lock path of every `sal-sync` surface: an inline word
-//! ([`Word`]) in front of a lock core ([`Core`]).
+//! ([`Word`]) in front of a lock core ([`Core`]), walked by one attempt
+//! state machine ([`Attempt`]).
 //!
 //! [`Core`] is the paper's bounded long-lived lock over bare atomics,
 //! the pid admission ([`Pids`]), the per-pid enter-wait slots and the
-//! [`CcsRegistry`] of conditional waiters, with its thread driver
-//! ([`Core::enter`]), its one unlock ([`Core::release_then`]) and its
-//! conditional loop ([`Core::hold_when`]). [`Word`] executes the
-//! inline-word protocol of [`sal_core::arena_word`] over a source of
-//! cores ([`Cores`]): an `AbortableMutex` is one word and one resident
-//! core (a pool of one, claimed through a flag; the async mutex wraps
-//! it), and an arena key is one word over the arena's pool.
+//! [`CcsRegistry`] of conditional waiters, with its one engaged poll
+//! ([`Core::poll_engaged`]) and its one unlock ([`Core::release_then`]).
+//! [`Word`] executes the inline-word protocol of [`sal_core::arena_word`]
+//! over a source of cores ([`Cores`]): an `AbortableMutex` is one word
+//! and one resident core (a pool of one, claimed through a flag; the
+//! async mutex wraps it), and an arena key is one word over the arena's
+//! pool.
 //!
 //! ## The inline word
 //!
@@ -36,8 +37,47 @@
 //! proxy pid (only the inline holder uses it; the proxy's own core
 //! passage reports nothing), and an attempt that fails on the inline
 //! word reports its abort under a pid checked out for the report
-//! (nothing when none is free). So no two in-flight reports share a
-//! pid.
+//! (nothing when none is free, or when the probe records nothing). So
+//! no two in-flight reports share a pid.
+//!
+//! ## One attempt
+//!
+//! Past the inline fast path (the word taken with one CAS and the
+//! predicate true, before any attempt exists), every acquisition is an
+//! [`Attempt`]: the paper's resumable `Enter` and what the surfaces add
+//! around it, as one state machine that may stop at any step.
+//!
+//! ```text
+//! Fresh ─word held inline─▶ Held(inline)    Fresh ─word contended─▶ Fresh(seat)
+//! Fresh(seat) ─free pid─▶ Enter ─acquired─▶ Held      Enter ─aborted─▶ Err
+//!      └─no pid─▶ PidWait ─granted─▶ Enter
+//! Held ─predicate true─▶ Ok(hold)    Held ─false─▶ CondWait ─notified─▶ Fresh(seat)
+//! ```
+//!
+//! A conditional wait registers under the lock, then gives back the lock
+//! and its pid but keeps its seat, so the core stays; an inline hold
+//! first materializes the word with a pid of its own, since the registry
+//! lives in the core. Only a notification or the limit ends the wait.
+//! [`Attempt::step`] advances until the attempt resolves or must wait,
+//! leaving the caller's waker where the wait fires it: a pid ticket, its
+//! pid's enter slot, or its registration. Dropping a pending attempt is
+//! the bounded cleanup: the ticket is cancelled, the registration
+//! withdrawn, and an enter machine resolved with the pre-fired
+//! [`Immediate`] signal, which acquires (then releases) or runs the whole
+//! abort.
+//!
+//! **One attempt, two ways to wait.** A task's future steps with its
+//! context's waker and returns pending. A blocked thread
+//! ([`Attempt::block`]) steps with a waker that unparks it, built once
+//! per thread ([`THREAD_WAKER`]), and [`Limit::park`]s between steps. A
+//! thread has one park token, so a stale waker (say, a wake that raced a
+//! timeout) can end a later park early; every step re-checks its own
+//! condition, as `park` may return spuriously anyway. An `Immediate`
+//! attempt never waits, so every `try_lock` takes its one step with a
+//! no-op waker. The two drivers differ in two values, both fixed here:
+//! a thread spins [`SPIN_POLLS`] bare polls of each enter machine before
+//! its first engaged poll (a task none), and a thread always publishes
+//! exact wait keys (below).
 //!
 //! ## Targeted handoff wakes
 //!
@@ -48,7 +88,7 @@
 //! an unlock wakes only the waiters its handoff names. An exit with no
 //! handoff scans nothing.
 //!
-//! **One engaged poll.** Both drivers wait through
+//! **One engaged poll.** Every enter wait goes through
 //! [`Core::poll_engaged`]: store the waiter's waker in its pid's slot,
 //! then make a `SeqCst` store of the key the poll reads (bumping
 //! `parked` when the pid engages), then poll. A poll that moves on
@@ -61,23 +101,15 @@
 //! waker stored before it: no wakeup is lost. A handoff *takes* the
 //! waker it fires, so every engaged poll stores it again.
 //!
-//! **Two drivers, one waker.** A task passes its context's waker and
-//! returns pending. A blocked thread first spins through
-//! [`SPIN_POLLS`] bare polls, then builds a waker that unparks it and
-//! alternates engaged polls with [`Limit::park`]. A thread has one park
-//! token, so a stale waker (say, a wake that raced a timeout) can end a
-//! later park early; every thread wait re-checks its own condition, as
-//! `park` may return spuriously anyway.
-//!
 //! **Who publishes exact keys.** A waiter whose wait only a handoff can
-//! end publishes its key: the thread driver under every limit (a parked
-//! thread wakes itself at its deadline or signal recheck), and a
-//! [`Limit::Forever`] future. A limited future publishes [`ANY`] and is
-//! woken by every handoff, since unlock traffic is what polls its limit
-//! while it is queued (the async module's "Deadline caveat").
+//! end publishes its key: a thread under every limit (a parked thread
+//! wakes itself at its deadline or signal recheck), and a task under
+//! [`Limit::Forever`]. A limited task publishes [`ANY`] and is woken by
+//! every handoff, since unlock traffic is what polls its limit while it
+//! is queued (the async module's "Deadline caveat").
 
-use crate::acquire::{thread_waker, Limit, Predicate};
-use crate::ccs::{CcsRegistry, RegistrationGuard};
+use crate::acquire::{Limit, Predicate, THREAD_WAKER};
+use crate::ccs::{CcsRegistry, Registration};
 use sal_core::arena_word as word;
 use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::resume::{EnterMachine, EnterStep, Handoff, WaitKey};
@@ -86,10 +118,10 @@ use sal_memory::{AbortSignal, MemoryBuilder, NeverAbort, Pid, RawMemory};
 use sal_obs::{probed, NoProbe, Probe};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::task::Waker;
+use std::task::{Poll, Waker};
 use std::time::Duration;
 
 /// Enter-machine polls a blocked thread spins through before it parks.
@@ -137,9 +169,7 @@ impl Ticket {
                 Some(pid)
             }
             Turn::Waiting(w) => {
-                if !w.will_wake(waker) {
-                    *w = waker.clone();
-                }
+                w.clone_from(waker);
                 None
             }
             Turn::Dead => unreachable!("pid ticket claimed after death"),
@@ -175,42 +205,23 @@ impl Pids {
         self.inner.lock().expect(POISONED).free.pop()
     }
 
-    /// A free pid, or a place in the queue whose grant fires `waker`.
-    pub(crate) fn take_or_queue(&self, waker: &Waker) -> Result<Pid, Ticket> {
+    /// A free pid; else, if `may_queue()`, a place in the queue whose
+    /// grant fires `waker` (`Err(Some)`); else `Err(None)`.
+    pub(crate) fn take_or_queue(
+        &self,
+        waker: &Waker,
+        may_queue: impl FnOnce() -> bool,
+    ) -> Result<Pid, Option<Ticket>> {
         let mut inner = self.inner.lock().expect(POISONED);
         if let Some(pid) = inner.free.pop() {
             return Ok(pid);
         }
+        if !may_queue() {
+            return Err(None);
+        }
         let turn = Arc::new(Mutex::new(Turn::Waiting(waker.clone())));
         inner.queue.push_back(Arc::clone(&turn));
-        Err(Ticket(turn))
-    }
-
-    /// A pid for a blocked thread, parking under `limit`; `None` once it
-    /// expired.
-    pub(crate) fn take<S: AbortSignal>(&self, limit: &Limit<S>) -> Option<Pid> {
-        if let Some(pid) = self.try_take() {
-            return Some(pid);
-        }
-        if limit.is_set() {
-            return None;
-        }
-        let waker = thread_waker();
-        let ticket = match self.take_or_queue(&waker) {
-            Ok(pid) => return Some(pid),
-            Err(ticket) => ticket,
-        };
-        let mut pid = None;
-        if limit
-            .wait(|| {
-                pid = ticket.claim(&waker);
-                pid.is_some()
-            })
-            .is_some()
-        {
-            self.cancel(ticket);
-        }
-        pid
+        Err(Some(Ticket(turn)))
     }
 
     /// Leave the queue, putting back a pid granted in the race.
@@ -293,6 +304,11 @@ pub(crate) struct Core<T: ?Sized, P: Probe = NoProbe> {
     pub(crate) enter_wakeups: AtomicU64,
     /// Engaged polls after a handoff's wake that still pended.
     pub(crate) futile_enter_wakeups: AtomicU64,
+    /// Attempts that found no free pid and queued for one.
+    pub(crate) pid_waits: AtomicU64,
+    /// Attempts dropped in the enter wait; each one ran the bounded
+    /// abort (or took a just-granted lock and released it).
+    pub(crate) cancelled_pending: AtomicU64,
     pub(crate) probe: P,
 }
 
@@ -316,14 +332,10 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
             parked: AtomicUsize::new(0),
             enter_wakeups: AtomicU64::new(0),
             futile_enter_wakeups: AtomicU64::new(0),
+            pid_waits: AtomicU64::new(0),
+            cancelled_pending: AtomicU64::new(0),
             probe,
         }
-    }
-
-    /// Start an attempt: the lifecycle hook and a fresh machine.
-    pub(crate) fn begin(&self, pid: Pid) -> EnterMachine {
-        self.probe.enter_begin(pid);
-        self.lock.begin_enter()
     }
 
     /// One machine poll, with every shared-memory operation observed by
@@ -353,53 +365,7 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         }
     }
 
-    /// Resolve `machine` now with the pre-fired [`Immediate`] signal: it
-    /// acquires or runs the whole abort path, in bounded steps (the async
-    /// `try_lock` and the drop of a pending future).
-    pub(crate) fn resolve_now(&self, pid: Pid, machine: &mut EnterMachine) -> bool {
-        loop {
-            let step = self.poll(machine, pid, &Immediate);
-            if !step.pending() {
-                return self.settle(pid, step);
-            }
-        }
-    }
-
-    /// The thread driver: acquire for `pid` under `limit`, spinning then
-    /// parking (module docs). On `Err` the lock is not held.
-    pub(crate) fn enter<S: AbortSignal>(
-        &self,
-        pid: Pid,
-        limit: &Limit<S>,
-    ) -> Result<(), AbortReason> {
-        let mut machine = self.begin(pid);
-        let mut step = self.poll(&mut machine, pid, limit);
-        for _ in 0..SPIN_POLLS {
-            if !step.pending() {
-                break;
-            }
-            step = self.poll(&mut machine, pid, limit);
-        }
-        if step.pending() {
-            let waker = thread_waker();
-            loop {
-                step = self.poll_engaged(&mut machine, pid, limit, &waker, true);
-                if !step.pending() {
-                    break;
-                }
-                // A limit that expires is honoured by the next poll.
-                limit.park();
-            }
-            self.disengage(pid);
-        }
-        if self.settle(pid, step) {
-            Ok(())
-        } else {
-            Err(limit.reason())
-        }
-    }
-
-    /// The engaged poll both drivers wait through (module docs): store
+    /// The engaged poll every enter wait goes through (module docs): store
     /// `waker` in `pid`'s slot, publish the key the poll reads (or
     /// [`ANY`] unless `exact`), poll, and publish and poll again while
     /// the key moves. A pending result leaves `waker` to the handoff
@@ -479,22 +445,6 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         }
     }
 
-    /// Check a pid out and acquire the lock with it, both under
-    /// `limit`. On `Err` nothing is held.
-    pub(crate) fn take_and_enter<S: AbortSignal>(
-        &self,
-        limit: &Limit<S>,
-    ) -> Result<Pid, AbortReason> {
-        let pid = self.pids.take(limit).ok_or_else(|| limit.reason())?;
-        match self.enter(pid, limit) {
-            Ok(()) => Ok(pid),
-            Err(r) => {
-                self.pids.put(pid);
-                Err(r)
-            }
-        }
-    }
-
     /// Release `pid`'s lock and give the pid back.
     pub(crate) fn unlock(&self, pid: Pid, data: &UnsafeCell<T>) {
         self.release_then(pid, data, || ());
@@ -512,7 +462,7 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         data: &UnsafeCell<T>,
         f: impl FnOnce() -> R,
     ) -> R {
-        let satisfied = if self.ccs.has_waiters() {
+        let satisfied = if self.ccs.waiting() > 0 {
             // Safety: the caller holds the lock, so the protected value
             // is stable while the conditions run.
             self.ccs.evaluate(unsafe { &*data.get() })
@@ -529,60 +479,6 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         }
         self.wake(handoff);
         r
-    }
-
-    /// The conditional loop. Entered holding the lock through `*pid`;
-    /// `Ok` returns holding it, through the pid now in `*pid`, with
-    /// `pred` true at the last check. Each wait registers under the
-    /// lock, gives back the lock and the pid, and takes both again when
-    /// woken. On `Err` the limit expired: the lock is then held if `keep`
-    /// (`await_when`, whose limit bounds the wait, not the
-    /// re-acquisition), else nothing is.
-    pub(crate) fn hold_when<F, S>(
-        &self,
-        pid: &mut Pid,
-        data: &UnsafeCell<T>,
-        pred: &F,
-        limit: &Limit<S>,
-        keep: bool,
-    ) -> Result<(), AbortReason>
-    where
-        F: Predicate<T>,
-        S: AbortSignal,
-    {
-        let mut woken = false;
-        loop {
-            // Safety: we hold the lock (loop invariant).
-            if pred.holds(unsafe { &*data.get() }) {
-                return Ok(());
-            }
-            if woken {
-                self.ccs.note_futile();
-            }
-            if let Some(r) = limit.expired() {
-                if !keep {
-                    self.unlock(*pid, data);
-                }
-                return Err(r);
-            }
-            // Register while holding the lock, so no transition is missed.
-            let waker = thread_waker();
-            let reg = self.release_then(*pid, data, || {
-                RegistrationGuard::register(&self.ccs, pred, &waker)
-            });
-            self.pids.put(*pid);
-            let expired = limit.wait(|| reg.notified());
-            woken = reg.deregister();
-            *pid = if keep {
-                self.take_and_enter(&Limit::<NeverAbort>::Forever)?
-            } else if let Some(r) = expired {
-                // A wakeup racing the limit is dropped — harmless, since
-                // evaluation woke every satisfiable waiter.
-                return Err(r);
-            } else {
-                self.take_and_enter(limit)?
-            };
-        }
     }
 }
 
@@ -663,6 +559,21 @@ pub(crate) struct Word<'a, C: Cores + ?Sized> {
     pub(crate) cores: &'a C,
 }
 
+impl<C: Cores + ?Sized> Clone for Word<'_, C> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<C: Cores + ?Sized> Copy for Word<'_, C> {}
+
+// Safety: a word is a shared reference to one logical lock, like
+// `&Mutex<T>`: `word` is an atomic, `cores` is shared only if `C: Sync`,
+// and `data` is reached only under that lock, so sending or sharing the
+// value across threads needs exactly `T: Send`.
+unsafe impl<C: Cores + Sync + ?Sized> Send for Word<'_, C> where C::T: Send {}
+unsafe impl<C: Cores + Sync + ?Sized> Sync for Word<'_, C> where C::T: Send {}
+
 impl<C: Cores + ?Sized> Word<'_, C> {
     fn cas(&self, from: u64, to: u64) -> bool {
         let ord = Ordering::SeqCst;
@@ -670,9 +581,9 @@ impl<C: Cores + ?Sized> Word<'_, C> {
     }
 
     /// Report inline-word events through core 0 (a mutex's resident
-    /// core), if the source reports.
+    /// core), if the source reports and its probe records anything.
     fn report(&self, f: impl FnOnce(&Core<C::T, C::P>)) {
-        if C::REPORTS {
+        if C::REPORTS && self.cores.seated(0).core.probe.enabled() {
             f(&self.cores.seated(0).core);
         }
     }
@@ -724,81 +635,41 @@ impl<C: Cores + ?Sized> Word<'_, C> {
         }
     }
 
-    /// The blocking attempt: the word, or a seat, a pid and the core's
-    /// lock under `limit`. On `Err` nothing is held.
+    /// A blocked thread's attempt at `pred` under `limit`: the inline
+    /// fast path (the word taken with one CAS and `pred` true), else the
+    /// thread driver over an [`Attempt`]. On `Err` nothing is held.
     #[inline]
-    pub(crate) fn enter<S: AbortSignal>(&self, limit: &Limit<S>) -> Result<Hold, AbortReason> {
-        match self.dispatch(limit)? {
-            None => Ok(Hold::INLINE),
-            Some(idx) => self.enter_core(idx, limit),
-        }
-    }
-
-    /// Check a pid out of seated core `idx` and run its thread driver;
-    /// on `Err` the seat is given up. Out of line, so the inline path
-    /// stays small.
-    #[cold]
-    fn enter_core<S: AbortSignal>(&self, idx: u32, limit: &Limit<S>) -> Result<Hold, AbortReason> {
-        let pid = self.cores.seated(idx).core.take_and_enter(limit);
-        if pid.is_err() {
-            self.depart(idx);
-        }
-        pid.map(|pid| Hold { idx, pid })
-    }
-
-    /// [`Core::hold_when`] over `*hold` (after [`enter`](Self::enter), the
-    /// rest of a whole attempt: `pred` true under the lock). An inline
-    /// holder whose
-    /// predicate is false first materializes the word with a checked-out
-    /// pid (the registry lives in the core); its seat is kept across
-    /// every wait, so the core stays while it waits.
-    #[inline]
-    pub(crate) fn hold_when<F, S>(
-        &self,
-        hold: &mut Hold,
-        pred: &F,
-        limit: &Limit<S>,
-        keep: bool,
-    ) -> Result<(), AbortReason>
+    pub(crate) fn acquire<F, S>(&self, pred: &F, limit: Limit<S>) -> Result<Hold, AbortReason>
     where
         F: Predicate<C::T>,
         S: AbortSignal,
     {
-        let mut backoff = 0u32;
-        loop {
-            if *hold != Hold::INLINE {
-                let core = &self.cores.seated(hold.idx).core;
-                let r = core.hold_when(&mut hold.pid, self.data, pred, limit, keep);
-                if r.is_err() && !keep {
-                    self.depart(hold.idx);
-                }
-                return r;
-            }
-            // Safety: we hold the lock inline.
-            if pred.holds(unsafe { &*self.data.get() }) {
-                return Ok(());
-            }
-            if let Some(r) = limit.expired() {
-                if !keep {
-                    self.unlock(Hold::INLINE);
-                }
-                return Err(r);
-            }
-            match self.materialize(true) {
-                Some((idx, pid)) => *hold = Hold { idx, pid },
-                None => {
-                    // Raced (the proxy now stands for our hold) or nothing
-                    // free: release, back off, and take the lock again.
-                    self.unlock(Hold::INLINE);
-                    backoff_step(&mut backoff);
-                    *hold = if keep {
-                        self.enter(&Limit::<NeverAbort>::Forever)?
-                    } else {
-                        self.enter(limit)?
-                    };
-                }
-            }
+        let seat = self.dispatch(&limit)?;
+        // Safety: the word is ours inline, so the value is stable.
+        if seat.is_none() && pred.holds(unsafe { &*self.data.get() }) {
+            return Ok(Hold::INLINE);
         }
+        self.contended(seat, pred, limit)
+    }
+
+    /// [`acquire`](Self::acquire) past the fast path; out of line, so the
+    /// inline path stays small.
+    #[cold]
+    fn contended<F, S>(
+        &self,
+        seat: Option<u32>,
+        pred: &F,
+        limit: Limit<S>,
+    ) -> Result<Hold, AbortReason>
+    where
+        F: Predicate<C::T>,
+        S: AbortSignal,
+    {
+        // The word is held inline with `pred` false, or a seat is taken.
+        let mut attempt = Attempt::new(*self, pred, limit);
+        attempt.st = seat.map_or(State::Held(Hold::INLINE), |_| State::Fresh);
+        (attempt.seat, attempt.thread) = (seat, true);
+        attempt.block()
     }
 
     /// Release `hold`. An inline hold that a promotion took over exits
@@ -926,6 +797,313 @@ impl<C: Cores + ?Sized> Word<'_, C> {
                 return;
             }
         }
+    }
+}
+
+/// Where an [`Attempt`] stands (module docs, "One attempt").
+pub(crate) enum State<T: ?Sized> {
+    /// Holding no lock and no pid: tries the word, or with a seat takes
+    /// a pid.
+    Fresh,
+    /// Queued for a pid of the seated core.
+    PidWait(Ticket),
+    /// Driving the enter machine with a checked-out pid.
+    Enter { pid: Pid, machine: EnterMachine },
+    /// Holding the lock (a core hold carries the seat): the predicate
+    /// decides.
+    Held(Hold),
+    /// Registered in a conditional wait, holding neither lock nor pid.
+    CondWait(Arc<Registration<T>>),
+    /// Resolved: the hold, if any, is the caller's.
+    Done,
+}
+
+/// One acquisition past the inline fast path, for a thread or a task
+/// alike: a [`State`] stepped by [`step`](Self::step) (module docs). `Q`
+/// is the predicate, by reference or boxed; it stays put while
+/// registered.
+pub(crate) struct Attempt<'a, C: Cores + ?Sized, Q, S> {
+    word: Word<'a, C>,
+    pred: Q,
+    limit: Limit<S>,
+    pub(crate) st: State<C::T>,
+    /// The core this attempt has a participant seat in, unless a core
+    /// hold carries it.
+    seat: Option<u32>,
+    /// A blocked thread's attempt: it spins, and publishes exact keys.
+    thread: bool,
+    /// Bare polls left before the enter machine waits engaged.
+    spins: u32,
+    /// `await_when`: the limit bounds only the conditional wait, so the
+    /// attempt (re-)acquires as long as it takes and an expired limit
+    /// resolves `Err` still holding the lock.
+    keep: bool,
+    /// The guard hold a blocked thread's `keep` attempt leaves the lock
+    /// in when dropped holding it (also by unwinding), for the guard to
+    /// release; any other attempt releases it itself.
+    home: Option<&'a mut Hold>,
+    /// Whether the last conditional wait was notified (futile-wakeup
+    /// accounting).
+    woken: bool,
+}
+
+impl<'a, C: Cores + ?Sized, Q, S> Attempt<'a, C, Q, S> {
+    /// A task's attempt: its first step tries the word. (A thread's
+    /// starts past the word: [`Word::acquire`].)
+    pub(crate) fn new(word: Word<'a, C>, pred: Q, limit: Limit<S>) -> Self {
+        Attempt {
+            word,
+            pred,
+            limit,
+            st: State::Fresh,
+            seat: None,
+            thread: false,
+            spins: 0,
+            keep: false,
+            home: None,
+            woken: false,
+        }
+    }
+
+    /// A `keep` attempt resuming from `hold` (`await_when`). A blocked
+    /// thread lends its guard's hold as `home`; a task passes `None`.
+    pub(crate) fn resume(
+        word: Word<'a, C>,
+        hold: Hold,
+        pred: Q,
+        limit: Limit<S>,
+        home: Option<&'a mut Hold>,
+    ) -> Self {
+        let mut attempt = Self::new(word, pred, limit);
+        attempt.st = State::Held(hold);
+        (attempt.thread, attempt.keep, attempt.home) = (home.is_some(), true, home);
+        attempt
+    }
+
+    /// The lock a `keep` attempt still holds once it resolved `Err`.
+    pub(crate) fn kept(&mut self) -> Hold {
+        let State::Held(hold) = std::mem::replace(&mut self.st, State::Done) else {
+            unreachable!("only an expired keep attempt keeps a hold");
+        };
+        hold
+    }
+
+    /// Give back whatever the attempt holds, in a bounded number of its
+    /// own steps: the cleanup of a failure and of a drop.
+    fn release(&mut self) {
+        let word = self.word;
+        let core = |seat: Option<u32>| &word.cores.seated(seat.expect("seated")).core;
+        match std::mem::replace(&mut self.st, State::Done) {
+            State::Fresh | State::Done => {}
+            State::Held(hold) => match self.home.take() {
+                Some(home) => *home = hold,
+                None => word.unlock(hold),
+            },
+            State::PidWait(ticket) => core(self.seat).pids.cancel(ticket),
+            State::CondWait(reg) => {
+                core(self.seat).ccs.deregister(&reg);
+            }
+            State::Enter { pid, mut machine } => {
+                // Cancellation is the paper's abort: a poll with the
+                // pre-fired signal never pends; it takes a lock handed
+                // over in the race window (release it) or runs the whole
+                // abort.
+                let core = core(self.seat);
+                core.disengage(pid);
+                core.cancelled_pending.fetch_add(1, Ordering::Relaxed);
+                if core.settle(pid, core.poll(&mut machine, pid, &Immediate)) {
+                    core.unlock(pid, word.data);
+                } else {
+                    core.pids.put(pid);
+                }
+            }
+        }
+        if let Some(idx) = self.seat.take() {
+            word.depart(idx);
+        }
+    }
+
+    /// Resolve with `r`, holding nothing.
+    fn fail(&mut self, r: AbortReason) -> Poll<Result<Hold, AbortReason>> {
+        self.release();
+        Poll::Ready(Err(r))
+    }
+}
+
+impl<C, Q, S> Attempt<'_, C, Q, S>
+where
+    C: Cores + ?Sized,
+    Q: Deref,
+    Q::Target: Predicate<C::T> + Sized,
+    S: AbortSignal,
+{
+    /// Advance until the attempt resolves or must wait; a pending step
+    /// leaves `waker` where the wait fires it. `Ready(Ok(hold))`: the
+    /// lock is held with the predicate true, and the hold (with its seat)
+    /// is the caller's. `Ready(Err)`: the limit expired and nothing is
+    /// held, but a `keep` attempt still holds the lock ([`kept`](Self::kept)).
+    pub(crate) fn step(&mut self, waker: &Waker) -> Poll<Result<Hold, AbortReason>> {
+        let word = self.word;
+        let core = |idx: u32| &word.cores.seated(idx).core;
+        let mut backoff = 0;
+        loop {
+            let acquiring = acquiring(self.keep, &self.limit);
+            match (&mut self.st, self.seat) {
+                (State::Fresh, None) => match word.dispatch(acquiring) {
+                    Ok(None) => self.st = State::Held(Hold::INLINE),
+                    Ok(seat) => self.seat = seat,
+                    Err(r) => return self.fail(r),
+                },
+                // A free pid, else a place in the queue unless the limit
+                // expired.
+                (State::Fresh, Some(idx)) => {
+                    match core(idx).pids.take_or_queue(waker, || !acquiring.is_set()) {
+                        Ok(pid) => self.enter(core(idx), pid),
+                        Err(Some(ticket)) => {
+                            core(idx).pid_waits.fetch_add(1, Ordering::Relaxed);
+                            self.st = State::PidWait(ticket);
+                            return Poll::Pending;
+                        }
+                        Err(None) => return self.fail(acquiring.reason()),
+                    }
+                }
+                // An expired limit leaves the queue: `fail` cancels the
+                // ticket and puts back a grant that raced it.
+                (State::PidWait(ticket), Some(idx)) => match ticket.claim(waker) {
+                    Some(pid) => self.enter(core(idx), pid),
+                    None => return acquiring.expired().map_or(Poll::Pending, |r| self.fail(r)),
+                },
+                (State::Enter { pid, machine }, Some(idx)) => {
+                    let (core, pid) = (core(idx), *pid);
+                    let step = loop {
+                        if self.spins == 0 {
+                            // Only a handoff ends a thread's or an
+                            // unlimited task's wait: exact keys.
+                            let exact = self.thread || matches!(acquiring, Limit::Forever);
+                            break core.poll_engaged(machine, pid, acquiring, waker, exact);
+                        }
+                        self.spins -= 1;
+                        let step = core.poll(machine, pid, acquiring);
+                        if !step.pending() {
+                            break step;
+                        }
+                    };
+                    if step.pending() {
+                        return Poll::Pending;
+                    }
+                    if self.spins == 0 {
+                        core.disengage(pid);
+                    }
+                    if !core.settle(pid, step) {
+                        core.pids.put(pid);
+                        self.st = State::Fresh;
+                        return self.fail(acquiring.reason());
+                    }
+                    (self.st, self.seat) = (State::Held(Hold { idx, pid }), None);
+                }
+                (State::Held(hold), _) => {
+                    let mut hold = *hold;
+                    // Safety: we hold the lock, so the value is stable.
+                    if self.pred.holds(unsafe { &*word.data.get() }) {
+                        self.st = State::Done;
+                        return Poll::Ready(Ok(hold));
+                    }
+                    if std::mem::take(&mut self.woken) {
+                        core(hold.idx).ccs.note_futile();
+                    }
+                    match self.limit.expired() {
+                        Some(r) if self.keep => return Poll::Ready(Err(r)),
+                        Some(r) => return self.fail(r),
+                        None => {}
+                    }
+                    if hold == Hold::INLINE {
+                        // The registry lives in a core: materialize with a
+                        // pid of our own, or (raced, or no core free)
+                        // release, back off and take the lock again.
+                        let Some((idx, pid)) = word.materialize(true) else {
+                            self.st = State::Fresh;
+                            word.unlock(Hold::INLINE);
+                            backoff_step(&mut backoff);
+                            continue;
+                        };
+                        hold = Hold { idx, pid };
+                        self.st = State::Held(hold);
+                    }
+                    // Register under the lock, so no transition is
+                    // missed, and own the registration (and keep the
+                    // seat) before the release can unwind; then give back
+                    // the lock and the pid.
+                    let (core, pred) = (core(hold.idx), &*self.pred);
+                    let (st, seat) = (&mut self.st, &mut self.seat);
+                    core.release_then(hold.pid, word.data, || {
+                        *st = State::CondWait(core.ccs.register(pred, waker));
+                        *seat = Some(hold.idx);
+                    });
+                    core.pids.put(hold.pid);
+                    return Poll::Pending;
+                }
+                // Only a notification or the limit ends the wait; an
+                // expired `keep` attempt re-acquires, then reports it.
+                (State::CondWait(reg), Some(idx)) => {
+                    if !reg.notified(waker) {
+                        match self.limit.expired() {
+                            None => return Poll::Pending,
+                            Some(r) if !self.keep => return self.fail(r),
+                            Some(_) => {}
+                        }
+                    }
+                    self.woken = core(idx).ccs.deregister(reg);
+                    self.st = State::Fresh;
+                }
+                (State::Done, _) => panic!("attempt stepped after it resolved"),
+                _ => unreachable!("a core state without a seat"),
+            }
+        }
+    }
+
+    /// Start a passage with `pid`: the lifecycle hook and a fresh machine.
+    fn enter(&mut self, core: &Core<C::T, C::P>, pid: Pid) {
+        core.probe.enter_begin(pid);
+        self.spins = if self.thread { SPIN_POLLS } else { 0 };
+        let machine = core.lock.begin_enter();
+        self.st = State::Enter { pid, machine };
+    }
+
+    /// The thread driver: step with this thread's waker, and park between
+    /// steps under the limit of the wait it is in. An attempt whose signal
+    /// has fired (every `try_lock`'s [`Immediate`]) never waits, so its
+    /// one step gets a no-op waker; should it pend, the loop steps again
+    /// with the real waker, and a step re-checks its wait after leaving
+    /// one.
+    pub(crate) fn block(mut self) -> Result<Hold, AbortReason> {
+        if matches!(&self.limit, Limit::Signal(s) if s.is_set()) {
+            if let Poll::Ready(r) = self.step(Waker::noop()) {
+                return r;
+            }
+        }
+        THREAD_WAKER.with(|waker| loop {
+            match self.step(waker) {
+                Poll::Ready(r) => return r,
+                Poll::Pending if matches!(self.st, State::CondWait(_)) => self.limit.park(),
+                Poll::Pending => acquiring(self.keep, &self.limit).park(),
+            }
+        })
+    }
+}
+
+impl<C: Cores + ?Sized, Q, S> Drop for Attempt<'_, C, Q, S> {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// The limit an attempt acquires under: a `keep` attempt's limit bounds
+/// only its conditional wait.
+fn acquiring<S>(keep: bool, limit: &Limit<S>) -> &Limit<S> {
+    if keep {
+        &Limit::Forever
+    } else {
+        limit
     }
 }
 

@@ -17,19 +17,21 @@
 //! leaves in a bounded number of its own steps, and it decides the
 //! [`AbortReason`]. [`MutexHandle::acquire`] (with `lock`, `try_lock` and
 //! `try_lock_until` as sugar), [`MutexGuard::await_when`],
-//! [`Arena::acquire`] and [`AsyncAbortableMutex::acquire`] — where
-//! **dropping a pending future is an abort** — all execute it over one
-//! lock path: an inline word in front of one lock core. An uncontended
-//! acquisition is one CAS on the word and takes no process id. An
-//! attempt that finds the word held promotes it to the core and queues
-//! there FCFS, in the paper's lock, with its bounded abort; the last one
-//! out demotes it again. In the core a blocked thread spins on the enter
-//! machine, then leaves a waker that unparks it and parks, as a task
-//! leaves its own. Each unlock evaluates registered predicates under the
-//! lock and wakes only the waiters whose condition holds ([`ccs`]). Each
-//! attempt that enters the core checks a process id out of it for its
-//! own duration, and the guard gives it back, so handles are free and
-//! `capacity` bounds the attempts in the core at once.
+//! [`Arena::acquire`], [`AsyncAbortableMutex::acquire`] — where
+//! **dropping a pending future is an abort** — and
+//! [`AsyncMutexGuard::await_when`] all execute it over one lock path: an
+//! inline word in front of one lock core. An uncontended acquisition is
+//! one CAS on the word and takes no process id. An attempt that finds
+//! the word held promotes it to the core and queues there FCFS, in the
+//! paper's lock, with its bounded abort; the last one out demotes it
+//! again. Past the word, every acquisition is one attempt state machine,
+//! which a blocked thread steps and a task polls: a thread spins on the
+//! enter machine, then leaves a waker that unparks it and parks, as a
+//! task leaves its own. Each unlock evaluates registered predicates
+//! under the lock and wakes only the waiters whose condition holds
+//! ([`ccs`]). Each attempt that enters the core checks a process id out
+//! of it for its own duration, and the guard gives it back, so handles
+//! are free and `capacity` bounds the attempts in the core at once.
 //!
 //! The paper's RMR bounds cover the core passages, which are FCFS from
 //! the promotion on. An inline passage is two CAS; a promotion costs one
@@ -82,7 +84,7 @@ pub mod async_mutex;
 pub mod ccs;
 mod driver;
 
-use driver::{Core, Cores, Hold, Seated, Transitions, Word};
+use driver::{Attempt, Core, Cores, Hold, Seated, Transitions, Word};
 use sal_memory::{AbortSignal, Mem};
 use sal_obs::{NoProbe, Probe};
 use std::cell::UnsafeCell;
@@ -368,9 +370,7 @@ impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
         F: Predicate<T>,
         S: AbortSignal,
     {
-        let word = self.mutex.word();
-        let mut hold = word.enter(&req.limit)?;
-        word.hold_when(&mut hold, &req.pred, &req.limit, false)?;
+        let hold = self.mutex.word().acquire(&req.pred, req.limit)?;
         Ok(MutexGuard {
             handle: self,
             hold,
@@ -380,16 +380,15 @@ impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
 
     /// Wait as long as it takes: `acquire(Acquire::new())`.
     pub fn lock(&mut self) -> MutexGuard<'_, 'm, T, P> {
-        match self.acquire(Acquire::new()) {
-            Ok(g) => g,
-            Err(_) => unreachable!("an unbounded acquisition cannot abort"),
-        }
+        self.acquire(Acquire::new())
+            .unwrap_or_else(|_| unreachable!("an unbounded acquisition cannot abort"))
     }
 
     /// One attempt that gives up once the lock is seen held:
     /// `acquire(Acquire::new().abort_on(Immediate)).ok()`. Against an
     /// inline holder it fails at once, with no seat or promotion in the
-    /// core; only its abort report borrows a pid for a moment.
+    /// core; only its abort report, if the probe records anything,
+    /// borrows a pid for a moment.
     pub fn try_lock(&mut self) -> Option<MutexGuard<'_, 'm, T, P>> {
         self.acquire(Acquire::new().abort_on(Immediate)).ok()
     }
@@ -447,7 +446,8 @@ impl<T: ?Sized, P: Probe> MutexGuard<'_, '_, T, P> {
         S: AbortSignal,
     {
         let word = self.handle.mutex.word();
-        word.hold_when(&mut self.hold, &req.pred, &req.limit, true)
+        let attempt = Attempt::resume(word, self.hold, &req.pred, req.limit, Some(&mut self.hold));
+        attempt.block().map(|hold| self.hold = hold)
     }
 }
 
@@ -659,6 +659,38 @@ mod tests {
     }
 
     #[test]
+    fn a_predicate_panicking_after_a_wait_leaves_the_guard_its_current_hold() {
+        // Across the wait the guard's hold moves from the inline word to a
+        // pid of the core. A predicate that panics under the re-acquired
+        // lock must leave the guard that hold, so that its drop releases
+        // the lock once, through the right pid.
+        let m = AbortableMutex::builder(0u64).capacity(2).build();
+        // True for the producer's unlock; a panic for the woken waiter.
+        let waiter = std::thread::current().id();
+        let pred = |v: &u64| {
+            let ours = std::thread::current().id() == waiter;
+            assert!(*v == 0 || !ours, "predicate panics");
+            *v > 0
+        };
+        let mut h = m.handle();
+        let mut g = h.lock();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while m.waiters() == 0 {
+                    std::thread::yield_now();
+                }
+                *m.handle().lock() = 1;
+            });
+            let wait = std::panic::AssertUnwindSafe(|| g.await_when(Acquire::new().when(pred)));
+            assert!(std::panic::catch_unwind(wait).is_err());
+        });
+        assert_eq!(*g, 1, "the guard still holds the lock");
+        assert_ne!(g.hold, Hold::INLINE, "through the core");
+        drop(g);
+        assert_idle(&m);
+    }
+
+    #[test]
     fn promotion_races_demotion_under_mixed_attempts() {
         // Three threads, two pids: inline holds, promotions, pid waits,
         // timeouts and failed try_locks interleave, and the last one out
@@ -729,6 +761,32 @@ mod tests {
         );
         let s = stats.summary();
         assert_eq!((s.entered, s.aborted), (4, 1));
+        assert_idle(&m);
+    }
+
+    #[test]
+    fn a_probe_that_records_nothing_gets_no_inline_reports() {
+        // Its hooks would count, but it says it records nothing: no inline
+        // passage is reported, and a failed try_lock borrows no pid.
+        #[derive(Default)]
+        struct Muted(AtomicUsize);
+        impl Probe for Muted {
+            fn enter_begin(&self, _: sal_memory::Pid) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+            fn enabled(&self) -> bool {
+                false
+            }
+        }
+        let m = AbortableMutex::builder(())
+            .capacity(2)
+            .probe(Muted::default())
+            .build();
+        let (mut a, mut b) = (m.handle(), m.handle());
+        let g = a.lock();
+        assert!(b.try_lock().is_none());
+        drop(g);
+        assert_eq!(m.probe().0.load(Ordering::SeqCst), 0);
         assert_idle(&m);
     }
 
