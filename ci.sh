@@ -51,7 +51,10 @@ done
 # is satisfied by a producer (by hand and on an executor), resolves
 # holding the lock once expired, and leaves it free when dropped, and a
 # guard whose predicate panics after a wait still holds its current
-# lock. About 20 s on a 2-vCPU VM.
+# lock. The arena's lock-free key lookup is rerun too, though it wakes
+# nobody: two threads first-touch the same keys while their shard's
+# table grows, and a lookup that raced a growth shows only as a rare
+# duplicate or lost entry. About 20 s on a 2-vCPU VM.
 test_binary() {
     cargo test --release --no-run "$@" 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p'
 }
@@ -91,7 +94,8 @@ for _ in $(seq 20); do
         async_mutex::tests::an_expired_await_when_resolves_holding_the_lock \
         async_mutex::tests::a_dropped_await_when_future_leaves_the_lock_free \
         tests::a_predicate_panicking_after_a_wait_leaves_the_guard_its_current_hold
-    run_tests "$arena_api" -q --exact threads_past_the_core_capacity_wait_for_a_pid
+    run_tests "$arena_api" -q --exact threads_past_the_core_capacity_wait_for_a_pid \
+        first_touches_race_table_growth
     run_tests "$async_mutex" -q --exact handoff_wakes_track_entered_passages \
         async_lock_when_pipeline \
         a_waker_that_drops_the_future_it_wakes_does_not_deadlock_the_unlock

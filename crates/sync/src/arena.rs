@@ -29,9 +29,10 @@
 //! one resident core), and past the word every acquisition is the same
 //! attempt state machine over the same lock core, so a limit that fires
 //! while queued abandons on the paper's bounded abort path. The arena
-//! itself is the key → entry lookup and the core pool. A `when` request
-//! whose predicate is false materializes the inline key it holds (the
-//! registry lives in a core) and waits there, registered in that core.
+//! itself is the key → entry lookup (one hash, then a lock-free probe of
+//! the shard's table) and the core pool. A `when` request whose
+//! predicate is false materializes the inline key it holds (the registry
+//! lives in a core) and waits there, registered in that core.
 //!
 //! Limits: per key at most `core_capacity - 1` threads share the core
 //! (one pid is the promotion proxy; more wait for a pid under their
@@ -71,27 +72,169 @@ use sal_memory::AbortSignal;
 use sal_obs::NoProbe;
 use std::cell::UnsafeCell;
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// One logical lock: the inline word plus the protected value. Boxed
-/// inside the shard map and never removed while the arena lives, so
-/// references to it are stable across map growth.
-struct Entry<T> {
+/// One logical lock: the inline word, the protected value, and the key
+/// with its hash, so a probe compares keys without hashing again and
+/// growth re-places an entry without rehashing it. Boxed, published
+/// into a shard's table once and never removed while the arena lives,
+/// so references to it are stable across table growth.
+struct Entry<K, T> {
     word: AtomicU64,
     data: UnsafeCell<T>,
+    hash: u64,
+    key: K,
 }
 
-/// One hash shard: a lazily populated key → entry map. Entries are only
-/// ever inserted (the *cores* are what get reclaimed), so the read path
-/// is a shared-lock map probe.
+/// An open-addressed, insert-only table of entry pointers, probed
+/// linearly from the hash's high bits. Slots go from null to an entry
+/// once; it is never more than half full, so every probe ends at an
+/// empty slot.
+struct Table<K, T> {
+    slots: Box<[AtomicPtr<Entry<K, T>>]>,
+}
+
+impl<K, T> Table<K, T> {
+    fn with_slots(n: usize) -> Box<Self> {
+        let slots = (0..n).map(|_| AtomicPtr::new(ptr::null_mut())).collect();
+        Box::new(Table { slots })
+    }
+}
+
+impl<K: Eq, T> Table<K, T> {
+    /// `key`'s entry, or the index of the empty slot its probe ended at.
+    #[inline]
+    fn find(&self, hash: u64, key: &K) -> Result<&Entry<K, T>, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = (hash >> 32) as usize & mask;
+        loop {
+            let e = self.slots[i].load(Ordering::Acquire);
+            if e.is_null() {
+                return Err(i);
+            }
+            // Safety: a published entry is initialized (the `Release`
+            // store that published it orders its fields first) and lives
+            // as long as the arena.
+            let e = unsafe { &*e };
+            if e.hash == hash && e.key == *key {
+                return Ok(e);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
+/// One hash shard: the current table, read without a lock, and the
+/// mutex that serializes inserts and growth. Entries are only ever
+/// inserted (the *cores* are what get reclaimed), so a hit is plain
+/// `Acquire` loads and writes nothing shared.
 struct Shard<K, T> {
-    map: RwLock<HashMap<K, Box<Entry<T>>>>,
+    table: AtomicPtr<Table<K, T>>,
+    inserts: Mutex<Inserts<K, T>>,
+}
+
+/// A shard's insert-side state, behind its mutex.
+struct Inserts<K, T> {
+    /// Entries in the current table.
+    len: usize,
+    /// Tables replaced by growth, kept until the arena drops because a
+    /// reader may still be probing them. Each is half the size of the
+    /// next, so together they hold fewer slots than the current table.
+    /// Boxed, as published: a reader may still hold the table's address.
+    #[allow(clippy::vec_box)]
+    retired: Vec<Box<Table<K, T>>>,
+}
+
+/// Slots in a shard's first table.
+const FIRST_SLOTS: usize = 8;
+
+impl<K, T> Shard<K, T> {
+    fn new() -> Self {
+        Shard {
+            table: AtomicPtr::new(Box::into_raw(Table::with_slots(FIRST_SLOTS))),
+            inserts: Mutex::new(Inserts {
+                len: 0,
+                retired: Vec::new(),
+            }),
+        }
+    }
+
+    /// The insert-side state. A panic under the mutex (in `K::eq`,
+    /// `K::clone` or `T::default`) leaves `len` and the current table
+    /// consistent (a grown table is published last), so a poisoned
+    /// mutex is taken as it is.
+    fn inserts(&self) -> MutexGuard<'_, Inserts<K, T>> {
+        self.inserts.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn current(&self) -> &Table<K, T> {
+        // Safety: the current table is boxed, published with `Release`
+        // after its slots are filled, and freed only when the shard drops.
+        unsafe { &*self.table.load(Ordering::Acquire) }
+    }
+}
+
+impl<K: Eq + Clone, T: Default> Shard<K, T> {
+    /// The slow half of a lookup that missed: under the mutex, re-probe
+    /// the current table (a racing insert or growth may have added the
+    /// key), else publish a new entry, growing the table past ½ load.
+    #[cold]
+    fn insert(&self, hash: u64, key: &K) -> &Entry<K, T> {
+        let mut inserts = self.inserts();
+        let table = self.current();
+        let slot = match table.find(hash, key) {
+            Ok(e) => return e,
+            Err(slot) => slot,
+        };
+        let e = Box::into_raw(Box::new(Entry {
+            word: AtomicU64::new(word::UNLOCKED),
+            data: UnsafeCell::new(T::default()),
+            hash,
+            key: key.clone(),
+        }));
+        table.slots[slot].store(e, Ordering::Release);
+        inserts.len += 1;
+        if inserts.len * 2 > table.slots.len() {
+            let grown = Table::with_slots(table.slots.len() * 2);
+            for e in table.slots.iter().map(|s| s.load(Ordering::Relaxed)) {
+                // Safety: as in `find`.
+                let Some(entry) = (unsafe { e.as_ref() }) else {
+                    continue;
+                };
+                let Err(i) = grown.find(entry.hash, &entry.key) else {
+                    unreachable!("a table holds each key once");
+                };
+                grown.slots[i].store(e, Ordering::Relaxed);
+            }
+            let old = self.table.swap(Box::into_raw(grown), Ordering::Release);
+            // Safety: `old` was the current table, boxed by this shard.
+            inserts.retired.push(unsafe { Box::from_raw(old) });
+        }
+        // Safety: as in `find`.
+        unsafe { &*e }
+    }
+}
+
+impl<K, T> Drop for Shard<K, T> {
+    /// The current table holds every entry exactly once (growth copies
+    /// pointers, retired tables only share them): free each, then it.
+    fn drop(&mut self) {
+        // Safety: we are the last user; the table and its entries were
+        // boxed by `insert`/`new` and are freed nowhere else.
+        let table = unsafe { Box::from_raw(*self.table.get_mut()) };
+        for slot in table.slots.iter() {
+            let e = slot.load(Ordering::Relaxed);
+            if !e.is_null() {
+                drop(unsafe { Box::from_raw(e) });
+            }
+        }
+    }
 }
 
 /// The bounded core pool: slots are built lazily, never torn down, and
@@ -183,7 +326,7 @@ pub struct ArenaStats {
     pub built_cores: usize,
     /// The configured pool bound.
     pub pool_capacity: usize,
-    /// Keys ever touched (entries in the shard maps).
+    /// Keys ever touched (entries in the shard tables).
     pub keys: usize,
     /// Inline → materialized transitions.
     pub promotions: u64,
@@ -210,7 +353,9 @@ pub struct ArenaBuilder<K, T> {
 
 impl<K, T> ArenaBuilder<K, T> {
     /// Number of hash shards (rounded up to a power of two; default
-    /// 64). More shards, less map-lock contention on first touches.
+    /// 64). Lookups take no lock either way; more shards spread first
+    /// touches, which insert under their shard's mutex, over more
+    /// mutexes.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1).next_power_of_two();
         self
@@ -248,11 +393,7 @@ impl<K, T> ArenaBuilder<K, T> {
             "pool exceeds the word encoding"
         );
         Arena {
-            shards: (0..self.shards)
-                .map(|_| Shard {
-                    map: RwLock::new(HashMap::new()),
-                })
-                .collect(),
+            shards: (0..self.shards).map(|_| Shard::new()).collect(),
             shard_mask: self.shards - 1,
             hasher: RandomState::new(),
             pool: CorePool::new(self.pool, self.capacity, self.branching),
@@ -275,7 +416,9 @@ pub struct Arena<K, T> {
 // Safety: `T` lives in per-entry `UnsafeCell`s handed out only under
 // that entry's lock (inline word or core — mutual exclusion per key),
 // so crossing threads needs exactly `T: Send`. Keys are shared and
-// compared across threads (`K: Send + Sync`). Everything else is
+// compared across threads (`K: Send + Sync`). The shard tables' raw
+// pointers name boxed entries that only the arena's drop frees, on
+// whichever thread drops it (`K: Send`, `T: Send`). Everything else is
 // atomics, std locks, and the already-`Sync` core machinery.
 unsafe impl<K: Send + Sync, T: Send> Send for Arena<K, T> {}
 // Safety: as above — `&Arena` exposes `&T`/`&mut T` only through
@@ -307,27 +450,17 @@ impl<K: Hash + Eq + Clone, T: Default> Arena<K, T> {
     }
 
     /// Resolve `key` to its entry, creating it (with `T::default()`) on
-    /// first touch.
-    fn entry(&self, key: &K) -> &Entry<T> {
-        let shard = &self.shards[(self.hasher.hash_one(key) as usize) & self.shard_mask];
-        {
-            let map = shard.map.read().unwrap();
-            if let Some(e) = map.get(key) {
-                // Safety: entries are boxed and never removed while the
-                // arena lives (maps only grow), so the pointee is
-                // stable for the arena's — hence `&self`'s — lifetime.
-                return unsafe { &*(&**e as *const Entry<T>) };
-            }
+    /// first touch. One hash: its low bits pick the shard, its high bits
+    /// the probe start. A hit is lock-free; a miss re-probes under the
+    /// shard's mutex (DESIGN.md §13, "Key lookup").
+    #[inline]
+    fn entry(&self, key: &K) -> &Entry<K, T> {
+        let hash = self.hasher.hash_one(key);
+        let shard = &self.shards[hash as usize & self.shard_mask];
+        match shard.current().find(hash, key) {
+            Ok(e) => e,
+            Err(_) => shard.insert(hash, key),
         }
-        let mut map = shard.map.write().unwrap();
-        let e = map.entry(key.clone()).or_insert_with(|| {
-            Box::new(Entry {
-                word: AtomicU64::new(word::UNLOCKED),
-                data: UnsafeCell::new(T::default()),
-            })
-        });
-        // Safety: same stability argument as above.
-        unsafe { &*(&**e as *const Entry<T>) }
     }
 
     /// Execute `req` on `key`'s lock. An uncontended plain request is
@@ -377,11 +510,7 @@ impl<K, T> Arena<K, T> {
             resident_cores: built - self.pool.free.lock().unwrap().len(),
             built_cores: built,
             pool_capacity: self.pool.slots.len(),
-            keys: self
-                .shards
-                .iter()
-                .map(|s| s.map.read().unwrap().len())
-                .sum(),
+            keys: self.shards.iter().map(|s| s.inserts().len).sum(),
             promotions: t.promotions.load(Ordering::Relaxed),
             demotions: t.demotions.load(Ordering::Relaxed),
             raced_promotions: t.raced_promotions.load(Ordering::Relaxed),
@@ -394,7 +523,7 @@ impl<K, T> Arena<K, T> {
         self.shards.len()
     }
 
-    fn guard<'a>(&'a self, entry: &'a Entry<T>, hold: Hold) -> ArenaGuard<'a, K, T> {
+    fn guard<'a>(&'a self, entry: &'a Entry<K, T>, hold: Hold) -> ArenaGuard<'a, K, T> {
         ArenaGuard {
             arena: self,
             entry,
@@ -405,7 +534,7 @@ impl<K, T> Arena<K, T> {
 
     /// `entry`'s word over the pool.
     #[inline]
-    fn word<'a>(&'a self, entry: &'a Entry<T>) -> Word<'a, CorePool<T>> {
+    fn word<'a>(&'a self, entry: &'a Entry<K, T>) -> Word<'a, CorePool<T>> {
         Word {
             word: &entry.word,
             data: &entry.data,
@@ -431,7 +560,7 @@ impl<K, T> fmt::Debug for Arena<K, T> {
 /// never `Send` (core-mode guards own a checked-out pid seat).
 pub struct ArenaGuard<'a, K, T> {
     arena: &'a Arena<K, T>,
-    entry: &'a Entry<T>,
+    entry: &'a Entry<K, T>,
     hold: Hold,
     /// Suppresses auto `Send`/`Sync` (see type docs).
     _not_send: PhantomData<*const ()>,
@@ -609,6 +738,40 @@ mod tests {
             assert_eq!(waiter.join().unwrap(), Ok(1));
         });
         assert_eq!(arena.stats().resident_cores, 0);
+    }
+
+    #[test]
+    fn a_predicate_panicking_on_the_fast_path_leaves_the_key_free() {
+        let arena: Arena<u8, u64> = Arena::new();
+        let req = || {
+            arena
+                .acquire(
+                    &1,
+                    Acquire::new().when(|_: &u64| panic!("predicate panics")),
+                )
+                .map(drop)
+        };
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(req)).is_err());
+        assert!(arena.try_lock(&1).is_some(), "the word was released");
+        assert_eq!(arena.stats().built_cores, 0);
+    }
+
+    #[test]
+    fn a_default_panicking_on_first_touch_leaves_the_shard_usable() {
+        struct Fussy(u8);
+        impl Default for Fussy {
+            fn default() -> Self {
+                assert!(!FAIL.load(Ordering::SeqCst), "default panics");
+                Fussy(1)
+            }
+        }
+        static FAIL: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
+        let arena: Arena<u8, Fussy> = Arena::builder().shards(1).build();
+        let touch = || arena.lock(&1).0;
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(touch)).is_err());
+        FAIL.store(false, Ordering::SeqCst);
+        assert_eq!((arena.lock(&1).0, arena.lock(&2).0), (1, 1));
+        assert_eq!(arena.stats().keys, 2);
     }
 
     #[test]

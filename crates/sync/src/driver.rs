@@ -559,6 +559,16 @@ pub(crate) struct Word<'a, C: Cores + ?Sized> {
     pub(crate) cores: &'a C,
 }
 
+/// Releases an inline hold on unwind: armed around the fast path's first
+/// predicate check, which runs before any [`Attempt`] owns the hold.
+struct InlineUnwind<'a, C: Cores + ?Sized>(Word<'a, C>);
+
+impl<C: Cores + ?Sized> Drop for InlineUnwind<'_, C> {
+    fn drop(&mut self) {
+        self.0.unlock(Hold::INLINE);
+    }
+}
+
 impl<C: Cores + ?Sized> Clone for Word<'_, C> {
     fn clone(&self) -> Self {
         *self
@@ -645,9 +655,16 @@ impl<C: Cores + ?Sized> Word<'_, C> {
         S: AbortSignal,
     {
         let seat = self.dispatch(&limit)?;
-        // Safety: the word is ours inline, so the value is stable.
-        if seat.is_none() && pred.holds(unsafe { &*self.data.get() }) {
-            return Ok(Hold::INLINE);
+        if seat.is_none() {
+            // A panicking `pred` releases the inline hold; for `Always`
+            // nothing can unwind, so the guard compiles away.
+            let unwind = InlineUnwind(*self);
+            // Safety: the word is ours inline, so the value is stable.
+            let holds = pred.holds(unsafe { &*self.data.get() });
+            std::mem::forget(unwind);
+            if holds {
+                return Ok(Hold::INLINE);
+            }
         }
         self.contended(seat, pred, limit)
     }

@@ -691,6 +691,21 @@ mod tests {
     }
 
     #[test]
+    fn a_predicate_panicking_on_the_fast_path_leaves_the_lock_free() {
+        // The first check runs under an inline hold that no attempt owns
+        // yet: its unwind must release the word.
+        let m = AbortableMutex::new(0u64);
+        let mut h = m.handle();
+        let req = || {
+            h.acquire(Acquire::new().when(|_: &u64| panic!("predicate panics")))
+                .map(drop)
+        };
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(req)).is_err());
+        assert!(m.handle().try_lock().is_some(), "the word was released");
+        assert_idle(&m);
+    }
+
+    #[test]
     fn promotion_races_demotion_under_mixed_attempts() {
         // Three threads, two pids: inline holds, promotions, pid waits,
         // timeouts and failed try_locks interleave, and the last one out

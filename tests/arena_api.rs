@@ -10,7 +10,7 @@
 
 use sal_runtime::SmallRng;
 use sal_sync::{AbortFlag, AbortReason, Acquire, Arena};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::{mpsc, Barrier};
 use std::time::{Duration, Instant};
@@ -299,4 +299,63 @@ fn threads_past_the_core_capacity_wait_for_a_pid() {
     });
     assert_eq!(arena.stats().resident_cores, 0);
     assert_eq!(*arena.lock(&0), 3, "one increment per entered passage");
+}
+
+/// First touches race table growth. One shard, so its one table doubles
+/// from its first few slots to 2^17 while two threads lock and
+/// increment the same fresh keys, one ascending and one descending, and
+/// each re-looks-up a key it touched earlier after every insert. Each
+/// key must resolve to one entry: every value reads 2 and the arena
+/// holds exactly one entry per key.
+#[test]
+fn first_touches_race_table_growth() {
+    const KEYS: u64 = 50_000;
+    let arena: Arena<u64, u64> = Arena::builder().shards(1).build();
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        for descending in [false, true] {
+            let (arena, start) = (&arena, &start);
+            s.spawn(move || {
+                let key = |i: u64| if descending { KEYS - 1 - i } else { i };
+                start.wait();
+                for i in 0..KEYS {
+                    *arena.lock(&key(i)) += 1;
+                    let old = *arena.lock(&key(i / 2));
+                    assert!((1..=2).contains(&old), "key {} reads {old}", key(i / 2));
+                }
+            });
+        }
+    });
+    for k in 0..KEYS {
+        assert_eq!(*arena.lock(&k), 2, "key {k}");
+    }
+    let s = arena.stats();
+    assert_eq!(s.keys, KEYS as usize, "{s:?}");
+    assert_eq!(s.resident_cores, 0, "{s:?}");
+}
+
+/// Dropping an arena drops every value exactly once: each key's entry
+/// is freed once however many tables it was copied through (a double
+/// free of an entry or its `String` key would crash the test).
+#[test]
+fn dropping_the_arena_drops_each_value_once() {
+    static DROPS: AtomicUsize = AtomicUsize::new(0);
+    #[derive(Default)]
+    struct Counted;
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            DROPS.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    const KEYS: usize = 5_000;
+    let arena: Arena<String, Counted> = Arena::builder().shards(2).build();
+    for round in 0..2 {
+        for k in 0..KEYS {
+            drop(arena.lock(&format!("key-{k}")));
+        }
+        assert_eq!(DROPS.load(Ordering::SeqCst), 0, "round {round}");
+    }
+    assert_eq!(arena.stats().keys, KEYS);
+    drop(arena);
+    assert_eq!(DROPS.load(Ordering::SeqCst), KEYS);
 }
