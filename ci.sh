@@ -153,5 +153,5 @@ for workload in mutex-contended arena-zipf async-cancel; do
         grep -q '"correct": true'
 done
 cargo fmt --check
-cargo clippy -- -D warnings
+cargo clippy --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q

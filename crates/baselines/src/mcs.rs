@@ -96,6 +96,7 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for McsLock {
 mod tests {
     use super::*;
     use sal_memory::NeverAbort;
+    use sal_obs::NoProbe;
     use sal_runtime::{run_lock, RandomSchedule, RoundRobin, WorkloadSpec};
 
     fn build(n: usize) -> (McsLock, WordId, sal_memory::CcMemory) {
@@ -125,6 +126,7 @@ mod tests {
                 cs,
                 &spec,
                 Box::new(RandomSchedule::seeded(seed)),
+                NoProbe,
             )
             .unwrap();
             report.assert_safe();
@@ -137,7 +139,8 @@ mod tests {
     fn per_passage_rmrs_are_constant_under_contention() {
         let (lock, cs, mem) = build(8);
         let spec = WorkloadSpec::uniform(8, 4);
-        let report = run_lock(&lock, &mem, cs, &spec, Box::new(RoundRobin::new())).unwrap();
+        let report =
+            run_lock(&lock, &mem, cs, &spec, Box::new(RoundRobin::new()), NoProbe).unwrap();
         report.assert_safe();
         // CC model: swap + link + spin-refresh + handoff ≈ a handful.
         assert!(

@@ -139,6 +139,7 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for ScottLock {
 mod tests {
     use super::*;
     use sal_memory::{AbortFlag, NeverAbort, RmrProbe};
+    use sal_obs::NoProbe;
     use sal_runtime::{run_lock, ProcPlan, RandomSchedule, WorkloadSpec};
 
     fn build(n: usize, cap: usize) -> (ScottLock, WordId, sal_memory::CcMemory) {
@@ -192,6 +193,7 @@ mod tests {
                 cs,
                 &spec,
                 Box::new(RandomSchedule::seeded(seed)),
+                NoProbe,
             )
             .unwrap();
             report.assert_safe();

@@ -76,6 +76,7 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for TasLock {
 mod tests {
     use super::*;
     use sal_memory::{AbortFlag, NeverAbort};
+    use sal_obs::NoProbe;
     use sal_runtime::{run_lock, RandomSchedule, WorkloadSpec};
 
     fn build(n: usize) -> (TasLock, WordId, sal_memory::CcMemory) {
@@ -108,6 +109,7 @@ mod tests {
                 cs,
                 &spec,
                 Box::new(RandomSchedule::seeded(seed)),
+                NoProbe,
             )
             .unwrap();
             report.assert_safe();

@@ -75,6 +75,7 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for TicketLock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sal_obs::NoProbe;
     use sal_runtime::{run_lock, RandomSchedule, RoundRobin, WorkloadSpec};
 
     fn build(n: usize) -> (TicketLock, WordId, sal_memory::CcMemory) {
@@ -104,6 +105,7 @@ mod tests {
                 cs,
                 &spec,
                 Box::new(RandomSchedule::seeded(seed)),
+                NoProbe,
             )
             .unwrap();
             report.assert_safe();
@@ -118,7 +120,8 @@ mod tests {
         let n = 16;
         let (lock, cs, mem) = build(n);
         let spec = WorkloadSpec::uniform(n, 1);
-        let report = run_lock(&lock, &mem, cs, &spec, Box::new(RoundRobin::new())).unwrap();
+        let report =
+            run_lock(&lock, &mem, cs, &spec, Box::new(RoundRobin::new()), NoProbe).unwrap();
         report.assert_safe();
         // Worst passage pays at least one RMR per predecessor handoff.
         assert!(

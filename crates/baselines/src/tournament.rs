@@ -150,6 +150,7 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for TournamentLock {
 mod tests {
     use super::*;
     use sal_memory::{AbortFlag, NeverAbort, RmrProbe};
+    use sal_obs::NoProbe;
     use sal_runtime::{run_lock, ProcPlan, RandomSchedule, WorkloadSpec};
 
     fn build(n: usize) -> (TournamentLock, sal_memory::WordId, sal_memory::CcMemory) {
@@ -205,6 +206,7 @@ mod tests {
                 cs,
                 &spec,
                 Box::new(RandomSchedule::seeded(seed)),
+                NoProbe,
             )
             .unwrap();
             report.assert_safe();
@@ -230,6 +232,7 @@ mod tests {
                 cs,
                 &spec,
                 Box::new(RandomSchedule::seeded(seed)),
+                NoProbe,
             )
             .unwrap();
             report.assert_safe();

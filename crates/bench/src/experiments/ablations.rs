@@ -31,7 +31,7 @@ use sal_bench::{no_abort_sweep, par_grid, worst_case_sweep, ExploreCell, LockKin
 use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::one_shot::{DsmOneShotLock, OneShotLock};
 use sal_core::tree::Ascent;
-use sal_core::AbortableLock;
+use sal_core::{AbortableLock, LockCore};
 use sal_memory::{Mem, MemoryBuilder, NeverAbort, RmrProbe};
 use sal_obs::{NoProbe, ToJson};
 use sal_runtime::{explore_guided, pool, ExploreOptions, Strategy};
@@ -89,8 +89,8 @@ fn sidestep(jobs: usize) -> io::Result<()> {
     );
     let ns = [16usize, 64, 256];
     let points = par_grid(jobs, &ns, |&n| {
-        let plain = worst_case_sweep(LockKind::OneShotPlain { b: 2 }, n, 17).expect("sim");
-        let adaptive = worst_case_sweep(LockKind::OneShot { b: 2 }, n, 17).expect("sim");
+        let plain = worst_case_sweep(LockKind::OneShotPlain { b: 2 }, n, 17, NoProbe).expect("sim");
+        let adaptive = worst_case_sweep(LockKind::OneShot { b: 2 }, n, 17, NoProbe).expect("sim");
         assert!(plain.mutex_ok && adaptive.mutex_ok);
         (n, plain.max_entered_rmrs, adaptive.max_entered_rmrs)
     });
@@ -113,7 +113,7 @@ fn sidestep(jobs: usize) -> io::Result<()> {
         ("adaptive", LockKind::OneShot { b: 2 }),
     ];
     let rows = par_grid(jobs, &variants, |&(label, kind)| {
-        let p = sal_bench::adaptive_sweep(kind, 256, 2, 23).expect("sim");
+        let p = sal_bench::adaptive_sweep(kind, 256, 2, 23, NoProbe).expect("sim");
         assert!(p.mutex_ok);
         (label, p.max_entered_rmrs)
     });
@@ -145,8 +145,8 @@ fn resets() -> io::Result<()> {
         let rounds = 30u64;
         for _ in 0..rounds {
             let probe = RmrProbe::start(&mem, 0);
-            assert!(lock.enter(&mem, 0, &NeverAbort));
-            lock.exit(&mem, 0);
+            assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+            lock.exit_core(&mem, 0, &NoProbe);
             let c = probe.rmrs(&mem);
             max = max.max(c);
             sum += c;
@@ -359,7 +359,7 @@ fn wrapper(jobs: usize) -> io::Result<()> {
         LockKind::LongLived { b: 8 },
     ];
     let points = par_grid(jobs, &kinds, |&kind| {
-        let p = no_abort_sweep(kind, 8, 4, 31).expect("sim");
+        let p = no_abort_sweep(kind, 8, 4, 31, NoProbe).expect("sim");
         assert!(p.mutex_ok);
         p
     });

@@ -24,7 +24,7 @@ use sal_bench::cli::{Cli, Parsed};
 use sal_bench::{absorb, no_abort_sweep, par_grid, worst_case_sweep, LockKind, Table};
 use sal_core::tree::{FindNextResult, Tree};
 use sal_memory::{MemoryBuilder, RmrProbe};
-use sal_obs::{EventLog, ObsEventKind, ToJson};
+use sal_obs::{EventLog, NoProbe, ObsEventKind, ToJson};
 use sal_runtime::pool;
 use std::io;
 
@@ -197,7 +197,7 @@ fn logw(jobs: usize) -> io::Result<()> {
         .flat_map(|&bf| ns.iter().map(move |&n| (bf, n)))
         .collect();
     let points = par_grid(jobs, &cells, |&(bf, n)| {
-        let p = worst_case_sweep(LockKind::OneShot { b: bf }, n, 3).expect("sim failed");
+        let p = worst_case_sweep(LockKind::OneShot { b: bf }, n, 3, NoProbe).expect("sim failed");
         assert!(p.mutex_ok);
         p
     });
@@ -276,7 +276,7 @@ fn fig5(jobs: usize) -> io::Result<()> {
         };
         let cell_log = EventLog::unbounded();
         let kind_log = EventLog::unbounded();
-        let report = sal_runtime::run_lock_probed(
+        let report = sal_runtime::run_lock(
             &*built.lock,
             &built.mem,
             built.cs_word,
@@ -316,7 +316,7 @@ fn fig5(jobs: usize) -> io::Result<()> {
 
     // Cost stability across many recycles (single process, every passage
     // switches the instance).
-    let p = no_abort_sweep(LockKind::LongLived { b: 16 }, 2, 50, 1).expect("sim failed");
+    let p = no_abort_sweep(LockKind::LongLived { b: 16 }, 2, 50, 1, NoProbe).expect("sim failed");
     println!(
         "recycle stability: 50 passages/process, 2 processes → max {} RMRs/passage (no drift).",
         p.max_entered_rmrs

@@ -22,9 +22,10 @@
 use crate::Exit;
 use sal_bench::cli::{Cli, Parsed};
 use sal_bench::{build_lock, par_grid, LockKind, Table};
+use sal_obs::NoProbe;
 use sal_runtime::{
-    pool, run_lock, run_one_shot, BurstySchedule, ProcPlan, RandomSchedule, RoundRobin,
-    SchedulePolicy, WorkloadReport, WorkloadSpec,
+    pool, run_lock, BurstySchedule, ProcPlan, RandomSchedule, RoundRobin, SchedulePolicy,
+    WorkloadReport, WorkloadSpec,
 };
 
 /// The configured workload, schedule and seeds.
@@ -131,12 +132,8 @@ fn simulate(
         lease: sal_runtime::default_lease(),
     };
     let pol = policy(args, seed)?;
-    let report = if kind.one_shot() {
-        run_one_shot(&*built.lock, &built.mem, built.cs_word, &spec, pol)
-    } else {
-        run_lock(&*built.lock, &built.mem, built.cs_word, &spec, pol)
-    }
-    .map_err(|e| format!("simulation failed: {e}"))?;
+    let report = run_lock(&*built.lock, &built.mem, built.cs_word, &spec, pol, NoProbe)
+        .map_err(|e| format!("simulation failed: {e}"))?;
     Ok((report, attempts, built.words))
 }
 

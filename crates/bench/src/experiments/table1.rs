@@ -29,11 +29,11 @@ use crate::Exit;
 use sal_bench::artifact::{self, Mode};
 use sal_bench::cli::{Cli, Parsed};
 use sal_bench::{
-    absorb, adaptive_sweep_probed, amortized_sweep, no_abort_sweep, no_abort_sweep_probed,
-    par_grid, space_row, worst_case_sweep, AmortizedPoint, LockKind, SweepPoint, Table,
+    absorb, adaptive_sweep, amortized_sweep, no_abort_sweep, par_grid, space_row, worst_case_sweep,
+    AmortizedPoint, LockKind, SweepPoint, Table,
 };
-use sal_obs::{EventLog, Json, ToJson};
-use sal_runtime::{pool, run_one_shot, ProcPlan, RandomSchedule, SimError, WorkloadSpec};
+use sal_obs::{EventLog, Json, NoProbe, ToJson};
+use sal_runtime::{pool, run_lock, ProcPlan, RandomSchedule, SimError, WorkloadSpec};
 use std::io;
 
 /// The positional parts, default first.
@@ -95,7 +95,7 @@ fn worst_case(jobs: usize) -> io::Result<()> {
         "E1 — Table 1 'Worst-case': max RMRs of a complete passage, N−2 aborters",
         "N",
         (&LockKind::table1_rows(B), &NS),
-        |kind, n| checked(worst_case_sweep(kind, n, 42)),
+        |kind, n| checked(worst_case_sweep(kind, n, 42, NoProbe)),
         |p| p.max_entered_rmrs.to_string(),
     );
     println!(
@@ -117,7 +117,7 @@ fn no_abort(jobs: usize) -> io::Result<()> {
         |kind, n| {
             let cell_log = EventLog::unbounded();
             let passages = if kind.one_shot() { 1 } else { 2 };
-            let p = no_abort_sweep_probed(kind, n, passages, 7, cell_log.clone());
+            let p = no_abort_sweep(kind, n, passages, 7, cell_log.clone());
             (checked(p), cell_log)
         },
         |(p, _)| p.max_entered_rmrs.to_string(),
@@ -135,14 +135,9 @@ fn no_abort(jobs: usize) -> io::Result<()> {
         max_steps: 60_000_000,
         lease: sal_runtime::default_lease(),
     };
-    let report = sal_runtime::run_lock(
-        &*built.lock,
-        &built.mem,
-        built.cs_word,
-        &spec,
-        Box::new(RandomSchedule::seeded(7)),
-    )
-    .expect("sim failed");
+    let pol = Box::new(RandomSchedule::seeded(7));
+    let report =
+        run_lock(&*built.lock, &built.mem, built.cs_word, &spec, pol, NoProbe).expect("sim failed");
     let samples: Vec<u64> = report
         .passages
         .iter()
@@ -170,7 +165,7 @@ fn adaptive(jobs: usize) -> io::Result<()> {
         (&LockKind::table1_rows(B), &[0, 1, 4, 16, 64, 254]),
         |kind, a| {
             let cell_log = EventLog::unbounded();
-            let p = adaptive_sweep_probed(kind, n, a, 11, cell_log.clone());
+            let p = adaptive_sweep(kind, n, a, 11, cell_log.clone());
             (checked(p), cell_log)
         },
         |(p, _)| p.max_entered_rmrs.to_string(),
@@ -219,14 +214,9 @@ fn fairness(jobs: usize) {
             max_steps: 10_000_000,
             lease: sal_runtime::default_lease(),
         };
-        let report = run_one_shot(
-            &*built.lock,
-            &built.mem,
-            built.cs_word,
-            &spec,
-            Box::new(RandomSchedule::seeded(seed)),
-        )
-        .expect("sim failed");
+        let pol = Box::new(RandomSchedule::seeded(seed));
+        let report = run_lock(&*built.lock, &built.mem, built.cs_word, &spec, pol, NoProbe)
+            .expect("sim failed");
         assert!(report.mutex_check.is_ok(), "mutual exclusion violated");
         assert!(
             report.fcfs_check.is_ok(),
@@ -246,8 +236,8 @@ fn fairness(jobs: usize) {
     // passages under fair random schedules.
     let seeds: Vec<u64> = (0..50).collect();
     let completed = par_grid(jobs, &seeds, |&seed| {
-        let p = no_abort_sweep(LockKind::LongLived { b: B }, 8, 4, seed).expect("sim failed");
-        assert!(p.mutex_ok);
+        let p = no_abort_sweep(LockKind::LongLived { b: B }, 8, 4, seed, NoProbe);
+        assert!(p.expect("sim failed").mutex_ok);
         true
     })
     .len();

@@ -40,6 +40,6 @@ pub use grid::{absorb, par_grid};
 pub use registry::{build_lock, LockKind};
 pub use report::{RmrSummary, Table};
 pub use workloads::{
-    adaptive_sweep, adaptive_sweep_probed, amortized_sweep, no_abort_sweep, no_abort_sweep_probed,
-    space_row, worst_case_sweep, worst_case_sweep_probed, AmortizedPoint, ExploreCell, SweepPoint,
+    adaptive_sweep, amortized_sweep, no_abort_sweep, space_row, worst_case_sweep, AmortizedPoint,
+    ExploreCell, SweepPoint,
 };

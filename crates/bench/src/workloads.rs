@@ -4,8 +4,8 @@ use crate::registry::{build_lock, LockKind};
 use sal_memory::{Layered, Mem};
 use sal_obs::{AmortizedStats, Json, NoProbe, PassageStats, Probe, ToJson};
 use sal_runtime::{
-    run_lock, run_lock_probed, run_one_shot, run_one_shot_probed, ForcedSchedule, GuidedOutcome,
-    OpTraceSink, ProcPlan, RandomSchedule, SimError, WorkloadSpec,
+    run_lock, ForcedSchedule, GuidedOutcome, OpTraceSink, ProcPlan, RandomSchedule, SimError,
+    WorkloadSpec,
 };
 
 /// One measured point of a sweep (a lock at one `(N, A)` configuration).
@@ -76,13 +76,8 @@ fn run_point(
         .iter()
         .filter(|p| !matches!(p.role, sal_runtime::Role::Normal))
         .count();
-    let run = if kind.one_shot() {
-        run_one_shot_probed
-    } else {
-        run_lock_probed
-    };
     let schedule = Box::new(RandomSchedule::seeded(seed));
-    let report = run(
+    let report = run_lock(
         &*built.lock,
         &built.mem,
         built.cs_word,
@@ -113,14 +108,10 @@ fn run_point(
 /// Table 1, "Worst-case" column: one passage per process; all but two
 /// processes abort while queued, so the surviving handoffs must skip the
 /// whole abandoned crowd. The abort deadline scales with `n` so aborters
-/// have taken their queue positions before giving up.
-pub fn worst_case_sweep(kind: LockKind, n: usize, seed: u64) -> Result<SweepPoint, SimError> {
-    worst_case_sweep_probed(kind, n, seed, NoProbe)
-}
-
-/// [`worst_case_sweep`] with an extra probe sink attached to the run
-/// (e.g. a clone of an [`sal_obs::EventLog`] for JSONL export).
-pub fn worst_case_sweep_probed(
+/// have taken their queue positions before giving up. `probe` is an
+/// extra sink attached to the run (e.g. a clone of an
+/// [`sal_obs::EventLog`] for JSONL export, or [`NoProbe`]).
+pub fn worst_case_sweep(
     kind: LockKind,
     n: usize,
     seed: u64,
@@ -135,18 +126,9 @@ pub fn worst_case_sweep_probed(
 }
 
 /// Table 1, "No aborts" column (and the paper's headline `O(1)` claim,
-/// E10): every process completes `passages` clean passages.
+/// E10): every process completes `passages` clean passages, with
+/// `probe` attached as in [`worst_case_sweep`].
 pub fn no_abort_sweep(
-    kind: LockKind,
-    n: usize,
-    passages: usize,
-    seed: u64,
-) -> Result<SweepPoint, SimError> {
-    no_abort_sweep_probed(kind, n, passages, seed, NoProbe)
-}
-
-/// [`no_abort_sweep`] with an extra probe sink attached to the run.
-pub fn no_abort_sweep_probed(
     kind: LockKind,
     n: usize,
     passages: usize,
@@ -157,18 +139,9 @@ pub fn no_abort_sweep_probed(
 }
 
 /// Table 1, "Adaptive bound" column: fixed `n`, exactly `a` aborters.
-/// The completing passages' cost should track `a`, not `n`.
+/// The completing passages' cost should track `a`, not `n`; `probe` is
+/// attached as in [`worst_case_sweep`].
 pub fn adaptive_sweep(
-    kind: LockKind,
-    n: usize,
-    a: usize,
-    seed: u64,
-) -> Result<SweepPoint, SimError> {
-    adaptive_sweep_probed(kind, n, a, seed, NoProbe)
-}
-
-/// [`adaptive_sweep`] with an extra probe sink attached to the run.
-pub fn adaptive_sweep_probed(
     kind: LockKind,
     n: usize,
     a: usize,
@@ -273,11 +246,14 @@ pub fn amortized_sweep(
             lease: sal_runtime::default_lease(),
         };
         let schedule = Box::new(RandomSchedule::seeded(seed.wrapping_add(round as u64)));
-        let report = if kind.one_shot() {
-            run_one_shot(&*built.lock, &built.mem, built.cs_word, &spec, schedule)?
-        } else {
-            run_lock(&*built.lock, &built.mem, built.cs_word, &spec, schedule)?
-        };
+        let report = run_lock(
+            &*built.lock,
+            &built.mem,
+            built.cs_word,
+            &spec,
+            schedule,
+            NoProbe,
+        )?;
         mutex_ok &= report.mutex_check.is_ok();
         // Every shared-memory op of a run happens inside some passage,
         // so the run's amortized total must equal the cost model's own
@@ -397,17 +373,13 @@ impl ExploreCell {
             max_steps: self.max_steps,
             lease: self.lease,
         };
-        let run = if self.kind.one_shot() {
-            run_one_shot
-        } else {
-            run_lock
-        };
-        let report = run(
+        let report = run_lock(
             &*built.lock,
             &traced,
             built.cs_word,
             &spec,
             Box::new(policy),
+            NoProbe,
         );
         // Take the trace before anything else touches the memory — the
         // sink keeps recording after the gate closes.
@@ -453,7 +425,7 @@ mod tests {
 
     #[test]
     fn worst_case_point_runs_and_is_safe() {
-        let p = worst_case_sweep(LockKind::OneShot { b: 4 }, 8, 1).unwrap();
+        let p = worst_case_sweep(LockKind::OneShot { b: 4 }, 8, 1, NoProbe).unwrap();
         assert!(p.mutex_ok);
         assert_eq!(p.fcfs_ok, Some(true));
         assert_eq!(p.n, 8);
@@ -463,7 +435,7 @@ mod tests {
 
     #[test]
     fn no_abort_point_has_no_aborted_passages() {
-        let p = no_abort_sweep(LockKind::LongLived { b: 4 }, 4, 2, 3).unwrap();
+        let p = no_abort_sweep(LockKind::LongLived { b: 4 }, 4, 2, 3, NoProbe).unwrap();
         assert!(p.mutex_ok);
         assert_eq!(p.aborters, 0);
         assert_eq!(p.max_aborted_rmrs, 0);
@@ -471,7 +443,7 @@ mod tests {
 
     #[test]
     fn adaptive_point_controls_aborter_count() {
-        let p = adaptive_sweep(LockKind::OneShot { b: 2 }, 8, 3, 7).unwrap();
+        let p = adaptive_sweep(LockKind::OneShot { b: 2 }, 8, 3, 7, NoProbe).unwrap();
         assert_eq!(p.aborters, 3);
         assert!(p.mutex_ok);
     }
@@ -519,7 +491,7 @@ mod tests {
     #[test]
     fn baselines_run_the_same_workloads() {
         for kind in [LockKind::Scott, LockKind::Lee, LockKind::Tournament] {
-            let p = worst_case_sweep(kind, 6, 2).unwrap();
+            let p = worst_case_sweep(kind, 6, 2, NoProbe).unwrap();
             assert!(p.mutex_ok, "{kind:?}");
         }
     }

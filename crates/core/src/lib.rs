@@ -39,17 +39,19 @@
 //! ## Quick example (one-shot lock under RMR accounting)
 //!
 //! ```
-//! use sal_core::one_shot::{EnterOutcome, OneShotLock};
-//! use sal_memory::{Mem, MemoryBuilder, NeverAbort};
+//! use sal_core::one_shot::OneShotLock;
+//! use sal_core::{LockCore, Outcome};
+//! use sal_memory::{MemoryBuilder, NeverAbort};
+//! use sal_obs::NoProbe;
 //!
 //! let mut b = MemoryBuilder::new();
 //! let lock = OneShotLock::layout(&mut b, 4, 4); // 4 processes, branching 4
 //! let mem = b.build_cc(4);
 //!
 //! // Process 0 acquires (ticket 0 spins on go[0], initially set).
-//! let outcome = lock.enter(&mem, 0, &NeverAbort);
-//! assert!(matches!(outcome, EnterOutcome::Entered { .. }));
-//! lock.exit(&mem, 0);
+//! let outcome = lock.enter_core(&mem, 0, &NeverAbort, &NoProbe);
+//! assert_eq!(outcome, Outcome::Entered { ticket: Some(0) });
+//! lock.exit_core(&mem, 0, &NoProbe);
 //! ```
 
 #![warn(missing_docs)]

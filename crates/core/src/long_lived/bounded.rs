@@ -36,7 +36,7 @@ use crate::one_shot::OneShotLock;
 use crate::resume::{BoundedEnterState, EnterMachine, EnterStep, Handoff, WaitKey};
 use crate::tree::Ascent;
 use sal_memory::{AbortSignal, Mem, MemoryBuilder, Pid, WordId};
-use sal_obs::{probed, NoProbe, Probe};
+use sal_obs::{probed, Probe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -185,59 +185,6 @@ impl BoundedLongLivedLock {
         self.proto.tree().branching()
     }
 
-    /// `Enter()` (Algorithm 6.1 + §6.2 spin-node pinning). Returns `true`
-    /// iff the lock was acquired.
-    pub fn enter<M, S>(&self, mem: &M, pid: Pid, signal: &S) -> bool
-    where
-        M: Mem + ?Sized,
-        S: AbortSignal + ?Sized,
-    {
-        self.enter_impl(mem, pid, signal, &NoProbe)
-    }
-
-    /// [`enter`](Self::enter) with passage observability: lifecycle
-    /// hooks, per-operation `op`/`rmr` hooks via [`ProbedMem`](sal_obs::ProbedMem), and an
-    /// `"instance-switch"` [`note`](Probe::note) when this process's
-    /// Cleanup wins the line-76 descriptor CAS. The nested one-shot
-    /// `enter` is *not* treated as a passage of its own — only its
-    /// memory operations are observed.
-    pub fn enter_probed<M, S, P>(&self, mem: &M, pid: Pid, signal: &S, probe: &P) -> bool
-    where
-        M: Mem + ?Sized,
-        S: AbortSignal + ?Sized,
-        P: Probe + ?Sized,
-    {
-        probe.enter_begin(pid);
-        let pm = probed(mem, probe);
-        let completed = self.enter_impl(&pm, pid, signal, probe);
-        if completed {
-            probe.enter_end(pid, None);
-        } else {
-            probe.abort(pid, None);
-        }
-        completed
-    }
-
-    fn enter_impl<M, S, P>(&self, mem: &M, pid: Pid, signal: &S, probe: &P) -> bool
-    where
-        M: Mem + ?Sized,
-        S: AbortSignal + ?Sized,
-        P: Probe + ?Sized,
-    {
-        // Tight-loop driver of the resumable machine: a Pending poll
-        // performed exactly one watched-word read (plus one signal
-        // check), so re-polling immediately reproduces the blocking
-        // spin loops of Figure 5 / Figure 1 operation for operation.
-        let mut machine = self.begin_enter();
-        loop {
-            match self.poll_enter(&mut machine, mem, pid, signal, probe) {
-                EnterStep::Acquired { .. } => return true,
-                EnterStep::Aborted { .. } => return false,
-                EnterStep::Pending(_) => {}
-            }
-        }
-    }
-
     /// Begin a resumable `Enter`: no shared-memory operation happens
     /// until the first [`poll_enter`](Self::poll_enter) call. See
     /// [`crate::resume`] for the machine contract — in particular the
@@ -266,7 +213,7 @@ impl BoundedLongLivedLock {
     /// cleanup wins the descriptor CAS; per-operation observability is
     /// the memory's business (pass a [`probed`] wrapper as `mem`), and
     /// passage lifecycle hooks are the driver's (as in
-    /// [`enter_probed`](Self::enter_probed)).
+    /// [`enter_core`](LockCore::enter_core)).
     ///
     /// # Panics
     ///
@@ -361,34 +308,24 @@ impl BoundedLongLivedLock {
         }
     }
 
-    /// `Exit()` (Algorithm 6.2); returns the words it set for waiters
-    /// (the successor's queue slot, and the epoch on an instance switch).
-    pub fn exit<M: Mem + ?Sized>(&self, mem: &M, pid: Pid) -> Handoff {
-        self.exit_impl(mem, pid, &NoProbe)
-    }
-
-    /// [`exit`](Self::exit) with passage observability; fires
-    /// [`Probe::cs_exit`] once the passage completes.
-    pub fn exit_probed<M, P>(&self, mem: &M, pid: Pid, probe: &P) -> Handoff
+    /// `Exit()` (Algorithm 6.2) as the end of an observed passage:
+    /// routes the exit protocol through a
+    /// [`ProbedMem`](sal_obs::ProbedMem), notes an `"instance-switch"`
+    /// when this Cleanup wins the line-76 CAS, and fires
+    /// [`Probe::cs_exit`] once the passage completes. Returns the words
+    /// it set for waiters (the successor's queue slot, and the epoch on
+    /// an instance switch).
+    pub fn exit<M, P>(&self, mem: &M, pid: Pid, probe: &P) -> Handoff
     where
         M: Mem + ?Sized,
         P: Probe + ?Sized,
     {
-        let pm = probed(mem, probe);
-        let handoff = self.exit_impl(&pm, pid, probe);
-        probe.cs_exit(pid);
-        handoff
-    }
-
-    fn exit_impl<M, P>(&self, mem: &M, pid: Pid, probe: &P) -> Handoff
-    where
-        M: Mem + ?Sized,
-        P: Probe + ?Sized,
-    {
+        let mem = &probed(mem, probe);
         let d = TaggedDesc::unpack(mem.read(pid, self.desc)); // line 67
         let inst = self.instances[d.lock as usize].view(mem);
-        let slot = self.proto.exit(&inst, pid); // line 68
+        let slot = self.proto.exit_body(&inst, pid); // line 68
         let switched = self.cleanup(mem, pid, probe); // line 69
+        probe.cs_exit(pid);
         Handoff::queue(d.lock, slot).and_switch(switched)
     }
 
@@ -452,6 +389,12 @@ impl LockMeta for BoundedLongLivedLock {
     }
 }
 
+/// `Enter()` (Algorithm 6.1 + §6.2 spin-node pinning) as one observed
+/// passage: lifecycle hooks, per-operation hooks through a
+/// [`ProbedMem`](sal_obs::ProbedMem), and the `"instance-switch"` notes
+/// of [`poll_enter`](BoundedLongLivedLock::poll_enter) and
+/// [`exit`](BoundedLongLivedLock::exit). The nested one-shot passage is
+/// not a passage of its own: only its memory operations are observed.
 impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for BoundedLongLivedLock {
     fn enter_core<S: AbortSignal + ?Sized>(
         &self,
@@ -460,15 +403,30 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for BoundedLongLivedLock
         signal: &S,
         probe: &P,
     ) -> Outcome {
-        if self.enter_probed(mem, p, signal, probe) {
-            Outcome::Entered { ticket: None }
-        } else {
-            Outcome::Aborted { ticket: None }
+        probe.enter_begin(p);
+        let pm = probed(mem, probe);
+        // Tight-loop driver of the resumable machine: a Pending poll
+        // performed exactly one watched-word read (plus one signal
+        // check), so re-polling immediately reproduces the blocking
+        // spin loops of Figure 5 / Figure 1 operation for operation.
+        let mut machine = self.begin_enter();
+        let outcome = loop {
+            if let Some(outcome) = self
+                .poll_enter(&mut machine, &pm, p, signal, probe)
+                .outcome()
+            {
+                break outcome;
+            }
+        };
+        match outcome {
+            Outcome::Entered { ticket } => probe.enter_end(p, ticket),
+            Outcome::Aborted { ticket } => probe.abort(p, ticket),
         }
+        outcome
     }
 
     fn exit_core(&self, mem: &M, p: Pid, probe: &P) {
-        let _ = self.exit_probed(mem, p, probe);
+        self.exit(mem, p, probe);
     }
 }
 
@@ -476,6 +434,7 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for BoundedLongLivedLock
 mod tests {
     use super::*;
     use sal_memory::{AbortFlag, NeverAbort};
+    use sal_obs::NoProbe;
 
     fn build(n: usize) -> (BoundedLongLivedLock, sal_memory::CcMemory) {
         let mut b = MemoryBuilder::new();
@@ -489,8 +448,11 @@ mod tests {
         // Far more passages than instances exist: recycling must work.
         for round in 0..200 {
             let pid = round % 2;
-            assert!(lock.enter(&mem, pid, &NeverAbort), "round {round}");
-            lock.exit(&mem, pid);
+            assert!(
+                lock.enter_core(&mem, pid, &NeverAbort, &NoProbe).entered(),
+                "round {round}"
+            );
+            lock.exit(&mem, pid, &NoProbe);
         }
     }
 
@@ -502,12 +464,14 @@ mod tests {
         // tickets or see a poisoned tree and panic/deadlock.
         for round in 0..100 {
             let owner = round % 3;
-            assert!(lock.enter(&mem, owner, &NeverAbort));
+            assert!(lock
+                .enter_core(&mem, owner, &NeverAbort, &NoProbe)
+                .entered());
             let sig = AbortFlag::new();
             sig.set();
             let aborter = (owner + 1) % 3;
-            assert!(!lock.enter(&mem, aborter, &sig));
-            lock.exit(&mem, owner);
+            assert!(!lock.enter_core(&mem, aborter, &sig, &NoProbe).entered());
+            lock.exit(&mem, owner, &NoProbe);
         }
     }
 
@@ -527,8 +491,8 @@ mod tests {
         let mut costs = Vec::new();
         for _ in 0..50 {
             let probe = sal_memory::RmrProbe::start(&mem, 0);
-            assert!(lock.enter(&mem, 0, &NeverAbort));
-            lock.exit(&mem, 0);
+            assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+            lock.exit(&mem, 0, &NoProbe);
             costs.push(probe.rmrs(&mem));
         }
         let max = *costs.iter().max().unwrap();
@@ -548,12 +512,14 @@ mod tests {
         sig.set();
         for round in 0..40 {
             let owner = round % 4;
-            assert!(lock.enter(&mem, owner, &NeverAbort));
+            assert!(lock
+                .enter_core(&mem, owner, &NeverAbort, &NoProbe)
+                .entered());
             for offset in 1..4 {
                 let p = (owner + offset) % 4;
-                assert!(!lock.enter(&mem, p, &sig));
+                assert!(!lock.enter_core(&mem, p, &sig, &NoProbe).entered());
             }
-            lock.exit(&mem, owner);
+            lock.exit(&mem, owner, &NoProbe);
         }
     }
 
@@ -563,8 +529,8 @@ mod tests {
         let lock = BoundedLongLivedLock::layout_with(&mut b, 2, 2, Ascent::Plain, 0);
         let mem = b.build_cc(2);
         for _ in 0..30 {
-            assert!(lock.enter(&mem, 0, &NeverAbort));
-            lock.exit(&mem, 0);
+            assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+            lock.exit(&mem, 0, &NoProbe);
         }
     }
 
@@ -582,7 +548,7 @@ mod tests {
     fn an_exit_names_the_key_of_the_waiter_it_releases() {
         let (lock, mem) = build(3);
         // p0 holds; p1 queues behind it and reports its slot's key.
-        assert!(lock.enter(&mem, 0, &NeverAbort));
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         let mut m1 = lock.begin_enter();
         let EnterStep::Pending(key) = lock.poll_enter(&mut m1, &mem, 1, &NeverAbort, &NoProbe)
         else {
@@ -592,7 +558,7 @@ mod tests {
         assert_eq!(m1.wait_key(), Some(key));
         // p0's exit hands go[1] to p1; p1 still holds a reference, so
         // the instance stays.
-        let h = lock.exit(&mem, 0);
+        let h = lock.exit(&mem, 0, &NoProbe);
         assert_eq!((h.slot(), h.switched()), (Some(key), false));
         assert!(lock
             .poll_enter(&mut m1, &mem, 1, &NeverAbort, &NoProbe)
@@ -602,12 +568,12 @@ mod tests {
         let step = lock.poll_enter(&mut m0, &mem, 0, &NeverAbort, &NoProbe);
         assert_eq!(step, EnterStep::Pending(WaitKey::Epoch));
         // The last one out switches instances, releasing it.
-        let h = lock.exit(&mem, 1);
+        let h = lock.exit(&mem, 1, &NoProbe);
         assert!(h.switched());
         assert!(lock
             .poll_enter(&mut m0, &mem, 0, &NeverAbort, &NoProbe)
             .acquired());
-        assert!(lock.exit(&mem, 0).switched());
+        assert!(lock.exit(&mem, 0, &NoProbe).switched());
     }
 
     #[test]
@@ -616,8 +582,8 @@ mod tests {
         let log = sal_obs::EventLog::new(256);
         // Solo passages: every exit drops refcnt to 0 and switches.
         for _ in 0..5 {
-            assert!(lock.enter_probed(&mem, 0, &NeverAbort, &log));
-            lock.exit_probed(&mem, 0, &log);
+            assert!(lock.enter_core(&mem, 0, &NeverAbort, &log).entered());
+            lock.exit(&mem, 0, &log);
         }
         let switches = log
             .events()

@@ -35,7 +35,7 @@
 
 use crate::lock::{LockCore, LockMeta, Outcome};
 use sal_memory::{AbortSignal, Mem, MemoryBuilder, Pid, WordArray, WordId};
-use sal_obs::{probed, NoProbe, Probe};
+use sal_obs::{probed, Probe};
 use std::sync::Mutex;
 
 /// Queue nodes per process. Two suffice: a process re-using a slot has
@@ -117,110 +117,91 @@ impl JjLock {
     fn dec(word: u64) -> usize {
         (word - 1) as usize
     }
+}
 
-    /// `Enter()`: returns `true` iff the lock was acquired; `false` iff
-    /// the attempt aborted in response to `signal`.
-    pub fn enter<M, S>(&self, mem: &M, pid: Pid, signal: &S) -> bool
-    where
-        M: Mem + ?Sized,
-        S: AbortSignal + ?Sized,
-    {
-        self.enter_impl(mem, pid, signal, &NoProbe)
+impl LockMeta for JjLock {
+    fn name(&self) -> String {
+        "jj-amortized".into()
     }
+}
 
-    /// [`enter`](Self::enter) with passage observability.
-    pub fn enter_probed<M, S, P>(&self, mem: &M, pid: Pid, signal: &S, probe: &P) -> bool
-    where
-        M: Mem + ?Sized,
-        S: AbortSignal + ?Sized,
-        P: Probe + ?Sized,
-    {
+/// `Enter()` and `Exit()` as one observed passage: lifecycle hooks,
+/// per-operation hooks through a [`ProbedMem`](sal_obs::ProbedMem), and
+/// a `"jj-abandon"` [`note`](Probe::note) per deposited token and a
+/// `"jj-consume"` note per token the promotion walk withdraws.
+impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for JjLock {
+    /// Returns [`Outcome::Aborted`] iff the attempt abandoned its node
+    /// in response to `signal`.
+    fn enter_core<S: AbortSignal + ?Sized>(
+        &self,
+        mem: &M,
+        pid: Pid,
+        signal: &S,
+        probe: &P,
+    ) -> Outcome {
         probe.enter_begin(pid);
-        let pm = probed(mem, probe);
-        let completed = self.enter_impl(&pm, pid, signal, probe);
-        if completed {
+        let mem = &probed(mem, probe);
+        let entered = 'enter: {
+            let slot = self.locals[pid].lock().unwrap().slot;
+            let node = pid * POOL + slot;
+            // Wait for our round-robin node to come back from its last
+            // use. Entered passages retire their node before returning
+            // from `exit`, so only a process whose recent attempts
+            // aborted can wait here — and it waits on a word homed at
+            // itself that is written exactly once, by the walk
+            // consuming the old abort.
+            while mem.read(pid, self.reclaim.at(node)) == 0 {
+                if signal.is_set() {
+                    break 'enter false;
+                }
+            }
+            mem.write(pid, self.reclaim.at(node), 0);
+            mem.write(pid, self.status.at(node), WAITING);
+            mem.write(pid, self.next.at(node), NIL);
+            mem.write(pid, self.go.at(node), 0);
+            {
+                let mut local = self.locals[pid].lock().unwrap();
+                local.slot = (slot + 1) % POOL;
+                local.active = Some(node);
+            }
+            // Doorway: one SWAP takes our queue position.
+            let pred = mem.swap(pid, self.tail, Self::enc(node));
+            if pred == NIL {
+                break 'enter true; // the queue was empty: we hold the lock
+            }
+            mem.write(pid, self.next.at(Self::dec(pred)), Self::enc(node));
+            loop {
+                if mem.read(pid, self.go.at(node)) == 1 {
+                    break 'enter true;
+                }
+                if signal.is_set() {
+                    // One CAS arbitrates the abort/promotion race.
+                    if mem.cas(pid, self.status.at(node), WAITING, ABORTED) {
+                        // Deposit the token and leave; the node stays in
+                        // the queue until a promotion walk consumes it.
+                        self.locals[pid].lock().unwrap().active = None;
+                        probe.note(pid, "jj-abandon", Self::enc(node));
+                        break 'enter false;
+                    }
+                    // Promoted concurrently: the grant is already ours.
+                    while mem.read(pid, self.go.at(node)) == 0 {}
+                    break 'enter true;
+                }
+            }
+        };
+        if entered {
             probe.enter_end(pid, None);
+            Outcome::Entered { ticket: None }
         } else {
             probe.abort(pid, None);
-        }
-        completed
-    }
-
-    fn enter_impl<M, S, P>(&self, mem: &M, pid: Pid, signal: &S, probe: &P) -> bool
-    where
-        M: Mem + ?Sized,
-        S: AbortSignal + ?Sized,
-        P: Probe + ?Sized,
-    {
-        let slot = self.locals[pid].lock().unwrap().slot;
-        let node = pid * POOL + slot;
-        // Wait for our round-robin node to come back from its last use.
-        // Entered passages retire their node before returning from
-        // `exit`, so only a process whose recent attempts aborted can
-        // wait here — and it waits on a word homed at itself that is
-        // written exactly once, by the walk consuming the old abort.
-        while mem.read(pid, self.reclaim.at(node)) == 0 {
-            if signal.is_set() {
-                return false;
-            }
-        }
-        mem.write(pid, self.reclaim.at(node), 0);
-        mem.write(pid, self.status.at(node), WAITING);
-        mem.write(pid, self.next.at(node), NIL);
-        mem.write(pid, self.go.at(node), 0);
-        {
-            let mut local = self.locals[pid].lock().unwrap();
-            local.slot = (slot + 1) % POOL;
-            local.active = Some(node);
-        }
-        // Doorway: one SWAP takes our queue position.
-        let pred = mem.swap(pid, self.tail, Self::enc(node));
-        if pred == NIL {
-            return true; // the queue was empty: we hold the lock
-        }
-        mem.write(pid, self.next.at(Self::dec(pred)), Self::enc(node));
-        loop {
-            if mem.read(pid, self.go.at(node)) == 1 {
-                return true;
-            }
-            if signal.is_set() {
-                // One CAS arbitrates the abort/promotion race.
-                if mem.cas(pid, self.status.at(node), WAITING, ABORTED) {
-                    // Deposit the token and leave; the node stays in the
-                    // queue until a promotion walk consumes it.
-                    self.locals[pid].lock().unwrap().active = None;
-                    probe.note(pid, "jj-abandon", Self::enc(node));
-                    return false;
-                }
-                // Promoted concurrently: the grant is already ours.
-                while mem.read(pid, self.go.at(node)) == 0 {}
-                return true;
-            }
+            Outcome::Aborted { ticket: None }
         }
     }
 
-    /// `Exit()`: hand the lock to the first still-waiting successor,
-    /// consuming every abandoned node on the way (the promotion walk).
-    pub fn exit<M: Mem + ?Sized>(&self, mem: &M, pid: Pid) {
-        self.exit_impl(mem, pid, &NoProbe);
-    }
-
-    /// [`exit`](Self::exit) with passage observability.
-    pub fn exit_probed<M, P>(&self, mem: &M, pid: Pid, probe: &P)
-    where
-        M: Mem + ?Sized,
-        P: Probe + ?Sized,
-    {
-        let pm = probed(mem, probe);
-        self.exit_impl(&pm, pid, probe);
-        probe.cs_exit(pid);
-    }
-
-    fn exit_impl<M, P>(&self, mem: &M, pid: Pid, probe: &P)
-    where
-        M: Mem + ?Sized,
-        P: Probe + ?Sized,
-    {
+    /// Hand the lock to the first still-waiting successor, consuming
+    /// every abandoned node on the way (the promotion walk).
+    fn exit_core(&self, mem: &M, pid: Pid, probe: &P) {
+        let mem = &probed(mem, probe);
         let node = self.locals[pid]
             .lock()
             .unwrap()
@@ -237,7 +218,7 @@ impl JjLock {
                     // node back to its owner (ourselves, or the aborter
                     // whose token we just consumed).
                     mem.write(pid, self.reclaim.at(cur), 1);
-                    return;
+                    break;
                 }
                 // A successor won the SWAP but has not linked in yet;
                 // its very next step is the `next` write.
@@ -251,38 +232,13 @@ impl JjLock {
             mem.write(pid, self.reclaim.at(cur), 1);
             if mem.cas(pid, self.status.at(succ), WAITING, GRANTED) {
                 mem.write(pid, self.go.at(succ), 1);
-                return;
+                break;
             }
             // succ aborted: its token pays for this extra iteration.
             probe.note(pid, "jj-consume", Self::enc(succ));
             cur = succ;
         }
-    }
-}
-
-impl LockMeta for JjLock {
-    fn name(&self) -> String {
-        "jj-amortized".into()
-    }
-}
-
-impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for JjLock {
-    fn enter_core<S: AbortSignal + ?Sized>(
-        &self,
-        mem: &M,
-        p: Pid,
-        signal: &S,
-        probe: &P,
-    ) -> Outcome {
-        if self.enter_probed(mem, p, signal, probe) {
-            Outcome::Entered { ticket: None }
-        } else {
-            Outcome::Aborted { ticket: None }
-        }
-    }
-
-    fn exit_core(&self, mem: &M, p: Pid, probe: &P) {
-        self.exit_probed(mem, p, probe);
+        probe.cs_exit(pid);
     }
 }
 
@@ -290,6 +246,7 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for JjLock {
 mod tests {
     use super::*;
     use sal_memory::{AbortFlag, NeverAbort, RmrProbe};
+    use sal_obs::NoProbe;
 
     fn build(n: usize) -> (JjLock, sal_memory::CcMemory) {
         let mut b = MemoryBuilder::new();
@@ -301,8 +258,8 @@ mod tests {
     fn repeated_acquisitions_by_one_process() {
         let (lock, mem) = build(2);
         for _ in 0..20 {
-            assert!(lock.enter(&mem, 0, &NeverAbort));
-            lock.exit(&mem, 0);
+            assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+            lock.exit_core(&mem, 0, &NoProbe);
         }
     }
 
@@ -312,10 +269,10 @@ mod tests {
         for round in 0..8 {
             for pid in 0..3 {
                 assert!(
-                    lock.enter(&mem, pid, &NeverAbort),
+                    lock.enter_core(&mem, pid, &NeverAbort, &NoProbe).entered(),
                     "round {round} pid {pid}"
                 );
-                lock.exit(&mem, pid);
+                lock.exit_core(&mem, pid, &NoProbe);
             }
         }
     }
@@ -323,11 +280,11 @@ mod tests {
     #[test]
     fn pre_fired_signal_aborts_in_constant_ops_when_held() {
         let (lock, mem) = build(3);
-        assert!(lock.enter(&mem, 0, &NeverAbort));
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         let sig = AbortFlag::new();
         sig.set();
         let probe = RmrProbe::start(&mem, 1);
-        assert!(!lock.enter(&mem, 1, &sig));
+        assert!(!lock.enter_core(&mem, 1, &sig, &NoProbe).entered());
         assert!(
             probe.rmrs(&mem) <= 10,
             "abort should be O(1): {} RMRs",
@@ -335,34 +292,34 @@ mod tests {
         );
         // The holder's exit consumes the abandoned node; the lock stays
         // usable by everyone, including the aborter.
-        lock.exit(&mem, 0);
-        assert!(lock.enter(&mem, 2, &NeverAbort));
-        lock.exit(&mem, 2);
-        assert!(lock.enter(&mem, 1, &NeverAbort));
-        lock.exit(&mem, 1);
+        lock.exit_core(&mem, 0, &NoProbe);
+        assert!(lock.enter_core(&mem, 2, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(&mem, 2, &NoProbe);
+        assert!(lock.enter_core(&mem, 1, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(&mem, 1, &NoProbe);
     }
 
     #[test]
     fn exit_walk_skips_a_crowd_of_aborters() {
         let n = 8;
         let (lock, mem) = build(n);
-        assert!(lock.enter(&mem, 0, &NeverAbort));
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         // Processes 1..n enqueue behind the holder, then all abort.
         let sig = AbortFlag::new();
         sig.set();
         for pid in 1..n {
-            assert!(!lock.enter(&mem, pid, &sig));
+            assert!(!lock.enter_core(&mem, pid, &sig, &NoProbe).entered());
         }
         // The exit walk consumes every abandoned node and empties the
         // queue; afterwards every pool slot is reusable.
-        lock.exit(&mem, 0);
+        lock.exit_core(&mem, 0, &NoProbe);
         for round in 0..POOL + 1 {
             for pid in 0..n {
                 assert!(
-                    lock.enter(&mem, pid, &NeverAbort),
+                    lock.enter_core(&mem, pid, &NeverAbort, &NoProbe).entered(),
                     "round {round} pid {pid}"
                 );
-                lock.exit(&mem, pid);
+                lock.exit_core(&mem, pid, &NoProbe);
             }
         }
     }
@@ -373,8 +330,8 @@ mod tests {
         let mut max = 0;
         for _ in 0..20 {
             let probe = RmrProbe::start(&mem, 0);
-            assert!(lock.enter(&mem, 0, &NeverAbort));
-            lock.exit(&mem, 0);
+            assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+            lock.exit_core(&mem, 0, &NoProbe);
             max = max.max(probe.rmrs(&mem));
         }
         assert!(max <= 12, "uncontended passage too costly: {max} RMRs");
@@ -389,15 +346,18 @@ mod tests {
         let (lock, mem) = build(n);
         let mut passages = 0u64;
         for round in 0..12 {
-            assert!(lock.enter(&mem, 0, &NeverAbort));
+            assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
             passages += 1;
             let sig = AbortFlag::new();
             sig.set();
             for pid in 1..n {
-                assert!(!lock.enter(&mem, pid, &sig), "round {round} pid {pid}");
+                assert!(
+                    !lock.enter_core(&mem, pid, &sig, &NoProbe).entered(),
+                    "round {round} pid {pid}"
+                );
                 passages += 1;
             }
-            lock.exit(&mem, 0);
+            lock.exit_core(&mem, 0, &NoProbe);
         }
         let total = mem.total_rmrs();
         assert!(
@@ -412,7 +372,7 @@ mod tests {
         // at its signal. p1's abort CAS must lose and p1 must enter.
         let (lock, mem) = build(2);
         let sig = AbortFlag::new();
-        assert!(lock.enter(&mem, 0, &NeverAbort));
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         // Enqueue p1 by hand up to its waiting loop: simplest is to let
         // the grant land before the signal fires, which we emulate by
         // firing the signal only after p0's exit. Single-threaded, the
@@ -422,16 +382,16 @@ mod tests {
             let mem = &mem;
             let sig2 = &sig;
             let t = s.spawn(move || {
-                assert!(lock.enter(mem, 1, sig2));
-                lock.exit(mem, 1);
+                assert!(lock.enter_core(mem, 1, sig2, &NoProbe).entered());
+                lock.exit_core(mem, 1, &NoProbe);
             });
             std::thread::sleep(std::time::Duration::from_millis(10));
-            lock.exit(&mem, 0);
+            lock.exit_core(&mem, 0, &NoProbe);
             t.join().unwrap();
             sig.set();
         });
         // Lock still consistent.
-        assert!(lock.enter(&mem, 0, &NeverAbort));
-        lock.exit(&mem, 0);
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(&mem, 0, &NoProbe);
     }
 }

@@ -13,7 +13,7 @@ use super::desc::SimpleDesc;
 use crate::lock::{LockCore, LockMeta, Outcome};
 use crate::one_shot::OneShotLock;
 use sal_memory::{AbortSignal, Mem, MemoryBuilder, Pid, WordArray, WordId};
-use sal_obs::{probed, NoProbe, Probe};
+use sal_obs::{probed, Probe};
 use std::sync::Mutex;
 
 /// Per-process local variable of Figure 5 (`oldSpn`).
@@ -90,89 +90,6 @@ impl SimpleLongLivedLock {
         self.n
     }
 
-    /// `Enter()` (Algorithm 6.1). Returns `true` iff the lock was
-    /// acquired; `false` iff the attempt aborted in response to `signal`.
-    pub fn enter<M, S>(&self, mem: &M, pid: Pid, signal: &S) -> bool
-    where
-        M: Mem + ?Sized,
-        S: AbortSignal + ?Sized,
-    {
-        self.enter_impl(mem, pid, signal, &NoProbe)
-    }
-
-    /// [`enter`](Self::enter) with passage observability (see
-    /// [`BoundedLongLivedLock::enter_probed`](super::BoundedLongLivedLock::enter_probed)).
-    pub fn enter_probed<M, S, P>(&self, mem: &M, pid: Pid, signal: &S, probe: &P) -> bool
-    where
-        M: Mem + ?Sized,
-        S: AbortSignal + ?Sized,
-        P: Probe + ?Sized,
-    {
-        probe.enter_begin(pid);
-        let pm = probed(mem, probe);
-        let completed = self.enter_impl(&pm, pid, signal, probe);
-        if completed {
-            probe.enter_end(pid, None);
-        } else {
-            probe.abort(pid, None);
-        }
-        completed
-    }
-
-    fn enter_impl<M, S, P>(&self, mem: &M, pid: Pid, signal: &S, probe: &P) -> bool
-    where
-        M: Mem + ?Sized,
-        S: AbortSignal + ?Sized,
-        P: Probe + ?Sized,
-    {
-        let old_spn = self.locals[pid].lock().unwrap().old_spn;
-        let d = SimpleDesc::unpack(mem.read(pid, self.desc)); // line 57
-        if Some(d.spn) == old_spn {
-            // lines 58–61: we already used this instance; wait for the
-            // switch.
-            while mem.read(pid, self.spin_nodes.at(d.spn as usize)) == 0 {
-                if signal.is_set() {
-                    return false;
-                }
-            }
-        }
-        // line 62: snapshot Lock & Spn while incrementing Refcnt.
-        let d = SimpleDesc::unpack(mem.faa(pid, self.desc, 1));
-        let completed = self.instances[d.lock as usize]
-            .enter(mem, pid, signal)
-            .entered(); // line 63
-        if !completed {
-            self.cleanup(mem, pid, probe); // lines 64–65
-        }
-        completed // line 66
-    }
-
-    /// `Exit()` (Algorithm 6.2).
-    pub fn exit<M: Mem + ?Sized>(&self, mem: &M, pid: Pid) {
-        self.exit_impl(mem, pid, &NoProbe);
-    }
-
-    /// [`exit`](Self::exit) with passage observability.
-    pub fn exit_probed<M, P>(&self, mem: &M, pid: Pid, probe: &P)
-    where
-        M: Mem + ?Sized,
-        P: Probe + ?Sized,
-    {
-        let pm = probed(mem, probe);
-        self.exit_impl(&pm, pid, probe);
-        probe.cs_exit(pid);
-    }
-
-    fn exit_impl<M, P>(&self, mem: &M, pid: Pid, probe: &P)
-    where
-        M: Mem + ?Sized,
-        P: Probe + ?Sized,
-    {
-        let d = SimpleDesc::unpack(mem.read(pid, self.desc)); // line 67
-        self.instances[d.lock as usize].exit(mem, pid); // line 68
-        self.cleanup(mem, pid, probe); // line 69
-    }
-
     /// `Cleanup()` (Algorithm 6.3).
     fn cleanup<M, P>(&self, mem: &M, pid: Pid, probe: &P)
     where
@@ -220,6 +137,12 @@ impl LockMeta for SimpleLongLivedLock {
     }
 }
 
+/// `Enter()` (Algorithm 6.1) and `Exit()` (Algorithm 6.2) as one
+/// observed passage: lifecycle hooks, per-operation hooks through a
+/// [`ProbedMem`](sal_obs::ProbedMem), and an `"instance-switch"`
+/// [`note`](Probe::note) when this process's Cleanup wins the line-76
+/// descriptor CAS. The nested one-shot passage is not a passage of its
+/// own: only its memory operations are observed.
 impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for SimpleLongLivedLock {
     fn enter_core<S: AbortSignal + ?Sized>(
         &self,
@@ -228,15 +151,44 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for SimpleLongLivedLock 
         signal: &S,
         probe: &P,
     ) -> Outcome {
-        if self.enter_probed(mem, p, signal, probe) {
+        probe.enter_begin(p);
+        let mem = &probed(mem, probe);
+        let entered = 'enter: {
+            let old_spn = self.locals[p].lock().unwrap().old_spn;
+            let d = SimpleDesc::unpack(mem.read(p, self.desc)); // line 57
+            if Some(d.spn) == old_spn {
+                // lines 58–61: we already used this instance; wait for
+                // the switch.
+                while mem.read(p, self.spin_nodes.at(d.spn as usize)) == 0 {
+                    if signal.is_set() {
+                        break 'enter false;
+                    }
+                }
+            }
+            // line 62: snapshot Lock & Spn while incrementing Refcnt.
+            let d = SimpleDesc::unpack(mem.faa(p, self.desc, 1));
+            let instance = &self.instances[d.lock as usize];
+            let entered = instance.enter_body(mem, p, signal).entered(); // line 63
+            if !entered {
+                self.cleanup(mem, p, probe); // lines 64–65
+            }
+            entered // line 66
+        };
+        if entered {
+            probe.enter_end(p, None);
             Outcome::Entered { ticket: None }
         } else {
+            probe.abort(p, None);
             Outcome::Aborted { ticket: None }
         }
     }
 
     fn exit_core(&self, mem: &M, p: Pid, probe: &P) {
-        self.exit_probed(mem, p, probe);
+        let mem = &probed(mem, probe);
+        let d = SimpleDesc::unpack(mem.read(p, self.desc)); // line 67
+        self.instances[d.lock as usize].exit_body(mem, p); // line 68
+        self.cleanup(mem, p, probe); // line 69
+        probe.cs_exit(p);
     }
 }
 
@@ -244,6 +196,7 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for SimpleLongLivedLock 
 mod tests {
     use super::*;
     use sal_memory::{AbortFlag, NeverAbort};
+    use sal_obs::NoProbe;
 
     fn build(n: usize, switches: usize) -> (SimpleLongLivedLock, sal_memory::CcMemory) {
         let mut b = MemoryBuilder::new();
@@ -255,8 +208,8 @@ mod tests {
     fn repeated_acquisitions_by_one_process() {
         let (lock, mem) = build(2, 16);
         for _ in 0..10 {
-            assert!(lock.enter(&mem, 0, &NeverAbort));
-            lock.exit(&mem, 0);
+            assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+            lock.exit_core(&mem, 0, &NoProbe);
         }
     }
 
@@ -266,10 +219,10 @@ mod tests {
         for round in 0..8 {
             for pid in 0..3 {
                 assert!(
-                    lock.enter(&mem, pid, &NeverAbort),
+                    lock.enter_core(&mem, pid, &NeverAbort, &NoProbe).entered(),
                     "round {round} pid {pid}"
                 );
-                lock.exit(&mem, pid);
+                lock.exit_core(&mem, pid, &NoProbe);
             }
         }
     }
@@ -281,20 +234,20 @@ mod tests {
         // current, since nobody else was active... actually refcnt hit 0
         // so p0 switched). Second acquisition proceeds on the new
         // instance.
-        assert!(lock.enter(&mem, 0, &NeverAbort));
-        lock.exit(&mem, 0);
-        assert!(lock.enter(&mem, 0, &NeverAbort));
-        lock.exit(&mem, 0);
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(&mem, 0, &NoProbe);
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(&mem, 0, &NoProbe);
         // Aborting inside the one-shot enter: pre-set signal while the
         // lock is held by p0.
-        assert!(lock.enter(&mem, 0, &NeverAbort));
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         let sig = AbortFlag::new();
         sig.set();
-        assert!(!lock.enter(&mem, 1, &sig));
-        lock.exit(&mem, 0);
+        assert!(!lock.enter_core(&mem, 1, &sig, &NoProbe).entered());
+        lock.exit_core(&mem, 0, &NoProbe);
         // Lock remains usable.
-        assert!(lock.enter(&mem, 1, &NeverAbort));
-        lock.exit(&mem, 1);
+        assert!(lock.enter_core(&mem, 1, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(&mem, 1, &NoProbe);
     }
 
     #[test]
@@ -303,8 +256,8 @@ mod tests {
         // switches; the pool bounds the number of passages.
         let (lock, mem) = build(1, 5);
         for _ in 0..5 {
-            assert!(lock.enter(&mem, 0, &NeverAbort));
-            lock.exit(&mem, 0);
+            assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+            lock.exit_core(&mem, 0, &NoProbe);
         }
     }
 
@@ -313,8 +266,8 @@ mod tests {
     fn pool_exhaustion_panics_with_context() {
         let (lock, mem) = build(1, 2);
         for _ in 0..10 {
-            assert!(lock.enter(&mem, 0, &NeverAbort));
-            lock.exit(&mem, 0);
+            assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+            lock.exit_core(&mem, 0, &NoProbe);
         }
     }
 
@@ -324,8 +277,8 @@ mod tests {
         let mut max = 0;
         for _ in 0..20 {
             let probe = sal_memory::RmrProbe::start(&mem, 0);
-            assert!(lock.enter(&mem, 0, &NeverAbort));
-            lock.exit(&mem, 0);
+            assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+            lock.exit_core(&mem, 0, &NoProbe);
             max = max.max(probe.rmrs(&mem));
         }
         // Figure-5 overhead is a constant number of RMRs on top of the

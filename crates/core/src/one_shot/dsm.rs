@@ -12,7 +12,7 @@ use crate::tree::{Ascent, FindNextResult, Tree};
 use sal_memory::{AbortSignal, Mem, MemoryBuilder, Pid, WordArray, WordId};
 use sal_obs::{probed, Probe};
 
-use super::{EnterOutcome, NO_ONE};
+use super::NO_ONE;
 
 /// DSM flavour of [`OneShotLock`](super::OneShotLock): identical queue +
 /// tree protocol, but the busy-wait loop spins on a process-local bit so
@@ -76,75 +76,6 @@ impl DsmOneShotLock {
         self.n
     }
 
-    /// `Enter()`, executed by process `pid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `capacity` enter attempts are made.
-    pub fn enter<M, S>(&self, mem: &M, pid: Pid, signal: &S) -> EnterOutcome
-    where
-        M: Mem + ?Sized,
-        S: AbortSignal + ?Sized,
-    {
-        let i = mem.faa(pid, self.tail, 1);
-        assert!(
-            (i as usize) < self.n,
-            "one-shot lock capacity {} exceeded (ticket {i})",
-            self.n
-        );
-        // Publish the spin bit, then check go[i]; the signaller writes
-        // go[i] *before* reading announce[i], so exactly one of the two
-        // sides observes the other.
-        mem.write(pid, self.announce.at(i as usize), pid as u64 + 1);
-        if mem.read(pid, self.go.at(i as usize)) != 1 {
-            while mem.read(pid, self.spin.at(pid)) != 1 {
-                // Local spin: free in the DSM cost model.
-                if signal.is_set() {
-                    self.abort(mem, pid, i);
-                    return EnterOutcome::Aborted { ticket: i };
-                }
-            }
-        }
-        mem.write(pid, self.head, i);
-        EnterOutcome::Entered { ticket: i }
-    }
-
-    /// [`enter`](Self::enter) with passage observability (see
-    /// [`OneShotLock::enter_probed`](super::OneShotLock::enter_probed)).
-    pub fn enter_probed<M, S, P>(&self, mem: &M, pid: Pid, signal: &S, probe: &P) -> EnterOutcome
-    where
-        M: Mem + ?Sized,
-        S: AbortSignal + ?Sized,
-        P: Probe + ?Sized,
-    {
-        probe.enter_begin(pid);
-        let pm = probed(mem, probe);
-        let outcome = self.enter(&pm, pid, signal);
-        match outcome {
-            EnterOutcome::Entered { ticket } => probe.enter_end(pid, Some(ticket)),
-            EnterOutcome::Aborted { ticket } => probe.abort(pid, Some(ticket)),
-        }
-        outcome
-    }
-
-    /// `Exit()`, executed by the process in the CS.
-    pub fn exit<M: Mem + ?Sized>(&self, mem: &M, pid: Pid) {
-        let head = mem.read(pid, self.head);
-        mem.write(pid, self.last_exited, head);
-        self.signal_next(mem, pid, head);
-    }
-
-    /// [`exit`](Self::exit) with passage observability.
-    pub fn exit_probed<M, P>(&self, mem: &M, pid: Pid, probe: &P)
-    where
-        M: Mem + ?Sized,
-        P: Probe + ?Sized,
-    {
-        let pm = probed(mem, probe);
-        self.exit(&pm, pid);
-        probe.cs_exit(pid);
-    }
-
     fn abort<M: Mem + ?Sized>(&self, mem: &M, pid: Pid, i: u64) {
         self.tree.remove(mem, pid, i);
         let head = mem.read(pid, self.head);
@@ -178,7 +109,12 @@ impl LockMeta for DsmOneShotLock {
     }
 }
 
+/// `Enter()` and `Exit()` as one observed passage, as for
+/// [`OneShotLock`](super::OneShotLock).
 impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for DsmOneShotLock {
+    /// # Panics
+    ///
+    /// Panics if more than `capacity` enter attempts are made.
     fn enter_core<S: AbortSignal + ?Sized>(
         &self,
         mem: &M,
@@ -186,11 +122,40 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for DsmOneShotLock {
         signal: &S,
         probe: &P,
     ) -> Outcome {
-        self.enter_probed(mem, p, signal, probe).into()
+        probe.enter_begin(p);
+        let mem = &probed(mem, probe);
+        let i = mem.faa(p, self.tail, 1);
+        assert!(
+            (i as usize) < self.n,
+            "one-shot lock capacity {} exceeded (ticket {i})",
+            self.n
+        );
+        let ticket = Some(i);
+        // Publish the spin bit, then check go[i]; the signaller writes
+        // go[i] *before* reading announce[i], so exactly one of the two
+        // sides observes the other.
+        mem.write(p, self.announce.at(i as usize), p as u64 + 1);
+        if mem.read(p, self.go.at(i as usize)) != 1 {
+            while mem.read(p, self.spin.at(p)) != 1 {
+                // Local spin: free in the DSM cost model.
+                if signal.is_set() {
+                    self.abort(mem, p, i);
+                    probe.abort(p, ticket);
+                    return Outcome::Aborted { ticket };
+                }
+            }
+        }
+        mem.write(p, self.head, i);
+        probe.enter_end(p, ticket);
+        Outcome::Entered { ticket }
     }
 
     fn exit_core(&self, mem: &M, p: Pid, probe: &P) {
-        self.exit_probed(mem, p, probe);
+        let mem = &probed(mem, probe);
+        let head = mem.read(p, self.head);
+        mem.write(p, self.last_exited, head);
+        self.signal_next(mem, p, head);
+        probe.cs_exit(p);
     }
 }
 
@@ -198,6 +163,7 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for DsmOneShotLock {
 mod tests {
     use super::*;
     use sal_memory::{AbortFlag, DsmMemory, Mem, NeverAbort, RmrProbe};
+    use sal_obs::NoProbe;
 
     fn build(n: usize) -> (DsmOneShotLock, DsmMemory) {
         let mut b = MemoryBuilder::new();
@@ -209,22 +175,22 @@ mod tests {
     fn sequential_passages_in_ticket_order() {
         let (lock, mem) = build(4);
         for pid in 0..4 {
-            assert!(lock.enter(&mem, pid, &NeverAbort).entered());
-            lock.exit(&mem, pid);
+            assert!(lock.enter_core(&mem, pid, &NeverAbort, &NoProbe).entered());
+            lock.exit_core(&mem, pid, &NoProbe);
         }
     }
 
     #[test]
     fn aborters_are_skipped() {
         let (lock, mem) = build(4);
-        assert!(lock.enter(&mem, 0, &NeverAbort).entered());
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         let sig = AbortFlag::new();
         sig.set();
-        assert!(!lock.enter(&mem, 1, &sig).entered());
-        assert!(!lock.enter(&mem, 2, &sig).entered());
-        lock.exit(&mem, 0);
-        assert!(lock.enter(&mem, 3, &NeverAbort).entered());
-        lock.exit(&mem, 3);
+        assert!(!lock.enter_core(&mem, 1, &sig, &NoProbe).entered());
+        assert!(!lock.enter_core(&mem, 2, &sig, &NoProbe).entered());
+        lock.exit_core(&mem, 0, &NoProbe);
+        assert!(lock.enter_core(&mem, 3, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(&mem, 3, &NoProbe);
     }
 
     #[test]
@@ -236,19 +202,19 @@ mod tests {
         // — here we simply check that a passage that was signalled while
         // spinning has O(1) RMRs.
         let (lock, mem) = build(2);
-        assert!(lock.enter(&mem, 0, &NeverAbort).entered());
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         // Hand off before p1 even arrives: p1's go is set during exit.
-        lock.exit(&mem, 0);
+        lock.exit_core(&mem, 0, &NoProbe);
         let probe = RmrProbe::start(&mem, 1);
-        assert!(lock.enter(&mem, 1, &NeverAbort).entered());
-        lock.exit(&mem, 1);
+        assert!(lock.enter_core(&mem, 1, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(&mem, 1, &NoProbe);
         assert!(probe.rmrs(&mem) <= 12, "got {}", probe.rmrs(&mem));
     }
 
     #[test]
     fn spin_bit_is_set_through_the_announce_indirection() {
         let (lock, mem) = build(3);
-        assert!(lock.enter(&mem, 0, &NeverAbort).entered());
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         // p1 publishes its announce entry by taking a ticket in a thread
         // that will block; we emulate the interleaving sequentially: take
         // the ticket by hand.
@@ -257,7 +223,7 @@ mod tests {
         mem.write(1, lock.announce.at(1), 2); // pid 1 + 1
         assert_eq!(mem.read(1, lock.go.at(1)), 0);
         // p0 exits: should set go[1], read announce[1] = 2, set spin[1].
-        lock.exit(&mem, 0);
+        lock.exit_core(&mem, 0, &NoProbe);
         assert_eq!(mem.read(1, lock.go.at(1)), 1);
         assert_eq!(mem.read(1, lock.spin.at(1)), 1);
     }
@@ -269,8 +235,8 @@ mod tests {
         let lock = DsmOneShotLock::layout(&mut b, 3, 2);
         let mem = b.build_cc(3);
         for pid in 0..3 {
-            assert!(lock.enter(&mem, pid, &NeverAbort).entered());
-            lock.exit(&mem, pid);
+            assert!(lock.enter_core(&mem, pid, &NeverAbort, &NoProbe).entered());
+            lock.exit_core(&mem, pid, &NoProbe);
         }
     }
 }

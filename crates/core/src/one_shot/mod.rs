@@ -36,50 +36,6 @@ use sal_obs::{probed, Probe};
 /// Sentinel for `LastExited = −1` (no process has exited yet).
 const NO_ONE: u64 = u64::MAX;
 
-/// Outcome of a one-shot [`OneShotLock::enter`] call.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum EnterOutcome {
-    /// The process acquired the lock; it must call
-    /// [`exit`](OneShotLock::exit). `ticket` is the queue slot obtained
-    /// from the doorway F&A.
-    Entered {
-        /// The queue slot obtained from the doorway F&A on `Tail`.
-        ticket: u64,
-    },
-    /// The process aborted its attempt in response to the signal.
-    Aborted {
-        /// The queue slot the process abandoned.
-        ticket: u64,
-    },
-}
-
-impl EnterOutcome {
-    /// Whether the lock was acquired.
-    pub fn entered(&self) -> bool {
-        matches!(self, EnterOutcome::Entered { .. })
-    }
-
-    /// The doorway ticket of this attempt.
-    pub fn ticket(&self) -> u64 {
-        match *self {
-            EnterOutcome::Entered { ticket } | EnterOutcome::Aborted { ticket } => ticket,
-        }
-    }
-}
-
-impl From<EnterOutcome> for Outcome {
-    fn from(o: EnterOutcome) -> Outcome {
-        match o {
-            EnterOutcome::Entered { ticket } => Outcome::Entered {
-                ticket: Some(ticket),
-            },
-            EnterOutcome::Aborted { ticket } => Outcome::Aborted {
-                ticket: Some(ticket),
-            },
-        }
-    }
-}
-
 /// The one-shot abortable lock of Figure 1 (cache-coherent variant).
 ///
 /// Space: `N` `go` words + `O(N/B)` tree words + 3 scalars = `O(N)`.
@@ -137,44 +93,6 @@ impl OneShotLock {
         &self.tree
     }
 
-    /// `Enter()` (Algorithm 3.1), executed by process `pid`.
-    ///
-    /// Returns [`EnterOutcome::Entered`] when the process acquired the
-    /// lock (it must then run its critical section and call
-    /// [`exit`](Self::exit)), or [`EnterOutcome::Aborted`] if it
-    /// abandoned the attempt in response to `signal`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `capacity` enter attempts are made (each
-    /// process may attempt at most one passage — well-formedness, §5.1).
-    pub fn enter<M, S>(&self, mem: &M, pid: Pid, signal: &S) -> EnterOutcome
-    where
-        M: Mem + ?Sized,
-        S: AbortSignal + ?Sized,
-    {
-        // The blocking enter is the tight-loop driver of the resumable
-        // machine: a Pending poll performed exactly one `go` read (and
-        // one signal check), so this loop IS the paper's spin wait,
-        // operation for operation.
-        let mut machine = self.begin_enter();
-        loop {
-            match self.poll_enter(&mut machine, mem, pid, signal) {
-                EnterStep::Acquired { ticket } => {
-                    return EnterOutcome::Entered {
-                        ticket: ticket.expect("one-shot machine reports its ticket"),
-                    }
-                }
-                EnterStep::Aborted { ticket, .. } => {
-                    return EnterOutcome::Aborted {
-                        ticket: ticket.expect("one-shot machine reports its ticket"),
-                    }
-                }
-                EnterStep::Pending(_) => {}
-            }
-        }
-    }
-
     /// Begin a resumable `Enter`: no shared-memory operation happens
     /// until the first [`poll_enter`](Self::poll_enter) call. See
     /// [`crate::resume`] for the machine contract.
@@ -191,7 +109,8 @@ impl OneShotLock {
     ///
     /// # Panics
     ///
-    /// Panics on capacity overflow (as [`enter`](Self::enter)) and if
+    /// Panics on capacity overflow (as
+    /// [`enter_core`](LockCore::enter_core)) and if
     /// polled again after resolving.
     pub fn poll_enter<M, S>(
         &self,
@@ -260,45 +179,31 @@ impl OneShotLock {
         }
     }
 
-    /// [`enter`](Self::enter) with passage observability: fires
-    /// [`Probe::enter_begin`], routes every shared-memory operation
-    /// through a [`ProbedMem`](sal_obs::ProbedMem) (so `op`/`rmr` hooks fire), and closes
-    /// the attempt with [`Probe::enter_end`] or [`Probe::abort`].
-    pub fn enter_probed<M, S, P>(&self, mem: &M, pid: Pid, signal: &S, probe: &P) -> EnterOutcome
+    /// `Enter()` (Algorithm 3.1) with no passage hooks: the tight-loop
+    /// driver of the resumable machine. A Pending poll performed
+    /// exactly one `go` read (and one signal check), so this loop IS
+    /// the paper's spin wait, operation for operation. Runs the
+    /// passages of [`LockCore::enter_core`] and of the instances nested
+    /// in a [`SimpleLongLivedLock`](crate::long_lived::SimpleLongLivedLock).
+    pub(crate) fn enter_body<M, S>(&self, mem: &M, pid: Pid, signal: &S) -> Outcome
     where
         M: Mem + ?Sized,
         S: AbortSignal + ?Sized,
-        P: Probe + ?Sized,
     {
-        probe.enter_begin(pid);
-        let pm = probed(mem, probe);
-        let outcome = self.enter(&pm, pid, signal);
-        match outcome {
-            EnterOutcome::Entered { ticket } => probe.enter_end(pid, Some(ticket)),
-            EnterOutcome::Aborted { ticket } => probe.abort(pid, Some(ticket)),
+        let mut machine = self.begin_enter();
+        loop {
+            if let Some(outcome) = self.poll_enter(&mut machine, mem, pid, signal).outcome() {
+                return outcome;
+            }
         }
-        outcome
     }
 
-    /// `Exit()` (Algorithm 3.2), executed by the process in the CS;
-    /// returns the slot whose `go` it set, if any.
-    pub fn exit<M: Mem + ?Sized>(&self, mem: &M, pid: Pid) -> Option<u64> {
+    /// `Exit()` (Algorithm 3.2) with no passage hooks; returns the slot
+    /// whose `go` it set, if any.
+    pub(crate) fn exit_body<M: Mem + ?Sized>(&self, mem: &M, pid: Pid) -> Option<u64> {
         let head = mem.read(pid, self.head); // line 8
         mem.write(pid, self.last_exited, head); // line 9
         self.signal_next(mem, pid, head) // line 10
-    }
-
-    /// [`exit`](Self::exit) with passage observability: routes the exit
-    /// protocol through a [`ProbedMem`](sal_obs::ProbedMem) and fires [`Probe::cs_exit`]
-    /// once the passage is complete.
-    pub fn exit_probed<M, P>(&self, mem: &M, pid: Pid, probe: &P)
-    where
-        M: Mem + ?Sized,
-        P: Probe + ?Sized,
-    {
-        let pm = probed(mem, probe);
-        let _ = self.exit(&pm, pid);
-        probe.cs_exit(pid);
     }
 
     /// `Abort(i)` (Algorithm 3.3); returns the slot whose `go` it set
@@ -344,7 +249,14 @@ impl LockMeta for OneShotLock {
     }
 }
 
+/// `Enter()` and `Exit()` as one observed passage: the probe's
+/// lifecycle hooks bracket the attempt, and every shared-memory
+/// operation runs through a [`ProbedMem`](sal_obs::ProbedMem).
 impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for OneShotLock {
+    /// # Panics
+    ///
+    /// Panics if more than `capacity` enter attempts are made (each
+    /// process may attempt at most one passage — well-formedness, §5.1).
     fn enter_core<S: AbortSignal + ?Sized>(
         &self,
         mem: &M,
@@ -352,11 +264,18 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for OneShotLock {
         signal: &S,
         probe: &P,
     ) -> Outcome {
-        self.enter_probed(mem, p, signal, probe).into()
+        probe.enter_begin(p);
+        let outcome = self.enter_body(&probed(mem, probe), p, signal);
+        match outcome {
+            Outcome::Entered { ticket } => probe.enter_end(p, ticket),
+            Outcome::Aborted { ticket } => probe.abort(p, ticket),
+        }
+        outcome
     }
 
     fn exit_core(&self, mem: &M, p: Pid, probe: &P) {
-        self.exit_probed(mem, p, probe);
+        self.exit_body(&probed(mem, probe), p);
+        probe.cs_exit(p);
     }
 }
 
@@ -364,6 +283,7 @@ impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for OneShotLock {
 mod tests {
     use super::*;
     use sal_memory::{AbortFlag, NeverAbort};
+    use sal_obs::NoProbe;
 
     fn build(n: usize, branching: usize) -> (OneShotLock, sal_memory::CcMemory) {
         let mut b = MemoryBuilder::new();
@@ -375,9 +295,14 @@ mod tests {
     fn sequential_passages_in_ticket_order() {
         let (lock, mem) = build(4, 2);
         for pid in 0..4 {
-            let o = lock.enter(&mem, pid, &NeverAbort);
-            assert_eq!(o, EnterOutcome::Entered { ticket: pid as u64 });
-            lock.exit(&mem, pid);
+            let o = lock.enter_core(&mem, pid, &NeverAbort, &NoProbe);
+            assert_eq!(
+                o,
+                Outcome::Entered {
+                    ticket: Some(pid as u64)
+                }
+            );
+            lock.exit_core(&mem, pid, &NoProbe);
         }
     }
 
@@ -385,17 +310,17 @@ mod tests {
     fn aborted_slot_is_skipped_in_handoff() {
         let (lock, mem) = build(4, 2);
         // p0 acquires; p1's attempt aborts (signal pre-set, go[1] clear).
-        assert!(lock.enter(&mem, 0, &NeverAbort).entered());
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         let sig = AbortFlag::new();
         sig.set();
-        let o = lock.enter(&mem, 1, &sig);
-        assert_eq!(o, EnterOutcome::Aborted { ticket: 1 });
+        let o = lock.enter_core(&mem, 1, &sig, &NoProbe);
+        assert_eq!(o, Outcome::Aborted { ticket: Some(1) });
         // p0 exits: handoff must skip slot 1 and go to slot 2.
-        lock.exit(&mem, 0);
-        assert!(lock.enter(&mem, 2, &NeverAbort).entered());
-        lock.exit(&mem, 2);
-        assert!(lock.enter(&mem, 3, &NeverAbort).entered());
-        lock.exit(&mem, 3);
+        lock.exit_core(&mem, 0, &NoProbe);
+        assert!(lock.enter_core(&mem, 2, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(&mem, 2, &NoProbe);
+        assert!(lock.enter_core(&mem, 3, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(&mem, 3, &NoProbe);
     }
 
     #[test]
@@ -405,21 +330,21 @@ mod tests {
         // sequentially, but aborting after p0's exit must still leave the
         // lock usable for p2: the aborter re-runs SignalNext(0).
         let (lock, mem) = build(4, 2);
-        assert!(lock.enter(&mem, 0, &NeverAbort).entered());
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         // p1 takes its ticket but has not started spinning yet.
         // (Simulate by having p1 enter with a pre-set signal *after* p0
         // exits; ticket order is still 1.)
-        lock.exit(&mem, 0); // FindNext(0) → 1, sets go[1]
+        lock.exit_core(&mem, 0, &NoProbe); // FindNext(0) → 1, sets go[1]
         let sig = AbortFlag::new();
         sig.set();
         // p1 aborts even though go[1] is set? No: enter checks go first;
         // go[1] is already 1, so p1 actually acquires. This matches the
         // paper: a process handed the lock before noticing the signal may
         // still return true.
-        let o = lock.enter(&mem, 1, &sig);
+        let o = lock.enter_core(&mem, 1, &sig, &NoProbe);
         assert!(o.entered());
-        lock.exit(&mem, 1);
-        assert!(lock.enter(&mem, 2, &NeverAbort).entered());
+        lock.exit_core(&mem, 1, &NoProbe);
+        assert!(lock.enter_core(&mem, 2, &NeverAbort, &NoProbe).entered());
     }
 
     #[test]
@@ -431,7 +356,7 @@ mod tests {
         let (lock, mem) = build(5, 2);
         let sig = AbortFlag::new();
         sig.set();
-        assert!(lock.enter(&mem, 0, &NeverAbort).entered());
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         let mut machines: Vec<_> = (1..5).map(|_| lock.begin_enter()).collect();
         for (p, m) in (1..5).zip(&mut machines) {
             assert!(lock.poll_enter(m, &mem, p, &NeverAbort).pending());
@@ -441,7 +366,7 @@ mod tests {
             s => panic!("expected an abort, got {s:?}"),
         };
         assert!(handoff(lock.poll_enter(&mut machines[3], &mem, 4, &sig)).is_none());
-        assert_eq!(lock.exit(&mem, 0), Some(1));
+        assert_eq!(lock.exit_body(&mem, 0), Some(1));
         let rescue = handoff(lock.poll_enter(&mut machines[1], &mem, 2, &sig));
         assert_eq!(rescue.slot(), Some(WaitKey::Slot { inst: 0, ticket: 1 }));
         assert!(!rescue.switched());
@@ -453,14 +378,14 @@ mod tests {
     #[test]
     fn all_later_processes_abort_lock_exhausts_cleanly() {
         let (lock, mem) = build(4, 2);
-        assert!(lock.enter(&mem, 0, &NeverAbort).entered());
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         let sig = AbortFlag::new();
         sig.set();
         for pid in 1..4 {
-            assert!(!lock.enter(&mem, pid, &sig).entered());
+            assert!(!lock.enter_core(&mem, pid, &sig, &NoProbe).entered());
         }
         // p0 exits into an exhausted queue: FindNext(0) = ⊥, no panic.
-        lock.exit(&mem, 0);
+        lock.exit_core(&mem, 0, &NoProbe);
     }
 
     #[test]
@@ -470,8 +395,8 @@ mod tests {
         let mut max_rmrs = 0;
         for pid in 0..n {
             let probe = sal_memory::RmrProbe::start(&mem, pid);
-            assert!(lock.enter(&mem, pid, &NeverAbort).entered());
-            lock.exit(&mem, pid);
+            assert!(lock.enter_core(&mem, pid, &NeverAbort, &NoProbe).entered());
+            lock.exit_core(&mem, pid, &NoProbe);
             max_rmrs = max_rmrs.max(probe.rmrs(&mem));
         }
         // Enter: F&A + go-spin (≤2 RMR) + Head; Exit: Head + LastExited +
@@ -486,11 +411,11 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn more_enters_than_capacity_panic() {
         let (lock, mem) = build(2, 2);
-        let _ = lock.enter(&mem, 0, &NeverAbort);
-        lock.exit(&mem, 0);
-        let _ = lock.enter(&mem, 1, &NeverAbort);
-        lock.exit(&mem, 1);
-        let _ = lock.enter(&mem, 0, &NeverAbort); // third ticket: overflow
+        let _ = lock.enter_core(&mem, 0, &NeverAbort, &NoProbe);
+        lock.exit_core(&mem, 0, &NoProbe);
+        let _ = lock.enter_core(&mem, 1, &NeverAbort, &NoProbe);
+        lock.exit_core(&mem, 1, &NoProbe);
+        let _ = lock.enter_core(&mem, 0, &NeverAbort, &NoProbe); // third ticket: overflow
     }
 
     #[test]
@@ -509,18 +434,18 @@ mod tests {
         let (lock, mem) = build(3, 2);
         let stats = sal_obs::PassageStats::new();
         let before = mem.rmrs(0);
-        assert!(lock.enter_probed(&mem, 0, &NeverAbort, &stats).entered());
-        lock.exit_probed(&mem, 0, &stats);
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &stats).entered());
+        lock.exit_core(&mem, 0, &stats);
         let rec = stats.records()[0];
         assert!(rec.entered);
         assert_eq!(rec.ticket, Some(0));
         assert_eq!(rec.rmrs, mem.rmrs(0) - before, "probe view == cost model");
 
         // An aborted attempt closes the passage with entered = false.
-        assert!(lock.enter_probed(&mem, 1, &NeverAbort, &stats).entered());
+        assert!(lock.enter_core(&mem, 1, &NeverAbort, &stats).entered());
         let sig = AbortFlag::new();
         sig.set();
-        assert!(!lock.enter_probed(&mem, 2, &sig, &stats).entered());
+        assert!(!lock.enter_core(&mem, 2, &sig, &stats).entered());
         let recs = stats.records();
         assert_eq!(recs.len(), 2);
         assert!(!recs[1].entered);

@@ -33,27 +33,16 @@ pub struct TraceEntry {
 }
 
 /// The [`Interceptor`] behind [`TracingMem`]: appends a [`TraceEntry`]
-/// per operation to a bounded or unbounded in-memory log.
+/// per operation to an in-memory log.
 #[derive(Debug, Default)]
 pub struct Tracer {
     entries: Mutex<Vec<TraceEntry>>,
-    /// Optional cap to bound memory use on long runs (0 = unbounded).
-    cap: usize,
 }
 
 impl Tracer {
-    /// Unbounded trace log.
+    /// Empty trace log.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Bounded trace log: once `cap` entries are recorded, older entries
-    /// are discarded from the front in blocks.
-    pub fn with_capacity_limit(cap: usize) -> Self {
-        Tracer {
-            entries: Mutex::new(Vec::new()),
-            cap,
-        }
     }
 
     /// Snapshot of the trace so far.
@@ -90,12 +79,7 @@ impl Tracer {
 
 impl Interceptor for Tracer {
     fn after(&self, pid: Pid, kind: OpKind, word: WordId, value: u64, remote: bool) {
-        let mut entries = self.entries.lock().unwrap();
-        if self.cap > 0 && entries.len() >= self.cap {
-            let drop_n = self.cap / 4 + 1;
-            entries.drain(..drop_n);
-        }
-        entries.push(TraceEntry {
+        self.entries.lock().unwrap().push(TraceEntry {
             pid,
             kind,
             word,
@@ -114,12 +98,6 @@ impl<'a, M: Mem + ?Sized> TracingMem<'a, M> {
     /// Trace every operation against `inner`.
     pub fn new(inner: &'a M) -> Self {
         Layered::over(inner, Tracer::new())
-    }
-
-    /// Trace with a bound: once `cap` entries are recorded, older
-    /// entries are discarded from the front in blocks.
-    pub fn with_capacity_limit(inner: &'a M, cap: usize) -> Self {
-        Layered::over(inner, Tracer::with_capacity_limit(cap))
     }
 
     /// Snapshot of the trace so far.
@@ -198,16 +176,15 @@ mod tests {
     }
 
     #[test]
-    fn capacity_limit_discards_old_entries() {
+    fn clear_discards_every_entry() {
         let mut b = MemoryBuilder::new();
         let w = b.alloc(0);
         let mem = b.build_cc(1);
-        let t = TracingMem::with_capacity_limit(&mem, 16);
+        let t = TracingMem::new(&mem);
         for i in 0..100 {
             t.write(0, w, i);
         }
-        assert!(t.len() <= 16);
-        // The newest entry is retained.
+        assert_eq!(t.len(), 100);
         assert_eq!(t.entries().last().unwrap().value, 99);
         t.clear();
         assert!(t.is_empty());

@@ -26,8 +26,6 @@ pub enum ObsEventKind {
     Abort(Option<u64>),
     /// A shared-memory operation was charged as an RMR.
     Rmr(OpKind),
-    /// A shared-memory operation (recorded only when op capture is on).
-    Op(OpKind),
     /// A protocol-specific note, e.g. `instance-switch`.
     Note(&'static str, u64),
 }
@@ -75,11 +73,10 @@ struct Ring {
 
 /// Bounded structured event log; implements [`Probe`].
 ///
-/// By default it records lifecycle events, RMR charges and notes;
-/// plain local operations (one per spin iteration — the overwhelming
-/// majority of traffic) are captured only when enabled with
-/// [`capture_ops`](Self::capture_ops). When the ring fills, the oldest
-/// events are dropped and counted in [`dropped`](Self::dropped).
+/// It records lifecycle events, RMR charges and notes, but not plain
+/// local operations (one per spin iteration — the overwhelming
+/// majority of traffic). When the ring fills, the oldest events are
+/// dropped and counted in [`dropped`](Self::dropped).
 ///
 /// Like the other sinks, `EventLog` is a cheap handle: `clone()` shares
 /// the same ring, so one clone can be given away as an owned probe while
@@ -88,7 +85,6 @@ struct Ring {
 pub struct EventLog {
     ring: Arc<Mutex<Ring>>,
     capacity: usize,
-    capture_ops: bool,
 }
 
 impl EventLog {
@@ -97,7 +93,6 @@ impl EventLog {
         EventLog {
             ring: Arc::new(Mutex::new(Ring::default())),
             capacity: capacity.max(1),
-            capture_ops: false,
         }
     }
 
@@ -110,15 +105,7 @@ impl EventLog {
         EventLog {
             ring: Arc::new(Mutex::new(Ring::default())),
             capacity: usize::MAX,
-            capture_ops: false,
         }
-    }
-
-    /// Also record every plain shared-memory operation (high volume:
-    /// spinning emits one event per scheduling turn).
-    pub fn capture_ops(mut self) -> Self {
-        self.capture_ops = true;
-        self
     }
 
     /// Append every event retained by `other` to this log, in `other`'s
@@ -191,7 +178,6 @@ impl EventLog {
                 ObsEventKind::CsExit => (3, 0),
                 ObsEventKind::Abort(t) => (4, t.map_or(u64::MAX, |t| t)),
                 ObsEventKind::Rmr(k) => (5, k as u64),
-                ObsEventKind::Op(k) => (6, k as u64),
                 ObsEventKind::Note(label, v) => {
                     let mut h = crate::fp::Fingerprint::new();
                     for b in label.bytes() {
@@ -224,10 +210,6 @@ impl EventLog {
             }
             ObsEventKind::Rmr(k) => {
                 pairs.push(("event", Json::Str("rmr".into())));
-                pairs.push(("kind", Json::Str(op_kind_name(*k).into())));
-            }
-            ObsEventKind::Op(k) => {
-                pairs.push(("event", Json::Str("op".into())));
                 pairs.push(("kind", Json::Str(op_kind_name(*k).into())));
             }
             ObsEventKind::Note(label, value) => {
@@ -288,18 +270,12 @@ impl EventLog {
                 "enter_end" => ObsEventKind::EnterEnd(ticket()),
                 "cs_exit" => ObsEventKind::CsExit,
                 "abort" => ObsEventKind::Abort(ticket()),
-                "rmr" | "op" => {
-                    let k = v
-                        .get("kind")
+                "rmr" => ObsEventKind::Rmr(
+                    v.get("kind")
                         .and_then(Json::as_str)
                         .and_then(op_kind_from)
-                        .ok_or_else(|| format!("line {}: bad op kind", lineno + 1))?;
-                    if event == "rmr" {
-                        ObsEventKind::Rmr(k)
-                    } else {
-                        ObsEventKind::Op(k)
-                    }
-                }
+                        .ok_or_else(|| format!("line {}: bad op kind", lineno + 1))?,
+                ),
                 "note" => {
                     let label = v
                         .get("label")
@@ -335,12 +311,6 @@ impl Probe for EventLog {
 
     fn rmr(&self, p: Pid, kind: OpKind) {
         self.push(p, ObsEventKind::Rmr(kind));
-    }
-
-    fn op(&self, p: Pid, kind: OpKind) {
-        if self.capture_ops {
-            self.push(p, ObsEventKind::Op(kind));
-        }
     }
 
     fn note(&self, p: Pid, label: &'static str, value: u64) {
@@ -384,14 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn ops_are_captured_only_when_enabled() {
-        let quiet = EventLog::new(8);
-        quiet.op(0, OpKind::Read);
-        assert!(quiet.is_empty());
-
-        let loud = EventLog::new(8).capture_ops();
-        loud.op(0, OpKind::Read);
-        assert_eq!(loud.events()[0].kind, ObsEventKind::Op(OpKind::Read));
+    fn plain_ops_are_not_recorded() {
+        let log = EventLog::new(8);
+        log.op(0, OpKind::Read);
+        assert!(log.is_empty());
     }
 
     #[test]
@@ -437,9 +403,8 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips() {
-        let log = EventLog::new(16).capture_ops();
+        let log = EventLog::new(16);
         log.enter_begin(3);
-        log.op(3, OpKind::Faa);
         log.rmr(3, OpKind::Faa);
         log.enter_end(3, Some(7));
         log.cs_exit(3);

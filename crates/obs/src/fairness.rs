@@ -11,8 +11,9 @@
 //!
 //! Starvation is witnessed operationally: a process that keeps taking
 //! steps in its `enter` section without ever entering is starving. The
-//! monitor tracks the longest in-flight wait (in shared-memory steps)
-//! per process and across the run.
+//! monitor tracks each process's longest wait (in shared-memory steps),
+//! and a merge settles the waits still in flight, so a starving
+//! process's wait counts although it never reaches `enter_end`.
 
 use crate::probe::Probe;
 use sal_memory::{OpKind, Pid};
@@ -96,35 +97,15 @@ impl FairnessMonitor {
         self.inner.lock().unwrap().violations.is_empty()
     }
 
-    /// All FCFS violations observed, in entry order.
-    pub fn fcfs_violations(&self) -> Vec<FcfsWitness> {
-        self.inner.lock().unwrap().violations.clone()
-    }
-
     /// Per-process counters (index = pid).
     pub fn per_process(&self) -> Vec<ProcFairness> {
         self.inner.lock().unwrap().procs.clone()
     }
 
-    /// The longest enter-section wait of any process, in shared-memory
-    /// steps — including waits still in flight (a starving process never
-    /// reaches `enter_end`, so unfinished waits must count).
-    pub fn max_wait_ops(&self) -> u64 {
-        let inner = self.inner.lock().unwrap();
-        let settled = inner
-            .procs
-            .iter()
-            .map(|r| r.max_wait_ops)
-            .max()
-            .unwrap_or(0);
-        let in_flight = inner.waiting.iter().flatten().max().copied().unwrap_or(0);
-        settled.max(in_flight)
-    }
-
     /// Fold another monitor into this one — the fan-in for parallel
     /// sweeps. Per-process counters sum (waits take the max, and
     /// `other`'s still-in-flight waits settle into `max_wait_ops`, so
-    /// starvation witnesses survive the merge); FCFS witness lists
+    /// a starving process's wait survives the merge); FCFS witness lists
     /// concatenate in merge order. Tickets are only comparable within
     /// one run, so merging never *creates* cross-run violations: the
     /// merged verdict is "every source run was FCFS". `other` is left
@@ -158,19 +139,6 @@ impl FairnessMonitor {
             (Some(a), Some(b)) => Some(a.max(b)),
         };
         inner.violations.extend(violations);
-    }
-
-    /// Pids whose longest wait (finished or in flight) exceeds
-    /// `threshold` steps — the starvation witness list.
-    pub fn starvation_witnesses(&self, threshold: u64) -> Vec<Pid> {
-        let inner = self.inner.lock().unwrap();
-        (0..inner.procs.len())
-            .filter(|&p| {
-                let settled = inner.procs[p].max_wait_ops;
-                let in_flight = inner.waiting[p].unwrap_or(0);
-                settled.max(in_flight) > threshold
-            })
-            .collect()
     }
 }
 
@@ -241,14 +209,6 @@ mod tests {
         m.enter_end(1, Some(3));
         m.cs_exit(1);
         assert!(!m.is_fcfs());
-        assert_eq!(
-            m.fcfs_violations(),
-            vec![FcfsWitness {
-                pid: 1,
-                ticket: 3,
-                earlier: 5
-            }]
-        );
     }
 
     #[test]
@@ -275,7 +235,6 @@ mod tests {
         m.enter_end(0, Some(0));
         m.op(0, OpKind::Write); // CS step: not a wait
         m.cs_exit(0);
-        assert_eq!(m.max_wait_ops(), 4);
         assert_eq!(m.per_process()[0].max_wait_ops, 4);
     }
 
@@ -302,18 +261,16 @@ mod tests {
         merged.merge_from(&cell_b);
 
         assert!(!merged.is_fcfs());
-        assert_eq!(merged.fcfs_violations().len(), 1);
         let procs = merged.per_process();
         assert_eq!(procs[0].attempts, 2);
         assert_eq!(procs[0].entered, 1);
         assert_eq!(procs[0].aborted, 1);
         // Cell B's in-flight wait settled into the merged max.
-        assert_eq!(merged.max_wait_ops(), 40);
-        assert_eq!(merged.starvation_witnesses(30), vec![2]);
+        assert_eq!(procs[2].max_wait_ops, 40);
         // Lower cross-cell ticket (0 < 5) created no bogus violation,
         // and the sources are untouched.
         assert!(cell_b.is_fcfs());
-        assert_eq!(cell_a.fcfs_violations().len(), 1);
+        assert!(!cell_a.is_fcfs());
     }
 
     #[test]
@@ -323,9 +280,11 @@ mod tests {
         for _ in 0..100 {
             m.op(2, OpKind::Read);
         }
-        // Never enters: still a starvation witness.
-        assert_eq!(m.max_wait_ops(), 100);
-        assert_eq!(m.starvation_witnesses(50), vec![2]);
-        assert!(m.starvation_witnesses(100).is_empty());
+        // Never enters, so the wait is still in flight: a merge settles
+        // it, and the starving process shows its whole wait.
+        assert_eq!(m.per_process()[2].max_wait_ops, 0);
+        let merged = FairnessMonitor::new();
+        merged.merge_from(&m);
+        assert_eq!(merged.per_process()[2].max_wait_ops, 100);
     }
 }

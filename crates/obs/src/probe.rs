@@ -74,7 +74,7 @@ pub trait Probe: Send + Sync {
     }
 
     /// A structured protocol event attributed to process `p`: `label`
-    /// names it (e.g. `"instance-switch"`, `"abort-injected"`), `value`
+    /// names it (e.g. `"instance-switch"`, `"jj-abandon"`), `value`
     /// carries a label-specific payload.
     fn note(&self, p: Pid, label: &'static str, value: u64) {
         let _ = (p, label, value);

@@ -50,7 +50,6 @@ struct Inner {
     entered_rmrs: Histogram,
     aborted_rmrs: Histogram,
     entered_ops: Histogram,
-    dropped_events: u64,
 }
 
 /// Summary view of a run: histograms and amortized totals.
@@ -76,12 +75,6 @@ pub struct PassageSummary {
     pub amortized_rmrs: f64,
     /// Max shared-memory steps (op count) of an entered passage.
     pub max_entered_ops: u64,
-    /// Events a bounded [`EventLog`](crate::EventLog) observing the
-    /// same run discarded (see
-    /// [`note_dropped_events`](PassageStats::note_dropped_events)).
-    /// Non-zero means event-level artifacts of this run are truncated;
-    /// the statistics themselves are always complete.
-    pub dropped_events: u64,
 }
 
 /// Run-scoped amortized accounting: the cumulative-cost view of a run
@@ -220,11 +213,6 @@ impl PassageStats {
         self.inner.lock().unwrap().records.clone()
     }
 
-    /// Number of finalized passages.
-    pub fn total_passages(&self) -> usize {
-        self.inner.lock().unwrap().records.len()
-    }
-
     /// Number of passages that entered the CS.
     pub fn total_entered(&self) -> usize {
         let inner = self.inner.lock().unwrap();
@@ -265,7 +253,6 @@ impl PassageStats {
                 total_rmrs as f64 / total as f64
             },
             max_entered_ops: inner.entered_ops.max(),
-            dropped_events: inner.dropped_events,
         }
     }
 
@@ -287,23 +274,6 @@ impl PassageStats {
         .with_ratio()
     }
 
-    /// Record that a bounded event log observing the same run dropped
-    /// `n` more events, so truncation shows up in summaries (and the
-    /// JSON artifacts built from them) instead of only on the log
-    /// itself. Call with [`EventLog::dropped`](crate::EventLog::dropped)
-    /// after a run (the count is additive, so per-cell drops fold in
-    /// one call each).
-    pub fn note_dropped_events(&self, n: u64) {
-        self.inner.lock().unwrap().dropped_events += n;
-    }
-
-    /// Total events reported dropped via
-    /// [`note_dropped_events`](Self::note_dropped_events) (including
-    /// counts folded in by [`merge_from`](Self::merge_from)).
-    pub fn dropped_events(&self) -> u64 {
-        self.inner.lock().unwrap().dropped_events
-    }
-
     /// Fold another sink's *finalized* passages into this one — the
     /// fan-in for parallel sweeps, where every grid cell measures into
     /// a private `PassageStats` and the driver merges them in
@@ -316,14 +286,13 @@ impl PassageStats {
     pub fn merge_from(&self, other: &PassageStats) {
         // Snapshot before locking ourselves, so merging a clone of the
         // same sink cannot deadlock.
-        let (records, entered_rmrs, aborted_rmrs, entered_ops, dropped_events) = {
+        let (records, entered_rmrs, aborted_rmrs, entered_ops) = {
             let o = other.inner.lock().unwrap();
             (
                 o.records.clone(),
                 o.entered_rmrs.clone(),
                 o.aborted_rmrs.clone(),
                 o.entered_ops.clone(),
-                o.dropped_events,
             )
         };
         let mut inner = self.inner.lock().unwrap();
@@ -331,7 +300,6 @@ impl PassageStats {
         inner.entered_rmrs.merge_from(&entered_rmrs);
         inner.aborted_rmrs.merge_from(&aborted_rmrs);
         inner.entered_ops.merge_from(&entered_ops);
-        inner.dropped_events += dropped_events;
     }
 
     fn slot(inner: &mut Inner, p: Pid) -> &mut InFlight {
@@ -472,7 +440,7 @@ mod tests {
         assert_eq!(stats.records()[0].rmrs, 1);
         // A stray cs_exit with no open passage is a no-op.
         stats.cs_exit(0);
-        assert_eq!(stats.total_passages(), 1);
+        assert_eq!(stats.records().len(), 1);
     }
 
     #[test]
@@ -494,7 +462,7 @@ mod tests {
         merged.merge_from(&cell_a);
         merged.merge_from(&cell_b);
 
-        assert_eq!(merged.total_passages(), 3);
+        assert_eq!(merged.records().len(), 3);
         assert_eq!(merged.total_entered(), 2);
         assert_eq!(merged.max_entered_rmrs(), 5);
         assert_eq!(merged.max_aborted_rmrs(), 9);
@@ -507,24 +475,7 @@ mod tests {
         let recs = merged.records();
         assert_eq!((recs[0].pid, recs[0].rmrs), (0, 3));
         assert_eq!((recs[2].pid, recs[2].rmrs), (0, 5));
-        assert_eq!(cell_a.total_passages(), 2);
-    }
-
-    #[test]
-    fn dropped_events_surface_in_summary_and_merge() {
-        let stats = PassageStats::new();
-        passage(&stats, 0, 1, true);
-        assert_eq!(stats.summary().dropped_events, 0);
-        stats.note_dropped_events(7);
-        stats.note_dropped_events(3);
-        assert_eq!(stats.dropped_events(), 10);
-        assert_eq!(stats.summary().dropped_events, 10);
-
-        let merged = PassageStats::new();
-        merged.note_dropped_events(1);
-        merged.merge_from(&stats);
-        assert_eq!(merged.summary().dropped_events, 11);
-        assert_eq!(stats.dropped_events(), 10, "source untouched");
+        assert_eq!(cell_a.records().len(), 2);
     }
 
     #[test]
@@ -534,7 +485,7 @@ mod tests {
         cell.enter_begin(1); // still in flight
         let merged = PassageStats::new();
         merged.merge_from(&cell);
-        assert_eq!(merged.total_passages(), 1);
+        assert_eq!(merged.records().len(), 1);
     }
 
     #[test]
@@ -597,7 +548,7 @@ mod tests {
         let stats = PassageStats::new();
         let handle = stats.clone();
         passage(&handle, 0, 2, true);
-        assert_eq!(stats.total_passages(), 1);
+        assert_eq!(stats.records().len(), 1);
         assert_eq!(stats.max_entered_rmrs(), 2);
     }
 }

@@ -17,9 +17,9 @@
 //! round-robin, bursty runs, forced/replay schedules), the scheduler
 //! grants a **lease** of `1 + extra` steps in one round-trip
 //! ([`StepGate::grant_run`]). The leased process consumes the turns on
-//! a lock-free fast path: [`begin_turn`](StepGate::begin_turn) sees it
+//! a lock-free fast path: `begin_turn` sees it
 //! still holds the lease and returns without touching the mutex, and
-//! [`end_turn`](StepGate::end_turn) decrements the lease counter and
+//! `end_turn` decrements the lease counter and
 //! bumps the atomic step counter without waking the scheduler. Only the
 //! final step of a lease takes the slow path and hands the turn back.
 //!
@@ -295,7 +295,7 @@ impl StepGate {
     /// # Panics
     ///
     /// Unwinds with a private payload when the simulation shuts down.
-    pub fn begin_turn(&self, p: Pid) {
+    fn begin_turn(&self, p: Pid) {
         // Lease fast path: we still hold the turn from the last grant.
         if self.lease_holder.load(Ordering::Acquire) == p
             && !self.shutdown_flag.load(Ordering::Relaxed)
@@ -329,7 +329,7 @@ impl StepGate {
     /// Return the turn after completing one operation. Mid-lease this
     /// consumes one leased step lock-free and keeps the turn; the final
     /// step of a grant hands the turn back to the scheduler.
-    pub fn end_turn(&self, p: Pid) {
+    fn end_turn(&self, p: Pid) {
         if self.lease_holder.load(Ordering::Acquire) == p {
             let left = self.lease_left.load(Ordering::Relaxed);
             if left > 0 {

@@ -3,12 +3,13 @@
 //! results — the engine behind every Table-1 and figure experiment.
 //!
 //! All passage accounting flows through a [`sal_obs::PassageStats`]
-//! probe attached to the lock; callers can attach additional sinks
-//! (an [`sal_obs::EventLog`], a [`sal_obs::FairnessMonitor`], …) with
-//! [`run_lock_probed`] / [`run_one_shot_probed`] and every hook fans
-//! out to them from the same execution. The sinks are cheap cloneable
-//! handles: pass `sink.clone()` in and keep the original to read the
-//! results afterwards.
+//! probe attached to the lock; [`run_lock`] takes one more sink (an
+//! [`sal_obs::EventLog`], a [`sal_obs::FairnessMonitor`], …, or
+//! [`NoProbe`]) and every hook fans out to it from the same execution.
+//! The sinks are cheap cloneable handles: pass `sink.clone()` in and
+//! keep the original to read the results afterwards. A lock that
+//! [`is_one_shot`](AbortableLock::is_one_shot) has its doorway tickets
+//! recorded, so the FCFS check covers it.
 
 use crate::events::{EventKind, FcfsViolation, MutexViolation};
 use crate::gate::SteppedMem;
@@ -98,8 +99,8 @@ pub struct WorkloadReport {
     pub steps: u64,
     /// Mutual-exclusion check over the event log.
     pub mutex_check: Result<(), MutexViolation>,
-    /// FCFS check (meaningful only when the body recorded doorway
-    /// tickets, i.e. for [`run_one_shot`]).
+    /// FCFS check over the recorded doorway tickets (meaningful only
+    /// for a one-shot lock: no other lock's tickets are recorded).
     pub fcfs_check: Result<(), FcfsViolation>,
     /// Per-process `(entered, aborted)` tallies.
     pub outcomes: Vec<(usize, usize)>,
@@ -143,29 +144,17 @@ impl WorkloadReport {
     }
 }
 
-/// Run `lock` under the given workload and schedule. `cs_word` is a
-/// shared scratch word the CS body hammers (allocate it in the same
-/// memory as the lock).
+/// Run `lock` under the given workload and schedule, fanning every
+/// passage hook out to `probe` as well as the report's internal
+/// [`PassageStats`] (pass [`NoProbe`] for none). `cs_word` is a shared
+/// scratch word the CS body hammers (allocate it in the same memory as
+/// the lock).
 ///
 /// # Errors
 ///
 /// Propagates [`SimError`] (step-limit ⇒ livelock/starvation, or a body
 /// panic such as a capacity assertion).
-pub fn run_lock<M: Mem + ?Sized>(
-    lock: &dyn AbortableLock,
-    mem: &M,
-    cs_word: WordId,
-    spec: &WorkloadSpec,
-    policy: Box<dyn SchedulePolicy>,
-) -> Result<WorkloadReport, SimError> {
-    run_inner(&DynLock(lock), mem, cs_word, spec, policy, false, NoProbe)
-}
-
-/// [`run_lock`] with an extra probe sink: every passage hook the run
-/// generates is fanned out to `probe` as well as the report's internal
-/// [`PassageStats`]. Pass a clone of a sink handle (or an
-/// `Arc<impl Probe>`) and keep the original for reading.
-pub fn run_lock_probed<M: Mem + ?Sized, U: Probe + 'static>(
+pub fn run_lock<M: Mem + ?Sized, U: Probe + 'static>(
     lock: &dyn AbortableLock,
     mem: &M,
     cs_word: WordId,
@@ -173,7 +162,7 @@ pub fn run_lock_probed<M: Mem + ?Sized, U: Probe + 'static>(
     policy: Box<dyn SchedulePolicy>,
     probe: U,
 ) -> Result<WorkloadReport, SimError> {
-    run_inner(&DynLock(lock), mem, cs_word, spec, policy, false, probe)
+    run_inner(&DynLock(lock), mem, cs_word, spec, policy, probe)
 }
 
 /// Statically-dispatched [`run_lock`]: drive a lock through its
@@ -181,7 +170,7 @@ pub fn run_lock_probed<M: Mem + ?Sized, U: Probe + 'static>(
 /// with no `dyn` boundary between the harness and the algorithm.
 ///
 /// Behaviour is identical to [`run_lock`] on the same lock — the `dyn`
-/// entry points are this function applied to [`DynLock`] — which is
+/// entry point is the same driver applied to [`DynLock`] — which is
 /// what `tests/mono_equivalence.rs` checks.
 pub fn run_lock_core<M, L>(
     lock: &L,
@@ -194,55 +183,7 @@ where
     M: Mem + ?Sized,
     L: for<'a> LockCore<SteppedMem<'a, M>, (PassageStats, NoProbe)>,
 {
-    run_inner(lock, mem, cs_word, spec, policy, false, NoProbe)
-}
-
-/// [`run_lock_core`] with an extra probe sink (statically-dispatched
-/// analogue of [`run_lock_probed`]). `doorway_tickets` selects whether
-/// doorway tickets are recorded for the FCFS check, covering the
-/// [`run_one_shot`] flavour too.
-#[allow(clippy::too_many_arguments)]
-pub fn run_lock_core_probed<M, L, U>(
-    lock: &L,
-    mem: &M,
-    cs_word: WordId,
-    spec: &WorkloadSpec,
-    policy: Box<dyn SchedulePolicy>,
-    doorway_tickets: bool,
-    probe: U,
-) -> Result<WorkloadReport, SimError>
-where
-    M: Mem + ?Sized,
-    U: Probe + 'static,
-    L: for<'a> LockCore<SteppedMem<'a, M>, (PassageStats, U)>,
-{
-    run_inner(lock, mem, cs_word, spec, policy, doorway_tickets, probe)
-}
-
-/// Like [`run_lock`], but additionally records doorway tickets (as
-/// reported by [`AbortableLock::enter`]'s [`Outcome`](sal_core::Outcome))
-/// so that the FCFS check is meaningful. Use with locks that have an
-/// FCFS doorway — the one-shot locks.
-pub fn run_one_shot<M: Mem + ?Sized>(
-    lock: &dyn AbortableLock,
-    mem: &M,
-    cs_word: WordId,
-    spec: &WorkloadSpec,
-    policy: Box<dyn SchedulePolicy>,
-) -> Result<WorkloadReport, SimError> {
-    run_inner(&DynLock(lock), mem, cs_word, spec, policy, true, NoProbe)
-}
-
-/// [`run_one_shot`] with an extra probe sink.
-pub fn run_one_shot_probed<M: Mem + ?Sized, U: Probe + 'static>(
-    lock: &dyn AbortableLock,
-    mem: &M,
-    cs_word: WordId,
-    spec: &WorkloadSpec,
-    policy: Box<dyn SchedulePolicy>,
-    probe: U,
-) -> Result<WorkloadReport, SimError> {
-    run_inner(&DynLock(lock), mem, cs_word, spec, policy, true, probe)
+    run_inner(lock, mem, cs_word, spec, policy, NoProbe)
 }
 
 /// Run one independent simulation per seed on a pool of `jobs` workers
@@ -268,18 +209,16 @@ where
         .collect()
 }
 
-/// The one workload driver behind every `run_*` entry point, generic
+/// The one workload driver behind both `run_*` entry points, generic
 /// over the lock's [`LockCore`] impl at the harness's stepped memory
 /// type. The `dyn`-dispatch flavour is this same function instantiated
 /// at [`DynLock`], so both flavours execute literally the same driver.
-#[allow(clippy::too_many_arguments)]
 fn run_inner<M, L, U>(
     lock: &L,
     mem: &M,
     cs_word: WordId,
     spec: &WorkloadSpec,
     policy: Box<dyn SchedulePolicy>,
-    doorway_tickets: bool,
     user_probe: U,
 ) -> Result<WorkloadReport, SimError>
 where
@@ -288,6 +227,7 @@ where
     L: for<'a> LockCore<SteppedMem<'a, M>, (PassageStats, U)>,
 {
     let nprocs = spec.plans.len();
+    let one_shot = lock.is_one_shot();
     let stats = PassageStats::new();
     // An owned pair of sinks: a `'static` probe type, as the
     // trait-object lock API requires when `L` is a `DynLock`.
@@ -303,7 +243,7 @@ where
             ctx.event(EventKind::EnterStart);
             let do_enter = |signal: &dyn AbortSignal| {
                 let outcome = lock.enter_core(ctx.mem, ctx.pid, signal, &probe);
-                if doorway_tickets {
+                if one_shot {
                     if let Some(t) = outcome.ticket() {
                         // Ticket *values* (not event positions) drive the
                         // FCFS check, so post-enter recording is sound.
@@ -367,7 +307,8 @@ mod tests {
     fn all_processes_enter_under_round_robin() {
         let (lock, cs, mem) = one_shot(6, 2);
         let spec = WorkloadSpec::uniform(6, 1);
-        let report = run_lock(&lock, &mem, cs, &spec, Box::new(RoundRobin::new())).unwrap();
+        let report =
+            run_lock(&lock, &mem, cs, &spec, Box::new(RoundRobin::new()), NoProbe).unwrap();
         report.assert_safe();
         assert_eq!(report.total_entered(), 6);
         assert_eq!(mem.read(0, cs), 6);
@@ -378,12 +319,13 @@ mod tests {
         for seed in 0..30 {
             let (lock, cs, mem) = one_shot(5, 2);
             let spec = WorkloadSpec::uniform(5, 1);
-            let report = run_one_shot(
+            let report = run_lock(
                 &lock,
                 &mem,
                 cs,
                 &spec,
                 Box::new(RandomSchedule::seeded(seed)),
+                NoProbe,
             )
             .unwrap();
             report.assert_safe();
@@ -410,7 +352,15 @@ mod tests {
             max_steps: 1_000_000,
             lease: crate::sim::default_lease(),
         };
-        let report = run_lock(&lock, &mem, cs, &spec, Box::new(RandomSchedule::seeded(9))).unwrap();
+        let report = run_lock(
+            &lock,
+            &mem,
+            cs,
+            &spec,
+            Box::new(RandomSchedule::seeded(9)),
+            NoProbe,
+        )
+        .unwrap();
         report.assert_safe();
         // The two normal processes must get in; aborters may get in (if
         // handed the lock early) or abort.
@@ -424,7 +374,8 @@ mod tests {
     fn per_passage_rmrs_are_recorded() {
         let (lock, cs, mem) = one_shot(3, 2);
         let spec = WorkloadSpec::uniform(3, 1);
-        let report = run_lock(&lock, &mem, cs, &spec, Box::new(RoundRobin::new())).unwrap();
+        let report =
+            run_lock(&lock, &mem, cs, &spec, Box::new(RoundRobin::new()), NoProbe).unwrap();
         assert_eq!(report.passages.len(), 3);
         assert!(report.passages.iter().all(|p| p.rmrs > 0));
         assert!(report.max_entered_rmrs() >= 1);
@@ -441,8 +392,15 @@ mod tests {
         let ok = par_runs(4, &seeds, |s| {
             let (lock, cs, mem) = one_shot(3, 2);
             let spec = WorkloadSpec::uniform(3, 1);
-            let report = run_lock(&lock, &mem, cs, &spec, Box::new(RandomSchedule::seeded(s)))
-                .map_err(|e| e.to_string())?;
+            let report = run_lock(
+                &lock,
+                &mem,
+                cs,
+                &spec,
+                Box::new(RandomSchedule::seeded(s)),
+                NoProbe,
+            )
+            .map_err(|e| e.to_string())?;
             report.assert_safe();
             Ok::<u64, String>(s)
         })
@@ -465,7 +423,7 @@ mod tests {
         let (lock, cs, mem) = one_shot(4, 2);
         let spec = WorkloadSpec::uniform(4, 1);
         let fairness = sal_obs::FairnessMonitor::new();
-        let report = run_one_shot_probed(
+        let report = run_lock(
             &lock,
             &mem,
             cs,

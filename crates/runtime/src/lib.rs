@@ -15,15 +15,14 @@
 //! * [`simulate`] — run `N` process bodies to completion under a policy,
 //!   with external abort-signal injection and a step-limit
 //!   livelock/starvation detector. Deterministic given the policy.
-//!   [`simulate_probed`] additionally reports abort injections to an
-//!   [`sal_obs::Probe`].
 //! * [`EventLog`] — step-stamped protocol events with post-hoc checkers
 //!   for mutual exclusion and FCFS.
-//! * [`run_lock`]/[`run_one_shot`] — a workload harness over any
+//! * [`run_lock`] — a workload harness over any
 //!   [`sal_core::AbortableLock`]: roles (normal / aborting), per-passage
-//!   RMR accounting through [`sal_obs::PassageStats`], safety verdicts.
-//!   The `_probed` variants fan every passage hook out to caller-supplied
-//!   sinks as well.
+//!   RMR accounting through [`sal_obs::PassageStats`], safety verdicts
+//!   (FCFS over the doorway tickets of one-shot locks). Every passage
+//!   hook fans out to one caller-supplied sink as well;
+//!   [`run_lock_core`] is the same driver, statically dispatched.
 //! * [`SmallRng`] — the workspace's own seeded PRNG (the build
 //!   environment is offline, so randomness is home-grown).
 //! * [`pool`] — a dependency-free work-stealing job pool
@@ -42,6 +41,7 @@
 //! ```
 //! use sal_core::one_shot::OneShotLock;
 //! use sal_memory::MemoryBuilder;
+//! use sal_obs::NoProbe;
 //! use sal_runtime::{run_lock, RandomSchedule, WorkloadSpec};
 //!
 //! let mut b = MemoryBuilder::new();
@@ -51,8 +51,9 @@
 //!
 //! let spec = WorkloadSpec::uniform(4, 1);
 //! let report = run_lock(&lock, &mem, cs, &spec,
-//!                       Box::new(RandomSchedule::seeded(1)))?;
+//!                       Box::new(RandomSchedule::seeded(1)), NoProbe)?;
 //! report.assert_safe();
+//! assert!(report.fcfs_check.is_ok());
 //! assert_eq!(report.total_entered(), 4);
 //! # Ok::<(), sal_runtime::SimError>(())
 //! ```
@@ -79,8 +80,7 @@ pub use explore::{
 };
 pub use gate::{stepped, StepGate, StepLayer, SteppedMem};
 pub use harness::{
-    par_runs, run_lock, run_lock_core, run_lock_core_probed, run_lock_probed, run_one_shot,
-    run_one_shot_probed, ProcPlan, Role, WorkloadReport, WorkloadSpec,
+    par_runs, run_lock, run_lock_core, ProcPlan, Role, WorkloadReport, WorkloadSpec,
 };
 pub use pool::{default_jobs, par_map_indexed, resolve_jobs, run_jobs, Worker};
 pub use replay::{ParseRecordingError, Recorder, Recording, RecordingHandle, Replay};
@@ -89,4 +89,4 @@ pub use schedule::{
     BurstySchedule, RandomSchedule, RoundRobin, SchedStatus, SchedulePolicy, Scripted, PEEK_CAP,
 };
 pub use search::{canonical_schedule, independent, OpTraceSink, SearchStrategy, StepOp, Strategy};
-pub use sim::{default_lease, simulate, simulate_probed, ProcCtx, SimError, SimOptions, SimReport};
+pub use sim::{default_lease, simulate, ProcCtx, SimError, SimOptions, SimReport};

@@ -5,7 +5,6 @@ use crate::events::{EventKind, EventLog};
 use crate::gate::{stepped, Shutdown, StepGate, SteppedMem};
 use crate::schedule::{SchedStatus, SchedulePolicy};
 use sal_memory::{AbortFlag, Mem, Pid};
-use sal_obs::{NoProbe, Probe};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -141,32 +140,8 @@ pub struct SimReport {
 pub fn simulate<M, F>(
     mem: &M,
     nprocs: usize,
-    policy: Box<dyn SchedulePolicy>,
-    opts: SimOptions,
-    body: F,
-) -> Result<SimReport, SimError>
-where
-    M: Mem + ?Sized,
-    F: Fn(&ProcCtx<'_, M>) + Sync,
-{
-    simulate_probed(mem, nprocs, policy, opts, &NoProbe, body)
-}
-
-/// [`simulate`] with an observability sink: scheduler-side happenings that
-/// no process can see from inside its own step sequence are reported to
-/// `probe`. Currently that is abort-signal injection — each delivery from
-/// [`SimOptions::abort_plan`] emits `probe.note(pid, "abort-injected",
-/// step)` at the global step where the flag was set.
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate`].
-pub fn simulate_probed<M, F>(
-    mem: &M,
-    nprocs: usize,
     mut policy: Box<dyn SchedulePolicy>,
     opts: SimOptions,
-    probe: &dyn Probe,
     body: F,
 ) -> Result<SimReport, SimError>
 where
@@ -258,7 +233,6 @@ where
             while plan_idx < plan.len() && plan[plan_idx].1 <= step {
                 let pid = plan[plan_idx].0;
                 flags[pid].set();
-                probe.note(pid, "abort-injected", step);
                 plan_idx += 1;
             }
             if step >= opts.max_steps {
@@ -488,42 +462,6 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert!(events[0].step >= 50, "fired too early: {}", events[0].step);
         assert!(events[0].step <= 60, "fired too late: {}", events[0].step);
-    }
-
-    #[test]
-    fn probed_simulation_notes_abort_injections() {
-        let mut b = MemoryBuilder::new();
-        let w = b.alloc(0);
-        let mem = b.build_cc(2);
-        let log = sal_obs::EventLog::new(64);
-        simulate_probed(
-            &mem,
-            2,
-            Box::new(RoundRobin::new()),
-            SimOptions {
-                max_steps: 100_000,
-                abort_plan: vec![(1, 20)],
-                lease: crate::sim::default_lease(),
-            },
-            &log,
-            |ctx| {
-                if ctx.pid == 1 {
-                    while !ctx.signal.is_set() {
-                        ctx.mem.read(ctx.pid, w);
-                    }
-                } else {
-                    ctx.mem.read(ctx.pid, w);
-                }
-            },
-        )
-        .unwrap();
-        let notes: Vec<_> = log
-            .events()
-            .into_iter()
-            .filter(|e| matches!(e.kind, sal_obs::ObsEventKind::Note("abort-injected", _)))
-            .collect();
-        assert_eq!(notes.len(), 1);
-        assert_eq!(notes[0].pid, 1);
     }
 
     #[test]

@@ -472,7 +472,7 @@ impl<T: ?Sized, P: Probe> Core<T, P> {
         let r = f();
         // The proxy's passage is the inline holder's, reported at the word.
         let probe = (pid != PROXY).then_some(&self.probe);
-        let handoff = self.lock.exit_probed(&self.mem, pid, &probe);
+        let handoff = self.lock.exit(&self.mem, pid, &probe);
         if !satisfied.is_empty() {
             let n = self.ccs.wake(satisfied);
             self.probe.note(pid, "ccs-wake", n as u64);

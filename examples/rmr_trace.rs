@@ -9,7 +9,8 @@
 //! Run with: `cargo run --example rmr_trace`
 
 use sal_bench::{build_lock, LockKind};
-use sal_runtime::{run_one_shot, EventKind, ProcPlan, RandomSchedule, WorkloadSpec};
+use sal_obs::NoProbe;
+use sal_runtime::{run_lock, EventKind, ProcPlan, RandomSchedule, WorkloadSpec};
 
 fn run(n: usize, aborters: usize, label: &str) {
     println!("\n--- {label} (N = {n}, {aborters} aborters, B = 8) ---");
@@ -23,12 +24,13 @@ fn run(n: usize, aborters: usize, label: &str) {
         max_steps: 5_000_000,
         lease: sal_runtime::default_lease(),
     };
-    let report = run_one_shot(
+    let report = run_lock(
         &*built.lock,
         &built.mem,
         built.cs_word,
         &spec,
         Box::new(RandomSchedule::seeded(2024)),
+        NoProbe,
     )
     .expect("simulation failed");
 
@@ -78,7 +80,9 @@ fn main() {
     // Paper claim (Theorem 2): a complete passage costs O(log_W A_i).
     run(16, 13, "abort storm: completing passages pay O(log_W A)");
 
-    // Bonus: a peek at the raw event log of a tiny run.
+    // Bonus: a peek at the raw event log of a tiny run. The harness
+    // records a one-shot lock's doorway tickets, which is what the FCFS
+    // verdict above is checked against.
     println!("\n--- event timeline (N = 3, process 1 aborts) ---");
     let built = build_lock(LockKind::OneShot { b: 2 }, 3, 3);
     let spec = WorkloadSpec {
@@ -91,12 +95,13 @@ fn main() {
         max_steps: 100_000,
         lease: sal_runtime::default_lease(),
     };
-    let report = run_one_shot(
+    let report = run_lock(
         &*built.lock,
         &built.mem,
         built.cs_word,
         &spec,
         Box::new(RandomSchedule::seeded(7)),
+        NoProbe,
     )
     .expect("simulation failed");
     for e in &report.events {

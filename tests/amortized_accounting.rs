@@ -19,8 +19,7 @@ use sal_memory::Mem;
 use sal_memory::MemoryBuilder;
 use sal_obs::{AmortizedStats, Json, PassageStats, ToJson};
 use sal_runtime::{
-    run_lock_probed, run_one_shot_probed, ProcPlan, RandomSchedule, RoundRobin, SchedulePolicy,
-    Scripted, WorkloadSpec,
+    run_lock, ProcPlan, RandomSchedule, RoundRobin, SchedulePolicy, Scripted, WorkloadSpec,
 };
 
 /// The invariant under test, checked from first principles: the
@@ -94,8 +93,8 @@ fn jj_amortized_matches_cc_ground_truth_on_scripted_and_random_schedules() {
         } else {
             Box::new(RandomSchedule::seeded(seed))
         };
-        let report = run_lock_probed(&lock, &mem, cs, &jj_spec(), policy, stats.clone())
-            .expect("sim failed");
+        let report =
+            run_lock(&lock, &mem, cs, &jj_spec(), policy, stats.clone()).expect("sim failed");
         assert!(report.mutex_check.is_ok(), "seed {seed}");
         assert!(
             stats.amortized().aborted > 0,
@@ -118,7 +117,7 @@ fn jj_amortized_matches_dsm_ground_truth() {
         let cs = b.alloc(0);
         let mem = b.build_dsm(n);
         let stats = PassageStats::new();
-        let report = run_lock_probed(
+        let report = run_lock(
             &lock,
             &mem,
             cs,
@@ -153,7 +152,7 @@ fn one_shot_amortized_matches_cc_ground_truth() {
         lease: sal_runtime::default_lease(),
     };
     let stats = PassageStats::new();
-    let report = run_one_shot_probed(
+    let report = run_lock(
         &lock,
         &mem,
         cs,
@@ -182,7 +181,7 @@ fn merging_cells_equals_one_shared_sink_at_both_levels() {
         let cs = b.alloc(0);
         let mem = b.build_cc(n);
         let cell = PassageStats::new();
-        let report = run_lock_probed(
+        let report = run_lock(
             &lock,
             &mem,
             cs,
@@ -213,7 +212,7 @@ fn json_codec_round_trips_the_aggregate_bit_exactly() {
     let cs = b.alloc(0);
     let mem = b.build_cc(n);
     let stats = PassageStats::new();
-    run_lock_probed(
+    run_lock(
         &lock,
         &mem,
         cs,

@@ -5,6 +5,7 @@
 
 use sal_bench::{build_lock, LockKind};
 use sal_memory::Mem;
+use sal_obs::NoProbe;
 use sal_runtime::{run_lock, ProcPlan, RandomSchedule, WorkloadSpec};
 
 /// Registry-driven: every `LockKind::NAMES` entry at branching 4 (so a
@@ -44,6 +45,7 @@ fn conformance(kind: LockKind, n: usize, aborters: usize, seed: u64) {
         built.cs_word,
         &spec,
         Box::new(RandomSchedule::seeded(seed)),
+        NoProbe,
     )
     .unwrap_or_else(|e| panic!("{kind:?} n={n} seed={seed}: {e}"));
     assert!(
@@ -108,7 +110,6 @@ fn heavier_contention_spot_checks() {
 #[test]
 fn non_abortable_locks_ignore_signals() {
     use sal_memory::{AbortFlag, AbortSignal};
-    use sal_obs::NoProbe;
     for kind in [LockKind::Mcs, LockKind::Ticket] {
         let built = build_lock(kind, 2, 4);
         let sig = AbortFlag::new();
@@ -128,7 +129,6 @@ fn non_abortable_locks_ignore_signals() {
 #[test]
 fn pre_fired_signal_aborts_promptly_when_held() {
     use sal_memory::{AbortFlag, NeverAbort};
-    use sal_obs::NoProbe;
     for kind in all_kinds() {
         if !kind.abortable() || kind.one_shot() {
             // (one-shot kinds covered in their own crates' tests; here

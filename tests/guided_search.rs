@@ -4,6 +4,7 @@
 
 use sal_bench::{worst_case_sweep, ExploreCell, LockKind};
 use sal_memory::{Layered, Mem, MemoryBuilder};
+use sal_obs::NoProbe;
 use sal_runtime::{
     explore_guided, simulate, ExploreOptions, ForcedSchedule, GuidedOutcome, OpTraceSink,
     SimOptions, Strategy,
@@ -17,7 +18,7 @@ use sal_runtime::{
 fn best_first_rediscovers_the_worst_case_witness() {
     let kind = LockKind::OneShot { b: 4 };
     let n = 5;
-    let reference = worst_case_sweep(kind, n, 3).unwrap();
+    let reference = worst_case_sweep(kind, n, 3, NoProbe).unwrap();
     assert!(reference.mutex_ok);
 
     let cell = ExploreCell::contended(kind, n);

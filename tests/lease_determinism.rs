@@ -7,9 +7,10 @@
 //! caps, large caps, and `0` (unbounded).
 
 use sal_bench::{build_lock, LockKind};
+use sal_obs::NoProbe;
 use sal_runtime::{
-    explore, run_lock, run_one_shot, BurstySchedule, ExploreOptions, ForcedSchedule, ProcPlan,
-    RandomSchedule, Recorder, Recording, SchedulePolicy, WorkloadReport, WorkloadSpec,
+    explore, run_lock, BurstySchedule, ExploreOptions, ForcedSchedule, ProcPlan, RandomSchedule,
+    Recorder, Recording, SchedulePolicy, WorkloadReport, WorkloadSpec,
 };
 
 /// The cap sweep every test runs: per-step reference, short lease, long
@@ -46,11 +47,14 @@ fn run_cell(
         max_steps: 2_000_000,
         lease,
     };
-    let report = if kind.one_shot() {
-        run_one_shot(&*built.lock, &built.mem, built.cs_word, &spec, policy)
-    } else {
-        run_lock(&*built.lock, &built.mem, built.cs_word, &spec, policy)
-    }
+    let report = run_lock(
+        &*built.lock,
+        &built.mem,
+        built.cs_word,
+        &spec,
+        policy,
+        NoProbe,
+    )
     .expect("simulation failed");
     assert!(report.mutex_check.is_ok());
     report
@@ -205,12 +209,13 @@ fn exploration_trace_is_identical_at_every_cap() {
                 max_steps: 100_000,
                 lease: cap,
             };
-            let report = run_one_shot(
+            let report = run_lock(
                 &*built.lock,
                 &built.mem,
                 built.cs_word,
                 &spec,
                 Box::new(policy),
+                NoProbe,
             )
             .map_err(|e| e.to_string())?;
             report.mutex_check.as_ref().map_err(|v| format!("{v:?}"))?;

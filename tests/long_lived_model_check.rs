@@ -6,6 +6,7 @@
 
 use sal_bench::{build_lock, LockKind};
 use sal_memory::Mem;
+use sal_obs::NoProbe;
 use sal_runtime::{
     run_lock, BurstySchedule, ProcPlan, RandomSchedule, SchedulePolicy, WorkloadSpec,
 };
@@ -20,8 +21,15 @@ fn check(kind: LockKind, plans: Vec<ProcPlan>, policy: Box<dyn SchedulePolicy>, 
         max_steps: 20_000_000,
         lease: sal_runtime::default_lease(),
     };
-    let report = run_lock(&*built.lock, &built.mem, built.cs_word, &spec, policy)
-        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+    let report = run_lock(
+        &*built.lock,
+        &built.mem,
+        built.cs_word,
+        &spec,
+        policy,
+        NoProbe,
+    )
+    .unwrap_or_else(|e| panic!("{tag}: {e}"));
     assert!(
         report.mutex_check.is_ok(),
         "{tag}: {:?}",
@@ -59,7 +67,6 @@ fn bounded_aborts_that_hand_the_lock_on_say_so() {
     use sal_core::long_lived::BoundedLongLivedLock;
     use sal_core::EnterStep;
     use sal_memory::{AbortSignal, MemoryBuilder};
-    use sal_obs::NoProbe;
     use sal_runtime::{simulate, SimOptions};
     for seed in 0..400u64 {
         let n = 3;
@@ -84,7 +91,7 @@ fn bounded_aborts_that_hand_the_lock_on_say_so() {
                             while m.read(pid, hint) == seen && !ctx.signal.is_set() {}
                         }
                         EnterStep::Acquired { .. } => {
-                            lock.exit(m, pid);
+                            let _ = lock.exit(m, pid, &NoProbe);
                             m.faa(pid, hint, 1);
                             break;
                         }

@@ -5,7 +5,9 @@
 //! model checks genuinely cover them.
 
 use sal_core::long_lived::BoundedLongLivedLock;
+use sal_core::LockCore;
 use sal_memory::{Mem, MemoryBuilder, NeverAbort};
+use sal_obs::NoProbe;
 use sal_runtime::{simulate, BurstySchedule, RandomSchedule, SimOptions};
 
 fn run_contended(seed: u64, bursty: bool) -> (u64, u64, u64, u64) {
@@ -30,9 +32,11 @@ fn run_contended(seed: u64, bursty: bool) -> (u64, u64, u64, u64) {
         },
         |ctx| {
             for _ in 0..6 {
-                assert!(lock.enter(ctx.mem, ctx.pid, &NeverAbort));
+                assert!(lock
+                    .enter_core(ctx.mem, ctx.pid, &NeverAbort, &NoProbe)
+                    .entered());
                 ctx.mem.faa(ctx.pid, cs, 1);
-                lock.exit(ctx.mem, ctx.pid);
+                lock.exit_core(ctx.mem, ctx.pid, &NoProbe);
             }
         },
     )
@@ -82,8 +86,8 @@ fn solo_runs_switch_without_spinning() {
     let lock = BoundedLongLivedLock::layout(&mut b, 1, 2);
     let mem = b.build_cc(1);
     for _ in 0..10 {
-        assert!(lock.enter(&mem, 0, &NeverAbort));
-        lock.exit(&mem, 0);
+        assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(&mem, 0, &NoProbe);
     }
     let (spins, _skips, switches, failures) = lock.stats().snapshot();
     assert_eq!(spins, 0, "a solo process never waits");

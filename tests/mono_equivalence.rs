@@ -17,8 +17,8 @@ use sal_core::{AbortableLock, LockCore};
 use sal_memory::{CcMemory, Mem, MemoryBuilder, Pid, WordId};
 use sal_obs::{NoProbe, PassageStats};
 use sal_runtime::{
-    run_lock, run_lock_core_probed, run_one_shot, ProcPlan, RandomSchedule, RoundRobin,
-    SchedulePolicy, Scripted, SteppedMem, WorkloadReport, WorkloadSpec,
+    run_lock, run_lock_core, ProcPlan, RandomSchedule, RoundRobin, SchedulePolicy, Scripted,
+    SteppedMem, WorkloadReport, WorkloadSpec,
 };
 
 fn build<L>(make: &impl Fn(&mut MemoryBuilder, usize) -> L, n: usize) -> (L, CcMemory, WordId) {
@@ -51,8 +51,9 @@ fn assert_reports_equal(label: &str, mono: &WorkloadReport, dynr: &WorkloadRepor
 
 /// Run the same (layout, workload, schedule) through both dispatch
 /// flavours and require identical reports. Fresh lock + memory per
-/// flavour: the runs share nothing but the construction recipe.
-fn check<L, F, P>(label: &str, make: F, n: usize, spec: &WorkloadSpec, policy: P, one_shot: bool)
+/// flavour: the runs share nothing but the construction recipe. Both
+/// flavours record doorway tickets exactly when the lock is one-shot.
+fn check<L, F, P>(label: &str, make: F, n: usize, spec: &WorkloadSpec, policy: P)
 where
     L: AbortableLock
         + for<'a> LockCore<SteppedMem<'a, CcMemory>, (PassageStats, NoProbe)>
@@ -61,25 +62,12 @@ where
     P: Fn() -> Box<dyn SchedulePolicy>,
 {
     let (mono_lock, mono_mem, mono_cs) = build(&make, n);
-    let mono = run_lock_core_probed(
-        &mono_lock,
-        &mono_mem,
-        mono_cs,
-        spec,
-        policy(),
-        one_shot,
-        NoProbe,
-    )
-    .expect("mono run failed");
+    let mono =
+        run_lock_core(&mono_lock, &mono_mem, mono_cs, spec, policy()).expect("mono run failed");
 
     let (dyn_lock, dyn_mem, dyn_cs) = build(&make, n);
     let facade: &dyn AbortableLock = &dyn_lock;
-    let dynr = if one_shot {
-        run_one_shot(facade, &dyn_mem, dyn_cs, spec, policy())
-    } else {
-        run_lock(facade, &dyn_mem, dyn_cs, spec, policy())
-    }
-    .expect("dyn run failed");
+    let dynr = run_lock(facade, &dyn_mem, dyn_cs, spec, policy(), NoProbe).expect("dyn run failed");
 
     assert_reports_equal(label, &mono, &dynr);
     // The raw memory accounting agrees too, not just the probe's view.
@@ -139,7 +127,6 @@ macro_rules! long_lived_case {
                 n,
                 &spec,
                 || scripted(n),
-                false,
             );
             for seed in seeds() {
                 check(
@@ -148,7 +135,6 @@ macro_rules! long_lived_case {
                     n,
                     &spec,
                     || Box::new(RandomSchedule::seeded(seed)),
-                    false,
                 );
             }
         }
@@ -189,21 +175,13 @@ long_lived_case!(jj_mono_equals_dyn, JjLock::layout, 6, 2);
 fn classic_locks_mono_equals_dyn() {
     let n = 5;
     let spec = WorkloadSpec::uniform(n, 3);
-    check(
-        "mcs/scripted",
-        McsLock::layout,
-        n,
-        &spec,
-        || scripted(n),
-        false,
-    );
+    check("mcs/scripted", McsLock::layout, n, &spec, || scripted(n));
     check(
         "ticket/scripted",
         |b, _n| TicketLock::layout(b),
         n,
         &spec,
         || scripted(n),
-        false,
     );
     for seed in seeds() {
         check(
@@ -212,7 +190,6 @@ fn classic_locks_mono_equals_dyn() {
             n,
             &spec,
             || Box::new(RandomSchedule::seeded(seed)),
-            false,
         );
         check(
             &format!("ticket/seed{seed}"),
@@ -220,7 +197,6 @@ fn classic_locks_mono_equals_dyn() {
             n,
             &spec,
             || Box::new(RandomSchedule::seeded(seed)),
-            false,
         );
     }
 }
@@ -237,7 +213,6 @@ fn one_shot_locks_mono_equals_dyn() {
         n,
         &spec,
         || scripted(n),
-        true,
     );
     check(
         "one-shot-dsm/scripted",
@@ -245,7 +220,6 @@ fn one_shot_locks_mono_equals_dyn() {
         n,
         &spec,
         || scripted(n),
-        true,
     );
     for seed in seeds() {
         check(
@@ -254,7 +228,6 @@ fn one_shot_locks_mono_equals_dyn() {
             n,
             &spec,
             || Box::new(RandomSchedule::seeded(seed)),
-            true,
         );
         check(
             &format!("one-shot-dsm/seed{seed}"),
@@ -262,7 +235,6 @@ fn one_shot_locks_mono_equals_dyn() {
             n,
             &spec,
             || Box::new(RandomSchedule::seeded(seed)),
-            true,
         );
     }
 }

@@ -5,20 +5,22 @@
 //! by `CcMemory` — the ground truth the paper's cost model defines.
 //!
 //! Covered from both directions:
-//! * harness-driven runs (`run_one_shot_probed` / `run_lock_probed`),
-//!   where every shared-memory operation of enter, CS and exit flows
-//!   through the probe, for the one-shot and the long-lived lock, with
-//!   and without aborters;
-//! * directly-driven locks (`enter_probed` / `exit_probed` plus a
-//!   `ProbedMem`-wrapped critical section), with no simulator at all.
+//! * harness-driven runs (`run_lock` with an extra sink), where every
+//!   shared-memory operation of enter, CS and exit flows through the
+//!   probe, for the one-shot and the long-lived lock, with and without
+//!   aborters;
+//! * directly-driven locks (`enter_core` / `exit_core` plus a
+//!   `ProbedMem`-wrapped critical section), with no simulator at all,
+//!   for every lock in the registry.
 
+use sal_bench::{build_lock, LockKind};
 use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::one_shot::OneShotLock;
+use sal_core::{DynLock, Immediate, LockCore};
 use sal_memory::{Mem, MemoryBuilder, NeverAbort, WordId};
 use sal_obs::{probed, PassageRecord, PassageStats};
 use sal_runtime::{
-    run_lock_probed, run_one_shot_probed, ProcPlan, RandomSchedule, RoundRobin, Scripted,
-    WorkloadReport, WorkloadSpec,
+    run_lock, ProcPlan, RandomSchedule, RoundRobin, Scripted, WorkloadReport, WorkloadSpec,
 };
 
 /// The invariant under test: every RMR the memory charged appears in
@@ -71,7 +73,7 @@ fn one_shot_passages_match_cc_ground_truth_on_a_scripted_schedule() {
     let spec = WorkloadSpec::uniform(n, 1);
     // Interleave the doorways pairwise before falling back to RR.
     let extra = PassageStats::new();
-    let report = run_one_shot_probed(
+    let report = run_lock(
         &lock,
         &mem,
         cs,
@@ -107,7 +109,7 @@ fn one_shot_aborted_attempts_are_charged_to_their_passage() {
         lease: sal_runtime::default_lease(),
     };
     let extra = PassageStats::new();
-    let report = run_one_shot_probed(
+    let report = run_lock(
         &lock,
         &mem,
         cs,
@@ -150,8 +152,7 @@ fn long_lived_passages_match_cc_ground_truth_on_scripted_and_random_schedules() 
         } else {
             Box::new(RandomSchedule::seeded(seed))
         };
-        let report =
-            run_lock_probed(&lock, &mem, cs, &spec, policy, extra.clone()).expect("sim failed");
+        let report = run_lock(&lock, &mem, cs, &spec, policy, extra.clone()).expect("sim failed");
         assert!(report.mutex_check.is_ok(), "seed {seed}");
         // Long-lived passages include instance switches (the §6.2 reset
         // work) — all of it must land in some passage record.
@@ -171,9 +172,9 @@ fn directly_driven_one_shot_matches_ground_truth_without_the_harness() {
     // Sequential passages, no simulator: the probed entry points plus a
     // ProbedMem-wrapped CS are the whole accounting path.
     for p in 0..n {
-        assert!(lock.enter_probed(&mem, p, &NeverAbort, &stats).entered());
+        assert!(lock.enter_core(&mem, p, &NeverAbort, &stats).entered());
         probed(&mem, &stats).faa(p, cs, 1);
-        lock.exit_probed(&mem, p, &stats);
+        lock.exit_core(&mem, p, &stats);
     }
     // Ground truth first: the verification read of `cs` below is itself
     // an (unprobed) RMR and would skew the counters.
@@ -193,11 +194,52 @@ fn directly_driven_long_lived_matches_ground_truth_across_instance_switches() {
     // fully attributed.
     for attempt in 0..8 {
         let p = attempt % 2;
-        assert!(lock.enter_probed(&mem, p, &NeverAbort, &stats));
+        assert!(lock.enter_core(&mem, p, &NeverAbort, &stats).entered());
         probed(&mem, &stats).faa(p, cs, 1);
-        lock.exit_probed(&mem, p, &stats);
+        lock.exit_core(&mem, p, &stats);
     }
     assert_eq!(stats.total_entered(), 8);
     assert_matches_ground_truth(&stats.records(), &mem, 2, "direct long-lived");
     assert_eq!(mem.read(0, cs), 8);
+}
+
+#[test]
+fn every_registry_lock_driven_directly_matches_ground_truth() {
+    let n = 4;
+    for name in LockKind::NAMES {
+        let kind = LockKind::parse(name, 4).expect("registry name");
+        // One-shot locks admit one attempt per process.
+        let rounds = if kind.one_shot() { 1 } else { 3 };
+        let built = build_lock(kind, n, n * rounds);
+        let (lock, mem) = (DynLock(&*built.lock), &built.mem);
+        let stats = PassageStats::new();
+        let mut attempts = 0;
+        for round in 0..rounds {
+            for p in 0..n {
+                // Process 1's first attempt is the aborted one below.
+                if round == 0 && p == 1 && kind.abortable() {
+                    continue;
+                }
+                assert!(lock.enter_core(mem, p, &NeverAbort, &stats).entered());
+                attempts += 1;
+                if round == 0 && p == 0 && kind.abortable() {
+                    // Process 1 attempts while process 0 holds the lock,
+                    // its signal already fired: the attempt must abort.
+                    let outcome = lock.enter_core(mem, 1, &Immediate, &stats);
+                    assert!(outcome.aborted(), "{name}: {outcome:?}");
+                    attempts += 1;
+                }
+                probed(mem, &stats).faa(p, built.cs_word, 1);
+                lock.exit_core(mem, p, &stats);
+            }
+        }
+        let records = stats.records();
+        assert_eq!(records.len(), attempts, "{name}: one record per attempt");
+        assert_eq!(
+            records.iter().filter(|r| !r.entered).count(),
+            usize::from(kind.abortable()),
+            "{name}: aborted records"
+        );
+        assert_matches_ground_truth(&records, mem, n, name);
+    }
 }

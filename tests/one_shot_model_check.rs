@@ -3,11 +3,15 @@
 //! configurations, asserting the four problem-statement properties of §2
 //! plus FCFS (§5.3).
 
+use sal_baselines::TicketLock;
 use sal_core::one_shot::OneShotLock;
 use sal_core::tree::Ascent;
+use sal_core::LockCore;
 use sal_memory::{CcMemory, MemoryBuilder, WordId};
+use sal_obs::NoProbe;
 use sal_runtime::{
-    run_one_shot, BurstySchedule, ProcPlan, RandomSchedule, SchedulePolicy, WorkloadSpec,
+    run_lock, BurstySchedule, EventKind, ProcPlan, RandomSchedule, SchedulePolicy, WorkloadReport,
+    WorkloadSpec,
 };
 
 fn build(n: usize, b: usize, ascent: Ascent) -> (OneShotLock, WordId, CcMemory) {
@@ -32,7 +36,7 @@ fn check(
         max_steps: 5_000_000,
         lease: sal_runtime::default_lease(),
     };
-    let report = run_one_shot(&lock, &mem, cs, &spec, policy)
+    let report = run_lock(&lock, &mem, cs, &spec, policy, NoProbe)
         .unwrap_or_else(|e| panic!("{tag}: simulation failed: {e}"));
     // Mutual exclusion (requirement 1).
     assert!(
@@ -183,7 +187,7 @@ fn aborts_that_hand_the_lock_on_say_so() {
                         while m.read(pid, hint) == seen && !ctx.signal.is_set() {}
                     }
                     EnterStep::Acquired { .. } => {
-                        lock.exit(m, pid);
+                        lock.exit_core(m, pid, &NoProbe);
                         m.faa(pid, hint, 1);
                         return;
                     }
@@ -266,12 +270,13 @@ fn dsm_variant_model_check() {
             max_steps: 5_000_000,
             lease: sal_runtime::default_lease(),
         };
-        let report = run_one_shot(
+        let report = run_lock(
             &lock,
             &mem,
             cs,
             &spec,
             Box::new(RandomSchedule::seeded(seed)),
+            NoProbe,
         )
         .unwrap_or_else(|e| panic!("dsm seed={seed}: {e}"));
         assert!(report.mutex_check.is_ok(), "dsm seed={seed}");
@@ -297,15 +302,63 @@ fn bounded_abort_under_any_schedule() {
         // moving.
         let sig = sal_memory::AbortFlag::new();
         sig.set();
-        assert!(lock.enter(&mem, 0, &sal_memory::NeverAbort).entered());
+        assert!(lock
+            .enter_core(&mem, 0, &sal_memory::NeverAbort, &NoProbe)
+            .entered());
         for p in 1..n {
             let before = mem.ops(p);
-            let outcome = lock.enter(&mem, p, &sig);
+            let outcome = lock.enter_core(&mem, p, &sig, &NoProbe);
             assert!(!outcome.entered(), "seed={seed} p={p}");
             // Finite and small: the abort path is wait-free.
             assert!(mem.ops(p) - before < 200, "abort not bounded");
         }
-        lock.exit(&mem, 0);
+        lock.exit_core(&mem, 0, &NoProbe);
         let _ = seed;
     }
+}
+
+/// The harness records doorway tickets exactly for one-shot locks: one
+/// `Doorway` event per attempt on the one-shot lock, aborted attempts
+/// included, so its FCFS verdict is checked against every ticket; none
+/// on the ticket lock, which reports tickets but is not one-shot, so
+/// the event logs of the baselines are unchanged.
+#[test]
+fn run_lock_records_tickets_only_for_one_shot_locks() {
+    fn doorways(report: &WorkloadReport) -> Vec<u64> {
+        let mut tickets: Vec<u64> = report
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Doorway(t) => Some(t),
+                _ => None,
+            })
+            .collect();
+        tickets.sort_unstable();
+        tickets
+    }
+    let n = 5;
+    let (lock, cs, mem) = build(n, 2, Ascent::Adaptive);
+    let mut plans = vec![ProcPlan::normal(1); n];
+    plans[2] = ProcPlan::aborter(1, 12);
+    let spec = WorkloadSpec {
+        plans,
+        cs_ops: 2,
+        max_steps: 1_000_000,
+        lease: sal_runtime::default_lease(),
+    };
+    let policy = Box::new(RandomSchedule::seeded(3));
+    let report = run_lock(&lock, &mem, cs, &spec, policy, NoProbe).expect("sim failed");
+    assert_eq!(doorways(&report), (0..n as u64).collect::<Vec<_>>());
+    assert!(report.fcfs_check.is_ok(), "{:?}", report.fcfs_check);
+
+    let mut b = MemoryBuilder::new();
+    let ticket = TicketLock::layout(&mut b);
+    let cs = b.alloc(0);
+    let mem = b.build_cc(n);
+    let spec = WorkloadSpec::uniform(n, 2);
+    let policy = Box::new(RandomSchedule::seeded(3));
+    let report = run_lock(&ticket, &mem, cs, &spec, policy, NoProbe).expect("sim failed");
+    assert_eq!(report.total_entered(), 2 * n);
+    assert!(report.passages.iter().all(|p| p.ticket.is_some()));
+    assert!(doorways(&report).is_empty());
 }

@@ -3,7 +3,7 @@
 //! rendered tables, merged JSONL event streams, exploration verdicts —
 //! must be byte-identical at `--jobs 1` and `--jobs 8`.
 
-use sal_bench::{par_grid, worst_case_sweep_probed, LockKind, Table};
+use sal_bench::{par_grid, worst_case_sweep, LockKind, Table};
 use sal_memory::{Mem, MemoryBuilder};
 use sal_obs::{EventLog, ToJson};
 use sal_runtime::{explore, simulate, ExploreOptions, SimOptions};
@@ -23,7 +23,7 @@ fn sweep_fingerprint(jobs: usize, seeds: &[u64]) -> String {
         .collect();
     let results = par_grid(jobs, &cells, |&(kind, n, seed)| {
         let cell_log = EventLog::unbounded();
-        let p = worst_case_sweep_probed(kind, n, seed, cell_log.clone()).expect("sim failed");
+        let p = worst_case_sweep(kind, n, seed, cell_log.clone()).expect("sim failed");
         assert!(p.mutex_ok);
         (p, cell_log)
     });

@@ -186,7 +186,7 @@ fn aborts_fire_while_the_lock_is_demonstrably_held() {
     let mut b = MemoryBuilder::new();
     let lock = Arc::new(BoundedLongLivedLock::layout(&mut b, threads, 16));
     let mem = Arc::new(b.build_raw(threads));
-    assert!(lock.enter(&*mem, 0, &NeverAbort));
+    assert!(lock.enter_core(&*mem, 0, &NeverAbort, &NoProbe).entered());
     let aborted: u64 = std::thread::scope(|s| {
         let handles: Vec<_> = (1..threads)
             .map(|p| {
@@ -195,10 +195,10 @@ fn aborts_fire_while_the_lock_is_demonstrably_held() {
                 s.spawn(move || {
                     let mut aborts = 0u64;
                     for _ in 0..50 {
-                        if !lock.enter(&*mem, p, &Immediate) {
+                        if !lock.enter_core(&*mem, p, &Immediate, &NoProbe).entered() {
                             aborts += 1;
                         } else {
-                            lock.exit(&*mem, p); // impossible while held, but keep the protocol legal
+                            lock.exit_core(&*mem, p, &NoProbe); // impossible while held, but keep the protocol legal
                         }
                     }
                     aborts
@@ -208,10 +208,10 @@ fn aborts_fire_while_the_lock_is_demonstrably_held() {
         handles.into_iter().map(|h| h.join().unwrap()).sum()
     });
     assert_eq!(aborted, 7 * 50, "every attempt against a held lock aborts");
-    lock.exit(&*mem, 0);
+    lock.exit_core(&*mem, 0, &NoProbe);
     for p in 1..threads {
-        assert!(lock.enter(&*mem, p, &NeverAbort));
-        lock.exit(&*mem, p);
+        assert!(lock.enter_core(&*mem, p, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(&*mem, p, &NoProbe);
     }
 }
 
@@ -374,7 +374,7 @@ fn timed_aborts_fire_under_real_contention() {
     let mut b = MemoryBuilder::new();
     let lock = Arc::new(BoundedLongLivedLock::layout(&mut b, threads, 8));
     let mem = Arc::new(b.build_raw(threads));
-    assert!(lock.enter(&*mem, 0, &NeverAbort));
+    assert!(lock.enter_core(&*mem, 0, &NeverAbort, &NoProbe).entered());
     let timed_out: Vec<bool> = std::thread::scope(|s| {
         let handles: Vec<_> = (1..threads)
             .map(|p| {
@@ -383,15 +383,15 @@ fn timed_aborts_fire_under_real_contention() {
                 s.spawn(move || {
                     let deadline =
                         sal_memory::Deadline::after(std::time::Duration::from_millis(10));
-                    !lock.enter(&*mem, p, &deadline)
+                    !lock.enter_core(&*mem, p, &deadline, &NoProbe).entered()
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     assert!(timed_out.iter().all(|&t| t), "all waiters should time out");
-    lock.exit(&*mem, 0);
+    lock.exit_core(&*mem, 0, &NoProbe);
     // Lock still healthy afterwards.
-    assert!(lock.enter(&*mem, 1, &NeverAbort));
-    lock.exit(&*mem, 1);
+    assert!(lock.enter_core(&*mem, 1, &NeverAbort, &NoProbe).entered());
+    lock.exit_core(&*mem, 1, &NoProbe);
 }

@@ -10,6 +10,7 @@ use sal_bench::{
 };
 use sal_core::tree::{FindNextResult, Tree};
 use sal_memory::{Mem, MemoryBuilder, RmrProbe};
+use sal_obs::NoProbe;
 
 fn log_b(b: usize, x: usize) -> u64 {
     let mut h = 1u64;
@@ -27,7 +28,7 @@ fn log_b(b: usize, x: usize) -> u64 {
 fn no_abort_passages_are_constant_in_n() {
     let mut costs = Vec::new();
     for &n in &[8usize, 32, 128] {
-        let p = no_abort_sweep(LockKind::OneShot { b: 8 }, n, 1, 5).unwrap();
+        let p = no_abort_sweep(LockKind::OneShot { b: 8 }, n, 1, 5, NoProbe).unwrap();
         assert!(p.mutex_ok);
         costs.push(p.max_entered_rmrs);
     }
@@ -46,7 +47,7 @@ fn complete_passage_tracks_log_b_of_aborters() {
     let n = 128;
     let b = 4;
     for &a in &[0usize, 4, 16, 64, 126] {
-        let p = adaptive_sweep(LockKind::OneShot { b }, n, a, 9).unwrap();
+        let p = adaptive_sweep(LockKind::OneShot { b }, n, a, 9, NoProbe).unwrap();
         assert!(p.mutex_ok);
         let bound = 8 * log_b(b, a.max(2)) + 16;
         assert!(
@@ -63,7 +64,7 @@ fn aborted_attempt_tracks_log_b_of_total_aborters() {
     let n = 128;
     let b = 4;
     for &a in &[1usize, 8, 32, 126] {
-        let p = adaptive_sweep(LockKind::OneShot { b }, n, a, 13).unwrap();
+        let p = adaptive_sweep(LockKind::OneShot { b }, n, a, 13, NoProbe).unwrap();
         let bound = 8 * log_b(b, a.max(2)) + 16;
         assert!(
             p.max_aborted_rmrs <= bound,
@@ -78,8 +79,8 @@ fn aborted_attempt_tracks_log_b_of_total_aborters() {
 #[test]
 fn worst_case_flattens_with_branching_factor() {
     let n = 128;
-    let narrow = worst_case_sweep(LockKind::OneShot { b: 2 }, n, 3).unwrap();
-    let wide = worst_case_sweep(LockKind::OneShot { b: 64 }, n, 3).unwrap();
+    let narrow = worst_case_sweep(LockKind::OneShot { b: 2 }, n, 3, NoProbe).unwrap();
+    let wide = worst_case_sweep(LockKind::OneShot { b: 64 }, n, 3, NoProbe).unwrap();
     assert!(narrow.mutex_ok && wide.mutex_ok);
     assert!(
         wide.max_entered_rmrs < narrow.max_entered_rmrs,
@@ -101,8 +102,8 @@ fn long_lived_adds_only_a_constant() {
     // "Constant" means independent of N, not small: the switching
     // passage pays for lazy resets, the descriptor CAS, and the spin-pool
     // scan step, but none of that may grow with the process count.
-    let small = no_abort_sweep(LockKind::LongLived { b: 8 }, 8, 3, 3).unwrap();
-    let large = no_abort_sweep(LockKind::LongLived { b: 8 }, 64, 3, 3).unwrap();
+    let small = no_abort_sweep(LockKind::LongLived { b: 8 }, 8, 3, 3, NoProbe).unwrap();
+    let large = no_abort_sweep(LockKind::LongLived { b: 8 }, 64, 3, 3, NoProbe).unwrap();
     assert!(small.mutex_ok && large.mutex_ok);
     assert!(
         large.max_entered_rmrs <= small.max_entered_rmrs + 10,
@@ -111,7 +112,7 @@ fn long_lived_adds_only_a_constant() {
         large.max_entered_rmrs
     );
     // And it stays within a fixed multiple of the bare one-shot passage.
-    let one_shot = no_abort_sweep(LockKind::OneShot { b: 8 }, 16, 1, 3).unwrap();
+    let one_shot = no_abort_sweep(LockKind::OneShot { b: 8 }, 16, 1, 3, NoProbe).unwrap();
     assert!(
         large.max_entered_rmrs <= one_shot.max_entered_rmrs * 6 + 10,
         "wrapper blow-up: {} vs one-shot {}",
@@ -255,6 +256,7 @@ fn jj_single_passage_debt_exceeds_amortized_but_total_stays_linear() {
         built.cs_word,
         &spec,
         Box::new(RandomSchedule::seeded(11)),
+        NoProbe,
     )
     .unwrap();
     assert!(report.mutex_check.is_ok());
@@ -285,9 +287,9 @@ fn jj_single_passage_debt_exceeds_amortized_but_total_stays_linear() {
 fn table1_ordering_holds_at_high_abort_count() {
     let n = 128;
     let a = 126;
-    let ours = adaptive_sweep(LockKind::OneShot { b: 16 }, n, a, 21).unwrap();
-    let tournament = adaptive_sweep(LockKind::Tournament, n, a, 21).unwrap();
-    let scott = adaptive_sweep(LockKind::Scott, n, a, 21).unwrap();
+    let ours = adaptive_sweep(LockKind::OneShot { b: 16 }, n, a, 21, NoProbe).unwrap();
+    let tournament = adaptive_sweep(LockKind::Tournament, n, a, 21, NoProbe).unwrap();
+    let scott = adaptive_sweep(LockKind::Scott, n, a, 21, NoProbe).unwrap();
     assert!(ours.mutex_ok && tournament.mutex_ok && scott.mutex_ok);
     assert!(
         ours.max_entered_rmrs < scott.max_entered_rmrs,

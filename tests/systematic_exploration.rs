@@ -7,7 +7,9 @@
 use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::one_shot::OneShotLock;
 use sal_core::tree::Ascent;
+use sal_core::LockCore;
 use sal_memory::{Layered, Mem, MemoryBuilder, SignalFn};
+use sal_obs::NoProbe;
 use sal_runtime::{
     explore, explore_guided, simulate, EventKind, ExploreOptions, ForcedSchedule, GuidedOutcome,
     OpTraceSink, SimOptions, Strategy,
@@ -39,19 +41,19 @@ fn one_shot_guided(
         |ctx| {
             let entered = match aborter_delay[ctx.pid] {
                 None => lock
-                    .enter(ctx.mem, ctx.pid, &sal_memory::NeverAbort)
+                    .enter_core(ctx.mem, ctx.pid, &sal_memory::NeverAbort, &NoProbe)
                     .entered(),
                 Some(delay) => {
                     let deadline = ctx.steps() + delay;
                     let sig = SignalFn(|| ctx.steps() >= deadline);
-                    lock.enter(ctx.mem, ctx.pid, &sig).entered()
+                    lock.enter_core(ctx.mem, ctx.pid, &sig, &NoProbe).entered()
                 }
             };
             if entered {
                 ctx.event(EventKind::CsEnter);
                 ctx.mem.faa(ctx.pid, cs, 1);
                 ctx.event(EventKind::CsLeave);
-                lock.exit(ctx.mem, ctx.pid);
+                lock.exit_core(ctx.mem, ctx.pid, &NoProbe);
             } else {
                 ctx.event(EventKind::Aborted);
             }
@@ -175,12 +177,14 @@ fn long_lived_two_processes_two_passages() {
                 },
                 |ctx| {
                     for _ in 0..2 {
-                        let entered = lock.enter(ctx.mem, ctx.pid, &sal_memory::NeverAbort);
+                        let entered = lock
+                            .enter_core(ctx.mem, ctx.pid, &sal_memory::NeverAbort, &NoProbe)
+                            .entered();
                         assert!(entered);
                         ctx.event(EventKind::CsEnter);
                         ctx.mem.faa(ctx.pid, cs, 1);
                         ctx.event(EventKind::CsLeave);
-                        lock.exit(ctx.mem, ctx.pid);
+                        lock.exit_core(ctx.mem, ctx.pid, &NoProbe);
                     }
                 },
             )
@@ -305,12 +309,14 @@ fn strategies_agree_on_the_long_lived_config() {
             },
             |ctx| {
                 for _ in 0..2 {
-                    let entered = lock.enter(ctx.mem, ctx.pid, &sal_memory::NeverAbort);
+                    let entered = lock
+                        .enter_core(ctx.mem, ctx.pid, &sal_memory::NeverAbort, &NoProbe)
+                        .entered();
                     assert!(entered);
                     ctx.event(EventKind::CsEnter);
                     ctx.mem.faa(ctx.pid, cs, 1);
                     ctx.event(EventKind::CsLeave);
-                    lock.exit(ctx.mem, ctx.pid);
+                    lock.exit_core(ctx.mem, ctx.pid, &NoProbe);
                 }
             },
         );
@@ -358,18 +364,20 @@ fn jj_guided(policy: ForcedSchedule, n: usize, aborter_delay: &[Option<u64>]) ->
         |ctx| {
             for _ in 0..2 {
                 let entered = match aborter_delay[ctx.pid] {
-                    None => lock.enter(ctx.mem, ctx.pid, &sal_memory::NeverAbort),
+                    None => lock
+                        .enter_core(ctx.mem, ctx.pid, &sal_memory::NeverAbort, &NoProbe)
+                        .entered(),
                     Some(delay) => {
                         let deadline = ctx.steps() + delay;
                         let sig = SignalFn(|| ctx.steps() >= deadline);
-                        lock.enter(ctx.mem, ctx.pid, &sig)
+                        lock.enter_core(ctx.mem, ctx.pid, &sig, &NoProbe).entered()
                     }
                 };
                 if entered {
                     ctx.event(EventKind::CsEnter);
                     ctx.mem.faa(ctx.pid, cs, 1);
                     ctx.event(EventKind::CsLeave);
-                    lock.exit(ctx.mem, ctx.pid);
+                    lock.exit_core(ctx.mem, ctx.pid, &NoProbe);
                     entered_total.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 } else {
                     ctx.event(EventKind::Aborted);
