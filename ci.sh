@@ -54,7 +54,12 @@ done
 # lock. The arena's lock-free key lookup is rerun too, though it wakes
 # nobody: two threads first-touch the same keys while their shard's
 # table grows, and a lookup that raced a growth shows only as a rare
-# duplicate or lost entry. About 20 s on a 2-vCPU VM.
+# duplicate or lost entry. The executor's own wake protocol is rerun
+# last: an enqueue signals its condvar only when a worker sleeps, and
+# the workers wait without a timeout, so a lost wakeup hangs a drain.
+# A plain OS thread ping-pongs with a task while both workers sleep,
+# and 200 executors end with their last two tasks finishing on
+# different workers. About 20 s on a 2-vCPU VM.
 test_binary() {
     cargo test --release --no-run "$@" 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p'
 }
@@ -69,6 +74,7 @@ run_tests() {
     fi
 }
 sync_lib=$(test_binary -p sal-sync --lib)
+runtime_lib=$(test_binary -p sal-runtime --lib)
 cancellation=$(test_binary -p sal-bench --test async_cancellation)
 async_mutex=$(test_binary -p sal-bench --test async_mutex)
 deadline_locking=$(test_binary -p sal-bench --test deadline_locking)
@@ -100,6 +106,9 @@ for _ in $(seq 20); do
         async_lock_when_pipeline \
         a_waker_that_drops_the_future_it_wakes_does_not_deadlock_the_unlock
     run_tests "$deadline_locking" -q
+    run_tests "$runtime_lib" -q --exact \
+        executor::tests::a_foreign_thread_and_a_task_ping_pong_while_the_workers_sleep \
+        executor::tests::executors_whose_last_tasks_finish_on_different_workers_return
 done
 
 # Suites rerun under a non-default environment, one row each:

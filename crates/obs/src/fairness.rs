@@ -19,19 +19,6 @@ use crate::probe::Probe;
 use sal_memory::{OpKind, Pid};
 use std::sync::{Arc, Mutex};
 
-/// A ticket pair proving a first-come-first-served violation:
-/// `entered` entered the CS after `earlier` had already entered, yet
-/// holds a smaller doorway ticket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FcfsWitness {
-    /// The process that entered out of order.
-    pub pid: Pid,
-    /// Its doorway ticket.
-    pub ticket: u64,
-    /// The largest ticket that had already entered.
-    pub earlier: u64,
-}
-
 /// Per-process fairness counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcFairness {
@@ -51,7 +38,9 @@ struct Inner {
     procs: Vec<ProcFairness>,
     waiting: Vec<Option<u64>>,
     max_entered_ticket: Option<u64>,
-    violations: Vec<FcfsWitness>,
+    /// Entries whose doorway ticket was smaller than one that had
+    /// already entered.
+    fcfs_violations: u64,
 }
 
 impl Inner {
@@ -94,7 +83,7 @@ impl FairnessMonitor {
 
     /// `true` while no FCFS violation has been observed.
     pub fn is_fcfs(&self) -> bool {
-        self.inner.lock().unwrap().violations.is_empty()
+        self.inner.lock().unwrap().fcfs_violations == 0
     }
 
     /// Per-process counters (index = pid).
@@ -105,8 +94,8 @@ impl FairnessMonitor {
     /// Fold another monitor into this one — the fan-in for parallel
     /// sweeps. Per-process counters sum (waits take the max, and
     /// `other`'s still-in-flight waits settle into `max_wait_ops`, so
-    /// a starving process's wait survives the merge); FCFS witness lists
-    /// concatenate in merge order. Tickets are only comparable within
+    /// a starving process's wait survives the merge), and so do FCFS
+    /// violation counts. Tickets are only comparable within
     /// one run, so merging never *creates* cross-run violations: the
     /// merged verdict is "every source run was FCFS". `other` is left
     /// untouched.
@@ -119,7 +108,7 @@ impl FairnessMonitor {
                 o.procs.clone(),
                 o.waiting.clone(),
                 o.max_entered_ticket,
-                o.violations.clone(),
+                o.fcfs_violations,
             )
         };
         let mut inner = self.inner.lock().unwrap();
@@ -138,7 +127,7 @@ impl FairnessMonitor {
             (None, b) => b,
             (Some(a), Some(b)) => Some(a.max(b)),
         };
-        inner.violations.extend(violations);
+        inner.fcfs_violations += violations;
     }
 }
 
@@ -156,11 +145,7 @@ impl Probe for FairnessMonitor {
         if let Some(t) = ticket {
             if let Some(max) = inner.max_entered_ticket {
                 if t < max {
-                    inner.violations.push(FcfsWitness {
-                        pid: p,
-                        ticket: t,
-                        earlier: max,
-                    });
+                    inner.fcfs_violations += 1;
                 }
             }
             let max = inner.max_entered_ticket.map_or(t, |m| m.max(t));

@@ -62,7 +62,7 @@ mod probe;
 mod stats;
 
 pub use events::{EventLog, ObsEvent, ObsEventKind};
-pub use fairness::{FairnessMonitor, FcfsWitness, ProcFairness};
+pub use fairness::{FairnessMonitor, ProcFairness};
 pub use hist::Histogram;
 pub use json::{Json, ToJson};
 pub use mem::{probed, ProbeLayer, ProbedMem};

@@ -33,13 +33,23 @@
 //! re-queues the task at the end of the poll instead of being lost). A
 //! completed task is DONE for good: a straggler wake through a waker
 //! some other task kept is dropped, so no task completes twice.
+//!
+//! A wake makes no system call unless a worker sleeps. The run queue
+//! and a count of sleeping workers share one mutex: a worker that finds
+//! the queue empty counts itself before it waits on the condvar, and
+//! an enqueue signals the condvar only when the count is nonzero. A
+//! worker about to sleep therefore either sees the new task or is
+//! already counted when the enqueuer looks, so no wakeup is lost and the
+//! workers' wait needs no timeout. The completion that ends the last
+//! task takes the same mutex before it wakes every sleeper, so a worker
+//! that saw live tasks is asleep by then and hears it.
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::{Duration, Instant};
@@ -156,10 +166,19 @@ impl ArcWake for Task {
     }
 }
 
+/// The run queue and the workers asleep on it, under one mutex so an
+/// enqueue cannot miss a worker that is going to sleep.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<Arc<Task>>,
+    /// Workers waiting on `Shared::cv`.
+    sleepers: usize,
+}
+
 /// State shared between the executor handle, its workers and all task
 /// wakers.
 struct Shared {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+    queue: Mutex<Queue>,
     /// Workers park here when the queue is empty but tasks are live.
     cv: Condvar,
     /// Spawned minus completed tasks; `run` returns at zero.
@@ -168,8 +187,16 @@ struct Shared {
 
 impl Shared {
     fn enqueue(&self, task: Arc<Task>) {
-        self.queue.lock().unwrap().push_back(task);
-        self.cv.notify_one();
+        let mut q = self.queue.lock().unwrap();
+        q.tasks.push_back(task);
+        let sleepers = q.sleepers;
+        drop(q);
+        // A notify enters the kernel even when nobody waits, so signal
+        // only a counted sleeper: it released the mutex inside `wait`,
+        // after which a notify reaches it.
+        if sleepers > 0 {
+            self.cv.notify_one();
+        }
     }
 }
 
@@ -214,7 +241,7 @@ impl Executor {
     pub fn new() -> Self {
         Executor {
             shared: Arc::new(Shared {
-                queue: Mutex::new(VecDeque::new()),
+                queue: Mutex::default(),
                 cv: Condvar::new(),
                 live: AtomicUsize::new(0),
             }),
@@ -271,24 +298,15 @@ fn worker_loop(shared: &Arc<Shared>) {
         let task = {
             let mut q = shared.queue.lock().unwrap();
             loop {
-                if let Some(t) = q.pop_front() {
+                if let Some(t) = q.tasks.pop_front() {
                     break t;
                 }
                 if shared.live.load(Ordering::SeqCst) == 0 {
-                    // All tasks done; wake the other workers so they
-                    // observe termination too.
-                    shared.cv.notify_all();
                     return;
                 }
-                // Timed backstop: termination (live == 0) is signalled
-                // by notify_all, but a task completed by *another*
-                // executor's thread (block_on interleaving) could miss
-                // a notify; 1ms bounds the damage.
-                q = shared
-                    .cv
-                    .wait_timeout(q, Duration::from_millis(1))
-                    .unwrap()
-                    .0;
+                q.sleepers += 1;
+                q = shared.cv.wait(q).unwrap();
+                q.sleepers -= 1;
             }
         };
         task.state.store(RUNNING, Ordering::Release);
@@ -305,6 +323,10 @@ fn worker_loop(shared: &Arc<Shared>) {
             // finds DONE and is dropped, so the task is counted once.
             task.state.store(DONE, Ordering::Release);
             if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
+                // A worker reads `live` under the queue mutex and holds
+                // it until it waits, so once we hold the mutex every
+                // worker that saw a live task is waiting and hears this.
+                let _q = shared.queue.lock().unwrap();
                 shared.cv.notify_all();
             }
         } else {
@@ -371,7 +393,9 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
 /// earliest registered deadline and fires the due wakers. Shared by
 /// every [`Sleep`] in the process (tests and benches never need more).
 struct TimerService {
-    entries: Mutex<Vec<(Instant, Waker)>>,
+    /// One waker per registered [`Sleep`], keyed by its deadline and a
+    /// process-unique id, so the first key is the next to fire.
+    entries: Mutex<BTreeMap<(Instant, u64), Waker>>,
     cv: Condvar,
 }
 
@@ -379,7 +403,7 @@ fn timer() -> &'static TimerService {
     static TIMER: OnceLock<&'static TimerService> = OnceLock::new();
     TIMER.get_or_init(|| {
         let svc: &'static TimerService = Box::leak(Box::new(TimerService {
-            entries: Mutex::new(Vec::new()),
+            entries: Mutex::new(BTreeMap::new()),
             cv: Condvar::new(),
         }));
         std::thread::Builder::new()
@@ -395,14 +419,12 @@ fn timer_loop(svc: &'static TimerService) {
     loop {
         let now = Instant::now();
         let mut due = Vec::new();
-        entries.retain(|(at, w)| {
-            if *at <= now {
-                due.push(w.clone());
-                false
-            } else {
-                true
+        while let Some(entry) = entries.first_entry() {
+            if entry.key().0 > now {
+                break;
             }
-        });
+            due.push(entry.remove());
+        }
         if !due.is_empty() {
             drop(entries);
             for w in due {
@@ -411,8 +433,8 @@ fn timer_loop(svc: &'static TimerService) {
             entries = svc.entries.lock().unwrap();
             continue;
         }
-        entries = match entries.iter().map(|(at, _)| *at).min() {
-            Some(next) => {
+        entries = match entries.keys().next() {
+            Some(&(next, _)) => {
                 let wait = next.saturating_duration_since(now);
                 svc.cv.wait_timeout(entries, wait).unwrap().0
             }
@@ -425,21 +447,36 @@ fn timer_loop(svc: &'static TimerService) {
 #[derive(Debug)]
 pub struct Sleep {
     deadline: Instant,
+    /// The timer entry's key once a poll has registered one.
+    key: Option<(Instant, u64)>,
 }
 
 impl Future for Sleep {
     type Output = ();
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         if Instant::now() >= self.deadline {
             return Poll::Ready(());
         }
         let svc = timer();
-        svc.entries
-            .lock()
-            .unwrap()
-            .push((self.deadline, cx.waker().clone()));
-        svc.cv.notify_one();
+        let mut entries = svc.entries.lock().unwrap();
+        // A re-poll replaces the waker in place: the timer only removes
+        // an entry once its deadline has passed, and ours has not.
+        if let Some(w) = self.key.and_then(|key| entries.get_mut(&key)) {
+            w.clone_from(cx.waker());
+            return Poll::Pending;
+        }
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        let key = (self.deadline, NEXT_ID.fetch_add(1, Ordering::Relaxed));
+        // The timer sleeps until its earliest deadline, so only a new
+        // earliest one needs to wake it.
+        let earliest = entries.keys().next().is_none_or(|first| key < *first);
+        entries.insert(key, cx.waker().clone());
+        drop(entries);
+        self.key = Some(key);
+        if earliest {
+            svc.cv.notify_one();
+        }
         Poll::Pending
     }
 }
@@ -449,20 +486,38 @@ impl Future for Sleep {
 /// deadline-bound lock futures a poll at their deadline — the
 /// `AsyncAbortableMutex` docs discuss when that matters.
 pub fn sleep_until(deadline: Instant) -> Sleep {
-    Sleep { deadline }
+    Sleep {
+        deadline,
+        key: None,
+    }
 }
 
 /// [`sleep_until`] with a relative duration.
 pub fn sleep(dur: Duration) -> Sleep {
-    Sleep {
-        deadline: Instant::now() + dur,
-    }
+    sleep_until(Instant::now() + dur)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::sync::Barrier;
+
+    /// `ex.run(workers)` on a thread of its own, failing the test if it
+    /// has not returned within 10 s: a lost wakeup leaves a worker
+    /// asleep, which hangs the drain instead of failing it.
+    fn run_within(ex: &Executor, workers: usize) {
+        let (tx, rx) = mpsc::channel();
+        let runner = ex.handle();
+        let thread = std::thread::spawn(move || {
+            runner.run(workers);
+            let _ = tx.send(());
+        });
+        if let Err(RecvTimeoutError::Timeout) = rx.recv_timeout(Duration::from_secs(10)) {
+            panic!("run({workers}) did not return: a wakeup was lost");
+        }
+        thread.join().expect("run panicked");
+    }
 
     #[test]
     fn block_on_returns_the_value() {
@@ -546,7 +601,7 @@ mod tests {
     fn a_straggler_wake_of_a_completed_task_is_ignored() {
         // Task A leaves its waker behind and completes; task B then fires
         // it and yields. Counting A's completion twice would wrap `live`
-        // and `run` would never return, so a watchdog fails the test
+        // and `run` would never return, so `run_within` fails the test
         // instead of hanging it.
         struct LeaveWaker(Arc<Mutex<Option<Waker>>>);
         impl Future for LeaveWaker {
@@ -582,14 +637,7 @@ mod tests {
                 done.store(true, Ordering::SeqCst);
             });
         }
-        let (tx, rx) = std::sync::mpsc::channel();
-        let runner = ex.handle();
-        std::thread::spawn(move || {
-            runner.run(1);
-            let _ = tx.send(());
-        });
-        rx.recv_timeout(Duration::from_secs(5))
-            .expect("run(1) must return after a straggler wake");
+        run_within(&ex, 1);
         assert!(done.load(Ordering::SeqCst));
         assert_eq!(ex.live(), 0);
     }
@@ -622,5 +670,141 @@ mod tests {
         ex.spawn(WaitFlag(Arc::clone(&flag)));
         ex.run(2);
         assert!(flag.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn a_foreign_thread_and_a_task_ping_pong_while_the_workers_sleep() {
+        // The ball says whose turn it is: the task plays odd values and
+        // a plain OS thread plays even ones. Each turn the thread waits
+        // until both workers sleep before it serves, so every one of the
+        // task's 2,000 wakes must reach a sleeping worker.
+        const TURNS: u64 = 2_000;
+        struct Table {
+            ball: u64,
+            task: Option<Waker>,
+        }
+        let table = Arc::new((
+            Mutex::new(Table {
+                ball: 0,
+                task: None,
+            }),
+            Condvar::new(),
+        ));
+        let ex = Executor::new();
+        {
+            let table = Arc::clone(&table);
+            ex.spawn(async move {
+                for turn in 0..TURNS {
+                    std::future::poll_fn(|cx| {
+                        let mut t = table.0.lock().unwrap();
+                        if t.ball == 2 * turn + 1 {
+                            Poll::Ready(())
+                        } else {
+                            t.task = Some(cx.waker().clone());
+                            Poll::Pending
+                        }
+                    })
+                    .await;
+                    table.0.lock().unwrap().ball += 1;
+                    table.1.notify_one();
+                }
+            });
+        }
+        let shared = Arc::clone(&ex.shared);
+        let player = std::thread::spawn(move || {
+            let (lock, cv) = &*table;
+            for turn in 0..TURNS {
+                drop(cv.wait_while(lock.lock().unwrap(), |t| t.ball != 2 * turn));
+                while shared.queue.lock().unwrap().sleepers < 2 {
+                    std::thread::yield_now();
+                }
+                let mut t = lock.lock().unwrap();
+                t.ball += 1;
+                let w = t.task.take().expect("the task waits with its waker left");
+                drop(t);
+                w.wake();
+            }
+        });
+        run_within(&ex, 2);
+        player.join().expect("the foreign thread panicked");
+    }
+
+    #[test]
+    fn executors_whose_last_tasks_finish_on_different_workers_return() {
+        // Two tasks meet at a barrier, so each holds a worker of its
+        // own, and then finish. In even rounds the second one finishes
+        // only once the other worker sleeps, so the completion that
+        // ends the run must wake it; odd rounds leave the race to chance.
+        for round in 0..200 {
+            let ex = Executor::new();
+            let both_running = Arc::new(Barrier::new(2));
+            for last in [false, true] {
+                let both_running = Arc::clone(&both_running);
+                let shared = Arc::clone(&ex.shared);
+                ex.spawn(async move {
+                    both_running.wait();
+                    if last && round % 2 == 0 {
+                        while shared.queue.lock().unwrap().sleepers == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            run_within(&ex, 2);
+            assert_eq!(ex.live(), 0);
+        }
+    }
+
+    #[test]
+    fn a_repolled_sleep_keeps_one_entry_and_wakes_once() {
+        /// Counts its wakes and unparks the thread that made it.
+        struct CountWake {
+            wakes: AtomicUsize,
+            thread: std::thread::Thread,
+        }
+
+        impl CountWake {
+            fn new() -> Arc<Self> {
+                Arc::new(CountWake {
+                    wakes: AtomicUsize::new(0),
+                    thread: std::thread::current(),
+                })
+            }
+        }
+
+        impl ArcWake for CountWake {
+            fn wake_by_ref(arc_self: &Arc<Self>) {
+                arc_self.wakes.fetch_add(1, Ordering::SeqCst);
+                arc_self.thread.unpark();
+            }
+        }
+
+        let counted = CountWake::new();
+        let w = waker(Arc::clone(&counted));
+        let deadline = Instant::now() + Duration::from_millis(500);
+        let mut s = sleep_until(deadline);
+        for _ in 0..1_000 {
+            assert!(Pin::new(&mut s)
+                .poll(&mut Context::from_waker(&w))
+                .is_pending());
+        }
+        let entries = || {
+            let all = timer().entries.lock().unwrap();
+            all.values().filter(|e| e.will_wake(&w)).count()
+        };
+        assert_eq!(entries(), 1);
+        // The timer fires in deadline order, so once a later sentinel
+        // has been woken every wake of `s` has been made.
+        let sentinel = CountWake::new();
+        let sw = waker(Arc::clone(&sentinel));
+        let mut later = sleep_until(deadline + Duration::from_millis(1));
+        assert!(Pin::new(&mut later)
+            .poll(&mut Context::from_waker(&sw))
+            .is_pending());
+        while sentinel.wakes.load(Ordering::SeqCst) == 0 {
+            std::thread::park();
+        }
+        assert_eq!(counted.wakes.load(Ordering::SeqCst), 1);
+        assert_eq!(entries(), 0);
     }
 }
