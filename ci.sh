@@ -140,11 +140,15 @@ EOF
 # apart from the two environment fields that name the machine and the
 # commit. The run rewrites that file in place: the committed copy is
 # set aside first and put back on exit, pass or fail. The greps pin the
-# measured amortized column and its verdict.
+# measured amortized column and its verdict. The run is the longest
+# use of the experiment engine's fan-out, so its wall time is printed
+# for the log.
 committed=target/BENCH_table1.committed.json
 cp BENCH_table1.json "$committed"
 trap 'cp "$committed" BENCH_table1.json' EXIT
+SECONDS=0
 cargo run --release -q -p sal-bench -- table1 > /dev/null
+echo "full table1 run: ${SECONDS} s"
 strip_env() {
     sed -E 's/"available_parallelism":[0-9]+,//; s/"git_rev":("[^"]*"|null),//' "$1"
 }

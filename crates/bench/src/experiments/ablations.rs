@@ -15,7 +15,7 @@
 //! * `wrapper` — Figure-5 simple vs §6.2 bounded: the price of bounded
 //!   space.
 //!
-//! Independent grid cells run on the work-stealing pool (`SAL_JOBS`,
+//! Independent grid cells run through `pool::par_map` (`SAL_JOBS`,
 //! default = available parallelism); results are gathered in cell
 //! order so output is byte-identical to a serial run.
 //!
@@ -27,7 +27,7 @@
 use crate::Exit;
 use sal_bench::artifact::{self, Mode};
 use sal_bench::cli::{Cli, Parsed};
-use sal_bench::{no_abort_sweep, par_grid, worst_case_sweep, ExploreCell, LockKind, Table};
+use sal_bench::{no_abort_sweep, worst_case_sweep, ExploreCell, LockKind, Table};
 use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::one_shot::{DsmOneShotLock, OneShotLock};
 use sal_core::tree::Ascent;
@@ -88,7 +88,7 @@ fn sidestep(jobs: usize) -> io::Result<()> {
         &["N", "plain ascent", "adaptive ascent"],
     );
     let ns = [16usize, 64, 256];
-    let points = par_grid(jobs, &ns, |&n| {
+    let points = pool::par_map(jobs, &ns, |&n| {
         let plain = worst_case_sweep(LockKind::OneShotPlain { b: 2 }, n, 17, NoProbe).expect("sim");
         let adaptive = worst_case_sweep(LockKind::OneShot { b: 2 }, n, 17, NoProbe).expect("sim");
         assert!(plain.mutex_ok && adaptive.mutex_ok);
@@ -112,7 +112,7 @@ fn sidestep(jobs: usize) -> io::Result<()> {
         ("plain", LockKind::OneShotPlain { b: 2 }),
         ("adaptive", LockKind::OneShot { b: 2 }),
     ];
-    let rows = par_grid(jobs, &variants, |&(label, kind)| {
+    let rows = pool::par_map(jobs, &variants, |&(label, kind)| {
         let p = sal_bench::adaptive_sweep(kind, 256, 2, 23, NoProbe).expect("sim");
         assert!(p.mutex_ok);
         (label, p.max_entered_rmrs)
@@ -300,7 +300,7 @@ fn faa(jobs: usize) -> io::Result<()> {
             (0..10u64).flat_map(move |seed| [false, true].map(move |use_cas| (k, seed, use_cas)))
         })
         .collect();
-    let totals = par_grid(jobs, &cells, |&(k, seed, use_cas)| {
+    let totals = pool::par_map(jobs, &cells, |&(k, seed, use_cas)| {
         let mut b = MemoryBuilder::new();
         let tree = Tree::layout(&mut b, 64, 64);
         let mem = b.build_cc(k);
@@ -358,7 +358,7 @@ fn wrapper(jobs: usize) -> io::Result<()> {
         LockKind::LongLivedSimple { b: 8 },
         LockKind::LongLived { b: 8 },
     ];
-    let points = par_grid(jobs, &kinds, |&kind| {
+    let points = pool::par_map(jobs, &kinds, |&kind| {
         let p = no_abort_sweep(kind, 8, 4, 31, NoProbe).expect("sim");
         assert!(p.mutex_ok);
         p

@@ -14,14 +14,14 @@
 //!   bounded implementation, cost per passage across many instance
 //!   switches.
 //!
-//! Independent grid cells run on the work-stealing pool (`SAL_JOBS`,
+//! Independent grid cells run through `pool::par_map` (`SAL_JOBS`,
 //! default = available parallelism); results are gathered
 //! in cell order so all output is byte-identical to a serial run.
 
 use crate::Exit;
 use sal_bench::artifact::{self, Mode};
 use sal_bench::cli::{Cli, Parsed};
-use sal_bench::{absorb, no_abort_sweep, par_grid, worst_case_sweep, LockKind, Table};
+use sal_bench::{absorb, no_abort_sweep, worst_case_sweep, LockKind, Table};
 use sal_core::tree::{FindNextResult, Tree};
 use sal_memory::{MemoryBuilder, RmrProbe};
 use sal_obs::{EventLog, NoProbe, ObsEventKind, ToJson};
@@ -115,7 +115,7 @@ fn fig4(jobs: usize) -> io::Result<()> {
         (1 << 12, 16),
         (1 << 12, 64),
     ];
-    let points = par_grid(jobs, &geoms, |&(n, bf)| {
+    let points = pool::par_map(jobs, &geoms, |&(n, bf)| {
         let mut b = MemoryBuilder::new();
         let tree = Tree::layout(&mut b, n, bf);
         let mem = b.build_cc(2);
@@ -153,7 +153,7 @@ fn fig4(jobs: usize) -> io::Result<()> {
         &["A (leaves removed after p)", "adaptive RMRs", "plain RMRs"],
     );
     let ks = [0usize, 2, 4, 6, 8, 10, 12, 14];
-    let points = par_grid(jobs, &ks, |&k| {
+    let points = pool::par_map(jobs, &ks, |&k| {
         let n = 1usize << 16;
         let mut b = MemoryBuilder::new();
         let tree = Tree::layout(&mut b, n, 2);
@@ -196,7 +196,7 @@ fn logw(jobs: usize) -> io::Result<()> {
         .iter()
         .flat_map(|&bf| ns.iter().map(move |&n| (bf, n)))
         .collect();
-    let points = par_grid(jobs, &cells, |&(bf, n)| {
+    let points = pool::par_map(jobs, &cells, |&(bf, n)| {
         let p = worst_case_sweep(LockKind::OneShot { b: bf }, n, 3, NoProbe).expect("sim failed");
         assert!(p.mutex_ok);
         p
@@ -222,7 +222,7 @@ fn logw(jobs: usize) -> io::Result<()> {
         .iter()
         .flat_map(|&bf| es.iter().map(move |&e| (bf, e)))
         .collect();
-    let costs = par_grid(jobs, &cells, |&(bf, e)| {
+    let costs = pool::par_map(jobs, &cells, |&(bf, e)| {
         let n = 1usize << e;
         let mut b = MemoryBuilder::new();
         let tree = Tree::layout(&mut b, n, bf);
@@ -264,7 +264,7 @@ fn fig5(jobs: usize) -> io::Result<()> {
     // Each cell runs with its own export log + per-kind log (an owned
     // `(A, B)` probe pair observing the same run); the export logs are
     // absorbed in cell order afterwards.
-    let results = par_grid(jobs, &kinds, |&kind| {
+    let results = pool::par_map(jobs, &kinds, |&kind| {
         let built = sal_bench::build_lock(kind, 8, 8 * 8 + 16);
         let mut plans = vec![sal_runtime::ProcPlan::normal(8); 6];
         plans.extend(vec![sal_runtime::ProcPlan::aborter(8, 60); 2]);

@@ -12,8 +12,8 @@
 //! `bursty`.
 //!
 //! `--seeds a,b,c` runs the same configuration once per seed — fanned
-//! out over the work-stealing pool (`SAL_JOBS`) and gathered in seed
-//! order — printing one row per seed plus an aggregate, so the output
+//! out by `pool::par_map` (`SAL_JOBS`) and gathered in seed order —
+//! printing one row per seed plus an aggregate, so the output
 //! is identical at any worker count.
 //!
 //! Sweep samples schedules; to *search* them for the worst one, use
@@ -21,7 +21,7 @@
 
 use crate::Exit;
 use sal_bench::cli::{Cli, Parsed};
-use sal_bench::{build_lock, par_grid, LockKind, Table};
+use sal_bench::{build_lock, LockKind, Table};
 use sal_obs::NoProbe;
 use sal_runtime::{
     pool, run_lock, BurstySchedule, ProcPlan, RandomSchedule, RoundRobin, SchedulePolicy,
@@ -137,10 +137,10 @@ fn simulate(
     Ok((report, attempts, built.words))
 }
 
-/// `--seeds a,b,c`: one simulation per seed on the pool, gathered in
-/// seed-list order.
+/// `--seeds a,b,c`: one simulation per seed through `pool::par_map`,
+/// gathered in seed-list order.
 fn multi_seed(kind: LockKind, args: &Args) -> Result<(), Exit> {
-    let points = par_grid(pool::default_jobs(), &args.seeds, |&seed| {
+    let points = pool::par_map(pool::default_jobs(), &args.seeds, |&seed| {
         simulate(kind, args, seed)
     });
     let mut t = Table::new(

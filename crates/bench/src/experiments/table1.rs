@@ -20,8 +20,8 @@
 //! the `amortized` part alone on a reduced grid, whose artifact goes
 //! to `target/experiments/` instead of the repo root.
 //!
-//! Grid cells are independent simulations, so they fan out over the
-//! work-stealing pool (`SAL_JOBS`, default = available parallelism)
+//! Grid cells are independent simulations, so they fan out through
+//! `pool::par_map` (`SAL_JOBS`, default = available parallelism)
 //! and are gathered in cell order — tables, JSON and JSONL exports are
 //! byte-identical at any worker count.
 
@@ -29,7 +29,7 @@ use crate::Exit;
 use sal_bench::artifact::{self, Mode};
 use sal_bench::cli::{Cli, Parsed};
 use sal_bench::{
-    absorb, adaptive_sweep, amortized_sweep, no_abort_sweep, par_grid, space_row, worst_case_sweep,
+    absorb, adaptive_sweep, amortized_sweep, no_abort_sweep, space_row, worst_case_sweep,
     AmortizedPoint, LockKind, SweepPoint, Table,
 };
 use sal_obs::{EventLog, Json, NoProbe, ToJson};
@@ -50,9 +50,9 @@ pub const PARTS: &[&str] = &[
 const B: usize = 16; // branching factor for "our" locks in the comparison
 const NS: [usize; 6] = [8, 16, 32, 64, 128, 256];
 
-/// Evaluate `eval` over every `(kind, x)` cell on the pool and print
-/// one table row per kind, showing `cell` of each point under an
-/// `{x_name}={x}` column. Returns the points in cell order.
+/// Evaluate `eval` over every `(kind, x)` cell through `pool::par_map`
+/// and print one table row per kind, showing `cell` of each point under
+/// an `{x_name}={x}` column. Returns the points in cell order.
 fn kind_grid<T: Send>(
     jobs: usize,
     title: &str,
@@ -65,7 +65,7 @@ fn kind_grid<T: Send>(
         .iter()
         .flat_map(|&kind| xs.iter().map(move |&x| (kind, x)))
         .collect();
-    let points = par_grid(jobs, &cells, |&(kind, x)| eval(kind, x));
+    let points = pool::par_map(jobs, &cells, |&(kind, x)| eval(kind, x));
     let header: Vec<String> = std::iter::once("lock".to_string())
         .chain(xs.iter().map(|x| format!("{x_name}={x}")))
         .collect();
@@ -201,7 +201,7 @@ fn space(jobs: usize) -> io::Result<()> {
 fn fairness(jobs: usize) {
     let n = 16;
     let seeds: Vec<u64> = (0..200).collect();
-    let verdicts = par_grid(jobs, &seeds, |&seed| {
+    let verdicts = pool::par_map(jobs, &seeds, |&seed| {
         let built = sal_bench::build_lock(LockKind::OneShot { b: B }, n, n);
         let mut plans = vec![ProcPlan::normal(1); n];
         // A third of the crowd aborts; FCFS must hold among the rest.
@@ -235,7 +235,7 @@ fn fairness(jobs: usize) {
     // Long-lived: starvation freedom — every process completes all its
     // passages under fair random schedules.
     let seeds: Vec<u64> = (0..50).collect();
-    let completed = par_grid(jobs, &seeds, |&seed| {
+    let completed = pool::par_map(jobs, &seeds, |&seed| {
         let p = no_abort_sweep(LockKind::LongLived { b: B }, 8, 4, seed, NoProbe);
         assert!(p.expect("sim failed").mutex_ok);
         true
@@ -265,7 +265,7 @@ fn amortized(jobs: usize, smoke: bool) -> io::Result<()> {
         .iter()
         .flat_map(|&kind| ns.iter().map(move |&n| (kind, n)))
         .collect();
-    let points: Vec<AmortizedPoint> = par_grid(jobs, &cells, |&(kind, n)| {
+    let points: Vec<AmortizedPoint> = pool::par_map(jobs, &cells, |&(kind, n)| {
         let p = amortized_sweep(kind, n, rounds, passages, 42).expect("sim failed");
         assert!(p.mutex_ok, "{} violated mutual exclusion", p.lock);
         assert!(

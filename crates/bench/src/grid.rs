@@ -1,34 +1,17 @@
-//! Parallel grid evaluation for the experiments.
+//! Helpers shared by the experiment grids.
 //!
 //! Every table and figure in this crate is a grid of *mutually
 //! independent* cells — (lock × N × seed) configurations that each
-//! build their own `CcMemory` and share nothing. [`par_grid`] fans the
-//! cells out over the work-stealing pool in `sal-runtime` and gathers
-//! results **by cell index**, so the driver consumes them in exactly
-//! the order a serial loop would have produced: tables, JSON exports
-//! and absorbed JSONL event logs come out byte-identical whatever the
+//! build their own `CcMemory` and share nothing. The experiments pass
+//! their cell slices straight to [`sal_runtime::pool::par_map`], which
+//! runs the cells on `SAL_JOBS` threads (else available parallelism)
+//! and gathers results **by cell index**, so a driver consumes them in
+//! exactly the order a serial loop would have produced. [`absorb`] then
+//! folds the per-cell event logs in that same order: tables, JSON
+//! exports and JSONL event logs come out byte-identical whatever the
 //! worker count.
-//!
-//! The worker count comes from `SAL_JOBS`, else available parallelism
-//! ([`pool::default_jobs`]).
 
 use sal_obs::EventLog;
-use sal_runtime::pool;
-
-/// Evaluate `eval` over every cell of `cells` on `jobs` workers (`0` =
-/// auto) and return the results in cell order. Cells must be
-/// independent: each one builds its own memory/lock/sinks. With
-/// `jobs == 1` this is exactly the serial loop (same code path, no
-/// threads), which is what makes the parallel output provably
-/// comparable.
-pub fn par_grid<C, T, F>(jobs: usize, cells: &[C], eval: F) -> Vec<T>
-where
-    C: Sync,
-    T: Send,
-    F: Fn(&C) -> T + Sync,
-{
-    pool::par_map_indexed(jobs, cells.len(), |i| eval(&cells[i]))
-}
 
 /// Fold the per-cell event logs of a grid's results into one log, in
 /// cell order — so an exported JSONL stream never silently overflows
@@ -69,15 +52,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_grid_preserves_cell_order() {
-        let cells: Vec<usize> = (0..50).collect();
-        for jobs in [1, 4] {
-            let out = par_grid(jobs, &cells, |&c| c * 3);
-            assert_eq!(out, cells.iter().map(|c| c * 3).collect::<Vec<_>>());
-        }
-    }
 
     #[test]
     fn lists_parse_or_fail_loudly() {

@@ -36,7 +36,7 @@ pub mod report;
 pub mod workloads;
 
 pub use cli::Cli;
-pub use grid::{absorb, par_grid};
+pub use grid::absorb;
 pub use registry::{build_lock, LockKind};
 pub use report::{RmrSummary, Table};
 pub use workloads::{

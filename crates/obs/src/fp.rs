@@ -3,18 +3,13 @@
 //! The guided schedule search in `sal-runtime` (and any sweep driver
 //! that wants to ask "have I seen this behaviour before?") needs a
 //! cheap, dependency-free way to reduce a stream of observations to a
-//! 64-bit key. This module provides the two folding disciplines that
-//! cover both uses:
+//! 64-bit key. [`Fingerprint::fold_ordered`] is sequence-sensitive:
+//! permuting the stream changes the key, which is right for event logs,
+//! where order *is* the observation. (The search's *state*
+//! fingerprints need the opposite, an order-free XOR of per-step
+//! hashes, and fold those inline with [`mix64`].)
 //!
-//! * [`Fingerprint::fold_ordered`] — sequence-sensitive: permuting the
-//!   stream changes the key. Right for event logs, where order *is* the
-//!   observation.
-//! * [`Fingerprint::fold_commutative`] — an XOR fold: permuting the
-//!   stream leaves the key unchanged. Right for *state* fingerprints
-//!   built from per-step hashes, where two op sequences that differ
-//!   only by commuting independent steps must collapse to one key.
-//!
-//! Both are built on [`mix64`], the SplitMix64 finalizer — the same
+//! It is built on [`mix64`], the SplitMix64 finalizer — the same
 //! mixer behind `sal_runtime::SmallRng`, so its avalanche behaviour is
 //! already relied on throughout the workspace.
 
@@ -40,14 +35,6 @@ pub fn mix64(mut x: u64) -> u64 {
 /// b.fold_ordered(2);
 /// b.fold_ordered(1);
 /// assert_ne!(a.value(), b.value(), "ordered folds are order-sensitive");
-///
-/// let mut c = Fingerprint::new();
-/// c.fold_commutative(1);
-/// c.fold_commutative(2);
-/// let mut d = Fingerprint::new();
-/// d.fold_commutative(2);
-/// d.fold_commutative(1);
-/// assert_eq!(c.value(), d.value(), "commutative folds are order-free");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Fingerprint(u64);
@@ -63,12 +50,6 @@ impl Fingerprint {
     /// remixed, so `[a, b]` and `[b, a]` diverge.
     pub fn fold_ordered(&mut self, x: u64) {
         self.0 = mix64(self.0.rotate_left(7) ^ mix64(x));
-    }
-
-    /// Absorb `x` order-insensitively (XOR of mixed items): any
-    /// permutation of the same multiset of items yields the same value.
-    pub fn fold_commutative(&mut self, x: u64) {
-        self.0 ^= mix64(x);
     }
 
     /// The current 64-bit fingerprint.
@@ -89,18 +70,6 @@ mod tests {
         // Pinned value: the mixer is part of the fingerprint contract —
         // changing it silently would invalidate recorded artifacts.
         assert_eq!(mix64(0), 0xe220_a839_7b1d_cdaf);
-    }
-
-    #[test]
-    fn commutative_fold_cancels_pairs() {
-        // XOR folding means absorbing the same item twice cancels it —
-        // callers fingerprint *sets of distinct step hashes*, where each
-        // step hash already encodes its per-process position and thus
-        // cannot repeat within one run.
-        let mut f = Fingerprint::new();
-        f.fold_commutative(9);
-        f.fold_commutative(9);
-        assert_eq!(f.value(), 0);
     }
 
     #[test]

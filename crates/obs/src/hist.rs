@@ -144,17 +144,6 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// Per-bucket `(upper_bound_inclusive, count)` pairs, skipping empty
-    /// buckets — the machine-readable shape of the distribution.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| (if b == 0 { 0 } else { (1u64 << b) - 1 }, c))
-            .collect()
-    }
-
     /// One-line rendering: `n=…min=… p50=… p99=… max=… mean=…` (`-`
     /// for quantiles of an empty sample set).
     pub fn render(&self) -> String {
@@ -183,7 +172,7 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), None, "no samples, no percentile");
-        assert!(h.buckets().is_empty());
+        assert!(h.buckets.iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -208,8 +197,15 @@ mod tests {
         for v in [0, 1, 2, 3, 4, 7, 8, 1000] {
             h.record(v);
         }
-        let buckets = h.buckets();
+        // `(upper_bound_inclusive, count)` of every non-empty bucket:
         // 0 → bound 0; 1 → 1; 2,3 → 3; 4..7 → 7; 8 → 15; 1000 → 1023.
+        let buckets: Vec<(u64, u64)> = h
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(b, &c)| (if b == 0 { 0 } else { (1u64 << b) - 1 }, c))
+            .collect();
         assert_eq!(
             buckets,
             vec![(0, 1), (1, 1), (3, 2), (7, 2), (15, 1), (1023, 1)]
@@ -249,7 +245,7 @@ mod tests {
         assert_eq!(a.sum(), all.sum());
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
-        assert_eq!(a.buckets(), all.buckets());
+        assert_eq!(a.buckets, all.buckets);
         for q in [0.25, 0.5, 0.75, 0.99, 1.0] {
             assert_eq!(a.quantile(q), all.quantile(q), "q={q}");
         }

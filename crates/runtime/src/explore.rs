@@ -17,11 +17,11 @@
 //!
 //! ## Parallel exploration
 //!
-//! Each schedule is an independent re-execution, so the explorer fans
-//! the search tree out over the [`pool`](crate::pool) in
-//! **breadth-first waves**: the current frontier of forced prefixes is
-//! executed concurrently ([`par_map_indexed`] gathers outcomes by
-//! index), then children are expanded in frontier order. Every
+//! Each schedule is an independent re-execution, so the explorer runs
+//! the search tree in **breadth-first waves**: the current frontier of
+//! forced prefixes is one fixed list, executed concurrently by
+//! [`pool::par_map`] (which gathers outcomes by index), then children
+//! are expanded on the calling thread in frontier order. Every
 //! jobs-count-sensitive decision is made deterministic by construction:
 //!
 //! * the run budget truncates the *frontier* (a deterministic list),
@@ -205,7 +205,7 @@ pub struct ExploreOptions {
     /// of a run rarely hide new behaviours once every process is merely
     /// draining).
     pub max_branch_depth: usize,
-    /// Worker threads for the breadth-first waves; `0` means auto
+    /// Threads [`pool::par_map`] runs each wave on; `0` means auto
     /// ([`pool::default_jobs`]). The result is identical for every
     /// value — see the module docs.
     pub jobs: usize,
@@ -374,10 +374,10 @@ where
 /// [`explore`] with a pluggable [`Strategy`] and guidance signals.
 ///
 /// The engine alternates strategy batches with parallel execution:
-/// `next_batch` yields the forced prefixes to run, the pool executes
-/// them, outcomes are digested **in batch index order** (fingerprints,
-/// cost tracking, violation selection) and handed back to the strategy
-/// as [`RunView`](crate::search::RunView)s. Everything the strategy or
+/// `next_batch` yields the forced prefixes to run, [`pool::par_map`]
+/// executes them, outcomes are digested **in batch index order**
+/// (fingerprints, cost tracking, violation selection) and handed back
+/// to the strategy as one view per run. Everything the strategy or
 /// the result can observe is therefore identical at any
 /// [`ExploreOptions::jobs`] value.
 ///
@@ -422,9 +422,9 @@ where
             break;
         }
 
-        let wave: Vec<RunOutcome> = pool::par_map_indexed(jobs, batch.len(), |i| {
+        let wave: Vec<RunOutcome> = pool::par_map(jobs, &batch, |prefix| {
             let out = Arc::new(OnceLock::new());
-            let policy = ForcedSchedule::new(batch[i].clone(), Arc::clone(&out));
+            let policy = ForcedSchedule::new(prefix.clone(), Arc::clone(&out));
             let outcome = run(policy);
             // The policy published its trace on drop inside `run`; if a
             // caller leaked it the trace is simply empty (no children,

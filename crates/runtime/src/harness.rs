@@ -186,29 +186,6 @@ where
     run_inner(lock, mem, cs_word, spec, policy, NoProbe)
 }
 
-/// Run one independent simulation per seed on a pool of `jobs` workers
-/// (`0` = auto) and gather the reports **by seed order** — results are
-/// identical to running the seeds serially, whatever the worker count.
-/// If several seeds fail, the error of the *earliest* seed (by position
-/// in `seeds`) is returned, not the first to finish.
-///
-/// `run` must build the entire workload (memory, lock, policy) from its
-/// seed — cells share nothing, which is what makes the fan-out safe.
-///
-/// # Errors
-///
-/// The earliest seed's error, when any seed fails.
-pub fn par_runs<R, E, F>(jobs: usize, seeds: &[u64], run: F) -> Result<Vec<R>, E>
-where
-    R: Send,
-    E: Send,
-    F: Fn(u64) -> Result<R, E> + Sync,
-{
-    crate::pool::par_map_indexed(jobs, seeds.len(), |i| run(seeds[i]))
-        .into_iter()
-        .collect()
-}
-
 /// The one workload driver behind both `run_*` entry points, generic
 /// over the lock's [`LockCore`] impl at the harness's stepped memory
 /// type. The `dyn`-dispatch flavour is this same function instantiated
@@ -384,38 +361,6 @@ mod tests {
         // RMR in the run happened inside some passage.
         let total: u64 = report.passages.iter().map(|p| p.rmrs).sum();
         assert_eq!(total, mem.total_rmrs());
-    }
-
-    #[test]
-    fn par_runs_gathers_by_seed_order_and_reports_earliest_error() {
-        let seeds: Vec<u64> = (0..16).collect();
-        let ok = par_runs(4, &seeds, |s| {
-            let (lock, cs, mem) = one_shot(3, 2);
-            let spec = WorkloadSpec::uniform(3, 1);
-            let report = run_lock(
-                &lock,
-                &mem,
-                cs,
-                &spec,
-                Box::new(RandomSchedule::seeded(s)),
-                NoProbe,
-            )
-            .map_err(|e| e.to_string())?;
-            report.assert_safe();
-            Ok::<u64, String>(s)
-        })
-        .unwrap();
-        assert_eq!(ok, seeds, "reports come back in seed order");
-
-        let err = par_runs(4, &seeds, |s| {
-            if s >= 5 {
-                Err(format!("seed {s} failed"))
-            } else {
-                Ok(s)
-            }
-        })
-        .unwrap_err();
-        assert_eq!(err, "seed 5 failed", "earliest seed's error wins");
     }
 
     #[test]

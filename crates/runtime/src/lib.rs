@@ -25,10 +25,10 @@
 //!   [`run_lock_core`] is the same driver, statically dispatched.
 //! * [`SmallRng`] — the workspace's own seeded PRNG (the build
 //!   environment is offline, so randomness is home-grown).
-//! * [`pool`] — a dependency-free work-stealing job pool
-//!   ([`par_map_indexed`], [`run_jobs`]) that fans independent
-//!   simulations out over worker threads and gathers results by index,
-//!   so parallel experiment output is byte-identical to serial.
+//! * [`pool`] — a dependency-free fan-out ([`pool::par_map`]): scoped
+//!   threads claim the indices of independent simulations from one
+//!   counter and the results are gathered by index, so parallel
+//!   experiment output is byte-identical to serial.
 //! * [`executor`] — a dependency-free mini async executor
 //!   ([`executor::block_on`], [`executor::Executor`],
 //!   [`executor::sleep_until`]) for driving
@@ -79,14 +79,12 @@ pub use explore::{
     GuidedOutcome,
 };
 pub use gate::{stepped, StepGate, StepLayer, SteppedMem};
-pub use harness::{
-    par_runs, run_lock, run_lock_core, ProcPlan, Role, WorkloadReport, WorkloadSpec,
-};
-pub use pool::{default_jobs, par_map_indexed, resolve_jobs, run_jobs, Worker};
+pub use harness::{run_lock, run_lock_core, ProcPlan, Role, WorkloadReport, WorkloadSpec};
+pub use pool::{default_jobs, resolve_jobs};
 pub use replay::{ParseRecordingError, Recorder, Recording, RecordingHandle, Replay};
 pub use rng::SmallRng;
 pub use schedule::{
     BurstySchedule, RandomSchedule, RoundRobin, SchedStatus, SchedulePolicy, Scripted, PEEK_CAP,
 };
-pub use search::{canonical_schedule, independent, OpTraceSink, SearchStrategy, StepOp, Strategy};
+pub use search::{canonical_schedule, independent, OpTraceSink, StepOp, Strategy};
 pub use sim::{default_lease, simulate, ProcCtx, SimError, SimOptions, SimReport};

@@ -1,5 +1,6 @@
-//! Guided schedule search: the pluggable [`SearchStrategy`] engine room
-//! behind [`explore_guided`](crate::explore::explore_guided).
+//! Guided schedule search: the search strategies behind
+//! [`explore_guided`](crate::explore::explore_guided), chosen by the
+//! public [`Strategy`] value.
 //!
 //! The bounded-deviation BFS in [`explore`](crate::explore) treats every
 //! run as an opaque verdict. Guided search opens the box: each run can
@@ -27,14 +28,15 @@
 //!   schedule, so different strategies can be compared witness-for-
 //!   witness.
 //!
-//! Four strategies implement the trait: [`BfsStrategy`] (the exhaustive
-//! reference), [`DporStrategy`] (sleep-set-style pruning + fingerprint
-//! dedup), [`BestFirstStrategy`] (cost-keyed priority frontier) and
-//! [`FuzzStrategy`] (seeded mutation of recorded prefixes with
-//! fingerprint-coverage feedback). All of them only *order and filter*
-//! the forced prefixes to execute; the engine in `explore` runs every
-//! batch on the work-stealing pool and digests outcomes in index order,
-//! so results are identical at any `jobs` count.
+//! Four crate-private strategies implement the `SearchStrategy` trait:
+//! `BfsStrategy` (the exhaustive reference), `DporStrategy`
+//! (sleep-set-style pruning + fingerprint dedup), `BestFirstStrategy`
+//! (cost-keyed priority frontier) and `FuzzStrategy` (seeded mutation
+//! of recorded prefixes with fingerprint-coverage feedback). All of
+//! them only *order and filter* the forced prefixes to execute; the
+//! engine in `explore` runs every batch through
+//! [`pool::par_map`](crate::pool::par_map) and digests outcomes in index
+//! order, so results are identical at any `jobs` count.
 
 use crate::explore::{Decision, ExploreOptions, ForcedSchedule};
 use crate::rng::SmallRng;
@@ -197,7 +199,7 @@ pub fn canonical_schedule(schedule: &[Pid], ops: &[StepOp]) -> Vec<Pid> {
 /// Dropped-work tallies, mirrored into
 /// [`ExplorationResult`](crate::explore::ExplorationResult).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct SearchCounters {
+pub(crate) struct SearchCounters {
     /// Children skipped by the sleep-set independence rule.
     pub pruned: usize,
     /// Runs whose children were skipped because the run's final-state
@@ -208,7 +210,7 @@ pub struct SearchCounters {
 /// One executed run, as the engine hands it to
 /// [`SearchStrategy::absorb`] (in deterministic batch order).
 #[derive(Debug)]
-pub struct RunView<'a> {
+pub(crate) struct RunView<'a> {
     /// The forced prefix that produced the run.
     pub prefix: &'a [Pid],
     /// The full decision record (chosen pid + live set per step).
@@ -233,10 +235,7 @@ pub struct RunView<'a> {
 /// strategy state lives on the engine thread; determinism across worker
 /// counts is the engine's job (index-ordered gathering), not the
 /// strategy's.
-pub trait SearchStrategy: Send {
-    /// Display name ("bfs", "dpor", ...).
-    fn name(&self) -> &'static str;
-
+pub(crate) trait SearchStrategy: Send {
     /// The next prefixes to execute, at most `limit`. Returning an
     /// empty batch ends the search.
     fn next_batch(&mut self, limit: usize) -> Vec<Vec<Pid>>;
@@ -255,8 +254,8 @@ pub trait SearchStrategy: Send {
     fn pending(&self) -> usize;
 }
 
-/// Which [`SearchStrategy`] to run; the value-level surface used by
-/// CLIs and tests.
+/// Which search strategy [`explore_guided`](crate::explore_guided)
+/// runs; the value-level surface used by CLIs and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Bounded-deviation breadth-first search — the exhaustive
@@ -282,7 +281,7 @@ pub enum Strategy {
 impl Strategy {
     /// Construct the strategy implementation.
     #[must_use]
-    pub fn build(self) -> Box<dyn SearchStrategy> {
+    pub(crate) fn build(self) -> Box<dyn SearchStrategy> {
         match self {
             Strategy::Bfs => Box::new(BfsStrategy::new()),
             Strategy::Dpor => Box::new(DporStrategy::new()),
@@ -414,7 +413,7 @@ fn prunable(
 /// Bounded-deviation BFS as a [`SearchStrategy`]: a FIFO frontier, no
 /// pruning, no dedup — the exhaustive reference.
 #[derive(Debug)]
-pub struct BfsStrategy {
+pub(crate) struct BfsStrategy {
     queue: VecDeque<Vec<Pid>>,
 }
 
@@ -428,17 +427,7 @@ impl BfsStrategy {
     }
 }
 
-impl Default for BfsStrategy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SearchStrategy for BfsStrategy {
-    fn name(&self) -> &'static str {
-        "bfs"
-    }
-
     fn next_batch(&mut self, limit: usize) -> Vec<Vec<Pid>> {
         let take = self.queue.len().min(limit);
         self.queue.drain(..take).collect()
@@ -465,7 +454,7 @@ impl SearchStrategy for BfsStrategy {
 /// BFS order + sleep-set pruning + fingerprint dedup: equivalent
 /// interleavings are expanded once.
 #[derive(Debug)]
-pub struct DporStrategy {
+pub(crate) struct DporStrategy {
     queue: VecDeque<Vec<Pid>>,
 }
 
@@ -479,17 +468,7 @@ impl DporStrategy {
     }
 }
 
-impl Default for DporStrategy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SearchStrategy for DporStrategy {
-    fn name(&self) -> &'static str {
-        "dpor"
-    }
-
     fn next_batch(&mut self, limit: usize) -> Vec<Vec<Pid>> {
         let take = self.queue.len().min(limit);
         self.queue.drain(..take).collect()
@@ -527,7 +506,7 @@ impl SearchStrategy for DporStrategy {
 /// differently under the cost model, and the frontier ordering already
 /// focuses the budget.
 #[derive(Debug)]
-pub struct BestFirstStrategy {
+pub(crate) struct BestFirstStrategy {
     /// `(cost, prefix)` — re-sorted each round.
     queue: Vec<(u64, Vec<Pid>)>,
     /// Max prefixes per round: big enough to keep every worker busy,
@@ -546,17 +525,7 @@ impl BestFirstStrategy {
     }
 }
 
-impl Default for BestFirstStrategy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SearchStrategy for BestFirstStrategy {
-    fn name(&self) -> &'static str {
-        "best-first"
-    }
-
     fn next_batch(&mut self, limit: usize) -> Vec<Vec<Pid>> {
         // Highest cost first; among equal costs the lexicographically
         // least prefix.
@@ -600,7 +569,7 @@ impl SearchStrategy for BestFirstStrategy {
 /// earlier/later, which shifts where an aborter's steps land) — plus a
 /// random-prefix fallback while the corpus is still tiny.
 #[derive(Debug)]
-pub struct FuzzStrategy {
+pub(crate) struct FuzzStrategy {
     rng: SmallRng,
     corpus: Vec<Vec<Pid>>,
     issued: HashSet<Vec<Pid>>,
@@ -669,10 +638,6 @@ impl FuzzStrategy {
 }
 
 impl SearchStrategy for FuzzStrategy {
-    fn name(&self) -> &'static str {
-        "fuzz"
-    }
-
     fn next_batch(&mut self, limit: usize) -> Vec<Vec<Pid>> {
         if !self.bootstrapped {
             self.bootstrapped = true;

@@ -3,10 +3,10 @@
 //! rendered tables, merged JSONL event streams, exploration verdicts —
 //! must be byte-identical at `--jobs 1` and `--jobs 8`.
 
-use sal_bench::{par_grid, worst_case_sweep, LockKind, Table};
+use sal_bench::{worst_case_sweep, LockKind, Table};
 use sal_memory::{Mem, MemoryBuilder};
 use sal_obs::{EventLog, ToJson};
-use sal_runtime::{explore, simulate, ExploreOptions, SimOptions};
+use sal_runtime::{explore, pool, simulate, ExploreOptions, SimOptions};
 
 /// Render everything a table1-style probed sweep produces into one
 /// string: the aligned table, the points JSON, and the merged event
@@ -21,7 +21,7 @@ fn sweep_fingerprint(jobs: usize, seeds: &[u64]) -> String {
                 .flat_map(move |&n| seeds.iter().map(move |&seed| (kind, n, seed)))
         })
         .collect();
-    let results = par_grid(jobs, &cells, |&(kind, n, seed)| {
+    let results = pool::par_map(jobs, &cells, |&(kind, n, seed)| {
         let cell_log = EventLog::unbounded();
         let p = worst_case_sweep(kind, n, seed, cell_log.clone()).expect("sim failed");
         assert!(p.mutex_ok);

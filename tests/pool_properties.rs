@@ -1,17 +1,19 @@
-//! Properties of the work-stealing pool itself (ISSUE PR-3 satellite):
-//! stealing under skewed job sizes, panic hygiene, dynamic spawning and
-//! nested fan-out. Everything here must hold at any worker count,
-//! including on a single-CPU box where workers time-slice.
+//! Properties of the experiment engine's fan-out, `pool::par_map`:
+//! index-ordered gathering under skewed job sizes, panic hygiene (every
+//! sibling runs, and the lowest-index panic is the one re-raised),
+//! inline execution at one job, and nested fan-out. Everything here
+//! must hold at any worker count, including on a single-CPU box where
+//! threads time-slice.
 
-use sal_runtime::pool::{par_map_indexed, resolve_jobs, run_jobs};
+use sal_runtime::pool::{par_map, resolve_jobs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::thread;
 
 /// Heavily skewed job sizes: one job is ~1000x the others. The gather
 /// must still come back in index order with every cell present.
 #[test]
 fn skewed_job_sizes_gather_in_order() {
-    let work = |i: usize| -> u64 {
+    let work = |&i: &usize| -> u64 {
         // Cell 0 is the giant; the rest are tiny.
         let iters = if i == 0 { 200_000 } else { 200 };
         let mut acc = i as u64;
@@ -20,78 +22,66 @@ fn skewed_job_sizes_gather_in_order() {
         }
         acc
     };
-    let serial: Vec<u64> = (0..64).map(work).collect();
+    let items: Vec<usize> = (0..64).collect();
+    let serial: Vec<u64> = items.iter().map(work).collect();
     for jobs in [1, 2, 4, 8] {
-        let par = par_map_indexed(jobs, 64, work);
+        let par = par_map(jobs, &items, work);
         assert_eq!(par, serial, "jobs={jobs}");
     }
 }
 
-/// A panicking job propagates to the caller *after* the pool has
-/// drained — sibling jobs still ran — and the pool machinery is
-/// reusable afterwards (no poisoned/wedged state).
+/// Panicking jobs propagate to the caller only after every sibling job
+/// has run, and the payload re-raised is the lowest-index panic's —
+/// whichever job panicked first in time — so the failure a caller sees
+/// is the same at every worker count. Nothing is left poisoned: a fresh
+/// call works afterwards.
 #[test]
 fn panic_propagates_without_wedging_the_pool() {
-    static RAN: AtomicUsize = AtomicUsize::new(0);
-    RAN.store(0, Ordering::SeqCst);
-    let result = std::panic::catch_unwind(|| {
-        run_jobs(4, (0..32).collect::<Vec<usize>>(), |i, _w| {
-            RAN.fetch_add(1, Ordering::SeqCst);
-            assert!(i != 7, "job 7 detonates");
+    let items: Vec<usize> = (0..32).collect();
+    for jobs in [1, 2, 4] {
+        let ran = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(|| {
+            par_map(jobs, &items, |&i| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                match i {
+                    3 => panic!("job 3 detonates"),
+                    7 => panic!("job 7 detonates"),
+                    _ => i,
+                }
+            })
         });
-    });
-    assert!(result.is_err(), "the job panic must reach the caller");
-    // All 32 jobs were taken off the queues despite the panic.
-    assert_eq!(RAN.load(Ordering::SeqCst), 32);
-    // And a fresh run on the same API works fine.
-    let again = par_map_indexed(4, 16, |i| i * 2);
+        let payload = result.expect_err("the job panic must reach the caller");
+        assert_eq!(ran.load(Ordering::SeqCst), 32, "jobs={jobs}");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("job 3 detonates"), "jobs={jobs}");
+    }
+    let again = par_map(4, &items[..16], |&i| i * 2);
     assert_eq!(again, (0..16).map(|i| i * 2).collect::<Vec<_>>());
 }
 
-/// Jobs may spawn further jobs mid-run (the exploration engine's wave
-/// expansion does); everything spawned before the last job finishes is
-/// still executed.
+/// At one job every item runs inline on the calling thread: the serial
+/// baseline is the same claim loop, minus threads.
 #[test]
-fn dynamically_spawned_jobs_all_run() {
-    let hits = Mutex::new(Vec::new());
-    run_jobs(4, vec![0usize], |depth, w| {
-        hits.lock().unwrap().push(depth);
-        if depth < 5 {
-            // Fan out two children per level: 2^6 - 1 = 63 jobs total.
-            w.spawn(depth + 1);
-            w.spawn(depth + 1);
-        }
-    });
-    let mut got = hits.into_inner().unwrap();
-    got.sort_unstable();
-    let mut want = Vec::new();
-    for depth in 0..=5usize {
-        want.extend(std::iter::repeat_n(depth, 1 << depth));
-    }
-    assert_eq!(got, want);
+fn one_job_runs_on_the_callers_thread() {
+    let caller = thread::current().id();
+    let items: Vec<usize> = (0..16).collect();
+    let ran_on = par_map(1, &items, |_| thread::current().id());
+    assert_eq!(ran_on, vec![caller; items.len()]);
 }
 
-/// Nested parallel maps (a pool inside a pool job) complete rather
-/// than deadlocking — each nested call runs on its own scoped workers.
+/// Nested parallel maps (a fan-out inside a job) complete rather than
+/// deadlocking — each nested call runs on its own scoped threads.
 #[test]
 fn nested_par_map_completes() {
-    let outer = par_map_indexed(2, 4, |i| {
-        let inner = par_map_indexed(2, 3, move |j| i * 10 + j);
-        inner.iter().sum::<usize>()
+    let outer: Vec<usize> = (0..4).collect();
+    let inner: Vec<usize> = (0..3).collect();
+    let sums = par_map(2, &outer, |&i| {
+        par_map(2, &inner, |&j| i * 10 + j).iter().sum::<usize>()
     });
-    assert_eq!(outer, vec![3, 33, 63, 93]);
-}
-
-/// Worker indices handed to jobs are always within `0..jobs`.
-#[test]
-fn worker_indices_are_bounded() {
-    let seen = Mutex::new(Vec::new());
-    run_jobs(3, (0..40).collect::<Vec<usize>>(), |_i, w| {
-        seen.lock().unwrap().push(w.index());
-    });
-    let seen = seen.into_inner().unwrap();
-    assert_eq!(seen.len(), 40);
-    assert!(seen.iter().all(|&ix| ix < 3));
+    assert_eq!(sums, vec![3, 33, 63, 93]);
 }
 
 /// `resolve_jobs(0)` is auto (>= 1); positive counts are taken as-is.
@@ -101,10 +91,9 @@ fn zero_jobs_resolves_to_auto() {
     assert_eq!(resolve_jobs(5), 5);
 }
 
-/// Empty input returns an empty gather without touching any threads.
+/// Empty input returns an empty gather without running any job.
 #[test]
 fn empty_input_is_a_no_op() {
-    let out: Vec<usize> = par_map_indexed(8, 0, |i| i);
+    let out: Vec<usize> = par_map(8, &[] as &[usize], |_| unreachable!());
     assert!(out.is_empty());
-    run_jobs(8, Vec::<usize>::new(), |_i, _w| unreachable!());
 }
