@@ -5,9 +5,10 @@
 # example, 20 reruns of the wake-sensitive tests, the suites that
 # must also hold under a non-default environment, a full `table1` run
 # that must reproduce the committed BENCH_table1.json, the benchmark's
-# build and a one-second smoke of each of its workloads, lint-clean
-# clippy, and warning-free docs. Run from the repo root. Fails fast on
-# the first broken step, and leaves every tracked file as it found it.
+# build and a one-second smoke of each of its workloads (plus a traced
+# one for mutex-contended), lint-clean clippy, and warning-free docs.
+# Run from the repo root. Fails fast on the first broken step, and
+# leaves every tracked file as it found it.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -165,6 +166,12 @@ for workload in mutex-contended arena-zipf async-cancel; do
         --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1 |
         grep -q '"correct": true'
 done
+# One traced second of mutex-contended, so the peeled per-layer cells
+# (`core.enter_ns`, `core.exit_ns`, `sync.acquire_ns`) that show which
+# layer of the contended handoff moved are built and run too.
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload mutex-contended --seed 1 --seconds 1 --trace 1 | tail -n 1 |
+    grep -q '"correct": true'
 cargo fmt --check
 cargo clippy --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q

@@ -27,6 +27,22 @@
 //! idle system). Sequence wraparound needs 2²⁰ switches within one
 //! process's absence; like all bounded-tag schemes this is a practical,
 //! not absolute, guarantee.
+//!
+//! Cleanup prepares the *next* switch instead of the current one. The
+//! paper's lines 71–75 (take the spare instance, reset it, allocate a
+//! spin node) run right after a successful line-77 go write, on the
+//! instance that switch just replaced, and the process keeps the
+//! prepared pair until its next switch; the initial spare and spin node
+//! are ready at layout. A switch then runs refcount F&A → descriptor
+//! CAS → go write, so the waiters the go write releases no longer wait
+//! through the preparation, and a failed CAS keeps the pair instead of
+//! discarding work. Preparing the replaced instance there is safe: the
+//! F&A read its refcount as 1 (ours), so no other process referenced it,
+//! and the CAS that won replaced it, so every later doorway F&A
+//! references the new instance — no process can touch the old one's
+//! words again until this process installs it. No passage makes more
+//! memory operations than in the paper's order: a switch makes the same
+//! ones, moved, and a failed CAS makes none of lines 71–75.
 
 use super::desc::TaggedDesc;
 use super::spin_pool::SpinNodePool;
@@ -37,50 +53,60 @@ use crate::resume::{BoundedEnterState, EnterMachine, EnterStep, Handoff, WaitKey
 use crate::tree::Ascent;
 use sal_memory::{AbortSignal, Mem, MemoryBuilder, Pid, WordId};
 use sal_obs::{probed, Probe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// Execution-path counters (Rust-side diagnostics, not shared-memory
 /// state): how often each interesting branch of the protocol ran.
 /// Used by stress tests to prove the rare paths are actually exercised,
 /// and handy when tuning.
-#[derive(Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PathStats {
     /// Entries that found `spn == oldSpn` and waited on the spin node.
-    pub spin_waits: AtomicU64,
+    pub spin_waits: u64,
     /// Spin-path entries whose re-validation found the epoch already
     /// switched (no wait needed).
-    pub spin_revalidation_skips: AtomicU64,
+    pub spin_revalidation_skips: u64,
     /// Successful descriptor switches (line 76 CAS succeeded).
-    pub switches: AtomicU64,
+    pub switches: u64,
     /// Failed descriptor switches (another process raced in).
-    pub switch_cas_failures: AtomicU64,
+    pub switch_cas_failures: u64,
 }
 
-impl PathStats {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
+/// [`Local::old_epoch`] before the process's first Cleanup.
+const NO_EPOCH: u64 = u64::MAX;
 
-    /// Snapshot as `(spin_waits, revalidation_skips, switches, cas_failures)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.spin_waits.load(Ordering::Relaxed),
-            self.spin_revalidation_skips.load(Ordering::Relaxed),
-            self.switches.load(Ordering::Relaxed),
-            self.switch_cas_failures.load(Ordering::Relaxed),
-        )
-    }
+/// An epoch `(seq, spn)` as one word.
+fn epoch_word((seq, spn): (u32, u32)) -> u64 {
+    u64::from(seq) << 32 | u64::from(spn)
 }
 
-/// Per-process local state (process-private, no RMRs).
+/// Per-process local state (process-private, no RMRs), on cache lines
+/// of its own. Only the owning process writes it, and a pid's passages
+/// are ordered by happens-before (one thread at a time, handed over
+/// through synchronizing operations), so `Relaxed` loads and stores
+/// suffice and a passage takes no lock.
 #[derive(Debug)]
+#[repr(align(128))]
 struct Local {
-    /// Epoch `(seq, spn)` recorded by the last Cleanup; the paper's
-    /// `oldSpn`, strengthened with the switch sequence number.
-    old_epoch: Option<(u32, u32)>,
-    /// The instance this process holds as its private spare.
-    spare: u32,
+    /// Epoch recorded by the last Cleanup, as an [`epoch_word`]; the
+    /// paper's `oldSpn`, strengthened with the switch sequence number.
+    old_epoch: AtomicU64,
+    /// The instance this process installs at its next switch: its
+    /// private spare, already reset for reuse.
+    spare: AtomicU32,
+    /// The spin node it installs with it, taken from its pool (`go` 0).
+    spare_spn: AtomicU32,
+    /// This process's share of the [`PathStats`] counters.
+    spin_waits: AtomicU64,
+    spin_revalidation_skips: AtomicU64,
+    switches: AtomicU64,
+    switch_cas_failures: AtomicU64,
+}
+
+/// Count one event on a single-writer counter.
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Relaxed) + 1, Relaxed);
 }
 
 /// The final algorithm of the paper: a starvation-free, abortable,
@@ -94,10 +120,9 @@ pub struct BoundedLongLivedLock {
     proto: OneShotLock,
     instances: Vec<VersionedInstance>,
     spins: SpinNodePool,
-    locals: Vec<Mutex<Local>>,
+    locals: Vec<Local>,
     /// Words eagerly freshened per instance reuse (wraparound guard).
     eager_resets: usize,
-    stats: PathStats,
     n: usize,
 }
 
@@ -150,12 +175,16 @@ impl BoundedLongLivedLock {
             .collect();
         let spins = SpinNodePool::layout(b, n);
         let locals = (0..n)
-            .map(|p| {
-                Mutex::new(Local {
-                    old_epoch: None,
-                    // Instance 0 is installed; p's initial spare is p + 1.
-                    spare: p as u32 + 1,
-                })
+            .map(|p| Local {
+                old_epoch: AtomicU64::new(NO_EPOCH),
+                // Instance 0 is installed; p's initial spare is p + 1,
+                // never used, so it needs no reset.
+                spare: AtomicU32::new(p as u32 + 1),
+                spare_spn: AtomicU32::new(spins.take_free(p).expect("a fresh pool has free nodes")),
+                spin_waits: AtomicU64::new(0),
+                spin_revalidation_skips: AtomicU64::new(0),
+                switches: AtomicU64::new(0),
+                switch_cas_failures: AtomicU64::new(0),
             })
             .collect();
         BoundedLongLivedLock {
@@ -165,14 +194,22 @@ impl BoundedLongLivedLock {
             spins,
             locals,
             eager_resets,
-            stats: PathStats::default(),
             n,
         }
     }
 
-    /// Execution-path counters (diagnostic; see [`PathStats`]).
-    pub fn stats(&self) -> &PathStats {
-        &self.stats
+    /// Execution-path counters (diagnostic; see [`PathStats`]), summed
+    /// over the processes.
+    pub fn stats(&self) -> PathStats {
+        let sum = |counter: fn(&Local) -> &AtomicU64| -> u64 {
+            self.locals.iter().map(|l| counter(l).load(Relaxed)).sum()
+        };
+        PathStats {
+            spin_waits: sum(|l| &l.spin_waits),
+            spin_revalidation_skips: sum(|l| &l.spin_revalidation_skips),
+            switches: sum(|l| &l.switches),
+            switch_cas_failures: sum(|l| &l.switch_cas_failures),
+        }
     }
 
     /// Number of processes the lock supports.
@@ -234,19 +271,19 @@ impl BoundedLongLivedLock {
         loop {
             match machine.st {
                 BoundedEnterState::Start => {
-                    let old_epoch = self.locals[pid].lock().unwrap().old_epoch;
+                    let local = &self.locals[pid];
                     let d = TaggedDesc::unpack(mem.read(pid, self.desc)); // line 57
-                    if Some(d.epoch()) == old_epoch {
+                    if epoch_word(d.epoch()) == local.old_epoch.load(Relaxed) {
                         // lines 58–61, with hazard-style pinning:
                         // announce the node, re-validate the epoch, and
                         // only then spin.
                         self.spins.announce(mem, pid, d.spn);
                         let d2 = TaggedDesc::unpack(mem.read(pid, self.desc));
                         if d2.epoch() == d.epoch() {
-                            PathStats::bump(&self.stats.spin_waits);
+                            bump(&local.spin_waits);
                             machine.st = BoundedEnterState::EpochWait { spn: d.spn };
                         } else {
-                            PathStats::bump(&self.stats.spin_revalidation_skips);
+                            bump(&local.spin_revalidation_skips);
                             self.spins.clear_announce(mem, pid);
                             machine.st = BoundedEnterState::Doorway;
                         }
@@ -331,25 +368,21 @@ impl BoundedLongLivedLock {
 
     /// `Cleanup()` (Algorithm 6.3 + §6.2 recycling); returns whether it
     /// switched instances (and so released the epoch's spin waiters).
+    /// Lines 71–75 run after the switch, for the next one (see the
+    /// module docs).
     fn cleanup<M, P>(&self, mem: &M, pid: Pid, probe: &P) -> bool
     where
         M: Mem + ?Sized,
         P: Probe + ?Sized,
     {
+        let local = &self.locals[pid];
         let d = TaggedDesc::unpack(mem.faa(pid, self.desc, 1u64.wrapping_neg())); // line 70
-        {
-            let mut local = self.locals[pid].lock().unwrap();
-            local.old_epoch = Some(d.epoch());
-        }
+        local.old_epoch.store(epoch_word(d.epoch()), Relaxed);
         if d.refcnt != 1 {
             return false;
         }
-        // lines 71–75: allocate from private holdings.
-        let new_lock = self.locals[pid].lock().unwrap().spare;
-        let inst = &self.instances[new_lock as usize];
-        inst.bump_version(mem, pid);
-        inst.eager_reset(mem, pid, self.eager_resets);
-        let new_spn = self.spins.allocate(mem, pid);
+        let new_lock = local.spare.load(Relaxed);
+        let new_spn = local.spare_spn.load(Relaxed);
         let old = TaggedDesc {
             seq: d.seq,
             lock: d.lock,
@@ -362,24 +395,27 @@ impl BoundedLongLivedLock {
             spn: new_spn,
             refcnt: 0,
         };
-        if mem.cas(pid, self.desc, old.pack(), new.pack()) {
-            // line 76 succeeded: wake the waiters, take the replaced
-            // instance as our next spare, retire the replaced spin node.
-            PathStats::bump(&self.stats.switches);
-            probe.note(pid, "instance-switch", u64::from(new_lock));
-            mem.write(pid, self.spins.go_word(d.spn), 1); // line 77
-            self.locals[pid].lock().unwrap().spare = d.lock;
-            self.spins.retire(mem, pid, d.spn);
-            true
-        } else {
-            PathStats::bump(&self.stats.switch_cas_failures);
-            // Someone incremented Refcnt (or raced the switch): keep our
-            // allocations for next time.
-            self.spins.unallocate(pid, new_spn);
-            // `spare` still holds new_lock (the extra version bump on a
-            // never-installed instance is harmless).
-            false
+        if !mem.cas(pid, self.desc, old.pack(), new.pack()) {
+            // line 76 failed: someone incremented Refcnt (or raced the
+            // switch). The prepared pair waits for our next switch.
+            bump(&local.switch_cas_failures);
+            return false;
         }
+        bump(&local.switches);
+        probe.note(pid, "instance-switch", u64::from(new_lock));
+        mem.write(pid, self.spins.go_word(d.spn), 1); // line 77
+
+        // Lines 71–75 for the next switch: the replaced instance becomes
+        // our spare, reset for reuse, and a fresh spin node goes with it;
+        // then the replaced spin node is retired.
+        let inst = &self.instances[d.lock as usize];
+        inst.bump_version(mem, pid);
+        inst.eager_reset(mem, pid, self.eager_resets);
+        let next_spn = self.spins.allocate(mem, pid);
+        local.spare.store(d.lock, Relaxed);
+        local.spare_spn.store(next_spn, Relaxed);
+        self.spins.retire(mem, pid, d.spn);
+        true
     }
 }
 
@@ -440,6 +476,11 @@ mod tests {
         let mut b = MemoryBuilder::new();
         let lock = BoundedLongLivedLock::layout(&mut b, n, 4);
         (lock, b.build_cc(n))
+    }
+
+    #[test]
+    fn per_pid_slots_live_on_cache_lines_of_their_own() {
+        assert!(std::mem::align_of::<Local>() >= 128);
     }
 
     #[test]
@@ -592,9 +633,62 @@ mod tests {
             .count() as u64;
         assert_eq!(
             switches,
-            lock.stats().snapshot().2,
+            lock.stats().switches,
             "probe notes must mirror the PathStats switch counter"
         );
         assert!(switches >= 4);
+    }
+
+    #[test]
+    fn a_switch_is_faa_cas_go_and_no_passage_costs_more_operations() {
+        use sal_memory::{OpKind, TracingMem};
+        let mut b = MemoryBuilder::new();
+        let lock = BoundedLongLivedLock::layout(&mut b, 4, 16);
+        let mem = b.build_cc(4);
+        let traced = TracingMem::new(&mem);
+        // (reads, writes, CAS, F&A) of solo passages 1–12 with Cleanup's
+        // lines 71–75 before the line-76 CAS, in the paper's order.
+        let mut paper_order = [(27, 14, 6, 3); 12];
+        paper_order[0] = (27, 9, 1, 3);
+        paper_order[11] = (27, 15, 7, 3);
+        for (k, &(reads, writes, cas, faa)) in paper_order.iter().enumerate() {
+            traced.clear();
+            assert!(lock.enter_core(&traced, 0, &NeverAbort, &NoProbe).entered());
+            lock.exit(&traced, 0, &NoProbe);
+            let ops = traced.entries();
+            let count = |kind| ops.iter().filter(|e| e.kind == kind).count();
+            let counts = (
+                count(OpKind::Read),
+                count(OpKind::Write),
+                count(OpKind::Cas),
+                count(OpKind::Faa),
+            );
+            let passage = k + 1;
+            assert!(
+                counts.0 <= reads && counts.1 <= writes && counts.2 <= cas && counts.3 <= faa,
+                "passage {passage}: {counts:?} exceeds {:?}",
+                (reads, writes, cas, faa)
+            );
+            // Cleanup's refcount F&A is the passage's last F&A on the
+            // descriptor; the descriptor CAS follows it, then the go
+            // write that releases the epoch's waiters.
+            let f = ops
+                .iter()
+                .rposition(|e| e.kind == OpKind::Faa && e.word == lock.desc)
+                .unwrap();
+            let replaced = TaggedDesc::unpack(ops[f].value);
+            let switch: Vec<_> = ops[f + 1..f + 3]
+                .iter()
+                .map(|e| (e.kind, e.word, e.value))
+                .collect();
+            assert_eq!(
+                switch,
+                [
+                    (OpKind::Cas, lock.desc, 1),
+                    (OpKind::Write, lock.spins.go_word(replaced.spn), 1)
+                ],
+                "passage {passage}: the switch is F&A → CAS → go write"
+            );
+        }
     }
 }

@@ -27,22 +27,100 @@
 //!   list, resetting their `go` word.
 
 use sal_memory::{Mem, MemoryBuilder, Pid, WordArray};
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// How many announce slots each incremental scan step inspects.
 const SCAN_STRIDE: usize = 4;
 
-/// Per-process local bookkeeping (process-private: costs no RMRs).
-#[derive(Debug, Default)]
+/// [`PoolLocal::scan`] when no incremental scan is in flight.
+const NO_SCAN: u64 = u64::MAX;
+
+/// A fixed-capacity deque of node ids, written only by the process that
+/// owns it (see [`PoolLocal`]).
+#[derive(Debug)]
+struct Ring {
+    ids: Box<[AtomicU32]>,
+    head: AtomicUsize,
+    len: AtomicUsize,
+}
+
+impl Ring {
+    fn new(capacity: usize, ids: impl IntoIterator<Item = u32>) -> Self {
+        let ring = Ring {
+            ids: (0..capacity).map(|_| AtomicU32::new(0)).collect(),
+            head: AtomicUsize::new(0),
+            len: AtomicUsize::new(0),
+        };
+        ids.into_iter().for_each(|s| ring.push_back(s));
+        ring
+    }
+
+    fn len(&self) -> usize {
+        self.len.load(Relaxed)
+    }
+
+    /// The slot `k < capacity` places after the head.
+    fn at(&self, k: usize) -> &AtomicU32 {
+        &self.ids[self.wrap(self.head.load(Relaxed) + k)]
+    }
+
+    /// `i % capacity` for `i < 2 · capacity`, without a division.
+    fn wrap(&self, i: usize) -> usize {
+        i.checked_sub(self.ids.len()).unwrap_or(i)
+    }
+
+    fn push_back(&self, s: u32) {
+        let len = self.len();
+        assert!(len < self.ids.len(), "spin-node queue overflow");
+        self.at(len).store(s, Relaxed);
+        self.len.store(len + 1, Relaxed);
+    }
+
+    fn pop_back(&self) -> Option<u32> {
+        let len = self.len().checked_sub(1)?;
+        self.len.store(len, Relaxed);
+        Some(self.at(len).load(Relaxed))
+    }
+
+    fn pop_front(&self) -> Option<u32> {
+        let len = self.len().checked_sub(1)?;
+        let s = self.at(0).load(Relaxed);
+        self.head
+            .store(self.wrap(self.head.load(Relaxed) + 1), Relaxed);
+        self.len.store(len, Relaxed);
+        Some(s)
+    }
+}
+
+/// Per-process bookkeeping (process-private: costs no RMRs), on cache
+/// lines of its own. Only the owning process writes it, and a pid's
+/// operations are ordered by happens-before (one thread at a time, handed
+/// over through synchronizing operations), so `Relaxed` loads and stores
+/// suffice and no operation takes a lock. Each queue holds at most the
+/// `n + 1` nodes the process started with: a process retires a node only
+/// after a switch that installed one it allocated.
+#[derive(Debug)]
+#[repr(align(128))]
 struct PoolLocal {
-    /// Verified-free node indices owned by this process.
-    free: Vec<u32>,
-    /// Retired nodes awaiting a clean scan.
-    retired: VecDeque<u32>,
+    /// Verified-free node indices owned by this process (a stack).
+    free: Ring,
+    /// Retired nodes awaiting a clean scan (a FIFO queue).
+    retired: Ring,
     /// Incremental scan state: the node being verified and the next
-    /// announce slot to inspect.
-    scan: Option<(u32, usize)>,
+    /// announce slot to inspect, packed by [`PoolLocal::set_scan`].
+    scan: AtomicU64,
+}
+
+impl PoolLocal {
+    fn take_scan(&self) -> Option<(u32, usize)> {
+        let packed = self.scan.load(Relaxed);
+        self.scan.store(NO_SCAN, Relaxed);
+        (packed != NO_SCAN).then_some(((packed >> 32) as u32, packed as u32 as usize))
+    }
+
+    fn set_scan(&self, s: u32, next: usize) {
+        self.scan.store(u64::from(s) << 32 | next as u64, Relaxed);
+    }
 }
 
 /// Pools of one-word spin nodes for `n` processes, `n + 1` nodes each,
@@ -53,7 +131,7 @@ pub struct SpinNodePool {
     nodes: WordArray,
     /// `announce[p] = s + 1` ⇔ process `p` may be spinning on node `s`.
     announce: WordArray,
-    locals: Vec<Mutex<PoolLocal>>,
+    locals: Vec<PoolLocal>,
     n: usize,
 }
 
@@ -66,11 +144,11 @@ impl SpinNodePool {
         let locals = (0..n)
             .map(|p| {
                 let base = 1 + p as u32 * (n as u32 + 1);
-                Mutex::new(PoolLocal {
-                    free: (base..base + n as u32 + 1).collect(),
-                    retired: VecDeque::new(),
-                    scan: None,
-                })
+                PoolLocal {
+                    free: Ring::new(n + 1, base..base + n as u32 + 1),
+                    retired: Ring::new(n + 1, []),
+                    scan: AtomicU64::new(NO_SCAN),
+                }
             })
             .collect();
         SpinNodePool {
@@ -108,44 +186,55 @@ impl SpinNodePool {
     /// a clean scan proves no process spins on it. Performs `O(1)` scan
     /// work.
     pub fn retire<M: Mem + ?Sized>(&self, mem: &M, p: Pid, s: u32) {
-        let mut local = self.locals[p].lock().unwrap();
+        let local = &self.locals[p];
         local.retired.push_back(s);
-        self.advance_scan(mem, p, &mut local);
+        self.advance_scan(mem, p, local);
     }
 
-    /// Return an *unused* node (allocated but never installed, e.g.
-    /// because the descriptor CAS failed) straight to the free list.
-    pub fn unallocate(&self, p: Pid, s: u32) {
-        self.locals[p].lock().unwrap().free.push(s);
+    /// Take a node off process `p`'s free list without any scan work or
+    /// shared-memory operation, if it has one. A free node's `go` word is
+    /// 0 (it was reset when the node was reclaimed, or never set), so the
+    /// node is ready to install — which is how a lock takes its first
+    /// node at layout.
+    pub fn take_free(&self, p: Pid) -> Option<u32> {
+        self.locals[p].free.pop_back()
     }
 
     /// Allocate a node from process `p`'s pool, with its `go` word reset
     /// to 0. Performs `O(1)` amortized scan work; falls back to a full
-    /// `O(N)` scan of the retired queue when the free list is empty —
-    /// guaranteed to succeed because at most `N` of the `N + 1` owned
-    /// nodes can be announced at any time.
+    /// `O(N)` scan of the retired queue when the free list is empty.
+    ///
+    /// The fallback always finds a node when `p` uses the pool as the
+    /// bounded lock does. `p` took one of its `N + 1` nodes at layout
+    /// ([`take_free`](Self::take_free)) and holds one node in reserve
+    /// from then on: it allocates right after a switch that installed
+    /// its reserve, and before it retires the node that switch replaced.
+    /// So at this call `p` owns `N` nodes besides the installed one, all
+    /// free or retired here. A retired node is held back only while it is
+    /// announced, and each of the other `N − 1` processes announces at
+    /// most one node (`p` itself announces none during a `Cleanup`): at
+    /// most `N − 1` of the `N` are pinned.
     ///
     /// # Panics
     ///
     /// Panics if the pool invariant is violated (more nodes pinned than
     /// processes exist) — indicates protocol misuse.
     pub fn allocate<M: Mem + ?Sized>(&self, mem: &M, p: Pid) -> u32 {
-        let mut local = self.locals[p].lock().unwrap();
-        self.advance_scan(mem, p, &mut local);
-        if let Some(s) = local.free.pop() {
+        let local = &self.locals[p];
+        self.advance_scan(mem, p, local);
+        if let Some(s) = local.free.pop_back() {
             return s;
         }
-        // Fallback: full scans over the retired queue.
+        // Fallback: full scans over the retired queue. A node under an
+        // incremental scan is out of the queue, so the scan is abandoned
+        // and its node queued last: the counting argument above needs
+        // every node `p` owns among the candidates.
+        if let Some((s, _)) = local.take_scan() {
+            local.retired.push_back(s);
+        }
         let candidates = local.retired.len();
         for _ in 0..candidates {
             let s = local.retired.pop_front().expect("non-empty");
-            // Abandon any in-flight incremental scan of s (it is covered
-            // by this full scan) or of another node (it stays queued).
-            if let Some((scanning, _)) = local.scan {
-                if scanning == s {
-                    local.scan = None;
-                }
-            }
             if self.full_scan_clean(mem, p, s) {
                 mem.write(p, self.nodes.at(s as usize), 0); // reset go
                 return s;
@@ -160,8 +249,8 @@ impl SpinNodePool {
 
     /// One increment of background scanning: verify up to [`SCAN_STRIDE`]
     /// announce slots of the node at the head of the retired queue.
-    fn advance_scan<M: Mem + ?Sized>(&self, mem: &M, p: Pid, local: &mut PoolLocal) {
-        let (s, mut next) = match local.scan.take() {
+    fn advance_scan<M: Mem + ?Sized>(&self, mem: &M, p: Pid, local: &PoolLocal) {
+        let (s, mut next) = match local.take_scan() {
             Some(state) => state,
             None => match local.retired.pop_front() {
                 Some(s) => (s, 0),
@@ -172,7 +261,7 @@ impl SpinNodePool {
             if next >= self.n {
                 // Clean scan completed: reclaim.
                 mem.write(p, self.nodes.at(s as usize), 0);
-                local.free.push(s);
+                local.free.push_back(s);
                 return;
             }
             if mem.read(p, self.announce.at(next)) == u64::from(s) + 1 {
@@ -187,9 +276,9 @@ impl SpinNodePool {
         }
         if next >= self.n {
             mem.write(p, self.nodes.at(s as usize), 0);
-            local.free.push(s);
+            local.free.push_back(s);
         } else {
-            local.scan = Some((s, next));
+            local.set_scan(s, next);
         }
     }
 
@@ -204,6 +293,11 @@ impl SpinNodePool {
 mod tests {
     use super::*;
     use sal_memory::Mem;
+
+    #[test]
+    fn per_pid_slots_live_on_cache_lines_of_their_own() {
+        assert!(std::mem::align_of::<PoolLocal>() >= 128);
+    }
 
     fn pool(n: usize) -> (SpinNodePool, sal_memory::CcMemory) {
         let mut b = MemoryBuilder::new();
@@ -293,8 +387,8 @@ mod tests {
     #[test]
     fn incremental_scan_reclaims_without_full_fallback() {
         let (pool, mem) = pool(4);
-        // Retire a node, then let unrelated retire/allocate calls advance
-        // the scan until it is reclaimed into the free list.
+        // Retire a node, then look for it on the free list, which only
+        // the incremental scans fill.
         let s = pool.allocate(&mem, 0);
         mem.write(0, pool.go_word(s), 1);
         pool.retire(&mem, 0, s);
@@ -302,23 +396,42 @@ mod tests {
         // n = 4 the retire above already completed a clean pass and s is
         // back on the free list with go reset — no fallback scans needed.
         let mut got = false;
-        for _ in 0..10 {
-            let u = pool.allocate(&mem, 0);
+        while let Some(u) = pool.take_free(0) {
             if u == s {
                 got = true;
                 break;
             }
-            pool.unallocate(0, u);
         }
         assert!(got, "retired node was never reclaimed");
         assert_eq!(mem.read(0, pool.go_word(s)), 0, "go reset on reclaim");
     }
 
     #[test]
-    fn unallocate_returns_node_without_scan() {
+    fn take_free_pops_the_free_list_without_memory_operations() {
         let (pool, mem) = pool(1);
-        let s = pool.allocate(&mem, 0);
-        pool.unallocate(0, s);
-        assert_eq!(pool.allocate(&mem, 0), s);
+        let ops = mem.ops(0);
+        let taken: Vec<u32> = std::iter::from_fn(|| pool.take_free(0)).collect();
+        assert_eq!(taken, [2, 1], "a fresh pool's two nodes, last first");
+        assert_eq!(mem.ops(0), ops, "taking a free node touches no word");
+        // With the free list empty, allocate reclaims a retired node.
+        mem.write(0, pool.go_word(1), 1);
+        pool.retire(&mem, 0, 1);
+        assert_eq!(pool.allocate(&mem, 0), 1);
+        assert_eq!(mem.read(0, pool.go_word(1)), 0, "go reset on reclaim");
+    }
+
+    #[test]
+    fn the_fallback_reclaims_a_node_under_an_incremental_scan() {
+        // n = 6 takes two scan steps per node. With the free list empty,
+        // p0 retires a node p1 pins, then a clean one; allocate's scan
+        // step starts on the clean node and leaves it mid-scan, and the
+        // fallback must still find it.
+        let (pool, mem) = pool(6);
+        let nodes: Vec<u32> = std::iter::from_fn(|| pool.take_free(0)).collect();
+        let (clean, pinned) = (nodes[0], nodes[1]);
+        pool.announce(&mem, 1, pinned);
+        pool.retire(&mem, 0, pinned);
+        pool.retire(&mem, 0, clean);
+        assert_eq!(pool.allocate(&mem, 0), clean);
     }
 }

@@ -396,14 +396,14 @@ impl<T: ?Sized, P: Probe> Deref for AsyncMutexGuard<'_, T, P> {
 
     fn deref(&self) -> &T {
         // Safety: we hold the lock.
-        unsafe { &*self.mx.m.data.get() }
+        unsafe { &*self.mx.m.data.0.get() }
     }
 }
 
 impl<T: ?Sized, P: Probe> DerefMut for AsyncMutexGuard<'_, T, P> {
     fn deref_mut(&mut self) -> &mut T {
         // Safety: we hold the lock exclusively.
-        unsafe { &mut *self.mx.m.data.get() }
+        unsafe { &mut *self.mx.m.data.0.get() }
     }
 }
 

@@ -269,7 +269,9 @@ impl Pids {
 
 /// One pid's enter-wait state: the wait its engaged enter waiter
 /// published and the waker that wakes it. Written by the pid's owner,
-/// scanned by handoffs.
+/// scanned by handoffs; 128-byte aligned, so a pid's writes never
+/// invalidate its neighbours' slots.
+#[repr(align(128))]
 pub(crate) struct EnterSlot {
     /// The wait an engaged enter waiter on this pid published: the word
     /// its next poll reads, encoded by [`publish_code`] ([`IDLE`] when no

@@ -182,7 +182,7 @@ impl<T, P: Probe> AbortableMutexBuilder<T, P> {
             claimed: AtomicBool::new(false),
             transitions: Transitions::default(),
             seated: Seated { users, core },
-            data: UnsafeCell::new(self.value),
+            data: OwnLines(UnsafeCell::new(self.value)),
         }
     }
 }
@@ -206,8 +206,17 @@ pub struct AbortableMutex<T: ?Sized, P: Probe = NoProbe> {
     pub(crate) transitions: Transitions,
     /// The resident core, which contended passages enter.
     pub(crate) seated: Seated<T, P>,
-    pub(crate) data: UnsafeCell<T>,
+    /// The protected value, on cache lines of its own: a critical
+    /// section that writes it does not invalidate the word or the core
+    /// that the next acquirer spins on.
+    pub(crate) data: OwnLines<UnsafeCell<T>>,
 }
+
+/// A value on 128-byte-aligned cache lines of its own (two 64-byte
+/// lines, which x86's adjacent-line prefetcher fetches as a pair): the
+/// fields beside it in a struct never share its lines.
+#[repr(align(128))]
+pub(crate) struct OwnLines<T: ?Sized>(pub(crate) T);
 
 // Safety: the lock algorithm provides mutual exclusion over `data`
 // (Lemma 26 / Theorem 23); handles hand out access only under the lock.
@@ -240,7 +249,7 @@ impl<T> AbortableMutex<T> {
 impl<T, P: Probe> AbortableMutex<T, P> {
     /// Consume the mutex and return the protected value.
     pub fn into_inner(self) -> T {
-        self.data.into_inner()
+        self.data.0.into_inner()
     }
 }
 
@@ -253,7 +262,7 @@ impl<T: ?Sized, P: Probe> AbortableMutex<T, P> {
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
+        self.data.0.get_mut()
     }
 
     /// Number of attempts that can be in the lock core at once (the
@@ -291,7 +300,7 @@ impl<T: ?Sized, P: Probe> AbortableMutex<T, P> {
     pub(crate) fn word(&self) -> Word<'_, Self> {
         Word {
             word: &self.word,
-            data: &self.data,
+            data: &self.data.0,
             cores: self,
         }
     }
@@ -423,14 +432,14 @@ impl<T: ?Sized, P: Probe> Deref for MutexGuard<'_, '_, T, P> {
 
     fn deref(&self) -> &T {
         // Safety: we hold the lock.
-        unsafe { &*self.handle.mutex.data.get() }
+        unsafe { &*self.handle.mutex.data.0.get() }
     }
 }
 
 impl<T: ?Sized, P: Probe> DerefMut for MutexGuard<'_, '_, T, P> {
     fn deref_mut(&mut self) -> &mut T {
         // Safety: we hold the lock exclusively.
-        unsafe { &mut *self.handle.mutex.data.get() }
+        unsafe { &mut *self.handle.mutex.data.0.get() }
     }
 }
 
@@ -468,6 +477,33 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::time::Duration;
+
+    #[test]
+    fn the_value_shares_no_cache_line_with_the_word_or_the_core() {
+        use std::mem::{offset_of, size_of};
+        type M = AbortableMutex<[u64; 8]>;
+        assert!(std::mem::align_of::<M>() >= 128);
+        // The 128-byte lines a field spans, by its offset and size.
+        let lines = |offset: usize, size: usize| (offset / 128, (offset + size - 1) / 128);
+        let value = lines(offset_of!(M, data), size_of::<[u64; 8]>());
+        let others = [
+            lines(offset_of!(M, word), size_of::<AtomicU64>()),
+            lines(offset_of!(M, claimed), size_of::<AtomicBool>()),
+            lines(offset_of!(M, transitions), size_of::<Transitions>()),
+            lines(offset_of!(M, seated), size_of::<Seated<[u64; 8]>>()),
+        ];
+        for other in others {
+            assert!(
+                value.1 < other.0 || other.1 < value.0,
+                "value lines {value:?} overlap {other:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn enter_slots_live_on_cache_lines_of_their_own() {
+        assert!(std::mem::align_of::<driver::EnterSlot>() >= 128);
+    }
 
     #[test]
     fn basic_lock_unlock_mutates_data() {

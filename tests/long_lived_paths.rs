@@ -4,13 +4,13 @@
 //! suite proves they actually *execute* across a seed sweep, so the
 //! model checks genuinely cover them.
 
-use sal_core::long_lived::BoundedLongLivedLock;
+use sal_core::long_lived::{BoundedLongLivedLock, PathStats};
 use sal_core::LockCore;
 use sal_memory::{Mem, MemoryBuilder, NeverAbort};
 use sal_obs::NoProbe;
 use sal_runtime::{simulate, BurstySchedule, RandomSchedule, SimOptions};
 
-fn run_contended(seed: u64, bursty: bool) -> (u64, u64, u64, u64) {
+fn run_contended(seed: u64, bursty: bool) -> PathStats {
     let n = 4;
     let mut b = MemoryBuilder::new();
     let lock = BoundedLongLivedLock::layout(&mut b, n, 2);
@@ -42,7 +42,7 @@ fn run_contended(seed: u64, bursty: bool) -> (u64, u64, u64, u64) {
     )
     .unwrap();
     assert_eq!(mem.read(0, cs), (n * 6) as u64);
-    lock.stats().snapshot()
+    lock.stats()
 }
 
 #[test]
@@ -52,14 +52,14 @@ fn contention_exercises_every_protocol_path() {
     let mut total_switches = 0;
     let mut total_failures = 0;
     for seed in 0..30 {
-        let (spins, skips, switches, failures) = run_contended(seed, seed % 2 == 0);
-        total_spins += spins;
-        total_skips += skips;
-        total_switches += switches;
-        total_failures += failures;
+        let stats = run_contended(seed, seed % 2 == 0);
+        total_spins += stats.spin_waits;
+        total_skips += stats.spin_revalidation_skips;
+        total_switches += stats.switches;
+        total_failures += stats.switch_cas_failures;
         // Every run with 24 passages must switch instances at least once.
         assert!(
-            switches >= 1,
+            stats.switches >= 1,
             "seed {seed}: no instance switch in 24 passages"
         );
     }
@@ -89,8 +89,57 @@ fn solo_runs_switch_without_spinning() {
         assert!(lock.enter_core(&mem, 0, &NeverAbort, &NoProbe).entered());
         lock.exit_core(&mem, 0, &NoProbe);
     }
-    let (spins, _skips, switches, failures) = lock.stats().snapshot();
-    assert_eq!(spins, 0, "a solo process never waits");
-    assert_eq!(switches, 10, "every solo passage switches");
-    assert_eq!(failures, 0);
+    let stats = lock.stats();
+    assert_eq!(stats.spin_waits, 0, "a solo process never waits");
+    assert_eq!(stats.switches, 10, "every solo passage switches");
+    assert_eq!(stats.switch_cas_failures, 0);
+}
+
+#[test]
+fn spin_pools_never_run_dry_and_a_failed_switch_keeps_its_pair() {
+    // Each process holds one prepared spin node from layout on, so its
+    // pool hands out one node fewer; allocate's counting argument says
+    // that still suffices. Aborters leave their epoch waits early and
+    // re-announce, which keeps nodes pinned, and a failed descriptor CAS
+    // leaves the prepared pair for the process's next switch. An
+    // allocation that ran dry panics the run.
+    let mut failed_switches = 0;
+    for n in 1..=3 {
+        for seed in 0..30u64 {
+            let mut b = MemoryBuilder::new();
+            let lock = BoundedLongLivedLock::layout(&mut b, n, 2);
+            let cs = b.alloc(0);
+            let mem = b.build_cc(n);
+            let abort_plan = (1..n).map(|q| (q, seed % 40 + 15 * q as u64)).collect();
+            simulate(
+                &mem,
+                n,
+                Box::new(BurstySchedule::seeded(seed, 0.9)),
+                SimOptions {
+                    max_steps: 10_000_000,
+                    abort_plan,
+                    lease: sal_runtime::default_lease(),
+                },
+                |ctx| {
+                    for _ in 0..12 {
+                        if lock
+                            .enter_core(ctx.mem, ctx.pid, ctx.signal, &NoProbe)
+                            .entered()
+                        {
+                            ctx.mem.faa(ctx.pid, cs, 1);
+                            lock.exit_core(ctx.mem, ctx.pid, &NoProbe);
+                        }
+                    }
+                },
+            )
+            .unwrap_or_else(|e| panic!("n = {n}, seed {seed}: {e}"));
+            let stats = lock.stats();
+            assert!(stats.switches >= 1, "n = {n}, seed {seed}: no switch");
+            failed_switches += stats.switch_cas_failures;
+        }
+    }
+    assert!(
+        failed_switches > 0,
+        "no failed descriptor CAS in 90 runs: the kept-pair path never ran"
+    );
 }
