@@ -22,7 +22,12 @@ for path in $(grep -ohE '[A-Za-z0-9_./-]+\.rs\b' README.md DESIGN.md EXPERIMENTS
     fi
 done
 
+# The release build's wall time is printed beside the table1 run's
+# below: every lock kind is monomorphized per memory and probe type, so
+# the log shows what that costs in compile time.
+SECONDS=0
 cargo build --release
+release_build_s=$SECONDS
 cargo test -q
 cargo test --release -q
 
@@ -149,7 +154,7 @@ cp BENCH_table1.json "$committed"
 trap 'cp "$committed" BENCH_table1.json' EXIT
 SECONDS=0
 cargo run --release -q -p sal-bench -- table1 > /dev/null
-echo "full table1 run: ${SECONDS} s"
+echo "release build: ${release_build_s} s; full table1 run: ${SECONDS} s"
 strip_env() {
     sed -E 's/"available_parallelism":[0-9]+,//; s/"git_rev":("[^"]*"|null),//' "$1"
 }

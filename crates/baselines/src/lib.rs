@@ -2,7 +2,7 @@
 //!
 //! Every lock the paper compares against (and the classic non-abortable
 //! locks used for context), implemented over the same [`sal_memory::Mem`]
-//! primitive set and the same [`sal_core::AbortableLock`] interface as
+//! primitive set and the same [`sal_core::LockCore`] interface as
 //! the paper's algorithm, so the Table-1 benchmarks can drive them
 //! interchangeably (and observe them through any [`sal_obs::Probe`]):
 //!

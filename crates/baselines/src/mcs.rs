@@ -152,10 +152,13 @@ mod tests {
 
     #[test]
     fn lock_trait_reports_not_abortable() {
+        // Through the lock traits, at the erased memory type.
         let (lock, _, mem) = build(1);
-        let l: &dyn sal_core::AbortableLock = &lock;
-        assert!(!l.is_abortable());
-        assert!(l.enter(&mem, 0, &NeverAbort, &sal_obs::NoProbe).entered());
-        l.exit(&mem, 0, &sal_obs::NoProbe);
+        let mem: &dyn Mem = &mem;
+        assert!(!LockMeta::is_abortable(&lock));
+        assert!(lock
+            .enter_core(mem, 0, &NeverAbort, &sal_obs::NoProbe)
+            .entered());
+        lock.exit_core(mem, 0, &sal_obs::NoProbe);
     }
 }

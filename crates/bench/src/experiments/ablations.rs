@@ -27,11 +27,11 @@
 use crate::Exit;
 use sal_bench::artifact::{self, Mode};
 use sal_bench::cli::{Cli, Parsed};
-use sal_bench::{no_abort_sweep, worst_case_sweep, ExploreCell, LockKind, Table};
+use sal_bench::{no_abort_sweep, worst_case_sweep, AnyLock, ExploreCell, LockKind, Table};
 use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::one_shot::{DsmOneShotLock, OneShotLock};
 use sal_core::tree::Ascent;
-use sal_core::{AbortableLock, LockCore};
+use sal_core::LockCore;
 use sal_memory::{Mem, MemoryBuilder, NeverAbort, RmrProbe};
 use sal_obs::{NoProbe, ToJson};
 use sal_runtime::{explore_guided, pool, ExploreOptions, Strategy};
@@ -182,9 +182,9 @@ fn dsm() {
         let mut b = MemoryBuilder::new();
         let lock = one_shot(&mut b, dsm_variant, 64, 8);
         let max = if dsm_model {
-            sequential_max(&*lock, &b.build_dsm(64))
+            sequential_max(&lock, &b.build_dsm(64))
         } else {
-            sequential_max(&*lock, &b.build_cc(64))
+            sequential_max(&lock, &b.build_cc(64))
         };
         table.row(vec![label.into(), max.to_string()]);
     }
@@ -230,13 +230,15 @@ fn dsm_spin() -> io::Result<()> {
                 SimOptions::default(),
                 |ctx| {
                     let probe = NoProbe;
-                    assert!(lock.enter(ctx.mem, ctx.pid, &NeverAbort, &probe).entered());
+                    assert!(lock
+                        .enter_core(ctx.mem, ctx.pid, &NeverAbort, &probe)
+                        .entered());
                     if ctx.pid == 0 {
                         for _ in 0..hold {
                             ctx.mem.read(0, owner_pad); // home-local, free
                         }
                     }
-                    lock.exit(ctx.mem, ctx.pid, &probe);
+                    lock.exit_core(ctx.mem, ctx.pid, &probe);
                 },
             )
             .expect("sim failed");
@@ -256,26 +258,21 @@ fn dsm_spin() -> io::Result<()> {
 
 /// The one-shot lock for `n` processes at branching `w`: the DSM
 /// variant (§3) or the plain one.
-fn one_shot(
-    b: &mut MemoryBuilder,
-    dsm_variant: bool,
-    n: usize,
-    w: usize,
-) -> Box<dyn AbortableLock> {
+fn one_shot(b: &mut MemoryBuilder, dsm_variant: bool, n: usize, w: usize) -> AnyLock {
     if dsm_variant {
-        Box::new(DsmOneShotLock::layout(b, n, w))
+        AnyLock::OneShotDsm(DsmOneShotLock::layout(b, n, w))
     } else {
-        Box::new(OneShotLock::layout(b, n, w))
+        AnyLock::OneShot(OneShotLock::layout(b, n, w))
     }
 }
 
 /// The most expensive of 64 sequential, uncontended passages.
-fn sequential_max(lock: &dyn AbortableLock, mem: &dyn Mem) -> u64 {
+fn sequential_max(lock: &AnyLock, mem: &dyn Mem) -> u64 {
     (0..64)
         .map(|p| {
             let probe = RmrProbe::start(mem, p);
-            assert!(lock.enter(mem, p, &NeverAbort, &NoProbe).entered());
-            lock.exit(mem, p, &NoProbe);
+            assert!(lock.enter_core(mem, p, &NeverAbort, &NoProbe).entered());
+            lock.exit_core(mem, p, &NoProbe);
             probe.rmrs(mem)
         })
         .max()

@@ -277,7 +277,7 @@ fn fig5(jobs: usize) -> io::Result<()> {
         let cell_log = EventLog::unbounded();
         let kind_log = EventLog::unbounded();
         let report = sal_runtime::run_lock(
-            &*built.lock,
+            &built.lock,
             &built.mem,
             built.cs_word,
             &spec,

@@ -132,7 +132,7 @@ fn simulate(
         lease: sal_runtime::default_lease(),
     };
     let pol = policy(args, seed)?;
-    let report = run_lock(&*built.lock, &built.mem, built.cs_word, &spec, pol, NoProbe)
+    let report = run_lock(&built.lock, &built.mem, built.cs_word, &spec, pol, NoProbe)
         .map_err(|e| format!("simulation failed: {e}"))?;
     Ok((report, attempts, built.words))
 }

@@ -137,7 +137,7 @@ fn no_abort(jobs: usize) -> io::Result<()> {
     };
     let pol = Box::new(RandomSchedule::seeded(7));
     let report =
-        run_lock(&*built.lock, &built.mem, built.cs_word, &spec, pol, NoProbe).expect("sim failed");
+        run_lock(&built.lock, &built.mem, built.cs_word, &spec, pol, NoProbe).expect("sim failed");
     let samples: Vec<u64> = report
         .passages
         .iter()
@@ -215,7 +215,7 @@ fn fairness(jobs: usize) {
             lease: sal_runtime::default_lease(),
         };
         let pol = Box::new(RandomSchedule::seeded(seed));
-        let report = run_lock(&*built.lock, &built.mem, built.cs_word, &spec, pol, NoProbe)
+        let report = run_lock(&built.lock, &built.mem, built.cs_word, &spec, pol, NoProbe)
             .expect("sim failed");
         assert!(report.mutex_check.is_ok(), "mutual exclusion violated");
         assert!(

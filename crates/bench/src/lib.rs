@@ -37,7 +37,7 @@ pub mod workloads;
 
 pub use cli::Cli;
 pub use grid::absorb;
-pub use registry::{build_lock, LockKind};
+pub use registry::{build_lock, AnyLock, LockKind};
 pub use report::{RmrSummary, Table};
 pub use workloads::{
     adaptive_sweep, amortized_sweep, no_abort_sweep, space_row, worst_case_sweep, AmortizedPoint,

@@ -4,8 +4,9 @@ use sal_baselines::{LeeLock, McsLock, ScottLock, TasLock, TicketLock, Tournament
 use sal_core::long_lived::{BoundedLongLivedLock, JjLock, SimpleLongLivedLock};
 use sal_core::one_shot::{DsmOneShotLock, OneShotLock};
 use sal_core::tree::Ascent;
-use sal_core::AbortableLock;
-use sal_memory::{CcMemory, MemoryBuilder, WordId};
+use sal_core::{LockCore, LockMeta, Outcome};
+use sal_memory::{AbortSignal, CcMemory, Mem, MemoryBuilder, Pid, WordId};
+use sal_obs::Probe;
 
 /// Every lock the experiments can drive. `b` is the tree branching
 /// factor (the paper's `W`) where applicable.
@@ -168,10 +169,85 @@ impl LockKind {
     }
 }
 
+/// Defines [`AnyLock`] from one list of `variant(type)` pairs, and
+/// its [`LockMeta`] and [`LockCore`] impls as a `match` over that same
+/// list, so the enum and its impls cannot drift apart.
+macro_rules! any_lock {
+    ($($variant:ident($lock:ty)),* $(,)?) => {
+        /// Any lock the registry builds, one variant per [`LockKind`]:
+        /// run-time choice of lock with static dispatch inside each
+        /// arm. It implements [`LockCore`] for every memory and probe
+        /// type, as each lock does.
+        #[derive(Debug)]
+        pub enum AnyLock {
+            $(
+                #[doc = concat!("A [`LockKind::", stringify!($variant), "`] lock.")]
+                $variant($lock),
+            )*
+        }
+
+        impl LockMeta for AnyLock {
+            fn name(&self) -> String {
+                match self {
+                    $(AnyLock::$variant(l) => l.name(),)*
+                }
+            }
+
+            fn is_abortable(&self) -> bool {
+                match self {
+                    $(AnyLock::$variant(l) => l.is_abortable(),)*
+                }
+            }
+
+            fn is_one_shot(&self) -> bool {
+                match self {
+                    $(AnyLock::$variant(l) => l.is_one_shot(),)*
+                }
+            }
+        }
+
+        impl<M: Mem + ?Sized, P: Probe + ?Sized> LockCore<M, P> for AnyLock {
+            fn enter_core<S: AbortSignal + ?Sized>(
+                &self,
+                mem: &M,
+                p: Pid,
+                signal: &S,
+                probe: &P,
+            ) -> Outcome {
+                match self {
+                    $(AnyLock::$variant(l) => l.enter_core(mem, p, signal, probe),)*
+                }
+            }
+
+            fn exit_core(&self, mem: &M, p: Pid, probe: &P) {
+                match self {
+                    $(AnyLock::$variant(l) => l.exit_core(mem, p, probe),)*
+                }
+            }
+        }
+    };
+}
+
+any_lock! {
+    OneShot(OneShotLock),
+    OneShotPlain(OneShotLock),
+    OneShotDsm(DsmOneShotLock),
+    LongLivedSimple(SimpleLongLivedLock),
+    LongLived(BoundedLongLivedLock),
+    Mcs(McsLock),
+    Ticket(TicketLock),
+    Tas(TasLock),
+    Tournament(TournamentLock),
+    Scott(ScottLock),
+    Lee(LeeLock),
+    JjAmortized(JjLock),
+}
+
 /// A built lock plus the memory and scratch word the harness needs.
+#[derive(Debug)]
 pub struct BuiltLock {
-    /// The lock, behind the uniform [`AbortableLock`] surface.
-    pub lock: Box<dyn AbortableLock>,
+    /// The lock.
+    pub lock: AnyLock,
     /// CC memory holding the lock's words.
     pub mem: CcMemory,
     /// Scratch word the CS body hammers.
@@ -180,36 +256,30 @@ pub struct BuiltLock {
     pub words: usize,
 }
 
-impl std::fmt::Debug for BuiltLock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BuiltLock")
-            .field("words", &self.words)
-            .finish()
-    }
-}
-
 /// Build `kind` for `n` processes, budgeting for `attempts` total enter
 /// attempts (relevant for the arena-based baselines and the simple
 /// long-lived lock).
 pub fn build_lock(kind: LockKind, n: usize, attempts: usize) -> BuiltLock {
     let mut b = MemoryBuilder::new();
-    let lock: Box<dyn AbortableLock> = match kind {
-        LockKind::OneShot { b: w } => Box::new(OneShotLock::layout(&mut b, n, w)),
+    let lock = match kind {
+        LockKind::OneShot { b: w } => AnyLock::OneShot(OneShotLock::layout(&mut b, n, w)),
         LockKind::OneShotPlain { b: w } => {
-            Box::new(OneShotLock::layout_with(&mut b, n, w, Ascent::Plain))
+            AnyLock::OneShotPlain(OneShotLock::layout_with(&mut b, n, w, Ascent::Plain))
         }
-        LockKind::OneShotDsm { b: w } => Box::new(DsmOneShotLock::layout(&mut b, n, w)),
+        LockKind::OneShotDsm { b: w } => AnyLock::OneShotDsm(DsmOneShotLock::layout(&mut b, n, w)),
         LockKind::LongLivedSimple { b: w } => {
-            Box::new(SimpleLongLivedLock::layout(&mut b, n, w, attempts + 1))
+            AnyLock::LongLivedSimple(SimpleLongLivedLock::layout(&mut b, n, w, attempts + 1))
         }
-        LockKind::LongLived { b: w } => Box::new(BoundedLongLivedLock::layout(&mut b, n, w)),
-        LockKind::Mcs => Box::new(McsLock::layout(&mut b, n)),
-        LockKind::Ticket => Box::new(TicketLock::layout(&mut b)),
-        LockKind::Tas => Box::new(TasLock::layout(&mut b)),
-        LockKind::Tournament => Box::new(TournamentLock::layout(&mut b, n)),
-        LockKind::Scott => Box::new(ScottLock::layout(&mut b, n, attempts + 1)),
-        LockKind::Lee => Box::new(LeeLock::layout(&mut b, n, attempts + 1)),
-        LockKind::JjAmortized => Box::new(JjLock::layout(&mut b, n)),
+        LockKind::LongLived { b: w } => {
+            AnyLock::LongLived(BoundedLongLivedLock::layout(&mut b, n, w))
+        }
+        LockKind::Mcs => AnyLock::Mcs(McsLock::layout(&mut b, n)),
+        LockKind::Ticket => AnyLock::Ticket(TicketLock::layout(&mut b)),
+        LockKind::Tas => AnyLock::Tas(TasLock::layout(&mut b)),
+        LockKind::Tournament => AnyLock::Tournament(TournamentLock::layout(&mut b, n)),
+        LockKind::Scott => AnyLock::Scott(ScottLock::layout(&mut b, n, attempts + 1)),
+        LockKind::Lee => AnyLock::Lee(LeeLock::layout(&mut b, n, attempts + 1)),
+        LockKind::JjAmortized => AnyLock::JjAmortized(JjLock::layout(&mut b, n)),
     };
     let words = b.words_allocated();
     let cs_word = b.alloc(0);
@@ -233,11 +303,22 @@ mod tests {
             let built = build_lock(kind, 4, 16);
             let outcome = built
                 .lock
-                .enter(&built.mem, 0, &NeverAbort, &sal_obs::NoProbe);
+                .enter_core(&built.mem, 0, &NeverAbort, &sal_obs::NoProbe);
             assert!(outcome.entered(), "{kind:?}");
-            built.lock.exit(&built.mem, 0, &sal_obs::NoProbe);
+            built.lock.exit_core(&built.mem, 0, &sal_obs::NoProbe);
             assert!(built.words > 0);
             assert!(!kind.label().is_empty());
+        }
+    }
+
+    #[test]
+    fn built_locks_state_their_kinds_metadata() {
+        // `LockKind` and each lock's `LockMeta` state abortability and
+        // one-shot use separately; they must agree for every kind.
+        for kind in LockKind::all(4) {
+            let built = build_lock(kind, 4, 16);
+            assert_eq!(built.lock.is_abortable(), kind.abortable(), "{kind:?}");
+            assert_eq!(built.lock.is_one_shot(), kind.one_shot(), "{kind:?}");
         }
     }
 

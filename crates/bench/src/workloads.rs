@@ -78,7 +78,7 @@ fn run_point(
         .count();
     let schedule = Box::new(RandomSchedule::seeded(seed));
     let report = run_lock(
-        &*built.lock,
+        &built.lock,
         &built.mem,
         built.cs_word,
         &spec,
@@ -247,7 +247,7 @@ pub fn amortized_sweep(
         };
         let schedule = Box::new(RandomSchedule::seeded(seed.wrapping_add(round as u64)));
         let report = run_lock(
-            &*built.lock,
+            &built.lock,
             &built.mem,
             built.cs_word,
             &spec,
@@ -374,7 +374,7 @@ impl ExploreCell {
             lease: self.lease,
         };
         let report = run_lock(
-            &*built.lock,
+            &built.lock,
             &traced,
             built.cs_word,
             &spec,

@@ -66,5 +66,5 @@ pub mod resume;
 pub mod tree;
 
 pub use abort::{AbortReason, Immediate};
-pub use lock::{AbortableLock, DynLock, LockCore, LockMeta, Outcome};
+pub use lock::{LockCore, LockMeta, Outcome};
 pub use resume::{EnterMachine, EnterStep, Handoff, OneShotEnterMachine, WaitKey};

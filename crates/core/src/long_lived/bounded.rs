@@ -577,12 +577,13 @@ mod tests {
 
     #[test]
     fn lock_trait_object_usage() {
+        // Through the lock traits, at the erased memory type.
         let (lock, mem) = build(2);
-        let l: &dyn crate::AbortableLock = &lock;
-        assert!(!l.is_one_shot());
-        assert!(l.enter(&mem, 1, &NeverAbort, &NoProbe).entered());
-        l.exit(&mem, 1, &NoProbe);
-        assert!(l.name().contains("long-lived"));
+        let mem: &dyn Mem = &mem;
+        assert!(!LockMeta::is_one_shot(&lock));
+        assert!(lock.enter_core(mem, 1, &NeverAbort, &NoProbe).entered());
+        lock.exit_core(mem, 1, &NoProbe);
+        assert!(LockMeta::name(&lock).contains("long-lived"));
     }
 
     #[test]

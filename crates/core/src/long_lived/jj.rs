@@ -386,7 +386,7 @@ mod tests {
                 lock.exit_core(mem, 1, &NoProbe);
             });
             std::thread::sleep(std::time::Duration::from_millis(10));
-            lock.exit_core(&mem, 0, &NoProbe);
+            lock.exit_core(mem, 0, &NoProbe);
             t.join().unwrap();
             sig.set();
         });

@@ -159,11 +159,6 @@ impl SpinNodePool {
         }
     }
 
-    /// Total number of spin nodes managed.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The `go` word of node `s`.
     pub fn go_word(&self, s: u32) -> sal_memory::WordId {
         self.nodes.at(s as usize)
@@ -308,7 +303,7 @@ mod tests {
     #[test]
     fn pool_sizes_are_quadratic() {
         let (pool, _) = pool(8);
-        assert_eq!(pool.num_nodes(), 8 * 9 + 1);
+        assert_eq!(pool.nodes.len(), 8 * 9 + 1);
     }
 
     #[test]

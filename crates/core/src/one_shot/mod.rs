@@ -420,13 +420,16 @@ mod tests {
 
     #[test]
     fn lock_trait_round_trip() {
+        // Through the lock traits, at the erased memory type.
         let (lock, mem) = build(2, 2);
-        let l: &dyn crate::AbortableLock = &lock;
-        assert!(l.is_one_shot());
-        assert!(l.is_abortable());
-        assert!(l.name().contains("one-shot"));
-        assert!(l.enter(&mem, 0, &NeverAbort, &sal_obs::NoProbe).entered());
-        l.exit(&mem, 0, &sal_obs::NoProbe);
+        let mem: &dyn Mem = &mem;
+        assert!(LockMeta::is_one_shot(&lock));
+        assert!(LockMeta::is_abortable(&lock));
+        assert!(LockMeta::name(&lock).contains("one-shot"));
+        assert!(lock
+            .enter_core(mem, 0, &NeverAbort, &sal_obs::NoProbe)
+            .entered());
+        lock.exit_core(mem, 0, &sal_obs::NoProbe);
     }
 
     #[test]

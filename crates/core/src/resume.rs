@@ -33,7 +33,8 @@
 //! word (plus one signal check when the word is still zero), so a driver
 //! that polls in a tight loop reproduces, operation for operation, the
 //! blocking spin loops the machines replaced — that equivalence is what
-//! keeps every simulator artifact byte-identical (`tests/mono_equivalence.rs`).
+//! keeps every simulator artifact byte-identical (`BENCH_table1.json`
+//! reproduces exactly).
 //!
 //! The other side of each wait is a [`Handoff`]: the bounded lock's exit
 //! and any abort that hands the lock on report which watched words they
@@ -236,11 +237,6 @@ impl OneShotEnterMachine {
             _ => None,
         }
     }
-
-    /// Whether the machine has resolved (acquired or aborted).
-    pub fn is_done(&self) -> bool {
-        matches!(self.st, OneShotEnterState::Done)
-    }
 }
 
 /// Resumable state of a bounded long-lived `Enter` (Figure 5 + §6.2);
@@ -291,11 +287,6 @@ impl EnterMachine {
         EnterMachine {
             st: BoundedEnterState::Start,
         }
-    }
-
-    /// Whether the machine has resolved (acquired or aborted).
-    pub fn is_done(&self) -> bool {
-        matches!(self.st, BoundedEnterState::Done)
     }
 
     /// Whether the doorway F&A has executed — from this point on the

@@ -67,62 +67,6 @@ pub trait Mem: Send + Sync {
     fn num_procs(&self) -> usize;
 }
 
-/// References forward, so `&M` is usable wherever a `Mem` is expected —
-/// in particular, `&&M` unsize-coerces to `&dyn Mem` even when `M`
-/// itself is unsized. This is what lets generic lock code hand any
-/// memory to the `dyn`-facade layer without knowing its concrete type.
-impl<M: Mem + ?Sized> Mem for &M {
-    #[inline]
-    fn read(&self, p: Pid, w: WordId) -> u64 {
-        (**self).read(p, w)
-    }
-
-    #[inline]
-    fn write(&self, p: Pid, w: WordId, v: u64) {
-        (**self).write(p, w, v)
-    }
-
-    #[inline]
-    fn cas(&self, p: Pid, w: WordId, old: u64, new: u64) -> bool {
-        (**self).cas(p, w, old, new)
-    }
-
-    #[inline]
-    fn faa(&self, p: Pid, w: WordId, add: u64) -> u64 {
-        (**self).faa(p, w, add)
-    }
-
-    #[inline]
-    fn swap(&self, p: Pid, w: WordId, v: u64) -> u64 {
-        (**self).swap(p, w, v)
-    }
-
-    #[inline]
-    fn rmrs(&self, p: Pid) -> u64 {
-        (**self).rmrs(p)
-    }
-
-    #[inline]
-    fn total_rmrs(&self) -> u64 {
-        (**self).total_rmrs()
-    }
-
-    #[inline]
-    fn ops(&self, p: Pid) -> u64 {
-        (**self).ops(p)
-    }
-
-    #[inline]
-    fn num_words(&self) -> usize {
-        (**self).num_words()
-    }
-
-    #[inline]
-    fn num_procs(&self) -> usize {
-        (**self).num_procs()
-    }
-}
-
 /// Measures the RMRs a single process incurs across a region of interest.
 ///
 /// ```

@@ -1,4 +1,4 @@
-//! Lock workload harness: drive any [`AbortableLock`] through the
+//! Lock workload harness: drive any [`LockCore`] through the
 //! simulator and collect per-passage RMR statistics and safety-check
 //! results — the engine behind every Table-1 and figure experiment.
 //!
@@ -8,14 +8,14 @@
 //! [`NoProbe`]) and every hook fans out to it from the same execution.
 //! The sinks are cheap cloneable handles: pass `sink.clone()` in and
 //! keep the original to read the results afterwards. A lock that
-//! [`is_one_shot`](AbortableLock::is_one_shot) has its doorway tickets
-//! recorded, so the FCFS check covers it.
+//! [`is_one_shot`](sal_core::LockMeta::is_one_shot) has its doorway
+//! tickets recorded, so the FCFS check covers it.
 
 use crate::events::{EventKind, FcfsViolation, MutexViolation};
 use crate::gate::SteppedMem;
 use crate::schedule::SchedulePolicy;
 use crate::sim::{simulate, SimError, SimOptions};
-use sal_core::{AbortableLock, DynLock, LockCore};
+use sal_core::LockCore;
 use sal_memory::{AbortSignal, Mem, SignalFn, WordId};
 use sal_obs::{probed, NoProbe, PassageRecord, PassageStats, Probe};
 
@@ -148,67 +148,31 @@ impl WorkloadReport {
 /// passage hook out to `probe` as well as the report's internal
 /// [`PassageStats`] (pass [`NoProbe`] for none). `cs_word` is a shared
 /// scratch word the CS body hammers (allocate it in the same memory as
-/// the lock).
+/// the lock). The lock is driven through its [`LockCore`] impl at the
+/// harness's stepped memory type, with no `dyn` boundary between the
+/// harness and the algorithm.
 ///
 /// # Errors
 ///
 /// Propagates [`SimError`] (step-limit ⇒ livelock/starvation, or a body
 /// panic such as a capacity assertion).
-pub fn run_lock<M: Mem + ?Sized, U: Probe + 'static>(
-    lock: &dyn AbortableLock,
+pub fn run_lock<M, L, U>(
+    lock: &L,
     mem: &M,
     cs_word: WordId,
     spec: &WorkloadSpec,
     policy: Box<dyn SchedulePolicy>,
     probe: U,
-) -> Result<WorkloadReport, SimError> {
-    run_inner(&DynLock(lock), mem, cs_word, spec, policy, probe)
-}
-
-/// Statically-dispatched [`run_lock`]: drive a lock through its
-/// [`LockCore`] impl, monomorphized for this harness's memory wrapper,
-/// with no `dyn` boundary between the harness and the algorithm.
-///
-/// Behaviour is identical to [`run_lock`] on the same lock — the `dyn`
-/// entry point is the same driver applied to [`DynLock`] — which is
-/// what `tests/mono_equivalence.rs` checks.
-pub fn run_lock_core<M, L>(
-    lock: &L,
-    mem: &M,
-    cs_word: WordId,
-    spec: &WorkloadSpec,
-    policy: Box<dyn SchedulePolicy>,
 ) -> Result<WorkloadReport, SimError>
 where
     M: Mem + ?Sized,
-    L: for<'a> LockCore<SteppedMem<'a, M>, (PassageStats, NoProbe)>,
-{
-    run_inner(lock, mem, cs_word, spec, policy, NoProbe)
-}
-
-/// The one workload driver behind both `run_*` entry points, generic
-/// over the lock's [`LockCore`] impl at the harness's stepped memory
-/// type. The `dyn`-dispatch flavour is this same function instantiated
-/// at [`DynLock`], so both flavours execute literally the same driver.
-fn run_inner<M, L, U>(
-    lock: &L,
-    mem: &M,
-    cs_word: WordId,
-    spec: &WorkloadSpec,
-    policy: Box<dyn SchedulePolicy>,
-    user_probe: U,
-) -> Result<WorkloadReport, SimError>
-where
-    M: Mem + ?Sized,
-    U: Probe + 'static,
+    U: Probe,
     L: for<'a> LockCore<SteppedMem<'a, M>, (PassageStats, U)>,
 {
     let nprocs = spec.plans.len();
     let one_shot = lock.is_one_shot();
     let stats = PassageStats::new();
-    // An owned pair of sinks: a `'static` probe type, as the
-    // trait-object lock API requires when `L` is a `DynLock`.
-    let probe = (stats.clone(), user_probe);
+    let probe = (stats.clone(), probe);
     let opts = SimOptions {
         max_steps: spec.max_steps,
         abort_plan: vec![],
@@ -264,6 +228,26 @@ where
         outcomes: report.log.outcomes(nprocs),
         events: report.log.events(),
     })
+}
+
+/// [`run_lock`] with no extra probe sink. The benchmark's simulator
+/// workload (`perfbench`) calls it with exactly this signature.
+///
+/// # Errors
+///
+/// As [`run_lock`].
+pub fn run_lock_core<M, L>(
+    lock: &L,
+    mem: &M,
+    cs_word: WordId,
+    spec: &WorkloadSpec,
+    policy: Box<dyn SchedulePolicy>,
+) -> Result<WorkloadReport, SimError>
+where
+    M: Mem + ?Sized,
+    L: for<'a> LockCore<SteppedMem<'a, M>, (PassageStats, NoProbe)>,
+{
+    run_lock(lock, mem, cs_word, spec, policy, NoProbe)
 }
 
 #[cfg(test)]

@@ -17,12 +17,12 @@
 //!   livelock/starvation detector. Deterministic given the policy.
 //! * [`EventLog`] — step-stamped protocol events with post-hoc checkers
 //!   for mutual exclusion and FCFS.
-//! * [`run_lock`] — a workload harness over any
-//!   [`sal_core::AbortableLock`]: roles (normal / aborting), per-passage
-//!   RMR accounting through [`sal_obs::PassageStats`], safety verdicts
-//!   (FCFS over the doorway tickets of one-shot locks). Every passage
-//!   hook fans out to one caller-supplied sink as well;
-//!   [`run_lock_core`] is the same driver, statically dispatched.
+//! * [`run_lock`] — a workload harness over any [`sal_core::LockCore`]:
+//!   roles (normal / aborting), per-passage RMR accounting through
+//!   [`sal_obs::PassageStats`], safety verdicts (FCFS over the doorway
+//!   tickets of one-shot locks). Every passage hook fans out to one
+//!   caller-supplied sink as well; [`run_lock_core`] is its shorthand
+//!   with no extra sink.
 //! * [`SmallRng`] — the workspace's own seeded PRNG (the build
 //!   environment is offline, so randomness is home-grown).
 //! * [`pool`] — a dependency-free fan-out ([`pool::par_map`]): scoped

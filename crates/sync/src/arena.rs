@@ -518,11 +518,6 @@ impl<K, T> Arena<K, T> {
         }
     }
 
-    /// Number of hash shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn guard<'a>(&'a self, entry: &'a Entry<K, T>, hold: Hold) -> ArenaGuard<'a, K, T> {
         ArenaGuard {
             arena: self,

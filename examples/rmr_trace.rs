@@ -25,7 +25,7 @@ fn run(n: usize, aborters: usize, label: &str) {
         lease: sal_runtime::default_lease(),
     };
     let report = run_lock(
-        &*built.lock,
+        &built.lock,
         &built.mem,
         built.cs_word,
         &spec,
@@ -96,7 +96,7 @@ fn main() {
         lease: sal_runtime::default_lease(),
     };
     let report = run_lock(
-        &*built.lock,
+        &built.lock,
         &built.mem,
         built.cs_word,
         &spec,

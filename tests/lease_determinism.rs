@@ -48,7 +48,7 @@ fn run_cell(
         lease,
     };
     let report = run_lock(
-        &*built.lock,
+        &built.lock,
         &built.mem,
         built.cs_word,
         &spec,
@@ -210,7 +210,7 @@ fn exploration_trace_is_identical_at_every_cap() {
                 lease: cap,
             };
             let report = run_lock(
-                &*built.lock,
+                &built.lock,
                 &built.mem,
                 built.cs_word,
                 &spec,

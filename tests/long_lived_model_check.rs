@@ -22,7 +22,7 @@ fn check(kind: LockKind, plans: Vec<ProcPlan>, policy: Box<dyn SchedulePolicy>, 
         lease: sal_runtime::default_lease(),
     };
     let report = run_lock(
-        &*built.lock,
+        &built.lock,
         &built.mem,
         built.cs_word,
         &spec,

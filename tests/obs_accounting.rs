@@ -16,7 +16,7 @@
 use sal_bench::{build_lock, LockKind};
 use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::one_shot::OneShotLock;
-use sal_core::{DynLock, Immediate, LockCore};
+use sal_core::{Immediate, LockCore};
 use sal_memory::{Mem, MemoryBuilder, NeverAbort, WordId};
 use sal_obs::{probed, PassageRecord, PassageStats};
 use sal_runtime::{
@@ -211,7 +211,7 @@ fn every_registry_lock_driven_directly_matches_ground_truth() {
         // One-shot locks admit one attempt per process.
         let rounds = if kind.one_shot() { 1 } else { 3 };
         let built = build_lock(kind, n, n * rounds);
-        let (lock, mem) = (DynLock(&*built.lock), &built.mem);
+        let (lock, mem) = (&built.lock, &built.mem);
         let stats = PassageStats::new();
         let mut attempts = 0;
         for round in 0..rounds {

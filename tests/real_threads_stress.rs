@@ -5,9 +5,10 @@
 //! (memory-ordering bugs, real races), same invariants.
 
 use sal_baselines::{LeeLock, McsLock, ScottLock, TournamentLock};
+use sal_bench::AnyLock;
 use sal_core::long_lived::BoundedLongLivedLock;
 use sal_core::one_shot::OneShotLock;
-use sal_core::{AbortableLock, DynLock, Immediate, LockCore};
+use sal_core::{Immediate, LockCore};
 use sal_memory::{AbortFlag, EpochMode, Mem, MemoryBuilder, NeverAbort};
 use sal_obs::{NoProbe, PassageStats, Probe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,10 +17,10 @@ use std::sync::Arc;
 /// Run `threads` real threads × `passages` each over `lock`, counting
 /// CS entries with a plain (non-simulated) counter protected by the
 /// lock itself; returns (entered, aborted). Generic over the memory
-/// flavour AND the dispatch flavour: a concrete `L` runs the
-/// monomorphized `LockCore` path (no vtables anywhere on `RawMemory`),
-/// while [`DynLock`] runs the erased facade path — same driver, same
-/// invariant check. Passage events go to `probe`.
+/// flavour and the lock: a concrete `L` runs the monomorphized
+/// `LockCore` path (no vtables anywhere on `RawMemory`), and
+/// [`AnyLock`] runs the registry's `match` dispatch over it — same
+/// driver, same invariant check. Passage events go to `probe`.
 fn hammer_core<L, M, P>(
     lock: &L,
     mem: &M,
@@ -94,32 +95,15 @@ where
     )
 }
 
-/// [`hammer_core`] through the type-erased facade: what every
-/// `Box<dyn AbortableLock>` user runs.
-fn hammer<M: Mem + Send + Sync>(
-    lock: Arc<dyn AbortableLock>,
-    mem: Arc<M>,
-    threads: usize,
-    passages: usize,
-    abort_every: Option<usize>,
-) -> (u64, u64) {
-    hammer_core(
-        &DynLock(&*lock),
-        &*mem,
-        threads,
-        passages,
-        abort_every,
-        &NoProbe,
-    )
-}
-
 #[test]
 fn bounded_long_lived_on_real_threads() {
+    // Through the registry's `match` dispatch, as `build_lock` users
+    // drive it.
     let threads = 8;
     let mut b = MemoryBuilder::new();
-    let lock = BoundedLongLivedLock::layout(&mut b, threads, 8);
-    let mem = Arc::new(b.build_raw(threads));
-    let (entered, aborted) = hammer(Arc::new(lock), mem, threads, 300, None);
+    let lock = AnyLock::LongLived(BoundedLongLivedLock::layout(&mut b, threads, 8));
+    let mem = b.build_raw(threads);
+    let (entered, aborted) = hammer_core(&lock, &mem, threads, 300, None, &NoProbe);
     assert_eq!(entered, 8 * 300);
     assert_eq!(aborted, 0);
 }
@@ -133,18 +117,17 @@ fn bounded_long_lived_with_aborts_on_real_threads() {
     let threads = 8;
     let mut b = MemoryBuilder::new();
     let lock = BoundedLongLivedLock::layout(&mut b, threads, 16);
-    let mem = Arc::new(b.build_raw(threads));
-    let (entered, aborted) = hammer(Arc::new(lock), mem, threads, 200, Some(3));
+    let mem = b.build_raw(threads);
+    let (entered, aborted) = hammer_core(&lock, &mem, threads, 200, Some(3), &NoProbe);
     assert_eq!(entered + aborted, 8 * 200);
     assert!(entered > 0);
 }
 
 #[test]
 fn bounded_long_lived_monomorphized_on_real_threads() {
-    // The same traffic as the dyn test above, but through the generic
-    // `LockCore` path on a concrete lock type: zero virtual calls on
-    // the whole passage. The lost-update invariant inside the driver
-    // must hold on this flavour too.
+    // The same traffic as the `AnyLock` test above, but on the concrete
+    // lock type: no dispatch at all on the whole passage. The
+    // lost-update invariant inside the driver must hold here too.
     let threads = 8;
     let mut b = MemoryBuilder::new();
     let lock = BoundedLongLivedLock::layout(&mut b, threads, 8);
@@ -155,26 +138,25 @@ fn bounded_long_lived_monomorphized_on_real_threads() {
 }
 
 #[test]
-fn mono_and_dyn_paths_both_preserve_the_cs_invariant() {
-    // Identical layouts, identical workloads (with aborts), one run per
-    // dispatch flavour; both must conserve passages — the lost-update
-    // assertion fires inside `hammer_core` for each.
+fn direct_and_enum_dispatch_both_preserve_the_cs_invariant() {
+    // Identical layouts, identical workloads (with aborts), one run on
+    // the concrete lock and one through `AnyLock`; both must conserve
+    // passages — the lost-update assertion fires inside `hammer_core`
+    // for each.
     let threads = 6;
     let mut b = MemoryBuilder::new();
-    let mono_lock = BoundedLongLivedLock::layout(&mut b, threads, 8);
-    let mono_mem = b.build_raw(threads);
-    let (m_entered, m_aborted) =
-        hammer_core(&mono_lock, &mono_mem, threads, 200, Some(3), &NoProbe);
-    assert_eq!(m_entered + m_aborted, 6 * 200);
-    assert!(m_entered > 0);
-
-    let mut b = MemoryBuilder::new();
-    let dyn_lock: Arc<dyn AbortableLock> =
-        Arc::new(BoundedLongLivedLock::layout(&mut b, threads, 8));
-    let dyn_mem = Arc::new(b.build_raw(threads));
-    let (d_entered, d_aborted) = hammer(dyn_lock, dyn_mem, threads, 200, Some(3));
+    let direct = BoundedLongLivedLock::layout(&mut b, threads, 8);
+    let direct_mem = b.build_raw(threads);
+    let (d_entered, d_aborted) = hammer_core(&direct, &direct_mem, threads, 200, Some(3), &NoProbe);
     assert_eq!(d_entered + d_aborted, 6 * 200);
     assert!(d_entered > 0);
+
+    let mut b = MemoryBuilder::new();
+    let any = AnyLock::LongLived(BoundedLongLivedLock::layout(&mut b, threads, 8));
+    let any_mem = b.build_raw(threads);
+    let (a_entered, a_aborted) = hammer_core(&any, &any_mem, threads, 200, Some(3), &NoProbe);
+    assert_eq!(a_entered + a_aborted, 6 * 200);
+    assert!(a_entered > 0);
 }
 
 #[test]
@@ -220,8 +202,8 @@ fn one_shot_on_real_threads() {
     let threads = 16;
     let mut b = MemoryBuilder::new();
     let lock = OneShotLock::layout(&mut b, threads, 8);
-    let mem = Arc::new(b.build_raw(threads));
-    let (entered, aborted) = hammer(Arc::new(lock), mem, threads, 1, None);
+    let mem = b.build_raw(threads);
+    let (entered, aborted) = hammer_core(&lock, &mem, threads, 1, None, &NoProbe);
     assert_eq!(entered, 16);
     assert_eq!(aborted, 0);
 }
@@ -232,26 +214,26 @@ fn baselines_on_real_threads() {
     // MCS
     let mut b = MemoryBuilder::new();
     let mcs = McsLock::layout(&mut b, threads);
-    let mem = Arc::new(b.build_raw(threads));
-    let (entered, _) = hammer(Arc::new(mcs), mem, threads, 400, None);
+    let mem = b.build_raw(threads);
+    let (entered, _) = hammer_core(&mcs, &mem, threads, 400, None, &NoProbe);
     assert_eq!(entered, 6 * 400);
     // Tournament with aborts
     let mut b = MemoryBuilder::new();
     let t = TournamentLock::layout(&mut b, threads);
-    let mem = Arc::new(b.build_raw(threads));
-    let (entered, aborted) = hammer(Arc::new(t), mem, threads, 200, Some(4));
+    let mem = b.build_raw(threads);
+    let (entered, aborted) = hammer_core(&t, &mem, threads, 200, Some(4), &NoProbe);
     assert_eq!(entered + aborted, 6 * 200);
     // Scott with aborts
     let mut b = MemoryBuilder::new();
     let s = ScottLock::layout(&mut b, threads, 6 * 200 + 1);
-    let mem = Arc::new(b.build_raw(threads));
-    let (entered, aborted) = hammer(Arc::new(s), mem, threads, 200, Some(4));
+    let mem = b.build_raw(threads);
+    let (entered, aborted) = hammer_core(&s, &mem, threads, 200, Some(4), &NoProbe);
     assert_eq!(entered + aborted, 6 * 200);
     // Lee with aborts
     let mut b = MemoryBuilder::new();
     let l = LeeLock::layout(&mut b, threads, 6 * 200 + 1);
-    let mem = Arc::new(b.build_raw(threads));
-    let (entered, aborted) = hammer(Arc::new(l), mem, threads, 200, Some(4));
+    let mem = b.build_raw(threads);
+    let (entered, aborted) = hammer_core(&l, &mem, threads, 200, Some(4), &NoProbe);
     assert_eq!(entered + aborted, 6 * 200);
 }
 

@@ -251,7 +251,7 @@ fn jj_single_passage_debt_exceeds_amortized_but_total_stays_linear() {
         lease: sal_runtime::default_lease(),
     };
     let report = run_lock(
-        &*built.lock,
+        &built.lock,
         &built.mem,
         built.cs_word,
         &spec,
