@@ -65,7 +65,12 @@ done
 # the workers wait without a timeout, so a lost wakeup hangs a drain.
 # A plain OS thread ping-pongs with a task while both workers sleep,
 # and 200 executors end with their last two tasks finishing on
-# different workers. About 20 s on a 2-vCPU VM.
+# different workers. Pid rotation is rerun too:
+# `alternating_tasks_rotate_pids_past_the_epoch_wait` has two tasks
+# alternate on one worker and requires that no attempt waits at the
+# epoch, which holds only while the free list hands out the pid given
+# back longest ago and every wake arrives in order. About 20 s on a
+# 2-vCPU VM.
 test_binary() {
     cargo test --release --no-run "$@" 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p'
 }
@@ -90,6 +95,7 @@ for _ in $(seq 20); do
     run_tests "$sync_lib" -q --exact async_mutex::tests::a_deadline_is_honoured_under_traffic \
         async_mutex::tests::an_abort_signal_is_honoured_under_traffic \
         async_mutex::tests::a_poll_across_the_epoch_wait_publishes_each_key \
+        async_mutex::tests::alternating_tasks_rotate_pids_past_the_epoch_wait \
         async_mutex::tests::a_limit_expiring_while_queued_for_a_pid_resolves_the_future \
         async_mutex::tests::capacity_many_cond_waiters_leave_every_pid_free \
         arena::tests::a_cond_waiter_leaves_the_pid_to_the_producer \

@@ -17,6 +17,13 @@
 //! nothing). Everyone then uses `w_{1−b_w}`, which held the initial value
 //! by the invariant. Cost: `O(1)` extra RMRs per access.
 //!
+//! On hardware a logical word's three physical words are touched
+//! together (the `V_w` read, then the incarnation it names), so the
+//! layout hints them onto one cache line
+//! ([`MemoryBuilder::share_lines`]): the raw memory places them there,
+//! and the instrumented memories, which ignore the hint, keep counting
+//! each as its own word.
+//!
 //! Unlike Aghazadeh et al. [1, §4], no bits are stolen from the data
 //! words themselves. Version wraparound would need 2⁶³ reuses of a single
 //! instance; we nevertheless implement the paper's eager-reset backstop
@@ -49,13 +56,16 @@ pub struct VersionedInstance {
 impl VersionedInstance {
     /// Allocate the physical words backing one instance whose logical
     /// layout has the given initial values. Space: `3s + 2` words for `s`
-    /// logical words.
+    /// logical words. Each logical word's `V_w`, `w₀` and `w₁` are hinted
+    /// onto one cache line; the version and the cursor keep lines of
+    /// their own.
     pub fn layout(b: &mut MemoryBuilder, inits: Arc<Vec<u64>>) -> Self {
         let s = inits.len();
         let ver = b.alloc(0);
         let vws = b.alloc_array(s, VersionDesc { version: 0, bit: 0 }.pack());
         let w0 = b.alloc_array_with(s, |i| (0, inits[i]));
         let w1 = b.alloc_array_with(s, |i| (0, inits[i]));
+        b.share_lines(&[vws, w0, w1]);
         let cursor = b.alloc(0);
         VersionedInstance {
             ver,
@@ -342,6 +352,37 @@ mod tests {
         inst.eager_reset(&mem, 0, 0); // no-op
                                       // No assertion beyond "does not panic and stays within bounds";
                                       // the cursor value is internal.
+    }
+
+    #[test]
+    fn each_logical_word_lives_on_one_cache_line_of_raw_memory() {
+        let mut b = MemoryBuilder::new();
+        let lone = b.alloc(0);
+        let insts: Vec<_> = (0..2)
+            .map(|_| VersionedInstance::layout(&mut b, Arc::new(vec![0; 5])))
+            .collect();
+        let mem = b.build_raw(1);
+        let line = |w| mem.cache_line(w);
+        let mut lines = vec![line(lone)];
+        for inst in &insts {
+            for i in 0..inst.logical_words() {
+                let (vw, w0, w1) = (inst.vws.at(i), inst.w0.at(i), inst.w1.at(i));
+                assert_eq!((line(w0), line(w1)), (line(vw), line(vw)), "word {i}");
+                lines.push(line(vw));
+            }
+            lines.extend([line(inst.ver), line(inst.cursor)]);
+        }
+        // Every other word, and every other logical word, is on a line
+        // of its own.
+        let n = lines.len();
+        lines.sort_unstable();
+        lines.dedup();
+        assert_eq!(lines.len(), n, "a line is shared across groups");
+        // The lazy reset runs unchanged over the placement.
+        let v = insts[1].view(&mem);
+        v.write(0, logical(4), 9);
+        insts[1].bump_version(&mem, 0);
+        assert_eq!(insts[1].view(&mem).read(0, logical(4)), 0);
     }
 
     #[test]

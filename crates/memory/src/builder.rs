@@ -2,7 +2,7 @@
 
 use crate::cc::{CcMemory, EpochMode};
 use crate::dsm::DsmMemory;
-use crate::raw::RawMemory;
+use crate::raw::{RawMemory, WORDS_PER_LINE};
 use crate::word::{Pid, WordId};
 use std::fmt;
 
@@ -63,10 +63,16 @@ impl WordArray {
 /// assert_eq!(mem.read(3, slots.at(3)), 0);
 /// # let _ = tail;
 /// ```
+///
+/// A layout may also hint which words are used together
+/// ([`share_lines`](Self::share_lines)); only the raw memory, which has
+/// cache lines, acts on the hint.
 #[derive(Default)]
 pub struct MemoryBuilder {
     inits: Vec<u64>,
     homes: Vec<Pid>,
+    /// The arrays of each [`share_lines`](Self::share_lines) hint.
+    hints: Vec<Box<[WordArray]>>,
 }
 
 impl fmt::Debug for MemoryBuilder {
@@ -127,6 +133,31 @@ impl MemoryBuilder {
         WordArray { base, len }
     }
 
+    /// Hint that, for every `i`, the `i`-th words of `arrays` are used
+    /// together: the raw memory places each such group on one cache line
+    /// of its own, so a process that touches one word brings in the
+    /// others with it. Every word left out of a hint keeps a line of its
+    /// own. The CC and DSM memories ignore the hint (each word stays its
+    /// own coherence unit), so no RMR count depends on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrays` is empty, has more than eight arrays (one
+    /// 64-byte line of words) or arrays of different lengths.
+    /// [`build_raw`](Self::build_raw) panics if a word is in two hints.
+    pub fn share_lines(&mut self, arrays: &[WordArray]) {
+        assert!(
+            (1..=WORDS_PER_LINE).contains(&arrays.len()),
+            "a hint names one to eight arrays, not {}",
+            arrays.len()
+        );
+        assert!(
+            arrays.iter().all(|a| a.len == arrays[0].len),
+            "hinted arrays differ in length"
+        );
+        self.hints.push(arrays.into());
+    }
+
     /// Number of words allocated so far.
     pub fn words_allocated(&self) -> usize {
         self.inits.len()
@@ -166,8 +197,11 @@ impl MemoryBuilder {
 
     /// Build an uninstrumented memory over real `AtomicU64`s, for running
     /// the same algorithm code on real threads at full speed.
+    ///
+    /// Words hinted together by [`share_lines`](Self::share_lines) share
+    /// one cache line; every other word has a line of its own.
     pub fn build_raw(self, nprocs: usize) -> RawMemory {
-        RawMemory::new(self.inits, nprocs)
+        RawMemory::new(self.inits, &self.hints, nprocs)
     }
 }
 

@@ -1,15 +1,17 @@
 //! Uninstrumented memory over real atomics.
 
+use crate::builder::WordArray;
 use crate::mem::Mem;
 use crate::word::{Pid, WordId};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One word per cache line, so that distinct logical words never exhibit
-/// false sharing — mirroring the per-word coherence granularity of the
-/// instrumented memories.
+/// Words on one 64-byte cache line.
+pub(crate) const WORDS_PER_LINE: usize = 8;
+
+/// One cache line of words.
 #[repr(align(64))]
-struct PaddedWord(AtomicU64);
+struct Line([AtomicU64; WORDS_PER_LINE]);
 
 /// Shared memory over real `AtomicU64`s with **no accounting**: the fast
 /// path used by `sal-sync` to run the identical algorithm code on real
@@ -18,41 +20,89 @@ struct PaddedWord(AtomicU64);
 /// All operations use sequentially consistent ordering; the paper's model
 /// (like essentially all of the mutual-exclusion literature) assumes
 /// sequential consistency, and the algorithms are not proven for weaker
-/// orderings. Each word is padded to its own cache line.
+/// orderings.
+///
+/// Words hinted together by [`MemoryBuilder::share_lines`] share one
+/// cache line of their own (the lazily reset words of the long-lived
+/// lock: a word's version descriptor and its two incarnations); every
+/// other word has a line of its own, so unrelated words never exhibit
+/// false sharing.
 ///
 /// RMR and op counters always read 0 — use [`CcMemory`] or [`DsmMemory`]
 /// when measuring.
 ///
 /// [`CcMemory`]: crate::CcMemory
 /// [`DsmMemory`]: crate::DsmMemory
+/// [`MemoryBuilder::share_lines`]: crate::MemoryBuilder::share_lines
 pub struct RawMemory {
-    words: Vec<PaddedWord>,
+    lines: Box<[Line]>,
+    /// Each word's place, `line * WORDS_PER_LINE + offset`.
+    slots: Box<[u32]>,
     nprocs: usize,
 }
 
 impl fmt::Debug for RawMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RawMemory")
-            .field("nwords", &self.words.len())
+            .field("nwords", &self.slots.len())
+            .field("nlines", &self.lines.len())
             .field("nprocs", &self.nprocs)
             .finish()
     }
 }
 
 impl RawMemory {
-    pub(crate) fn new(inits: Vec<u64>, nprocs: usize) -> Self {
+    /// Place the words (initial values `inits`): each group of a
+    /// [`share_lines`] hint on a line of its own, in hint order, then
+    /// every word left over on a line of its own.
+    ///
+    /// [`share_lines`]: crate::MemoryBuilder::share_lines
+    pub(crate) fn new(inits: Vec<u64>, hints: &[Box<[WordArray]>], nprocs: usize) -> Self {
+        const UNPLACED: u32 = u32::MAX;
+        let mut slots = vec![UNPLACED; inits.len()].into_boxed_slice();
+        let mut nlines = 0;
+        for arrays in hints {
+            // The `i`-th words of the arrays fill line `nlines + i`.
+            for (offset, array) in arrays.iter().enumerate() {
+                for (i, w) in array.iter().enumerate() {
+                    let slot = &mut slots[w.index()];
+                    assert_eq!(*slot, UNPLACED, "word {} already shares a line", w.0);
+                    *slot = ((nlines + i) * WORDS_PER_LINE + offset) as u32;
+                }
+            }
+            nlines += arrays[0].len();
+        }
+        for slot in slots.iter_mut().filter(|s| **s == UNPLACED) {
+            *slot = (nlines * WORDS_PER_LINE) as u32;
+            nlines += 1;
+        }
+        // The last line's place fits, so every earlier one did.
+        assert!(
+            u32::try_from(nlines * WORDS_PER_LINE).is_ok(),
+            "too many cache lines"
+        );
+        let mut lines: Box<[Line]> = (0..nlines).map(|_| Line(Default::default())).collect();
+        for (&slot, init) in slots.iter().zip(inits) {
+            let slot = slot as usize;
+            *lines[slot / WORDS_PER_LINE].0[slot % WORDS_PER_LINE].get_mut() = init;
+        }
         RawMemory {
-            words: inits
-                .into_iter()
-                .map(|v| PaddedWord(AtomicU64::new(v)))
-                .collect(),
+            lines,
+            slots,
             nprocs,
         }
     }
 
     #[inline]
     fn word(&self, w: WordId) -> &AtomicU64 {
-        &self.words[w.index()].0
+        let slot = self.slots[w.index()] as usize;
+        &self.lines[slot / WORDS_PER_LINE].0[slot % WORDS_PER_LINE]
+    }
+
+    /// The 64-byte cache line holding `w`, as its address divided by 64:
+    /// two words share a line iff their values are equal.
+    pub fn cache_line(&self, w: WordId) -> usize {
+        std::ptr::from_ref(self.word(w)) as usize / 64
     }
 }
 
@@ -97,7 +147,7 @@ impl Mem for RawMemory {
     }
 
     fn num_words(&self) -> usize {
-        self.words.len()
+        self.slots.len()
     }
 
     fn num_procs(&self) -> usize {
@@ -113,8 +163,58 @@ mod tests {
 
     #[test]
     fn words_live_on_distinct_cache_lines() {
-        assert!(std::mem::size_of::<PaddedWord>() >= 64);
-        assert_eq!(std::mem::align_of::<PaddedWord>(), 64);
+        assert_eq!(std::mem::size_of::<Line>(), 64);
+        assert_eq!(std::mem::align_of::<Line>(), 64);
+        let mut b = MemoryBuilder::new();
+        let solo = b.alloc(1);
+        let x = b.alloc_array(2, 2);
+        let arr = b.alloc_array(3, 3);
+        let y = b.alloc_array_with(2, |i| (0, 10 + i as u64));
+        let z = b.alloc_array(2, 4);
+        b.share_lines(&[x, y, z]);
+        let words = b.words_allocated();
+        let m = b.build_raw(1);
+        assert_eq!(m.num_words(), words, "hints allocate no word");
+        let line = |w| m.cache_line(w);
+        for i in 0..2 {
+            assert_eq!(
+                (line(y.at(i)), line(z.at(i))),
+                (line(x.at(i)), line(x.at(i)))
+            );
+        }
+        // No two ungrouped words, and no two groups, share a line.
+        let mut lines: Vec<usize> = [solo, x.at(0), x.at(1)]
+            .into_iter()
+            .chain(arr.iter())
+            .map(line)
+            .collect();
+        lines.sort_unstable();
+        lines.dedup();
+        assert_eq!(lines.len(), 6);
+        // Placement moves no initial value.
+        assert_eq!(m.read(0, solo), 1);
+        assert!(arr.iter().all(|w| m.read(0, w) == 3));
+        assert_eq!([m.read(0, y.at(0)), m.read(0, y.at(1))], [10, 11]);
+        assert_eq!([m.read(0, x.at(1)), m.read(0, z.at(1))], [2, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "already shares a line")]
+    fn a_word_joins_one_line_group() {
+        let mut b = MemoryBuilder::new();
+        let a = b.alloc_array(2, 0);
+        let c = b.alloc_array(2, 0);
+        b.share_lines(&[a, c]);
+        b.share_lines(&[c, a]);
+        b.build_raw(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a hint names one to eight arrays")]
+    fn a_line_group_fits_one_line() {
+        let mut b = MemoryBuilder::new();
+        let a = b.alloc_array(1, 0);
+        b.share_lines(&[a; WORDS_PER_LINE + 1]);
     }
 
     #[test]

@@ -551,6 +551,11 @@ impl<K, T> fmt::Debug for Arena<K, T> {
 /// RAII guard over one key's value; the key's lock is held while the
 /// guard lives and released (with demotion bookkeeping) on drop.
 ///
+/// A panic in the critical section releases the key too: the drop runs
+/// on unwind, gives back any pid, and a core the key was promoted to
+/// goes back to the pool once its last user leaves. There is no poison
+/// flag.
+///
 /// Like [`MutexGuard`](crate::MutexGuard): `Sync` only when `T: Sync`,
 /// never `Send` (core-mode guards own a checked-out pid seat).
 pub struct ArenaGuard<'a, K, T> {
@@ -733,6 +738,46 @@ mod tests {
             assert_eq!(waiter.join().unwrap(), Ok(1));
         });
         assert_eq!(arena.stats().resident_cores, 0);
+    }
+
+    #[test]
+    fn a_panicking_critical_section_releases_the_key() {
+        // As for the mutexes: the drop runs on unwind, inline or through
+        // a pooled core, which goes back to the pool.
+        let arena: Arena<u8, u64> = Arena::builder().core_capacity(2).build();
+        for (through_core, value) in [(false, 1), (true, 2)] {
+            let cs = std::panic::AssertUnwindSafe(|| {
+                let mut g = if through_core {
+                    let word = &arena.entry(&1).word;
+                    let held = std::sync::atomic::AtomicBool::new(false);
+                    std::thread::scope(|s| {
+                        s.spawn(|| {
+                            let g = arena.lock(&1);
+                            held.store(true, Ordering::SeqCst);
+                            while word.load(Ordering::SeqCst) == word::LOCKED_INLINE {
+                                std::thread::yield_now();
+                            }
+                            drop(g);
+                        });
+                        while !held.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        arena.lock(&1)
+                    })
+                } else {
+                    arena.lock(&1)
+                };
+                assert_eq!(g.hold == Hold::INLINE, !through_core);
+                assert_eq!(arena.stats().resident_cores, usize::from(through_core));
+                *g += 1;
+                panic!("critical section panics");
+            });
+            assert!(std::panic::catch_unwind(cs).is_err());
+            assert_eq!(*arena.lock(&1), value, "the next lock succeeds");
+            let stats = arena.stats();
+            assert_eq!(stats.resident_cores, 0, "the core went back");
+            assert_eq!(stats.promotions, stats.demotions);
+        }
     }
 
     #[test]

@@ -368,6 +368,10 @@ impl<T: ?Sized, P: Probe, F, S, const I: bool> fmt::Debug for AcquireFuture<'_, 
 /// lives, released (with unlock-side condition evaluation and a wake
 /// for the waiter the lock is handed to) on drop.
 ///
+/// A panic in the critical section releases the lock, as for the sync
+/// guard: the drop runs on unwind, gives back any pid and leaves no
+/// poison flag.
+///
 /// Unlike the sync [`MutexGuard`](crate::MutexGuard), this guard is
 /// `Send` (for `T: Send`): the hold (inline, or a process identity in
 /// the core) is carried explicitly in the guard rather than through a
@@ -449,7 +453,7 @@ impl<T: ?Sized + fmt::Debug, P: Probe> fmt::Debug for AsyncMutexGuard<'_, T, P> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{publish_code, State};
+    use crate::driver::{publish_code, State, PROXY};
     use sal_core::resume::WaitKey;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
@@ -710,7 +714,10 @@ mod tests {
         // epoch wait → doorway → queue behind pid 2's fresh hold and must
         // publish the queue key before it parks. After every pending
         // poll the published key is the machine's, and the exit that
-        // hands it the lock wakes it exactly once.
+        // hands it the lock wakes it exactly once. The free list hands
+        // out the pid given back longest ago, so pids 3 and 4, which
+        // never entered the instance, are checked out before pid 1
+        // comes back: the re-entering attempt can then only get pid 1.
         static F: AtomicUsize = AtomicUsize::new(0);
         let m = AsyncAbortableMutex::builder(0u64).capacity(4).build_async();
         let core = &m.m.seated.core;
@@ -731,6 +738,8 @@ mod tests {
         let mut f2 = m.lock(); // pid 2
         assert!(poll_once(&mut f1, &w).is_pending());
         assert!(poll_once(&mut f2, &w).is_pending());
+        let fresh = [core.pids.try_take(), core.pids.try_take()];
+        assert_eq!(fresh, [Some(3), Some(4)], "the fresh pids are checked out");
         drop(g0);
         let Poll::Ready(g1) = poll_once(&mut f1, &w) else {
             panic!("pid 1 was handed the lock");
@@ -757,9 +766,98 @@ mod tests {
         assert_eq!(F.load(Ordering::SeqCst), 2, "the handoff wakes it once");
         assert!(poll_once(&mut f, &wf).is_ready());
         drop((f, f1, f2));
+        fresh
+            .into_iter()
+            .flatten()
+            .for_each(|pid| core.pids.put(pid));
         let s = m.stats();
         assert_eq!(s.futile_enter_wakeups, 1, "only the epoch release");
         assert_eq!(m.free_pids(), 4);
+    }
+
+    #[test]
+    fn alternating_tasks_rotate_pids_past_the_epoch_wait() {
+        // Two tasks on one worker, each holding the lock across one
+        // yield, so the other queues behind it in the core. Task 0
+        // re-locks at once after every unlock; task 1 does so every
+        // other round and idles for three yields in between, so the
+        // core drains (an instance switch, then a demotion) now and
+        // then. A task that re-locks at once while the other is in the
+        // instance gets the pid given back longest ago, which has not
+        // entered the live instance, so no attempt waits at the epoch.
+        // Handing back the pid it had just given up made 60 epoch waits
+        // in these 150 core passages.
+        use sal_obs::PassageStats;
+        use sal_runtime::executor::Executor;
+        struct YieldNow(bool);
+        impl Future for YieldNow {
+            type Output = ();
+            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+                if std::mem::replace(&mut self.0, true) {
+                    return Poll::Ready(());
+                }
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            }
+        }
+        const ROUNDS: usize = 150;
+        let m = AsyncAbortableMutex::builder(0usize)
+            .capacity(4)
+            .probe(PassageStats::new())
+            .build_async();
+        let m = Arc::new(m);
+        let ex = Executor::new();
+        for idles in [[0, 0], [0, 3]] {
+            let m = Arc::clone(&m);
+            ex.spawn(async move {
+                for round in 0..ROUNDS {
+                    let mut g = m.lock().await;
+                    *g += 1;
+                    YieldNow(false).await;
+                    drop(g);
+                    for _ in 0..idles[round % 2] {
+                        YieldNow(false).await;
+                    }
+                }
+            });
+        }
+        ex.run(1);
+        let records = m.probe().records();
+        let core_passages = records.iter().filter(|r| r.entered && r.pid != PROXY);
+        let core_passages = core_passages.count();
+        assert!(core_passages >= 100, "{core_passages} core passages");
+        let paths = m.m.seated.core.lock.stats();
+        assert!(paths.switches > 0, "{paths:?}");
+        assert_eq!(paths.spin_waits, 0, "{paths:?}");
+        assert_eq!(m.free_pids(), 4);
+        assert_eq!(*m.try_lock().expect("idle"), 2 * ROUNDS);
+    }
+
+    #[test]
+    fn a_panicking_critical_section_releases_the_lock() {
+        // As for the sync guard: the drop runs on unwind, inline or
+        // through the core.
+        let m = AsyncAbortableMutex::builder(0u64).capacity(2).build_async();
+        let w = counting_waker(&WAKES);
+        for (through_core, value) in [(false, 1), (true, 2)] {
+            let cs = std::panic::AssertUnwindSafe(|| {
+                let mut g = if through_core {
+                    core_held(&m)
+                } else {
+                    m.try_lock().expect("uncontended")
+                };
+                assert_eq!(g.hold == Hold::INLINE, !through_core);
+                *g += 1;
+                panic!("critical section panics");
+            });
+            assert!(std::panic::catch_unwind(cs).is_err());
+            let Poll::Ready(g) = poll_once(&mut m.lock(), &w) else {
+                panic!("the next lock succeeds at once");
+            };
+            assert_eq!(*g, value);
+            drop(g);
+            assert_eq!((m.free_pids(), m.queued_tasks()), (m.capacity(), 0));
+        }
     }
 
     #[test]

@@ -180,12 +180,20 @@ impl Ticket {
 /// The pid admission every surface checks its attempts in through: a
 /// free list plus a FIFO queue of tickets (module docs). Invariant: the
 /// free list and the live part of the queue are never both non-empty.
+///
+/// The free list is FIFO too: it hands out the pid given back longest
+/// ago. A pid keeps per-process lock state between passages (the epoch
+/// its last Cleanup recorded), and a pid that entered the live instance
+/// must wait at its epoch for the next instance switch. The pid an
+/// attempt just gave back is the one most likely to have entered the
+/// live instance, so rotating through the list lets a fresh attempt go
+/// straight through the doorway (DESIGN.md §12, "Pid rotation").
 pub(crate) struct Pids {
     inner: Mutex<PidsInner>,
 }
 
 struct PidsInner {
-    free: Vec<Pid>,
+    free: VecDeque<Pid>,
     queue: VecDeque<Arc<Mutex<Turn>>>,
 }
 
@@ -193,8 +201,8 @@ impl Pids {
     fn new(range: Range<Pid>) -> Self {
         Pids {
             inner: Mutex::new(PidsInner {
-                // Reversed so `pop` hands out the lowest pid first.
-                free: range.rev().collect(),
+                // The lowest pid is handed out first.
+                free: range.collect(),
                 queue: VecDeque::new(),
             }),
         }
@@ -202,7 +210,7 @@ impl Pids {
 
     /// A free pid, without waiting.
     pub(crate) fn try_take(&self) -> Option<Pid> {
-        self.inner.lock().expect(POISONED).free.pop()
+        self.inner.lock().expect(POISONED).free.pop_front()
     }
 
     /// A free pid; else, if `may_queue()`, a place in the queue whose
@@ -213,7 +221,7 @@ impl Pids {
         may_queue: impl FnOnce() -> bool,
     ) -> Result<Pid, Option<Ticket>> {
         let mut inner = self.inner.lock().expect(POISONED);
-        if let Some(pid) = inner.free.pop() {
+        if let Some(pid) = inner.free.pop_front() {
             return Ok(pid);
         }
         if !may_queue() {
@@ -233,13 +241,13 @@ impl Pids {
     }
 
     /// Give `pid` back: to the oldest live ticket (its waker fires
-    /// outside the lock), else to the free list.
+    /// outside the lock), else to the back of the free list.
     pub(crate) fn put(&self, pid: Pid) {
         let waker = {
             let mut inner = self.inner.lock().expect(POISONED);
             loop {
                 let Some(turn) = inner.queue.pop_front() else {
-                    inner.free.push(pid);
+                    inner.free.push_back(pid);
                     return;
                 };
                 // A queued turn is waiting or dead (cancelled).

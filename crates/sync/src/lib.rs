@@ -411,6 +411,11 @@ impl<'m, T: ?Sized, P: Probe> MutexHandle<'m, T, P> {
 /// RAII guard: the lock is held while the guard lives, released on drop,
 /// which also gives back the process id of a contended attempt.
 ///
+/// A panic in the critical section releases the lock too: the drop runs
+/// while the panic unwinds, exactly as a normal drop would, and the next
+/// acquisition succeeds. Nothing marks the value as possibly left
+/// mid-update (there is no poison flag).
+///
 /// Like `std::sync::MutexGuard`: `Sync` only when `T: Sync` (sharing
 /// `&MutexGuard` hands out `&T` across threads), and not `Send` (the
 /// guard releases through the per-thread handle it borrows).
@@ -727,6 +732,30 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_critical_section_releases_the_lock() {
+        // The guard's drop runs on unwind, for an inline hold and a hold
+        // through the core alike: the lock is free, the pid back, and
+        // the promotion demoted.
+        let m = AbortableMutex::builder(0u64).capacity(2).build();
+        for (through_core, value) in [(false, 1), (true, 2)] {
+            let mut h = m.handle();
+            let cs = std::panic::AssertUnwindSafe(|| {
+                let mut g = if through_core {
+                    core_held(&m, &mut h)
+                } else {
+                    h.lock()
+                };
+                assert_eq!(g.hold == Hold::INLINE, !through_core);
+                *g += 1;
+                panic!("critical section panics");
+            });
+            assert!(std::panic::catch_unwind(cs).is_err());
+            assert_eq!(*m.handle().lock(), value, "the next lock succeeds");
+            assert_idle(&m);
+        }
+    }
+
+    #[test]
     fn a_predicate_panicking_on_the_fast_path_leaves_the_lock_free() {
         // The first check runs under an inline hold that no attempt owns
         // yet: its unwind must release the word.
@@ -1033,6 +1062,19 @@ mod tests {
         assert!(narrow.shared_words() > wide.shared_words());
         let mut h = narrow.handle();
         let _g = h.lock();
+    }
+
+    #[test]
+    fn line_placement_changes_no_word_count() {
+        // `shared_words()` is the Table-1 space column measured: the
+        // raw memory's cache-line placement must not move it.
+        let words = [1, 4, 64].map(|c| {
+            AbortableMutex::builder(())
+                .capacity(c)
+                .build()
+                .shared_words()
+        });
+        assert_eq!(words, [70, 211, 30_823]);
     }
 
     #[test]
