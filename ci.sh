@@ -2,8 +2,8 @@
 # Repo CI gate: docs that name only tracked source files, release
 # build, full test suite (debug + release, so the
 # concurrency-sensitive stress tests run optimized too), a run of every
-# example, 20 reruns of the wake-sensitive tests, the suites that
-# must also hold under a non-default environment, a full `table1` run
+# example, 20 reruns of the wake-sensitive tests, the parallel
+# determinism suite at a non-default worker count, a full `table1` run
 # that must reproduce the committed BENCH_table1.json, the benchmark's
 # build and a one-second smoke of each of its workloads (plus a traced
 # one for mutex-contended), lint-clean clippy, and warning-free docs.
@@ -123,29 +123,10 @@ for _ in $(seq 20); do
         executor::tests::executors_whose_last_tasks_finish_on_different_workers_return
 done
 
-# Suites rerun under a non-default environment, one row each:
-# <env assignment> <cargo test arguments>. The default environment is
-# already covered by `cargo test --release -q` above.
-# * SAL_JOBS=2: the parallel experiment engine must give byte-identical
-#   output at every worker count.
-# * SAL_LEASE=1 / SAL_LEASE=64: every artifact must be byte-identical at
-#   every step-lease cap. `lease_determinism` sweeps caps internally;
-#   these runs also pin the *ambient* default (harness literals, sweep
-#   defaults) to the legacy per-step gate and to a capped gate, on the
-#   lease suite and on every suite that drives the simulator: the keyed
-#   arena's model-checked protocol, guided schedule search (DPOR and
-#   best-first agree with BFS), and amortized RMR accounting with the
-#   Jayanti–Jayanti debt ledger.
-while read -r assignment args; do
-    env "$assignment" cargo test --release -q $args < /dev/null
-done <<'EOF'
-SAL_JOBS=2   -p sal-bench --test parallel_determinism
-SAL_LEASE=1  -p sal-bench --test lease_determinism
-SAL_LEASE=64 -p sal-bench --test lease_determinism
-SAL_LEASE=1  -p sal-bench --test arena_protocol
-SAL_LEASE=1  -p sal-bench --test systematic_exploration --test guided_search
-SAL_LEASE=1  -p sal-bench --test amortized_accounting --test rmr_bounds
-EOF
+# The parallel experiment engine must give byte-identical output at
+# every worker count: rerun its suite at two workers (the default
+# worker count is already covered by `cargo test --release -q` above).
+SAL_JOBS=2 cargo test --release -q -p sal-bench --test parallel_determinism
 
 # Every sal-bench experiment is a deterministic simulation, so a full
 # `table1` run must reproduce the committed BENCH_table1.json exactly,

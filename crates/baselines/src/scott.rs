@@ -185,7 +185,7 @@ mod tests {
                 ],
                 cs_ops: 2,
                 max_steps: 2_000_000,
-                lease: sal_runtime::default_lease(),
+                lease: 0,
             };
             let report = run_lock(
                 &lock,

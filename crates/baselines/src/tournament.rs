@@ -224,7 +224,7 @@ mod tests {
                 plans,
                 cs_ops: 2,
                 max_steps: 2_000_000,
-                lease: sal_runtime::default_lease(),
+                lease: 0,
             };
             let report = run_lock(
                 &lock,

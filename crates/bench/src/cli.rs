@@ -12,8 +12,8 @@
 //!   [`Parsed::smoke`], [`Parsed::lock`], [`Parsed::seeds`],
 //!   [`Parsed::strategy`].
 //!
-//! Worker count and step-lease cap are not flags: `SAL_JOBS` and
-//! `SAL_LEASE` set them for every experiment.
+//! The worker count is not a flag: `SAL_JOBS` sets it for every
+//! experiment.
 //!
 //! ```
 //! use sal_bench::cli::Cli;
@@ -390,7 +390,7 @@ mod tests {
         assert_eq!(p.strategy().unwrap(), Some(Strategy::Fuzz { seed: 9 }));
         assert!(
             shared().parse(args(&["--lease", "4"])).is_err(),
-            "the lease cap is SAL_LEASE, not a flag"
+            "the simulator's lease cap is not a flag"
         );
         let p = shared().parse(args(&["--strategy", "bogus"])).unwrap();
         assert!(p.strategy().is_err(), "unknown strategy must fail loudly");

@@ -23,10 +23,8 @@
 //! independence rule pruned and how many runs the fingerprint table
 //! deduplicated.
 //!
-//! `SAL_LEASE` sets the step-lease cap and `SAL_JOBS` the worker count
-//! of every explored run. The explored schedule set and any witness are
-//! identical at every value of either — leases batch the gate
-//! handoffs, never the decisions.
+//! `SAL_JOBS` sets the worker count of every explored run. The explored
+//! schedule set and any witness are identical at every value.
 
 use crate::Exit;
 use sal_bench::cli::{Cli, Parsed};
@@ -106,7 +104,6 @@ pub fn run(_: &str, p: &Parsed) -> Result<(), Exit> {
         passages: p.get_or("--passages", 1)?,
         cs_ops: p.get_or("--cs-ops", 2)?,
         max_steps: p.get_or("--max-steps", 200_000)?,
-        lease: sal_runtime::default_lease(),
     };
     let opts = ExploreOptions {
         max_deviations: p.get_or("--deviations", 2)?,
@@ -118,13 +115,12 @@ pub fn run(_: &str, p: &Parsed) -> Result<(), Exit> {
 
     let mut t = Table::new(
         format!(
-            "explore | {} N={} aborters={} strategy={} deviations<={} lease={}",
+            "explore | {} N={} aborters={} strategy={} deviations<={}",
             kind.label(),
             n,
             aborters,
             strategy.label(),
-            opts.max_deviations,
-            cell.lease
+            opts.max_deviations
         ),
         &["metric", "value"],
     );

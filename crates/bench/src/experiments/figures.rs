@@ -272,7 +272,7 @@ fn fig5(jobs: usize) -> io::Result<()> {
             plans,
             cs_ops: 2,
             max_steps: 60_000_000,
-            lease: sal_runtime::default_lease(),
+            lease: 0,
         };
         let cell_log = EventLog::unbounded();
         let kind_log = EventLog::unbounded();

@@ -129,7 +129,7 @@ fn simulate(
         plans,
         cs_ops: args.cs_ops,
         max_steps: 200_000_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     };
     let pol = policy(args, seed)?;
     let report = run_lock(&built.lock, &built.mem, built.cs_word, &spec, pol, NoProbe)

@@ -133,7 +133,7 @@ fn no_abort(jobs: usize) -> io::Result<()> {
         plans: vec![ProcPlan::normal(1); 256],
         cs_ops: 2,
         max_steps: 60_000_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     };
     let pol = Box::new(RandomSchedule::seeded(7));
     let report =
@@ -212,7 +212,7 @@ fn fairness(jobs: usize) {
             plans,
             cs_ops: 2,
             max_steps: 10_000_000,
-            lease: sal_runtime::default_lease(),
+            lease: 0,
         };
         let pol = Box::new(RandomSchedule::seeded(seed));
         let report = run_lock(&built.lock, &built.mem, built.cs_word, &spec, pol, NoProbe)

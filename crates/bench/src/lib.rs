@@ -17,8 +17,7 @@
 //! deterministic simulation, so its output is the same on every run;
 //! wall-clock timing of the real-thread surfaces lives in the
 //! `perfbench` crate instead. `SAL_JOBS` sets the worker count of
-//! every grid and `SAL_LEASE` the simulator's step-lease cap; results
-//! are identical at any value of either.
+//! every grid; results are identical at any value.
 //!
 //! The library half provides the lock registry (build any lock in the
 //! workspace by kind), the workload builders, flag parsing, plain-text

@@ -69,7 +69,7 @@ fn run_point(
         plans,
         cs_ops: 2,
         max_steps: 60_000_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     };
     let aborters = spec
         .plans
@@ -243,7 +243,7 @@ pub fn amortized_sweep(
             plans,
             cs_ops: 2,
             max_steps: 60_000_000,
-            lease: sal_runtime::default_lease(),
+            lease: 0,
         };
         let schedule = Box::new(RandomSchedule::seeded(seed.wrapping_add(round as u64)));
         let report = run_lock(
@@ -300,8 +300,6 @@ pub struct ExploreCell {
     pub cs_ops: usize,
     /// Per-run step limit (livelock detector).
     pub max_steps: u64,
-    /// Step-lease cap for the run (0 = unbounded).
-    pub lease: u64,
 }
 
 impl ExploreCell {
@@ -316,7 +314,6 @@ impl ExploreCell {
             passages: 1,
             cs_ops: 2,
             max_steps: 200_000,
-            lease: sal_runtime::default_lease(),
         }
     }
 
@@ -371,7 +368,7 @@ impl ExploreCell {
             plans,
             cs_ops: self.cs_ops,
             max_steps: self.max_steps,
-            lease: self.lease,
+            lease: 0,
         };
         let report = run_lock(
             &built.lock,

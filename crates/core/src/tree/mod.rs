@@ -26,10 +26,8 @@
 pub(crate) mod bits;
 mod cas_remove;
 mod geometry;
-mod iter;
 
 pub use geometry::{NodeRef, TreeGeometry};
-pub use iter::LiveSlots;
 
 use sal_memory::{Mem, MemoryBuilder, Pid, WordArray};
 

@@ -164,34 +164,6 @@ impl EventLog {
         self.ring.lock().unwrap().dropped
     }
 
-    /// An order-sensitive 64-bit fingerprint of the retained events
-    /// (sequence numbers excluded, so two logs recording the same
-    /// behaviour after different ring histories still agree). Coverage
-    /// consumers — e.g. the schedule fuzzer's corpus feedback — compare
-    /// fingerprints instead of whole logs.
-    pub fn fingerprint(&self) -> u64 {
-        let mut f = crate::fp::Fingerprint::new();
-        for ev in self.events() {
-            let (code, payload): (u64, u64) = match ev.kind {
-                ObsEventKind::EnterBegin => (1, 0),
-                ObsEventKind::EnterEnd(t) => (2, t.map_or(u64::MAX, |t| t)),
-                ObsEventKind::CsExit => (3, 0),
-                ObsEventKind::Abort(t) => (4, t.map_or(u64::MAX, |t| t)),
-                ObsEventKind::Rmr(k) => (5, k as u64),
-                ObsEventKind::Note(label, v) => {
-                    let mut h = crate::fp::Fingerprint::new();
-                    for b in label.bytes() {
-                        h.fold_ordered(u64::from(b));
-                    }
-                    (7 ^ h.value(), v)
-                }
-            };
-            f.fold_ordered(ev.pid as u64 ^ crate::fp::mix64(code));
-            f.fold_ordered(payload);
-        }
-        f.value()
-    }
-
     fn event_to_json(ev: &ObsEvent) -> Json {
         let mut pairs = vec![
             ("seq", Json::Int(ev.seq as i64)),

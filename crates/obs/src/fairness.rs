@@ -64,8 +64,8 @@ impl Inner {
 /// FCFS/starvation monitor; implements [`Probe`].
 ///
 /// Replaces the ad-hoc fairness bookkeeping the runtime harness used to
-/// carry: attach it (alone or in a
-/// [`Fanout`](crate::Fanout)) and read the verdict after the run.
+/// carry: attach it (alone or paired with another sink) and read the
+/// verdict after the run.
 ///
 /// A cheap handle — `clone()` shares the same counters, so one clone can
 /// be handed to an execution as an owned probe while another reads the

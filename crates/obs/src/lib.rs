@@ -21,7 +21,7 @@
 //! - Sinks: [`PassageStats`] (per-passage RMR + step-latency
 //!   histograms and amortized totals), [`EventLog`] (bounded ring with
 //!   JSONL export/replay), [`FairnessMonitor`] (FCFS + starvation
-//!   witnesses), composable via [`Fanout`].
+//!   witnesses), composable as pairs: `(A, B)` broadcasts to both.
 //! - [`json`] — the self-contained JSON layer behind all experiment
 //!   exports (the build environment is offline; no serde).
 //!
@@ -66,5 +66,5 @@ pub use fairness::{FairnessMonitor, ProcFairness};
 pub use hist::Histogram;
 pub use json::{Json, ToJson};
 pub use mem::{probed, ProbeLayer, ProbedMem};
-pub use probe::{Fanout, NoProbe, Probe};
+pub use probe::{NoProbe, Probe};
 pub use stats::{AmortizedStats, PassageRecord, PassageStats, PassageSummary};

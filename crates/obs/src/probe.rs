@@ -201,9 +201,9 @@ impl<P: Probe> Probe for Option<P> {
     }
 }
 
-/// A pair broadcasts to both components — an *owned* fanout, usable
-/// where a `'static` probe is required (unlike [`Fanout`], which borrows
-/// its sinks).
+/// A pair broadcasts every hook to both components — the way the
+/// harness feeds its internal [`PassageStats`](crate::PassageStats) and
+/// a caller's sink from one execution. Nest pairs for more sinks.
 impl<A: Probe, B: Probe> Probe for (A, B) {
     fn enter_begin(&self, p: Pid) {
         self.0.enter_begin(p);
@@ -238,59 +238,6 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     }
 }
 
-/// Broadcast every hook to a set of probes — the way the harness feeds
-/// its internal [`PassageStats`](crate::PassageStats) and a caller's
-/// sinks from one execution.
-#[derive(Clone, Copy)]
-pub struct Fanout<'a>(pub &'a [&'a dyn Probe]);
-
-impl std::fmt::Debug for Fanout<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Fanout").field(&self.0.len()).finish()
-    }
-}
-
-impl Probe for Fanout<'_> {
-    fn enter_begin(&self, p: Pid) {
-        for probe in self.0 {
-            probe.enter_begin(p);
-        }
-    }
-    fn enter_end(&self, p: Pid, ticket: Option<u64>) {
-        for probe in self.0 {
-            probe.enter_end(p, ticket);
-        }
-    }
-    fn cs_exit(&self, p: Pid) {
-        for probe in self.0 {
-            probe.cs_exit(p);
-        }
-    }
-    fn abort(&self, p: Pid, ticket: Option<u64>) {
-        for probe in self.0 {
-            probe.abort(p, ticket);
-        }
-    }
-    fn rmr(&self, p: Pid, kind: OpKind) {
-        for probe in self.0 {
-            probe.rmr(p, kind);
-        }
-    }
-    fn op(&self, p: Pid, kind: OpKind) {
-        for probe in self.0 {
-            probe.op(p, kind);
-        }
-    }
-    fn note(&self, p: Pid, label: &'static str, value: u64) {
-        for probe in self.0 {
-            probe.note(p, label, value);
-        }
-    }
-    fn enabled(&self) -> bool {
-        self.0.iter().any(|probe| probe.enabled())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,10 +264,10 @@ mod tests {
     }
 
     #[test]
-    fn fanout_broadcasts_to_all_sinks() {
+    fn pairs_broadcast_to_both_sinks() {
         let a = Counter::default();
         let b = Counter::default();
-        let fan = Fanout(&[&a, &b]);
+        let fan = (&a, &b);
         fan.enter_begin(0);
         fan.note(1, "x", 10);
         fan.cs_exit(0); // default no-op on Counter
@@ -361,8 +308,6 @@ mod tests {
         assert!((NoProbe, Counter::default()).enabled());
         assert!((Counter::default(), NoProbe).enabled());
         assert!(!(NoProbe, NoProbe).enabled());
-        assert!(Fanout(&[&NoProbe, &c]).enabled());
-        assert!(!Fanout(&[&NoProbe, &NoProbe]).enabled() && !Fanout(&[]).enabled());
         let dynamic: &dyn Probe = &NoProbe;
         assert!(
             !dynamic.enabled(),

@@ -40,8 +40,7 @@
 //! spin window) and shrinks when the waiter had to park, so workloads
 //! whose handoffs are fast (small simulations on idle machines) keep
 //! the context switches off the hot path while heavily contended or
-//! single-CPU runs decay to plain condvar parking. `set_spin(false)`
-//! restores the legacy park-only behaviour (used by lease cap 1).
+//! single-CPU runs decay to plain condvar parking.
 //!
 //! Scaling note: each process waits on its **own** condvar, and the
 //! scheduler on a dedicated one, so a step costs O(1) wakeups — a
@@ -74,27 +73,18 @@ const SPIN_MIN: u32 = 4;
 /// for a park anyway, so stop burning cycles beforehand).
 struct AdaptiveSpin {
     budget: AtomicU32,
-    enabled: AtomicBool,
 }
 
 impl AdaptiveSpin {
     fn new() -> Self {
         AdaptiveSpin {
             budget: AtomicU32::new(SPIN_INIT),
-            enabled: AtomicBool::new(true),
         }
-    }
-
-    fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Spin until `observed` returns true or the budget runs out.
     /// Returns whether the condition was observed.
     fn spin(&self, observed: impl Fn() -> bool) -> bool {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return false;
-        }
         let budget = self.budget.load(Ordering::Relaxed);
         for _ in 0..budget {
             if observed() {
@@ -193,14 +183,6 @@ impl StepGate {
             proc_spin: AdaptiveSpin::new(),
             sched_spin: AdaptiveSpin::new(),
         }
-    }
-
-    /// Enable or disable the adaptive spin phase on both wait sides.
-    /// Disabled reproduces the legacy park-only handoff exactly (used
-    /// for the `lease = 1` reference path).
-    pub fn set_spin(&self, enabled: bool) {
-        self.proc_spin.set_enabled(enabled);
-        self.sched_spin.set_enabled(enabled);
     }
 
     /// Bump the scheduler sequence and wake it. Must be called with the
@@ -349,13 +331,6 @@ impl StepGate {
         self.notify_sched();
     }
 
-    /// Scheduler side: grant one step to process `p`, blocking until `p`
-    /// arrives at the gate, takes its step, and returns the turn.
-    /// Returns `false` if `p` finished instead of arriving.
-    pub fn grant(&self, p: Pid) -> bool {
-        self.grant_run(p, 0).is_some()
-    }
-
     /// Scheduler side: grant process `p` a lease of `1 + extra` steps
     /// in a single handoff. Blocks until `p` arrives, executes up to
     /// `1 + extra` shared-memory operations without re-parking, and
@@ -420,11 +395,6 @@ impl StepGate {
         self.notify_sched();
     }
 
-    /// Whether process `p` has finished.
-    pub fn is_finished(&self, p: Pid) -> bool {
-        self.state.lock().unwrap().finished[p]
-    }
-
     /// Copy the finished flags into `buf` (cleared first): allocation
     /// free, for per-decision scheduler loops.
     pub fn snapshot_finished(&self, buf: &mut Vec<bool>) {
@@ -477,10 +447,10 @@ impl Interceptor for StepLayer<'_> {
     }
 }
 
-/// A [`Mem`] wrapper that funnels every operation through a [`StepGate`]:
-/// the memory handed to simulated process bodies. This is the
-/// [`Layered`] instantiation of [`StepLayer`] — build one with
-/// [`stepped`].
+/// A [`Mem`] wrapper that funnels every operation through the
+/// simulator's step gate: the memory [`simulate`](crate::simulate) hands
+/// to process bodies. This is the [`Layered`] instantiation of the gate's
+/// interceptor.
 ///
 /// Counter/metadata queries (`rmrs`, `ops`, …) pass through without
 /// consuming a turn — they are measurements, not steps of the algorithm.
@@ -527,7 +497,7 @@ mod tests {
             }
             // Scheduler: strict alternation 0,1,0,1,...
             for i in 0..6 {
-                assert!(gate.grant(i % 2));
+                assert_eq!(gate.grant_run(i % 2, 0), Some(0));
             }
         });
         // The log pushes happen outside the turn, so the *log* order is
@@ -624,7 +594,6 @@ mod tests {
     fn grant_returns_false_for_finished_process() {
         let gate = StepGate::new(1);
         gate.mark_finished(0);
-        assert!(!gate.grant(0));
         assert_eq!(gate.grant_run(0, 5), None);
         assert_eq!(finished_flags(&gate), [true]);
     }
@@ -646,7 +615,7 @@ mod tests {
             gate.shutdown();
         }
         h.join().unwrap();
-        assert!(gate.is_finished(0));
+        assert_eq!(finished_flags(&gate), [true]);
     }
 
     #[test]
@@ -679,32 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn spin_disabled_still_completes() {
-        let mut b = MemoryBuilder::new();
-        let w = b.alloc(0);
-        let mem = Arc::new(b.build_cc(2));
-        let gate = Arc::new(StepGate::new(2));
-        gate.set_spin(false);
-        std::thread::scope(|scope| {
-            for p in 0..2usize {
-                let mem = Arc::clone(&mem);
-                let gate = Arc::clone(&gate);
-                scope.spawn(move || {
-                    let sm = stepped(&*mem, &gate);
-                    for _ in 0..10 {
-                        sm.faa(p, w, 1);
-                    }
-                    gate.mark_finished(p);
-                });
-            }
-            for i in 0..20 {
-                assert!(gate.grant(i % 2));
-            }
-        });
-        assert_eq!(gate.steps(), 20);
-    }
-
-    #[test]
     fn many_processes_step_throughput_is_linear() {
         // Smoke test that wakeups are O(1) per step: 64 processes, 100
         // steps each, must finish quickly (sub-second even in debug).
@@ -727,7 +670,7 @@ mod tests {
                 });
             }
             for i in 0..n * 100 {
-                assert!(gate.grant(i % n));
+                assert_eq!(gate.grant_run(i % n, 0), Some(0));
             }
         });
         assert_eq!(gate.steps(), (n * 100) as u64);

@@ -69,7 +69,7 @@ pub struct WorkloadSpec {
     /// Step budget before declaring livelock.
     pub max_steps: u64,
     /// Step-lease cap, forwarded to [`SimOptions::lease`]: `0` =
-    /// unbounded, `1` = legacy per-step, `k` = capped. Any value yields
+    /// unbounded, `k` = at most `k` steps per grant. Any value yields
     /// the identical execution and report.
     pub lease: u64,
 }
@@ -81,7 +81,7 @@ impl WorkloadSpec {
             plans: vec![ProcPlan::normal(passages); n],
             cs_ops: 1,
             max_steps: 20_000_000,
-            lease: crate::sim::default_lease(),
+            lease: 0,
         }
     }
 }
@@ -311,7 +311,7 @@ mod tests {
             ],
             cs_ops: 3,
             max_steps: 1_000_000,
-            lease: crate::sim::default_lease(),
+            lease: 0,
         };
         let report = run_lock(
             &lock,

@@ -5,16 +5,16 @@
 //! atomic operation on a shared word. This crate realises that model
 //! executably:
 //!
-//! * [`StepGate`]/[`SteppedMem`] — every shared-memory operation becomes
-//!   a scheduling point; processes run on real threads but take steps one
-//!   at a time, in an order chosen by a [`SchedulePolicy`]. When the
-//!   policy can see its next decisions ahead of time
-//!   ([`SchedulePolicy::peek_run`]) the scheduler batches them into a
-//!   single multi-step **lease** ([`SimOptions::lease`] caps the length)
-//!   — fewer condvar round-trips, byte-identical execution.
 //! * [`simulate`] — run `N` process bodies to completion under a policy,
 //!   with external abort-signal injection and a step-limit
-//!   livelock/starvation detector. Deterministic given the policy.
+//!   livelock/starvation detector. Deterministic given the policy. Every
+//!   shared-memory operation of a body goes through its [`SteppedMem`]
+//!   and becomes a scheduling point: processes run on real threads but
+//!   take steps one at a time, in an order chosen by a
+//!   [`SchedulePolicy`]. When the policy can see its next decisions
+//!   ahead of time ([`SchedulePolicy::peek_run`]) the scheduler batches
+//!   them into a single multi-step **lease** ([`SimOptions::lease`] caps
+//!   the length) — fewer condvar round-trips, byte-identical execution.
 //! * [`EventLog`] — step-stamped protocol events with post-hoc checkers
 //!   for mutual exclusion and FCFS.
 //! * [`run_lock`] — a workload harness over any [`sal_core::LockCore`]:
@@ -78,7 +78,7 @@ pub use explore::{
     explore, explore_guided, Decision, ExplorationResult, ExploreOptions, ForcedSchedule,
     GuidedOutcome,
 };
-pub use gate::{stepped, StepGate, StepLayer, SteppedMem};
+pub use gate::SteppedMem;
 pub use harness::{run_lock, run_lock_core, ProcPlan, Role, WorkloadReport, WorkloadSpec};
 pub use pool::{default_jobs, resolve_jobs};
 pub use replay::{ParseRecordingError, Recorder, Recording, RecordingHandle, Replay};
@@ -87,4 +87,4 @@ pub use schedule::{
     BurstySchedule, RandomSchedule, RoundRobin, SchedStatus, SchedulePolicy, Scripted, PEEK_CAP,
 };
 pub use search::{canonical_schedule, independent, OpTraceSink, StepOp, Strategy};
-pub use sim::{default_lease, simulate, ProcCtx, SimError, SimOptions, SimReport};
+pub use sim::{simulate, ProcCtx, SimError, SimOptions, SimReport};

@@ -28,7 +28,7 @@ impl SchedStatus<'_> {
 /// Upper bound on how far a policy simulates ahead in
 /// [`SchedulePolicy::peek_run`]. Purely a work bound on the lookahead
 /// itself — the scheduler additionally caps leases by the step limit,
-/// the abort plan and the user-facing `SAL_LEASE` cap.
+/// the abort plan and [`SimOptions::lease`](crate::SimOptions::lease).
 pub const PEEK_CAP: u64 = 4096;
 
 /// Chooses which live process takes the next step.

@@ -24,12 +24,10 @@ pub struct SimOptions {
     /// and the run cannot progress.
     pub abort_plan: Vec<(Pid, u64)>,
     /// Step-lease cap: `0` = unbounded (lease as far as the policy can
-    /// see), `1` = legacy per-step scheduling (leases *and* the
-    /// adaptive spin gate off — the exact pre-lease handoff, kept as
-    /// the benchmarking reference), `k > 1` = at most `k` steps per
-    /// grant. Every value produces the identical execution — the cap
-    /// only trades scheduler round-trips against lease length. The
-    /// default honors `SAL_LEASE` via [`default_lease`].
+    /// see), `k > 0` = at most `k` steps per grant (`1` is one step per
+    /// grant, the per-step reference). Every value produces the
+    /// identical execution — the cap only trades scheduler round-trips
+    /// against lease length. The default is `0`.
     pub lease: u64,
 }
 
@@ -38,18 +36,9 @@ impl Default for SimOptions {
         SimOptions {
             max_steps: 5_000_000,
             abort_plan: Vec::new(),
-            lease: default_lease(),
+            lease: 0,
         }
     }
-}
-
-/// The default step-lease cap: `SAL_LEASE` if set to a parsable number,
-/// else `0` (unbounded). See [`SimOptions::lease`] for the semantics.
-pub fn default_lease() -> u64 {
-    std::env::var("SAL_LEASE")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
 }
 
 /// Per-process context handed to simulation bodies.
@@ -208,13 +197,6 @@ where
         }
 
         // The scheduler runs on this thread.
-        let leases_on = opts.lease != 1;
-        if !leases_on {
-            // Cap 1 is the reference mode: strictly one step per
-            // handoff *and* park-only waits — the exact pre-lease
-            // scheduler, kept for baseline benchmarking.
-            gate.set_spin(false);
-        }
         let mut plan_idx = 0;
         let mut finished: Vec<bool> = Vec::with_capacity(nprocs);
         loop {
@@ -251,12 +233,7 @@ where
                     step,
                 };
                 let p = policy.next(&status);
-                let extra = if leases_on {
-                    policy.peek_run(&status, p)
-                } else {
-                    0
-                };
-                (p, extra)
+                (p, policy.peek_run(&status, p))
             }));
             let (p, mut extra) = match picked {
                 Ok(x) => x,
@@ -276,7 +253,7 @@ where
                     extra = extra.min(plan[plan_idx].1.saturating_sub(step + 1));
                 }
                 extra = extra.min(opts.max_steps.saturating_sub(step + 1));
-                if opts.lease > 1 {
+                if opts.lease > 0 {
                     extra = extra.min(opts.lease - 1);
                 }
             }
@@ -391,8 +368,7 @@ mod tests {
             Box::new(RoundRobin::new()),
             SimOptions {
                 max_steps: 1000,
-                abort_plan: vec![],
-                lease: crate::sim::default_lease(),
+                ..SimOptions::default()
             },
             |ctx| {
                 // Process 1 waits for a word nobody ever sets.
@@ -447,7 +423,7 @@ mod tests {
             SimOptions {
                 max_steps: 100_000,
                 abort_plan: vec![(0, 50)],
-                lease: crate::sim::default_lease(),
+                ..SimOptions::default()
             },
             |ctx| {
                 // Spin until the external signal fires.

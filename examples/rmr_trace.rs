@@ -22,7 +22,7 @@ fn run(n: usize, aborters: usize, label: &str) {
         plans,
         cs_ops: 1,
         max_steps: 5_000_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     };
     let report = run_lock(
         &built.lock,
@@ -93,7 +93,7 @@ fn main() {
         ],
         cs_ops: 1,
         max_steps: 100_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     };
     let report = run_lock(
         &built.lock,

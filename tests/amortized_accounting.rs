@@ -75,7 +75,7 @@ fn jj_spec() -> WorkloadSpec {
         ],
         cs_ops: 2,
         max_steps: 20_000_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     }
 }
 
@@ -149,7 +149,7 @@ fn one_shot_amortized_matches_cc_ground_truth() {
         ],
         cs_ops: 2,
         max_steps: 1_000_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     };
     let stats = PassageStats::new();
     let report = run_lock(

@@ -55,7 +55,7 @@ fn conformance_under(
         plans,
         cs_ops: 2,
         max_steps: 20_000_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     };
     let report = run_lock(
         &built.lock,

@@ -3,14 +3,16 @@
 //! observable artifact of a run (step counts, per-process outcomes,
 //! per-passage RMR records, the step-stamped event log, safety
 //! verdicts, exploration traces, replay recordings) must be
-//! byte-identical at every lease cap: `1` (legacy per-step), small
-//! caps, large caps, and `0` (unbounded).
+//! byte-identical at every lease cap: `1` (one step per grant, the
+//! per-step reference), small caps, large caps, and `0` (unbounded).
 
 use sal_bench::{build_lock, LockKind};
+use sal_memory::Layered;
 use sal_obs::NoProbe;
 use sal_runtime::{
-    explore, run_lock, BurstySchedule, ExploreOptions, ForcedSchedule, ProcPlan, RandomSchedule,
-    Recorder, Recording, SchedulePolicy, WorkloadReport, WorkloadSpec,
+    explore_guided, run_lock, BurstySchedule, ExploreOptions, ForcedSchedule, GuidedOutcome,
+    OpTraceSink, ProcPlan, RandomSchedule, Recorder, Recording, SchedulePolicy, Strategy,
+    WorkloadReport, WorkloadSpec,
 };
 
 /// The cap sweep every test runs: per-step reference, short lease, long
@@ -190,69 +192,106 @@ fn process_finishing_mid_lease_is_byte_identical() {
     }
 }
 
+/// One guided-search run of a contended one-shot cell at the given
+/// lease cap: the op trace comes from an [`OpTraceSink`] layered under
+/// the step gate, and the cost is the run's max entered-passage RMRs.
+fn guided_run_at(cap: u64, policy: ForcedSchedule) -> GuidedOutcome {
+    let plans = vec![
+        ProcPlan::normal(1),
+        ProcPlan::aborter(1, 4),
+        ProcPlan::normal(1),
+    ];
+    let attempts: usize = plans.iter().map(|p| p.passages).sum();
+    let built = build_lock(LockKind::OneShot { b: 2 }, 3, attempts);
+    let traced = Layered::over(&built.mem, OpTraceSink::new());
+    let spec = WorkloadSpec {
+        plans,
+        cs_ops: 2,
+        max_steps: 100_000,
+        lease: cap,
+    };
+    let report = run_lock(
+        &built.lock,
+        &traced,
+        built.cs_word,
+        &spec,
+        Box::new(policy),
+        NoProbe,
+    );
+    let ops = traced.into_layer().take();
+    let verdict = match &report {
+        Err(e) => Err(e.to_string()),
+        Ok(r) => match &r.mutex_check {
+            Err(v) => Err(format!("{v:?}")),
+            Ok(()) => {
+                let resolved: usize = r.outcomes.iter().map(|&(e, a)| e + a).sum();
+                if resolved == attempts {
+                    Ok(())
+                } else {
+                    Err(format!("only {resolved}/{attempts} attempts resolved"))
+                }
+            }
+        },
+    };
+    let cost = report.map_or(0, |r| r.stats.summary().max_entered_rmrs);
+    GuidedOutcome { verdict, ops, cost }
+}
+
 #[test]
 fn exploration_trace_is_identical_at_every_cap() {
-    // The explorer's visited-schedule set and run count derive from the
-    // recorded decision traces; leases must not change a single one.
-    let explore_at = |cap: u64| {
-        let run = |policy: ForcedSchedule| -> Result<(), String> {
-            let plans = vec![
-                ProcPlan::normal(1),
-                ProcPlan::aborter(1, 4),
-                ProcPlan::normal(1),
-            ];
-            let attempts: usize = plans.iter().map(|p| p.passages).sum();
-            let built = build_lock(LockKind::OneShot { b: 2 }, 3, attempts);
-            let spec = WorkloadSpec {
-                plans,
-                cs_ops: 2,
-                max_steps: 100_000,
-                lease: cap,
-            };
-            let report = run_lock(
-                &built.lock,
-                &built.mem,
-                built.cs_word,
-                &spec,
-                Box::new(policy),
-                NoProbe,
+    // Every search strategy's result derives from the recorded decision
+    // traces, op traces and costs of its runs; leases must not change a
+    // single one: BFS's visited set, DPOR's pruning and dedup, and
+    // best-first's cost-ordered frontier and witness.
+    for strategy in [Strategy::Bfs, Strategy::Dpor, Strategy::BestFirst] {
+        let explore_at = |cap: u64| {
+            explore_guided(
+                &ExploreOptions {
+                    max_deviations: 2,
+                    max_runs: 300,
+                    max_branch_depth: 50,
+                    jobs: 1,
+                    collect_schedules: true,
+                    ..ExploreOptions::default()
+                },
+                strategy,
+                |policy| guided_run_at(cap, policy),
             )
-            .map_err(|e| e.to_string())?;
-            report.mutex_check.as_ref().map_err(|v| format!("{v:?}"))?;
-            let resolved: usize = report.outcomes.iter().map(|&(e, a)| e + a).sum();
-            if resolved != attempts {
-                return Err(format!("only {resolved}/{attempts} attempts resolved"));
-            }
-            Ok(())
         };
-        explore(
-            &ExploreOptions {
-                max_deviations: 1,
-                max_runs: 600,
-                max_branch_depth: 50,
-                jobs: 1,
-                collect_schedules: true,
-                ..ExploreOptions::default()
-            },
-            run,
-        )
-    };
-    let reference = explore_at(1);
-    assert!(
-        reference.runs > 20,
-        "explored only {} schedules",
-        reference.runs
-    );
-    assert!(reference.violation.is_none());
-    for cap in CAPS {
-        let result = explore_at(cap);
-        assert_eq!(result.runs, reference.runs, "cap {cap} run count drifted");
-        assert_eq!(result.truncated, reference.truncated);
-        assert_eq!(
-            result.visited, reference.visited,
-            "cap {cap} explored a different schedule set"
+        let reference = explore_at(CAPS[0]);
+        let label = strategy.label();
+        assert!(
+            reference.runs > 10,
+            "{label}: explored only {} schedules",
+            reference.runs
         );
-        assert!(result.violation.is_none());
+        assert!(reference.violation.is_none(), "{label}");
+        assert!(reference.best_cost > 0, "{label}: no run reported a cost");
+        if strategy == Strategy::Dpor {
+            assert!(
+                reference.pruned > 0 && reference.deduped > 0,
+                "dpor must both prune and dedup for the cap sweep to cover them"
+            );
+        }
+        for cap in CAPS[1..].iter().copied() {
+            let r = explore_at(cap);
+            let drift = format!("{label} at cap {cap} drifted");
+            assert_eq!(r.runs, reference.runs, "{drift}: runs");
+            assert_eq!(r.truncated, reference.truncated, "{drift}: truncated");
+            assert_eq!(r.pruned, reference.pruned, "{drift}: pruned");
+            assert_eq!(r.deduped, reference.deduped, "{drift}: deduped");
+            assert_eq!(
+                r.distinct_states, reference.distinct_states,
+                "{drift}: distinct states"
+            );
+            assert_eq!(r.best_cost, reference.best_cost, "{drift}: best cost");
+            assert_eq!(
+                r.best_schedule, reference.best_schedule,
+                "{drift}: best schedule"
+            );
+            assert_eq!(r.visited, reference.visited, "{drift}: schedule set");
+            assert!(r.violation.is_none(), "{drift}: violation");
+        }
     }
 }
 

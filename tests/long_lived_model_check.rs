@@ -19,7 +19,7 @@ fn check(kind: LockKind, plans: Vec<ProcPlan>, policy: Box<dyn SchedulePolicy>, 
         plans,
         cs_ops: 2,
         max_steps: 20_000_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     };
     let report = run_lock(
         &built.lock,

@@ -27,8 +27,7 @@ fn run_contended(seed: u64, bursty: bool) -> PathStats {
         policy,
         SimOptions {
             max_steps: 10_000_000,
-            abort_plan: vec![],
-            lease: sal_runtime::default_lease(),
+            ..SimOptions::default()
         },
         |ctx| {
             for _ in 0..6 {
@@ -118,7 +117,7 @@ fn spin_pools_never_run_dry_and_a_failed_switch_keeps_its_pair() {
                 SimOptions {
                     max_steps: 10_000_000,
                     abort_plan,
-                    lease: sal_runtime::default_lease(),
+                    ..SimOptions::default()
                 },
                 |ctx| {
                     for _ in 0..12 {

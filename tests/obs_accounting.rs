@@ -106,7 +106,7 @@ fn one_shot_aborted_attempts_are_charged_to_their_passage() {
         ],
         cs_ops: 2,
         max_steps: 1_000_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     };
     let extra = PassageStats::new();
     let report = run_lock(
@@ -144,7 +144,7 @@ fn long_lived_passages_match_cc_ground_truth_on_scripted_and_random_schedules() 
             ],
             cs_ops: 2,
             max_steps: 10_000_000,
-            lease: sal_runtime::default_lease(),
+            lease: 0,
         };
         let extra = PassageStats::new();
         let policy: Box<dyn sal_runtime::SchedulePolicy> = if seed == 0 {

@@ -34,7 +34,7 @@ fn check(
         plans,
         cs_ops: 2,
         max_steps: 5_000_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     };
     let report = run_lock(&lock, &mem, cs, &spec, policy, NoProbe)
         .unwrap_or_else(|e| panic!("{tag}: simulation failed: {e}"));
@@ -268,7 +268,7 @@ fn dsm_variant_model_check() {
             ],
             cs_ops: 2,
             max_steps: 5_000_000,
-            lease: sal_runtime::default_lease(),
+            lease: 0,
         };
         let report = run_lock(
             &lock,
@@ -344,7 +344,7 @@ fn run_lock_records_tickets_only_for_one_shot_locks() {
         plans,
         cs_ops: 2,
         max_steps: 1_000_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     };
     let policy = Box::new(RandomSchedule::seeded(3));
     let report = run_lock(&lock, &mem, cs, &spec, policy, NoProbe).expect("sim failed");

@@ -248,7 +248,7 @@ fn jj_single_passage_debt_exceeds_amortized_but_total_stays_linear() {
         plans,
         cs_ops: 2,
         max_steps: 60_000_000,
-        lease: sal_runtime::default_lease(),
+        lease: 0,
     };
     let report = run_lock(
         &built.lock,

@@ -35,8 +35,7 @@ fn one_shot_guided(
         Box::new(policy),
         SimOptions {
             max_steps: 100_000,
-            abort_plan: vec![],
-            lease: sal_runtime::default_lease(),
+            ..SimOptions::default()
         },
         |ctx| {
             let entered = match aborter_delay[ctx.pid] {
@@ -172,8 +171,7 @@ fn long_lived_two_processes_two_passages() {
                 Box::new(policy),
                 SimOptions {
                     max_steps: 200_000,
-                    abort_plan: vec![],
-                    lease: sal_runtime::default_lease(),
+                    ..SimOptions::default()
                 },
                 |ctx| {
                     for _ in 0..2 {
@@ -304,8 +302,7 @@ fn strategies_agree_on_the_long_lived_config() {
             Box::new(policy),
             SimOptions {
                 max_steps: 200_000,
-                abort_plan: vec![],
-                lease: sal_runtime::default_lease(),
+                ..SimOptions::default()
             },
             |ctx| {
                 for _ in 0..2 {
@@ -358,8 +355,7 @@ fn jj_guided(policy: ForcedSchedule, n: usize, aborter_delay: &[Option<u64>]) ->
         Box::new(policy),
         SimOptions {
             max_steps: 200_000,
-            abort_plan: vec![],
-            lease: sal_runtime::default_lease(),
+            ..SimOptions::default()
         },
         |ctx| {
             for _ in 0..2 {
